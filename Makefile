@@ -4,11 +4,12 @@
 #   make check   # build + vet + fmt + lint + test + race: what CI should run
 #   make lint    # invariant lint suite (cmd/invarcheck) + godoc lint (cmd/doccheck)
 #   make ci      # check plus the perf regression gates (REPRO_PERF_ASSERT)
+#   make benchsmoke  # compile + smoke-test the nested quakebench module (bench/)
 #   make bench   # paper-figure and hot-kernel benchmarks
 #   make fuzz    # short fuzz sessions: datatype/RLE/wire codecs + request parser
 GO ?= go
 
-.PHONY: build test race vet fmtcheck doccheck invarcheck lint bench check ci fuzz
+.PHONY: build test race vet fmtcheck doccheck invarcheck lint bench benchsmoke check ci fuzz
 
 build:
 	$(GO) build ./...
@@ -68,6 +69,14 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/mpi/
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/serve/
 
+# bench/ (quakebench, BENCHMARK.json's command) is a nested module that
+# `go build ./... && go test ./...` at the root neither compiles nor runs,
+# so a core/serve API change could break the benchmark unnoticed. Its own
+# test suite builds it against this checkout and runs every workload once
+# at smoke scale.
+benchsmoke:
+	cd bench && $(GO) test ./...
+
 check: build vet fmtcheck lint test race
 
 # ci is what the GitHub Actions workflow runs: the full functional gates
@@ -84,10 +93,13 @@ check: build vet fmtcheck lint test race
 # replays the transport's heal/peer-loss suite the same way; the serve
 # legs replay the frame server's load suite (bit-exactness + hit-rate +
 # zero-alloc warm path) and chaos suite (degraded serving, shedding,
-# drain, leak checks) under the race detector (docs/serve.md); and the
-# -benchtime 1x smoke run compiles and executes every hot-kernel benchmark
-# once so they cannot bit-rot. See docs/ci.md for the full gate catalog.
-ci: check
+# drain, leak checks) under the race detector (docs/serve.md); the
+# SetView/shared-Dataset leg replays the re-aim exactness suite and the
+# concurrent-sessions-on-one-Dataset pins the same way; the -benchtime 1x
+# smoke run compiles and executes every hot-kernel benchmark once so they
+# cannot bit-rot; and benchsmoke does the same for the nested quakebench
+# module. See docs/ci.md for the full gate catalog.
+ci: check benchsmoke
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestSpMVSpeedupGate' -v ./internal/quake/
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestCompositeStripSpeedupGate' -v ./internal/compositor/
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestDecodeChainSpeedupGate' -v ./internal/core/
@@ -95,6 +107,7 @@ ci: check
 	$(GO) test -race -run 'TestChaos' -count=1 -v ./internal/core/ ./internal/serve/
 	$(GO) test -race -run 'TestNet' -count=1 -v ./internal/mpi/ ./internal/faultinject/
 	$(GO) test -race -run 'TestServeLoad' -count=1 -v ./internal/serve/
+	$(GO) test -race -run 'TestSetView|TestDatasetShared|TestServeNewViews|TestServeConcurrentViewers' -count=1 -v ./internal/core/ ./internal/serve/
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/compositor/ ./internal/lic/ ./internal/render/ ./internal/mpiio/ ./internal/core/ ./internal/workers/ ./internal/mpi/ ./internal/serve/
 
 # Short exploratory fuzz sessions; the committed seeds alone run in `test`.

@@ -36,7 +36,7 @@ func main() {
 	data := flag.String("data", "dataset", "dataset directory (from quakesim)")
 	listen := flag.String("listen", ":8080", "HTTP listen address")
 	cacheMB := flag.Int64("cache-mb", 64, "frame cache bound in MiB (<= 0 disables caching)")
-	sessions := flag.Int("sessions", 4, "idle render sessions kept warm")
+	sessions := flag.Int("sessions", 4, "idle render sessions kept warm (any session renders any view; more than -inflight is never used)")
 	inflight := flag.Int("inflight", 2, "concurrent renders admitted")
 	queue := flag.Int("queue", 8, "renders queued beyond the in-flight bound (-1: none)")
 	queueTimeout := flag.Duration("queue-timeout", 2*time.Second, "max time a queued render waits before 429")

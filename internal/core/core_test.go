@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/img"
@@ -242,32 +241,14 @@ func runReal(t *testing.T, store pfs.Store, l Layout, opts Options) (*RealWorklo
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Close)
-	p, err := NewPipeline(l, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var runErr error
-	mpi.RunReal(l.WorldSize(), func(c *mpi.Comm) {
-		if err := p.Run(c); err != nil {
-			mu.Lock()
-			if runErr == nil {
-				runErr = err
-			}
-			mu.Unlock()
-		}
-	})
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	return w, p.Res
+	return w, runPipeline(t, w, l)
 }
 
 // serialFrame renders timestep t directly (reference image) using the same
 // quantization as the pipeline.
 func serialFrame(t *testing.T, w *RealWorkload, opts Options, step int) *img.Image {
 	t.Helper()
-	buf := make([]byte, w.meta.NumNodes*quake.BytesPerNode)
+	buf := make([]byte, w.ds.meta.NumNodes*quake.BytesPerNode)
 	if err := w.store.ReadAt(nil, quake.StepObject(step), 0, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -279,11 +260,11 @@ func serialFrame(t *testing.T, w *RealWorkload, opts Options, step int) *img.Ima
 		}
 		mag = render.EnhanceTemporal(mag, render.Magnitude(quake.DecodeStep(pbuf)), opts.EnhanceGain)
 	}
-	scalar := render.Dequantize(render.Quantize(mag, 0, w.vmax))
+	scalar := render.Dequantize(render.Quantize(mag, 0, w.ds.vmax))
 	rr := render.NewRenderer()
 	rr.Lighting = opts.Lighting
 	view := opts.View
-	im, err := render.RenderSerial(rr, w.mesh, scalar, opts.BlockLevel, w.level, &view)
+	im, err := render.RenderSerial(rr, w.ds.mesh, scalar, opts.BlockLevel, w.ds.level, &view)
 	if err != nil {
 		t.Fatal(err)
 	}

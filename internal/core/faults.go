@@ -97,16 +97,16 @@ func (w *RealWorkload) degradeStep(c *mpi.Comm, t, part, m int) *stepShare {
 	share.t, share.part = t, part
 	share.ids, share.idLo, share.idHi = nil, 0, 0
 	if share.q == nil {
-		share.q = make([]uint8, w.meta.NumNodes)
+		share.q = make([]uint8, w.ds.meta.NumNodes)
 	}
 	switch {
 	case w.opts.ReadStrategy == ReadCollective:
-		share.ids = w.collIDs[part]
+		share.ids = w.ds.collIDs[part]
 	case w.adaptiveFetching():
-		n := len(w.allNeeded)
-		share.ids = w.allNeeded[n*part/m : n*(part+1)/m]
+		n := len(w.ds.allNeeded)
+		share.ids = w.ds.allNeeded[n*part/m : n*(part+1)/m]
 	default:
-		n := w.meta.NumNodes
+		n := w.ds.meta.NumNodes
 		share.idLo, share.idHi = int32(n*part/m), int32(n*(part+1)/m)
 	}
 	return share

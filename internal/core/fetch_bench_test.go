@@ -50,7 +50,7 @@ func BenchmarkFetchStep(b *testing.B) {
 			if c.Rank() != 0 {
 				return
 			}
-			n := w.meta.NumNodes
+			n := w.ds.meta.NumNodes
 			share := make([]uint8, n)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -63,7 +63,7 @@ func BenchmarkFetchStep(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				q := render.Quantize(render.Magnitude(quake.DecodeStep(raw)), 0, w.vmax)
+				q := render.Quantize(render.Magnitude(quake.DecodeStep(raw)), 0, w.ds.vmax)
 				copy(share, q)
 			}
 		})

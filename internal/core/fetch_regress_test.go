@@ -209,9 +209,9 @@ func TestFetchChainMatchesLegacy(t *testing.T) {
 	w, _ := fetchWorkload(t, steps, func(o *Options) { o.Enhancement = true; o.EnhanceGain = 3 })
 	scr := w.ipScr[0]
 	if scr.share.q == nil {
-		scr.share.q = make([]uint8, w.meta.NumNodes)
+		scr.share.q = make([]uint8, w.ds.meta.NumNodes)
 	}
-	n := w.meta.NumNodes
+	n := w.ds.meta.NumNodes
 	raw := make([]byte, n*quake.BytesPerNode)
 	praw := make([]byte, n*quake.BytesPerNode)
 	for step := 1; step < steps; step++ {
@@ -224,7 +224,7 @@ func TestFetchChainMatchesLegacy(t *testing.T) {
 		// Legacy chain, exactly as the pre-PR-4 magQuant computed it.
 		mag := render.Magnitude(quake.DecodeStep(raw))
 		pmag := render.Magnitude(quake.DecodeStep(praw))
-		want := render.Quantize(render.EnhanceTemporal(mag, pmag, w.opts.EnhanceGain), 0, w.vmax)
+		want := render.Quantize(render.EnhanceTemporal(mag, pmag, w.opts.EnhanceGain), 0, w.ds.vmax)
 		ids := growIDRange(scr, 0, int32(n))
 		got, err := w.magQuant(nil, step, ids, raw, scr)
 		if err != nil {
@@ -247,11 +247,11 @@ func TestFetchChainMatchesLegacy(t *testing.T) {
 func TestFetchSurfacesCorruptStep(t *testing.T) {
 	w, l := fetchWorkload(t, 2, nil)
 	scr := w.ipScr[0]
-	raw := make([]byte, w.meta.NumNodes*quake.BytesPerNode)
+	raw := make([]byte, w.ds.meta.NumNodes*quake.BytesPerNode)
 	if err := w.store.ReadAt(nil, w.stepName(1), 0, raw); err != nil {
 		t.Fatal(err)
 	}
-	ids := growIDRange(scr, 0, int32(w.meta.NumNodes))
+	ids := growIDRange(scr, 0, int32(w.ds.meta.NumNodes))
 	if _, err := w.magQuant(nil, 1, ids, raw[:len(raw)-2], scr); err == nil {
 		t.Error("magQuant decoded a truncated record without error")
 	}

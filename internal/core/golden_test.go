@@ -149,7 +149,7 @@ func TestLPTBalanceMatchesSelectionSort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nb := len(w.blockCells)
+		nb := len(w.ds.blockCells)
 		// Legacy ordering: PR 1's repeated-swap selection sort, verbatim.
 		order := make([]int, nb)
 		for i := range order {
@@ -157,13 +157,13 @@ func TestLPTBalanceMatchesSelectionSort(t *testing.T) {
 		}
 		for i := 0; i < nb; i++ {
 			for j := i + 1; j < nb; j++ {
-				if len(w.blockCells[order[j]]) > len(w.blockCells[order[i]]) {
+				if len(w.ds.blockCells[order[j]]) > len(w.ds.blockCells[order[i]]) {
 					order[i], order[j] = order[j], order[i]
 				}
 			}
 		}
 		if !sort.SliceIsSorted(order, func(a, b int) bool {
-			return len(w.blockCells[order[a]]) > len(w.blockCells[order[b]])
+			return len(w.ds.blockCells[order[a]]) > len(w.ds.blockCells[order[b]])
 		}) {
 			t.Fatal("legacy selection sort did not produce descending sizes")
 		}
@@ -175,19 +175,19 @@ func TestLPTBalanceMatchesSelectionSort(t *testing.T) {
 					best = r
 				}
 			}
-			legacyLoad[best] += len(w.blockCells[bi])
+			legacyLoad[best] += len(w.ds.blockCells[bi])
 		}
 		newLoad := make([]int, renderers)
 		total := 0
-		for r, blocks := range w.rblocks {
+		for r, blocks := range w.ds.rblocks {
 			for _, bi := range blocks {
-				newLoad[r] += len(w.blockCells[bi])
-				total += len(w.blockCells[bi])
+				newLoad[r] += len(w.ds.blockCells[bi])
+				total += len(w.ds.blockCells[bi])
 			}
 		}
 		cells := 0
-		for bi := range w.blockCells {
-			cells += len(w.blockCells[bi])
+		for bi := range w.ds.blockCells {
+			cells += len(w.ds.blockCells[bi])
 		}
 		if total != cells {
 			t.Fatalf("renderers own %d cells, mesh has %d", total, cells)

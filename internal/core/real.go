@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/compositor"
@@ -29,55 +27,34 @@ import (
 // processors, composited with SLIC or direct send, and assembled into
 // frames the caller can retrieve with Frame().
 //
-// All static structures (mesh, block partition, load-balanced assignment,
-// visibility order, SLIC schedule) are computed once at construction —
-// mirroring the paper's one-time octree preprocessing and distribution.
+// It is the per-session half of a run, built on a shared immutable
+// Dataset (the paper's one-time octree preprocessing and distribution):
+// the workload owns only what depends on the viewpoint (block visibility
+// order, SLIC schedule, transfer-function table), the step window, and the
+// warm buffers of one in-flight run — scratches, worker pools, frame ring.
+// SetView and SetStepWindow re-aim it between runs without touching those
+// buffers.
 type RealWorkload struct {
-	layout Layout
-	opts   Options
-	store  pfs.Store
-	mesh   *mesh.Mesh
-	meta   quake.Meta
-	steps  int
-	level  uint8
+	ds   *Dataset
+	opts Options
+	// store is the handle step data is read through: the dataset's, unless
+	// a test swaps in a fault injector after construction.
+	store pfs.Store
+	steps int
 
-	blocks       []octree.Block
-	visRank      []int
-	owner        []int   // block -> renderer
-	rblocks      [][]int // renderer -> blocks
-	blockCells   [][]octree.Cell
-	blockBD      []*render.BlockData // per-block template with prebuilt index
-	blockCorner  [][][8]int32
-	blockNodeIDs [][]int32
-	// blockCornerLocal[bi][ci][k] is the index of blockCorner[bi][ci][k]
-	// within blockNodeIDs[bi] — the flat replacement for the old per-block
-	// node-id map, so the per-frame value scatter does no map lookups.
-	blockCornerLocal [][][8]int32
-	ipBlocks         [][]int   // part -> blocks (collective read ownership)
-	collIDs          [][]int32 // part -> merged sorted node ids (collective fetch)
-
-	allNeeded []int32 // union of node ids at the render level, sorted
-
-	vmax    float32
+	// View-dependent state, recomputed by aim: visRank[bi] is block bi's
+	// front-to-back position, sched the SLIC schedule over the blocks'
+	// projected rects (staged per renderer in rects, reused across views).
 	rend    *render.Renderer
+	visRank []int
 	sched   *compositor.Schedule
-	surfID  []int32
-	surfPos [][3]float64
+	rects   [][]compositor.Rect
 
-	// Steady-state reuse (PR 3): rblockPos[bi] is block bi's position in
-	// its owner's rblocks list, and the per-rank scratches below hold every
-	// buffer the per-step path reuses across timesteps (see scratch.go).
-	rblockPos []int
-	ipScr     []*ipScratch       // indexed by input world rank
-	rendScr   []*rendererScratch // indexed by renderer
-	outScr    []*outputScratch   // indexed by output processor
-
-	// stepNames caches every step's object name (PR 4): the fetch loop
-	// opens one object per timestep, and formatting the name there was the
-	// last per-step allocation of the read path. It covers the whole
-	// dataset (not just the configured run length) so a step window can be
-	// re-aimed anywhere without reformatting names.
-	stepNames []string
+	// Steady-state reuse (PR 3): the per-rank scratches hold every buffer
+	// the per-step path reuses across timesteps (see scratch.go).
+	ipScr   []*ipScratch       // indexed by input world rank
+	rendScr []*rendererScratch // indexed by renderer
+	outScr  []*outputScratch   // indexed by output processor
 
 	// stepBase offsets logical timesteps into the dataset: the pipeline
 	// always runs logical steps [0, steps), which SetStepWindow maps onto
@@ -131,156 +108,50 @@ type rendered struct {
 	frags []*render.Fragment
 }
 
-// NewRealWorkload loads the dataset and performs the one-time setup.
+// NewRealWorkload loads the dataset and performs the one-time setup: the
+// shared half (NewDataset), then one workload on it.
 func NewRealWorkload(l Layout, opts Options, store pfs.Store) (*RealWorkload, error) {
-	if err := l.Validate(); err != nil {
+	d, err := NewDataset(l, opts, store)
+	if err != nil {
 		return nil, err
 	}
-	m, err := quake.ReadMesh(store)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading mesh: %w", err)
+	return d.NewWorkload(opts)
+}
+
+// NewWorkload builds a workload on the dataset: the renderer and its
+// transfer-function table, the per-rank scratches and worker pools, the
+// frame ring, and the view-dependent tables for opts.View. It reads no
+// data, so it costs scratch allocation plus well under a millisecond of
+// CPU; every workload on one Dataset is independent of the others. The
+// view-independent options (Level, BlockLevel, LIC, MaxSteps, FixedVMax)
+// must be the ones the dataset was built with.
+func (d *Dataset) NewWorkload(opts Options) (*RealWorkload, error) {
+	if datasetOptions(opts) != d.opts {
+		return nil, fmt.Errorf("core: workload options %+v disagree with the dataset's %+v", datasetOptions(opts), d.opts)
 	}
-	meta, err := quake.ReadMeta(store)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading meta: %w", err)
-	}
-	if meta.NumNodes != m.NumNodes() {
-		return nil, fmt.Errorf("core: meta says %d nodes, mesh has %d", meta.NumNodes, m.NumNodes())
-	}
+	l := d.layout
 	w := &RealWorkload{
-		layout: l, opts: opts, store: store, mesh: m, meta: meta,
+		ds: d, opts: opts, store: d.store, steps: d.steps,
 		frames: make(map[int]*img.Image),
-	}
-	w.steps = meta.NumSteps
-	if opts.MaxSteps > 0 && opts.MaxSteps < w.steps {
-		w.steps = opts.MaxSteps
-	}
-	w.stepNames = make([]string, meta.NumSteps)
-	for t := range w.stepNames {
-		w.stepNames[t] = quake.StepObject(t)
 	}
 	// The frame ring is sized to the pipeline's prefetch window (the
 	// default depth of 1 keeps one step streaming while one renders, so at
 	// most two frames per output rank are in flight when consumers release
 	// promptly); it grows on demand when they do not.
 	w.ring = NewFrameRing(2*l.Outputs, opts.Width, opts.Height)
-	depth := m.Tree.MaxDepth()
-	w.level = opts.Level
-	if w.level > depth {
-		w.level = depth
-	}
-	if w.level < opts.BlockLevel {
-		w.level = opts.BlockLevel
-	}
 	w.rend = render.NewRenderer()
 	w.rend.Lighting = opts.Lighting
-	if opts.TFName != "" {
-		w.rend.TF = render.TFByName(opts.TFName)
-	}
+	w.rend.TF = render.TFByName(opts.TFName)
 	w.rend.Workers = opts.Workers
-	// Renderer ranks share w.rend across goroutines; bake its defaults and
-	// transfer-function table now, while construction is single-threaded.
-	w.rend.Prepare()
 
-	// Block partition and static per-block tables.
-	w.blocks = m.Tree.Blocks(opts.BlockLevel)
-	nb := len(w.blocks)
-	w.blockCells = make([][]octree.Cell, nb)
-	w.blockBD = make([]*render.BlockData, nb)
-	w.blockCorner = make([][][8]int32, nb)
-	w.blockNodeIDs = make([][]int32, nb)
-	w.blockCornerLocal = make([][][8]int32, nb)
-	zeros := make([]float32, m.NumNodes())
-	for bi, b := range w.blocks {
-		bd, err := render.ExtractBlockData(m, zeros, b, w.level)
-		if err != nil {
-			return nil, err
-		}
-		w.blockCells[bi] = bd.Cells
-		w.blockBD[bi] = bd // template: index prebuilt, Vals replaced per frame
-		corners := make([][8]int32, len(bd.Cells))
-		for ci, cell := range bd.Cells {
-			ids, err := cellCornerIDs(m, cell)
-			if err != nil {
-				return nil, err
-			}
-			corners[ci] = ids
-		}
-		w.blockCorner[bi] = corners
-		w.blockNodeIDs[bi] = render.BlockNodeIDs(m, b, w.level)
-		local := make([][8]int32, len(corners))
-		for ci, ids := range corners {
-			for k, id := range ids {
-				pos, ok := slices.BinarySearch(w.blockNodeIDs[bi], id)
-				if !ok {
-					return nil, fmt.Errorf("core: corner node %d of block %d missing from its node set", id, bi)
-				}
-				local[ci][k] = int32(pos)
-			}
-		}
-		w.blockCornerLocal[bi] = local
-	}
-
-	// Load balance with longest-processing-time assignment: sort the blocks
-	// by descending cell count (stable, so equal-sized blocks keep their
-	// key order), then place each on the least-loaded renderer. The sort
-	// replaces PR 1's O(n^2) selection sort; the resulting max load is
-	// identical because the greedy placement only sees the size sequence.
-	w.owner = make([]int, nb)
-	w.rblocks = make([][]int, l.Renderers)
-	order := make([]int, nb)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(w.blockCells[order[a]]) > len(w.blockCells[order[b]])
-	})
-	load := make([]int, l.Renderers)
-	for _, bi := range order {
-		best := 0
-		for r := 1; r < l.Renderers; r++ {
-			if load[r] < load[best] {
-				best = r
-			}
-		}
-		w.owner[bi] = best
-		load[best] += len(w.blockCells[bi])
-		w.rblocks[best] = append(w.rblocks[best], bi)
-	}
-
-	// Collective-read ownership: split renderers among the m group parts,
-	// and precompute each part's merged sorted node-id set — it is static,
-	// so the per-step collective fetch does no merge or sort.
-	mParts := l.IPsPerGroup
-	w.ipBlocks = make([][]int, mParts)
-	for bi := range w.blocks {
-		p := w.owner[bi] % mParts
-		w.ipBlocks[p] = append(w.ipBlocks[p], bi)
-	}
-	w.collIDs = make([][]int32, mParts)
-	for p, blocks := range w.ipBlocks {
-		var ids []int32
-		for _, bi := range blocks {
-			ids = append(ids, w.blockNodeIDs[bi]...)
-		}
-		w.collIDs[p] = dedupSorted(ids)
-	}
-
-	// Per-rank reuse scratches (PR 3). rblockPos flattens the block->slot
-	// lookup the renderers' value merge uses instead of a per-frame map.
-	w.rblockPos = make([]int, nb)
-	for _, blocks := range w.rblocks {
-		for pos, bi := range blocks {
-			w.rblockPos[bi] = pos
-		}
-	}
+	// Per-rank reuse scratches (PR 3).
 	w.ipScr = make([]*ipScratch, l.NumInput())
 	for i := range w.ipScr {
 		w.ipScr[i] = &ipScratch{}
 	}
 	w.rendScr = make([]*rendererScratch, l.Renderers)
 	for r := range w.rendScr {
-		mine := w.rblocks[r]
+		mine := d.rblocks[r]
 		rs := &rendererScratch{
 			nodeVals: make([][]uint8, len(mine)),
 			corn:     make([][]uint8, len(mine)),
@@ -290,9 +161,9 @@ func NewRealWorkload(l Layout, opts Options, store pfs.Store) (*RealWorkload, er
 			comp:     compositor.NewCompositeScratch(),
 		}
 		for i, bi := range mine {
-			rs.nodeVals[i] = make([]uint8, len(w.blockNodeIDs[bi]))
+			rs.nodeVals[i] = make([]uint8, len(d.blockNodeIDs[bi]))
 			rs.bds[i] = new(render.BlockData)
-			rs.vals[i] = make([][8]float32, len(w.blockCells[bi]))
+			rs.vals[i] = make([][8]float32, len(d.blockCells[bi]))
 		}
 		// The pool is sized to the rank's actual dispatch width (Render
 		// clamps to the same value), not NumCPU: renderer ranks share one
@@ -309,36 +180,32 @@ func NewRealWorkload(l Layout, opts Options, store pfs.Store) (*RealWorkload, er
 	for o := range w.outScr {
 		w.outScr[o] = &outputScratch{}
 	}
+	w.visRank = make([]int, len(d.roots))
+	w.rects = make([][]compositor.Rect, l.Renderers)
+	w.aim()
+	return w, nil
+}
 
-	// Visibility order of block roots for the configured view.
-	roots := make([]octree.Cell, nb)
-	for i, b := range w.blocks {
-		roots[i] = b.Root
-	}
-	view := opts.View
-	vis := octree.VisibilityOrder(roots, view.ViewDir())
-	w.visRank = make([]int, nb)
-	for pos, bi := range vis {
+// aim computes everything that depends on the viewpoint, image size or
+// transfer function — all of it from opts and the dataset's block roots.
+func (w *RealWorkload) aim() {
+	// Renderer ranks share w.rend across goroutines; bake its defaults and
+	// transfer-function table now, between runs, while single-threaded
+	// (the table is rebuilt only when the transfer function changed).
+	w.rend.Prepare()
+
+	// Visibility order of block roots for the view.
+	view := w.opts.View
+	for pos, bi := range octree.VisibilityOrder(w.ds.roots, view.ViewDir()) {
 		w.visRank[bi] = pos
 	}
 
-	// Union of needed node ids (for adaptive independent fetch).
-	seen := make(map[int32]bool)
-	for _, ids := range w.blockNodeIDs {
-		for _, id := range ids {
-			seen[id] = true
-		}
+	// SLIC schedule from projected block rects.
+	for r := range w.rects {
+		w.rects[r] = w.rects[r][:0]
 	}
-	w.allNeeded = make([]int32, 0, len(seen))
-	for id := range seen {
-		w.allNeeded = append(w.allNeeded, id)
-	}
-	sortIDs(w.allNeeded)
-
-	// SLIC schedule from projected block rects (view-dependent precompute).
-	rects := make([][]compositor.Rect, l.Renderers)
-	for bi, b := range w.blocks {
-		bmin, bmax := b.Root.Bounds()
+	for bi, root := range w.ds.roots {
+		bmin, bmax := root.Bounds()
 		fx0, fy0, fx1, fy1 := 1e18, 1e18, -1e18, -1e18
 		for ci := 0; ci < 8; ci++ {
 			p := render.Vec3{bmin[0], bmin[1], bmin[2]}
@@ -365,57 +232,20 @@ func NewRealWorkload(l Layout, opts Options, store pfs.Store) (*RealWorkload, er
 				fy1 = y
 			}
 		}
-		rects[w.owner[bi]] = append(rects[w.owner[bi]], compositor.Rect{
+		r := w.ds.owner[bi]
+		w.rects[r] = append(w.rects[r], compositor.Rect{
 			X0: int(fx0), Y0: int(fy0), X1: int(fx1) + 1, Y1: int(fy1) + 1,
 		})
 	}
-	w.sched = compositor.BuildSchedule(rects, opts.Width, opts.Height, l.Renderers)
-
-	// Surface nodes for LIC.
-	if opts.LIC {
-		w.surfID = m.SurfaceNodes()
-		w.surfPos = make([][3]float64, len(w.surfID))
-		for i, id := range w.surfID {
-			w.surfPos[i] = m.Nodes[id].Pos()
-		}
-	}
-
-	// Global value range for quantization: scan the dataset once, unless
-	// the caller pinned it (simulation-time visualization cannot scan
-	// steps that have not been computed yet).
-	if opts.FixedVMax > 0 {
-		w.vmax = opts.FixedVMax
-	} else if err := w.scanRange(); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-func cellCornerIDs(m *mesh.Mesh, cell octree.Cell) ([8]int32, error) {
-	var out [8]int32
-	x, y, z := cell.Anchor()
-	step := uint32(1) << (octree.MaxLevel - cell.Level)
-	for i := 0; i < 8; i++ {
-		g := mesh.GridCoord{x + step*uint32(i&1), y + step*uint32(i>>1&1), z + step*uint32(i>>2&1)}
-		id, ok := m.NodeIndex[g]
-		if !ok {
-			return out, fmt.Errorf("core: missing corner node %v of cell %v", g, cell)
-		}
-		out[i] = id
-	}
-	return out, nil
-}
-
-func sortIDs(s []int32) {
-	slices.Sort(s)
+	w.sched = compositor.BuildSchedule(w.rects, w.opts.Width, w.opts.Height, w.ds.layout.Renderers)
 }
 
 // stepName returns the cached object name of logical timestep t (mapped
 // through the step window when one is set).
 func (w *RealWorkload) stepName(t int) string {
 	pt := t + w.stepBase
-	if pt >= 0 && pt < len(w.stepNames) {
-		return w.stepNames[pt]
+	if pt >= 0 && pt < len(w.ds.stepNames) {
+		return w.ds.stepNames[pt]
 	}
 	return quake.StepObject(pt)
 }
@@ -436,9 +266,36 @@ func (w *RealWorkload) stepName(t int) string {
 // quantization range are untouched — they are window-independent, which is
 // what keeps a session's warm buffers warm across windows.
 func (w *RealWorkload) SetStepWindow(lo, hi int) error {
-	if lo < 0 || hi <= lo || hi > w.meta.NumSteps {
-		return fmt.Errorf("core: step window [%d, %d) outside dataset steps [0, %d)", lo, hi, w.meta.NumSteps)
+	if lo < 0 || hi <= lo || hi > w.ds.meta.NumSteps {
+		return fmt.Errorf("core: step window [%d, %d) outside dataset steps [0, %d)", lo, hi, w.ds.meta.NumSteps)
 	}
+	w.resetRun()
+	w.stepBase = lo
+	w.steps = hi - lo
+	return nil
+}
+
+// SetView re-aims the workload at another camera, image size or transfer
+// function — the sibling of SetStepWindow, under the same contract: call
+// it between pipeline runs; leftover frames go back to the ring and the
+// degraded-step accounting is cleared. Only the view-dependent tables are
+// recomputed (block visibility order, SLIC schedule, and the transfer-
+// function table when tfName changed); the dataset, scratches, pools and
+// frame ring stay warm, so a camera move costs one frame render. The next
+// run's frames are bit-identical to those of a workload built with these
+// values in its Options.
+func (w *RealWorkload) SetView(width, height int, view render.View, tfName string) {
+	w.resetRun()
+	if tfName != w.opts.TFName {
+		w.rend.TF = render.TFByName(tfName)
+	}
+	w.opts.Width, w.opts.Height, w.opts.View, w.opts.TFName = width, height, view, tfName
+	w.aim()
+}
+
+// resetRun drops what the previous run left behind: unconsumed frames
+// return to the ring and the degraded-step set is cleared.
+func (w *RealWorkload) resetRun() {
 	w.framesMu.Lock()
 	for t, frame := range w.frames {
 		delete(w.frames, t)
@@ -448,38 +305,6 @@ func (w *RealWorkload) SetStepWindow(lo, hi int) error {
 	w.degradedMu.Lock()
 	clear(w.degraded)
 	w.degradedMu.Unlock()
-	w.stepBase = lo
-	w.steps = hi - lo
-	return nil
-}
-
-// scanRange computes the dataset-wide maximum velocity magnitude for
-// quantization (the paper's preprocessing quantizes 32-bit to 8-bit). The
-// decode buffers are reused across the scan.
-func (w *RealWorkload) scanRange() error {
-	var vmax float32
-	buf := make([]byte, w.meta.NumNodes*quake.BytesPerNode)
-	var vec, mag []float32
-	var err error
-	for t := 0; t < w.steps; t++ {
-		if err := w.store.ReadAt(nil, w.stepName(t), 0, buf); err != nil {
-			return fmt.Errorf("core: scanning step %d: %w", t, err)
-		}
-		if vec, err = quake.DecodeStepInto(vec, buf); err != nil {
-			return fmt.Errorf("core: scanning step %d: %w", t, err)
-		}
-		mag = render.MagnitudeInto(mag, vec)
-		for _, m := range mag {
-			if m > vmax {
-				vmax = m
-			}
-		}
-	}
-	if vmax == 0 {
-		vmax = 1
-	}
-	w.vmax = vmax
-	return nil
 }
 
 // Steps implements Workload.
@@ -531,7 +356,7 @@ func (w *RealWorkload) CopyFrameInto(t int, dst *img.Image) bool {
 }
 
 // Mesh exposes the loaded mesh (for examples).
-func (w *RealWorkload) Mesh() *mesh.Mesh { return w.mesh }
+func (w *RealWorkload) Mesh() *mesh.Mesh { return w.ds.mesh }
 
 // rankWorkers returns one rank's shared-memory dispatch width: the Workers
 // knob, or — since all ranks run as goroutines of one process under the
@@ -540,7 +365,7 @@ func (w *RealWorkload) rankWorkers() int {
 	if w.opts.Workers > 0 {
 		return w.opts.Workers
 	}
-	rw := runtime.NumCPU() / w.layout.Renderers
+	rw := runtime.NumCPU() / w.ds.layout.Renderers
 	if rw < 1 {
 		rw = 1
 	}
@@ -570,7 +395,7 @@ func (w *RealWorkload) Close() {
 }
 
 // VMax exposes the quantization range (for tests).
-func (w *RealWorkload) VMax() float32 { return w.vmax }
+func (w *RealWorkload) VMax() float32 { return w.ds.vmax }
 
 // adaptiveFetching reports whether reads are restricted to the needed
 // node set (adaptive fetching of Section 6) rather than whole steps.
@@ -652,7 +477,7 @@ func (w *RealWorkload) magQuant(c *mpi.Comm, t int, ids []int32, raw []byte, scr
 		scr.pmag = render.MagnitudeInto(scr.pmag, pvec)
 		mag = render.EnhanceTemporalInto(mag, mag, scr.pmag, w.opts.EnhanceGain)
 	}
-	scr.q = render.QuantizeInto(scr.q, mag, 0, w.vmax)
+	scr.q = render.QuantizeInto(scr.q, mag, 0, w.ds.vmax)
 	return scr.q, nil
 }
 
@@ -671,7 +496,7 @@ func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part, m int) (*stepShare, error
 	share.t, share.part = t, part
 	share.ids, share.idLo, share.idHi = nil, 0, 0
 	if share.q == nil {
-		share.q = make([]uint8, w.meta.NumNodes)
+		share.q = make([]uint8, w.ds.meta.NumNodes)
 	}
 	switch {
 	case w.opts.ReadStrategy == ReadCollective:
@@ -680,10 +505,10 @@ func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part, m int) (*stepShare, error
 		// static). The collective runs on the group's sub-communicator,
 		// built once per run and reused across this rank's timesteps (an
 		// input rank always serves one group).
-		ids := w.collIDs[part]
+		ids := w.ds.collIDs[part]
 		if scr.sub == nil || scr.subParent != c {
-			g := t % w.layout.Groups
-			scr.sub = c.Sub(w.layout.GroupRanks(g), g)
+			g := t % w.ds.layout.Groups
+			scr.sub = c.Sub(w.ds.layout.GroupRanks(g), g)
 			scr.subParent = c
 		}
 		f := &scr.file
@@ -723,10 +548,10 @@ func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part, m int) (*stepShare, error
 		}
 	case w.adaptiveFetching():
 		// Independent indexed read of this part's slice of the needed set.
-		n := len(w.allNeeded)
+		n := len(w.ds.allNeeded)
 		lo := n * part / m
 		hi := n * (part + 1) / m
-		ids := w.allNeeded[lo:hi]
+		ids := w.ds.allNeeded[lo:hi]
 		q, err := w.readIDs(c, t, ids, scr)
 		if err != nil {
 			return nil, err
@@ -737,7 +562,7 @@ func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part, m int) (*stepShare, error
 		}
 	default:
 		// Independent contiguous read of 1/m of the node records.
-		n := w.meta.NumNodes
+		n := w.ds.meta.NumNodes
 		lo := int32(n * part / m)
 		hi := int32(n * (part + 1) / m)
 		f := &scr.file
@@ -768,17 +593,6 @@ func growIDRange(scr *ipScratch, lo, hi int32) []int32 {
 		scr.ids[i] = lo + int32(i)
 	}
 	return scr.ids
-}
-
-func dedupSorted(ids []int32) []int32 {
-	sortIDs(ids)
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // Preprocess implements Workload. Magnitude computation, enhancement and
@@ -815,11 +629,11 @@ func (w *RealWorkload) PayloadFor(c *mpi.Comm, t int, prep any, renderer int) (i
 	p := getData(&w.ipScr[c.Rank()].pool)
 	var bytes int64
 	if w.opts.ReadStrategy == ReadCollective {
-		for _, bi := range w.rblocks[renderer] {
-			if w.owner[bi]%w.layout.IPsPerGroup != share.part {
+		for _, bi := range w.ds.rblocks[renderer] {
+			if w.ds.owner[bi]%w.ds.layout.IPsPerGroup != share.part {
 				continue // another IP of the group owns this block
 			}
-			cells := w.blockCorner[bi]
+			cells := w.ds.blockCorner[bi]
 			p.voff = append(p.voff, len(p.vals))
 			for _, corners := range cells {
 				for _, id := range corners {
@@ -843,8 +657,8 @@ func (w *RealWorkload) PayloadFor(c *mpi.Comm, t int, prep any, renderer int) (i
 	}
 	// Independent strategies: ship the runs of each block's node list that
 	// fall inside this share.
-	for _, bi := range w.rblocks[renderer] {
-		ids := w.blockNodeIDs[bi]
+	for _, bi := range w.ds.rblocks[renderer] {
+		ids := w.ds.blockNodeIDs[bi]
 		lo := 0
 		for lo < len(ids) && !share.has(ids[lo]) {
 			lo++
@@ -891,7 +705,7 @@ func (w *RealWorkload) licStep(c *mpi.Comm, t int) (int64, any, error) {
 	if err := f.Reopen(c, w.store, w.stepName(t)); err != nil {
 		return 0, nil, err
 	}
-	setIndexedView(f, w.surfID, scr)
+	setIndexedView(f, w.ds.surfID, scr)
 	size64, err := f.ViewSize()
 	if err != nil {
 		return 0, nil, err
@@ -905,13 +719,13 @@ func (w *RealWorkload) licStep(c *mpi.Comm, t int) (int64, any, error) {
 		return 0, nil, fmt.Errorf("core: step %d: %w", t, err)
 	}
 	scr.vec = vec
-	if cap(ls.samples) < len(w.surfID) {
-		ls.samples = make([]quadtree.Sample, len(w.surfID))
+	if cap(ls.samples) < len(w.ds.surfID) {
+		ls.samples = make([]quadtree.Sample, len(w.ds.surfID))
 	}
-	ls.samples = ls.samples[:len(w.surfID)]
-	for i := range w.surfID {
+	ls.samples = ls.samples[:len(w.ds.surfID)]
+	for i := range w.ds.surfID {
 		ls.samples[i] = quadtree.Sample{
-			X: w.surfPos[i][0], Y: w.surfPos[i][1],
+			X: w.ds.surfPos[i][0], Y: w.ds.surfPos[i][1],
 			VX: float64(vec[3*i]), VY: float64(vec[3*i+1]),
 		}
 	}
@@ -954,7 +768,7 @@ func (w *RealWorkload) licStep(c *mpi.Comm, t int) (int64, any, error) {
 // buffers for a later in-flight step.
 func (w *RealWorkload) Render(c *mpi.Comm, t, r int, pieces []mpi.Message) (any, error) {
 	rs := w.rendScr[r]
-	mine := w.rblocks[r]
+	mine := w.ds.rblocks[r]
 	for i := range rs.got {
 		rs.got[i] = false
 	}
@@ -965,7 +779,7 @@ func (w *RealWorkload) Render(c *mpi.Comm, t, r int, pieces []mpi.Message) (any,
 				continue
 			}
 			for _, bv := range dp.bvals {
-				pos := w.rblockPos[bv.Block]
+				pos := w.ds.rblockPos[bv.Block]
 				rs.corn[pos] = bv.Vals
 				rs.got[pos] = true
 			}
@@ -982,7 +796,7 @@ func (w *RealWorkload) Render(c *mpi.Comm, t, r int, pieces []mpi.Message) (any,
 				continue
 			}
 			for _, run := range dp.runs {
-				pos := w.rblockPos[run.Block]
+				pos := w.ds.rblockPos[run.Block]
 				copy(rs.nodeVals[pos][run.Off:], run.Vals)
 				rs.got[pos] = true
 			}
@@ -993,7 +807,7 @@ func (w *RealWorkload) Render(c *mpi.Comm, t, r int, pieces []mpi.Message) (any,
 		// Shallow-copy the template: Cells and the point-location index are
 		// shared read-only, only the per-frame Vals are (re)written.
 		bd := rs.bds[i]
-		*bd = *w.blockBD[bi]
+		*bd = *w.ds.blockBD[bi]
 		bd.Vals = rs.vals[i]
 		if !rs.got[i] {
 			if !w.opts.Faults.Tolerate {
@@ -1017,7 +831,7 @@ func (w *RealWorkload) Render(c *mpi.Comm, t, r int, pieces []mpi.Message) (any,
 			}
 		default:
 			nv := rs.nodeVals[i]
-			for ci, local := range w.blockCornerLocal[bi] {
+			for ci, local := range w.ds.blockCornerLocal[bi] {
 				for k := 0; k < 8; k++ {
 					bd.Vals[ci][k] = float32(nv[local[k]]) / 255
 				}
@@ -1093,7 +907,7 @@ func (w *RealWorkload) Composite(c *mpi.Comm, t, r int, group []int, rnd any) (i
 // or releases frames as it goes makes the whole per-frame assemble
 // allocation-free.
 func (w *RealWorkload) Assemble(c *mpi.Comm, t int, strips []mpi.Message, licMsg *mpi.Message) error {
-	os := w.outScr[c.Rank()-w.layout.NumInput()-w.layout.Renderers]
+	os := w.outScr[c.Rank()-w.ds.layout.NumInput()-w.ds.layout.Renderers]
 	frame := w.ring.Acquire(w.opts.Width, w.opts.Height)
 	for _, s := range strips {
 		if s.Data == nil {

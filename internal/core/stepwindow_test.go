@@ -8,12 +8,12 @@ import (
 	"repro/internal/mpi"
 )
 
-// runPipeline executes one pipeline run of w on its current step window.
-func runPipeline(t *testing.T, w *RealWorkload, l Layout) *Result {
-	t.Helper()
+// runPipelineErr executes one pipeline run of w on its current step window
+// and returns the first rank error (callable from any goroutine).
+func runPipelineErr(w *RealWorkload, l Layout) (*Result, error) {
 	p, err := NewPipeline(l, w)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	var mu sync.Mutex
 	var runErr error
@@ -26,10 +26,17 @@ func runPipeline(t *testing.T, w *RealWorkload, l Layout) *Result {
 			mu.Unlock()
 		}
 	})
-	if runErr != nil {
-		t.Fatal(runErr)
+	return p.Res, runErr
+}
+
+// runPipeline is runPipelineErr failing the test on error.
+func runPipeline(t *testing.T, w *RealWorkload, l Layout) *Result {
+	t.Helper()
+	res, err := runPipelineErr(w, l)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return p.Res
+	return res
 }
 
 // TestStepWindowMatchesFullRun pins the serving layer's cache-fill

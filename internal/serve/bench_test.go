@@ -70,6 +70,35 @@ func BenchmarkServeColdFrame(b *testing.B) {
 	}
 }
 
+// BenchmarkServeNewView measures a camera move: every iteration asks a
+// warm engine for an azimuth it has never seen, so nothing hits the cache
+// and the parked session is re-aimed (SetView) before its one-step
+// window. BenchmarkServeColdFrame re-renders one view and so never pays
+// the re-aim; the difference between the two is what a new view costs.
+func BenchmarkServeNewView(b *testing.B) {
+	store := buildDataset(b, 1)
+	eng := newTestEngine(b, store, serve.EngineConfig{CacheBytes: -1})
+	defer eng.Close()
+	cfg := serve.RenderConfig{Width: 256, Height: 256, Orbit: true, El: 35}
+	var dst img.Image
+	visit := func(int, *img.Image, bool, bool) error { return nil }
+	if err := eng.Render(cfg, 0, 1, &dst, visit); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Az = 360 * float64(i+1) / float64(b.N+1)
+		if err := eng.Render(cfg, 0, 1, &dst, visit); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got := eng.ColdSessions(); got != 1 {
+		b.Fatalf("%d camera moves built %d sessions, want 1", b.N, got)
+	}
+}
+
 // BenchmarkServeConcurrentViewers drives the full HTTP stack with 8
 // synthetic viewers over a mostly-warm view set and reports end-to-end
 // frames/sec and p99 request latency — the headline serving numbers

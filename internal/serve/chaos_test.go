@@ -17,24 +17,13 @@ import (
 	"repro/internal/serve"
 )
 
-// scanVMaxOf returns the engine-computed quantization range of a clean
-// store, for pinning FixedVMax on engines whose store injects faults
-// (the startup scan would otherwise trip them).
-func scanVMaxOf(t *testing.T, store pfs.Store) float32 {
-	t.Helper()
-	eng := newTestEngine(t, store, serve.EngineConfig{})
-	v := eng.VMax()
-	eng.Close()
-	return v
-}
-
 // TestChaosServeDegradedNotCached pins the degraded-frame contract under
 // permanent read faults: the frame is served with the stale marker
 // header, is never cached (every fetch re-renders), and clean steps are
 // unaffected and cache normally.
 func TestChaosServeDegradedNotCached(t *testing.T) {
 	store := buildDataset(t, 3)
-	vmax := scanVMaxOf(t, store)
+	vmax := independentVMax(t, store)
 	faulty := faultinject.Wrap(store, faultinject.Config{
 		Seed:       42,
 		PPermanent: 1,
@@ -166,7 +155,7 @@ func (g *gateStore) Write(name string, data []byte) error { return g.inner.Write
 // throughout.
 func TestChaosServeSaturationSheds(t *testing.T) {
 	store := buildDataset(t, 3)
-	vmax := scanVMaxOf(t, store)
+	vmax := independentVMax(t, store)
 	gate := newGateStore(store, func(name string) bool { return name == quake.StepObject(1) })
 	cfg := serve.RenderConfig{Width: 32, Height: 32}
 

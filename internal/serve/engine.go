@@ -9,13 +9,12 @@ import (
 	"repro/internal/img"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
-	"repro/internal/quake"
 	"repro/internal/render"
 )
 
 // EngineConfig configures an Engine. The zero value serves: a 1-rank-per-
-// role layout, a 64 MiB cache, four pooled sessions, and 32-step render
-// windows.
+// role layout, a 64 MiB cache, four idle sessions kept warm, and 32-step
+// render windows.
 type EngineConfig struct {
 	// Layout is the pipeline layout each session runs; the zero value
 	// means one rank per role (Groups=IPsPerGroup=Renderers=Outputs=1).
@@ -24,9 +23,11 @@ type EngineConfig struct {
 	Layout core.Layout
 	// CacheBytes bounds the frame cache (0 = 64 MiB, negative disables).
 	CacheBytes int64
-	// MaxSessions bounds the idle-session pool (0 = 4). Sessions in use
-	// by concurrent requests are not counted; admission control (Server)
-	// bounds those.
+	// MaxSessions bounds the idle-session pool (0 = 4). Any idle session
+	// serves any request (it is re-aimed, not matched), so the useful
+	// bound is the number of concurrent renders, not of distinct views.
+	// Sessions in use by concurrent requests are not counted; admission
+	// control (Server) bounds those.
 	MaxSessions int
 	// MaxWindow bounds the steps of one render call (0 = 32): both the
 	// largest request range and the pipeline window a cold render runs.
@@ -52,14 +53,15 @@ type EngineConfig struct {
 
 // Engine owns a dataset and renders frame requests through pooled
 // per-session pipeline instances, filling the frame cache. It is safe
-// for concurrent use: each in-flight render exclusively owns one session
-// (a core.RealWorkload with private scratches, worker pools and frame
-// ring), and the cache deals only in owned copies.
+// for concurrent use: the dataset half (core.Dataset: mesh, block tables,
+// quantization range) is built once and shared read-only; each in-flight
+// render exclusively owns one session (a core.RealWorkload with private
+// view tables, scratches, worker pools and frame ring), and the cache
+// deals only in owned copies.
 type Engine struct {
-	store pfs.Store
-	meta  quake.Meta
+	ds    *core.Dataset
+	opts  core.Options // engine-wide session options; acquire fills in the request's view fields
 	cfg   EngineConfig
-	vmax  float32
 	cache *FrameCache
 
 	mu     sync.Mutex
@@ -71,22 +73,19 @@ type Engine struct {
 }
 
 // session is one exclusively-owned rendering instance: a workload whose
-// scratches, pools and frame ring belong to whichever request holds it.
+// view tables, scratches, pools and frame ring belong to whichever
+// request holds it.
 type session struct {
-	cfg RenderConfig
-	w   *core.RealWorkload
+	w *core.RealWorkload
 }
 
-// NewEngine opens the dataset's metadata, establishes the quantization
-// range (one full-dataset scan unless cfg.FixedVMax pins it), and returns
-// an Engine ready to serve. Sessions are built lazily on first use of
-// each render configuration.
+// NewEngine builds the shared dataset half — mesh, block tables, and the
+// quantization range (one full-dataset scan unless cfg.FixedVMax pins
+// it) — and returns an Engine ready to serve. Sessions are built lazily,
+// one per concurrent render.
 func NewEngine(store pfs.Store, cfg EngineConfig) (*Engine, error) {
 	if cfg.Layout == (core.Layout{}) {
 		cfg.Layout = core.Layout{Groups: 1, IPsPerGroup: 1, Renderers: 1, Outputs: 1}
-	}
-	if err := cfg.Layout.Validate(); err != nil {
-		return nil, err
 	}
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = 64 << 20
@@ -97,103 +96,67 @@ func NewEngine(store pfs.Store, cfg EngineConfig) (*Engine, error) {
 	if cfg.MaxWindow <= 0 {
 		cfg.MaxWindow = 32
 	}
-	meta, err := quake.ReadMeta(store)
+	o := core.DefaultOptions(0, 0)
+	o.Enhancement = cfg.Enhancement
+	o.Lighting = cfg.Lighting
+	o.Workers = cfg.Workers
+	o.FixedVMax = cfg.FixedVMax
+	o.Faults.Tolerate = cfg.Tolerate
+	ds, err := core.NewDataset(cfg.Layout, o, store)
 	if err != nil {
-		return nil, fmt.Errorf("serve: reading dataset meta: %w", err)
+		return nil, fmt.Errorf("serve: building dataset: %w", err)
 	}
-	e := &Engine{store: store, meta: meta, cfg: cfg, cache: NewFrameCache(cfg.CacheBytes)}
-	if cfg.FixedVMax > 0 {
-		e.vmax = cfg.FixedVMax
-	} else if e.vmax, err = scanVMax(store, meta); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// scanVMax computes the dataset-wide maximum velocity magnitude, exactly
-// as the workload's own startup scan does, so engine-brokered sessions
-// (which receive the range via FixedVMax) quantize identically to a
-// standalone whole-dataset workload.
-func scanVMax(store pfs.Store, meta quake.Meta) (float32, error) {
-	var vmax float32
-	buf := make([]byte, meta.NumNodes*quake.BytesPerNode)
-	var vec, mag []float32
-	var err error
-	for t := 0; t < meta.NumSteps; t++ {
-		if err = store.ReadAt(nil, quake.StepObject(t), 0, buf); err != nil {
-			return 0, fmt.Errorf("serve: scanning step %d: %w", t, err)
-		}
-		if vec, err = quake.DecodeStepInto(vec, buf); err != nil {
-			return 0, fmt.Errorf("serve: scanning step %d: %w", t, err)
-		}
-		mag = render.MagnitudeInto(mag, vec)
-		for _, m := range mag {
-			if m > vmax {
-				vmax = m
-			}
-		}
-	}
-	if vmax == 0 {
-		vmax = 1
-	}
-	return vmax, nil
+	return &Engine{ds: ds, opts: o, cfg: cfg, cache: NewFrameCache(cfg.CacheBytes)}, nil
 }
 
 // Steps returns the dataset's timestep count (valid request steps are
 // [0, Steps)).
-func (e *Engine) Steps() int { return e.meta.NumSteps }
+func (e *Engine) Steps() int { return e.ds.NumSteps() }
 
 // MaxWindow returns the largest step range one request may ask for.
 func (e *Engine) MaxWindow() int { return e.cfg.MaxWindow }
 
 // VMax returns the engine-wide quantization range every session uses.
-func (e *Engine) VMax() float32 { return e.vmax }
+func (e *Engine) VMax() float32 { return e.ds.VMax() }
 
 // Cache exposes the frame cache (for stats and tests).
 func (e *Engine) Cache() *FrameCache { return e.cache }
 
-// options builds the session options for cfg: the per-request view/TF
-// parameters over the engine-wide settings, with the shared quantization
-// range pinned so every session agrees with every other.
-func (e *Engine) options(cfg RenderConfig) core.Options {
-	o := core.DefaultOptions(cfg.Width, cfg.Height)
+// view is the camera cfg asks for.
+func view(cfg RenderConfig) render.View {
 	if cfg.Orbit {
-		o.View = render.OrbitView(cfg.Width, cfg.Height, cfg.Az, cfg.El)
+		return render.OrbitView(cfg.Width, cfg.Height, cfg.Az, cfg.El)
 	}
-	o.TFName = cfg.TF
-	o.Enhancement = e.cfg.Enhancement
-	o.Lighting = e.cfg.Lighting
-	o.Workers = e.cfg.Workers
-	o.FixedVMax = e.vmax
-	o.Faults.Tolerate = e.cfg.Tolerate
-	return o
+	return render.DefaultView(cfg.Width, cfg.Height)
 }
 
-// acquire hands the caller an exclusively-owned session for cfg: the
-// most recently parked idle session with the same configuration, or a
-// freshly built one (the cold start pays the workload's one-time octree
-// setup; the dataset scan is skipped because the engine pins vmax).
+// acquire hands the caller an exclusively-owned session aimed at cfg: the
+// most recently parked idle session, re-aimed (any session serves any
+// view — only its view tables are recomputed, its buffers stay warm), or,
+// when none is idle, a new one built on the shared dataset.
 func (e *Engine) acquire(cfg RenderConfig) (*session, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("serve: engine closed")
 	}
-	for i := len(e.idle) - 1; i >= 0; i-- {
-		if e.idle[i].cfg == cfg {
-			s := e.idle[i]
-			e.idle = append(e.idle[:i], e.idle[i+1:]...)
-			e.mu.Unlock()
-			return s, nil
-		}
+	var s *session
+	if n := len(e.idle); n > 0 {
+		s, e.idle = e.idle[n-1], e.idle[:n-1]
 	}
 	e.mu.Unlock()
-	w, err := core.NewRealWorkload(e.cfg.Layout, e.options(cfg), e.store)
+	if s != nil {
+		s.w.SetView(cfg.Width, cfg.Height, view(cfg), cfg.TF)
+		return s, nil
+	}
+	o := e.opts
+	o.Width, o.Height, o.View, o.TFName = cfg.Width, cfg.Height, view(cfg), cfg.TF
+	w, err := e.ds.NewWorkload(o)
 	if err != nil {
 		return nil, fmt.Errorf("serve: building session: %w", err)
 	}
 	e.sessions.Add(1)
-	return &session{cfg: cfg, w: w}, nil
+	return &session{w: w}, nil
 }
 
 // release parks a session for reuse, evicting the least recently used
@@ -233,7 +196,9 @@ func (e *Engine) IdleSessions() int {
 // (cache hits excluded) since construction.
 func (e *Engine) RenderedFrames() uint64 { return e.rendered.Load() }
 
-// ColdSessions returns how many sessions were ever built (cold starts).
+// ColdSessions returns how many sessions were ever built (cold starts):
+// the peak number of concurrent renders, plus any rebuilt after a failed
+// run or an idle-pool eviction.
 func (e *Engine) ColdSessions() uint64 { return e.sessions.Load() }
 
 // Close shuts down every idle session's worker pools and refuses further
@@ -269,8 +234,8 @@ func (e *Engine) CachedInto(cfg RenderConfig, step int, dst *img.Image) bool {
 // call — implementations copy or encode, never retain. A visit error
 // aborts the remaining steps and is returned as-is.
 func (e *Engine) Render(cfg RenderConfig, lo, hi int, scratch *img.Image, visit func(step int, frame *img.Image, degraded, cached bool) error) error {
-	if lo < 0 || hi <= lo || hi > e.meta.NumSteps {
-		return fmt.Errorf("serve: step range [%d, %d) outside dataset steps [0, %d)", lo, hi, e.meta.NumSteps)
+	if lo < 0 || hi <= lo || hi > e.ds.NumSteps() {
+		return fmt.Errorf("serve: step range [%d, %d) outside dataset steps [0, %d)", lo, hi, e.ds.NumSteps())
 	}
 	if hi-lo > e.cfg.MaxWindow {
 		return fmt.Errorf("serve: step range [%d, %d) exceeds the %d-step window bound", lo, hi, e.cfg.MaxWindow)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/img"
@@ -57,9 +58,9 @@ func buildDataset(t testing.TB, steps int) pfs.Store {
 }
 
 // directOptions builds the batch-pipeline options equivalent to what the
-// engine derives from cfg, WITHOUT pinning vmax — the reference run scans
-// the dataset itself, so agreement with served frames also proves the
-// engine's scan matches the workload's.
+// engine derives from cfg, WITHOUT pinning vmax — the reference run builds
+// its own core.Dataset on another layout and scans for itself (the scan
+// has its own oracle in TestServeVMaxMatchesIndependentScan).
 func directOptions(cfg serve.RenderConfig, enhance bool) core.Options {
 	o := core.DefaultOptions(cfg.Width, cfg.Height)
 	if cfg.Orbit {
@@ -272,6 +273,126 @@ func TestServeFramesStreamBitExact(t *testing.T) {
 	}
 }
 
+// TestServeNewViewsReuseOneSession pins the re-aim path: never-seen views
+// requested one after another — camera moves, an image-size change and a
+// transfer-function change among them — are all rendered by the one
+// session the first request built, and every response is bit-identical to
+// a direct batch render of that view on a different layout.
+func TestServeNewViewsReuseOneSession(t *testing.T) {
+	store := buildDataset(t, 3)
+	views := []serve.RenderConfig{
+		{Width: 40, Height: 40, Orbit: true, Az: 30, El: 55},
+		{Width: 40, Height: 40, Orbit: true, Az: 200, El: 20},
+		{Width: 56, Height: 32, Orbit: true, Az: 120, El: 35, TF: "hot"},
+		{Width: 56, Height: 32, TF: "hot"},
+		{Width: 40, Height: 40, Orbit: true, Az: 75, El: 40, TF: "gray"},
+		{Width: 40, Height: 40, Orbit: true, Az: 310, El: 65},
+	}
+	for _, enhance := range []bool{false, true} {
+		eng := newTestEngine(t, store, serve.EngineConfig{Enhancement: enhance})
+		ts := newTestHTTPServer(t, serve.NewServer(eng, serve.ServerConfig{}))
+		for vi, cfg := range views {
+			want := directFrames(t, store, cfg, enhance)
+			for _, step := range []int{2, 0, 1} {
+				got, resp := getFrame(t, ts, cfg, step)
+				if h := resp.Header.Get(serve.HeaderCache); h != "miss" {
+					t.Errorf("enhance=%v view %d step %d: cache header %q, want miss", enhance, vi, step, h)
+				}
+				if d := img.MaxAbsDiff(want[step], got); d != 0 {
+					t.Errorf("enhance=%v view %d step %d: re-aimed session's frame differs from direct render (max diff %v)", enhance, vi, step, d)
+				}
+			}
+		}
+		if cold, idle := eng.ColdSessions(), eng.IdleSessions(); cold != 1 || idle != 1 {
+			t.Errorf("enhance=%v: %d views built %d sessions (%d idle), want 1 (1 idle)", enhance, len(views), cold, idle)
+		}
+		eng.Close()
+	}
+}
+
+// TestServeConcurrentViewersOwnSessions pins the other half: sessions are
+// built per concurrent render, not per view. Two viewers rendering
+// disjoint views at the same time (both held inside the store) need two
+// sessions; the views they move to afterwards need no third.
+func TestServeConcurrentViewersOwnSessions(t *testing.T) {
+	store := buildDataset(t, 3)
+	gate := newGateStore(store, func(name string) bool { return name == quake.StepObject(1) })
+	eng := newTestEngine(t, gate, serve.EngineConfig{FixedVMax: independentVMax(t, store)})
+	ts := newTestHTTPServer(t, serve.NewServer(eng, serve.ServerConfig{}))
+	views := []serve.RenderConfig{
+		{Width: 32, Height: 32, Orbit: true, Az: 10, El: 50},
+		{Width: 32, Height: 32, Orbit: true, Az: 190, El: 30},
+	}
+	frames := make([]*img.Image, len(views))
+	errs := make([]error, len(views))
+	var wg sync.WaitGroup
+	for i, cfg := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			frames[i], errs[i] = getFrameErr(ts, cfg, 1)
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for gate.Waiters() < len(views) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d renders reached the store", gate.Waiters(), len(views))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	gate.Open()
+	wg.Wait()
+	for i, cfg := range views {
+		if errs[i] != nil {
+			t.Fatalf("viewer %d: %v", i, errs[i])
+		}
+		if d := img.MaxAbsDiff(directFrames(t, store, cfg, false)[1], frames[i]); d != 0 {
+			t.Errorf("viewer %d: concurrent frame differs from direct render (max diff %v)", i, d)
+		}
+	}
+	if got := eng.ColdSessions(); got != 2 {
+		t.Errorf("2 concurrent viewers built %d sessions, want 2", got)
+	}
+	for _, az := range []float64{70, 250} {
+		getFrame(t, ts, serve.RenderConfig{Width: 32, Height: 32, Orbit: true, Az: az, El: 45}, 0)
+	}
+	if cold, idle := eng.ColdSessions(), eng.IdleSessions(); cold != 2 || idle != 2 {
+		t.Errorf("after two more camera moves: %d sessions built, %d idle, want 2/2", cold, idle)
+	}
+}
+
+// independentVMax scans the dataset's velocity range with the allocating
+// reference kernels, sharing no code with core's scan.
+func independentVMax(t testing.TB, store pfs.Store) float32 {
+	t.Helper()
+	meta, err := quake.ReadMeta(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vmax float32
+	buf := make([]byte, meta.NumNodes*quake.BytesPerNode)
+	for step := 0; step < meta.NumSteps; step++ {
+		if err := store.ReadAt(nil, quake.StepObject(step), 0, buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range render.Magnitude(quake.DecodeStep(buf)) {
+			vmax = max(vmax, m)
+		}
+	}
+	return vmax
+}
+
+// TestServeVMaxMatchesIndependentScan pins the engine's quantization range
+// (the shared dataset's one scan) against the independent oracle.
+func TestServeVMaxMatchesIndependentScan(t *testing.T) {
+	store := buildDataset(t, 3)
+	eng := newTestEngine(t, store, serve.EngineConfig{})
+	defer eng.Close()
+	if got, want := eng.VMax(), independentVMax(t, store); got != want || want <= 0 {
+		t.Errorf("engine vmax = %v, independent scan = %v", got, want)
+	}
+}
+
 // TestServePNGFrame pins the png format: a decodable PNG with the
 // requested geometry.
 func TestServePNGFrame(t *testing.T) {
@@ -427,5 +548,10 @@ func TestServeHealthzStatsz(t *testing.T) {
 	}
 	if st.ColdSessions != 1 || st.IdleSessions != 1 {
 		t.Errorf("sessions: cold %d idle %d, want 1/1", st.ColdSessions, st.IdleSessions)
+	}
+	// A camera move re-aims the parked session instead of building one.
+	getFrame(t, ts, serve.RenderConfig{Width: 32, Height: 32, Orbit: true, Az: 80, El: 40}, 0)
+	if st := srv.Snapshot(); st.ColdSessions != 1 || st.IdleSessions != 1 {
+		t.Errorf("sessions after a camera move: cold %d idle %d, want 1/1", st.ColdSessions, st.IdleSessions)
 	}
 }
