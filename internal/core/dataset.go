@@ -116,7 +116,10 @@ func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 			return nil, err
 		}
 		d.blockCells[bi] = bd.Cells
-		d.blockBD[bi] = bd // template: index prebuilt, Vals replaced per frame
+		// Template: the static half (cells, point-location index). Each
+		// renderer scratch copies it once and owns its per-frame Vals.
+		bd.Vals = nil
+		d.blockBD[bi] = bd
 		corners := make([][8]int32, len(bd.Cells))
 		for ci, cell := range bd.Cells {
 			ids, err := cellCornerIDs(m, cell)

@@ -157,13 +157,19 @@ func (d *Dataset) NewWorkload(opts Options) (*RealWorkload, error) {
 			corn:     make([][]uint8, len(mine)),
 			got:      make([]bool, len(mine)),
 			bds:      make([]*render.BlockData, len(mine)),
-			vals:     make([][][8]float32, len(mine)),
 			comp:     compositor.NewCompositeScratch(),
 		}
 		for i, bi := range mine {
 			rs.nodeVals[i] = make([]uint8, len(d.blockNodeIDs[bi]))
-			rs.bds[i] = new(render.BlockData)
-			rs.vals[i] = make([][8]float32, len(d.blockCells[bi]))
+			// Copy the dataset's template once, here: the static half (root,
+			// cells, point-location index) stays shared read-only, while
+			// Vals — and whatever per-frame state the renderer keeps beside
+			// them — belongs to this BlockData from now on. Render rewrites
+			// Vals in place and never copies the template again.
+			bd := new(render.BlockData)
+			*bd = *d.blockBD[bi]
+			bd.Vals = make([][8]float32, len(bd.Cells))
+			rs.bds[i] = bd
 		}
 		// The pool is sized to the rank's actual dispatch width (Render
 		// clamps to the same value), not NumCPU: renderer ranks share one
@@ -760,8 +766,8 @@ func (w *RealWorkload) licStep(c *mpi.Comm, t int) (int64, any, error) {
 	return compositor.RawBytes(&lp.Img), lp, nil
 }
 
-// Render implements Workload. The per-block staging buffers, shallow
-// BlockData copies and their corner-value arrays live in the renderer's
+// Render implements Workload. The per-block staging buffers and the
+// BlockData with their corner-value arrays live in the renderer's
 // scratch (the old per-frame map is a flat rblockPos lookup now); the
 // received payloads are released back to their input ranks' pools as soon
 // as the values are merged — the signal those pools need to reuse the
@@ -804,11 +810,7 @@ func (w *RealWorkload) Render(c *mpi.Comm, t, r int, pieces []mpi.Message) (any,
 	}
 	degraded := false
 	for i, bi := range mine {
-		// Shallow-copy the template: Cells and the point-location index are
-		// shared read-only, only the per-frame Vals are (re)written.
-		bd := rs.bds[i]
-		*bd = *w.ds.blockBD[bi]
-		bd.Vals = rs.vals[i]
+		bd := rs.bds[i] // static half shared with the dataset; Vals rewritten below
 		if !rs.got[i] {
 			if !w.opts.Faults.Tolerate {
 				return nil, fmt.Errorf("core: renderer %d missing block %d at step %d", r, bi, t)

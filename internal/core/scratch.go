@@ -142,15 +142,14 @@ type ipScratch struct {
 }
 
 // rendererScratch is one renderer's reusable staging: per-local-block
-// value buffers, the shallow BlockData copies and their corner-value
-// arrays, the fragment list, the compositing scratch and the strip-payload
-// pool.
+// value buffers, the BlockData that own the per-frame corner values (their
+// cells and index are the dataset's, shared), the fragment list, the
+// compositing scratch and the strip-payload pool.
 type rendererScratch struct {
 	nodeVals [][]uint8 // per local block: staged node values (independent reads)
 	corn     [][]uint8 // per local block: corner values (collective reads)
 	got      []bool    // per local block: appeared in some piece this step
 	bds      []*render.BlockData
-	vals     [][][8]float32 // per local block: reused BlockData.Vals backing
 	out      rendered
 	comp     *compositor.CompositeScratch
 	strips   pool.Pool[stripPayload]

@@ -2,10 +2,12 @@ package render
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/mesh"
 	"repro/internal/octree"
+	"repro/internal/pool"
 	wpool "repro/internal/workers"
 )
 
@@ -20,6 +22,10 @@ import (
 // predecessor binary search over the flat key array, so a BlockData holds
 // no maps and steady-state re-extraction into an existing BlockData
 // allocates nothing.
+//
+// Rendering a block rebuilds its empty-region table, so one BlockData is
+// rendered by one frame at a time (within a frame the table is read-only
+// and any number of goroutines may cast through it).
 type BlockData struct {
 	Root  octree.Cell
 	Cells []octree.Cell
@@ -28,7 +34,16 @@ type BlockData struct {
 	keys    []uint64 // Cells[i].Key(), strictly ascending
 	minSize float64
 	indexed bool
+
+	// region is the per-frame empty-region table (buildEmptyRegions):
+	// region[i] is the level of the largest octree ancestor of Cells[i]
+	// inside the block under which every cell is empty, or notEmpty. Every
+	// projection rebuilds it from Vals; the buffer is kept across frames.
+	region []uint8
 }
+
+// notEmpty marks a cell that lies in no empty region.
+const notEmpty = 0xff
 
 // SizeBytes estimates the payload size of the block for transfer modeling.
 func (b *BlockData) SizeBytes() int64 {
@@ -52,6 +67,81 @@ func (b *BlockData) MaxValue() float32 {
 	}
 	return mx
 }
+
+// buildEmptyRegions rebuilds the empty-region table from Vals and returns
+// the block's largest corner value (MaxValue, folded into the same pass). A
+// cell is empty when none of its 8 corners is > 0; armed is false when the
+// transfer function gives such values a positive density, and then the
+// table holds no empty regions.
+//
+// Cells are disjoint and in Morton preorder, so their anchor-code ranges
+// are disjoint and ascending: an ancestor of a cell in a run of consecutive
+// empty cells holds nothing but empty cells exactly when its code range
+// stays clear of the non-empty cells on either side of the run.
+//
+//repro:allocfree
+func (b *BlockData) buildEmptyRegions(armed bool) float32 {
+	b.index()
+	n := len(b.Cells)
+	b.region = pool.Grow(b.region, n) //repro:allow allocfree: amortized growth, kept across frames
+	region := b.region
+	var mx float32
+	for i := range region {
+		var cmx float32
+		for _, v := range b.Vals[i] {
+			if v > cmx {
+				cmx = v
+			}
+		}
+		region[i] = notEmpty
+		if cmx > 0 {
+			mx = max(mx, cmx)
+		} else if armed {
+			region[i] = 0 // its region's level, once the pass below has grown it
+		}
+	}
+	// Grow every cell of each run [i, runEnd) of empty cells into its
+	// coarsest ancestor inside the block whose codes lie in [lo, hi): past
+	// the non-empty cell before the run and short of the one after it. A
+	// key is octree.Cell.Key: the anchor's Morton code <<5 | level.
+	keys := b.keys
+	for i := 0; i < n; {
+		if region[i] == notEmpty {
+			i++
+			continue
+		}
+		runEnd := i + 1
+		for runEnd < n && region[runEnd] != notEmpty {
+			runEnd++
+		}
+		lo, hi := uint64(0), uint64(math.MaxUint64)
+		if i > 0 {
+			lo = keys[i-1]>>5 + codeSpan(uint8(keys[i-1]&31))
+		}
+		if runEnd < n {
+			hi = keys[runEnd] >> 5
+		}
+		for i < runEnd {
+			code, lvl := keys[i]>>5, uint8(keys[i]&31)
+			end := code + codeSpan(lvl)
+			for l := b.Root.Level; l < lvl; l++ {
+				span := codeSpan(l)
+				if start := code &^ (span - 1); start >= lo && start+span <= hi {
+					lvl, end = l, start+span
+					break
+				}
+			}
+			for ; i < runEnd && keys[i]>>5 < end; i++ {
+				region[i] = lvl
+			}
+		}
+	}
+	return mx
+}
+
+// codeSpan is the number of anchor Morton codes a cell of the given level
+// covers.
+func codeSpan(level uint8) uint64 { return 1 << (3 * (octree.MaxLevel - level)) }
 
 // index builds the point-location index: the flat array of cell keys.
 // Extraction fills it inline; this lazy path serves BlockData assembled
@@ -252,6 +342,7 @@ func ExtractBlockDataInto(bd *BlockData, m *mesh.Mesh, scalar []float32, block o
 	bd.Cells = bd.Cells[:0]
 	bd.Vals = bd.Vals[:0]
 	bd.keys = bd.keys[:0]
+	bd.region = bd.region[:0] // describes the previous Vals
 	bd.minSize = 1.0
 	bd.indexed = true
 	if level < block.Root.Level {

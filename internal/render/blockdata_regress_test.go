@@ -195,14 +195,17 @@ func TestExtractBlockDataIntoAllocFree(t *testing.T) {
 }
 
 // TestCastRayAllocFree locks in PR 1's zero-allocation ray integration, in
-// both unlit and lit (analytic gradient) modes.
+// both unlit and lit (analytic gradient) modes, on the dense field and on
+// the sparse one whose ray leaps.
 func TestCastRayAllocFree(t *testing.T) {
-	for _, lit := range []bool{false, true} {
-		rr, s, o, d, t0, t1, step := benchRaySetup(t, lit)
-		if avg := testing.AllocsPerRun(20, func() {
-			_, _, _, sinkAlpha = rr.castRay(s, o, d, t0, t1, step)
-		}); avg != 0 {
-			t.Errorf("castRay(lit=%v) allocates %v per ray, want 0", lit, avg)
+	for _, sparse := range []bool{false, true} {
+		for _, lit := range []bool{false, true} {
+			rr, s, o, d, t0, t1, step := benchRaySetup(t, lit, sparse)
+			if avg := testing.AllocsPerRun(20, func() {
+				_, _, _, sinkAlpha = rr.castRay(s, o, d, t0, t1, step)
+			}); avg != 0 {
+				t.Errorf("castRay(lit=%v, sparse=%v) allocates %v per ray, want 0", lit, sparse, avg)
+			}
 		}
 	}
 }
@@ -215,32 +218,38 @@ func TestCastRayAllocFree(t *testing.T) {
 // per-pixel garbage blows through it by orders of magnitude.
 const renderBlocksAllocBudget = 2000
 
-// TestRenderBlocksAllocBudget enforces the ceiling.
+// TestRenderBlocksAllocBudget enforces the ceiling, on the dense field and
+// on the sparse one (whose projections fill the empty-region tables).
 func TestRenderBlocksAllocBudget(t *testing.T) {
 	m := uniformMesh(4)
-	f := waveField(m)
-	var scratch ExtractScratch
-	blocks := m.Tree.Blocks(2)
-	bds := make([]*BlockData, len(blocks))
-	for i, b := range blocks {
-		if err := ExtractBlockDataInto(scratch.Slot(i), m, f, b, 4); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		f    []float32
+	}{{"dense", waveField(m)}, {"sparse", centeredBall(m)}} {
+		name, f := tc.name, tc.f
+		var scratch ExtractScratch
+		blocks := m.Tree.Blocks(2)
+		bds := make([]*BlockData, len(blocks))
+		for i, b := range blocks {
+			if err := ExtractBlockDataInto(scratch.Slot(i), m, f, b, 4); err != nil {
+				t.Fatal(err)
+			}
+			bds[i] = scratch.Slot(i)
 		}
-		bds[i] = scratch.Slot(i)
-	}
-	rr := NewRenderer()
-	rr.Prepare()
-	view := DefaultView(128, 128)
-	view.Prepare()
-	// Warm the fragment pool.
-	releaseFragments(rr.RenderBlocks(bds, &view, 2))
-	avg := testing.AllocsPerRun(10, func() {
-		frags := rr.RenderBlocks(bds, &view, 2)
-		releaseFragments(frags)
-	})
-	t.Logf("RenderBlocks frame: %.0f allocs (budget %d)", avg, renderBlocksAllocBudget)
-	if avg > renderBlocksAllocBudget {
-		t.Errorf("RenderBlocks frame allocates %v, budget %d", avg, renderBlocksAllocBudget)
+		rr := NewRenderer()
+		rr.Prepare()
+		view := DefaultView(128, 128)
+		view.Prepare()
+		// Warm the fragment pool.
+		releaseFragments(rr.RenderBlocks(bds, &view, 2))
+		avg := testing.AllocsPerRun(10, func() {
+			frags := rr.RenderBlocks(bds, &view, 2)
+			releaseFragments(frags)
+		})
+		t.Logf("RenderBlocks %s frame: %.0f allocs (budget %d)", name, avg, renderBlocksAllocBudget)
+		if avg > renderBlocksAllocBudget {
+			t.Errorf("RenderBlocks %s frame allocates %v, budget %d", name, avg, renderBlocksAllocBudget)
+		}
 	}
 }
 

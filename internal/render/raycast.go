@@ -126,8 +126,13 @@ func (r *Renderer) projectBlock(bd *BlockData, view *View) (*Fragment, blockRect
 // call concurrently for distinct blocks on one scratch — the pool is
 // mutex-guarded.
 func (r *Renderer) projectBlockWith(bd *BlockData, view *View, rs *RenderScratch) (*Fragment, blockRect, bool) {
-	if r.TF.TransparentBelow(float64(bd.MaxValue())) {
-		return nil, blockRect{}, false // empty-space skipping
+	// Empty-space skipping at two granularities: the table build marks the
+	// empty octree regions castRay leaps (armed only when the baked table
+	// maps values <= 0, its entry 0, to no density) and yields the block
+	// maximum, which skips a transparent block wholesale.
+	mx := bd.buildEmptyRegions(r.lut.tab[0][3] <= 0)
+	if r.TF.TransparentBelow(float64(mx)) {
+		return nil, blockRect{}, false
 	}
 	bmin, bmax := bd.Root.Bounds()
 	// Projected bounding rectangle.
@@ -271,16 +276,25 @@ func (r *Renderer) renderBlockSerialWith(bd *BlockData, view *View, rs *RenderSc
 
 // castRay integrates the volume rendering equation front-to-back along one
 // ray segment. The sampler provides cached cell location and the baked TF
-// table provides emission/density, keeping the loop allocation-free.
+// table provides emission/density, keeping the loop allocation-free. A
+// sample that lands in an empty octree region (BlockData's empty-region
+// table) leaps to the region's far side on the same t sequence, skipping
+// only samples that provably contribute nothing — see sampler.leap.
 //
 //repro:allocfree
 func (r *Renderer) castRay(s *sampler, o, d Vec3, t0, t1, step float64) (cr, cg, cb, ca float32) {
 	var ar, ag, ab, aa float64
 	for t := t0 + step/2; t < t1; t += step {
-		p := Vec3{o[0] + t*d[0], o[1] + t*d[1], o[2] + t*d[2]}
+		p := rayAt(o, d, t)
 		v, ok := s.sample(p)
 		if !ok {
 			continue
+		}
+		if s.empty {
+			if last, ok := s.leap(o, d, p, t, t1, step); ok {
+				t = last
+				continue
+			}
 		}
 		er, eg, eb, density := r.lut.Lookup(v)
 		if density <= 0 {

@@ -4,11 +4,18 @@ import (
 	"testing"
 )
 
-// benchRaySetup prepares a block and one central ray through it.
-func benchRaySetup(b testing.TB, lighting bool) (*Renderer, *sampler, Vec3, Vec3, float64, float64, float64) {
+// benchRaySetup prepares a block and one central ray through it. The
+// dense field (waveField) has no empty cell, so its ray never leaps and
+// pays only the per-sample branch; the sparse one (centeredBall) is zero
+// outside a ball the ray crosses, with the empty-region table built as a
+// projection would.
+func benchRaySetup(b testing.TB, lighting, sparse bool) (*Renderer, *sampler, Vec3, Vec3, float64, float64, float64) {
 	b.Helper()
 	m := uniformMesh(4)
 	f := waveField(m)
+	if sparse {
+		f = centeredBall(m)
+	}
 	bd, err := ExtractBlockData(m, f, m.Tree.Blocks(0)[0], 4)
 	if err != nil {
 		b.Fatal(err)
@@ -16,6 +23,9 @@ func benchRaySetup(b testing.TB, lighting bool) (*Renderer, *sampler, Vec3, Vec3
 	rr := NewRenderer()
 	rr.Lighting = lighting
 	rr.Prepare()
+	if sparse {
+		bd.buildEmptyRegions(true)
+	}
 	view := DefaultView(256, 256)
 	view.Prepare()
 	step := rr.StepScale * bd.MinCellSize()
@@ -35,10 +45,8 @@ func benchRaySetup(b testing.TB, lighting bool) (*Renderer, *sampler, Vec3, Vec3
 
 var sinkAlpha float32
 
-// BenchmarkCastRay reports ns per full ray integration (and allocs/op,
-// which must be zero) through a level-4 block at the default step.
-func BenchmarkCastRay(b *testing.B) {
-	rr, s, o, d, t0, t1, step := benchRaySetup(b, false)
+func benchCastRay(b *testing.B, lighting, sparse bool) {
+	rr, s, o, d, t0, t1, step := benchRaySetup(b, lighting, sparse)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -46,13 +54,40 @@ func BenchmarkCastRay(b *testing.B) {
 	}
 }
 
+// BenchmarkCastRay reports ns per full ray integration (and allocs/op,
+// which must be zero) through a level-4 block at the default step.
+func BenchmarkCastRay(b *testing.B) { benchCastRay(b, false, false) }
+
 // BenchmarkCastRayLit is BenchmarkCastRay with gradient Phong lighting.
-func BenchmarkCastRayLit(b *testing.B) {
-	rr, s, o, d, t0, t1, step := benchRaySetup(b, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, _, sinkAlpha = rr.castRay(s, o, d, t0, t1, step)
+func BenchmarkCastRayLit(b *testing.B) { benchCastRay(b, true, false) }
+
+// BenchmarkCastRaySparse is BenchmarkCastRay through the sparse field,
+// where most of the ray is leapt.
+func BenchmarkCastRaySparse(b *testing.B) { benchCastRay(b, false, true) }
+
+// BenchmarkCastRaySparseLit is BenchmarkCastRaySparse with lighting.
+func BenchmarkCastRaySparseLit(b *testing.B) { benchCastRay(b, true, true) }
+
+// BenchmarkBuildEmptyRegions measures the per-frame, per-block table build
+// (which replaced the MaxValue scan of every projection) over a 4096-cell
+// block: the dense field has no empty cell, the sparse one is mostly
+// regions.
+func BenchmarkBuildEmptyRegions(b *testing.B) {
+	m := uniformMesh(4)
+	for _, tc := range []struct {
+		name string
+		f    []float32
+	}{{"dense", waveField(m)}, {"sparse", centeredBall(m)}} {
+		bd, err := ExtractBlockData(m, tc.f, m.Tree.Blocks(0)[0], 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkAlpha = bd.buildEmptyRegions(true)
+			}
+		})
 	}
 }
 

@@ -563,6 +563,40 @@ func TestEmptySpaceSkipping(t *testing.T) {
 	if bd.MaxValue() != 0 {
 		t.Errorf("MaxValue = %v", bd.MaxValue())
 	}
+
+	// A half-empty block renders, and its empty half is one region per
+	// level-1 octant rather than per cell.
+	for i, g := range m.Nodes {
+		if g.Pos()[0] > 0.5 {
+			f[i] = 0.8
+		}
+	}
+	bd, _ = ExtractBlockData(m, f, m.Tree.Blocks(0)[0], 2)
+	if frag := NewRenderer().RenderBlock(bd, &view); frag == nil {
+		t.Fatal("half-empty block produced no fragment")
+	}
+	for i, c := range bd.Cells {
+		want := uint8(notEmpty)
+		if _, max := c.Bounds(); max[0] <= 0.5 {
+			want = 1
+		}
+		if bd.region[i] != want {
+			t.Errorf("half-empty block, cell %v: region level %d, want %d", c, bd.region[i], want)
+		}
+	}
+
+	// Zeroing Vals in place — the pipeline's degraded-frame path — must
+	// leave no stale table behind: the next projection sees one empty
+	// region, the block itself, and skips it.
+	clear(bd.Vals)
+	if frag := NewRenderer().RenderBlock(bd, &view); frag != nil {
+		t.Error("zeroed block produced a fragment")
+	}
+	for i, lvl := range bd.region {
+		if lvl != bd.Root.Level {
+			t.Errorf("zeroed block, cell %d: region level %d, want the block's %d", i, lvl, bd.Root.Level)
+		}
+	}
 }
 
 func TestTransparentBelow(t *testing.T) {

@@ -19,22 +19,28 @@ import (
 // TestRenderFrameAllocFree is the PR 5 acceptance gate for the renderer:
 // with an ExtractScratch (and its embedded RenderScratch), a steady-state
 // fixed-view frame is exactly 0 allocs/op end-to-end — serially and
-// dispatching on a persistent worker pool.
+// dispatching on a persistent worker pool, on the dense field and on the
+// sparse one, where every frame rebuilds the empty-region tables after
+// extraction reset them.
 func TestRenderFrameAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are skipped under the race detector")
 	}
 	m := gradedRenderMesh(t)
-	f := waveField(m)
+	dense, sparse := waveField(m), centeredBall(m)
 	level := m.Tree.MaxDepth()
 	for _, tc := range []struct {
 		name    string
+		f       []float32
 		workers int
 		pooled  bool
 	}{
-		{"serial", 1, false},
-		{"pooled-3", 3, true},
+		{"serial", dense, 1, false},
+		{"pooled-3", dense, 3, true},
+		{"sparse-serial", sparse, 1, false},
+		{"sparse-pooled-3", sparse, 3, true},
 	} {
+		f := tc.f
 		t.Run(tc.name, func(t *testing.T) {
 			var scratch ExtractScratch
 			if tc.pooled {
@@ -139,6 +145,7 @@ func TestRenderScratchFragmentOwnership(t *testing.T) {
 
 // BenchmarkRenderFrame measures one 64x64 frame of the graded mesh:
 // `scratch` is the steady-state PR 5 path (must report 0 allocs/op),
+// `scratch-sparse` the same over the sparse field (most samples leapt),
 // `fresh` re-allocates the per-frame state as PR 4 did.
 func BenchmarkRenderFrame(b *testing.B) {
 	m := gradedRenderMesh(b)
@@ -146,21 +153,26 @@ func BenchmarkRenderFrame(b *testing.B) {
 	level := m.Tree.MaxDepth()
 	rr := NewRenderer()
 	view := DefaultView(64, 64)
-	b.Run("scratch", func(b *testing.B) {
-		var scratch ExtractScratch
-		scratch.Pool = workers.New(2)
-		defer scratch.Pool.Close()
-		if _, err := RenderParallelWith(rr, m, f, 1, level, &view, 2, &scratch); err != nil {
-			b.Fatal(err) // warm the scratch so the loop is steady state
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := RenderParallelWith(rr, m, f, 1, level, &view, 2, &scratch); err != nil {
-				b.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		f    []float32
+	}{{"scratch", f}, {"scratch-sparse", centeredBall(m)}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var scratch ExtractScratch
+			scratch.Pool = workers.New(2)
+			defer scratch.Pool.Close()
+			if _, err := RenderParallelWith(rr, m, tc.f, 1, level, &view, 2, &scratch); err != nil {
+				b.Fatal(err) // warm the scratch so the loop is steady state
 			}
-		}
-	})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RenderParallelWith(rr, m, tc.f, 1, level, &view, 2, &scratch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -1,13 +1,11 @@
-// Package trace provides the small reporting utilities the experiment
-// harness uses: aligned text tables for the figure reproductions and a
-// stage timer for profiling pipeline runs.
+// Package trace provides the small reporting utility the experiment
+// harness uses: aligned text tables for the figure reproductions.
 package trace
 
 import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 )
 
 // Table accumulates rows and renders them with aligned columns.
@@ -87,41 +85,5 @@ func (t *Table) Render(w io.Writer) error {
 func (t *Table) String() string {
 	var b strings.Builder
 	t.Render(&b)
-	return b.String()
-}
-
-// Timer accumulates named wall-clock durations.
-type Timer struct {
-	totals map[string]time.Duration
-	order  []string
-}
-
-// NewTimer returns an empty timer.
-func NewTimer() *Timer { return &Timer{totals: make(map[string]time.Duration)} }
-
-// Time runs fn and charges its duration to the named stage.
-func (t *Timer) Time(stage string, fn func()) {
-	start := time.Now()
-	fn()
-	t.Add(stage, time.Since(start))
-}
-
-// Add charges a duration to a stage.
-func (t *Timer) Add(stage string, d time.Duration) {
-	if _, ok := t.totals[stage]; !ok {
-		t.order = append(t.order, stage)
-	}
-	t.totals[stage] += d
-}
-
-// Get returns a stage's accumulated time.
-func (t *Timer) Get(stage string) time.Duration { return t.totals[stage] }
-
-// Summary renders one line per stage in first-use order.
-func (t *Timer) Summary() string {
-	var b strings.Builder
-	for _, s := range t.order {
-		fmt.Fprintf(&b, "%-16s %10.3fs\n", s, t.totals[s].Seconds())
-	}
 	return b.String()
 }

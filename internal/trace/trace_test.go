@@ -3,7 +3,6 @@ package trace
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestTableAlignment(t *testing.T) {
@@ -32,21 +31,5 @@ func TestTableNoTitle(t *testing.T) {
 	tb.AddRow(1)
 	if strings.HasPrefix(tb.String(), "##") {
 		t.Error("unexpected title")
-	}
-}
-
-func TestTimer(t *testing.T) {
-	tm := NewTimer()
-	tm.Time("stage1", func() { time.Sleep(time.Millisecond) })
-	tm.Add("stage2", 2*time.Second)
-	tm.Add("stage1", time.Second)
-	if tm.Get("stage1") < time.Second {
-		t.Error("stage1 accumulation")
-	}
-	sum := tm.Summary()
-	i1 := strings.Index(sum, "stage1")
-	i2 := strings.Index(sum, "stage2")
-	if i1 < 0 || i2 < 0 || i1 > i2 {
-		t.Errorf("summary order: %q", sum)
 	}
 }
