@@ -7,9 +7,10 @@
 #   make benchsmoke  # compile + smoke-test the nested quakebench module (bench/)
 #   make bench   # paper-figure and hot-kernel benchmarks
 #   make fuzz    # short fuzz sessions: datatype/RLE/wire codecs + request parser
+#   make size    # non-test lines, test lines, exported identifiers (for CHANGES.md)
 GO ?= go
 
-.PHONY: build test race vet fmtcheck doccheck invarcheck lint bench benchsmoke check ci fuzz
+.PHONY: build test race vet fmtcheck doccheck invarcheck lint bench benchsmoke check ci fuzz size
 
 build:
 	$(GO) build ./...
@@ -44,8 +45,18 @@ fmtcheck:
 # a doc comment, so the documented API surface (see ARCHITECTURE.md and
 # docs/ownership.md) cannot rot. cmd/doccheck documents exactly what is
 # checked.
+DOCDIRS = $(wildcard internal/*/) $(wildcard cmd/*/) $(wildcard examples/*/) .
 doccheck:
-	$(GO) run ./cmd/doccheck $(wildcard internal/*/) $(wildcard cmd/*/) $(wildcard examples/*/) .
+	$(GO) run ./cmd/doccheck $(DOCDIRS)
+
+# size prints the numbers every CHANGES.md entry reports, so they come out
+# of a command: Go lines outside and inside _test.go files in the root
+# module (bench/ is a nested module and is left out) and the number of
+# exported identifiers doccheck walks.
+size:
+	@echo "non-test Go lines: $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@echo "test Go lines:     $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@$(GO) run ./cmd/doccheck $(DOCDIRS)
 
 # invarcheck runs the invariant lint suite (cmd/invarcheck): allocfree,
 # codecid, decodealias, scratchconfine and errclass, each failing with

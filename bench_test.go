@@ -13,6 +13,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/img"
 	"repro/internal/lic"
+	"repro/internal/mesh"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/octree"
@@ -95,9 +96,9 @@ func BenchmarkModelValidation(b *testing.B) { benchTable(b, experiments.ModelVal
 
 // --- Micro-benchmarks of the hot kernels -----------------------------------
 
-// BenchmarkRenderSerial measures the software ray-caster on a small basin
-// dataset (per full 128x128 frame).
-func BenchmarkRenderSerial(b *testing.B) {
+// benchFrameInput builds the small basin dataset and returns its mesh and
+// step 1's scalar field, quantized as the pipeline would.
+func benchFrameInput(b *testing.B) (*mesh.Mesh, []float32) {
 	st, m, err := experiments.MakeDataset(experiments.Small, 2)
 	if err != nil {
 		b.Fatal(err)
@@ -106,9 +107,19 @@ func BenchmarkRenderSerial(b *testing.B) {
 	if err := st.ReadAt(nil, quake.StepObject(1), 0, buf); err != nil {
 		b.Fatal(err)
 	}
-	mag := render.Magnitude(quake.DecodeStep(buf))
+	vec, err := quake.DecodeStepInto(nil, buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mag := render.MagnitudeInto(nil, vec)
 	lo, hi := render.MinMax(mag)
-	scalar := render.Dequantize(render.Quantize(mag, lo, hi))
+	return m, render.DequantizeInto(nil, render.QuantizeInto(nil, mag, lo, hi))
+}
+
+// BenchmarkRenderSerial measures the software ray-caster on a small basin
+// dataset (per full 128x128 frame).
+func BenchmarkRenderSerial(b *testing.B) {
+	m, scalar := benchFrameInput(b)
 	rr := render.NewRenderer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -121,20 +132,10 @@ func BenchmarkRenderSerial(b *testing.B) {
 
 // BenchmarkRenderParallel measures the worker-pool renderer on the same
 // frame as BenchmarkRenderSerial at 1, 2, 4 and NumCPU workers; the
-// workers-1 case is the exact serial legacy path, so the sub-benchmark
-// ratios are the parallel speedup.
+// workers-1 case casts every block on the calling goroutine, so the
+// sub-benchmark ratios are the parallel speedup.
 func BenchmarkRenderParallel(b *testing.B) {
-	st, m, err := experiments.MakeDataset(experiments.Small, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, m.NumNodes()*quake.BytesPerNode)
-	if err := st.ReadAt(nil, quake.StepObject(1), 0, buf); err != nil {
-		b.Fatal(err)
-	}
-	mag := render.Magnitude(quake.DecodeStep(buf))
-	lo, hi := render.MinMax(mag)
-	scalar := render.Dequantize(render.Quantize(mag, lo, hi))
+	m, scalar := benchFrameInput(b)
 	rr := render.NewRenderer()
 	counts := []int{1, 2, 4}
 	if n := runtime.NumCPU(); n > 4 {
@@ -144,7 +145,7 @@ func BenchmarkRenderParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				view := render.DefaultView(128, 128)
-				if _, err := render.RenderParallel(rr, m, scalar, 2, m.Tree.MaxDepth(), &view, w); err != nil {
+				if _, err := render.RenderParallelWith(rr, m, scalar, 2, m.Tree.MaxDepth(), &view, w, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -193,7 +194,7 @@ func BenchmarkLIC(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lic.Compute(g, 128, 128, lic.Config{L: 12, Seed: 1, Phase: -1}); err != nil {
+		if _, err := lic.ComputeWith(g, 128, 128, lic.Config{L: 12, Seed: 1, Phase: -1}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,7 +263,7 @@ func BenchmarkCollectiveRead(b *testing.B) {
 				return
 			}
 			f.SetView(0, mpiioIndexed(displs))
-			if _, err := f.ReadAll(i + 1); err != nil {
+			if _, err := f.ReadAllInto(i+1, make([]byte, 12*len(displs))); err != nil {
 				b.Error(err)
 			}
 		})

@@ -44,9 +44,13 @@ func main() {
 	if err := store.ReadAt(nil, quake.StepObject(meta.NumSteps-1), 0, buf); err != nil {
 		log.Fatal(err)
 	}
-	mag := render.Magnitude(quake.DecodeStep(buf))
+	vec, err := quake.DecodeStepInto(nil, buf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mag := render.MagnitudeInto(nil, vec)
 	lo, hi := render.MinMax(mag)
-	scalar := render.Dequantize(render.Quantize(mag, lo, hi))
+	scalar := render.DequantizeInto(nil, render.QuantizeInto(nil, mag, lo, hi))
 
 	if err := os.MkdirAll("out", 0o755); err != nil {
 		log.Fatal(err)

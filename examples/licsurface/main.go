@@ -88,7 +88,10 @@ func main() {
 	if err := store.ReadAt(nil, quake.StepObject(t), 0, buf); err != nil {
 		log.Fatal(err)
 	}
-	vec := quake.DecodeStep(buf)
+	vec, err := quake.DecodeStepInto(nil, buf)
+	if err != nil {
+		log.Fatal(err)
+	}
 	surf := m.SurfaceNodes()
 	samples := make([]quadtree.Sample, len(surf))
 	for i, id := range surf {
@@ -103,11 +106,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	full, err := lic.Compute(grid, 256, 256, lic.Config{L: 20, Seed: 7, Phase: -1})
+	full, err := lic.ComputeWith(grid, 256, 256, lic.Config{L: 20, Seed: 7, Phase: -1}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	writePNG("out/lic_full.png", full.Colorize(grid))
+	writePNG("out/lic_full.png", full.ColorizeInto(nil, grid))
 
 	// Close-up: resample the central quarter at the same pixel count.
 	closeup := &quadtree.Grid{W: 128, H: 128, VX: make([]float64, 128*128), VY: make([]float64, 128*128)}
@@ -118,19 +121,19 @@ func main() {
 			closeup.VX[y*128+x], closeup.VY[y*128+x] = grid.At(u, v)
 		}
 	}
-	cu, err := lic.Compute(closeup, 256, 256, lic.Config{L: 20, Seed: 7, Phase: -1})
+	cu, err := lic.ComputeWith(closeup, 256, 256, lic.Config{L: 20, Seed: 7, Phase: -1}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	writePNG("out/lic_closeup.png", cu.Colorize(nil))
+	writePNG("out/lic_closeup.png", cu.ColorizeInto(nil, nil))
 
 	// Animated periodic kernel: phase sweep conveys flow direction.
 	for k := 0; k < 4; k++ {
-		ph, err := lic.Compute(grid, 128, 128, lic.Config{L: 16, Seed: 7, Phase: float64(k) / 4})
+		ph, err := lic.ComputeWith(grid, 128, 128, lic.Config{L: 16, Seed: 7, Phase: float64(k) / 4}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		writePNG(fmt.Sprintf("out/lic_phase%d.png", k), ph.Colorize(nil))
+		writePNG(fmt.Sprintf("out/lic_phase%d.png", k), ph.ColorizeInto(nil, nil))
 	}
 	fmt.Println("LIC images -> out/lic_full.png, out/lic_closeup.png, out/lic_phase*.png")
 }

@@ -239,23 +239,18 @@ type Stats struct {
 	BytesSent int64
 }
 
-// DirectSend is the unscheduled baseline: the image is cut into equal
+// DirectSendWith is the unscheduled baseline: the image is cut into equal
 // strips, and every rank sends every other rank one message containing its
 // (possibly empty) overlapping subfragments — the n(n-1) message pattern
 // the paper describes as the worst case. Returns this rank's composited
 // strip.
-func DirectSend(c *mpi.Comm, group []int, me int, frags []*render.Fragment,
-	w, h, tagBase int, compress bool) (*img.Image, Strip, Stats, error) {
-	return DirectSendWith(c, group, me, frags, w, h, tagBase, compress, nil)
-}
-
-// DirectSendWith is DirectSend with a reusable per-rank scratch: wire
-// payloads, clip buffers and the strip canvas all come from scr's pools, so
-// a steady-state frame loop allocates nothing. Receivers return payload
-// buffers to this rank's pool as they finish compositing; the returned
-// strip belongs to scr until ReleaseStrip is called on it (by whoever
-// consumes it). A nil scr uses a private scratch, which behaves exactly
-// like the unpooled path.
+//
+// Wire payloads, clip buffers and the strip canvas all come from the
+// per-rank scratch's pools, so a steady-state frame loop allocates nothing.
+// Receivers return payload buffers to this rank's pool as they finish
+// compositing; the returned strip belongs to scr until ReleaseStrip is
+// called on it (by whoever consumes it). A nil scr is a private scratch,
+// so the strip is the caller's.
 //
 // If a sending rank has been declared lost by the transport, its pixels
 // are composited as absent: the returned strip is still valid (partial)
@@ -432,16 +427,10 @@ func BuildSchedule(rects [][]Rect, w, h, n int) *Schedule {
 	return sched
 }
 
-// SLIC performs scheduled direct-send compositing: only scheduled messages
-// are exchanged (senders with no pixels for a strip stay silent), and strip
-// sizes are load-balanced by the precomputed schedule.
-func SLIC(c *mpi.Comm, group []int, me int, sched *Schedule, frags []*render.Fragment,
-	w, h, tagBase int, compress bool) (*img.Image, Strip, Stats, error) {
-	return SLICWith(c, group, me, sched, frags, w, h, tagBase, compress, nil)
-}
-
-// SLICWith is SLIC with a reusable per-rank scratch; see DirectSendWith for
-// the pooling and release contract.
+// SLICWith performs scheduled direct-send compositing: only scheduled
+// messages are exchanged (senders with no pixels for a strip stay silent),
+// and strip sizes are load-balanced by the precomputed schedule. See
+// DirectSendWith for the scratch pooling and release contract.
 func SLICWith(c *mpi.Comm, group []int, me int, sched *Schedule, frags []*render.Fragment,
 	w, h, tagBase int, compress bool, scr *CompositeScratch) (*img.Image, Strip, Stats, error) {
 
@@ -506,21 +495,19 @@ func SLICWith(c *mpi.Comm, group []int, me int, sched *Schedule, frags []*render
 	return out, sched.Strips[me], st, err
 }
 
-// BinarySwap is the classic baseline for power-of-two groups. Each member
-// must hold a single full-image partial whose contents are depth-orderable
-// by group index (member 0 front-most); with the paper's scattered block
-// assignment this assumption does not hold, which is why the pipeline uses
-// SLIC — BinarySwap is provided for the compositing benchmark.
-func BinarySwap(c *mpi.Comm, group []int, me int, partial *img.Image,
-	w, h, tagBase int) (*img.Image, Strip, Stats, error) {
-	return BinarySwapWith(c, group, me, partial, w, h, tagBase, nil)
-}
-
-// BinarySwapWith is BinarySwap with a reusable per-rank scratch: the two
-// keep images ping-pong between rounds (purely rank-local), and each sent
-// half is a pooled payload the receiving partner releases after blending —
-// partners change every round, so release is the only safe reuse signal.
-// The returned image is scratch-owned and valid until the next call.
+// BinarySwapWith is the classic baseline for power-of-two groups. Each
+// member must hold a single full-image partial whose contents are
+// depth-orderable by group index (member 0 front-most); with the paper's
+// scattered block assignment this assumption does not hold, which is why
+// the pipeline uses SLIC — binary swap is provided for the compositing
+// benchmark.
+//
+// The two keep images ping-pong between rounds in the per-rank scratch
+// (purely rank-local), and each sent half is a pooled payload the receiving
+// partner releases after blending — partners change every round, so release
+// is the only safe reuse signal. The returned image is scratch-owned and
+// valid until the next call; a nil scr is a private scratch, so the image
+// is the caller's.
 func BinarySwapWith(c *mpi.Comm, group []int, me int, partial *img.Image,
 	w, h, tagBase int, scr *CompositeScratch) (*img.Image, Strip, Stats, error) {
 

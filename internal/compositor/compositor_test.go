@@ -29,7 +29,7 @@ func TestRLERoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, fill := range []float64{0, 0.1, 0.5, 1} {
 		m := randImage(rng, 17, 9, fill)
-		enc := EncodeRLE(m)
+		enc := EncodeRLEInto(nil, m)
 		dec, err := DecodeRLE(enc, 17, 9)
 		if err != nil {
 			t.Fatal(err)
@@ -43,7 +43,7 @@ func TestRLERoundTrip(t *testing.T) {
 func TestRLECompressesSparseImages(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sparse := randImage(rng, 64, 64, 0.05)
-	enc := EncodeRLE(sparse)
+	enc := EncodeRLEInto(nil, sparse)
 	if int64(len(enc)) >= RawBytes(sparse)/2 {
 		t.Errorf("sparse image compressed to %d of %d bytes", len(enc), RawBytes(sparse))
 	}
@@ -66,7 +66,7 @@ func TestRLEQuick(t *testing.T) {
 		w := int(w8%16) + 1
 		h := int(h8%16) + 1
 		m := randImage(rand.New(rand.NewSource(seed)), w, h, 0.4)
-		dec, err := DecodeRLE(EncodeRLE(m), w, h)
+		dec, err := DecodeRLE(EncodeRLEInto(nil, m), w, h)
 		return err == nil && img.RMSE(m, dec) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -139,7 +139,7 @@ func TestDirectSendMatchesSerial(t *testing.T) {
 			strips := make([]*img.Image, n)
 			sts := make([]Strip, n)
 			mpi.RunReal(n, func(c *mpi.Comm) {
-				im, st, _, err := DirectSend(c, group, c.Rank(), all[c.Rank()], w, h, 100, compress)
+				im, st, _, err := DirectSendWith(c, group, c.Rank(), all[c.Rank()], w, h, 100, compress, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -172,7 +172,7 @@ func TestSLICMatchesSerial(t *testing.T) {
 			strips := make([]*img.Image, n)
 			sts := make([]Strip, n)
 			mpi.RunReal(n, func(c *mpi.Comm) {
-				im, st, _, err := SLIC(c, group, c.Rank(), sched, all[c.Rank()], w, h, 100, compress)
+				im, st, _, err := SLICWith(c, group, c.Rank(), sched, all[c.Rank()], w, h, 100, compress, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -208,14 +208,14 @@ func TestSLICSendsFewerMessages(t *testing.T) {
 	sched := BuildSchedule(rectsOf(all), w, h, n)
 	var dsMsgs, slicMsgs int
 	mpi.RunReal(n, func(c *mpi.Comm) {
-		_, _, st, err := DirectSend(c, group, c.Rank(), all[c.Rank()], w, h, 100, false)
+		_, _, st, err := DirectSendWith(c, group, c.Rank(), all[c.Rank()], w, h, 100, false, nil)
 		if err != nil {
 			t.Error(err)
 		}
 		if c.Rank() == 0 {
 			dsMsgs = st.MsgsSent * n // all ranks symmetric here
 		}
-		_, _, st2, err := SLIC(c, group, c.Rank(), sched, all[c.Rank()], w, h, 200, false)
+		_, _, st2, err := SLICWith(c, group, c.Rank(), sched, all[c.Rank()], w, h, 200, false, nil)
 		if err != nil {
 			t.Error(err)
 		}
@@ -249,7 +249,7 @@ func TestBinarySwapMatchesSerialForOrderedPartials(t *testing.T) {
 		strips := make([]*img.Image, n)
 		sts := make([]Strip, n)
 		mpi.RunReal(n, func(c *mpi.Comm) {
-			im, st, _, err := BinarySwap(c, group, c.Rank(), partials[c.Rank()], w, h, 100)
+			im, st, _, err := BinarySwapWith(c, group, c.Rank(), partials[c.Rank()], w, h, 100, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -269,7 +269,7 @@ func TestBinarySwapMatchesSerialForOrderedPartials(t *testing.T) {
 
 func TestBinarySwapRejectsNonPowerOfTwo(t *testing.T) {
 	mpi.RunReal(3, func(c *mpi.Comm) {
-		_, _, _, err := BinarySwap(c, []int{0, 1, 2}, c.Rank(), img.New(4, 4), 4, 4, 100)
+		_, _, _, err := BinarySwapWith(c, []int{0, 1, 2}, c.Rank(), img.New(4, 4), 4, 4, 100, nil)
 		if err == nil {
 			t.Error("group of 3 accepted")
 		}
@@ -283,7 +283,7 @@ func TestGatherStrips(t *testing.T) {
 	group := []int{0, 1, 2, 3}
 	var got *img.Image
 	mpi.RunReal(n, func(c *mpi.Comm) {
-		im, st, _, err := DirectSend(c, group, c.Rank(), all[c.Rank()], w, h, 100, false)
+		im, st, _, err := DirectSendWith(c, group, c.Rank(), all[c.Rank()], w, h, 100, false, nil)
 		if err != nil {
 			t.Error(err)
 			return
@@ -311,8 +311,8 @@ func TestCompressionReducesBytes(t *testing.T) {
 	group := []int{0, 1, 2, 3}
 	var raw, comp int64
 	mpi.RunReal(n, func(c *mpi.Comm) {
-		_, _, st, _ := DirectSend(c, group, c.Rank(), all[c.Rank()], w, h, 100, false)
-		_, _, st2, _ := DirectSend(c, group, c.Rank(), all[c.Rank()], w, h, 200, true)
+		_, _, st, _ := DirectSendWith(c, group, c.Rank(), all[c.Rank()], w, h, 100, false, nil)
+		_, _, st2, _ := DirectSendWith(c, group, c.Rank(), all[c.Rank()], w, h, 200, true, nil)
 		if c.Rank() == 0 {
 			raw, comp = st.BytesSent, st2.BytesSent
 		}

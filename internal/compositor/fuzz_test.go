@@ -37,7 +37,7 @@ func FuzzRLERoundTrip(f *testing.F) {
 				copy(want.Pix[4*p:4*p+4], m.Pix[4*p:4*p+4])
 			}
 		}
-		enc := EncodeRLE(m)
+		enc := EncodeRLEInto(nil, m)
 		got, err := DecodeRLE(enc, w, h)
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
@@ -74,7 +74,7 @@ func FuzzCompositeRLEStream(f *testing.F) {
 				m.Pix[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
 			}
 		}
-		sub := &subFragment{X0: x0, Y0: y0, W: w, H: h, compressed: true, RLE: EncodeRLE(m)}
+		sub := &subFragment{X0: x0, Y0: y0, W: w, H: h, compressed: true, RLE: EncodeRLEInto(nil, m)}
 		const cw = 10
 		st := Strip{Y0: 2, H: 8}
 		want, err := compositeStripLegacy(cw, st, []*subFragment{sub})

@@ -37,7 +37,7 @@ func clipFragmentLegacy(f *render.Fragment, st Strip, compress bool) (*subFragme
 	sf := &subFragment{X0: f.X0, Y0: y0, W: part.W, H: h, VisRank: f.VisRank}
 	var bytes int64
 	if compress {
-		sf.RLE = EncodeRLE(part)
+		sf.RLE = EncodeRLEInto(nil, part)
 		sf.compressed = true
 		bytes = int64(len(sf.RLE))
 	} else {
@@ -86,7 +86,7 @@ func compositeStripLegacy(w int, st Strip, subs []*subFragment) (*img.Image, err
 func makeSub(m *img.Image, x0, y0, vis int, compress bool) *subFragment {
 	sf := &subFragment{X0: x0, Y0: y0, W: m.W, H: m.H, VisRank: vis}
 	if compress {
-		sf.RLE = EncodeRLE(m)
+		sf.RLE = EncodeRLEInto(nil, m)
 		sf.compressed = true
 	} else {
 		sf.Raw = m
@@ -236,17 +236,17 @@ func TestClipFragmentMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestEncodeRLEIntoMatchesAndExactCapacity: the Into variant must emit the
-// identical stream and size the buffer exactly on growth.
+// TestEncodeRLEIntoMatchesAndExactCapacity: a reused destination must hold
+// the identical stream a nil one gets, and growth sizes the buffer exactly.
 func TestEncodeRLEIntoMatchesAndExactCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var buf []byte
 	for _, fill := range []float64{0, 0.05, 0.5, 1} {
 		m := randImage(rng, 33, 17, fill)
-		want := EncodeRLE(m)
+		want := EncodeRLEInto(nil, m)
 		buf = EncodeRLEInto(buf, m)
 		if string(buf) != string(want) {
-			t.Fatalf("fill=%v: Into stream differs", fill)
+			t.Fatalf("fill=%v: reused-buffer stream differs", fill)
 		}
 		fresh := EncodeRLEInto(nil, m)
 		if len(fresh) != len(want) || cap(fresh) != len(want) {
@@ -296,7 +296,7 @@ func TestDirectSendWithScratchReuseMatches(t *testing.T) {
 			got := make([]*img.Image, n)
 			gotStats := make([]Stats, n)
 			mpi.RunReal(n, func(c *mpi.Comm) {
-				im, _, s, err := DirectSend(c, group, c.Rank(), all[c.Rank()], w, h, 100, compress)
+				im, _, s, err := DirectSendWith(c, group, c.Rank(), all[c.Rank()], w, h, 100, compress, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -339,7 +339,7 @@ func TestSLICWithScratchReuseMatches(t *testing.T) {
 			want := make([]*img.Image, n)
 			wantStats := make([]Stats, n)
 			mpi.RunReal(n, func(c *mpi.Comm) {
-				im, _, s, err := SLIC(c, group, c.Rank(), sched, all[c.Rank()], w, h, 100, compress)
+				im, _, s, err := SLICWith(c, group, c.Rank(), sched, all[c.Rank()], w, h, 100, compress, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -380,7 +380,7 @@ func TestBinarySwapWithScratchReuseMatches(t *testing.T) {
 		}
 		want := make([]*img.Image, n)
 		mpi.RunReal(n, func(c *mpi.Comm) {
-			im, _, _, err := BinarySwap(c, group, c.Rank(), partials[c.Rank()], w, h, 100)
+			im, _, _, err := BinarySwapWith(c, group, c.Rank(), partials[c.Rank()], w, h, 100, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -630,7 +630,7 @@ func BenchmarkEncodeRLE(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			EncodeRLE(m)
+			EncodeRLEInto(nil, m)
 		}
 	})
 }

@@ -14,18 +14,13 @@ import (
 	"repro/internal/img"
 )
 
-// EncodeRLE compresses an RGBA image by eliding runs of fully transparent
-// pixels: the stream is a sequence of (skip, count, count*16 bytes of
-// pixels) records walking the image in row-major order.
-func EncodeRLE(m *img.Image) []byte {
-	return EncodeRLEInto(nil, m)
-}
-
-// EncodeRLEInto is EncodeRLE appending into dst[:0] — the steady-state
-// path of the compositing loop, which allocates nothing once dst has grown
-// to size. When dst must grow, the stream size is counted first and the
-// buffer is sized exactly, so a frame loop never carries append slack.
-// The encoded bytes are identical to EncodeRLE's.
+// EncodeRLEInto compresses an RGBA image by eliding runs of fully
+// transparent pixels: the stream is a sequence of (skip, count, count*16
+// bytes of pixels) records walking the image in row-major order. It
+// encodes into dst[:0] (nil allocates) — the steady-state path of the
+// compositing loop, which allocates nothing once dst has grown to size.
+// When dst must grow, the stream size is counted first and the buffer is
+// sized exactly, so a frame loop never carries append slack.
 func EncodeRLEInto(dst []byte, m *img.Image) []byte {
 	return encodeRLE(dst[:0], m.Pix, m.W*m.H)
 }
@@ -93,7 +88,7 @@ func encodeRLE(dst []byte, pix []float32, n int) []byte {
 	return dst
 }
 
-// DecodeRLE reconstructs a w×h image from an EncodeRLE stream.
+// DecodeRLE reconstructs a w×h image from an EncodeRLEInto stream.
 func DecodeRLE(data []byte, w, h int) (*img.Image, error) {
 	m := img.New(w, h)
 	n := w * h

@@ -244,6 +244,18 @@ func runReal(t *testing.T, store pfs.Store, l Layout, opts Options) (*RealWorklo
 	return w, runPipeline(t, w, l)
 }
 
+// stepMagnitude decodes a step object into fresh per-node magnitudes — the
+// allocating reference chain the tests compare the pipeline's reused
+// buffers against.
+func stepMagnitude(tb testing.TB, raw []byte) []float32 {
+	tb.Helper()
+	vec, err := quake.DecodeStepInto(nil, raw)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return render.MagnitudeInto(nil, vec)
+}
+
 // serialFrame renders timestep t directly (reference image) using the same
 // quantization as the pipeline.
 func serialFrame(t *testing.T, w *RealWorkload, opts Options, step int) *img.Image {
@@ -252,15 +264,15 @@ func serialFrame(t *testing.T, w *RealWorkload, opts Options, step int) *img.Ima
 	if err := w.store.ReadAt(nil, quake.StepObject(step), 0, buf); err != nil {
 		t.Fatal(err)
 	}
-	mag := render.Magnitude(quake.DecodeStep(buf))
+	mag := stepMagnitude(t, buf)
 	if opts.Enhancement && step > 0 {
 		pbuf := make([]byte, len(buf))
 		if err := w.store.ReadAt(nil, quake.StepObject(step-1), 0, pbuf); err != nil {
 			t.Fatal(err)
 		}
-		mag = render.EnhanceTemporal(mag, render.Magnitude(quake.DecodeStep(pbuf)), opts.EnhanceGain)
+		mag = render.EnhanceTemporalInto(nil, mag, stepMagnitude(t, pbuf), opts.EnhanceGain)
 	}
-	scalar := render.Dequantize(render.Quantize(mag, 0, w.ds.vmax))
+	scalar := render.DequantizeInto(nil, render.QuantizeInto(nil, mag, 0, w.ds.vmax))
 	rr := render.NewRenderer()
 	rr.Lighting = opts.Lighting
 	view := opts.View

@@ -59,11 +59,11 @@ func BenchmarkFetchStep(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				raw, err := f.ReadContig(0, int64(n)*quake.BytesPerNode)
-				if err != nil {
+				raw := make([]byte, n*quake.BytesPerNode)
+				if err := f.ReadContigInto(0, raw); err != nil {
 					b.Fatal(err)
 				}
-				q := render.Quantize(render.Magnitude(quake.DecodeStep(raw)), 0, w.ds.vmax)
+				q := render.QuantizeInto(nil, stepMagnitude(b, raw), 0, w.ds.vmax)
 				copy(share, q)
 			}
 		})

@@ -222,9 +222,9 @@ func TestFetchChainMatchesLegacy(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Legacy chain, exactly as the pre-PR-4 magQuant computed it.
-		mag := render.Magnitude(quake.DecodeStep(raw))
-		pmag := render.Magnitude(quake.DecodeStep(praw))
-		want := render.Quantize(render.EnhanceTemporal(mag, pmag, w.opts.EnhanceGain), 0, w.ds.vmax)
+		mag := stepMagnitude(t, raw)
+		pmag := stepMagnitude(t, praw)
+		want := render.QuantizeInto(nil, render.EnhanceTemporalInto(nil, mag, pmag, w.opts.EnhanceGain), 0, w.ds.vmax)
 		ids := growIDRange(scr, 0, int32(n))
 		got, err := w.magQuant(nil, step, ids, raw, scr)
 		if err != nil {
@@ -318,11 +318,11 @@ func TestDecodeChainSpeedupGate(t *testing.T) {
 		q = render.QuantizeInto(q, mag, 0, 10)
 	}
 	runLegacy := func() {
-		buf, err := f.ReadContig(0, size)
-		if err != nil {
+		buf := make([]byte, size)
+		if err := f.ReadContigInto(0, buf); err != nil {
 			t.Fatal(err)
 		}
-		render.Quantize(render.Magnitude(quake.DecodeStep(buf)), 0, 10)
+		render.QuantizeInto(nil, stepMagnitude(t, buf), 0, 10)
 	}
 	window := func(fn func()) float64 {
 		const reps = 4

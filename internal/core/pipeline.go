@@ -334,16 +334,11 @@ func (p *Pipeline) runInput(c *mpi.Comm) error {
 			}
 		}
 		t3 := c.Now()
-		// Build every renderer's payload (concurrently when allowed), then
-		// send in renderer order so the message stream is unchanged.
-		if wp == nil {
-			for r := 0; r < l.Renderers; r++ {
-				bytes[r], data[r] = p.W.PayloadFor(c, t, prep, r)
-			}
-		} else {
-			curT, curPrep = t, prep
-			wp.Run(pw, l.Renderers, build)
-		}
+		// Build every renderer's payload (concurrently when allowed: wp is
+		// nil exactly when pw is 1, which Run executes inline), then send
+		// in renderer order so the message stream is unchanged.
+		curT, curPrep = t, prep
+		wp.Run(pw, l.Renderers, build)
 		for r := 0; r < l.Renderers; r++ {
 			c.Send(l.RenderRank(r), tagData(t), bytes[r], data[r])
 		}

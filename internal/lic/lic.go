@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"repro/internal/img"
 	"repro/internal/pool"
@@ -47,19 +46,18 @@ type Scratch struct {
 	out       Image
 
 	// Pool, when set, dispatches the row-band convolution fan-out on a
-	// persistent worker pool instead of spawning goroutines every frame;
-	// the band closure is bound once to the scratch, so a steady-state
-	// parallel frame allocates nothing. Like the scratch, the pool must
-	// belong to one rank.
+	// persistent worker pool instead of spawning goroutines every frame,
+	// so a steady-state parallel frame allocates nothing. Like the
+	// scratch, the pool must belong to one rank.
 	Pool *workers.Pool
 
-	// band is the per-frame state of the prebound pooled closure.
+	// band is the per-frame state of the prebound band closure.
 	band   bandJob
 	bandFn func(int)
 }
 
-// bandJob carries one frame's convolution arguments to the pooled band
-// workers without capturing them in a fresh closure.
+// bandJob carries one frame's convolution arguments to the band closure
+// without capturing them in a fresh one.
 type bandJob struct {
 	field      *quadtree.Grid
 	noise, out *Image
@@ -77,23 +75,21 @@ func (s *Scratch) noiseFor(w, h int, seed int64) *Image {
 	return &s.noise
 }
 
-// Compute returns a w×h grayscale LIC image of the vector field.
-func Compute(field *quadtree.Grid, w, h int, cfg Config) (*Image, error) {
-	return ComputeWith(field, w, h, cfg, nil)
-}
-
-// ComputeWith is Compute with a reusable scratch: the noise texture and
-// output image come from scr, so a steady-state frame loop with Workers: 1
-// allocates nothing. The parallel path spawns its row-band goroutines per
-// frame unless scr.Pool is set, in which case the bands dispatch on the
-// persistent pool and the steady state is allocation-free for any worker
-// count. A nil scr allocates fresh buffers, identical to Compute. Output
-// is bit-identical for any scr/pool combination.
+// ComputeWith returns a w×h grayscale LIC image of the vector field. The
+// noise texture, the output image and the row-band closure come from scr,
+// and the bands dispatch on scr.Pool (nil spawns per call), so a
+// steady-state frame loop allocates nothing with Workers: 1 or with a pool.
+// The returned image points into scr and is valid until the next call; a
+// nil scr is a private scratch, dropped on return, so the image is the
+// caller's. Output is bit-identical for any scr/pool/Workers combination.
 //
 //repro:allocfree
 func ComputeWith(field *quadtree.Grid, w, h int, cfg Config, scr *Scratch) (*Image, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("lic: invalid size %dx%d", w, h)
+	}
+	if scr == nil {
+		scr = &Scratch{} //repro:allow allocfree: a nil scratch is a private scratch
 	}
 	if cfg.L <= 0 {
 		cfg.L = 10
@@ -101,16 +97,10 @@ func ComputeWith(field *quadtree.Grid, w, h int, cfg Config, scr *Scratch) (*Ima
 	if cfg.StepSize <= 0 {
 		cfg.StepSize = 0.5
 	}
-	var noise, out *Image
-	if scr != nil {
-		noise = scr.noiseFor(w, h, cfg.Seed)
-		out = &scr.out
-		out.W, out.H = w, h
-		out.Pix = pool.Grow(out.Pix, w*h) //repro:allow allocfree: amortized scratch growth
-	} else {
-		noise = WhiteNoise(w, h, cfg.Seed)                  //repro:allow allocfree: nil-scratch path allocates by contract
-		out = &Image{W: w, H: h, Pix: make([]float32, w*h)} //repro:allow allocfree: nil-scratch path allocates by contract
-	}
+	noise := scr.noiseFor(w, h, cfg.Seed)
+	out := &scr.out
+	out.W, out.H = w, h
+	out.Pix = pool.Grow(out.Pix, w*h) //repro:allow allocfree: amortized scratch growth
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -118,31 +108,14 @@ func ComputeWith(field *quadtree.Grid, w, h int, cfg Config, scr *Scratch) (*Ima
 	if workers > h {
 		workers = h
 	}
-	if workers <= 1 {
-		convolveRows(field, noise, out, 0, h, cfg)
-		return out, nil
-	}
-	if scr != nil && scr.Pool != nil {
-		scr.convolvePooled(field, noise, out, h, workers, cfg)
-		return out, nil
-	}
-	convolveParallel(field, noise, out, h, workers, cfg)
-	return out, nil
-}
-
-// convolvePooled is convolveParallel dispatching the same row bands on the
-// scratch's persistent pool. The band closure is created once per scratch
-// and reads its arguments from the scratch, so the steady state allocates
-// nothing; the band partitioning (and every pixel's arithmetic) is
-// identical to the spawn path.
-//
-//repro:allocfree
-func (s *Scratch) convolvePooled(field *quadtree.Grid, noise *Image, out *Image, h, workers int, cfg Config) {
+	// One band per worker; the band closure is created once per scratch and
+	// reads its arguments from the scratch. Workers: 1 is one band, run
+	// inline by the pool.
 	rows := (h + workers - 1) / workers
-	s.band = bandJob{field: field, noise: noise, out: out, cfg: cfg, rows: rows, h: h}
-	if s.bandFn == nil {
-		s.bandFn = func(i int) { //repro:allow allocfree: band closure prebound once per scratch
-			b := &s.band
+	scr.band = bandJob{field: field, noise: noise, out: out, cfg: cfg, rows: rows, h: h}
+	if scr.bandFn == nil {
+		scr.bandFn = func(i int) { //repro:allow allocfree: band closure prebound once per scratch
+			b := &scr.band
 			lo := i * b.rows
 			hi := lo + b.rows
 			if hi > b.h {
@@ -151,29 +124,9 @@ func (s *Scratch) convolvePooled(field *quadtree.Grid, noise *Image, out *Image,
 			convolveRows(b.field, b.noise, b.out, lo, hi, b.cfg)
 		}
 	}
-	s.Pool.Run(workers, (h+rows-1)/rows, s.bandFn)
-	s.band = bandJob{} // do not pin the caller's field across frames
-}
-
-// convolveParallel fans the convolution out over row bands. Kept out of
-// ComputeWith so the goroutine closure does not force the serial path's
-// arguments to the heap (the steady-state Workers: 1 loop is
-// allocation-free).
-func convolveParallel(field *quadtree.Grid, noise *Image, out *Image, h, workers int, cfg Config) {
-	band := (h + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < h; lo += band {
-		hi := lo + band
-		if hi > h {
-			hi = h
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			convolveRows(field, noise, out, lo, hi, cfg)
-		}(lo, hi)
-	}
-	wg.Wait()
+	scr.Pool.Run(workers, (h+rows-1)/rows, scr.bandFn)
+	scr.band = bandJob{} // do not pin the caller's field across frames
+	return out, nil
 }
 
 // convolveRows fills rows [yLo, yHi) of out; field and noise are only read.
@@ -279,16 +232,15 @@ func convolve(field *quadtree.Grid, noise *Image, x, y int, cfg Config) float64 
 	return sum / wsum
 }
 
-// Colorize maps the LIC gray texture onto an RGBA image, modulated by a
+// ColorizeInto maps the LIC gray texture onto an RGBA image, modulated by a
 // magnitude field (brighter where motion is stronger) for compositing with
-// the volume rendering at the output processors.
-func (m *Image) Colorize(mag *quadtree.Grid) *img.Image {
-	return m.ColorizeInto(img.New(m.W, m.H), mag)
-}
-
-// ColorizeInto is Colorize writing into an existing RGBA image, reusing its
-// pixel buffer (resized as needed; every pixel is overwritten).
+// the volume rendering at the output processors. It writes into out,
+// reusing its pixel buffer (resized as needed; every pixel is overwritten);
+// a nil out allocates the image.
 func (m *Image) ColorizeInto(out *img.Image, mag *quadtree.Grid) *img.Image {
+	if out == nil {
+		out = &img.Image{}
+	}
 	n := 4 * m.W * m.H
 	if cap(out.Pix) < n {
 		out.Pix = make([]float32, n)

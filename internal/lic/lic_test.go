@@ -54,7 +54,7 @@ func TestLICSmoothsAlongFlow(t *testing.T) {
 	// Flow along +x: after LIC, variation along x must be much smaller than
 	// along y (streaks aligned with the flow).
 	field := uniformField(64, 64, 1, 0)
-	out, err := Compute(field, 64, 64, Config{L: 12, Seed: 1, Phase: -1})
+	out, err := ComputeWith(field, 64, 64, Config{L: 12, Seed: 1, Phase: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestLICSmoothsAlongFlow(t *testing.T) {
 
 func TestLICFlowDirectionRotates(t *testing.T) {
 	field := uniformField(64, 64, 0, 1)
-	out, err := Compute(field, 64, 64, Config{L: 12, Seed: 1, Phase: -1})
+	out, err := ComputeWith(field, 64, 64, Config{L: 12, Seed: 1, Phase: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestLICFlowDirectionRotates(t *testing.T) {
 func TestLICPreservesMean(t *testing.T) {
 	// Convolution with a normalized kernel keeps the mean near 0.5.
 	field := circularField(48, 48)
-	out, err := Compute(field, 48, 48, Config{L: 8, Seed: 3, Phase: -1})
+	out, err := ComputeWith(field, 48, 48, Config{L: 8, Seed: 3, Phase: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestLICPreservesMean(t *testing.T) {
 func TestLICReducesVarianceVsNoise(t *testing.T) {
 	field := circularField(48, 48)
 	noise := WhiteNoise(48, 48, 3)
-	out, _ := Compute(field, 48, 48, Config{L: 10, Seed: 3, Phase: -1})
+	out, _ := ComputeWith(field, 48, 48, Config{L: 10, Seed: 3, Phase: -1}, nil)
 	varOf := func(m *Image) float64 {
 		var mean, v float64
 		for _, p := range m.Pix {
@@ -115,8 +115,8 @@ func TestLICReducesVarianceVsNoise(t *testing.T) {
 
 func TestLICDeterministic(t *testing.T) {
 	field := circularField(32, 32)
-	a, _ := Compute(field, 32, 32, Config{L: 8, Seed: 7})
-	b, _ := Compute(field, 32, 32, Config{L: 8, Seed: 7})
+	a, _ := ComputeWith(field, 32, 32, Config{L: 8, Seed: 7}, nil)
+	b, _ := ComputeWith(field, 32, 32, Config{L: 8, Seed: 7}, nil)
 	for i := range a.Pix {
 		if a.Pix[i] != b.Pix[i] {
 			t.Fatal("LIC not deterministic")
@@ -126,7 +126,7 @@ func TestLICDeterministic(t *testing.T) {
 
 func TestLICZeroFieldReturnsNoise(t *testing.T) {
 	field := uniformField(16, 16, 0, 0)
-	out, err := Compute(field, 16, 16, Config{L: 8, Seed: 2, Phase: -1})
+	out, err := ComputeWith(field, 16, 16, Config{L: 8, Seed: 2, Phase: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +140,8 @@ func TestLICZeroFieldReturnsNoise(t *testing.T) {
 
 func TestLICPeriodicPhaseChangesImage(t *testing.T) {
 	field := uniformField(32, 32, 1, 0.3)
-	a, _ := Compute(field, 32, 32, Config{L: 10, Seed: 4, Phase: 0.0})
-	b, _ := Compute(field, 32, 32, Config{L: 10, Seed: 4, Phase: 0.5})
+	a, _ := ComputeWith(field, 32, 32, Config{L: 10, Seed: 4, Phase: 0.0}, nil)
+	b, _ := ComputeWith(field, 32, 32, Config{L: 10, Seed: 4, Phase: 0.5}, nil)
 	var diff float64
 	for i := range a.Pix {
 		diff += math.Abs(float64(a.Pix[i] - b.Pix[i]))
@@ -153,12 +153,12 @@ func TestLICPeriodicPhaseChangesImage(t *testing.T) {
 
 func TestLICParallelMatchesSerial(t *testing.T) {
 	field := circularField(64, 64)
-	want, err := Compute(field, 64, 64, Config{L: 10, Seed: 9, Phase: -1, Workers: 1})
+	want, err := ComputeWith(field, 64, 64, Config{L: 10, Seed: 9, Phase: -1, Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{0, 2, 7, 64} {
-		got, err := Compute(field, 64, 64, Config{L: 10, Seed: 9, Phase: -1, Workers: k})
+		got, err := ComputeWith(field, 64, 64, Config{L: 10, Seed: 9, Phase: -1, Workers: k}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,15 +171,15 @@ func TestLICParallelMatchesSerial(t *testing.T) {
 }
 
 func TestLICInvalidSize(t *testing.T) {
-	if _, err := Compute(uniformField(8, 8, 1, 0), 0, 8, Config{}); err == nil {
+	if _, err := ComputeWith(uniformField(8, 8, 1, 0), 0, 8, Config{}, nil); err == nil {
 		t.Error("zero size accepted")
 	}
 }
 
 func TestColorize(t *testing.T) {
 	field := uniformField(16, 16, 1, 0)
-	out, _ := Compute(field, 16, 16, Config{L: 4, Seed: 5, Phase: -1})
-	rgba := out.Colorize(field)
+	out, _ := ComputeWith(field, 16, 16, Config{L: 4, Seed: 5, Phase: -1}, nil)
+	rgba := out.ColorizeInto(nil, field)
 	if rgba.W != 16 || rgba.H != 16 {
 		t.Fatal("bad colorize size")
 	}
@@ -187,7 +187,7 @@ func TestColorize(t *testing.T) {
 	if a <= 0 || a > 1 {
 		t.Errorf("alpha = %v", a)
 	}
-	plain := out.Colorize(nil)
+	plain := out.ColorizeInto(nil, nil)
 	_, _, _, a = plain.At(8, 8)
 	if a != 1 {
 		t.Errorf("unmodulated alpha = %v", a)
@@ -197,7 +197,7 @@ func TestColorize(t *testing.T) {
 // --- PR 3: scratch reuse ----------------------------------------------------
 
 // TestComputeWithScratchMatches: frames through a reused scratch must be
-// bit-identical to fresh Compute calls, including when the size or seed
+// bit-identical to nil-scratch calls, including when the size or seed
 // changes mid-loop (noise regeneration) and across changing fields.
 func TestComputeWithScratchMatches(t *testing.T) {
 	var scr Scratch
@@ -218,7 +218,7 @@ func TestComputeWithScratchMatches(t *testing.T) {
 			field = circularField(tc.w, tc.h)
 		}
 		cfg := Config{L: 8, Seed: tc.seed, Phase: -1}
-		want, err := Compute(field, tc.w, tc.h, cfg)
+		want, err := ComputeWith(field, tc.w, tc.h, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,17 +237,17 @@ func TestComputeWithScratchMatches(t *testing.T) {
 	}
 }
 
-// TestColorizeIntoMatches: the reusing variant must reproduce Colorize
-// exactly, including after a size change.
+// TestColorizeIntoMatches: a reused destination must reproduce the nil-
+// destination result exactly, including after a size change.
 func TestColorizeIntoMatches(t *testing.T) {
 	var dst img.Image
 	for _, wh := range [][2]int{{24, 16}, {16, 24}, {24, 16}} {
 		field := circularField(wh[0], wh[1])
-		m, err := Compute(field, wh[0], wh[1], Config{L: 6, Seed: 3, Phase: -1})
+		m, err := ComputeWith(field, wh[0], wh[1], Config{L: 6, Seed: 3, Phase: -1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := m.Colorize(field)
+		want := m.ColorizeInto(nil, field)
 		got := m.ColorizeInto(&dst, field)
 		if want.W != got.W || want.H != got.H {
 			t.Fatal("size mismatch")
@@ -326,7 +326,7 @@ func TestLICStepPooledAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{L: size / 12, Seed: 7, Phase: -1}
-	serial, err := Compute(&grid, size, size, cfg)
+	serial, err := ComputeWith(&grid, size, size, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,11 +407,11 @@ func BenchmarkLICStep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			im, err := Compute(grid, size, size, cfg)
+			im, err := ComputeWith(grid, size, size, cfg, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			im.Colorize(grid)
+			im.ColorizeInto(nil, grid)
 		}
 	})
 }

@@ -29,7 +29,7 @@ import (
 // reserved per package so registrations cannot collide:
 //
 //	1–31    internal/mpi builtins
-//	32–47   internal/mpiio
+//	32–47   internal/mpiio (32 and 35 retired; reserved, never reuse)
 //	48–63   internal/compositor
 //	64–95   internal/core
 //	96+     free

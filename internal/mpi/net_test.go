@@ -3,7 +3,8 @@ package mpi
 // Wire-level tests for the network transport: hostile and truncated
 // frames must surface as errors (never panics, never huge allocations),
 // the fuzz target hammers the same property, and the round-trip benchmark
-// seeds the loopback BENCH trajectory (BENCH_net.json).
+// times the loopback path quakebench tracks as mpi.net_roundtrip_us
+// (bench/README.md).
 
 import (
 	"bufio"
@@ -173,8 +174,8 @@ func FuzzNetFrameDecode(f *testing.F) {
 
 // BenchmarkNetRoundTrip measures a warm two-rank loopback ping-pong of a
 // 64 KiB []byte through the full TCP stack: frame encode, socket write,
-// reader goroutine, frame decode, mailbox. Seeds the BENCH_net.json
-// trajectory (ROADMAP Open item 5).
+// reader goroutine, frame decode, mailbox. The tracked number is
+// quakebench's mpi.net_roundtrip_us (bench/README.md).
 func BenchmarkNetRoundTrip(b *testing.B) {
 	payload := make([]byte, 64<<10)
 	for i := range payload {

@@ -514,7 +514,8 @@ func (everyFrameDropInjector) SendFault(src, dst int, seq, nsent uint64) (NetFau
 
 // BenchmarkNetRoundTripHeartbeat is BenchmarkNetRoundTrip with an
 // aggressive heartbeat cadence, pinning the liveness machinery's
-// overhead on the hot data path (BENCH_net.json heartbeat-on row).
+// overhead on the hot data path (quakebench counts the heartbeats of a
+// real run as mpi.net_heartbeats; bench/README.md).
 func BenchmarkNetRoundTripHeartbeat(b *testing.B) {
 	payload := make([]byte, 64<<10)
 	for i := range payload {

@@ -239,9 +239,13 @@ func lookupRun(runs []physRun, packed []byte, off, n int64) []byte {
 	panic("mpiio: two-phase lookup miss")
 }
 
-// ReadAllInto is ReadAll assembling the packed view bytes into dst (which
-// must hold ViewSize bytes) and returning the byte count. The result is
-// the caller's dst; no internal buffer aliases it after the call.
+// ReadAllInto performs a collective read of every rank's view using
+// two-phase I/O (mirrors MPI_FILE_READ_ALL): the union of all requests is
+// split into one contiguous file range per rank; each rank reads its range
+// with data sieving and redistributes the pieces. The useful bytes of this
+// rank's view are assembled, packed in view order, into dst (which must
+// hold ViewSize bytes), and the byte count is returned. The result is the
+// caller's dst; no internal buffer aliases it after the call.
 //
 // The two-phase internals stage the aggregated physical reads and the
 // cross-rank shuffle pieces in the handle's CollectiveScratch, scoped by
@@ -250,7 +254,8 @@ func lookupRun(runs []physRun, packed []byte, off, n int64) []byte {
 // shipped piece batches are additionally released by their receivers, so a
 // steady-state collective read allocates nothing on any rank while
 // PhysReads/PhysBytes/UsefulBytes/ShuffleBytes and the communicator's
-// message accounting stay bit-identical to the retained per-call path.
+// message accounting stay bit-identical to the per-call oracle the tests
+// keep (readAllIntoPerCall).
 //
 // Every rank of the communicator must call the collective in the same
 // order, and consecutive collectives on one communicator must use distinct

@@ -22,7 +22,7 @@ func TestValidationErrorsClassifiedPermanent(t *testing.T) {
 	mpi.RunReal(1, func(c *mpi.Comm) {
 		f, _ := Open(c, st, "f")
 
-		_, err := f.ReadContig(60, 10)
+		_, err := readContig(f, 60, 10)
 		if !errors.Is(err, pfs.ErrPermanent) {
 			t.Errorf("ReadContig beyond EOF: err = %v, want pfs.ErrPermanent", err)
 		}
@@ -31,7 +31,7 @@ func TestValidationErrorsClassifiedPermanent(t *testing.T) {
 		}
 
 		f.SetView(0, IndexedBlock{Blocklen: 1, Displs: []int64{100}, ElemSize: 8})
-		if _, err := f.Read(); !errors.Is(err, pfs.ErrPermanent) {
+		if _, err := readView(f); !errors.Is(err, pfs.ErrPermanent) {
 			t.Errorf("view beyond EOF: err = %v, want pfs.ErrPermanent", err)
 		}
 
@@ -52,7 +52,7 @@ func TestInvalidSegmentClassifiedPermanent(t *testing.T) {
 	mpi.RunReal(1, func(c *mpi.Comm) {
 		f, _ := Open(c, st, "f")
 		f.SetView(0, IndexedBlock{Blocklen: 1, Displs: []int64{-1}, ElemSize: 8})
-		if _, err := f.Read(); !errors.Is(err, pfs.ErrPermanent) {
+		if _, err := readView(f); !errors.Is(err, pfs.ErrPermanent) {
 			t.Errorf("invalid segment: err = %v, want pfs.ErrPermanent", err)
 		}
 	})

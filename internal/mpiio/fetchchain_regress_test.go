@@ -2,8 +2,8 @@ package mpiio
 
 // PR 4's regression harness for the fetch-side handle reuse: Reopen must
 // behave exactly like a fresh Open (while keeping the grown scratch
-// buffers), ReadContigInto/ReadAllInto must match their allocating
-// counterparts byte for byte, and the steady-state reopen-per-step indexed
+// buffers), ReadContigInto/ReadAllInto must return the file's bytes for
+// fresh and reused destinations alike, and the steady-state reopen-per-step indexed
 // read — the input processors' per-timestep pattern — must allocate
 // nothing.
 
@@ -23,7 +23,7 @@ func TestReopenMatchesOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.Read() // default view: the whole file
+	got, err := readView(f) // default view: the whole file
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestReopenMatchesOpen(t *testing.T) {
 	if f.Size() != int64(len(b)) || f.SieveGap != DefaultSieveGap {
 		t.Errorf("Reopen kept stale size/sieve gap: %d, %d", f.Size(), f.SieveGap)
 	}
-	got, err = f.Read()
+	got, err = readView(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +53,8 @@ func TestReopenMatchesOpen(t *testing.T) {
 
 func TestReadContigIntoMatchesReadContig(t *testing.T) {
 	st := pfs.NewMemStore()
-	makeTestFile(t, st, "f", 2048)
+	data := makeTestFile(t, st, "f", 2048)
 	f, err := Open(nil, st, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := f.ReadContig(100, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,21 +62,14 @@ func TestReadContigIntoMatchesReadContig(t *testing.T) {
 	if err := f.ReadContigInto(100, dst); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want, dst) {
-		t.Error("ReadContigInto differs from ReadContig")
+	if !bytes.Equal(data[100:400], dst) {
+		t.Error("ReadContigInto differs from the file contents")
 	}
 	if err := f.ReadContigInto(2000, dst); err == nil {
 		t.Error("read beyond EOF accepted")
 	}
 	if err := f.ReadContigInto(-1, dst[:1]); err == nil {
 		t.Error("negative offset accepted")
-	}
-	// Out-of-range lengths must fail fast, before the output allocation.
-	if _, err := f.ReadContig(0, 1<<40); err == nil {
-		t.Error("absurd ReadContig length accepted")
-	}
-	if _, err := f.ReadContig(10, -1); err == nil {
-		t.Error("negative ReadContig length accepted")
 	}
 }
 
@@ -145,7 +134,7 @@ func TestReadAllIntoMatchesReadAll(t *testing.T) {
 			return
 		}
 		f.SetView(0, IndexedBlock{Blocklen: 1, Displs: displs, ElemSize: 12})
-		got, err := f.ReadAll(1)
+		got, err := readAllView(f, 1)
 		if err != nil {
 			t.Error(err)
 			return

@@ -13,7 +13,7 @@ import (
 const DefaultSieveGap = 64 << 10
 
 // File is an open MPI-IO file handle. A handle is rank-local; collective
-// operations (ReadAll) must be invoked by every rank of the communicator
+// operations (ReadAllInto) must be invoked by every rank of the communicator
 // in the same order, as in MPI.
 type File struct {
 	c    *mpi.Comm
@@ -159,35 +159,14 @@ func planSieveInto(dst, segs []Segment, gap int64) []Segment {
 	return dst
 }
 
-// planSieve groups view segments into physical reads (fresh slice).
-func planSieve(segs []Segment, gap int64) []Segment {
-	if len(segs) == 0 {
-		return nil
-	}
-	return planSieveInto(make([]Segment, 0, len(segs)), segs, gap)
-}
-
-// Read performs an independent read of the entire view and returns the
-// useful bytes packed in view order. Noncontiguous views are serviced with
-// data sieving.
-func (f *File) Read() ([]byte, error) {
-	useful, err := f.ViewSize()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, useful)
-	if _, err := f.ReadInto(out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadInto is Read writing the packed view bytes into dst (which must hold
-// ViewSize bytes) and returning the byte count. Every physical sieve run
-// lands back-to-back in one reusable contiguous scratch buffer — a packed
-// contiguous read per run instead of a per-displacement allocation loop —
-// and the useful parts are then scatter-copied into dst, so the steady
-// state of a step loop with an unchanged view allocates nothing.
+// ReadInto performs an independent read of the entire view, writing the
+// useful bytes packed in view order into dst (which must hold ViewSize
+// bytes) and returning the byte count. Noncontiguous views are serviced
+// with data sieving: every physical sieve run lands back-to-back in one
+// reusable contiguous scratch buffer — a packed contiguous read per run
+// instead of a per-displacement allocation loop — and the useful parts are
+// then scatter-copied into dst, so the steady state of a step loop with an
+// unchanged view allocates nothing.
 func (f *File) ReadInto(dst []byte) (int, error) {
 	segs, err := f.segs()
 	if err != nil {
@@ -231,23 +210,10 @@ func (f *File) ReadInto(dst []byte) (int, error) {
 	return int(useful), nil
 }
 
-// ReadContig reads [off, off+n) directly, bypassing the view. This is the
-// "independent contiguous read" strategy of Section 5.3.2.
-func (f *File) ReadContig(off, n int64) ([]byte, error) {
-	// Validate before sizing the buffer: an out-of-range request must fail
-	// fast, not attempt the allocation.
-	if off < 0 || n < 0 || off+n > f.size {
-		return nil, fmt.Errorf("mpiio: contiguous read [%d,%d) beyond EOF of %q: %w", off, off+n, f.name, pfs.ErrPermanent)
-	}
-	buf := make([]byte, n)
-	if err := f.ReadContigInto(off, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// ReadContigInto is ReadContig reading [off, off+len(dst)) into a caller
-// buffer — the allocation-free form of the per-timestep contiguous fetch.
+// ReadContigInto reads [off, off+len(dst)) directly into the caller's
+// buffer, bypassing the view — the "independent contiguous read" strategy
+// of Section 5.3.2, and the allocation-free per-timestep contiguous fetch.
+// An out-of-range request fails before any I/O.
 func (f *File) ReadContigInto(off int64, dst []byte) error {
 	n := int64(len(dst))
 	if off < 0 || off+n > f.size {
@@ -270,179 +236,6 @@ const collTagBase = 1 << 20
 type piece struct {
 	Off  int64
 	Data []byte
-}
-
-// ReadAll performs a collective read of every rank's view using two-phase
-// I/O (mirrors MPI_FILE_READ_ALL): the union of all requests is split into
-// one contiguous file range per rank; each rank reads its range with data
-// sieving and redistributes the pieces. Returns the useful bytes of this
-// rank's view, packed in view order.
-func (f *File) ReadAll(seq int) ([]byte, error) {
-	useful, err := f.ViewSize()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, useful)
-	if _, err := f.ReadAllInto(seq, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// readAllIntoPerCall is the retained pre-epoch two-phase implementation:
-// every call stages the aggregated physical reads and the shuffled pieces
-// in fresh per-call buffers, so pieces whose assembly on a receiver
-// outlives this call can never be overwritten. It is the bit-exactness and
-// accounting reference the epoch-scoped ReadAllInto is tested against.
-// Like ReadAllInto, every rank of the communicator must call it in the
-// same order with the same seq; the two implementations exchange metadata
-// differently and must not be mixed within one collective.
-func (f *File) readAllIntoPerCall(seq int, dst []byte) (int, error) {
-	c := f.c
-	mySegs, err := f.segs()
-	if err != nil {
-		return 0, err
-	}
-	var useful int64
-	for _, s := range mySegs {
-		useful += s.Len
-	}
-	if int64(len(dst)) < useful {
-		return 0, fmt.Errorf("mpiio: ReadAllInto buffer holds %d of %d view bytes: %w", len(dst), useful, pfs.ErrPermanent)
-	}
-	// Phase 0: exchange request metadata.
-	metaBytes := int64(16 * len(mySegs))
-	allAny := c.Allgather(metaBytes, mySegs)
-	all := make([][]Segment, c.Size())
-	lo, hi := int64(-1), int64(-1)
-	for r, v := range allAny {
-		if v != nil {
-			all[r] = v.([]Segment)
-		}
-		for _, s := range all[r] {
-			if lo < 0 || s.Off < lo {
-				lo = s.Off
-			}
-			if e := s.Off + s.Len; e > hi {
-				hi = e
-			}
-		}
-	}
-	tag := collTagBase + seq
-	if lo < 0 { // nobody wants anything
-		return 0, nil
-	}
-	// Phase 1: this rank aggregates the file range [myLo, myHi).
-	span := hi - lo
-	m := int64(c.Size())
-	myLo := lo + span*int64(c.Rank())/m
-	myHi := lo + span*int64(c.Rank()+1)/m
-	// Union of all requested segments clipped to my range.
-	var clipped []Segment
-	for _, rs := range all {
-		for _, s := range rs {
-			cl := clip(s, myLo, myHi)
-			if cl.Len > 0 {
-				clipped = append(clipped, cl)
-			}
-		}
-	}
-	clipped = Coalesce(clipped)
-	plan := planSieve(clipped, f.SieveGap)
-	// Read the physical runs back-to-back into one packed buffer (a single
-	// allocation regardless of the run count). The buffer is per-call, not
-	// the reusable scratch: the pieces shuffled to other ranks alias it
-	// until their assembly completes, which may outlive this call.
-	var total int64
-	for _, p := range plan {
-		total += p.Len
-	}
-	packed := make([]byte, total)
-	type run struct {
-		off, base, len int64
-	}
-	runs := make([]run, 0, len(plan))
-	base := int64(0)
-	for _, p := range plan {
-		buf := packed[base : base+p.Len]
-		if err := f.st.ReadAt(f.c, f.name, p.Off, buf); err != nil {
-			return 0, err
-		}
-		f.PhysReads++
-		f.PhysBytes += p.Len
-		runs = append(runs, run{p.Off, base, p.Len})
-		base += p.Len
-	}
-	lookup := func(off, n int64) []byte {
-		for _, r := range runs {
-			if off >= r.off && off+n <= r.off+r.len {
-				return packed[r.base+off-r.off : r.base+off-r.off+n]
-			}
-		}
-		panic("mpiio: two-phase lookup miss")
-	}
-	// Phase 2: send every rank the pieces of its view that fall in my range.
-	for dr := 0; dr < c.Size(); dr++ {
-		var ps []piece
-		var bytes int64
-		for _, s := range all[dr] {
-			cl := clip(s, myLo, myHi)
-			if cl.Len > 0 {
-				ps = append(ps, piece{Off: cl.Off, Data: lookup(cl.Off, cl.Len)})
-				bytes += cl.Len
-			}
-		}
-		if dr == c.Rank() {
-			continue // keep own pieces local; they are in runs already
-		}
-		c.Send(dr, tag, bytes, ps)
-		if len(ps) > 0 {
-			f.ShuffleBytes += bytes
-			f.ShuffleMsgs++
-		}
-	}
-	// Collect pieces for my view from everyone (including my own range).
-	var mine []piece
-	for _, s := range mySegs {
-		cl := clip(s, myLo, myHi)
-		if cl.Len > 0 {
-			mine = append(mine, piece{Off: cl.Off, Data: lookup(cl.Off, cl.Len)})
-		}
-	}
-	for sr := 0; sr < c.Size(); sr++ {
-		if sr == c.Rank() {
-			continue
-		}
-		msg := c.Recv(sr, tag)
-		if msg.Data != nil {
-			mine = append(mine, msg.Data.([]piece)...)
-		}
-	}
-	// Assemble into packed view order: prefix sums give each (sorted)
-	// segment's packed position, and each piece finds its containing
-	// segment by binary search.
-	if cap(f.prefix) < len(mySegs)+1 {
-		f.prefix = make([]int64, len(mySegs)+1)
-	}
-	prefix := f.prefix[:len(mySegs)+1]
-	prefix[0] = 0
-	for i, s := range mySegs {
-		prefix[i+1] = prefix[i] + s.Len
-	}
-	filled := int64(0)
-	for _, pc := range mine {
-		si := findSegIdx(mySegs, pc.Off)
-		if si < 0 {
-			return 0, fmt.Errorf("mpiio: received stray piece at %d: %w", pc.Off, pfs.ErrPermanent)
-		}
-		copy(dst[prefix[si]+pc.Off-mySegs[si].Off:], pc.Data)
-		filled += int64(len(pc.Data))
-	}
-	if filled != useful {
-		return 0, fmt.Errorf("mpiio: two-phase assembled %d of %d bytes: %w", filled, useful, pfs.ErrPermanent)
-	}
-	f.UsefulBytes += useful
-	return int(useful), nil
 }
 
 // clip returns the part of s inside [lo, hi).

@@ -95,11 +95,11 @@ func TestCoalesceProperty(t *testing.T) {
 
 func TestPlanSieve(t *testing.T) {
 	segs := []Segment{{0, 10}, {15, 5}, {1000, 10}}
-	plan := planSieve(segs, 16)
+	plan := planSieveInto(nil, segs, 16)
 	if len(plan) != 2 || plan[0] != (Segment{0, 20}) || plan[1] != (Segment{1000, 10}) {
 		t.Errorf("plan = %v", plan)
 	}
-	plan0 := planSieve(segs, 0)
+	plan0 := planSieveInto(nil, segs, 0)
 	if len(plan0) != 3 {
 		t.Errorf("gap=0 plan = %v", plan0)
 	}
@@ -117,6 +117,40 @@ func makeTestFile(t *testing.T, st pfs.Store, name string, n int) []byte {
 	return data
 }
 
+// readView, readContig and readAllView run the ...Into reads into a fresh,
+// exactly sized destination, the way a one-shot caller does.
+func readView(f *File) ([]byte, error) {
+	n, err := f.ViewSize()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, n)
+	if _, err := f.ReadInto(out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func readContig(f *File, off, n int64) ([]byte, error) {
+	out := make([]byte, n)
+	if err := f.ReadContigInto(off, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func readAllView(f *File, seq int) ([]byte, error) {
+	n, err := f.ViewSize()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, n)
+	if _, err := f.ReadAllInto(seq, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestIndependentReadMatchesDirect(t *testing.T) {
 	st := pfs.NewMemStore()
 	data := makeTestFile(t, st, "f", 4096)
@@ -128,7 +162,7 @@ func TestIndependentReadMatchesDirect(t *testing.T) {
 		}
 		ib := IndexedBlock{Blocklen: 3, Displs: []int64{7, 100, 42}, ElemSize: 8}
 		f.SetView(16, ib)
-		got, err := f.Read()
+		got, err := readView(f)
 		if err != nil {
 			t.Error(err)
 			return
@@ -156,7 +190,7 @@ func TestSievingReducesRequests(t *testing.T) {
 
 		sieved, _ := Open(c, st, "f")
 		sieved.SetView(0, view)
-		a, err := sieved.Read()
+		a, err := readView(sieved)
 		if err != nil {
 			t.Error(err)
 			return
@@ -164,7 +198,7 @@ func TestSievingReducesRequests(t *testing.T) {
 		nosieve, _ := Open(c, st, "f")
 		nosieve.SieveGap = 0
 		nosieve.SetView(0, view)
-		b, err := nosieve.Read()
+		b, err := readView(nosieve)
 		if err != nil {
 			t.Error(err)
 			return
@@ -189,7 +223,7 @@ func TestReadContig(t *testing.T) {
 	data := makeTestFile(t, st, "f", 1024)
 	mpi.RunReal(1, func(c *mpi.Comm) {
 		f, _ := Open(c, st, "f")
-		got, err := f.ReadContig(100, 50)
+		got, err := readContig(f, 100, 50)
 		if err != nil {
 			t.Error(err)
 			return
@@ -197,7 +231,7 @@ func TestReadContig(t *testing.T) {
 		if !bytes.Equal(got, data[100:150]) {
 			t.Error("contiguous read mismatch")
 		}
-		if _, err := f.ReadContig(1000, 100); err == nil {
+		if _, err := readContig(f, 1000, 100); err == nil {
 			t.Error("read past EOF succeeded")
 		}
 	})
@@ -209,7 +243,7 @@ func TestViewBeyondEOFErrors(t *testing.T) {
 	mpi.RunReal(1, func(c *mpi.Comm) {
 		f, _ := Open(c, st, "f")
 		f.SetView(0, IndexedBlock{Blocklen: 1, Displs: []int64{100}, ElemSize: 8})
-		if _, err := f.Read(); err == nil {
+		if _, err := readView(f); err == nil {
 			t.Error("view beyond EOF read succeeded")
 		}
 	})
@@ -237,7 +271,7 @@ func collectiveMatchesIndependent(t *testing.T, n int, elemSize int64, elems int
 			return
 		}
 		fc.SetView(0, view)
-		got, err := fc.ReadAll(1)
+		got, err := readAllView(fc, 1)
 		if err != nil {
 			t.Error(err)
 			return
@@ -275,7 +309,7 @@ func TestCollectiveReadEmptyViews(t *testing.T) {
 		} else {
 			f.SetView(0, Contig{N: 0, ElemSize: 1}) // empty view
 		}
-		got, err := f.ReadAll(1)
+		got, err := readAllView(f, 1)
 		if err != nil {
 			t.Error(err)
 			return
@@ -295,7 +329,7 @@ func TestCollectiveAllEmpty(t *testing.T) {
 	mpi.RunReal(2, func(c *mpi.Comm) {
 		f, _ := Open(c, st, "f")
 		f.SetView(0, Contig{N: 0, ElemSize: 1})
-		got, err := f.ReadAll(1)
+		got, err := readAllView(f, 1)
 		if err != nil || len(got) != 0 {
 			t.Errorf("all-empty collective: %v, %d bytes", err, len(got))
 		}
@@ -315,7 +349,7 @@ func TestCollectiveUnderSimTransport(t *testing.T) {
 		}
 		f, _ := Open(c, st, "f")
 		f.SetView(0, IndexedBlock{Blocklen: 1, Displs: displs, ElemSize: 8})
-		got, err := f.ReadAll(1)
+		got, err := readAllView(f, 1)
 		if err != nil {
 			t.Error(err)
 			return

@@ -14,10 +14,10 @@ package mpiio
 //     this process's netCollScratch, so the receiver's usual release
 //     recycles it and the steady-state shuffle stays allocation-free on
 //     both sides.
-//   - Metadata payloads (*metaPayload, *metaTable, []Segment) are
-//     retained by the receiver for the rest of the round with no release
-//     signal, so they decode into fresh allocations; they are a few
-//     dozen bytes per rank and per round.
+//   - Metadata payloads (*metaPayload, *metaTable) are retained by the
+//     receiver for the rest of the round with no release signal, so they
+//     decode into fresh allocations; they are a few dozen bytes per rank
+//     and per round.
 
 import (
 	"fmt"
@@ -27,11 +27,12 @@ import (
 )
 
 // Codec IDs 32–47 are reserved for internal/mpiio (see internal/mpi/codec.go).
+// 32 and 35 carried the per-call collective's bare []Segment and []piece
+// payloads; they stay reserved so an old peer's frame can never decode as
+// something else.
 const (
-	codecSegments   mpi.CodecID = 32
 	codecMetaPld    mpi.CodecID = 33
 	codecMetaTable  mpi.CodecID = 34
-	codecPieces     mpi.CodecID = 35
 	codecPieceBatch mpi.CodecID = 36
 )
 
@@ -42,7 +43,6 @@ const (
 var netCollScratch CollectiveScratch
 
 func init() {
-	mpi.RegisterCodec(codecSegments, []Segment(nil), mpi.Codec{Encode: encodeSegments, Decode: decodeSegments})
 	mpi.RegisterCodec(codecMetaPld, (*metaPayload)(nil), mpi.Codec{
 		Encode: func(buf []byte, v any) ([]byte, error) {
 			// The struct is the sender's reusable scratch; Send completes
@@ -50,34 +50,15 @@ func init() {
 			return appendSegments(buf, v.(*metaPayload).segs), nil
 		},
 		Decode: func(wire []byte) (any, error) {
-			segs, err := decodeSegments(wire)
-			if err != nil {
-				return nil, err
-			}
-			return &metaPayload{segs: segs.([]Segment)}, nil
-		},
-	})
-	mpi.RegisterCodec(codecMetaTable, (*metaTable)(nil), mpi.Codec{Encode: encodeMetaTable, Decode: decodeMetaTable})
-	mpi.RegisterCodec(codecPieces, []piece(nil), mpi.Codec{
-		Encode: func(buf []byte, v any) ([]byte, error) {
-			return appendPieces(buf, v.([]piece)), nil
-		},
-		Decode: func(wire []byte) (any, error) {
-			// Legacy per-call path: fresh slices, like the rest of that path.
 			r := mpi.NewWireReader(wire)
-			n := r.Len(12)
-			ps := make([]piece, 0, n)
-			for i := 0; i < n; i++ {
-				off := r.I64()
-				data := r.Bytes(int(r.U32()))
-				ps = append(ps, piece{Off: off, Data: append([]byte(nil), data...)})
-			}
+			segs, _ := readSegments(&r) // Done reports the reader's sticky error
 			if err := r.Done(); err != nil {
 				return nil, err
 			}
-			return ps, nil
+			return &metaPayload{segs: segs}, nil
 		},
 	})
+	mpi.RegisterCodec(codecMetaTable, (*metaTable)(nil), mpi.Codec{Encode: encodeMetaTable, Decode: decodeMetaTable})
 	mpi.RegisterCodec(codecPieceBatch, (*pieceBatch)(nil), mpi.Codec{Encode: encodePieceBatch, Decode: decodePieceBatch})
 }
 
@@ -88,22 +69,6 @@ func appendSegments(buf []byte, segs []Segment) []byte {
 		buf = mpi.AppendU64(buf, uint64(sg.Len))
 	}
 	return buf
-}
-
-func encodeSegments(buf []byte, v any) ([]byte, error) {
-	return appendSegments(buf, v.([]Segment)), nil
-}
-
-func decodeSegments(wire []byte) (any, error) {
-	r := mpi.NewWireReader(wire)
-	segs, err := readSegments(&r)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return segs, nil
 }
 
 func readSegments(r *mpi.WireReader) ([]Segment, error) {

@@ -47,7 +47,7 @@ func TestReopenMissingObjectKeepsHandle(t *testing.T) {
 	if !f.Opened() || f.Name() != "a" || f.Size() != 1024 {
 		t.Fatalf("failed Reopen disturbed the handle: %q size %d", f.Name(), f.Size())
 	}
-	got, err := f.Read()
+	got, err := readView(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestReopenFailedSizeProbeKeepsHandle(t *testing.T) {
 	if f.Name() != "a" || f.Size() != 512 {
 		t.Fatalf("failed probe disturbed the handle: %q size %d", f.Name(), f.Size())
 	}
-	got, err := f.Read()
+	got, err := readView(f)
 	if err != nil || !bytes.Equal(got, a) {
 		t.Fatalf("handle after failed probe: %v", err)
 	}

@@ -69,15 +69,21 @@ func (s *Solver) RestoreCheckpoint(st pfs.Store) error {
 
 // PeakGroundVelocity scans a dataset and returns, for each surface node
 // id in surfIDs, the maximum horizontal velocity magnitude over all steps —
-// the PGV map seismologists derive from such simulations.
+// the PGV map seismologists derive from such simulations. A step object
+// that cannot be read or decoded ends the scan with an error naming the
+// step (a corrupt record matches pfs.ErrCorrupt).
 func PeakGroundVelocity(st pfs.Store, meta Meta, surfIDs []int32) ([]float32, error) {
 	out := make([]float32, len(surfIDs))
 	buf := make([]byte, meta.NumNodes*BytesPerNode)
+	var vec []float32
 	for t := 0; t < meta.NumSteps; t++ {
-		if err := st.ReadAt(nil, StepObject(t), 0, buf); err != nil {
+		err := st.ReadAt(nil, StepObject(t), 0, buf)
+		if err == nil {
+			vec, err = DecodeStepInto(vec, buf)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("quake: pgv scan step %d: %w", t, err)
 		}
-		vec := DecodeStep(buf)
 		for i, id := range surfIDs {
 			vx := float64(vec[3*id])
 			vy := float64(vec[3*id+1])

@@ -145,18 +145,6 @@ func EncodeStep(vel []float32) []byte {
 	return out
 }
 
-// DecodeStep unpacks step-file bytes into float32s. The record length must
-// be a multiple of 4; DecodeStep panics otherwise — a truncated or corrupt
-// step object must not silently decode into a wrong frame. Pipeline code
-// uses DecodeStepInto, which surfaces the same condition as an error.
-func DecodeStep(raw []byte) []float32 {
-	out, err := DecodeStepInto(nil, raw)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // DecodeStepInto unpacks step-file bytes into dst, growing it as needed,
 // and returns the decoded slice. Buffer ownership: the result aliases dst's
 // backing array (when large enough) and is owned by the caller; raw is only

@@ -211,10 +211,10 @@ func TestCastRayAllocFree(t *testing.T) {
 }
 
 // renderBlocksAllocBudget is the per-frame allocation ceiling for a full
-// RenderBlocks pass over a prepared block set (64 blocks, 128x128). The
-// steady-state cost is bookkeeping proportional to blocks and tiles —
-// fragment pixels come from the pool, block data from the caller — so the
-// budget is a small multiple of the block count. Reintroducing per-cell or
+// nil-scratch RenderBlocksWith pass over a prepared block set (64 blocks,
+// 128x128). The cost is the private scratch: bookkeeping plus one fragment
+// per visible block — block data comes from the caller — so the budget is a
+// small multiple of the block count. Reintroducing per-cell or
 // per-pixel garbage blows through it by orders of magnitude.
 const renderBlocksAllocBudget = 2000
 
@@ -240,11 +240,8 @@ func TestRenderBlocksAllocBudget(t *testing.T) {
 		rr.Prepare()
 		view := DefaultView(128, 128)
 		view.Prepare()
-		// Warm the fragment pool.
-		releaseFragments(rr.RenderBlocks(bds, &view, 2))
 		avg := testing.AllocsPerRun(10, func() {
-			frags := rr.RenderBlocks(bds, &view, 2)
-			releaseFragments(frags)
+			rr.RenderBlocksWith(bds, &view, 2, nil)
 		})
 		t.Logf("RenderBlocks %s frame: %.0f allocs (budget %d)", name, avg, renderBlocksAllocBudget)
 		if avg > renderBlocksAllocBudget {

@@ -8,29 +8,16 @@ import (
 
 // This file is the fetch-side scalar preprocessing chain (magnitude ->
 // optional temporal enhancement -> normalization/quantization). Every
-// transform has two forms with an explicit buffer-ownership contract:
-//
-//   - The plain form (Magnitude, Quantize, ...) allocates a fresh output on
-//     every call. The caller owns the result outright and the inputs are
-//     only read. These are the retained reference paths.
-//   - The ...Into form writes into a caller-provided destination, growing it
-//     only when its capacity is insufficient, and returns the (possibly
-//     regrown) slice. The result aliases dst's backing array; the caller
-//     owns both and must not assume the input buffers are still needed by
-//     the transform after it returns. This is the steady-state path of the
-//     per-timestep fetch loop, which allocates nothing once the buffers have
-//     grown to size.
-//
-// Both forms are bit-identical for the same inputs (test-enforced).
+// transform writes into a caller-provided destination, growing it only when
+// its capacity is insufficient, and returns the (possibly regrown) slice:
+// the result aliases dst's backing array and the caller owns both. A nil
+// dst allocates a fresh result. The inputs are only read and are not needed
+// by the transform after it returns. The per-timestep fetch loop passes its
+// reused buffers and allocates nothing once they have grown to size.
 
-// Magnitude converts a 3-component vector node array into per-node
-// magnitudes (the scalar field the paper volume-renders).
-func Magnitude(vec []float32) []float32 {
-	return MagnitudeInto(nil, vec)
-}
-
-// MagnitudeInto is Magnitude writing into dst (grown as needed); the
-// returned slice aliases dst and must not alias vec.
+// MagnitudeInto converts a 3-component vector node array into per-node
+// magnitudes (the scalar field the paper volume-renders), written into dst
+// (grown as needed); the returned slice aliases dst and must not alias vec.
 func MagnitudeInto(dst []float32, vec []float32) []float32 {
 	n := len(vec) / 3
 	dst = pool.Grow(dst, n)
@@ -43,13 +30,9 @@ func MagnitudeInto(dst []float32, vec []float32) []float32 {
 	return dst
 }
 
-// Normalize maps values into [0,1] by the given range; lo==hi maps to 0.
-func Normalize(vals []float32, lo, hi float32) []float32 {
-	return NormalizeInto(nil, vals, lo, hi)
-}
-
-// NormalizeInto is Normalize writing into dst (grown as needed); dst may
-// alias vals (every element is read before it is written).
+// NormalizeInto maps values into [0,1] by the given range, written into
+// dst (grown as needed); lo==hi maps to 0. dst may alias vals (every
+// element is read before it is written).
 func NormalizeInto(dst []float32, vals []float32, lo, hi float32) []float32 {
 	dst = pool.Grow(dst, len(vals))
 	if hi <= lo {
@@ -86,22 +69,16 @@ func MinMax(vals []float32) (lo, hi float32) {
 	return
 }
 
-// EnhanceTemporal applies the paper's temporal-domain enhancement filter
-// (Section 4.2): the value at each node is boosted by the local change from
-// the previous timestep, bringing out propagating wavefronts whose absolute
-// amplitude has decayed. cur and prev are node scalar arrays; gain scales
-// the temporal-difference term. prev may be nil (no enhancement). The
-// result is always a fresh slice owned by the caller — including in the
-// no-enhancement cases, which used to return cur itself, letting a caller
-// that mutated the "copy" corrupt the source field.
-func EnhanceTemporal(cur, prev []float32, gain float32) []float32 {
-	return EnhanceTemporalInto(nil, cur, prev, gain)
-}
-
-// EnhanceTemporalInto is EnhanceTemporal writing into dst (grown as
-// needed). dst may alias cur (element i is read before it is written); when
-// prev is nil or gain is 0 the values are copied through unchanged, so the
-// result never shares storage with cur unless the caller passed it as dst.
+// EnhanceTemporalInto applies the paper's temporal-domain enhancement
+// filter (Section 4.2): the value at each node is boosted by the local
+// change from the previous timestep, bringing out propagating wavefronts
+// whose absolute amplitude has decayed. cur and prev are node scalar
+// arrays; gain scales the temporal-difference term. The result is written
+// into dst (grown as needed), which may alias cur (element i is read before
+// it is written). When prev is nil or gain is 0 the values are copied
+// through unchanged, so the result never shares storage with cur unless the
+// caller passed it as dst — a caller that mutates the result cannot corrupt
+// the source field.
 func EnhanceTemporalInto(dst, cur, prev []float32, gain float32) []float32 {
 	dst = pool.Grow(dst, len(cur))
 	if prev == nil || gain == 0 {
@@ -118,13 +95,9 @@ func EnhanceTemporalInto(dst, cur, prev []float32, gain float32) []float32 {
 	return dst
 }
 
-// Quantize converts float32 samples to 8-bit using the given range — the
-// 32-bit -> 8-bit preprocessing the input processors perform.
-func Quantize(vals []float32, lo, hi float32) []uint8 {
-	return QuantizeInto(nil, vals, lo, hi)
-}
-
-// QuantizeInto is Quantize writing into dst (grown as needed).
+// QuantizeInto converts float32 samples to 8-bit using the given range —
+// the 32-bit -> 8-bit preprocessing the input processors perform — written
+// into dst (grown as needed).
 func QuantizeInto(dst []uint8, vals []float32, lo, hi float32) []uint8 {
 	dst = pool.Grow(dst, len(vals))
 	if hi <= lo {
@@ -144,12 +117,8 @@ func QuantizeInto(dst []uint8, vals []float32, lo, hi float32) []uint8 {
 	return dst
 }
 
-// Dequantize maps 8-bit samples back into [0,1] scalars for rendering.
-func Dequantize(q []uint8) []float32 {
-	return DequantizeInto(nil, q)
-}
-
-// DequantizeInto is Dequantize writing into dst (grown as needed).
+// DequantizeInto maps 8-bit samples back into [0,1] scalars for rendering,
+// written into dst (grown as needed).
 func DequantizeInto(dst []float32, q []uint8) []float32 {
 	dst = pool.Grow(dst, len(q))
 	for i, v := range q {

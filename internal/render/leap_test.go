@@ -169,11 +169,10 @@ func TestCastRayLeapMatchesReference(t *testing.T) {
 					for vi, view := range leapViews(size, size) {
 						view.Prepare()
 						for bi, bd := range bds {
-							frag, g, ok := rr.projectBlock(bd, &view)
+							_, g, ok := rr.projectBlockWith(bd, &view, nil)
 							if !ok {
 								continue
 							}
-							releaseFragments([]*Fragment{frag})
 							bmin, bmax := bd.Root.Bounds()
 							var sl, sr sampler
 							sl.reset(bd)
@@ -301,11 +300,10 @@ func TestCastRayLeapSpeedupGate(t *testing.T) {
 	rr.Prepare()
 	view := DefaultView(96, 96)
 	view.Prepare()
-	frag, g, ok := rr.projectBlock(bd, &view)
+	_, g, ok := rr.projectBlockWith(bd, &view, nil)
 	if !ok {
 		t.Fatal("sparse block skipped")
 	}
-	releaseFragments([]*Fragment{frag})
 	bmin, bmax := bd.Root.Bounds()
 	var s sampler
 	s.reset(bd)

@@ -1,4 +1,4 @@
-// This file is the shared-memory parallel rendering engine: a worker pool
+// This file is the shared-memory parallel rendering engine: workers.Pool
 // fans block extraction and ray casting out across goroutines, mirroring
 // the paper's distributed renderer at the goroutine level. Every pixel is
 // produced by exactly one goroutine with the same arithmetic as the serial
@@ -8,99 +8,26 @@ package render
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/img"
 	"repro/internal/mesh"
-	"repro/internal/octree"
 	"repro/internal/pool"
-	wpool "repro/internal/workers"
 )
 
-// forEachWith runs fn(0..n-1) across `nw` workers of the persistent pool
-// p, falling back to forEach's per-call goroutine spawns when p is nil.
-// The pipeline passes each rank's pool so a steady-state frame pays channel
-// wakeups instead of goroutine spawns.
-func forEachWith(p *wpool.Pool, nw, n int, fn func(int)) {
-	if p != nil {
-		p.Run(nw, n, fn)
-		return
-	}
-	forEach(nw, n, fn)
-}
-
-// forEach runs fn(0..n-1) across a pool of `workers` goroutines, handing
-// out indices through an atomic counter (cheap dynamic load balancing).
-func forEach(workers, n int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// fragPool recycles fragment pixel buffers: the renderer allocates one
-// image per visible block per frame, which otherwise dominates the
-// allocation profile of an animation loop.
-var fragPool sync.Pool // of []float32
-
-// newPooledImage returns a zeroed image, reusing a pooled pixel buffer
-// when one of sufficient capacity is available.
-func newPooledImage(w, h int) *img.Image {
-	n := 4 * w * h
-	if buf, ok := fragPool.Get().([]float32); ok && cap(buf) >= n {
-		px := buf[:n]
-		clear(px)
-		return &img.Image{W: w, H: h, Pix: px}
-	}
-	return img.New(w, h)
-}
-
-// ReleaseFragments returns fragments to their producers. Only callers that
-// own the fragments outright may release — after compositing has copied or
-// encoded everything it needs — and the fragments are unusable afterwards.
-// Scratch-produced fragments go back (struct, image and pixel buffer) to
-// the producing RenderScratch's pool; unpooled fragments recycle their
-// pixel buffer through the package-global pool. The distributed pipeline
-// calls this at the end of each Composite, closing the render-side
-// allocation loop — the consumer release is the lifetime signal that lets
-// a pipelined frame outlive its render call (see docs/ownership.md).
-func ReleaseFragments(frags []*Fragment) { releaseFragments(frags) }
-
-// releaseFragments returns fragments to their producers. Only callers that
-// own the fragments outright (RenderParallel, after compositing) may
-// release; the fragments are unusable afterwards.
-func releaseFragments(frags []*Fragment) {
+// ReleaseFragments returns scratch-produced fragments (struct, image and
+// pixel buffer) to the producing RenderScratch's pool; RenderSerial's plain
+// fragments are left to the garbage collector. Only callers that own the
+// fragments outright may release — after compositing has copied or encoded
+// everything it needs — and the fragments are unusable afterwards. The
+// distributed pipeline calls this at the end of each Composite, closing the
+// render-side allocation loop — the consumer release is the lifetime signal
+// that lets a pipelined frame outlive its render call (see
+// docs/ownership.md).
+func ReleaseFragments(frags []*Fragment) {
 	for _, f := range frags {
-		switch {
-		case f == nil:
-		case f.owner != nil:
+		if f != nil && f.owner != nil {
 			f.Img = nil
 			f.owner.Put(f)
-		case f.Img != nil:
-			fragPool.Put(f.Img.Pix[:0])
-			f.Img = nil
 		}
 	}
 }
@@ -160,56 +87,39 @@ func buildTilesInto(dst []tileJob, frags []*Fragment, rects []blockRect, workers
 	return tiles
 }
 
-// RenderBlocks ray-casts a set of prepared blocks across a pool of
-// `workers` goroutines (0 = runtime.NumCPU()) and returns their fragments,
-// aligned with bds (nil for skipped or nil blocks). Projection runs
-// block-parallel; casting runs tile-parallel over scanline bands. The
-// caller assigns VisRank afterwards; the caller's View is not mutated
-// (the pool renders through a frozen private copy). Output is
-// pixel-identical to calling RenderBlock serially on each block.
-func (r *Renderer) RenderBlocks(bds []*BlockData, view *View, workers int) []*Fragment {
-	return r.RenderBlocksWith(bds, view, workers, nil)
-}
-
-// RenderBlocksWith is RenderBlocks rendering through a RenderScratch: the
-// per-frame fragment/rect/tile tables, the Fragment structs and their
-// pixel buffers, and the fan-out closures all come from the scratch, and
-// the projection and tile fan-outs dispatch on the scratch's persistent
-// worker pool when one is set — a steady-state frame allocates nothing. A
-// nil scratch allocates per call and spawns goroutines, identical to
-// RenderBlocks.
+// RenderBlocksWith ray-casts a set of prepared blocks across `workers`
+// goroutines (0 = runtime.NumCPU()) and returns their fragments, aligned
+// with bds (nil for skipped or nil blocks). Projection runs block-parallel;
+// casting runs tile-parallel over scanline bands. The caller assigns
+// VisRank afterwards; the caller's View is not mutated (the fan-outs render
+// through a frozen copy held by the scratch). Output is pixel-identical for
+// any scratch/workers combination, and to RenderSerial's per-block path.
 //
-// The scratch must belong to the calling rank and serves one frame at a
-// time: the returned slice is a borrow valid until the next call, and the
-// fragments stay live until their consumer returns them to the scratch
-// with ReleaseFragments (see docs/ownership.md). The Renderer itself may
-// be shared across ranks. Output is pixel-identical for any
-// scratch/workers combination.
+// Everything per-frame comes from the RenderScratch: the fragment/rect/tile
+// tables, the Fragment structs and their pixel buffers, the fan-out
+// closures, and the worker pool the fan-outs dispatch on (rs.Pool; nil
+// spawns per call) — so a steady-state frame on a scratch with a pool
+// allocates nothing. The scratch must belong to the calling rank and serves
+// one frame at a time: the returned slice is a borrow valid until the next
+// call, and the fragments stay live until their consumer returns them with
+// ReleaseFragments. A nil scratch is a private one, dropped on return, so
+// its results are the caller's (docs/ownership.md). The Renderer itself may
+// be shared across ranks.
 func (r *Renderer) RenderBlocksWith(bds []*BlockData, view *View, workers int, rs *RenderScratch) []*Fragment {
+	if rs == nil {
+		rs = &RenderScratch{}
+	}
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
 	r.Prepare()
-	var wp *wpool.Pool
-	var frags []*Fragment
-	var rects []blockRect
-	if rs != nil {
-		wp = rs.Pool
-		rs.view = *view
-		rs.view.Prepare()
-		view = &rs.view
-		rs.frags = pool.Grow(rs.frags, len(bds))
-		frags = rs.frags
-		clear(frags)
-		rs.rects = pool.Grow(rs.rects, len(bds))
-		rects = rs.rects
-	} else {
-		pv := *view
-		pv.Prepare()
-		view = &pv
-		frags = make([]*Fragment, len(bds))
-		rects = make([]blockRect, len(bds))
-	}
+	rs.view = *view
+	rs.view.Prepare()
+	view = &rs.view
+	rs.frags = pool.Grow(rs.frags, len(bds))
+	frags := rs.frags
+	clear(frags)
+	rs.rects = pool.Grow(rs.rects, len(bds))
 	if workers == 1 {
 		for i, bd := range bds {
 			if bd != nil {
@@ -218,29 +128,10 @@ func (r *Renderer) RenderBlocksWith(bds []*BlockData, view *View, workers int, r
 		}
 		return frags
 	}
-	if rs == nil {
-		forEach(workers, len(bds), func(i int) {
-			if bds[i] == nil {
-				return
-			}
-			if frag, g, ok := r.projectBlock(bds[i], view); ok {
-				frags[i], rects[i] = frag, g
-			}
-		})
-		tiles := buildTilesInto(nil, frags, rects, workers)
-		forEach(workers, len(tiles), func(k int) {
-			tl := tiles[k]
-			var s sampler
-			s.reset(bds[tl.bi])
-			r.castRows(bds[tl.bi], view, frags[tl.bi], rects[tl.bi], tl.yLo, tl.yHi, &s)
-		})
-		return frags
-	}
-	// Scratch path: the fan-out closures are bound once to the scratch and
-	// read their arguments from rs.job, so a steady-state frame allocates
-	// neither closures nor tables. The partitioning and arithmetic are
-	// identical to the allocating path above.
-	rs.job = renderJob{r: r, bds: bds, view: view, frags: frags, rects: rects}
+	// The fan-out closures are bound once to the scratch and read their
+	// arguments from rs.job, so a steady-state frame allocates neither
+	// closures nor tables.
+	rs.job = renderJob{r: r, bds: bds, view: view, frags: frags, rects: rs.rects}
 	if rs.projFn == nil {
 		rs.projFn = func(i int) {
 			j := &rs.job
@@ -252,8 +143,8 @@ func (r *Renderer) RenderBlocksWith(bds []*BlockData, view *View, workers int, r
 			}
 		}
 	}
-	forEachWith(wp, workers, len(bds), rs.projFn)
-	rs.tiles = buildTilesInto(rs.tiles[:0], frags, rects, workers)
+	rs.Pool.Run(workers, len(bds), rs.projFn)
+	rs.tiles = buildTilesInto(rs.tiles[:0], frags, rs.rects, workers)
 	rs.job.tiles = rs.tiles
 	if rs.castFn == nil {
 		rs.castFn = func(k int) {
@@ -264,144 +155,84 @@ func (r *Renderer) RenderBlocksWith(bds []*BlockData, view *View, workers int, r
 			j.r.castRows(j.bds[tl.bi], j.view, j.frags[tl.bi], j.rects[tl.bi], tl.yLo, tl.yHi, &s)
 		}
 	}
-	forEachWith(wp, workers, len(rs.tiles), rs.castFn)
+	rs.Pool.Run(workers, len(rs.tiles), rs.castFn)
 	rs.job = renderJob{} // do not pin the caller's blocks across frames
 	return frags
 }
 
-// RenderParallel renders the same image as RenderSerial using a pool of
+// RenderParallelWith renders the same image as RenderSerial using
 // `workers` goroutines (0 = runtime.NumCPU()): block extraction fans out
-// across the pool, ray casting runs tile-parallel (so a single huge block
+// across them, ray casting runs tile-parallel (so a single huge block
 // cannot serialize the frame), and compositing runs in parallel strips.
-// The output is pixel-exact against RenderSerial — every pixel is computed
-// by exactly one goroutine with identical arithmetic. workers == 1
-// delegates to RenderSerial, the single-threaded reference path.
-func RenderParallel(rr *Renderer, m *mesh.Mesh, scalar []float32, blockLevel, level uint8, view *View, workers int) (*img.Image, error) {
-	return RenderParallelWith(rr, m, scalar, blockLevel, level, view, workers, nil)
-}
-
-// RenderParallelWith is RenderParallel with a reusable extraction scratch
-// for frame loops: block i is extracted into scratch slot i, the block
-// partition and visibility ranks are cached per (mesh, level, view
-// direction), and the render/composite stages run through the scratch's
-// embedded RenderScratch — so rendering the same mesh partition from a
-// fixed view every frame allocates nothing at steady state. A nil scratch
-// extracts into fresh allocations (identical to RenderParallel).
+// The output is pixel-exact against RenderSerial for any workers/scratch/
+// pool combination — every pixel is computed by exactly one goroutine with
+// identical arithmetic.
 //
-// The scratch's block data, fragments and output canvas are overwritten by
-// the next frame, so at most one frame may be in flight per scratch — the
-// returned image is a borrow, valid until the next call with the same
-// scratch (nil-scratch calls return a fresh image the caller owns; see
-// docs/ownership.md). When scratch.Pool is set, the extraction, casting
-// and strip-compositing fan-outs dispatch on that persistent pool instead
-// of spawning goroutines per frame. Output is pixel-exact for any
-// workers/scratch/pool combination.
+// The ExtractScratch makes it a frame loop: block i is extracted into
+// scratch slot i, the block partition and visibility ranks are cached per
+// (mesh, level, view direction), the render/composite stages run through
+// the embedded RenderScratch, and every fan-out dispatches on scratch.Pool
+// (nil spawns per call) — so rendering the same mesh partition from a fixed
+// view every frame on a scratch with a pool allocates nothing at steady
+// state. The scratch's block data, fragments and output canvas are
+// overwritten by the next frame, so at most one frame may be in flight per
+// scratch: the returned image is a borrow, valid until the next call with
+// the same scratch. A nil scratch is a private one, dropped on return, so
+// the image is the caller's (docs/ownership.md).
 func RenderParallelWith(rr *Renderer, m *mesh.Mesh, scalar []float32, blockLevel, level uint8, view *View, workers int, scratch *ExtractScratch) (*img.Image, error) {
+	if scratch == nil {
+		scratch = &ExtractScratch{}
+	}
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers == 1 && scratch == nil {
-		return RenderSerial(rr, m, scalar, blockLevel, level, view)
-	}
 	rr.Prepare()
-	var rs *RenderScratch
-	if scratch != nil {
-		scratch.view = *view
-		scratch.view.Prepare()
-		view = &scratch.view
-		scratch.render.Pool = scratch.Pool
-		rs = &scratch.render
-	} else {
-		pv := *view
-		pv.Prepare()
-		view = &pv
-	}
+	scratch.view = *view
+	scratch.view.Prepare()
+	view = &scratch.view
+	scratch.render.Pool = scratch.Pool
 	blocks, rank := frameTables(m, blockLevel, view.ViewDir(), scratch)
-	var bds []*BlockData
-	var wp *wpool.Pool
-	if scratch == nil {
-		fresh, err := extractFresh(m, scalar, blocks, level, workers)
-		if err != nil {
-			return nil, err
-		}
-		bds = fresh
-	} else {
-		scratch.Grow(len(blocks)) // slots must exist before the fan-out
-		wp = scratch.Pool
-		scratch.bdsOut = pool.Grow(scratch.bdsOut, len(blocks))
-		bds = scratch.bdsOut
-		clear(bds)
-		// The extraction closure is bound once to the scratch; its per-
-		// frame arguments travel through exJob (the mutex lives there too,
-		// reset-free: it is always left unlocked).
-		j := &scratch.exJob
-		j.m, j.scalar, j.blocks, j.level, j.scratch, j.bds = m, scalar, blocks, level, scratch, bds
-		j.firstErr = nil
-		if scratch.exFn == nil {
-			scratch.exFn = func(i int) {
-				j := &scratch.exJob
-				bd := j.scratch.Slot(i)
-				if err := ExtractBlockDataInto(bd, j.m, j.scalar, j.blocks[i], j.level); err != nil {
-					j.mu.Lock()
-					if j.firstErr == nil {
-						j.firstErr = err
-					}
-					j.mu.Unlock()
-					return
+	scratch.Grow(len(blocks)) // slots must exist before the fan-out
+	scratch.bdsOut = pool.Grow(scratch.bdsOut, len(blocks))
+	bds := scratch.bdsOut
+	clear(bds)
+	// The extraction closure is bound once to the scratch; its per-frame
+	// arguments travel through exJob (the mutex lives there too, reset-free:
+	// it is always left unlocked).
+	j := &scratch.exJob
+	j.m, j.scalar, j.blocks, j.level, j.bds = m, scalar, blocks, level, bds
+	j.firstErr = nil
+	if scratch.exFn == nil {
+		scratch.exFn = func(i int) {
+			j := &scratch.exJob
+			bd := scratch.Slot(i)
+			if err := ExtractBlockDataInto(bd, j.m, j.scalar, j.blocks[i], j.level); err != nil {
+				j.mu.Lock()
+				if j.firstErr == nil {
+					j.firstErr = err
 				}
-				j.bds[i] = bd
+				j.mu.Unlock()
+				return
 			}
-		}
-		forEachWith(wp, workers, len(blocks), scratch.exFn)
-		err := j.firstErr
-		j.m, j.scalar, j.blocks, j.scratch, j.bds = nil, nil, nil, nil, nil
-		if err != nil {
-			return nil, err
+			j.bds[i] = bd
 		}
 	}
-	frags := rr.RenderBlocksWith(bds, view, workers, rs)
-	var kept []*Fragment
-	if scratch != nil {
-		kept = scratch.kept[:0]
-	} else {
-		kept = make([]*Fragment, 0, len(frags))
+	scratch.Pool.Run(workers, len(blocks), scratch.exFn)
+	err := j.firstErr
+	j.m, j.scalar, j.blocks, j.bds = nil, nil, nil, nil
+	if err != nil {
+		return nil, err
 	}
+	frags := rr.RenderBlocksWith(bds, view, workers, &scratch.render)
+	kept := scratch.kept[:0]
 	for i, f := range frags {
 		if f != nil {
 			f.VisRank = rank[i]
 			kept = append(kept, f)
 		}
 	}
-	if scratch != nil {
-		scratch.kept = kept
-	}
-	out := compositeFragmentsWith(view.Width, view.Height, kept, workers, rs)
-	releaseFragments(kept)
+	scratch.kept = kept
+	out := compositeFragmentsWith(view.Width, view.Height, kept, workers, &scratch.render)
+	ReleaseFragments(kept)
 	return out, nil
-}
-
-// extractFresh extracts every block into fresh allocations — the
-// nil-scratch path of RenderParallelWith. Kept out of RenderParallelWith
-// so its fan-out closure does not force the scratch path's block list to
-// the heap (the steady-state scratch frame is allocation-free).
-func extractFresh(m *mesh.Mesh, scalar []float32, blocks []octree.Block, level uint8, workers int) ([]*BlockData, error) {
-	bds := make([]*BlockData, len(blocks))
-	var mu sync.Mutex
-	var firstErr error
-	forEach(workers, len(blocks), func(i int) {
-		bd := &BlockData{}
-		if err := ExtractBlockDataInto(bd, m, scalar, blocks[i], level); err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		bds[i] = bd
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return bds, nil
 }

@@ -32,7 +32,7 @@ func workerCounts() []int {
 
 // TestRenderParallelMatchesSerial is the parity guarantee of the parallel
 // engine: for every worker count, lighting mode and early-termination
-// setting, RenderParallel must reproduce RenderSerial pixel-exactly
+// setting, RenderParallelWith must reproduce RenderSerial pixel-exactly
 // (tolerance 0 — the parallel path runs the identical arithmetic).
 func TestRenderParallelMatchesSerial(t *testing.T) {
 	m := uniformMesh(3)
@@ -68,7 +68,7 @@ func TestRenderParallelMatchesSerial(t *testing.T) {
 			}
 			for _, k := range workerCounts() {
 				vp := DefaultView(56, 56)
-				got, err := RenderParallel(rr, m, f, 1, 3, &vp, k)
+				got, err := RenderParallelWith(rr, m, f, 1, 3, &vp, k, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,26 +80,31 @@ func TestRenderParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRenderParallelPoolReuse renders repeatedly so fragment buffers cycle
-// through the sync.Pool, and checks frames stay identical.
-func TestRenderParallelPoolReuse(t *testing.T) {
+// TestRenderParallelNilScratchResultsOwned pins the "a nil-scratch result
+// is the caller's" contract, which rests on the private scratch being
+// dropped on return: two consecutive nil-scratch frames must not share
+// pixel storage, and the first must survive the second.
+func TestRenderParallelNilScratchResultsOwned(t *testing.T) {
 	m := uniformMesh(3)
-	f := waveField(m)
 	rr := NewRenderer()
-	var ref *img.Image
-	for i := 0; i < 4; i++ {
-		v := DefaultView(48, 48)
-		im, err := RenderParallel(rr, m, f, 1, 3, &v, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = im
-			continue
-		}
-		if d := img.MaxAbsDiff(ref, im); d != 0 {
-			t.Fatalf("render %d differs after pool reuse: %g", i, d)
-		}
+	va, vb := DefaultView(48, 48), DefaultView(48, 48)
+	a, err := RenderParallelWith(rr, m, waveField(m), 1, 3, &va, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := a.Clone()
+	b, err := RenderParallelWith(rr, m, constField(m, 0.9), 1, 3, &vb, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b || &a.Pix[0] == &b.Pix[0] {
+		t.Fatal("consecutive nil-scratch frames alias each other")
+	}
+	if img.MaxAbsDiff(a, b) == 0 {
+		t.Fatal("the two fields render identically; the survival check is vacuous")
+	}
+	if d := img.MaxAbsDiff(keep, a); d != 0 {
+		t.Fatalf("first nil-scratch frame changed under the second (max abs %g)", d)
 	}
 }
 
@@ -135,13 +140,13 @@ func TestRenderParallelPropagatesError(t *testing.T) {
 	m := uniformMesh(2)
 	short := make([]float32, 1) // too short for the node count
 	v := DefaultView(16, 16)
-	if _, err := RenderParallel(NewRenderer(), m, short, 1, 2, &v, 4); err == nil {
+	if _, err := RenderParallelWith(NewRenderer(), m, short, 1, 2, &v, 4, nil); err == nil {
 		t.Fatal("extraction error swallowed by the worker pool")
 	}
 }
 
 // TestRenderBlockTileParallelMatchesSerial checks the in-block scanline
-// band splitting against the forced-serial block renderer.
+// band splitting against the Workers: 1 block renderer.
 func TestRenderBlockTileParallelMatchesSerial(t *testing.T) {
 	m := uniformMesh(3)
 	f := waveField(m)
@@ -185,9 +190,9 @@ func TestCompositeFragmentsStripParallel(t *testing.T) {
 		}
 		frags = append(frags, f)
 	}
-	want := compositeFragments(w, h, frags, 1)
+	want := compositeFragmentsWith(w, h, frags, 1, nil)
 	for _, k := range []int{0, 2, 3, 8} {
-		got := compositeFragments(w, h, frags, k)
+		got := compositeFragmentsWith(w, h, frags, k, nil)
 		if d := img.MaxAbsDiff(want, got); d != 0 {
 			t.Errorf("workers=%d: strip compositing differs: %g", k, d)
 		}
@@ -253,7 +258,7 @@ func TestRenderParallelWorkerSweepSmoke(t *testing.T) {
 	}
 	for _, k := range []int{2, 3, 17, 64} {
 		v := DefaultView(20, 20)
-		got, err := RenderParallel(NewRenderer(), m, f, 1, 2, &v, k)
+		got, err := RenderParallelWith(NewRenderer(), m, f, 1, 2, &v, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,11 +268,11 @@ func TestRenderParallelWorkerSweepSmoke(t *testing.T) {
 	}
 }
 
-func ExampleRenderParallel() {
+func ExampleRenderParallelWith() {
 	m := uniformMesh(2)
 	f := constField(m, 0.8)
 	view := DefaultView(32, 32)
-	im, _ := RenderParallel(NewRenderer(), m, f, 1, 2, &view, 0)
+	im, _ := RenderParallelWith(NewRenderer(), m, f, 1, 2, &view, 0, nil)
 	fmt.Println(im.W, im.H)
 	// Output: 32 32
 }

@@ -4,13 +4,11 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/img"
 	"repro/internal/mesh"
 	"repro/internal/octree"
 	"repro/internal/pool"
-	wpool "repro/internal/workers"
 )
 
 // Fragment is the partial image a rendering processor produces for one
@@ -20,14 +18,13 @@ import (
 // Fragments produced through a RenderScratch are pooled: the consumer that
 // ends up owning them (compositing) must hand them back with
 // ReleaseFragments, which returns each struct and its pixel buffer to the
-// producing scratch (see docs/ownership.md). Fragments produced without a
-// scratch only recycle their pixel buffer through the package-global pool.
+// producing scratch (see docs/ownership.md).
 type Fragment struct {
 	X0, Y0  int
 	Img     *img.Image
 	VisRank int // position in the view's visibility order
 
-	owner *pool.Pool[Fragment] // producing scratch's pool; nil when unpooled
+	owner *pool.Pool[Fragment] // producing scratch's pool; nil for RenderSerial's plain fragments
 	store img.Image            // pooled backing image Img points into
 }
 
@@ -112,19 +109,13 @@ type blockRect struct {
 	step           float64
 }
 
-// projectBlock computes the block's projected rectangle, applies
-// empty-space skipping, and allocates the (pooled) fragment image. It also
-// builds the block's point-location index, so the returned geometry is
+// projectBlockWith computes the block's projected rectangle, applies
+// empty-space skipping, and takes the fragment from the scratch's pool (a
+// nil scratch allocates a plain one — RenderSerial's reference path). It
+// also builds the block's point-location index, so the returned geometry is
 // safe to ray-cast from multiple goroutines. ok is false when the block is
-// skipped.
-func (r *Renderer) projectBlock(bd *BlockData, view *View) (*Fragment, blockRect, bool) {
-	return r.projectBlockWith(bd, view, nil)
-}
-
-// projectBlockWith is projectBlock taking the fragment from the scratch's
-// pool when one is supplied (nil allocates as projectBlock does). Safe to
-// call concurrently for distinct blocks on one scratch — the pool is
-// mutex-guarded.
+// skipped. Safe to call concurrently for distinct blocks on one scratch —
+// the pool is mutex-guarded.
 func (r *Renderer) projectBlockWith(bd *BlockData, view *View, rs *RenderScratch) (*Fragment, blockRect, bool) {
 	// Empty-space skipping at two granularities: the table build marks the
 	// empty octree regions castRay leaps (armed only when the baked table
@@ -168,7 +159,7 @@ func (r *Renderer) projectBlockWith(bd *BlockData, view *View, rs *RenderScratch
 	if rs != nil {
 		frag = rs.getFragment(x0, y0, x1-x0, y1-y0)
 	} else {
-		frag = &Fragment{X0: x0, Y0: y0, Img: newPooledImage(x1-x0, y1-y0)}
+		frag = &Fragment{X0: x0, Y0: y0, Img: img.New(x1-x0, y1-y0)}
 	}
 	return frag, blockRect{x0: x0, y0: y0, x1: x1, y1: y1, step: step}, true
 }
@@ -208,60 +199,17 @@ const (
 
 // RenderBlock ray-casts one block and returns its fragment, or nil when the
 // block's projection misses the image entirely or the block is empty space
-// (its maximum value maps to zero density everywhere). Large projected
-// rectangles are split into row bands rendered by up to Workers goroutines;
-// the output is identical for any worker count.
+// (its maximum value maps to zero density everywhere). It is
+// RenderBlocksWith on a one-block list with a private scratch and Workers
+// goroutines; the output is identical for any worker count.
 func (r *Renderer) RenderBlock(bd *BlockData, view *View) *Fragment {
-	r.defaults()
-	frag, g, ok := r.projectBlock(bd, view)
-	if !ok {
-		return nil
-	}
-	rows := g.y1 - g.y0
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > rows/minTileRows {
-		workers = rows / minTileRows
-	}
-	if workers <= 1 {
-		var s sampler
-		s.reset(bd)
-		r.castRows(bd, view, frag, g, g.y0, g.y1, &s)
-		return frag
-	}
-	// Freeze a private copy of the camera for the bands; the caller's View
-	// keeps its lazy (mutable) semantics regardless of core count.
-	pv := *view
-	pv.Prepare()
-	band := (rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := g.y0; lo < g.y1; lo += band {
-		hi := lo + band
-		if hi > g.y1 {
-			hi = g.y1
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var s sampler
-			s.reset(bd)
-			r.castRows(bd, &pv, frag, g, lo, hi, &s)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return frag
+	return r.RenderBlocksWith([]*BlockData{bd}, view, r.Workers, nil)[0]
 }
 
-// renderBlockSerial is RenderBlock with tile parallelism forced off — the
-// reference path RenderParallel is verified against.
-func (r *Renderer) renderBlockSerial(bd *BlockData, view *View) *Fragment {
-	return r.renderBlockSerialWith(bd, view, nil)
-}
-
-// renderBlockSerialWith is renderBlockSerial taking the fragment from the
-// scratch's pool when one is supplied.
+// renderBlockSerialWith projects and casts one block on the calling
+// goroutine, taking the fragment from the scratch's pool when one is
+// supplied. With a nil scratch it is the reference path RenderParallelWith
+// is verified against.
 func (r *Renderer) renderBlockSerialWith(bd *BlockData, view *View, rs *RenderScratch) *Fragment {
 	r.defaults()
 	frag, g, ok := r.projectBlockWith(bd, view, rs)
@@ -348,54 +296,42 @@ func clampInt(v, lo, hi int) int {
 // per-pixel operation order is by VisRank regardless, so the result is
 // identical for any strip count.
 func CompositeFragments(w, h int, frags []*Fragment) *img.Image {
-	return compositeFragments(w, h, frags, 0)
+	return compositeFragmentsWith(w, h, frags, 0, nil)
 }
 
 // minStripRows is the smallest compositing strip worth its own goroutine.
 const minStripRows = 64
 
-// compositeFragments composites with the given worker count (0 = NumCPU,
-// 1 = serial).
-func compositeFragments(w, h int, frags []*Fragment, workers int) *img.Image {
-	return compositeFragmentsWith(w, h, frags, workers, nil)
-}
-
 // cmpVisRank orders fragments front to back. A package-level function so
 // the steady-state sort allocates no closure.
 func cmpVisRank(a, b *Fragment) int { return a.VisRank - b.VisRank }
 
-// compositeFragmentsWith is compositeFragments drawing its order slice and
-// output canvas from the scratch and dispatching the strip fan-out on the
-// scratch's persistent pool (nil scratch allocates fresh and spawns per
-// call). With a scratch the returned image is a borrow, valid until the
-// next composite on the same scratch. Output is pixel-identical either
-// way: the stable front-to-back order and per-pixel arithmetic do not
-// depend on the scratch.
+// compositeFragmentsWith composites with nw workers (0 = NumCPU, 1 =
+// serial), drawing its order slice and output canvas from the scratch and
+// dispatching the strip fan-out on the scratch's pool. The returned image
+// is a borrow, valid until the next composite on the same scratch; a nil
+// scratch is a private one, so the image is the caller's. Output is
+// pixel-identical either way: the stable front-to-back order and per-pixel
+// arithmetic do not depend on the scratch.
 func compositeFragmentsWith(w, h int, frags []*Fragment, nw int, rs *RenderScratch) *img.Image {
-	var ordered []*Fragment
-	var out *img.Image
-	var wp *wpool.Pool
-	if rs != nil {
-		ordered = rs.ordered[:0]
-		n := 4 * w * h
-		rs.frame.Pix = pool.Grow(rs.frame.Pix, n)
-		clear(rs.frame.Pix)
-		rs.frame.W, rs.frame.H = w, h
-		out = &rs.frame
-		wp = rs.Pool
-	} else {
-		ordered = make([]*Fragment, 0, len(frags))
-		out = img.New(w, h)
+	if rs == nil {
+		rs = &RenderScratch{}
 	}
+	ordered := rs.ordered[:0]
 	for _, f := range frags {
 		if f != nil && f.Img != nil {
 			ordered = append(ordered, f)
 		}
 	}
 	slices.SortStableFunc(ordered, cmpVisRank)
-	if rs != nil {
-		rs.ordered = ordered
+	rs.ordered = ordered
+	if rs.frame == nil {
+		rs.frame = &img.Image{}
 	}
+	out := rs.frame
+	out.Pix = pool.Grow(out.Pix, 4*w*h)
+	clear(out.Pix)
+	out.W, out.H = w, h
 	if nw <= 0 {
 		nw = runtime.NumCPU()
 	}
@@ -407,46 +343,21 @@ func compositeFragmentsWith(w, h int, frags []*Fragment, nw int, rs *RenderScrat
 		return out
 	}
 	band := (h + nw - 1) / nw
-	if wp != nil {
-		bands := (h + band - 1) / band
-		rs.strip = stripJob{out: out, ordered: ordered, band: band, h: h}
-		if rs.stripF == nil {
-			rs.stripF = func(i int) {
-				j := &rs.strip
-				lo := i * j.band
-				hi := lo + j.band
-				if hi > j.h {
-					hi = j.h
-				}
-				compositeStrip(j.out, j.ordered, lo, hi)
+	rs.strip = stripJob{out: out, ordered: ordered, band: band, h: h}
+	if rs.stripF == nil {
+		rs.stripF = func(i int) {
+			j := &rs.strip
+			lo := i * j.band
+			hi := lo + j.band
+			if hi > j.h {
+				hi = j.h
 			}
+			compositeStrip(j.out, j.ordered, lo, hi)
 		}
-		wp.Run(nw, bands, rs.stripF)
-		rs.strip = stripJob{}
-		return out
 	}
-	spawnStrips(out, ordered, band, h)
+	rs.Pool.Run(nw, (h+band-1)/band, rs.stripF)
+	rs.strip = stripJob{}
 	return out
-}
-
-// spawnStrips fans the strip compositing out on per-call goroutines. Kept
-// out of compositeFragmentsWith so the goroutine closure does not force
-// the pooled/serial paths' canvas and order slice to the heap (the
-// steady-state scratch composite is allocation-free).
-func spawnStrips(out *img.Image, ordered []*Fragment, band, h int) {
-	var wg sync.WaitGroup
-	for lo := 0; lo < h; lo += band {
-		hi := lo + band
-		if hi > h {
-			hi = h
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			compositeStrip(out, ordered, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // compositeStrip composites rows [yLo, yHi) of every fragment, in the
@@ -503,11 +414,11 @@ func RenderSerial(rr *Renderer, m *mesh.Mesh, scalar []float32, blockLevel, leve
 		if err != nil {
 			return nil, err
 		}
-		f := rr.renderBlockSerial(bd, view)
+		f := rr.renderBlockSerialWith(bd, view, nil)
 		if f != nil {
 			f.VisRank = rank[i]
 			frags = append(frags, f)
 		}
 	}
-	return compositeFragments(view.Width, view.Height, frags, 1), nil
+	return compositeFragmentsWith(view.Width, view.Height, frags, 1, nil), nil
 }

@@ -298,7 +298,7 @@ func TestLightingChangesImage(t *testing.T) {
 
 func TestMagnitude(t *testing.T) {
 	v := []float32{3, 0, 4, 0, 0, 0}
-	mags := Magnitude(v)
+	mags := MagnitudeInto(nil, v)
 	if len(mags) != 2 || math.Abs(float64(mags[0]-5)) > 1e-6 || mags[1] != 0 {
 		t.Errorf("magnitudes = %v", mags)
 	}
@@ -307,7 +307,7 @@ func TestMagnitude(t *testing.T) {
 func TestEnhanceTemporal(t *testing.T) {
 	cur := []float32{0.5, 0.2}
 	prev := []float32{0.1, 0.2}
-	out := EnhanceTemporal(cur, prev, 2)
+	out := EnhanceTemporalInto(nil, cur, prev, 2)
 	if math.Abs(float64(out[0]-(0.5+2*0.4))) > 1e-6 {
 		t.Errorf("enhanced[0] = %v", out[0])
 	}
@@ -322,7 +322,7 @@ func TestEnhanceTemporal(t *testing.T) {
 		prev []float32
 		gain float32
 	}{{"nil-prev", nil, 2}, {"zero-gain", prev, 0}} {
-		got := EnhanceTemporal(cur, tc.prev, tc.gain)
+		got := EnhanceTemporalInto(nil, cur, tc.prev, tc.gain)
 		if &got[0] == &cur[0] {
 			t.Errorf("%s: result aliases cur", tc.name)
 		}
@@ -336,15 +336,16 @@ func TestEnhanceTemporal(t *testing.T) {
 	}
 }
 
-// TestIntoVariantsMatchAllocatingPaths pins the decode-chain Into variants
-// bit-exactly to the retained allocating reference paths, including the
-// in-place (dst aliases input) calls the fetch loop uses.
+// TestIntoVariantsMatchAllocatingPaths pins the decode chain's reused-
+// destination calls (too-small, oversized and dirty buffers, and the
+// in-place dst-aliases-input form the fetch loop uses) bit-exactly to the
+// nil-destination (allocating) calls.
 func TestIntoVariantsMatchAllocatingPaths(t *testing.T) {
 	vec := make([]float32, 3*257)
 	for i := range vec {
 		vec[i] = float32(math.Sin(float64(i)*0.7)) * float32(i%13)
 	}
-	mag := Magnitude(vec)
+	mag := MagnitudeInto(nil, vec)
 	magInto := MagnitudeInto(make([]float32, 1), vec)
 	prev := make([]float32, len(mag))
 	for i := range prev {
@@ -362,12 +363,13 @@ func TestIntoVariantsMatchAllocatingPaths(t *testing.T) {
 		}
 	}
 	checkF32("magnitude", mag, magInto)
-	enh := EnhanceTemporal(mag, prev, 3)
+	enh := EnhanceTemporalInto(nil, mag, prev, 3)
 	enhInPlace := append([]float32(nil), mag...)
 	checkF32("enhance", enh, EnhanceTemporalInto(enhInPlace, enhInPlace, prev, 3))
 	lo, hi := MinMax(mag)
-	checkF32("normalize", Normalize(mag, lo, hi), NormalizeInto(nil, mag, lo, hi))
-	q := Quantize(enh, lo, hi)
+	normInPlace := append([]float32(nil), mag...)
+	checkF32("normalize", NormalizeInto(nil, mag, lo, hi), NormalizeInto(normInPlace, normInPlace, lo, hi))
+	q := QuantizeInto(nil, enh, lo, hi)
 	qInto := QuantizeInto(make([]uint8, 4096), enh, lo, hi)
 	if len(q) != len(qInto) {
 		t.Fatalf("quantize len %d vs %d", len(q), len(qInto))
@@ -384,13 +386,13 @@ func TestIntoVariantsMatchAllocatingPaths(t *testing.T) {
 			t.Fatalf("degenerate QuantizeInto left stale value %d", v)
 		}
 	}
-	checkF32("dequantize", Dequantize(q), DequantizeInto(make([]float32, 2), q))
+	checkF32("dequantize", DequantizeInto(nil, q), DequantizeInto(make([]float32, 2), q))
 }
 
 func TestQuantizeRoundTrip(t *testing.T) {
 	vals := []float32{0, 0.25, 0.5, 0.75, 1}
-	q := Quantize(vals, 0, 1)
-	d := Dequantize(q)
+	q := QuantizeInto(nil, vals, 0, 1)
+	d := DequantizeInto(nil, q)
 	for i := range vals {
 		if math.Abs(float64(d[i]-vals[i])) > 1.0/255 {
 			t.Errorf("quantize roundtrip[%d]: %v -> %v", i, vals[i], d[i])
@@ -402,7 +404,7 @@ func TestQuantizeRoundTrip(t *testing.T) {
 }
 
 func TestQuantizeDegenerateRange(t *testing.T) {
-	q := Quantize([]float32{1, 2, 3}, 5, 5)
+	q := QuantizeInto(nil, []float32{1, 2, 3}, 5, 5)
 	for _, v := range q {
 		if v != 0 {
 			t.Error("degenerate range should quantize to zero")
@@ -411,7 +413,7 @@ func TestQuantizeDegenerateRange(t *testing.T) {
 }
 
 func TestNormalizeClamps(t *testing.T) {
-	out := Normalize([]float32{-1, 0.5, 3}, 0, 1)
+	out := NormalizeInto(nil, []float32{-1, 0.5, 3}, 0, 1)
 	if out[0] != 0 || out[1] != 0.5 || out[2] != 1 {
 		t.Errorf("normalize = %v", out)
 	}

@@ -62,7 +62,7 @@ type RenderScratch struct {
 	rects   []blockRect
 	tiles   []tileJob
 	ordered []*Fragment
-	frame   img.Image
+	frame   *img.Image // own allocation: a nil-scratch caller keeping it must not pin the scratch
 	view    View
 	pool    pool.Pool[Fragment]
 
@@ -94,7 +94,6 @@ type extractJob struct {
 	scalar   []float32
 	blocks   []octree.Block
 	level    uint8
-	scratch  *ExtractScratch
 	bds      []*BlockData
 	mu       sync.Mutex
 	firstErr error
@@ -104,10 +103,9 @@ type extractJob struct {
 // frame — the block partition and each block's front-to-back visibility
 // rank — caching them in the scratch keyed on (tree, blockLevel, view
 // direction). The mesh partition must be static while cached, the same
-// requirement the scratch's extraction slots already impose. A nil scratch
-// computes fresh tables.
+// requirement the scratch's extraction slots already impose.
 func frameTables(m *mesh.Mesh, blockLevel uint8, dir Vec3, s *ExtractScratch) ([]octree.Block, []int) {
-	if s != nil && s.tablesOK && s.tree == m.Tree && s.tblLevel == blockLevel && s.dir == dir {
+	if s.tablesOK && s.tree == m.Tree && s.tblLevel == blockLevel && s.dir == dir {
 		return s.blocks, s.rank
 	}
 	blocks := m.Tree.Blocks(blockLevel)
@@ -120,9 +118,7 @@ func frameTables(m *mesh.Mesh, blockLevel uint8, dir Vec3, s *ExtractScratch) ([
 	for vis, bi := range order {
 		rank[bi] = vis
 	}
-	if s != nil {
-		s.blocks, s.rank = blocks, rank
-		s.tree, s.tblLevel, s.dir, s.tablesOK = m.Tree, blockLevel, dir, true
-	}
+	s.blocks, s.rank = blocks, rank
+	s.tree, s.tblLevel, s.dir, s.tablesOK = m.Tree, blockLevel, dir, true
 	return blocks, rank
 }

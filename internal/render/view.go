@@ -2,8 +2,8 @@
 // ray casting through octree blocks of hexahedral cells with trilinear
 // interpolation, transfer functions, 8-bit quantization, gradient Phong
 // lighting, adaptive level-of-detail sampling, and the temporal-domain
-// enhancement filter of the paper's Section 4.2. RenderParallel and
-// RenderBlocks provide the shared-memory parallel engine (worker-pool
+// enhancement filter of the paper's Section 4.2. RenderParallelWith and
+// RenderBlocksWith provide the shared-memory parallel engine (worker-pool
 // block rendering, tile-parallel ray casting, parallel strip compositing)
 // with pixel-exact parity against the serial reference path.
 package render

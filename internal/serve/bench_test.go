@@ -101,8 +101,9 @@ func BenchmarkServeNewView(b *testing.B) {
 
 // BenchmarkServeConcurrentViewers drives the full HTTP stack with 8
 // synthetic viewers over a mostly-warm view set and reports end-to-end
-// frames/sec and p99 request latency — the headline serving numbers
-// tracked in BENCH_serve.json.
+// frames/sec and p99 request latency — the headline serving numbers,
+// tracked end to end by quakebench's serve_hot and serve_explore workloads
+// (bench/README.md).
 func BenchmarkServeConcurrentViewers(b *testing.B) {
 	const viewers = 8
 	store := buildDataset(b, 3)

@@ -375,7 +375,11 @@ func independentVMax(t testing.TB, store pfs.Store) float32 {
 		if err := store.ReadAt(nil, quake.StepObject(step), 0, buf); err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range render.Magnitude(quake.DecodeStep(buf)) {
+		vec, err := quake.DecodeStepInto(nil, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range render.MagnitudeInto(nil, vec) {
 			vmax = max(vmax, m)
 		}
 	}

@@ -8,6 +8,7 @@ package workers
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -29,6 +30,10 @@ type state struct {
 // fan-outs. A Pool is owned by one rank: Run must not be called
 // concurrently with itself or with Close, and fn must not call Run on the
 // same pool (no nested dispatch). Distinct ranks use distinct pools.
+//
+// A nil *Pool is usable: its Run hands the same indices out the same way
+// on goroutines spawned for that call, which is what every fan-out in the
+// tree does when its caller supplied no pool.
 type Pool struct {
 	st *state
 }
@@ -55,20 +60,26 @@ func New(size int) *Pool {
 func (p *Pool) Size() int { return len(p.st.wake) }
 
 // Run executes fn(0..n-1) across min(workers, Size, n) goroutines, handing
-// indices out through an atomic counter (the same cheap dynamic load
-// balancing as a spawn-per-frame fan-out) and returning when every index
-// has completed. workers <= 0 uses the whole pool; workers == 1 (or n <= 1)
-// runs inline without touching the pool. The caller participates as one of
-// the workers, so Run(2, ...) wakes a single pool goroutine. Dispatch
-// allocates nothing; every write fn makes is visible to the caller when Run
-// returns.
+// indices out through an atomic counter (cheap dynamic load balancing) and
+// returning when every index has completed. workers <= 0 uses the whole
+// pool; workers == 1 (or n <= 1) runs inline without touching the pool. The
+// caller participates as one of the workers, so Run(2, ...) wakes a single
+// pool goroutine. Dispatch allocates nothing; every write fn makes is
+// visible to the caller when Run returns.
+//
+// On a nil pool the workers-1 helpers are goroutines spawned for this call
+// (workers <= 0 means runtime.NumCPU(), and there is no Size to cap at);
+// everything else above holds except that the spawns allocate.
 func (p *Pool) Run(workers, n int, fn func(int)) {
 	if n <= 0 {
 		return
 	}
-	s := p.st
-	if workers <= 0 || workers > len(s.wake) {
-		workers = len(s.wake)
+	if p == nil {
+		if workers <= 0 {
+			workers = runtime.NumCPU()
+		}
+	} else if workers <= 0 || workers > len(p.st.wake) {
+		workers = len(p.st.wake)
 	}
 	if workers > n {
 		workers = n
@@ -79,6 +90,11 @@ func (p *Pool) Run(workers, n int, fn func(int)) {
 		}
 		return
 	}
+	if p == nil {
+		spawn(workers, n, fn)
+		return
+	}
+	s := p.st
 	s.fn, s.n = fn, int64(n)
 	s.next.Store(0)
 	s.active.Store(int64(workers))
@@ -102,6 +118,31 @@ func (p *Pool) Run(workers, n int, fn func(int)) {
 	// the whole dispatch so a caller whose last reference is this very Run
 	// cannot have the pool shut down underneath it.
 	runtime.KeepAlive(p)
+}
+
+// spawn is the nil pool's dispatch: the caller and workers-1 fresh
+// goroutines drain one atomic index counter.
+func spawn(workers, n int, fn func(int)) {
+	var next atomic.Int64
+	drain := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
+	}
+	drain()
+	wg.Wait()
 }
 
 // Close shuts the worker goroutines down. Run must not be in flight or

@@ -7,17 +7,46 @@ import (
 	"testing"
 )
 
-func TestRunCoversEveryIndexOnce(t *testing.T) {
+// bothPools returns a persistent pool and the nil pool, which must behave
+// alike through Run.
+func bothPools(t *testing.T) map[string]*Pool {
 	p := New(4)
-	defer p.Close()
-	for _, n := range []int{0, 1, 2, 3, 7, 64, 1000} {
-		for _, w := range []int{-1, 0, 1, 2, 4, 9} {
-			hits := make([]int32, n)
-			p.Run(w, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d executed %d times", w, n, i, h)
+	t.Cleanup(p.Close)
+	return map[string]*Pool{"pool": p, "nil": nil}
+}
+
+func TestRunCoversEveryIndexOnce(t *testing.T) {
+	for name, p := range bothPools(t) {
+		for _, n := range []int{0, 1, 2, 3, 7, 64, 1000} {
+			for _, w := range []int{-1, 0, 1, 2, 3, 4, 9, n + 5} {
+				hits := make([]int32, n)
+				p.Run(w, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("%s: workers=%d n=%d: index %d executed %d times", name, w, n, i, h)
+					}
 				}
+			}
+		}
+	}
+}
+
+// TestNilPoolMatchesPool: the same fn through a nil pool and a persistent
+// one leaves the same result, and every write is visible when Run returns.
+func TestNilPoolMatchesPool(t *testing.T) {
+	const n = 777
+	fill := func(p *Pool, w int) []int {
+		out := make([]int, n)
+		p.Run(w, n, func(i int) { out[i] = i*i + w })
+		return out
+	}
+	pools := bothPools(t)
+	for _, w := range []int{0, 1, 3, n + 1} {
+		want := fill(pools["pool"], w)
+		got := fill(pools["nil"], w)
+		for i := range want {
+			if got[i] != want[i] || want[i] != i*i+w {
+				t.Fatalf("workers=%d: out[%d] = %d (nil pool) vs %d (pool), want %d", w, i, got[i], want[i], i*i+w)
 			}
 		}
 	}
@@ -38,15 +67,15 @@ func TestRunResultsVisibleToCaller(t *testing.T) {
 }
 
 func TestRunSerialInline(t *testing.T) {
-	// workers == 1 must not touch the pool goroutines: the tasks run on the
-	// calling goroutine in index order.
-	p := New(4)
-	defer p.Close()
-	var order []int
-	p.Run(1, 5, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("serial order = %v", order)
+	// workers == 1 must not touch the pool goroutines (or spawn any): the
+	// tasks run on the calling goroutine in index order.
+	for name, p := range bothPools(t) {
+		var order []int
+		p.Run(1, 5, func(i int) { order = append(order, i) })
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("%s: serial order = %v", name, order)
+			}
 		}
 	}
 }
@@ -96,7 +125,7 @@ func TestDistinctPoolsRunConcurrently(t *testing.T) {
 
 // TestWorkerPoolDispatchAllocFree is the PR 4 gate on the dispatch path: a
 // steady-state fan-out over a persistent pool allocates nothing (the
-// pre-PR-4 forEach paid `workers` goroutine spawns per frame).
+// nil pool pays workers-1 goroutine spawns per call).
 func TestWorkerPoolDispatchAllocFree(t *testing.T) {
 	p := New(4)
 	defer p.Close()
@@ -110,39 +139,23 @@ func TestWorkerPoolDispatchAllocFree(t *testing.T) {
 }
 
 // BenchmarkPoolDispatch compares a steady-state pool dispatch against the
-// legacy spawn-per-call fan-out it replaced (identical atomic-counter load
+// nil pool's spawn-per-call fan-out (identical atomic-counter load
 // balancing, fresh goroutines every call).
 func BenchmarkPoolDispatch(b *testing.B) {
 	const n, w = 256, 4
 	sink := make([]int64, n)
 	fn := func(i int) { sink[i]++ }
-	b.Run("pool", func(b *testing.B) {
-		p := New(w)
-		defer p.Close()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p.Run(w, n, fn)
-		}
-	})
-	b.Run("spawn", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			wg.Add(w)
-			for k := 0; k < w; k++ {
-				go func() {
-					defer wg.Done()
-					for {
-						j := int(next.Add(1)) - 1
-						if j >= n {
-							return
-						}
-						fn(j)
-					}
-				}()
+	p := New(w)
+	defer p.Close()
+	for _, tc := range []struct {
+		name string
+		p    *Pool
+	}{{"pool", p}, {"spawn", nil}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tc.p.Run(w, n, fn)
 			}
-			wg.Wait()
-		}
-	})
+		})
+	}
 }
