@@ -414,6 +414,11 @@ func (p *Pipeline) runRenderer(c *mpi.Comm) error {
 		}
 		t2 := c.Now()
 		c.Send(l.OutputRank(t), tagStrip(t), bytes, strip)
+		// Nothing holds a renderer back from the next step, so where ranks
+		// share Ps, let the output rank run now: otherwise the strips (and
+		// the buffers behind them) pile up in its mailbox for as long as
+		// the renderers keep the Ps busy.
+		runtime.Gosched()
 		p.Res.addRenderStep(r, t1-t0, t2-t1)
 	}
 	return nil

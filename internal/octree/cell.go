@@ -1,6 +1,9 @@
 package octree
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Cell identifies one octant: integer coordinates X,Y,Z in [0, 2^Level) at
 // refinement level Level. The root is Cell{0,0,0,0}. Cells are axis-aligned
@@ -27,8 +30,9 @@ func (c Cell) Valid() bool {
 	return c.X < n && c.Y < n && c.Z < n
 }
 
-// Size returns the edge length of the cell in unit-cube coordinates.
-func (c Cell) Size() float64 { return 1.0 / float64(uint32(1)<<c.Level) }
+// Size returns the edge length of the cell in unit-cube coordinates: 2^-Level,
+// assembled from its exponent bits (exact, like the division it replaces).
+func (c Cell) Size() float64 { return math.Float64frombits(uint64(1023-int(c.Level)) << 52) }
 
 // Bounds returns the min and max corners of the cell in the unit cube.
 func (c Cell) Bounds() (min, max [3]float64) {

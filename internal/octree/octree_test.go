@@ -93,6 +93,33 @@ func TestBoundsAndContainsPoint(t *testing.T) {
 	}
 }
 
+// TestCellSizeExact pins the bit-assembled Size to the division it
+// replaced, for every level, and Bounds — which the renderer's sample
+// positions are computed from — to the same products and sums on a sweep of
+// coordinates that includes both ends of every level.
+func TestCellSizeExact(t *testing.T) {
+	for l := uint8(0); l <= MaxLevel; l++ {
+		want := 1.0 / float64(uint32(1)<<l)
+		if got := (Cell{Level: l}).Size(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("level %d: Size %x, want %x", l, math.Float64bits(got), math.Float64bits(want))
+		}
+		n := uint32(1) << l
+		for _, x := range []uint32{0, 1, n / 3, n / 2, n - 2, n - 1} {
+			if x >= n {
+				continue // n-2 wraps at level 0
+			}
+			c := Cell{X: x, Y: n - 1 - x, Z: x / 2, Level: l}
+			min, max := c.Bounds()
+			for i, v := range [3]uint32{c.X, c.Y, c.Z} {
+				lo := float64(v) * want
+				if math.Float64bits(min[i]) != math.Float64bits(lo) || math.Float64bits(max[i]) != math.Float64bits(lo+want) {
+					t.Fatalf("%v axis %d: bounds %v..%v, want %v..%v", c, i, min[i], max[i], lo, lo+want)
+				}
+			}
+		}
+	}
+}
+
 func TestCellAtInverse(t *testing.T) {
 	f := func(px, py, pz float64, lvl uint8) bool {
 		wrap := func(v float64) float64 {

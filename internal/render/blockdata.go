@@ -40,6 +40,9 @@ type BlockData struct {
 	// inside the block under which every cell is empty, or notEmpty. Every
 	// projection rebuilds it from Vals; the buffer is kept across frames.
 	region []uint8
+	// occLo..occHi is the occupied box the same pass yields; read it through
+	// occupied, which knows when it describes Vals.
+	occLo, occHi Vec3
 }
 
 // notEmpty marks a cell that lies in no empty region.
@@ -68,11 +71,24 @@ func (b *BlockData) MaxValue() float32 {
 	return mx
 }
 
-// buildEmptyRegions rebuilds the empty-region table from Vals and returns
-// the block's largest corner value (MaxValue, folded into the same pass). A
-// cell is empty when none of its 8 corners is > 0; armed is false when the
-// transfer function gives such values a positive density, and then the
-// table holds no empty regions.
+// buildEmptyRegions rebuilds the empty-region table and the occupied box
+// from Vals and returns the block's largest corner value (MaxValue, folded
+// into the same pass). A cell is empty when none of its 8 corners is > 0;
+// armed is false when the transfer function gives such values a positive
+// density, and then the table holds no empty regions and the box is open on
+// every side.
+//
+// The occupied box bounds the cells that have a corner other than 0 or NaN
+// — every non-empty cell, and every cell in which interpolating, or
+// extrapolating for a point that find clamped into the domain, could yield
+// anything but 0 or NaN. A side that lies on the domain boundary is open
+// (-Inf, +Inf): the boundary cell owns every point beyond it, 1.0 included.
+// So a point for which beyondBox holds contributes nothing, wherever it is:
+// find puts it in no cell or in one whose index range on that axis lies
+// outside the box's (clamping moves an index only towards the box side that
+// is open), hence in a cell of zeros and NaNs, whose trilinear form is 0 or
+// NaN at any parameter, which TFLUT.Lookup maps to entry 0, whose density
+// is <= 0 when armed.
 //
 // Cells are disjoint and in Morton preorder, so their anchor-code ranges
 // are disjoint and ascending: an ancestor of a cell in a run of consecutive
@@ -86,18 +102,40 @@ func (b *BlockData) buildEmptyRegions(armed bool) float32 {
 	b.region = pool.Grow(b.region, n) //repro:allow allocfree: amortized growth, kept across frames
 	region := b.region
 	var mx float32
+	// The occupied box. The last cell goes in first: in Morton order it
+	// holds the root's max corner as the first cell holds the min corner, so
+	// where both are occupied — any dense block — the box is the whole
+	// block after one cell, and no later cell needs looking at.
+	box, whole := noAnchors, noAnchors
+	whole.add(b.Root)
+	if armed && n > 0 && cellOccupied(&b.Vals[n-1]) {
+		box.add(b.Cells[n-1])
+	}
+	growing := armed
 	for i := range region {
-		var cmx float32
-		for _, v := range b.Vals[i] {
-			if v > cmx {
-				cmx = v
-			}
-		}
+		// The max and the or are spelt out flat, and the or taken whether
+		// needed or not: as loops and behind the branch this pass, which
+		// every block pays every frame, was 30% slower.
+		vv := &b.Vals[i]
+		cmx := max0(max0(max0(vv[0], vv[1]), max0(vv[2], vv[3])), max0(max0(vv[4], vv[5]), max0(vv[6], vv[7])))
 		region[i] = notEmpty
 		if cmx > 0 {
 			mx = max(mx, cmx)
 		} else if armed {
 			region[i] = 0 // its region's level, once the pass below has grown it
+		}
+		if bits := orBits(vv); growing && (cmx > 0 || bits<<1 != 0 && cellOccupied(vv)) {
+			box.add(b.Cells[i])
+			growing = box != whole
+		}
+	}
+	b.occLo, b.occHi = openLo, openHi
+	for k := 0; armed && k < 3; k++ {
+		if box.lo[k] > 0 {
+			b.occLo[k] = float64(box.lo[k]) / gridN
+		}
+		if box.hi[k] < gridN {
+			b.occHi[k] = float64(box.hi[k]) / gridN
 		}
 	}
 	// Grow every cell of each run [i, runEnd) of empty cells into its
@@ -137,6 +175,65 @@ func (b *BlockData) buildEmptyRegions(armed bool) float32 {
 		}
 	}
 	return mx
+}
+
+// max0 returns the larger of a and b where that is > 0, else 0.
+func max0(a, b float32) float32 {
+	var m float32
+	if a > m {
+		m = a
+	}
+	if b > m {
+		m = b
+	}
+	return m
+}
+
+// cellOccupied reports whether a corner value is neither 0 nor NaN.
+func cellOccupied(vv *[8]float32) bool {
+	for _, v := range vv {
+		if v > 0 || v < 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// orBits ors the corner values' bit patterns: a sign bit at most when every
+// one is +0 or -0 — the cheap way to tell most unoccupied cells.
+func orBits(vv *[8]float32) uint32 {
+	return math.Float32bits(vv[0]) | math.Float32bits(vv[1]) | math.Float32bits(vv[2]) | math.Float32bits(vv[3]) |
+		math.Float32bits(vv[4]) | math.Float32bits(vv[5]) | math.Float32bits(vv[6]) | math.Float32bits(vv[7])
+}
+
+// anchorBox is an axis-aligned box in anchor coordinates
+// (octree.Cell.Anchor); noAnchors is the empty one.
+type anchorBox struct{ lo, hi [3]uint32 }
+
+var noAnchors = anchorBox{lo: [3]uint32{gridN, gridN, gridN}}
+
+// add extends the box to hold cell c.
+func (a *anchorBox) add(c octree.Cell) {
+	x, y, z := c.Anchor()
+	size := uint32(1) << (octree.MaxLevel - c.Level)
+	a.lo[0], a.lo[1], a.lo[2] = min(a.lo[0], x), min(a.lo[1], y), min(a.lo[2], z)
+	a.hi[0], a.hi[1], a.hi[2] = max(a.hi[0], x+size), max(a.hi[1], y+size), max(a.hi[2], z+size)
+}
+
+// gridN is the number of anchor coordinates per axis.
+const gridN = 1 << octree.MaxLevel
+
+// openLo..openHi is the occupied box that clips nothing.
+var openLo, openHi = Vec3{math.Inf(-1), math.Inf(-1), math.Inf(-1)}, Vec3{math.Inf(1), math.Inf(1), math.Inf(1)}
+
+// occupied returns the block's occupied box (see buildEmptyRegions), open on
+// every side unless the last table build still describes Vals: the box of a
+// block that was extracted but not projected since clips nothing.
+func (b *BlockData) occupied() (lo, hi Vec3) {
+	if len(b.region) != len(b.Cells) {
+		return openLo, openHi
+	}
+	return b.occLo, b.occHi
 }
 
 // codeSpan is the number of anchor Morton codes a cell of the given level

@@ -195,16 +195,28 @@ func TestExtractBlockDataIntoAllocFree(t *testing.T) {
 }
 
 // TestCastRayAllocFree locks in PR 1's zero-allocation ray integration, in
-// both unlit and lit (analytic gradient) modes, on the dense field and on
-// the sparse one whose ray leaps.
+// both unlit and lit (analytic gradient) modes, on the dense field, on the
+// sparse one whose ray leaps, and on the surface layer whose rays are
+// clipped to the occupied box (one that misses it, one that grazes it, one
+// that crosses it).
 func TestCastRayAllocFree(t *testing.T) {
-	for _, sparse := range []bool{false, true} {
+	rays := []struct {
+		field string
+		at    Vec3
+	}{{"dense", domainCentre}, {"sparse", domainCentre}}
+	for _, r := range clippedRays {
+		rays = append(rays, struct {
+			field string
+			at    Vec3
+		}{"surface", r.at})
+	}
+	for _, ray := range rays {
 		for _, lit := range []bool{false, true} {
-			rr, s, o, d, t0, t1, step := benchRaySetup(t, lit, sparse)
+			rr, s, o, d, t0, t1, step := benchRaySetup(t, lit, ray.field, ray.at)
 			if avg := testing.AllocsPerRun(20, func() {
 				_, _, _, sinkAlpha = rr.castRay(s, o, d, t0, t1, step)
 			}); avg != 0 {
-				t.Errorf("castRay(lit=%v, sparse=%v) allocates %v per ray, want 0", lit, sparse, avg)
+				t.Errorf("castRay(lit=%v, %s at %v) allocates %v per ray, want 0", lit, ray.field, ray.at, avg)
 			}
 		}
 	}
@@ -218,14 +230,15 @@ func TestCastRayAllocFree(t *testing.T) {
 // per-pixel garbage blows through it by orders of magnitude.
 const renderBlocksAllocBudget = 2000
 
-// TestRenderBlocksAllocBudget enforces the ceiling, on the dense field and
-// on the sparse one (whose projections fill the empty-region tables).
+// TestRenderBlocksAllocBudget enforces the ceiling, on the dense field, on
+// the sparse one (whose projections fill the empty-region tables) and on
+// the surface layer (whose pixel loops are trimmed to the occupied boxes).
 func TestRenderBlocksAllocBudget(t *testing.T) {
 	m := uniformMesh(4)
 	for _, tc := range []struct {
 		name string
 		f    []float32
-	}{{"dense", waveField(m)}, {"sparse", centeredBall(m)}} {
+	}{{"dense", waveField(m)}, {"sparse", centeredBall(m)}, {"surface", surfaceLayer(m)}} {
 		name, f := tc.name, tc.f
 		var scratch ExtractScratch
 		blocks := m.Tree.Blocks(2)

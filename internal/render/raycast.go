@@ -102,12 +102,23 @@ const tfLUTSize = 4096
 // the struct.
 func (r *Renderer) Prepare() { r.defaults() }
 
-// blockRect is the projected screen rectangle of a block plus its sampling
-// step — everything a scanline band needs besides the block data.
+// blockRect is the projected screen rectangle of a block, the part of it
+// the block's occupied box can project to (the only pixels worth casting;
+// the fragment keeps the whole rectangle) and the block's sampling step —
+// everything a scanline band needs besides the block data.
 type blockRect struct {
-	x0, y0, x1, y1 int
-	step           float64
+	x0, y0, x1, y1     int
+	tx0, ty0, tx1, ty1 int
+	step               float64
 }
+
+// trimMargin, in pixels, is how far outside the projected occupied box a
+// pixel centre may lie and still be cast. A ray's sample points lie within
+// rounding (~1e-15) of the line through its pixel centre, and that line
+// passes the box at no less than the pixel's distance from the box's
+// projected bounds — half a pixel of slack is some ten orders of magnitude
+// more than the predicate beyondBox needs to hold for every sample.
+const trimMargin = 0.5
 
 // projectBlockWith computes the block's projected rectangle, applies
 // empty-space skipping, and takes the fragment from the scratch's pool (a
@@ -117,9 +128,10 @@ type blockRect struct {
 // skipped. Safe to call concurrently for distinct blocks on one scratch —
 // the pool is mutex-guarded.
 func (r *Renderer) projectBlockWith(bd *BlockData, view *View, rs *RenderScratch) (*Fragment, blockRect, bool) {
-	// Empty-space skipping at two granularities: the table build marks the
-	// empty octree regions castRay leaps (armed only when the baked table
-	// maps values <= 0, its entry 0, to no density) and yields the block
+	// Empty-space skipping at three granularities: the table build marks
+	// the empty octree regions castRay leaps and bounds the occupied box
+	// rays and pixels are clipped to (both armed only when the baked table
+	// maps values <= 0, its entry 0, to no density), and yields the block
 	// maximum, which skips a transparent block wholesale.
 	mx := bd.buildEmptyRegions(r.lut.tab[0][3] <= 0)
 	if r.TF.TransparentBelow(float64(mx)) {
@@ -127,23 +139,7 @@ func (r *Renderer) projectBlockWith(bd *BlockData, view *View, rs *RenderScratch
 	}
 	bmin, bmax := bd.Root.Bounds()
 	// Projected bounding rectangle.
-	fx0, fy0 := math.Inf(1), math.Inf(1)
-	fx1, fy1 := math.Inf(-1), math.Inf(-1)
-	for i := 0; i < 8; i++ {
-		p := Vec3{bmin[0], bmin[1], bmin[2]}
-		if i&1 != 0 {
-			p[0] = bmax[0]
-		}
-		if i&2 != 0 {
-			p[1] = bmax[1]
-		}
-		if i&4 != 0 {
-			p[2] = bmax[2]
-		}
-		x, y := view.Project(p)
-		fx0, fy0 = math.Min(fx0, x), math.Min(fy0, y)
-		fx1, fy1 = math.Max(fx1, x), math.Max(fy1, y)
-	}
+	fx0, fy0, fx1, fy1, _ := view.projectBox(bmin, bmax)
 	x0 := clampInt(int(math.Floor(fx0)), 0, view.Width)
 	y0 := clampInt(int(math.Floor(fy0)), 0, view.Height)
 	x1 := clampInt(int(math.Ceil(fx1))+1, 0, view.Width)
@@ -161,18 +157,36 @@ func (r *Renderer) projectBlockWith(bd *BlockData, view *View, rs *RenderScratch
 	} else {
 		frag = &Fragment{X0: x0, Y0: y0, Img: img.New(x1-x0, y1-y0)}
 	}
-	return frag, blockRect{x0: x0, y0: y0, x1: x1, y1: y1, step: step}, true
+	g := blockRect{x0: x0, y0: y0, x1: x1, y1: y1, tx0: x0, ty0: y0, tx1: x1, ty1: y1, step: step}
+	// Trim the pixel loop to the occupied box, where it is smaller than the
+	// block: a ray through any other pixel has no sample inside it.
+	olo, ohi := bd.occupied()
+	for i := 0; i < 3; i++ {
+		olo[i], ohi[i] = math.Max(olo[i], bmin[i]), math.Min(ohi[i], bmax[i])
+	}
+	if olo != bmin || ohi != bmax {
+		if fx0, fy0, fx1, fy1, inFront := view.projectBox(olo, ohi); inFront {
+			g.tx0 = clampInt(int(math.Ceil(fx0-trimMargin)), x0, x1)
+			g.ty0 = clampInt(int(math.Ceil(fy0-trimMargin)), y0, y1)
+			g.tx1 = clampInt(int(math.Floor(fx1+trimMargin))+1, x0, x1)
+			g.ty1 = clampInt(int(math.Floor(fy1+trimMargin))+1, y0, y1)
+		}
+	}
+	return frag, g, true
 }
 
 // castRows ray-casts scanlines [yLo, yHi) of the block's projected
-// rectangle into frag. The sampler carries the cell cache across pixels —
-// adjacent rays usually enter the same cell, so most samples skip the
-// octree point location entirely.
+// rectangle into frag, leaving out the pixels the occupied box cannot
+// project to. The sampler carries the cell cache across pixels — adjacent
+// rays usually enter the same cell, so most samples skip the octree point
+// location entirely.
 func (r *Renderer) castRows(bd *BlockData, view *View, frag *Fragment, g blockRect, yLo, yHi int, s *sampler) {
 	bmin, bmax := bd.Root.Bounds()
-	for py := yLo; py < yHi; py++ {
-		for px := g.x0; px < g.x1; px++ {
-			o, d := view.Ray(px, py)
+	view.prepare()
+	for py := max(yLo, g.ty0); py < min(yHi, g.ty1); py++ {
+		row := view.rowOffset(py)
+		for px := g.tx0; px < g.tx1; px++ {
+			o, d := view.rowRay(row, px)
 			t0, t1, hit := rayBox(o, d, bmin, bmax)
 			if !hit {
 				continue
@@ -225,26 +239,34 @@ func (r *Renderer) renderBlockSerialWith(bd *BlockData, view *View, rs *RenderSc
 // castRay integrates the volume rendering equation front-to-back along one
 // ray segment. The sampler provides cached cell location and the baked TF
 // table provides emission/density, keeping the loop allocation-free. A
-// sample that lands in an empty octree region (BlockData's empty-region
-// table) leaps to the region's far side on the same t sequence, skipping
-// only samples that provably contribute nothing — see sampler.leap.
+// sample outside the block's occupied box moves on to the box, or ends the
+// ray, without being located, and one that lands in an empty octree region
+// (BlockData's empty-region table) leaps to the region's far side — both on
+// the same t sequence, skipping only samples that provably contribute
+// nothing; see sampler.clip and sampler.leap.
 //
 //repro:allocfree
 func (r *Renderer) castRay(s *sampler, o, d Vec3, t0, t1, step float64) (cr, cg, cb, ca float32) {
 	var ar, ag, ab, aa float64
 	for t := t0 + step/2; t < t1; t += step {
 		p := rayAt(o, d, t)
-		v, ok := s.sample(p)
-		if !ok {
-			continue
+		if !s.inCell(p) {
+			if s.beyondBox(p) {
+				t = s.clip(o, d, p, t, t1, step)
+				continue
+			}
+			if !s.find(p) {
+				continue
+			}
 		}
 		if s.empty {
 			if last, ok := s.leap(o, d, p, t, t1, step); ok {
 				t = last
 				continue
 			}
+			s.loadVals() // p was clamped into the cell: evaluate it there
 		}
-		er, eg, eb, density := r.lut.Lookup(v)
+		er, eg, eb, density := r.lut.Lookup(s.sample(p))
 		if density <= 0 {
 			continue
 		}

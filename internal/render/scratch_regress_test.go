@@ -20,14 +20,15 @@ import (
 // with an ExtractScratch (and its embedded RenderScratch), a steady-state
 // fixed-view frame is exactly 0 allocs/op end-to-end — serially and
 // dispatching on a persistent worker pool, on the dense field and on the
-// sparse one, where every frame rebuilds the empty-region tables after
-// extraction reset them.
+// sparse one and the surface layer, where every frame rebuilds the
+// empty-region tables and occupied boxes after extraction reset them and
+// casts clipped rays over trimmed pixel loops.
 func TestRenderFrameAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are skipped under the race detector")
 	}
 	m := gradedRenderMesh(t)
-	dense, sparse := waveField(m), centeredBall(m)
+	dense, sparse, surface := waveField(m), centeredBall(m), surfaceLayer(m)
 	level := m.Tree.MaxDepth()
 	for _, tc := range []struct {
 		name    string
@@ -39,6 +40,8 @@ func TestRenderFrameAllocFree(t *testing.T) {
 		{"pooled-3", dense, 3, true},
 		{"sparse-serial", sparse, 1, false},
 		{"sparse-pooled-3", sparse, 3, true},
+		{"surface-serial", surface, 1, false},
+		{"surface-pooled-3", surface, 3, true},
 	} {
 		f := tc.f
 		t.Run(tc.name, func(t *testing.T) {

@@ -108,11 +108,50 @@ func (v *View) Prepare() {
 // Ray returns the origin and direction of the ray through pixel (x, y).
 func (v *View) Ray(x, y int) (origin, dir Vec3) {
 	v.prepare()
-	o := add(v.origin0, add(scale(v.dx, float64(x)), scale(v.dy, float64(y))))
+	return v.rowRay(v.rowOffset(y), x)
+}
+
+// rowOffset is the part of Ray that every pixel of scanline y shares, and
+// rowRay the rest of it: castRows computes the first once per row on a
+// prepared view. Together they are Ray, operation for operation.
+func (v *View) rowOffset(y int) Vec3 { return scale(v.dy, float64(y)) }
+
+func (v *View) rowRay(row Vec3, x int) (origin, dir Vec3) {
+	o := add(v.origin0, add(scale(v.dx, float64(x)), row))
 	if v.persp {
 		return v.eye, norm(sub(o, v.eye))
 	}
 	return o, v.dirN
+}
+
+// projectBox returns the bounds, in pixel coordinates, of the projections
+// of the eight corners of the box lo..hi — which bound the projection of
+// the whole box, unless the view is a perspective one and the box reaches
+// behind the eye plane, where Project clamps: inFront is false then.
+func (v *View) projectBox(lo, hi Vec3) (fx0, fy0, fx1, fy1 float64, inFront bool) {
+	v.prepare()
+	fx0, fy0 = math.Inf(1), math.Inf(1)
+	fx1, fy1 = math.Inf(-1), math.Inf(-1)
+	inFront = true
+	for i := 0; i < 8; i++ {
+		p := lo
+		if i&1 != 0 {
+			p[0] = hi[0]
+		}
+		if i&2 != 0 {
+			p[1] = hi[1]
+		}
+		if i&4 != 0 {
+			p[2] = hi[2]
+		}
+		if v.persp && dot(sub(p, v.eye), v.dirN) < 1e-9 {
+			inFront = false
+		}
+		x, y := v.Project(p)
+		fx0, fy0 = math.Min(fx0, x), math.Min(fy0, y)
+		fx1, fy1 = math.Max(fx1, x), math.Max(fy1, y)
+	}
+	return fx0, fy0, fx1, fy1, inFront
 }
 
 // Project returns the pixel coordinates of a world point (may be outside
