@@ -93,7 +93,8 @@ check: build vet fmtcheck lint test race
 # ci is what the GitHub Actions workflow runs: the full functional gates
 # (the allocation-regression, golden-pipeline, fuzz-seed and equivalence
 # suites of PRs 2-5) plus four extras. The wall-clock speedup gates (CSR
-# SpMV, flat/RLE-stream compositeStrip, decode chain, castRay leaping and clipping) only assert when
+# SpMV, flat/RLE-stream compositeStrip, decode chain, castRay leaping and
+# clipping, the LIC step's resample map and convolve) only assert when
 # REPRO_PERF_ASSERT=1 so plain `go test ./...` stays immune to scheduler
 # noise; the named alloc-gate pass restates the steady-state zero-
 # allocation guarantees loudly (including PR 5's collective-read and
@@ -115,6 +116,7 @@ ci: check benchsmoke
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestCompositeStripSpeedupGate' -v ./internal/compositor/
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestDecodeChainSpeedupGate' -v ./internal/core/
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestCastRayLeapSpeedupGate|TestCastRayClipSpeedupGate' -v ./internal/render/
+	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestLICStepSpeedupGate' -v ./internal/lic/
 	$(GO) test -run 'AllocFree|AllocBudget|ArenaReuse' -v ./internal/compositor/ ./internal/render/ ./internal/lic/ ./internal/quadtree/ ./internal/core/ ./internal/mpiio/ ./internal/workers/ ./internal/mpi/
 	$(GO) test -race -run 'TestChaos' -count=1 -v ./internal/core/ ./internal/serve/
 	$(GO) test -race -run 'TestNet' -count=1 -v ./internal/mpi/ ./internal/faultinject/

@@ -85,6 +85,31 @@ func TestMetaMeshMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestAssembleRejectsForeignPayloads: a strip or LIC message carrying
+// anything but the pipeline's own payload type is an error naming the type,
+// not a failed assertion that takes the output rank down.
+func TestAssembleRejectsForeignPayloads(t *testing.T) {
+	store := buildDataset(t, 1)
+	opts := smallOpts(16, 16)
+	opts.LIC = true
+	l := Layout{Groups: 1, IPsPerGroup: 1, Renderers: 1, Outputs: 1}
+	w, err := NewRealWorkload(l, opts, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	mpi.RunReal(1, func(c *mpi.Comm) {
+		err := w.Assemble(c, 0, []mpi.Message{{Src: l.RenderRank(0), Data: []float32{1}}}, nil)
+		if err == nil || !strings.Contains(err.Error(), "unexpected strip payload []float32") {
+			t.Errorf("foreign strip payload: %v", err)
+		}
+		err = w.Assemble(c, 0, nil, &mpi.Message{Data: "not an underlay"})
+		if err == nil || !strings.Contains(err.Error(), "unexpected LIC payload string") {
+			t.Errorf("foreign LIC payload: %v", err)
+		}
+	})
+}
+
 func TestSingleRankPerRole(t *testing.T) {
 	// The minimal world: 1 input, 1 renderer, 1 output still works.
 	store := buildDataset(t, 2)

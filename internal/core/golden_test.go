@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/img"
+	"repro/internal/mpi"
 )
 
 // goldenFrameSum is the FNV-1a 64 checksum of the quantized golden frame,
@@ -41,30 +42,65 @@ func quantizeFrame(m *img.Image) []byte {
 	return out
 }
 
-func TestGoldenPipelineFrame(t *testing.T) {
+// goldenSum runs the golden layout (2 groups x 1 input rank, 3 renderers,
+// 1 output) over the first steps timesteps with opts and returns the
+// FNV-1a 64 checksum of bytes(frame) over the frames in step order.
+func goldenSum(t *testing.T, steps int, opts Options, bytes func(*img.Image) []byte) uint64 {
+	t.Helper()
 	if runtime.GOARCH != "amd64" {
-		// The golden constant was recorded on amd64; other architectures
+		// The golden constants were recorded on amd64; other architectures
 		// may fuse multiply-adds (FMA) and move low-order float bits.
 		t.Skipf("golden frame recorded on amd64, running on %s", runtime.GOARCH)
 	}
-	store := buildDataset(t, 3)
-	opts := smallOpts(48, 48)
+	store := buildDataset(t, steps)
 	l := Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}
 	w, res := runReal(t, store, l, opts)
-	if res.Frames != 3 {
-		t.Fatalf("frames = %d, want 3", res.Frames)
+	if res.Frames != steps {
+		t.Fatalf("frames = %d, want %d", res.Frames, steps)
 	}
 	h := fnv.New64a()
-	for step := 0; step < 3; step++ {
+	for step := 0; step < steps; step++ {
 		frame := w.Frame(step)
 		if frame == nil {
 			t.Fatalf("missing frame %d", step)
 		}
-		h.Write(quantizeFrame(frame))
+		h.Write(bytes(frame))
 	}
-	if got := h.Sum64(); got != goldenFrameSum {
+	return h.Sum64()
+}
+
+func TestGoldenPipelineFrame(t *testing.T) {
+	if got := goldenSum(t, 3, smallOpts(48, 48), quantizeFrame); got != goldenFrameSum {
 		t.Errorf("golden pipeline checksum = %#x, want %#x\n"+
 			"If this change is intentional (solver, I/O, render or compositing math changed on purpose), update goldenFrameSum.", got, goldenFrameSum)
+	}
+}
+
+// goldenLICFrameSum is the FNV-1a 64 checksum of the golden run with the
+// surface-LIC underlay on, recorded on linux/amd64 (go1.24) at the commit
+// before PR 20 touched any LIC kernel. Unlike goldenFrameSum it is taken
+// over the frames' exact float32 bit patterns: the underlay path
+// (quadtree resample, convolution, colorize, wire, stretch-and-under) is
+// held bit-identical across commits, not just visibly identical.
+const goldenLICFrameSum = 0x21dc63ce43e71213
+
+// frameBits returns the little-endian IEEE-754 bytes of a float frame.
+func frameBits(m *img.Image) []byte { return mpi.AppendFloat32s(nil, m.Pix) }
+
+// TestGoldenLICFrame pins the LIC underlay across commits the way
+// TestGoldenPipelineFrame pins the volume rendering: a non-square frame
+// over a smaller square LIC image, so the resample, the convolution, the
+// colorize and the stretch under the frame all run off the identity. Six
+// steps, because the source needs three before the surface moves faster
+// than the stagnation threshold: the run covers stagnant (pure noise),
+// partly flowing and fully flowing fields.
+func TestGoldenLICFrame(t *testing.T) {
+	opts := smallOpts(48, 40)
+	opts.LIC = true
+	opts.LICSize = 32
+	if got := goldenSum(t, 6, opts, frameBits); got != goldenLICFrameSum {
+		t.Errorf("golden LIC checksum = %#x, want %#x\n"+
+			"If this change is intentional (the underlay's math changed on purpose), update goldenLICFrameSum.", got, goldenLICFrameSum)
 	}
 }
 

@@ -54,7 +54,6 @@ type RealWorkload struct {
 	// the per-step path reuses across timesteps (see scratch.go).
 	ipScr   []*ipScratch       // indexed by input world rank
 	rendScr []*rendererScratch // indexed by renderer
-	outScr  []*outputScratch   // indexed by output processor
 
 	// stepBase offsets logical timesteps into the dataset: the pipeline
 	// always runs logical steps [0, steps), which SetStepWindow maps onto
@@ -181,10 +180,6 @@ func (d *Dataset) NewWorkload(opts Options) (*RealWorkload, error) {
 		}
 		rs.rscr.Pool = rs.pool
 		w.rendScr[r] = rs
-	}
-	w.outScr = make([]*outputScratch, l.Outputs)
-	for o := range w.outScr {
-		w.outScr[o] = &outputScratch{}
 	}
 	w.visRank = make([]int, len(d.roots))
 	w.rects = make([][]compositor.Rect, l.Renderers)
@@ -909,7 +904,6 @@ func (w *RealWorkload) Composite(c *mpi.Comm, t, r int, group []int, rnd any) (i
 // or releases frames as it goes makes the whole per-frame assemble
 // allocation-free.
 func (w *RealWorkload) Assemble(c *mpi.Comm, t int, strips []mpi.Message, licMsg *mpi.Message) error {
-	os := w.outScr[c.Rank()-w.ds.layout.NumInput()-w.ds.layout.Renderers]
 	frame := w.ring.Acquire(w.opts.Width, w.opts.Height)
 	for _, s := range strips {
 		if s.Data == nil {
@@ -937,8 +931,11 @@ func (w *RealWorkload) Assemble(c *mpi.Comm, t int, strips []mpi.Message, licMsg
 		sp.release()
 	}
 	if licMsg != nil && licMsg.Data != nil {
-		lp := licMsg.Data.(*licPayload)
-		frame.Under(stretchInto(&os.stretch, &lp.Img, w.opts.Width, w.opts.Height))
+		lp, ok := licMsg.Data.(*licPayload)
+		if !ok {
+			return fmt.Errorf("core: output got unexpected LIC payload %T", licMsg.Data)
+		}
+		underStretched(frame, &lp.Img)
 		lp.release()
 	} else if licMsg != nil && w.opts.Faults.Tolerate {
 		// LIC underlay dropped (degraded LIC step or lost LIC rank): render
@@ -959,22 +956,21 @@ func (w *RealWorkload) Assemble(c *mpi.Comm, t int, strips []mpi.Message, licMsg
 	return nil
 }
 
-// stretchInto nearest-neighbor scales an image (LIC underlay) into a
-// reused target.
-func stretchInto(out *img.Image, src *img.Image, w, h int) *img.Image {
-	n := 4 * w * h
-	if cap(out.Pix) < n {
-		out.Pix = make([]float32, n)
-	}
-	out.Pix = out.Pix[:n]
-	out.W, out.H = w, h
+// underStretched composites src, nearest-neighbor scaled to frame's size,
+// under frame in place — img.Image.Under of the stretched LIC underlay,
+// reading each source pixel where it lies instead of from a stretched copy.
+func underStretched(frame, src *img.Image) {
+	w, h := frame.W, frame.H
 	for y := 0; y < h; y++ {
-		sy := y * src.H / h
+		row := src.Pix[4*(y*src.H/h)*src.W:]
 		for x := 0; x < w; x++ {
-			sx := x * src.W / w
-			r, g, b, a := src.At(sx, sy)
-			out.Set(x, y, r, g, b, a)
+			s := row[4*(x*src.W/w):][:4]
+			d := frame.Pix[4*(y*w+x):][:4]
+			t := 1 - d[3]
+			d[0] += t * s[0]
+			d[1] += t * s[1]
+			d[2] += t * s[2]
+			d[3] += t * s[3]
 		}
 	}
-	return out
 }

@@ -164,9 +164,3 @@ type rendererScratch struct {
 	// released back by Composite once everything is on the wire.
 	rscr render.RenderScratch
 }
-
-// outputScratch is one output rank's reusable staging (the LIC stretch
-// target; assembled frames come from the workload's frame ring).
-type outputScratch struct {
-	stretch img.Image
-}

@@ -184,33 +184,40 @@ func vecAt(field *quadtree.Grid, w, h int, x, y float64) (float64, float64) {
 	return field.At(x/float64(w-1), y/float64(h-1))
 }
 
-// kernelWeight evaluates the (optionally periodic) filter at normalized
-// kernel position t in [-1, 1].
+// kernelWeight evaluates the periodic filter at normalized kernel position
+// t in [-1, 1]: a Hanning-windowed ripple whose phase, animated, shifts
+// along the streamline and gives the impression of flow direction. (A
+// negative Config.Phase selects the box kernel, weight 1 everywhere, which
+// convolve adds up without calling this.)
 func kernelWeight(t, phase float64) float64 {
-	if phase < 0 {
-		return 1 // box kernel
-	}
-	// Hanning-windowed periodic kernel: animating phase shifts the ripple
-	// along the streamline, giving the impression of flow direction.
 	return (1 + math.Cos(math.Pi*t)) * (1 + math.Cos(2*math.Pi*(t-phase)))
 }
 
 // convolve traces the streamline through pixel (x,y) forward and backward
-// and convolves the noise texture along it.
+// and convolves the noise texture along it. Both directions leave from the
+// pixel centre, so the field is evaluated there once.
 func convolve(field *quadtree.Grid, noise *Image, x, y int, cfg Config) float64 {
 	w, h := noise.W, noise.H
-	var sum, wsum float64
+	box := cfg.Phase < 0
 	// Center sample.
-	w0 := kernelWeight(0, cfg.Phase)
-	sum += w0 * noise.At(x, y)
-	wsum += w0
+	w0 := 1.0
+	if !box {
+		w0 = kernelWeight(0, cfg.Phase)
+	}
+	sum := w0 * noise.At(x, y)
+	wsum := w0
+	cvx, cvy := vecAt(field, w, h, float64(x), float64(y))
+	cl := math.Hypot(cvx, cvy)
 	for dir := -1.0; dir <= 1.0; dir += 2 {
 		px := float64(x)
 		py := float64(y)
 		dist := 0.0
+		vx, vy, l := cvx, cvy, cl
 		for step := 1; step <= cfg.L; step++ {
-			vx, vy := vecAt(field, w, h, px, py)
-			l := math.Hypot(vx, vy)
+			if step > 1 {
+				vx, vy = vecAt(field, w, h, px, py)
+				l = math.Hypot(vx, vy)
+			}
 			if l < 1e-12 {
 				break // stagnation point
 			}
@@ -219,10 +226,19 @@ func convolve(field *quadtree.Grid, noise *Image, x, y int, cfg Config) float64 
 			if px < 0 || py < 0 || px > float64(w-1) || py > float64(h-1) {
 				break
 			}
+			// At, not a direct index: a NaN vector makes px NaN, which
+			// passes every comparison above, and At clamps whatever int(NaN)
+			// is on this platform.
+			n := noise.At(int(px+0.5), int(py+0.5))
+			if box {
+				sum += n
+				wsum++
+				continue
+			}
 			dist += cfg.StepSize
 			t := dir * dist / (float64(cfg.L) * cfg.StepSize)
 			wt := kernelWeight(t, cfg.Phase)
-			sum += wt * noise.At(int(px+0.5), int(py+0.5))
+			sum += wt * n
 			wsum += wt
 		}
 	}
@@ -232,11 +248,13 @@ func convolve(field *quadtree.Grid, noise *Image, x, y int, cfg Config) float64 
 	return sum / wsum
 }
 
-// ColorizeInto maps the LIC gray texture onto an RGBA image, modulated by a
-// magnitude field (brighter where motion is stronger) for compositing with
-// the volume rendering at the output processors. It writes into out,
-// reusing its pixel buffer (resized as needed; every pixel is overwritten);
-// a nil out allocates the image.
+// ColorizeInto maps the LIC gray texture onto an RGBA image for compositing
+// with the volume rendering at the output processors, modulated by the x
+// component of mag: opacity and brightness run from 0.25 where mag.VX is 0
+// to 1 where |mag.VX| is largest. mag.VY is not read (whether it should be
+// is an open question in ROADMAP.md). A nil mag leaves the texture opaque
+// and unmodulated. It writes into out, reusing its pixel buffer (resized as
+// needed; every pixel is overwritten); a nil out allocates the image.
 func (m *Image) ColorizeInto(out *img.Image, mag *quadtree.Grid) *img.Image {
 	if out == nil {
 		out = &img.Image{}

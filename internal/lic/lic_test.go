@@ -369,7 +369,8 @@ func TestLICStepPooledAllocFree(t *testing.T) {
 // BenchmarkLICStep measures one full surface-LIC timestep (128-node
 // scatter, 64x64 grid): `scratch` is the steady-state PR 3 path (reused
 // tree, grid, noise, output, RGBA), `fresh` rebuilds and reallocates
-// everything as the pre-PR-3 pipeline did.
+// everything as the pre-PR-3 pipeline did, and `resample` is the value
+// update and the gather through the remembered grid-point map alone.
 func BenchmarkLICStep(b *testing.B) {
 	const size = 64
 	samples, tree := licStepSetup(b, 500, size)
@@ -393,6 +394,19 @@ func BenchmarkLICStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			im.ColorizeInto(&rgba, &grid)
+		}
+	})
+	b.Run("resample", func(b *testing.B) {
+		var grid quadtree.Grid
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			samples[0].VX = float64(i)
+			if err := tree.Rebuild(samples); err != nil {
+				b.Fatal(err)
+			}
+			if err := tree.ResampleInto(&grid, size, size); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("fresh", func(b *testing.B) {

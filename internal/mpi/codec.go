@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 )
 
@@ -290,9 +291,13 @@ func (r *WireReader) Float32s(dst []float32, n int) []float32 {
 // AppendFloat32s appends vals' IEEE-754 little-endian bytes to buf —
 // the encode-side counterpart of WireReader.Float32s. Pixel data crosses
 // the wire as exact bit patterns, so decoded frames are bit-identical.
+// The room is reserved once, so a cold buffer grows by one allocation
+// rather than by append's doubling.
 func AppendFloat32s(buf []byte, vals []float32) []byte {
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+	n := len(buf)
+	buf = slices.Grow(buf, 4*len(vals))[:n+4*len(vals)]
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(buf[n+4*i:], math.Float32bits(v))
 	}
 	return buf
 }

@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 )
@@ -126,6 +127,45 @@ func TestWireReaderHostileCount(t *testing.T) {
 	}
 	if r.Done() == nil {
 		t.Error("Done() cleared a latched error")
+	}
+}
+
+// TestAppendFloat32sReservesOnce: the bytes are the per-element encoding's
+// and land after what the buffer already held; a cold buffer grows by one
+// allocation for the whole slice (a 1 MB strip appended four bytes at a
+// time regrew the resend ring's cold slots some twenty times over), a warm
+// one by none; and Float32s reads the same bit patterns back.
+func TestAppendFloat32sReservesOnce(t *testing.T) {
+	vals := make([]float32, 1<<16)
+	for i := range vals {
+		vals[i] = math.Float32frombits(uint32(i) * 2654435761) // every class of float, NaNs included
+	}
+	want := []byte("hdr")
+	for _, v := range vals {
+		want = binary.LittleEndian.AppendUint32(want, math.Float32bits(v))
+	}
+	got := AppendFloat32s([]byte("hdr"), vals)
+	if !bytes.Equal(got, want) {
+		t.Fatal("AppendFloat32s bytes differ from the per-element encoding")
+	}
+	r := NewWireReader(got[3:])
+	back := r.Float32s(nil, len(vals))
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range vals {
+		if math.Float32bits(back[i]) != math.Float32bits(vals[i]) {
+			t.Fatalf("value %d read back as %#x, sent %#x", i, math.Float32bits(back[i]), math.Float32bits(vals[i]))
+		}
+	}
+	if raceEnabled {
+		return // allocation counts are not meaningful under -race
+	}
+	if avg := testing.AllocsPerRun(10, func() { got = AppendFloat32s(nil, vals) }); avg != 1 {
+		t.Errorf("appending %d floats to a cold buffer allocates %v times, want 1", len(vals), avg)
+	}
+	if avg := testing.AllocsPerRun(10, func() { got = AppendFloat32s(got[:0], vals) }); avg != 0 {
+		t.Errorf("appending to a warm buffer allocates %v times, want 0", avg)
 	}
 }
 

@@ -48,6 +48,13 @@ type Tree struct {
 	// pipeline's pattern — comparing samples against themselves would be
 	// vacuous).
 	posX, posY []float64
+
+	// near maps each point of the last nearW×nearH grid ResampleInto served
+	// to its nearest sample. Positions only change through rebuild, which
+	// drops the map (nearW = 0); until then a resample at that size is a
+	// gather, not w*h tree searches.
+	near         []int32
+	nearW, nearH int
 }
 
 // Build constructs the quadtree. leafCap bounds samples per leaf (default
@@ -77,6 +84,7 @@ func (t *Tree) rebuild(samples []Sample) error {
 		t.posX[i], t.posY[i] = samples[i].X, samples[i].Y
 	}
 	t.arenaUsed = 0
+	t.nearW, t.nearH = 0, 0
 	t.root = node{x0: 0, y0: 0, size: 1, used: true, samples: t.root.samples[:0]}
 	for i := range samples {
 		t.insert(&t.root, i, 0)
@@ -96,35 +104,38 @@ func (t *Tree) UpdateValues(samples []Sample) error {
 	if len(samples) != len(t.samples) {
 		return fmt.Errorf("quadtree: UpdateValues with %d samples, tree has %d", len(samples), len(t.samples))
 	}
-	for i := range samples {
-		// Compare against the build-time snapshot, not t.samples — the
-		// caller may be handing back the tree-owned slice.
-		if samples[i].X != t.posX[i] || samples[i].Y != t.posY[i] {
-			return fmt.Errorf("quadtree: UpdateValues sample %d moved (%v,%v) -> (%v,%v)",
-				i, t.posX[i], t.posY[i], samples[i].X, samples[i].Y)
-		}
-		t.samples[i].VX, t.samples[i].VY = samples[i].VX, samples[i].VY
+	if i := t.setValues(samples); i < len(samples) {
+		return fmt.Errorf("quadtree: UpdateValues sample %d moved (%v,%v) -> (%v,%v)",
+			i, t.posX[i], t.posY[i], samples[i].X, samples[i].Y)
 	}
 	return nil
 }
 
+// setValues copies the vector values of samples (one per sample of the
+// tree) into the tree, stopping at the first sample that moved, and returns
+// that sample's index, len(samples) when none did. Positions are compared
+// against the build-time snapshot, not t.samples — the caller may be
+// handing back the tree-owned slice.
+func (t *Tree) setValues(samples []Sample) int {
+	for i := range samples {
+		if samples[i].X != t.posX[i] || samples[i].Y != t.posY[i] {
+			return i
+		}
+		t.samples[i].VX, t.samples[i].VY = samples[i].VX, samples[i].VY
+	}
+	return len(samples)
+}
+
 // Rebuild re-inserts the given samples into the tree. When every position
-// matches the current samples it reduces to UpdateValues (the node arrays
-// are reused untouched); otherwise the tree is rebuilt from the node arena,
-// reusing every previously allocated block and leaf slice. Either way a
-// steady-state animation loop allocates nothing once the arena has grown.
+// matches the current samples it is UpdateValues (the node arrays and the
+// resample map are reused untouched); otherwise the tree is rebuilt from
+// the node arena, reusing every previously allocated block and leaf slice.
+// Either way a steady-state animation loop allocates nothing once the arena
+// has grown. A failed Rebuild leaves the topology as it was, but the values
+// of the samples before the first moved one may already be the new ones.
 func (t *Tree) Rebuild(samples []Sample) error {
-	if len(samples) == len(t.samples) {
-		same := true
-		for i := range samples {
-			if samples[i].X != t.posX[i] || samples[i].Y != t.posY[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return t.UpdateValues(samples)
-		}
+	if len(samples) == len(t.samples) && t.setValues(samples) == len(samples) {
+		return nil
 	}
 	return t.rebuild(samples)
 }
@@ -238,10 +249,22 @@ type Grid struct {
 	VX, VY []float64
 }
 
+// clamp01 clamps x to [0,1] with the results math.Max(0, math.Min(x, 1))
+// gives: -0 becomes +0, NaN stays NaN.
+func clamp01(x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	if x >= 1 {
+		return 1
+	}
+	return x
+}
+
 // At returns the bilinearly interpolated vector at unit coordinates (x,y).
 func (g *Grid) At(x, y float64) (vx, vy float64) {
-	fx := math.Max(0, math.Min(x, 1)) * float64(g.W-1)
-	fy := math.Max(0, math.Min(y, 1)) * float64(g.H-1)
+	fx := clamp01(x) * float64(g.W-1)
+	fy := clamp01(y) * float64(g.H-1)
 	ix := int(fx)
 	iy := int(fy)
 	if ix >= g.W-1 {
@@ -252,15 +275,10 @@ func (g *Grid) At(x, y float64) (vx, vy float64) {
 	}
 	tx := fx - float64(ix)
 	ty := fy - float64(iy)
-	id := func(x, y int) int { return y*g.W + x }
-	lerp2 := func(v []float64) float64 {
-		v00 := v[id(ix, iy)]
-		v10 := v[id(ix+1, iy)]
-		v01 := v[id(ix, iy+1)]
-		v11 := v[id(ix+1, iy+1)]
-		return v00*(1-tx)*(1-ty) + v10*tx*(1-ty) + v01*(1-tx)*ty + v11*tx*ty
-	}
-	return lerp2(g.VX), lerp2(g.VY)
+	i := iy*g.W + ix
+	j := i + g.W
+	return g.VX[i]*(1-tx)*(1-ty) + g.VX[i+1]*tx*(1-ty) + g.VX[j]*(1-tx)*ty + g.VX[j+1]*tx*ty,
+		g.VY[i]*(1-tx)*(1-ty) + g.VY[i+1]*tx*(1-ty) + g.VY[j]*(1-tx)*ty + g.VY[j+1]*tx*ty
 }
 
 // Resample derives a w×h regular-grid vector field by nearest-sample lookup
@@ -277,7 +295,9 @@ func (t *Tree) Resample(w, h int) (*Grid, error) {
 
 // ResampleInto is Resample writing into an existing grid, reusing its
 // buffers — the steady-state path of the per-timestep LIC loop, which
-// allocates nothing once the grid has grown to size.
+// allocates nothing once the grid has grown to size. The nearest-sample
+// searches run on the first call at a given (w, h) after a (re)build; later
+// calls gather through the remembered map.
 func (t *Tree) ResampleInto(g *Grid, w, h int) error {
 	if w < 2 || h < 2 {
 		return fmt.Errorf("quadtree: resample grid %dx%d too small", w, h)
@@ -288,14 +308,20 @@ func (t *Tree) ResampleInto(g *Grid, w, h int) error {
 	g.W, g.H = w, h
 	g.VX = pool.Grow(g.VX, w*h)
 	g.VY = pool.Grow(g.VY, w*h)
-	for j := 0; j < h; j++ {
-		y := float64(j) / float64(h-1)
-		for i := 0; i < w; i++ {
-			x := float64(i) / float64(w-1)
-			si := t.Nearest(x, y)
-			g.VX[j*w+i] = t.samples[si].VX
-			g.VY[j*w+i] = t.samples[si].VY
+	if t.nearW != w || t.nearH != h {
+		t.near = pool.Grow(t.near, w*h)
+		for j := 0; j < h; j++ {
+			y := float64(j) / float64(h-1)
+			for i := 0; i < w; i++ {
+				x := float64(i) / float64(w-1)
+				t.near[j*w+i] = int32(t.Nearest(x, y))
+			}
 		}
+		t.nearW, t.nearH = w, h
+	}
+	for k, si := range t.near {
+		g.VX[k] = t.samples[si].VX
+		g.VY[k] = t.samples[si].VY
 	}
 	return nil
 }

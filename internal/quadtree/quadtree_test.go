@@ -1,6 +1,7 @@
 package quadtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -190,11 +191,17 @@ func randSamples(rng *rand.Rand, n int) []Sample {
 
 // TestRebuildMatchesFreshBuild: re-inserting a different sample set through
 // the arena must answer every query exactly like a freshly built tree, and
-// resampled grids must be identical.
+// resampled grids must be identical — at the size the tree resampled
+// before the rebuild (whose remembered grid-point map is now stale and must
+// have been dropped), at another size, and back; a value update in between
+// must keep the map and still resample like a fresh build.
 func TestRebuildMatchesFreshBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	tree, err := Build(randSamples(rng, 200), 4)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tree.Resample(20, 20); err != nil { // leave a map behind for gen 0 to invalidate
 		t.Fatal(err)
 	}
 	for gen := 0; gen < 4; gen++ {
@@ -212,19 +219,43 @@ func TestRebuildMatchesFreshBuild(t *testing.T) {
 				t.Fatalf("gen %d: Nearest(%v,%v) = %d, fresh build says %d", gen, x, y, got, want)
 			}
 		}
-		g1, err := tree.Resample(20, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g2, err := fresh.Resample(20, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range g1.VX {
-			if g1.VX[i] != g2.VX[i] || g1.VY[i] != g2.VY[i] {
-				t.Fatalf("gen %d: resampled grids differ at %d", gen, i)
+		resampleBoth := func(what string, w, h int) {
+			t.Helper()
+			g1, err := tree.Resample(w, h)
+			if err != nil {
+				t.Fatal(err)
 			}
+			g2, err := fresh.Resample(w, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameGridBits(t, fmt.Sprintf("gen %d %s %dx%d", gen, what, w, h), g1, g2)
 		}
+		resampleBoth("after rebuild", 20, 20)
+		resampleBoth("resized", 13, 9)
+		if tree.nearW != 13 || tree.nearH != 9 {
+			t.Fatalf("gen %d: map is for %dx%d after a 13x9 resample", gen, tree.nearW, tree.nearH)
+		}
+		resampleBoth("resized back", 20, 20)
+		// New values on the same positions, to both trees: the map stays
+		// (same backing array, same size) and the gather reads the new values.
+		mapWas := &tree.near[0]
+		for i := range samples {
+			samples[i].VX, samples[i].VY = rng.NormFloat64(), rng.NormFloat64()
+		}
+		if err := tree.UpdateValues(samples); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Rebuild(append([]Sample(nil), samples...)); err != nil {
+			t.Fatal(err)
+		}
+		if tree.nearW != 20 || tree.nearH != 20 || &tree.near[0] != mapWas {
+			t.Fatalf("gen %d: UpdateValues dropped the resample map", gen)
+		}
+		if fresh.nearW != 20 || fresh.nearH != 20 {
+			t.Fatalf("gen %d: a same-position Rebuild dropped the resample map", gen)
+		}
+		resampleBoth("after value update", 20, 20)
 	}
 }
 
@@ -356,6 +387,9 @@ func TestRebuildDetectsAliasedMove(t *testing.T) {
 	if err := tree.UpdateValues(samples); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := tree.Resample(24, 24); err != nil { // remember a map over the unmoved set
+		t.Fatal(err)
+	}
 	samples[7].X = samples[7].X/2 + 0.25
 	if err := tree.UpdateValues(samples); err == nil {
 		t.Error("aliased position move accepted by UpdateValues")
@@ -375,4 +409,14 @@ func TestRebuildDetectsAliasedMove(t *testing.T) {
 			t.Fatalf("Nearest(%v,%v) = %d after aliased-move rebuild, fresh build says %d", x, y, got, want)
 		}
 	}
+	// ... and resample like one: the map remembered before the move is stale.
+	var got Grid
+	if err := tree.ResampleInto(&got, 24, 24); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Resample(24, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameGridBits(t, "resample after aliased-move rebuild", &got, want)
 }
