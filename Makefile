@@ -6,7 +6,7 @@
 #   make ci      # check plus the perf regression gates (REPRO_PERF_ASSERT)
 #   make benchsmoke  # compile + smoke-test the nested quakebench module (bench/)
 #   make bench   # paper-figure and hot-kernel benchmarks
-#   make fuzz    # short fuzz sessions: datatype/RLE/wire codecs + request parser
+#   make fuzz    # short fuzz sessions: datatype/collective replay/RLE/wire codecs + request parser
 #   make size    # non-test lines, test lines, exported identifiers (for CHANGES.md)
 GO ?= go
 
@@ -94,7 +94,8 @@ check: build vet fmtcheck lint test race
 # (the allocation-regression, golden-pipeline, fuzz-seed and equivalence
 # suites of PRs 2-5) plus four extras. The wall-clock speedup gates (CSR
 # SpMV, flat/RLE-stream compositeStrip, decode chain, castRay leaping and
-# clipping, the LIC step's resample map and convolve) only assert when
+# clipping, the LIC step's resample map and convolve, the collective read's
+# plan replay) only assert when
 # REPRO_PERF_ASSERT=1 so plain `go test ./...` stays immune to scheduler
 # noise; the named alloc-gate pass restates the steady-state zero-
 # allocation guarantees loudly (including PR 5's collective-read and
@@ -117,6 +118,7 @@ ci: check benchsmoke
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestDecodeChainSpeedupGate' -v ./internal/core/
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestCastRayLeapSpeedupGate|TestCastRayClipSpeedupGate' -v ./internal/render/
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestLICStepSpeedupGate' -v ./internal/lic/
+	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestCollectiveReplaySpeedupGate' -v ./internal/mpiio/
 	$(GO) test -run 'AllocFree|AllocBudget|ArenaReuse' -v ./internal/compositor/ ./internal/render/ ./internal/lic/ ./internal/quadtree/ ./internal/core/ ./internal/mpiio/ ./internal/workers/ ./internal/mpi/
 	$(GO) test -race -run 'TestChaos' -count=1 -v ./internal/core/ ./internal/serve/
 	$(GO) test -race -run 'TestNet' -count=1 -v ./internal/mpi/ ./internal/faultinject/
@@ -128,6 +130,7 @@ ci: check benchsmoke
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzCoalesce$$' -fuzztime=30s ./internal/mpiio/
 	$(GO) test -run='^$$' -fuzz='^FuzzIndexedBlockSegments$$' -fuzztime=30s ./internal/mpiio/
+	$(GO) test -run='^$$' -fuzz='^FuzzCollectiveReplay$$' -fuzztime=30s ./internal/mpiio/
 	$(GO) test -run='^$$' -fuzz='^FuzzRLERoundTrip$$' -fuzztime=30s ./internal/compositor/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRLE$$' -fuzztime=30s ./internal/compositor/
 	$(GO) test -run='^$$' -fuzz='^FuzzCompositeRLEStream$$' -fuzztime=30s ./internal/compositor/

@@ -358,6 +358,89 @@ func TestChaosCollectivePermanentProbeStaleHandle(t *testing.T) {
 	}
 }
 
+// TestChaosCollectiveViewBeyondEOF: step 2's object is rewritten one node
+// record short of the largest id any input rank reads, so exactly one of
+// the group's two IPs holds a view that reaches past EOF. That rank used to
+// turn back before the collective, degrade and move on to the next round,
+// leaving its peer in this round's exchange forever. Now it sees the round
+// through with an empty request and degrades afterwards: the run returns on
+// every rank (under a deadline), step 2's frame is the only degraded one,
+// and every other frame is bit-identical to the clean run — in process and
+// over loopback TCP.
+func TestChaosCollectiveViewBeyondEOF(t *testing.T) {
+	const steps = 4
+	l := Layout{Groups: 1, IPsPerGroup: 2, Renderers: 2, Outputs: 1}
+	opts := tolerant(40, 40)
+	opts.ReadStrategy = ReadCollective
+	opts.AdaptiveFetch = true
+	ref, _ := chaosRun(t, buildDataset(t, steps), l, opts, nil)
+	for _, tr := range []struct {
+		name string
+		run  transportRun
+	}{{"real", overReal}, {"net", overNet}} {
+		t.Run(tr.name, func(t *testing.T) {
+			store := buildDataset(t, steps)
+			w, err := NewRealWorkload(l, opts, store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(w.Close)
+			maxID := make([]int32, l.IPsPerGroup)
+			for p, ids := range w.ds.collIDs {
+				maxID[p] = ids[len(ids)-1]
+			}
+			if maxID[0] == maxID[1] {
+				t.Fatalf("both parts end at node %d: no object size breaks one view only", maxID[0])
+			}
+			keep := int(max(maxID[0], maxID[1])) * quake.BytesPerNode
+			raw := make([]byte, keep)
+			if err := store.ReadAt(nil, quake.StepObject(2), 0, raw); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Write(quake.StepObject(2), raw); err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewPipeline(l, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				tr.run(t, l.WorldSize(), func(c *mpi.Comm) {
+					if err := p.Run(c); err != nil {
+						t.Errorf("rank %d: %v", c.Rank(), err)
+					}
+				})
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("the run never returned: an input rank deserted a collective round")
+			}
+			res := p.Res
+			if res.Frames != steps {
+				t.Fatalf("frames = %d, want %d", res.Frames, steps)
+			}
+			if res.FaultEvents != 1 || res.Retries != 0 || res.StaleSteps != 1 || res.DegradedFrames != 1 {
+				t.Errorf("accounting = events:%d retries:%d stale:%d degraded:%d, want 1/0/1/1",
+					res.FaultEvents, res.Retries, res.StaleSteps, res.DegradedFrames)
+			}
+			for step := 0; step < steps; step++ {
+				if got, want := w.FrameDegraded(step), step == 2; got != want {
+					t.Errorf("FrameDegraded(%d) = %v, want %v", step, got, want)
+				}
+				if step == 2 {
+					continue
+				}
+				if d := img.MaxAbsDiff(ref.Frame(step), w.Frame(step)); d != 0 {
+					t.Errorf("step %d: frame differs from the clean run (max abs %g)", step, d)
+				}
+			}
+		})
+	}
+}
+
 // TestChaosTolerantFetchAllocFree extends PR 4's fetch allocation gate to
 // the fault-tolerant path: with Tolerate on and no faults scheduled, the
 // steady-state Fetch step must still allocate nothing — the resilient

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/mesh"
+	"repro/internal/mpiio"
 	"repro/internal/octree"
 	"repro/internal/pfs"
 	"repro/internal/quake"
@@ -51,6 +52,15 @@ type Dataset struct {
 
 	surfID  []int32 // surface nodes (LIC only)
 	surfPos [][3]float64
+
+	// The file views over those static id sets, committed once (Section
+	// 5.3 builds the derived datatype from the octree once; only the step
+	// object changes): collView[part] selects collIDs[part], needView[part]
+	// that part's slice of allNeeded (needed), surfView selects surfID.
+	// Every rank, session and Reopen shares them read-only.
+	collView []mpiio.Datatype
+	needView []mpiio.Datatype
+	surfView mpiio.Datatype
 
 	// stepNames caches every step's object name (PR 4): the fetch loop
 	// opens one object per timestep, and formatting the name there was the
@@ -187,12 +197,23 @@ func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 		partSets[p] = append(partSets[p], ids)
 	}
 	d.collIDs = make([][]int32, l.IPsPerGroup)
+	d.collView = make([]mpiio.Datatype, l.IPsPerGroup)
 	for p, sets := range partSets {
 		d.collIDs[p] = sortedUnion(sets)
+		if d.collView[p], err = commitNodeView(d.collIDs[p]); err != nil {
+			return nil, err
+		}
 	}
 
-	// Union of needed node ids (for adaptive independent fetch).
+	// Union of needed node ids (for adaptive independent fetch), one view
+	// per part's slice of it.
 	d.allNeeded = sortedUnion(d.blockNodeIDs)
+	d.needView = make([]mpiio.Datatype, l.IPsPerGroup)
+	for p := range d.needView {
+		if d.needView[p], err = commitNodeView(d.needed(p)); err != nil {
+			return nil, err
+		}
+	}
 
 	// Surface nodes for LIC.
 	if opts.LIC {
@@ -200,6 +221,9 @@ func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 		d.surfPos = make([][3]float64, len(d.surfID))
 		for i, id := range d.surfID {
 			d.surfPos[i] = m.Nodes[id].Pos()
+		}
+		if d.surfView, err = commitNodeView(d.surfID); err != nil {
+			return nil, err
 		}
 	}
 
@@ -213,6 +237,23 @@ func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 		}
 	}
 	return d, nil
+}
+
+// needed returns group part p's slice of the needed node set — what that
+// input rank reads under adaptive independent fetching.
+func (d *Dataset) needed(p int) []int32 {
+	n, m := len(d.allNeeded), d.layout.IPsPerGroup
+	return d.allNeeded[n*p/m : n*(p+1)/m]
+}
+
+// commitNodeView commits the step-object view that selects the records of
+// the given node ids.
+func commitNodeView(ids []int32) (mpiio.Datatype, error) {
+	displs := make([]int64, len(ids))
+	for i, id := range ids {
+		displs[i] = int64(id)
+	}
+	return mpiio.Commit(mpiio.IndexedBlock{Blocklen: 1, Displs: displs, ElemSize: quake.BytesPerNode})
 }
 
 // NumSteps returns the dataset's timestep count; step windows

@@ -103,8 +103,7 @@ func (w *RealWorkload) degradeStep(c *mpi.Comm, t, part, m int) *stepShare {
 	case w.opts.ReadStrategy == ReadCollective:
 		share.ids = w.ds.collIDs[part]
 	case w.adaptiveFetching():
-		n := len(w.ds.allNeeded)
-		share.ids = w.ds.allNeeded[n*part/m : n*(part+1)/m]
+		share.ids = w.ds.needed(part)
 	default:
 		n := w.ds.meta.NumNodes
 		share.idLo, share.idHi = int32(n*part/m), int32(n*(part+1)/m)

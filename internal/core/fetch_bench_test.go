@@ -15,10 +15,32 @@ import (
 	"repro/internal/render"
 )
 
+// collectiveFetchWorkload is quakebench's batch_io shape at test scale: the
+// two IPs of one group reading collectively through their committed views,
+// adaptive fetch, temporal enhancement on (so every step also reads the
+// previous object independently through the same view).
+func collectiveFetchWorkload(tb testing.TB, steps int, mod func(*Options)) (*RealWorkload, Layout) {
+	tb.Helper()
+	opts := smallOpts(32, 32)
+	opts.ReadStrategy, opts.AdaptiveFetch, opts.Enhancement = ReadCollective, true, true
+	if mod != nil {
+		mod(&opts)
+	}
+	l := Layout{Groups: 1, IPsPerGroup: 2, Renderers: 2, Outputs: 1}
+	w, err := NewRealWorkload(l, opts, buildDataset(tb, steps))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(w.Close)
+	return w, l
+}
+
 // BenchmarkFetchStep measures one full input-rank fetch of a timestep
 // (open, contiguous read, decode, magnitude, quantize, scatter into the
 // share). `steady` is the PR 4 allocation-free path through Fetch; `legacy`
-// is the pre-PR-4 chain rebuilt verbatim on the same store.
+// is the pre-PR-4 chain rebuilt verbatim on the same store; `collective` is
+// a lock-step round of both IPs of collectiveFetchWorkload, the path whose
+// view and two-phase plan are computed once and replayed.
 func BenchmarkFetchStep(b *testing.B) {
 	const steps = 4
 	store := buildDataset(b, steps)
@@ -42,6 +64,30 @@ func BenchmarkFetchStep(b *testing.B) {
 				if _, err := w.Fetch(c, i%steps, 0, 1); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	})
+	b.Run("collective", func(b *testing.B) {
+		w, l := collectiveFetchWorkload(b, steps, nil)
+		mpi.RunReal(l.WorldSize(), func(c *mpi.Comm) {
+			part := c.Rank()
+			if part >= l.IPsPerGroup {
+				return
+			}
+			fetch := func(i int) {
+				if _, err := w.Fetch(c, 1+i%(steps-1), part, l.IPsPerGroup); err != nil {
+					b.Error(err)
+				}
+			}
+			for i := 0; i < steps; i++ { // warm every step object's path
+				fetch(i)
+			}
+			if part == 0 {
+				b.ReportAllocs()
+				b.ResetTimer()
+			}
+			for i := 0; i < b.N; i++ {
+				fetch(i)
 			}
 		})
 	})

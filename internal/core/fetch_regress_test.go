@@ -60,7 +60,8 @@ func newFetchStore(tb testing.TB, n int) pfs.Store {
 // (optional temporal enhancement,) quantize, scatter — allocates nothing
 // once every buffer has warmed up. PR 5 extends it to the collective
 // strategy, whose two-phase read now stages through the epoch-scoped
-// CollectiveScratch.
+// CollectiveScratch; TestCollectiveFetchStepAllocFree below is the
+// two-rank leg.
 func TestFetchStepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are skipped under the race detector")
@@ -96,6 +97,57 @@ func TestFetchStepAllocFree(t *testing.T) {
 					t.Errorf("steady-state %s Fetch step allocates %v, want 0", tc.name, avg)
 				}
 			})
+		})
+	}
+}
+
+// TestCollectiveFetchStepAllocFree is the same gate on batch_io's shape
+// (collectiveFetchWorkload): two IPs fetching in lock step, each round a
+// replayed two-phase plan over committed views plus the enhancement read
+// of the previous object. Allocation counts are process-global, so a
+// nonzero result implicates the steady state of either rank.
+func TestCollectiveFetchStepAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are skipped under the race detector")
+	}
+	const steps, warm, rounds = 5, 8, 30
+	for _, tc := range []struct {
+		name string
+		mod  func(*Options)
+	}{
+		{"plain", nil},
+		{"tolerant", func(o *Options) { o.Faults.Tolerate = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, l := collectiveFetchWorkload(t, steps, tc.mod)
+			var avg float64
+			mpi.RunReal(l.WorldSize(), func(c *mpi.Comm) {
+				part := c.Rank()
+				if part >= l.IPsPerGroup {
+					return
+				}
+				step := 0
+				fetch := func() {
+					t0 := 1 + step%(steps-1) // stay >0 so enhancement engages
+					step++
+					if _, err := w.Fetch(c, t0, part, l.IPsPerGroup); err != nil {
+						t.Error(err)
+					}
+				}
+				for i := 0; i < warm; i++ {
+					fetch()
+				}
+				if part == 0 {
+					avg = testing.AllocsPerRun(rounds, fetch)
+				} else {
+					for i := 0; i < rounds+1; i++ { // AllocsPerRun adds a warm-up call
+						fetch()
+					}
+				}
+			})
+			if avg != 0 {
+				t.Errorf("steady-state collective Fetch step allocates %v per round, want 0", avg)
+			}
 		})
 	}
 }
@@ -225,8 +277,7 @@ func TestFetchChainMatchesLegacy(t *testing.T) {
 		mag := stepMagnitude(t, raw)
 		pmag := stepMagnitude(t, praw)
 		want := render.QuantizeInto(nil, render.EnhanceTemporalInto(nil, mag, pmag, w.opts.EnhanceGain), 0, w.ds.vmax)
-		ids := growIDRange(scr, 0, int32(n))
-		got, err := w.magQuant(nil, step, ids, raw, scr)
+		got, err := w.magQuant(nil, step, 0, mpiio.Contig{N: n, ElemSize: quake.BytesPerNode}, raw, scr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,8 +302,8 @@ func TestFetchSurfacesCorruptStep(t *testing.T) {
 	if err := w.store.ReadAt(nil, w.stepName(1), 0, raw); err != nil {
 		t.Fatal(err)
 	}
-	ids := growIDRange(scr, 0, int32(w.ds.meta.NumNodes))
-	if _, err := w.magQuant(nil, 1, ids, raw[:len(raw)-2], scr); err == nil {
+	whole := mpiio.Contig{N: w.ds.meta.NumNodes, ElemSize: quake.BytesPerNode}
+	if _, err := w.magQuant(nil, 1, 0, whole, raw[:len(raw)-2], scr); err == nil {
 		t.Error("magQuant decoded a truncated record without error")
 	}
 	// Truncate the stored object itself: the whole fetch must fail loudly.

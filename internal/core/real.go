@@ -404,47 +404,31 @@ func (w *RealWorkload) adaptiveFetching() bool {
 	return w.opts.AdaptiveFetch
 }
 
-// setIndexedView rebuilds the scratch's indexed view over the given node
-// ids and installs it on f by pointer, so the per-step view rebuild boxes
-// and allocates nothing.
-func setIndexedView(f *mpiio.File, ids []int32, scr *ipScratch) {
-	scr.displs = pool.Grow[int64](scr.displs, len(ids))
-	for i, id := range ids {
-		scr.displs[i] = int64(id)
-	}
-	scr.ib = mpiio.IndexedBlock{Blocklen: 1, Displs: scr.displs, ElemSize: quake.BytesPerNode}
-	f.SetView(0, &scr.ib)
-}
-
-// readIDs fetches the velocity records of the given sorted node ids from
-// step t and returns their magnitudes quantized (aligned with ids). The
-// file handle, displacement and read buffers come from the rank's scratch,
-// so a steady-state call allocates nothing.
-func (w *RealWorkload) readIDs(c *mpi.Comm, t int, ids []int32, scr *ipScratch) ([]uint8, error) {
+// readView fetches the node records the committed view selects from step t
+// and returns their magnitudes quantized, in view order. The file handle
+// and read buffer come from the rank's scratch, so a steady-state call
+// allocates nothing.
+func (w *RealWorkload) readView(c *mpi.Comm, t int, view mpiio.Datatype, scr *ipScratch) ([]uint8, error) {
 	f := &scr.file
 	if err := f.Reopen(c, w.store, w.stepName(t)); err != nil {
 		return nil, err
 	}
-	setIndexedView(f, ids, scr)
-	size, err := f.ViewSize()
-	if err != nil {
-		return nil, err
-	}
-	scr.raw = pool.Grow[byte](scr.raw, int(size))
+	f.SetView(0, view)
+	scr.raw = pool.Grow[byte](scr.raw, int(view.Size()))
 	if _, err := f.ReadInto(scr.raw); err != nil {
 		return nil, err
 	}
-	return w.magQuant(c, t, ids, scr.raw, scr)
+	return w.magQuant(c, t, 0, view, scr.raw, scr)
 }
 
-// magQuant converts raw node records (aligned with ids) to quantized
-// magnitudes, applying temporal enhancement when enabled. The whole decode
-// chain runs through the scratch's Into buffers (quake.DecodeStepInto ->
-// render.MagnitudeInto -> EnhanceTemporalInto in place -> QuantizeInto):
-// the returned slice aliases scr.q and is valid until the rank's next
-// magQuant, and a malformed step record surfaces as an error instead of
-// silently truncating.
-func (w *RealWorkload) magQuant(c *mpi.Comm, t int, ids []int32, raw []byte, scr *ipScratch) ([]uint8, error) {
+// magQuant converts the raw node records read through (disp, view) to
+// quantized magnitudes, applying temporal enhancement when enabled. The
+// whole decode chain runs through the scratch's Into buffers
+// (quake.DecodeStepInto -> render.MagnitudeInto -> EnhanceTemporalInto in
+// place -> QuantizeInto): the returned slice aliases scr.q and is valid
+// until the rank's next magQuant, and a malformed step record surfaces as
+// an error instead of silently truncating.
+func (w *RealWorkload) magQuant(c *mpi.Comm, t int, disp int64, view mpiio.Datatype, raw []byte, scr *ipScratch) ([]uint8, error) {
 	vec, err := quake.DecodeStepInto(scr.vec, raw)
 	if err != nil {
 		return nil, fmt.Errorf("core: step %d: %w", t, err)
@@ -453,20 +437,16 @@ func (w *RealWorkload) magQuant(c *mpi.Comm, t int, ids []int32, raw []byte, scr
 	scr.mag = render.MagnitudeInto(scr.mag, vec)
 	mag := scr.mag
 	if w.opts.Enhancement && t+w.stepBase > 0 {
-		// Enhancement needs the previous step's values for the same nodes;
-		// the displacements are the same ids, rebuilt in the scratch buffer
-		// (the step-t view has already been read), through the second file
-		// handle so the current step's sieve plan stays warm.
+		// Enhancement needs the previous step's values for the same nodes:
+		// the same view on the previous object, read independently through
+		// the second file handle so the current step's handle keeps its
+		// collective plan and this one its sieve plan.
 		f := &scr.pfile
 		if err := f.Reopen(c, w.store, w.stepName(t-1)); err != nil {
 			return nil, err
 		}
-		setIndexedView(f, ids, scr)
-		size, err := f.ViewSize()
-		if err != nil {
-			return nil, err
-		}
-		scr.praw = pool.Grow[byte](scr.praw, int(size))
+		f.SetView(disp, view)
+		scr.praw = pool.Grow[byte](scr.praw, int(view.Size()))
 		if _, err := f.ReadInto(scr.praw); err != nil {
 			return nil, err
 		}
@@ -502,11 +482,11 @@ func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part, m int) (*stepShare, error
 	switch {
 	case w.opts.ReadStrategy == ReadCollective:
 		// The group's m IPs read collectively: part p fetches the merged
-		// node set of the renderers it owns (precomputed — the set is
-		// static). The collective runs on the group's sub-communicator,
-		// built once per run and reused across this rank's timesteps (an
-		// input rank always serves one group).
-		ids := w.ds.collIDs[part]
+		// node set of the renderers it owns through the view the dataset
+		// committed for it (the set is static). The collective runs on the
+		// group's sub-communicator, built once per run and reused across
+		// this rank's timesteps (an input rank always serves one group).
+		ids, view := w.ds.collIDs[part], w.ds.collView[part]
 		if scr.sub == nil || scr.subParent != c {
 			g := t % w.ds.layout.Groups
 			scr.sub = c.Sub(w.ds.layout.GroupRanks(g), g)
@@ -530,16 +510,16 @@ func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part, m int) (*stepShare, error
 				w.account(0, 0, true)
 			}
 		}
-		setIndexedView(f, ids, scr)
-		size, err := f.ViewSize()
-		if err != nil {
-			return nil, err
-		}
-		scr.raw = pool.Grow[byte](scr.raw, int(size))
+		// The buffer is sized from the committed type, not from the handle:
+		// whether the view fits this step's object is for ReadAllInto to
+		// find out, which sees the round through either way. A rank that
+		// turned back here would strand its peers in the exchange.
+		f.SetView(0, view)
+		scr.raw = pool.Grow[byte](scr.raw, int(view.Size()))
 		if _, err := f.ReadAllInto(t, scr.raw); err != nil {
 			return nil, err
 		}
-		q, err := w.magQuant(c, t, ids, scr.raw, scr)
+		q, err := w.magQuant(c, t, 0, view, scr.raw, scr)
 		if err != nil {
 			return nil, err
 		}
@@ -549,11 +529,8 @@ func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part, m int) (*stepShare, error
 		}
 	case w.adaptiveFetching():
 		// Independent indexed read of this part's slice of the needed set.
-		n := len(w.ds.allNeeded)
-		lo := n * part / m
-		hi := n * (part + 1) / m
-		ids := w.ds.allNeeded[lo:hi]
-		q, err := w.readIDs(c, t, ids, scr)
+		ids := w.ds.needed(part)
+		q, err := w.readView(c, t, w.ds.needView[part], scr)
 		if err != nil {
 			return nil, err
 		}
@@ -575,7 +552,8 @@ func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part, m int) (*stepShare, error
 			return nil, err
 		}
 		ids := growIDRange(scr, lo, hi)
-		q, err := w.magQuant(c, t, ids, scr.raw, scr)
+		scr.contig = mpiio.Contig{N: int(hi - lo), ElemSize: quake.BytesPerNode}
+		q, err := w.magQuant(c, t, int64(lo)*quake.BytesPerNode, &scr.contig, scr.raw, scr)
 		if err != nil {
 			return nil, err
 		}
@@ -706,12 +684,8 @@ func (w *RealWorkload) licStep(c *mpi.Comm, t int) (int64, any, error) {
 	if err := f.Reopen(c, w.store, w.stepName(t)); err != nil {
 		return 0, nil, err
 	}
-	setIndexedView(f, w.ds.surfID, scr)
-	size64, err := f.ViewSize()
-	if err != nil {
-		return 0, nil, err
-	}
-	scr.raw = pool.Grow[byte](scr.raw, int(size64))
+	f.SetView(0, w.ds.surfView)
+	scr.raw = pool.Grow[byte](scr.raw, int(w.ds.surfView.Size()))
 	if _, err := f.ReadInto(scr.raw); err != nil {
 		return 0, nil, err
 	}

@@ -112,27 +112,30 @@ type licState struct {
 // ipScratch is one input rank's reusable staging. The stepShare (with its
 // full-node quantized buffer) is reused across this rank's timesteps —
 // safe because a share is only read while its step's payloads are built,
-// strictly before the same rank's next Fetch. The id/displacement/read
-// buffers serve whichever read strategy runs, the file handles and decode-
-// chain buffers (PR 4) make a steady-state fetch step allocation-free, and
-// the payload pool cycles the wire messages released by the renderers.
+// strictly before the same rank's next Fetch. The id and read buffers serve
+// whichever read strategy runs, the file handles and decode-chain buffers
+// (PR 4) make a steady-state fetch step allocation-free, and the payload
+// pool cycles the wire messages released by the renderers. No view is built
+// here: the indexed views are committed once in the Dataset and shared, and
+// what a step loop would recompute from them is cached in the handles
+// (mpiio.File: sieve plan, collective plan).
 type ipScratch struct {
-	share  stepShare
-	ids    []int32 // collective merged-id / contiguous-range staging
-	displs []int64
-	raw    []byte // indexed-read / contiguous-read staging
-	pool   pool.Pool[dataPayload]
-	lic    licState
+	share stepShare
+	ids   []int32 // contiguous-range staging
+	raw   []byte  // indexed-read / contiguous-read staging
+	pool  pool.Pool[dataPayload]
+	lic   licState
 
 	// Decode-chain staging (quake.DecodeStepInto -> render.MagnitudeInto ->
 	// EnhanceTemporalInto -> QuantizeInto) plus the reused MPI-IO handles:
 	// file serves the current step, pfile the previous step when temporal
-	// enhancement is on, and ib is the indexed view both set by pointer so
-	// rebuilding the view boxes nothing. sub caches the group's collective
-	// sub-communicator per world communicator (an input rank serves one
-	// group, so one cached entry suffices).
+	// enhancement is on, and contig is the contiguous strategy's view of
+	// that previous step, set by pointer so installing it boxes nothing.
+	// sub caches the group's collective sub-communicator per world
+	// communicator (an input rank serves one group, so one cached entry
+	// suffices).
 	file, pfile mpiio.File
-	ib          mpiio.IndexedBlock
+	contig      mpiio.Contig
 	vec, mag    []float32
 	pvec, pmag  []float32
 	q           []uint8

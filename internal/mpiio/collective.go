@@ -29,11 +29,20 @@ package mpiio
 //     the held pieces stay intact. This mirrors core.FrameRing's
 //     copy-out-or-release contract.
 //
+// On top of the staging, the scratch remembers the round's *plan* (collPlan):
+// everything ReadAllInto derives from the exchanged segment table — the
+// physical runs, who is shipped which bytes, where each received piece
+// lands — is a pure function of that table, this rank, the communicator
+// size and SieveGap. A step loop over a static mesh exchanges the same
+// table every round, so the plan is built once and replayed until the
+// table's content changes.
+//
 // See docs/ownership.md for the repository-wide buffer-ownership
 // conventions this design follows.
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,10 +56,45 @@ import (
 // shuffle tag space (collTagBase) and below the mpi collective namespace.
 const metaTagBase = 1 << 22
 
-// physRun records where one physical sieve run of the aggregated range
-// landed in the epoch's packed buffer.
-type physRun struct {
-	off, base, len int64
+// planCopy is one entry of a plan's copy lists: len bytes identified by
+// off, moved to or from position pos. What off and pos index depends on the
+// list (see collPlan).
+type planCopy struct {
+	off, pos, len int64
+}
+
+// collPlan is the remembered geometry of one two-phase round. It holds
+// offsets and lengths only — never file data — so a round that failed or
+// was zero-filled cannot poison a later replay, and it is private to its
+// rank: table is the scratch's own copy of the exchanged segment table,
+// because the slices a round receives belong to the peers (their view
+// caches, or a decoded network frame) and are only valid for that round.
+type collPlan struct {
+	// The key: a plan is replayed when the round's table equals this one
+	// segment for segment — one entry per rank, so on a communicator of the
+	// same size; a scratch that has built no plan yet has no entries — on
+	// the same rank, with the same SieveGap.
+	gap   int64
+	rank  int
+	table [][]Segment // per rank, slices of flat
+	flat  []Segment
+
+	empty bool      // no rank requests anything: the round ends after the exchange
+	runs  []Segment // this rank's physical reads, packed back to back in this order
+	total int64     // packed buffer length
+
+	// send[sendAt[dr]:sendAt[dr+1]] are the pieces shipped to rank dr (off:
+	// file offset, pos: packed position), sendBytes[dr] their sum. own are
+	// this rank's pieces of its own range (off: packed position, pos:
+	// position in dst). expect[expectAt[sr]:expectAt[sr+1]] are the pieces
+	// rank sr's range owes this rank, in the order sr ships them (off: file
+	// offset, pos: position in dst).
+	send      []planCopy
+	sendAt    []int
+	sendBytes []int64
+	own       []planCopy
+	expect    []planCopy
+	expectAt  []int
 }
 
 // metaPayload is the wire form of one rank's view metadata during the
@@ -129,9 +173,8 @@ type CollectiveScratch struct {
 	mu   sync.Mutex
 	free []*collEpoch // epochs with no outstanding references
 
-	clipped []Segment // aggregated-range clip of every rank's segments
-	plan    []Segment // sieve plan over the clipped union
-	runs    []physRun // where each plan entry landed in the packed buffer
+	plan    collPlan  // the remembered round geometry, replayed while the table is unchanged
+	clipped []Segment // plan-build staging: aggregated-range clip of every rank's segments
 
 	// holdBatch, when set (tests only), simulates a non-releasing batch
 	// consumer: a received batch for which it returns true is kept instead
@@ -216,27 +259,137 @@ func (s *CollectiveScratch) exchangeMeta(c *mpi.Comm, seq int, mySegs []Segment)
 	return tbl.all
 }
 
-// assemblePiece copies one piece into its packed position within dst
-// (prefix holds the packed start of each view segment) and returns the
-// piece length, or -1 when the piece matches no view segment.
-func assemblePiece(dst []byte, mySegs []Segment, prefix []int64, pc piece) int64 {
+// matches reports whether the plan was built for exactly this round: same
+// SieveGap, same rank, and a segment table (one entry per rank of the
+// communicator) equal to the retained copy. The comparison is by content,
+// one linear pass: over the network transport every round's table is a
+// freshly decoded slice, so identity would never hit, and in process a peer
+// may rewrite its view cache in place, so identity would hit wrongly.
+func (p *collPlan) matches(all [][]Segment, gap int64, rank int) bool {
+	if p.gap != gap || p.rank != rank || len(all) != len(p.table) {
+		return false
+	}
+	for r, rs := range all {
+		if !slices.Equal(rs, p.table[r]) {
+			return false
+		}
+	}
+	return true
+}
+
+// span returns the start of rank r's aggregation range when [lo, hi) is
+// split evenly over m ranks (r == m gives hi).
+func span(lo, hi int64, r, m int) int64 {
+	return lo + (hi-lo)*int64(r)/int64(m)
+}
+
+// buildPlan derives the round geometry from the exchanged table — the
+// two-phase partitioning ReadAllInto used to redo every round — and retains
+// a private copy of the table as the replay key. It runs when the table
+// changed (and on the first round), so unlike ReadAllInto it may allocate
+// while its lists grow to size.
+func (s *CollectiveScratch) buildPlan(all [][]Segment, gap int64, rank int) {
+	p := &s.plan
+	size := len(all)
+	p.gap, p.rank = gap, rank
+	p.flat, p.table = p.flat[:0], p.table[:0]
+	for _, rs := range all {
+		p.flat = append(p.flat, rs...)
+	}
+	at := 0
+	for _, rs := range all {
+		p.table = append(p.table, p.flat[at:at+len(rs):at+len(rs)])
+		at += len(rs)
+	}
+	p.runs, p.send, p.own, p.expect = p.runs[:0], p.send[:0], p.own[:0], p.expect[:0]
+	p.sendAt, p.sendBytes, p.expectAt = append(p.sendAt[:0], 0), p.sendBytes[:0], append(p.expectAt[:0], 0)
+	p.total = 0
+	lo, hi := int64(-1), int64(-1)
+	for _, sg := range p.flat {
+		if lo < 0 || sg.Off < lo {
+			lo = sg.Off
+		}
+		if e := sg.Off + sg.Len; e > hi {
+			hi = e
+		}
+	}
+	if p.empty = lo < 0; p.empty {
+		return
+	}
+	// Phase 1 geometry: this rank aggregates [myLo, myHi) — the union of
+	// every rank's segments clipped to it, read with data sieving into one
+	// packed buffer.
+	myLo, myHi := span(lo, hi, rank, size), span(lo, hi, rank+1, size)
+	s.clipped = s.clipped[:0]
+	for _, sg := range p.flat {
+		if cl := clip(sg, myLo, myHi); cl.Len > 0 {
+			s.clipped = append(s.clipped, cl)
+		}
+	}
+	s.clipped = Coalesce(s.clipped)
+	p.runs = planSieveInto(p.runs, s.clipped, gap)
+	for _, r := range p.runs {
+		p.total += r.Len
+	}
+	// Phase 2 geometry: what this range owes every rank, itself included.
+	for dr, rs := range p.table {
+		var bytes, viewAt int64 // viewAt: sg's position in rank dr's packed view
+		ri, base := 0, int64(0) // runs[ri] starts at packed position base; runs and segments both ascend
+		for _, sg := range rs {
+			segAt := viewAt
+			viewAt += sg.Len
+			cl := clip(sg, myLo, myHi)
+			if cl.Len == 0 {
+				continue
+			}
+			for cl.Off >= p.runs[ri].Off+p.runs[ri].Len {
+				base += p.runs[ri].Len
+				ri++
+			}
+			packedAt := base + cl.Off - p.runs[ri].Off
+			if dr == rank {
+				p.own = append(p.own, planCopy{packedAt, segAt + cl.Off - sg.Off, cl.Len})
+			} else {
+				p.send = append(p.send, planCopy{cl.Off, packedAt, cl.Len})
+				bytes += cl.Len
+			}
+		}
+		p.sendAt = append(p.sendAt, len(p.send))
+		p.sendBytes = append(p.sendBytes, bytes)
+	}
+	// What every other range owes this rank, in the order its owner ships
+	// it: this rank's segments clipped to that range.
+	for sr := 0; sr < size; sr++ {
+		if sr != rank {
+			srLo, srHi := span(lo, hi, sr, size), span(lo, hi, sr+1, size)
+			viewAt := int64(0)
+			for _, sg := range p.table[rank] {
+				if cl := clip(sg, srLo, srHi); cl.Len > 0 {
+					p.expect = append(p.expect, planCopy{cl.Off, viewAt + cl.Off - sg.Off, cl.Len})
+				}
+				viewAt += sg.Len
+			}
+		}
+		p.expectAt = append(p.expectAt, len(p.expect))
+	}
+}
+
+// assembleStray places a received piece the plan did not expect where it
+// was — or where it was expected with another length — by locating its
+// view segment the way every piece used to be: binary search, then the
+// segment's packed position. It returns the piece length, or -1 for a
+// piece that starts in none of the view's segments.
+func assembleStray(dst []byte, mySegs []Segment, pc piece) int64 {
 	si := findSegIdx(mySegs, pc.Off)
 	if si < 0 {
 		return -1
 	}
-	copy(dst[prefix[si]+pc.Off-mySegs[si].Off:], pc.Data)
-	return int64(len(pc.Data))
-}
-
-// lookupRun returns the packed-buffer bytes of file range [off, off+n),
-// which must fall inside one physical run.
-func lookupRun(runs []physRun, packed []byte, off, n int64) []byte {
-	for _, r := range runs {
-		if off >= r.off && off+n <= r.off+r.len {
-			return packed[r.base+off-r.off : r.base+off-r.off+n]
-		}
+	pos := pc.Off - mySegs[si].Off
+	for _, sg := range mySegs[:si] {
+		pos += sg.Len
 	}
-	panic("mpiio: two-phase lookup miss")
+	copy(dst[pos:], pc.Data)
+	return int64(len(pc.Data))
 }
 
 // ReadAllInto performs a collective read of every rank's view using
@@ -255,16 +408,22 @@ func lookupRun(runs []physRun, packed []byte, off, n int64) []byte {
 // steady-state collective read allocates nothing on any rank while
 // PhysReads/PhysBytes/UsefulBytes/ShuffleBytes and the communicator's
 // message accounting stay bit-identical to the per-call oracle the tests
-// keep (readAllIntoPerCall).
+// keep (readAllIntoPerCall). The partitioning itself — runs, piece lists,
+// landing positions — is derived from the exchanged segment table only
+// when that table, this rank or SieveGap changed; otherwise the scratch's
+// plan is replayed (collPlan), with the same reads, messages and bytes.
 //
 // Every rank of the communicator must call the collective in the same
 // order, and consecutive collectives on one communicator must use distinct
 // seq values (tags are derived from seq).
 //
-// Failure domain (docs/faults.md): a failed physical read never aborts the
-// collective mid-round — that would strand peers in the shuffle Recv. The
-// round runs to structural completion with the failed run zero-filled, and
-// the error surfaces only on the failing rank, after the round. Callers
+// Failure domain (docs/faults.md): no rank-local failure aborts the
+// collective mid-round — that would strand peers in the exchange or the
+// shuffle Recv. A rank whose own view is invalid for the open object (or
+// whose dst is too small) requests nothing, still aggregates its range and
+// ships its peers' pieces, and gets the error after the round; a failed
+// physical read is zero-filled, the round runs to structural completion,
+// and the error surfaces only on the failing rank, after the round. Callers
 // must not re-issue a completed collective from one rank alone (the peers
 // have moved on); recovery above this layer means degrading, and transient
 // faults are expected to be healed *below* it (pfs.RetryStore).
@@ -273,64 +432,39 @@ func lookupRun(runs []physRun, packed []byte, off, n int64) []byte {
 func (f *File) ReadAllInto(seq int, dst []byte) (int, error) {
 	c := f.c
 	s := f.collective() //repro:allow allocfree: lazy scratch init, first collective only
-	mySegs, err := f.segs()
-	if err != nil {
-		return 0, err
+	mySegs, useful, preErr := f.segs()
+	if preErr == nil && int64(len(dst)) < useful {
+		preErr = fmt.Errorf("mpiio: ReadAllInto buffer holds %d of %d view bytes: %w", len(dst), useful, pfs.ErrPermanent)
 	}
-	var useful int64
-	for _, sg := range mySegs {
-		useful += sg.Len
-	}
-	if int64(len(dst)) < useful {
-		return 0, fmt.Errorf("mpiio: ReadAllInto buffer holds %d of %d view bytes: %w", len(dst), useful, pfs.ErrPermanent)
+	if preErr != nil {
+		// This rank cannot read its own view, but its peers have entered (or
+		// will enter) the round and count on it for the exchange and for the
+		// pieces of its range: deserting here would strand them. Request
+		// nothing, serve the round, surface the error afterwards.
+		mySegs = nil
 	}
 	// Phase 0: exchange request metadata — the epoch boundary.
 	all := s.exchangeMeta(c, seq, mySegs)
-	lo, hi := int64(-1), int64(-1)
-	for _, rs := range all {
-		for _, sg := range rs {
-			if lo < 0 || sg.Off < lo {
-				lo = sg.Off
-			}
-			if e := sg.Off + sg.Len; e > hi {
-				hi = e
-			}
-		}
+	p := &s.plan
+	if !p.matches(all, f.SieveGap, c.Rank()) {
+		s.buildPlan(all, f.SieveGap, c.Rank())
 	}
-	if lo < 0 { // nobody wants anything
-		return 0, nil
+	if p.empty { // nobody wants anything
+		return 0, preErr
 	}
 	tag := collTagBase + seq
-	// Phase 1: this rank aggregates the file range [myLo, myHi).
-	span := hi - lo
-	m := int64(c.Size())
-	myLo := lo + span*int64(c.Rank())/m
-	myHi := lo + span*int64(c.Rank()+1)/m
-	s.clipped = s.clipped[:0]
-	for _, rs := range all {
-		for _, sg := range rs {
-			if cl := clip(sg, myLo, myHi); cl.Len > 0 {
-				s.clipped = append(s.clipped, cl)
-			}
-		}
-	}
-	s.clipped = Coalesce(s.clipped)
-	s.plan = planSieveInto(s.plan[:0], s.clipped, f.SieveGap)
-	var total int64
-	for _, p := range s.plan {
-		total += p.Len
-	}
-	// The packed buffer and the per-destination batches belong to the
-	// epoch: pieces shipped to other ranks alias them until released.
+	// Phase 1: read this rank's aggregation range. The packed buffer and
+	// the per-destination batches belong to the epoch: pieces shipped to
+	// other ranks alias them until released.
 	ep := s.acquireEpoch(c.Size())
-	ep.packed = pool.Grow(ep.packed, int(total)) //repro:allow allocfree: amortized epoch-buffer growth
-	packed := ep.packed[:total]
-	s.runs = s.runs[:0]
-	base := int64(0)
+	ep.packed = pool.Grow(ep.packed, int(p.total)) //repro:allow allocfree: amortized epoch-buffer growth
+	packed := ep.packed[:p.total]
 	var readErr error
-	for _, p := range s.plan {
-		buf := packed[base : base+p.Len]
-		if err := f.st.ReadAt(f.c, f.name, p.Off, buf); err != nil {
+	base := int64(0)
+	for _, r := range p.runs {
+		buf := packed[base : base+r.Len]
+		base += r.Len
+		if err := f.st.ReadAt(f.c, f.name, r.Off, buf); err != nil {
 			// A failed physical read MUST NOT abort the collective here:
 			// returning before the shuffle sends would leave every peer
 			// blocked in Recv forever. Zero-fill the run, run the round to
@@ -338,59 +472,40 @@ func (f *File) ReadAllInto(seq int, dst []byte) (int, error) {
 			// Peers receive the zero-filled pieces without an error signal —
 			// only downstream validation can catch them (docs/faults.md).
 			if readErr == nil {
-				readErr = fmt.Errorf("mpiio: collective read of %q run [%d,%d): %w", f.name, p.Off, p.Off+p.Len, err)
+				readErr = fmt.Errorf("mpiio: collective read of %q run [%d,%d): %w", f.name, r.Off, r.Off+r.Len, err)
 			}
 			clear(buf)
 		} else {
 			f.PhysReads++
-			f.PhysBytes += p.Len
+			f.PhysBytes += r.Len
 		}
-		s.runs = append(s.runs, physRun{p.Off, base, p.Len})
-		base += p.Len
 	}
 	// Phase 2: send every rank the pieces of its view that fall in my
-	// range (own pieces are assembled locally from the runs).
+	// range; own pieces are copied straight from the runs.
 	for dr := 0; dr < c.Size(); dr++ {
 		if dr == c.Rank() {
 			continue
 		}
 		b := &ep.batches[dr]
-		var bytes int64
-		for _, sg := range all[dr] {
-			if cl := clip(sg, myLo, myHi); cl.Len > 0 {
-				b.ps = append(b.ps, piece{Off: cl.Off, Data: lookupRun(s.runs, packed, cl.Off, cl.Len)})
-				bytes += cl.Len
-			}
+		for _, e := range p.send[p.sendAt[dr]:p.sendAt[dr+1]] {
+			b.ps = append(b.ps, piece{Off: e.off, Data: packed[e.pos : e.pos+e.len]})
 		}
 		ep.refs.Add(1)
-		c.Send(dr, tag, bytes, b)
+		c.Send(dr, tag, p.sendBytes[dr], b)
 		if len(b.ps) > 0 {
-			f.ShuffleBytes += bytes
+			f.ShuffleBytes += p.sendBytes[dr]
 			f.ShuffleMsgs++
 		}
 	}
-	// Assemble into packed view order: prefix sums give each (sorted)
-	// segment's packed position; own pieces come straight from the runs,
-	// received batches are copied and released.
-	if cap(f.prefix) < len(mySegs)+1 {
-		f.prefix = make([]int64, len(mySegs)+1) //repro:allow allocfree: amortized growth, guarded by cap check
-	}
-	prefix := f.prefix[:len(mySegs)+1]
-	prefix[0] = 0
-	for i, sg := range mySegs {
-		prefix[i+1] = prefix[i] + sg.Len
-	}
 	filled := int64(0)
-	for _, sg := range mySegs {
-		if cl := clip(sg, myLo, myHi); cl.Len > 0 {
-			n := assemblePiece(dst, mySegs, prefix, piece{Off: cl.Off, Data: lookupRun(s.runs, packed, cl.Off, cl.Len)})
-			if n < 0 {
-				ep.release()
-				return 0, fmt.Errorf("mpiio: received stray piece at %d: %w", cl.Off, pfs.ErrPermanent)
-			}
-			filled += n
-		}
+	for _, e := range p.own {
+		copy(dst[e.pos:e.pos+e.len], packed[e.off:])
+		filled += e.len
 	}
+	// Received batches are copied and released. A piece that is the one the
+	// plan expects next from its source — same offset, same length — goes
+	// where the plan says; anything else is located the slow way, which
+	// rejects strays.
 	var recvErr error
 	for sr := 0; sr < c.Size(); sr++ {
 		if sr == c.Rank() {
@@ -404,13 +519,15 @@ func (f *File) ReadAllInto(seq int, dst []byte) (int, error) {
 			}
 			continue
 		}
-		for _, pc := range b.ps {
-			if n := assemblePiece(dst, mySegs, prefix, pc); n < 0 {
-				if recvErr == nil {
-					recvErr = fmt.Errorf("mpiio: received stray piece at %d: %w", pc.Off, pfs.ErrPermanent)
-				}
-			} else {
+		expect := p.expect[p.expectAt[sr]:p.expectAt[sr+1]]
+		for i, pc := range b.ps {
+			if i < len(expect) && pc.Off == expect[i].off && int64(len(pc.Data)) == expect[i].len {
+				copy(dst[expect[i].pos:], pc.Data)
+				filled += expect[i].len
+			} else if n := assembleStray(dst, mySegs, pc); n >= 0 {
 				filled += n
+			} else if recvErr == nil {
+				recvErr = fmt.Errorf("mpiio: received stray piece at %d: %w", pc.Off, pfs.ErrPermanent)
 			}
 		}
 		if s.holdBatch == nil || !s.holdBatch(b) {
@@ -418,6 +535,9 @@ func (f *File) ReadAllInto(seq int, dst []byte) (int, error) {
 		}
 	}
 	ep.release()
+	if preErr != nil {
+		return 0, preErr
+	}
 	if readErr != nil {
 		return 0, readErr
 	}

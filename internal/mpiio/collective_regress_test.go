@@ -167,10 +167,14 @@ func TestReadAllEpochEmptyViews(t *testing.T) {
 
 // TestReadAllSteadyStateAllocFree is the PR 5 acceptance gate for the
 // collective layer: a steady-state collective round — reopen onto the
-// step's object, rebuild the view in place, two-phase read with the
-// epoch-scoped scratch — allocates nothing on any rank. Allocation counts
-// are process-global (see steadyAllocs in the compositor suite), so a
-// nonzero result implicates the steady state of *some* rank.
+// step's object, set the view again, two-phase read with the epoch-scoped
+// scratch — allocates nothing on any rank. The `plain` leg rebuilds an
+// IndexedBlock view's segments in place every round; the `committed` leg
+// is the fetch step's shape with temporal enhancement: a committed view
+// shared by two handles, the collective on one and an independent read of
+// another object through the same view on the other. Allocation counts are
+// process-global (see steadyAllocs in the compositor suite), so a nonzero
+// result implicates the steady state of *some* rank.
 func TestReadAllSteadyStateAllocFree(t *testing.T) {
 	const ranks, elems = 4, 512
 	st := pfs.NewMemStore()
@@ -178,45 +182,71 @@ func TestReadAllSteadyStateAllocFree(t *testing.T) {
 	for _, n := range names {
 		makeTestFile(t, st, n, 12*elems)
 	}
-	var avg float64
-	mpi.RunReal(ranks, func(c *mpi.Comm) {
-		f, err := Open(c, st, names[0])
-		if err != nil {
-			t.Error(err)
-			return
+	for _, committed := range []bool{false, true} {
+		name := "plain"
+		if committed {
+			name = "committed"
 		}
-		ib := interleavedView(c.Rank(), ranks, elems, 12)
-		n := int64(len(ib.Displs)) * 12
-		dst := make([]byte, n)
-		seq := 0
-		round := func() {
-			seq++
-			if err := f.Reopen(c, st, names[seq%len(names)]); err != nil {
-				t.Error(err)
-				return
+		t.Run(name, func(t *testing.T) {
+			var avg float64
+			mpi.RunReal(ranks, func(c *mpi.Comm) {
+				f, err := Open(c, st, names[0])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ib := interleavedView(c.Rank(), ranks, elems, 12)
+				var view Datatype = &ib
+				var prev File
+				if committed {
+					if view, err = Commit(ib); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				dst := make([]byte, view.Size())
+				pdst := make([]byte, view.Size())
+				seq := 0
+				round := func() {
+					seq++
+					if err := f.Reopen(c, st, names[seq%len(names)]); err != nil {
+						t.Error(err)
+						return
+					}
+					f.SetView(0, view)
+					if _, err := f.ReadAllInto(seq, dst); err != nil {
+						t.Error(err)
+					}
+					if committed {
+						if err := prev.Reopen(c, st, names[(seq+1)%len(names)]); err != nil {
+							t.Error(err)
+							return
+						}
+						prev.SetView(0, view)
+						if _, err := prev.ReadInto(pdst); err != nil {
+							t.Error(err)
+						}
+					}
+					// Lock-step so every release of this round lands before any
+					// rank starts the next (free-running drift could outrun a pool).
+					c.Barrier()
+				}
+				const warm, rounds = 5, 20
+				for i := 0; i < warm; i++ {
+					round()
+				}
+				if c.Rank() == 0 {
+					avg = testing.AllocsPerRun(rounds, round)
+				} else {
+					for i := 0; i < rounds+1; i++ {
+						round()
+					}
+				}
+			})
+			if avg != 0 {
+				t.Errorf("steady-state collective read allocates %v per round, want 0", avg)
 			}
-			f.SetView(0, &ib)
-			if _, err := f.ReadAllInto(seq, dst); err != nil {
-				t.Error(err)
-			}
-			// Lock-step so every release of this round lands before any
-			// rank starts the next (free-running drift could outrun a pool).
-			c.Barrier()
-		}
-		const warm, rounds = 5, 20
-		for i := 0; i < warm; i++ {
-			round()
-		}
-		if c.Rank() == 0 {
-			avg = testing.AllocsPerRun(rounds, round)
-		} else {
-			for i := 0; i < rounds+1; i++ {
-				round()
-			}
-		}
-	})
-	if avg != 0 {
-		t.Errorf("steady-state collective read allocates %v per round, want 0", avg)
+		})
 	}
 }
 
@@ -392,7 +422,7 @@ func TestCollectiveBatchConsumerFallback(t *testing.T) {
 // differently and must not be mixed within one collective.
 func (f *File) readAllIntoPerCall(seq int, dst []byte) (int, error) {
 	c := f.c
-	mySegs, err := f.segs()
+	mySegs, _, err := f.segs()
 	if err != nil {
 		return 0, err
 	}
@@ -514,11 +544,7 @@ func (f *File) readAllIntoPerCall(seq int, dst []byte) (int, error) {
 	// Assemble into packed view order: prefix sums give each (sorted)
 	// segment's packed position, and each piece finds its containing
 	// segment by binary search.
-	if cap(f.prefix) < len(mySegs)+1 {
-		f.prefix = make([]int64, len(mySegs)+1)
-	}
-	prefix := f.prefix[:len(mySegs)+1]
-	prefix[0] = 0
+	prefix := make([]int64, len(mySegs)+1)
 	for i, s := range mySegs {
 		prefix[i+1] = prefix[i] + s.Len
 	}

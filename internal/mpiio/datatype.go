@@ -101,6 +101,45 @@ func (t IndexedBlock) Size() int64 {
 	return n
 }
 
+// committed is a Datatype whose segments were computed once, by Commit.
+// The segment array is shared by every handle that views through the
+// type: it is never written or appended to after Commit returns.
+type committed struct {
+	segs []Segment // sorted, coalesced, validated; cap == len
+	size int64
+}
+
+// Commit freezes a datatype, mirroring MPI_TYPE_COMMIT: the sorted,
+// coalesced segments and the byte size are computed and validated here,
+// once, and the result is immutable, so any number of ranks and file
+// handles may share it without synchronization. A File viewing through a
+// committed type at displacement zero borrows its segments instead of
+// expanding the type again, which leaves the end-of-file check as the only
+// per-object work (File.SetView). Build one per static read pattern.
+func Commit(t Datatype) (Datatype, error) {
+	if ct, ok := t.(*committed); ok {
+		return ct, nil
+	}
+	segs := slices.Clip(slices.Clone(t.Segments())) // exact size: held for the run
+	if err := validate(segs); err != nil {
+		return nil, err
+	}
+	ct := &committed{segs: segs}
+	for _, s := range segs {
+		ct.size += s.Len
+	}
+	return ct, nil
+}
+
+// Segments implements Datatype; the result is the caller's own copy.
+func (t *committed) Segments() []Segment { return slices.Clone(t.segs) }
+
+// AppendSegments implements Datatype.
+func (t *committed) AppendSegments(dst []Segment) []Segment { return append(dst, t.segs...) }
+
+// Size implements Datatype.
+func (t *committed) Size() int64 { return t.size }
+
 // Coalesce sorts segments by offset, drops empty ones, and merges
 // overlapping or adjacent runs. The result is a prefix of the input slice
 // (the work happens in place and allocates nothing); the input may be

@@ -28,16 +28,30 @@ type File struct {
 	// SieveGap tunes data sieving; zero disables coalescing through holes.
 	SieveGap int64
 
-	// Steady-state buffers: the view's absolute segments are computed once
-	// per SetView, and independent reads reuse the sieve plan and one
-	// packed physical-read buffer, so a repeated ReadInto with an unchanged
-	// view allocates nothing.
-	viewSegs  []Segment
+	// View cache, valid while viewFresh (until the next SetView or Reopen):
+	// cur are the view's absolute segments and useful their byte total. A
+	// committed view at displacement zero lends cur its own shared array,
+	// so a SetView after a Reopen costs the end-of-file check and nothing
+	// else; every other view is expanded into own, the handle's private
+	// segment scratch and the only segment array a handle ever writes.
+	cur       []Segment
+	useful    int64
 	viewErr   error
 	viewFresh bool
+	own       []Segment
+
+	// Independent-read staging: the sieve plan (physical runs, planTotal
+	// bytes in all) is kept while the segments and the SieveGap it was
+	// built from are unchanged — planOK is dropped whenever own is
+	// rewritten or another committed type than planOf is viewed — and the
+	// runs land in one packed read buffer, so a repeated ReadInto
+	// allocates nothing.
 	plan      []Segment
+	planTotal int64
+	planGap   int64
+	planOf    *committed
+	planOK    bool
 	scratch   []byte
-	prefix    []int64 // ReadAllInto assembly prefix sums, reused per call
 
 	// coll is the epoch-scoped collective-read staging (see
 	// CollectiveScratch), created lazily by the first ReadAllInto and kept
@@ -65,7 +79,9 @@ func Open(c *mpi.Comm, st pfs.Store, name string) (*File, error) {
 // as Open would, while keeping the handle's grown scratch buffers (view
 // segments, sieve plan, packed read buffer) — the steady-state form for a
 // timestep loop that opens one object per step, which allocates nothing
-// once the buffers have grown. The view resets to the whole file; the I/O
+// once the buffers have grown. The view resets to the whole file (the
+// caller sets its own again, which for a committed type re-runs only the
+// end-of-file check against the new object's size); the I/O
 // statistics keep accumulating across Reopens (they describe the handle,
 // not the object).
 func (f *File) Reopen(c *mpi.Comm, st pfs.Store, name string) error {
@@ -96,49 +112,63 @@ func (f *File) Opened() bool { return f.st != nil }
 func (f *File) Name() string { return f.name }
 
 // SetView establishes this rank's view of the file: the datatype's
-// segments, displaced by disp bytes (mirrors MPI_FILE_SET_VIEW).
+// segments, displaced by disp bytes (mirrors MPI_FILE_SET_VIEW). The view
+// is checked against the open object by the next read or ViewSize.
 func (f *File) SetView(disp int64, t Datatype) {
 	f.disp = disp
 	f.view = t
 	f.viewFresh = false
 }
 
-// segs returns the absolute byte segments of the current view, computing
-// them on the first read after a SetView and reusing the cached slice
-// afterwards. The slice is valid until the next SetView.
-func (f *File) segs() ([]Segment, error) {
+// segs returns the absolute byte segments of the current view and their
+// byte total, computing them on the first read after a SetView or Reopen
+// and reusing the cached result afterwards. The slice is valid until the
+// next SetView and must not be written: it may be a committed type's
+// shared array.
+func (f *File) segs() ([]Segment, int64, error) {
 	if f.viewFresh {
-		return f.viewSegs, f.viewErr
+		return f.cur, f.useful, f.viewErr
 	}
-	f.viewSegs = f.view.AppendSegments(f.viewSegs[:0])
-	if f.disp != 0 {
-		for i := range f.viewSegs {
-			f.viewSegs[i].Off += f.disp
+	if ct, ok := f.view.(*committed); ok && f.disp == 0 {
+		if f.planOf != ct {
+			f.planOf, f.planOK = ct, false
 		}
+		f.cur, f.useful, f.viewErr = ct.segs, ct.size, nil
+	} else {
+		f.planOf, f.planOK = nil, false
+		f.own = f.view.AppendSegments(f.own[:0])
+		f.useful = 0
+		for i := range f.own {
+			f.own[i].Off += f.disp
+			f.useful += f.own[i].Len
+		}
+		f.cur, f.viewErr = f.own, validate(f.own)
 	}
-	f.viewErr = validate(f.viewSegs)
-	if f.viewErr == nil {
-		for _, seg := range f.viewSegs {
-			if seg.Off+seg.Len > f.size {
-				f.viewErr = fmt.Errorf("mpiio: view segment [%d,%d) beyond EOF of %q (size %d): %w", seg.Off, seg.Off+seg.Len, f.name, f.size, pfs.ErrPermanent)
-				break
-			}
-		}
+	// Segments are sorted and disjoint, so the last one reaches furthest.
+	if n := len(f.cur); f.viewErr == nil && n > 0 && f.cur[n-1].Off+f.cur[n-1].Len > f.size {
+		f.viewErr = f.eofError()
 	}
 	f.viewFresh = true
-	return f.viewSegs, f.viewErr
+	return f.cur, f.useful, f.viewErr
+}
+
+// eofError names the first segment of the current view that reaches beyond
+// the end of the open object.
+func (f *File) eofError() error {
+	for _, seg := range f.cur {
+		if seg.Off+seg.Len > f.size {
+			return fmt.Errorf("mpiio: view segment [%d,%d) beyond EOF of %q (size %d): %w", seg.Off, seg.Off+seg.Len, f.name, f.size, pfs.ErrPermanent)
+		}
+	}
+	return nil
 }
 
 // ViewSize returns the number of useful bytes the current view selects —
 // the length ReadInto's destination must have.
 func (f *File) ViewSize() (int64, error) {
-	segs, err := f.segs()
+	_, useful, err := f.segs()
 	if err != nil {
 		return 0, err
-	}
-	var useful int64
-	for _, s := range segs {
-		useful += s.Len
 	}
 	return useful, nil
 }
@@ -168,22 +198,22 @@ func planSieveInto(dst, segs []Segment, gap int64) []Segment {
 // then scatter-copied into dst, so the steady state of a step loop with an
 // unchanged view allocates nothing.
 func (f *File) ReadInto(dst []byte) (int, error) {
-	segs, err := f.segs()
+	segs, useful, err := f.segs()
 	if err != nil {
 		return 0, err
-	}
-	var useful int64
-	for _, s := range segs {
-		useful += s.Len
 	}
 	if int64(len(dst)) < useful {
 		return 0, fmt.Errorf("mpiio: ReadInto buffer holds %d of %d view bytes: %w", len(dst), useful, pfs.ErrPermanent)
 	}
-	f.plan = planSieveInto(f.plan[:0], segs, f.SieveGap)
-	var total int64
-	for _, p := range f.plan {
-		total += p.Len
+	if !f.planOK || f.planGap != f.SieveGap {
+		f.plan = planSieveInto(f.plan[:0], segs, f.SieveGap)
+		f.planTotal = 0
+		for _, p := range f.plan {
+			f.planTotal += p.Len
+		}
+		f.planOK, f.planGap = true, f.SieveGap
 	}
+	total := f.planTotal
 	if int64(cap(f.scratch)) < total {
 		f.scratch = make([]byte, total)
 	}

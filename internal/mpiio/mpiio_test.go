@@ -106,7 +106,7 @@ func TestPlanSieve(t *testing.T) {
 }
 
 // makeTestFile writes n pseudo-random bytes as an object.
-func makeTestFile(t *testing.T, st pfs.Store, name string, n int) []byte {
+func makeTestFile(t testing.TB, st pfs.Store, name string, n int) []byte {
 	t.Helper()
 	data := make([]byte, n)
 	rng := rand.New(rand.NewSource(int64(n)))
