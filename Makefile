@@ -59,8 +59,8 @@ size:
 	@$(GO) run ./cmd/doccheck $(DOCDIRS)
 
 # invarcheck runs the invariant lint suite (cmd/invarcheck): allocfree,
-# codecid, decodealias, scratchconfine and errclass, each failing with
-# exact file:line diagnostics. docs/lint.md catalogs the rules.
+# codecid, decodealias, scratchconfine, errclass and deadexport, each
+# failing with exact file:line diagnostics. docs/lint.md catalogs the rules.
 invarcheck:
 	$(GO) run ./cmd/invarcheck .
 

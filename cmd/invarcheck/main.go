@@ -1,11 +1,11 @@
 // Command invarcheck runs the repository's invariant lint suite
-// (internal/invarcheck) over the module: five static analyzers that
-// machine-check the ownership, codec, allocation-free and
-// error-classification contracts documented in docs/ownership.md,
-// docs/faults.md and docs/lint.md. `make lint` (and through it
-// `make check` and CI) runs it from the module root; it exits 1 with one
-// "file:line: [analyzer] message" diagnostic per finding, 2 on internal
-// failure.
+// (internal/invarcheck) over the module: six static analyzers that
+// machine-check the ownership, codec, allocation-free,
+// error-classification and reachability contracts documented in
+// docs/ownership.md, docs/faults.md and docs/lint.md. `make lint` (and
+// through it `make check` and CI) runs it from the module root; it exits 1
+// with one "file:line: [analyzer] message" diagnostic per finding, 2 on
+// internal failure.
 //
 // Usage:
 //
@@ -13,8 +13,8 @@
 //
 // The module root defaults to the current directory. -only restricts the
 // run to a comma-separated subset of analyzers (allocfree, codecid,
-// decodealias, scratchconfine, errclass) — handy while iterating on one
-// rule.
+// decodealias, scratchconfine, errclass, deadexport) — handy while
+// iterating on one rule.
 package main
 
 import (

@@ -85,7 +85,7 @@ func main() {
 		log.Fatalf("need -rank in [0,%d) (layout %+v), or -spawn to fork the whole job", size, layout)
 	}
 
-	store := openStore(*data, *steps)
+	store, retry := retryStore(openStore(*data, *steps), *tolerate, *rank)
 	opts := core.DefaultOptions(*width, *height)
 	opts.View = render.DefaultView(*width, *height)
 	opts.MaxSteps = *steps
@@ -210,9 +210,27 @@ func main() {
 			*rank, wrote, *out, time.Since(start).Seconds(),
 			c.MsgsSent, c.BytesSent, c.MsgsRecv, c.BytesRecv)
 	}
+	if retry != nil && retry.Faults() > 0 {
+		log.Printf("rank %d: storage healed %d transient read fault(s) in %d retries", *rank, retry.Faults(), retry.Retries())
+	}
 	if code != exitClean {
 		os.Exit(code) // degraded completion: frames written, exit 3
 	}
+}
+
+// retryStore is where -tolerate reaches storage: with it, reads go through
+// the retry layer, which heals transient faults below MPI-IO so that no
+// rank of a collective read ever observes one and only a fault worth
+// degrading over reaches the fetch path (docs/faults.md). The jitter is
+// seeded by rank so ranks that fault together do not retry in lockstep.
+// Without the flag the store is handed on bare (retry nil) and a transient
+// fault aborts the run like any other.
+func retryStore(st pfs.Store, tolerate bool, rank int) (pfs.Store, *pfs.RetryStore) {
+	if !tolerate {
+		return st, nil
+	}
+	retry := pfs.NewRetryStore(st, pfs.RetryConfig{BaseDelay: time.Millisecond, Seed: uint64(rank)})
+	return retry, retry
 }
 
 // spawnJob forks one child per rank with this process's own flags plus

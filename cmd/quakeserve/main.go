@@ -57,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := serve.NewEngine(store, serve.EngineConfig{
+	eng, err := serve.NewEngine(retryStore(store, *tolerate), serve.EngineConfig{
 		Layout:      core.Layout{Groups: *groups, IPsPerGroup: *ips, Renderers: *renderers, Outputs: *outputs},
 		CacheBytes:  *cacheMB << 20,
 		MaxSessions: *sessions,
@@ -100,4 +100,16 @@ func main() {
 		log.Printf("http shutdown: %v", err)
 	}
 	log.Printf("bye")
+}
+
+// retryStore is where -tolerate reaches storage: with it, reads go through
+// the retry layer, which heals transient faults below MPI-IO so that only
+// a fault worth degrading over reaches the fetch path (docs/faults.md).
+// Without the flag the store is handed on bare and a transient fault fails
+// the request like any other.
+func retryStore(st pfs.Store, tolerate bool) pfs.Store {
+	if !tolerate {
+		return st
+	}
+	return pfs.NewRetryStore(st, pfs.RetryConfig{BaseDelay: time.Millisecond})
 }

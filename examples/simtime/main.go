@@ -56,6 +56,9 @@ func main() {
 
 	// Solver goroutine: computes and publishes steps with a visible cadence.
 	go func() {
+		// Once the solver is done nothing more will be published: a read
+		// of a step it never wrote must fail, not wait forever.
+		defer store.Close()
 		vel := make([]float32, 3*m.NumNodes())
 		for out := 0; out < storedSteps; out++ {
 			for k := 0; k < solveEvery; k++ {

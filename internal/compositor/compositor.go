@@ -16,12 +16,8 @@ type Strip struct {
 	Y0, H int
 }
 
-// EqualStrips divides h scanlines into n contiguous strips of near-equal
-// height (the plain direct-send partition).
-func EqualStrips(h, n int) []Strip {
-	return equalStripsInto(make([]Strip, 0, n), h, n)
-}
-
+// equalStripsInto divides h scanlines into n contiguous strips of
+// near-equal height (the plain direct-send partition).
 func equalStripsInto(out []Strip, h, n int) []Strip {
 	out = out[:0]
 	for i := 0; i < n; i++ {
@@ -42,13 +38,6 @@ type subFragment struct {
 	compressed bool
 	Raw        *img.Image
 	RLE        []byte
-}
-
-func (s *subFragment) image() (*img.Image, error) {
-	if !s.compressed {
-		return s.Raw, nil
-	}
-	return DecodeRLE(s.RLE, s.W, s.H)
 }
 
 // clipFragmentInto appends the part of f that overlaps the strip to p,
@@ -167,7 +156,8 @@ func blendRLESeg(dst []float32, src []byte) {
 // stream: skip records only advance the pixel cursor (the whole point of
 // the transparent-run compression — skipped pixels cost nothing), and run
 // records blend row segments in place. No decoded image is materialized.
-// The stream is validated exactly as DecodeRLE validates it.
+// The stream is validated exactly as the tests' reference decoder
+// (DecodeRLE) validates it.
 func blendRLE(dst *img.Image, w int, st Strip, s *subFragment) error {
 	data := s.RLE
 	n := s.W * s.H
@@ -181,8 +171,7 @@ func blendRLE(dst *img.Image, w int, st Strip, s *subFragment) error {
 		run := int(binary.LittleEndian.Uint32(data[pos+4:]))
 		pos += 8
 		i += skip
-		// Mirror DecodeRLE's validation exactly, including the negative
-		// guards that matter on 32-bit builds (uint32 -> int wraps there).
+		// The negative guards matter on 32-bit builds (uint32 -> int wraps there).
 		if i < 0 || i+run > n || run < 0 || pos+16*run > len(data) {
 			return fmt.Errorf("compositor: RLE overrun (i=%d run=%d)", i, run)
 		}
@@ -556,33 +545,6 @@ func BinarySwapWith(c *mpi.Comm, group []int, me int, partial *img.Image,
 		scr.bsSeq++
 	}
 	return cur, Strip{Y0: y0, H: hh}, st, nil
-}
-
-// GatherStrips sends every member's strip to the collector (group index 0)
-// and assembles the full image there; other members return nil.
-func GatherStrips(c *mpi.Comm, group []int, me int, strip *img.Image, st Strip,
-	w, h, tagBase int) *img.Image {
-
-	if me != 0 {
-		c.Send(group[0], tagBase, RawBytes(strip), stripMsg{strip, st})
-		return nil
-	}
-	out := img.New(w, h)
-	paste := func(m *img.Image, s Strip) {
-		copy(out.Pix[4*s.Y0*w:4*(s.Y0+s.H)*w], m.Pix)
-	}
-	paste(strip, st)
-	for i := 1; i < len(group); i++ {
-		msg := c.Recv(group[i], tagBase)
-		sm := msg.Data.(stripMsg)
-		paste(sm.img, sm.st)
-	}
-	return out
-}
-
-type stripMsg struct {
-	img *img.Image
-	st  Strip
 }
 
 func contains(s []int, v int) bool {

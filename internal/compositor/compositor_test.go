@@ -75,7 +75,7 @@ func TestRLEQuick(t *testing.T) {
 }
 
 func TestEqualStrips(t *testing.T) {
-	strips := EqualStrips(100, 3)
+	strips := equalStripsInto(nil, 100, 3)
 	if len(strips) != 3 {
 		t.Fatal("wrong strip count")
 	}
@@ -274,30 +274,6 @@ func TestBinarySwapRejectsNonPowerOfTwo(t *testing.T) {
 			t.Error("group of 3 accepted")
 		}
 	})
-}
-
-func TestGatherStrips(t *testing.T) {
-	n, w, h := 4, 20, 16
-	all := buildRankFragments(n, w, h, 2, 5)
-	want := serialReference(w, h, all)
-	group := []int{0, 1, 2, 3}
-	var got *img.Image
-	mpi.RunReal(n, func(c *mpi.Comm) {
-		im, st, _, err := DirectSendWith(c, group, c.Rank(), all[c.Rank()], w, h, 100, false, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if full := GatherStrips(c, group, c.Rank(), im, st, w, h, 300); full != nil {
-			got = full
-		}
-	})
-	if got == nil {
-		t.Fatal("no gathered image")
-	}
-	if d := img.RMSE(want, got); d > 1e-6 {
-		t.Errorf("gathered image differs: RMSE=%v", d)
-	}
 }
 
 func TestCompressionReducesBytes(t *testing.T) {

@@ -1,7 +1,7 @@
 package compositor
 
 // Wire codecs for the compositing exchanges, so SLIC / direct-send /
-// binary-swap / gather run unchanged over the network transport.
+// binary-swap run unchanged over the network transport.
 //
 // Ownership across the wire (docs/ownership.md "Serialization
 // boundary"): encoding a pooled payload releases it back to the sending
@@ -9,9 +9,7 @@ package compositor
 // draws a payload from this process's receive pools, stamping the owner
 // so the receiving rank's usual Release recycles it locally. Pixel data
 // crosses as exact IEEE-754 bit patterns, so composited frames are
-// bit-identical to the in-process transports. stripMsg (the gather
-// collector's one message per member per frame) is unpooled on both
-// sides, like the path it serves.
+// bit-identical to the in-process transports.
 
 import (
 	"fmt"
@@ -26,7 +24,6 @@ import (
 const (
 	codecWirePayload mpi.CodecID = 48
 	codecSwapPayload mpi.CodecID = 49
-	codecStripMsg    mpi.CodecID = 50
 )
 
 // Receive-side pools: decoded payloads are owned by the decoding process
@@ -39,7 +36,6 @@ var (
 func init() {
 	mpi.RegisterCodec(codecWirePayload, (*wirePayload)(nil), mpi.Codec{Encode: encodeWirePayload, Decode: decodeWirePayload})
 	mpi.RegisterCodec(codecSwapPayload, (*swapPayload)(nil), mpi.Codec{Encode: encodeSwapPayload, Decode: decodeSwapPayload})
-	mpi.RegisterCodec(codecStripMsg, stripMsg{}, mpi.Codec{Encode: encodeStripMsg, Decode: decodeStripMsg})
 }
 
 func appendImg(buf []byte, m *img.Image) []byte {
@@ -139,23 +135,4 @@ func decodeSwapPayload(wire []byte) (any, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-func encodeStripMsg(buf []byte, v any) ([]byte, error) {
-	sm := v.(stripMsg)
-	buf = mpi.AppendU32(buf, uint32(int32(sm.st.Y0)))
-	buf = mpi.AppendU32(buf, uint32(int32(sm.st.H)))
-	return appendImg(buf, sm.img), nil
-}
-
-func decodeStripMsg(wire []byte) (any, error) {
-	r := mpi.NewWireReader(wire)
-	sm := stripMsg{st: Strip{Y0: int(r.I32()), H: int(r.I32())}, img: &img.Image{}}
-	if err := readImgInto(&r, sm.img); err != nil {
-		return nil, err
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return sm, nil
 }

@@ -9,6 +9,8 @@ package compositor
 // send, binary swap or the RLE encoder fail loudly.
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -739,4 +741,49 @@ func TestCompositeStripSpeedupGate(t *testing.T) {
 				mode.name, flat, legacy, legacy/flat, mode.floor)
 		}
 	}
+}
+
+// EncodeRLEInto is encodeRLE over a whole image, the form the codec tests
+// and fuzz targets drive the encoder in.
+func EncodeRLEInto(dst []byte, m *img.Image) []byte {
+	return encodeRLE(dst[:0], m.Pix, m.W*m.H)
+}
+
+// DecodeRLE reconstructs a w×h image from an encodeRLE stream: the
+// reference decoder the streaming compositor is pinned against.
+func DecodeRLE(data []byte, w, h int) (*img.Image, error) {
+	m := img.New(w, h)
+	n := w * h
+	pos := 0
+	i := 0
+	for pos < len(data) {
+		if pos+8 > len(data) {
+			return nil, fmt.Errorf("compositor: truncated RLE header at %d", pos)
+		}
+		skip := int(binary.LittleEndian.Uint32(data[pos:]))
+		run := int(binary.LittleEndian.Uint32(data[pos+4:]))
+		pos += 8
+		i += skip
+		if i < 0 || i+run > n || run < 0 || pos+16*run > len(data) {
+			return nil, fmt.Errorf("compositor: RLE overrun (i=%d run=%d)", i, run)
+		}
+		for k := 0; k < run; k++ {
+			m.Pix[4*i] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos:]))
+			m.Pix[4*i+1] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos+4:]))
+			m.Pix[4*i+2] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos+8:]))
+			m.Pix[4*i+3] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos+12:]))
+			pos += 16
+			i++
+		}
+	}
+	return m, nil
+}
+
+// image is the subfragment as a full image, decoding it when compressed:
+// how the legacy compositor read its inputs.
+func (s *subFragment) image() (*img.Image, error) {
+	if !s.compressed {
+		return s.Raw, nil
+	}
+	return DecodeRLE(s.RLE, s.W, s.H)
 }

@@ -8,22 +8,10 @@ package compositor
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"repro/internal/img"
 )
-
-// EncodeRLEInto compresses an RGBA image by eliding runs of fully
-// transparent pixels: the stream is a sequence of (skip, count, count*16
-// bytes of pixels) records walking the image in row-major order. It
-// encodes into dst[:0] (nil allocates) — the steady-state path of the
-// compositing loop, which allocates nothing once dst has grown to size.
-// When dst must grow, the stream size is counted first and the buffer is
-// sized exactly, so a frame loop never carries append slack.
-func EncodeRLEInto(dst []byte, m *img.Image) []byte {
-	return encodeRLE(dst[:0], m.Pix, m.W*m.H)
-}
 
 // rleSize returns the exact encoded size of the first n pixels of pix.
 func rleSize(pix []float32, n int) int {
@@ -48,8 +36,14 @@ func rleSize(pix []float32, n int) int {
 	return size
 }
 
-// encodeRLE appends the RLE stream of the first n pixels of pix to dst
-// (which must be empty), growing dst to exact capacity when needed.
+// encodeRLE compresses the first n RGBA pixels of pix by eliding runs of
+// fully transparent pixels: the stream is a sequence of (skip, count,
+// count*16 bytes of pixels) records walking the image in row-major order.
+// It encodes into dst (which must be empty; nil allocates) — the
+// steady-state path of the compositing loop, which allocates nothing once
+// dst has grown to size. When dst must grow, the stream size is counted
+// first and the buffer is sized exactly, so a frame loop never carries
+// append slack.
 func encodeRLE(dst []byte, pix []float32, n int) []byte {
 	need := rleSize(pix, n)
 	if cap(dst) < need {
@@ -86,35 +80,6 @@ func encodeRLE(dst []byte, pix []float32, n int) []byte {
 		i = j
 	}
 	return dst
-}
-
-// DecodeRLE reconstructs a w×h image from an EncodeRLEInto stream.
-func DecodeRLE(data []byte, w, h int) (*img.Image, error) {
-	m := img.New(w, h)
-	n := w * h
-	pos := 0
-	i := 0
-	for pos < len(data) {
-		if pos+8 > len(data) {
-			return nil, fmt.Errorf("compositor: truncated RLE header at %d", pos)
-		}
-		skip := int(binary.LittleEndian.Uint32(data[pos:]))
-		run := int(binary.LittleEndian.Uint32(data[pos+4:]))
-		pos += 8
-		i += skip
-		if i < 0 || i+run > n || run < 0 || pos+16*run > len(data) {
-			return nil, fmt.Errorf("compositor: RLE overrun (i=%d run=%d)", i, run)
-		}
-		for k := 0; k < run; k++ {
-			m.Pix[4*i] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos:]))
-			m.Pix[4*i+1] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos+4:]))
-			m.Pix[4*i+2] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos+8:]))
-			m.Pix[4*i+3] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos+12:]))
-			pos += 16
-			i++
-		}
-	}
-	return m, nil
 }
 
 // RawBytes is the uncompressed wire size of an image.

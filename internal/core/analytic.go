@@ -9,6 +9,8 @@ import "math"
 // OneDIPInputProcs returns the number of 1DIP input processors m needed to
 // hide I/O and preprocessing: best performance when Tf + Tp = Ts(m-1),
 // i.e. m = (Tf+Tp)/Ts + 1 (Section 5.1).
+//
+//repro:allow deadexport: paper §5, ROADMAP 2c
 func OneDIPInputProcs(tf, tp, ts float64) int {
 	if ts <= 0 {
 		return 1
@@ -18,6 +20,8 @@ func OneDIPInputProcs(tf, tp, ts float64) int {
 
 // OneDIPInputProcsRelaxed is the variant that only keeps renderers busy
 // (m = (Tf+Tp)/Tr + 1), valid when Ts < Tr.
+//
+//repro:allow deadexport: paper §5, ROADMAP 2c
 func OneDIPInputProcsRelaxed(tf, tp, tr float64) int {
 	if tr <= 0 {
 		return 1
@@ -28,6 +32,8 @@ func OneDIPInputProcsRelaxed(tf, tp, tr float64) int {
 // TwoDIPGroupSize returns the number m of input processors per 2DIP group
 // needed to bring the per-step sending time Ts' = Ts/m at or below the
 // rendering time: m >= Ts/Tr (Section 5.2).
+//
+//repro:allow deadexport: paper §5, ROADMAP 2c
 func TwoDIPGroupSize(ts, tr float64) int {
 	if tr <= 0 || ts <= 0 {
 		return 1
@@ -42,6 +48,8 @@ func TwoDIPGroupSize(ts, tr float64) int {
 // TwoDIPGroups returns the number of groups n so consecutive steps stream
 // seamlessly: n = (Tf' + Tp')/Ts' + 1 with Tf' = Tf/m etc., which reduces
 // to n = (Tf+Tp)/Ts + 1 — the same form as 1DIP (Section 5.2).
+//
+//repro:allow deadexport: paper §5, ROADMAP 2c
 func TwoDIPGroups(tf, tp, ts float64) int {
 	if ts <= 0 {
 		return 1
@@ -51,6 +59,8 @@ func TwoDIPGroups(tf, tp, ts float64) int {
 
 // Use1DIP reports whether the 1DIP strategy suffices: 1DIP works until Ts
 // exceeds Tr (Section 5.2's summary).
+//
+//repro:allow deadexport: paper §5, ROADMAP 2c
 func Use1DIP(ts, tr float64) bool { return tr >= ts }
 
 // PredictInterframe estimates the steady-state interframe delay for a

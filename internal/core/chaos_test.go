@@ -19,6 +19,7 @@ package core
 // case is reproducible and its counters are exact, not bounds.
 
 import (
+	"errors"
 	"hash/fnv"
 	"runtime"
 	"strings"
@@ -280,6 +281,81 @@ func TestChaosPermanentFaultDegrades(t *testing.T) {
 	// step 1, so frame 3 must be bit-identical to the clean frame 1.
 	if d := img.MaxAbsDiff(ref.Frame(1), w.Frame(3)); d != 0 {
 		t.Errorf("degraded frame 3 differs from stale source frame 1 (max abs %g)", d)
+	}
+}
+
+// surfaceFlip corrupts every read of one step object that is shorter than
+// the whole record — the LIC rank's sieved surface read, not the volume
+// fetch — by setting the first word's exponent bits, the non-finite
+// pattern quake.DecodeStepInto rejects. Unlike the seeded injector it
+// never heals, and it leaves the volume fetch of the same object alone.
+type surfaceFlip struct {
+	pfs.Store
+	name string
+	full int
+}
+
+func (s surfaceFlip) ReadAt(c *mpi.Comm, name string, off int64, buf []byte) error {
+	err := s.Store.ReadAt(c, name, off, buf)
+	if err == nil && name == s.name && len(buf) >= 4 && len(buf) < s.full {
+		buf[2] |= 0x80
+		buf[3] |= 0x7f
+	}
+	return err
+}
+
+// TestChaosCorruptSurfaceRecordDropsUnderlay pins the guarded path in front
+// of lic.ComputeWith's finite-field precondition: a surface record with a
+// flipped bit never reaches the convolution (a NaN vector would panic it).
+// quake.DecodeStepInto rejects the record as pfs.ErrCorrupt, LICPayload
+// spends its budget re-reading, then drops the underlay and marks the
+// frame — the rank stays alive and every other frame is untouched.
+func TestChaosCorruptSurfaceRecordDropsUnderlay(t *testing.T) {
+	const steps, bad = 3, 1
+	store := buildDataset(t, steps)
+	l := Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}
+	opts := tolerant(48, 48)
+	opts.LIC, opts.LICSize = true, 32
+	opts.Faults.StepRetries = 2
+	ref, _ := chaosRun(t, store, l, opts, nil)
+	plain := opts
+	plain.LIC = false
+	bare, _ := chaosRun(t, store, l, plain, nil)
+
+	full, err := store.Size(quake.StepObject(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, res := chaosRun(t, store, l, opts, func(st pfs.Store) pfs.Store {
+		return surfaceFlip{st, quake.StepObject(bad), int(full)}
+	})
+	if res.Frames != steps {
+		t.Fatalf("frames = %d, want %d: the LIC rank did not survive", res.Frames, steps)
+	}
+	// One failed build plus two failed re-reads; no share went stale.
+	if res.FaultEvents != 3 || res.Retries != 2 || res.StaleSteps != 0 || res.DegradedFrames != 1 {
+		t.Errorf("accounting = events:%d retries:%d stale:%d degraded:%d, want 3/2/0/1",
+			res.FaultEvents, res.Retries, res.StaleSteps, res.DegradedFrames)
+	}
+	for step := 0; step < steps; step++ {
+		if got, want := w.FrameDegraded(step), step == bad; got != want {
+			t.Errorf("FrameDegraded(%d) = %v, want %v", step, got, want)
+		}
+		clean := ref
+		if step == bad {
+			clean = bare // the volume rendering alone: the underlay was dropped
+		}
+		if d := img.MaxAbsDiff(clean.Frame(step), w.Frame(step)); d != 0 {
+			t.Errorf("step %d differs from its clean frame (max abs %g)", step, d)
+		}
+	}
+	// The error the fault policy degraded over is the decoder's.
+	raw := make([]byte, full)
+	if err := (surfaceFlip{store, quake.StepObject(bad), int(full) + 1}).ReadAt(nil, quake.StepObject(bad), 0, raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := quake.DecodeStepInto(nil, raw); !errors.Is(err, pfs.ErrCorrupt) {
+		t.Errorf("DecodeStepInto(flipped record) = %v, want pfs.ErrCorrupt", err)
 	}
 }
 

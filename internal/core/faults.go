@@ -69,21 +69,38 @@ func (w *RealWorkload) Fetch(c *mpi.Comm, t, part, m int) (any, error) {
 	if err == nil || !w.opts.Faults.Tolerate {
 		return share, err
 	}
-	faults, retries := 1, 0
-	if w.opts.ReadStrategy != ReadCollective {
-		for retries < w.opts.Faults.stepRetries() && pfs.Retryable(err) {
-			retries++
-			share, err = w.fetchStep(c, t, part, m)
-			if err == nil {
-				w.account(faults, retries, false)
-				return share, nil
-			}
-			faults++
-		}
+	budget := w.opts.Faults.stepRetries()
+	if w.opts.ReadStrategy == ReadCollective {
+		budget = 0
+	}
+	err = w.reread(err, budget, true, func() (err error) {
+		share, err = w.fetchStep(c, t, part, m)
+		return err
+	})
+	if err == nil {
+		return share, nil
 	}
 	w.markDegraded(t)
-	w.account(faults, retries, true)
 	return w.degradeStep(c, t, part, m), nil
+}
+
+// reread is the budgeted re-read every recovery site runs: while err is
+// retryable and fewer than budget retries are spent, run again. It
+// accounts the episode — as healed when an attempt succeeds (nil is
+// returned), with the caller's stale flag when the budget runs out or err
+// is not worth retrying (the last error is returned).
+func (w *RealWorkload) reread(err error, budget int, stale bool, again func() error) error {
+	faults, retries := 1, 0
+	for retries < budget && pfs.Retryable(err) {
+		retries++
+		if err = again(); err == nil {
+			w.account(faults, retries, false)
+			return nil
+		}
+		faults++
+	}
+	w.account(faults, retries, stale)
+	return err
 }
 
 // degradeStep publishes the share an exhausted step would have fetched,
@@ -119,17 +136,9 @@ func (w *RealWorkload) retryReopen(f *mpiio.File, c *mpi.Comm, t int, err error)
 	if !w.opts.Faults.Tolerate {
 		return err
 	}
-	faults, retries := 1, 0
-	for retries < w.opts.Faults.stepRetries() && pfs.Retryable(err) {
-		retries++
-		if err = f.Reopen(c, w.store, w.stepName(t)); err == nil {
-			w.account(faults, retries, false)
-			return nil
-		}
-		faults++
-	}
-	w.account(faults, retries, false)
-	return err
+	return w.reread(err, w.opts.Faults.stepRetries(), false, func() error {
+		return f.Reopen(c, w.store, w.stepName(t))
+	})
 }
 
 // LICPayload implements Workload: licStep under the fault policy. A failed
@@ -140,17 +149,13 @@ func (w *RealWorkload) LICPayload(c *mpi.Comm, t int, prep any) (int64, any, err
 	if err == nil || !w.opts.Faults.Tolerate {
 		return bytes, data, err
 	}
-	faults, retries := 1, 0
-	for retries < w.opts.Faults.stepRetries() && pfs.Retryable(err) {
-		retries++
+	err = w.reread(err, w.opts.Faults.stepRetries(), false, func() (err error) {
 		bytes, data, err = w.licStep(c, t)
-		if err == nil {
-			w.account(faults, retries, false)
-			return bytes, data, nil
-		}
-		faults++
+		return err
+	})
+	if err == nil {
+		return bytes, data, nil
 	}
 	w.markDegraded(t)
-	w.account(faults, retries, false)
 	return 1, nil, nil
 }

@@ -223,33 +223,25 @@ func TestFrameRingSemantics(t *testing.T) {
 }
 
 // TestFrameReleaseAndCopyOut exercises the consumer side of the ring
-// against a real pipeline run: copy-out matches the borrowed frame, and a
-// released step is gone.
+// against a real pipeline run: a borrowed frame stays put until released,
+// and a released step is gone.
 func TestFrameReleaseAndCopyOut(t *testing.T) {
 	store := buildDataset(t, 2)
 	opts := smallOpts(32, 32)
 	l := Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}
 	w, _ := runReal(t, store, l, opts)
-	ref := w.Frame(1).Clone()
-	var dst img.Image
-	if !w.CopyFrameInto(1, &dst) {
-		t.Fatal("CopyFrameInto missed an existing frame")
+	ref := w.Frame(1)
+	if ref == nil || w.Frame(1) != ref {
+		t.Fatal("borrowing frame 1 twice gave two images")
 	}
-	if dst.W != ref.W || dst.H != ref.H {
-		t.Fatalf("copied frame is %dx%d, want %dx%d", dst.W, dst.H, ref.W, ref.H)
-	}
-	if d := img.MaxAbsDiff(ref, &dst); d != 0 {
-		t.Errorf("copied frame differs from borrow (max abs %g)", d)
-	}
+	w.ReleaseFrame(1)
 	if w.Frame(1) != nil {
-		t.Error("frame still present after copy-out")
+		t.Error("frame still present after release")
 	}
-	if !w.CopyFrameInto(0, &dst) {
-		t.Fatal("CopyFrameInto missed frame 0")
-	}
-	w.ReleaseFrame(0) // already released by the copy: must be a no-op
-	if w.CopyFrameInto(7, &dst) {
-		t.Error("CopyFrameInto invented a missing frame")
+	w.ReleaseFrame(1) // already released: must be a no-op
+	w.ReleaseFrame(7) // never existed: must be a no-op
+	if w.Frame(0) == nil {
+		t.Error("releasing frame 1 took frame 0 with it")
 	}
 }
 

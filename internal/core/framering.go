@@ -9,9 +9,8 @@ import (
 // FrameRing recycles assembled output frames, closing the last per-step
 // allocation of the output stage. Assemble acquires a canvas per timestep;
 // the frame then lives in the workload's frame table until a consumer
-// either copies it out (CopyFrameInto) or releases it (ReleaseFrame), which
-// returns the canvas to the ring. A consumer that releases frames as it
-// uses them keeps the ring at its initial depth — sized to the prefetch
+// releases it (ReleaseFrame), which returns the canvas to the ring. A
+// consumer that releases frames as it uses them keeps the ring at its initial depth — sized to the prefetch
 // window, since that bounds how many frames are in flight at once — and the
 // steady-state assemble allocates nothing. A consumer that never releases
 // (the batch examples read every frame after the run) simply grows the
@@ -67,8 +66,8 @@ func (r *FrameRing) Acquire(w, h int) *img.Image {
 // Releasing the same canvas twice without an Acquire in between panics:
 // a duplicate in the free list would let Acquire hand one canvas to two
 // owners, and the resulting aliasing corrupts frames silently, far from
-// the bug. The workload-level consumer API (ReleaseFrame/CopyFrameInto)
-// is naturally idempotent — the frames-map delete means a second release
+// the bug. The workload-level consumer API (ReleaseFrame) is
+// naturally idempotent — the frames-map delete means a second release
 // of a step finds nothing — which hid this hole until the serving layer
 // (internal/serve) became the ring's first direct second consumer; the
 // O(depth) membership scan turns the silent corruption into an immediate,

@@ -171,6 +171,8 @@ func (r *Result) AvgRender() float64 {
 // RenderImbalance returns max/mean of per-renderer busy time — 1.0 is a
 // perfect balance; large values mean the block assignment left renderers
 // idle.
+//
+//repro:allow deadexport: bench
 func (r *Result) RenderImbalance() float64 {
 	if len(r.RankRenderSec) == 0 {
 		return 0

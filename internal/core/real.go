@@ -317,7 +317,7 @@ func (w *RealWorkload) WantLIC() bool { return w.opts.LIC }
 // Frame returns the assembled image for timestep t (after the run, or as
 // soon as the step's Assemble completed). The image is a borrow from the
 // frame ring: it stays valid until the caller releases it with
-// ReleaseFrame (or copies it out with CopyFrameInto). Callers that never
+// ReleaseFrame. Callers that never
 // release simply keep every frame alive, at the pre-ring memory cost.
 func (w *RealWorkload) Frame(t int) *img.Image {
 	w.framesMu.Lock()
@@ -336,24 +336,6 @@ func (w *RealWorkload) ReleaseFrame(t int) {
 	delete(w.frames, t)
 	w.framesMu.Unlock()
 	w.ring.Release(frame)
-}
-
-// CopyFrameInto copies timestep t's assembled frame into dst (resized as
-// needed) and releases the original back to the ring — the copy-out side
-// of the ring's consumer contract. It reports whether the frame existed.
-func (w *RealWorkload) CopyFrameInto(t int, dst *img.Image) bool {
-	w.framesMu.Lock()
-	frame := w.frames[t]
-	delete(w.frames, t)
-	w.framesMu.Unlock()
-	if frame == nil {
-		return false
-	}
-	dst.W, dst.H = frame.W, frame.H
-	dst.Pix = pool.Grow(dst.Pix, len(frame.Pix))
-	copy(dst.Pix, frame.Pix)
-	w.ring.Release(frame)
-	return true
 }
 
 // Mesh exposes the loaded mesh (for examples).
@@ -396,6 +378,8 @@ func (w *RealWorkload) Close() {
 }
 
 // VMax exposes the quantization range (for tests).
+//
+//repro:allow deadexport: bench
 func (w *RealWorkload) VMax() float32 { return w.ds.vmax }
 
 // adaptiveFetching reports whether reads are restricted to the needed

@@ -176,8 +176,8 @@ func TestFig13Runs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.NumRows() != 4 {
-		t.Errorf("rows = %d", tb.NumRows())
+	if rows := column(tb, 0); len(rows) != 4 {
+		t.Errorf("rows = %d", len(rows))
 	}
 }
 

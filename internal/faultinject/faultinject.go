@@ -144,6 +144,8 @@ type site struct {
 }
 
 // Wrap builds an injecting store over inner.
+//
+//repro:allow deadexport: test injector
 func Wrap(inner pfs.Store, cfg Config) *Store {
 	if cfg.FaultAttempts <= 0 {
 		cfg.FaultAttempts = 1
@@ -152,6 +154,8 @@ func Wrap(inner pfs.Store, cfg Config) *Store {
 }
 
 // Stats returns a snapshot of the injection counters.
+//
+//repro:allow deadexport: test injector
 func (s *Store) Stats() Stats {
 	if s == nil {
 		return Stats{}

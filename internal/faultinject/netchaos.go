@@ -101,6 +101,8 @@ type NetChaos struct {
 }
 
 // NewNetChaos builds the injector for one schedule.
+//
+//repro:allow deadexport: test injector
 func NewNetChaos(cfg NetChaosConfig) *NetChaos {
 	nc := &NetChaos{cfg: cfg}
 	if len(cfg.DropAt) > 0 {
@@ -119,6 +121,8 @@ func NewNetChaos(cfg NetChaosConfig) *NetChaos {
 }
 
 // Stats returns a snapshot of the fired-injection counters.
+//
+//repro:allow deadexport: test injector
 func (nc *NetChaos) Stats() NetChaosStats {
 	return NetChaosStats{
 		Frames:   nc.frames.Load(),

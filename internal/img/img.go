@@ -36,13 +36,6 @@ func (m *Image) Clone() *Image {
 	return out
 }
 
-// Clear resets all pixels to transparent black.
-func (m *Image) Clear() {
-	for i := range m.Pix {
-		m.Pix[i] = 0
-	}
-}
-
 // At returns the RGBA value at (x, y).
 func (m *Image) At(x, y int) (r, g, b, a float32) {
 	i := 4 * (y*m.W + x)
@@ -53,13 +46,6 @@ func (m *Image) At(x, y int) (r, g, b, a float32) {
 func (m *Image) Set(x, y int, r, g, b, a float32) {
 	i := 4 * (y*m.W + x)
 	m.Pix[i], m.Pix[i+1], m.Pix[i+2], m.Pix[i+3] = r, g, b, a
-}
-
-// OverPixel composites src over dst (both premultiplied) and returns the
-// result: out = src + (1-src.a)*dst.
-func OverPixel(dr, dg, db, da, sr, sg, sb, sa float32) (r, g, b, a float32) {
-	t := 1 - sa
-	return sr + t*dr, sg + t*dg, sb + t*db, sa + t*da
 }
 
 // Over composites src over m in place. Images must be the same size.
@@ -113,15 +99,6 @@ func (m *Image) FlattenOn(br, bg, bb float32) []uint8 {
 		p += 3
 	}
 	return out
-}
-
-// WritePPM writes the image as a binary PPM (P6) over black.
-func (m *Image) WritePPM(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "P6\n%d %d\n255\n", m.W, m.H); err != nil {
-		return err
-	}
-	_, err := w.Write(m.FlattenOn(0, 0, 0))
-	return err
 }
 
 // WritePNG writes the image as a PNG over black.

@@ -65,11 +65,11 @@ func TestOverAssociative(t *testing.T) {
 		br, bg, bb, ba := px(1)
 		cr, cg, cb, ca := px(2)
 		// left: (a over b) over c
-		lr, lg, lb, la := OverPixel(br, bg, bb, ba, ar, ag, ab, aa)
-		lr, lg, lb, la = OverPixel(cr, cg, cb, ca, lr, lg, lb, la)
+		lr, lg, lb, la := overPixel(br, bg, bb, ba, ar, ag, ab, aa)
+		lr, lg, lb, la = overPixel(cr, cg, cb, ca, lr, lg, lb, la)
 		// right: a over (b over c)
-		rr, rg, rb, ra := OverPixel(cr, cg, cb, ca, br, bg, bb, ba)
-		rr, rg, rb, ra = OverPixel(rr, rg, rb, ra, ar, ag, ab, aa)
+		rr, rg, rb, ra := overPixel(cr, cg, cb, ca, br, bg, bb, ba)
+		rr, rg, rb, ra = overPixel(rr, rg, rb, ra, ar, ag, ab, aa)
 		eq := func(x, y float32) bool { return math.Abs(float64(x-y)) < 1e-5 }
 		return eq(lr, rr) && eq(lg, rg) && eq(lb, rb) && eq(la, ra)
 	}
@@ -101,6 +101,16 @@ func TestUnderMatchesOver(t *testing.T) {
 	}
 }
 
+// overPixel composites one premultiplied pixel over another through
+// Image.Over.
+func overPixel(dr, dg, db, da, sr, sg, sb, sa float32) (r, g, b, a float32) {
+	dst, src := New(1, 1), New(1, 1)
+	dst.Set(0, 0, dr, dg, db, da)
+	src.Set(0, 0, sr, sg, sb, sa)
+	dst.Over(src)
+	return dst.At(0, 0)
+}
+
 func maxf(vs ...float32) float32 {
 	m := vs[0]
 	for _, v := range vs[1:] {
@@ -109,21 +119,6 @@ func maxf(vs ...float32) float32 {
 		}
 	}
 	return m
-}
-
-func TestPPMHeader(t *testing.T) {
-	m := New(2, 2)
-	var buf bytes.Buffer
-	if err := m.WritePPM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "P6\n2 2\n255\n"
-	if got := buf.String()[:len(want)]; got != want {
-		t.Errorf("header = %q", got)
-	}
-	if buf.Len() != len(want)+12 {
-		t.Errorf("payload size = %d", buf.Len()-len(want))
-	}
 }
 
 func TestPNGRoundtripSize(t *testing.T) {

@@ -6,7 +6,7 @@
 // docs/ownership.md and docs/lint.md; this package turns them from prose
 // into `make check` failures with exact file:line diagnostics.
 //
-// Five sub-analyzers, one per documented invariant:
+// Six sub-analyzers, one per documented invariant:
 //
 //   - allocfree: functions annotated `//repro:allocfree` are checked
 //     against the compiler's escape analysis (`go build -gcflags=-m`);
@@ -27,6 +27,10 @@
 //     internal/mpiio I/O paths must wrap (%w) one of the typed sentinels
 //     or an already-classified error, so new code cannot silently
 //     default to unclassified-permanent (docs/faults.md).
+//   - deadexport: a function or method declared under internal/ must be
+//     referenced from some non-test file of the module (interface
+//     implementations excepted), so code only tests reach cannot
+//     accumulate (ROADMAP item 6).
 //
 // False positives are suppressed per line with a
 // `//repro:allow <analyzer>: <reason>` comment on the offending line or
@@ -42,6 +46,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -109,7 +114,7 @@ func DefaultErrClassPkgs() []string {
 
 // AllAnalyzers lists every sub-analyzer in the order findings are
 // reported by the CLI's usage text and docs/lint.md.
-var AllAnalyzers = []string{"allocfree", "codecid", "decodealias", "scratchconfine", "errclass"}
+var AllAnalyzers = []string{"allocfree", "codecid", "decodealias", "scratchconfine", "errclass", "deadexport"}
 
 // pkg is one loaded package: the `go list` metadata plus every parsed
 // file (sources, in-package tests, external tests), keyed by absolute
@@ -123,6 +128,11 @@ type pkg struct {
 	XTestGoFiles []string
 
 	files map[string]*ast.File // all parsed files by absolute path
+
+	// Set by typeCheck: the checked package and the Defs/Uses/Types of
+	// every file above.
+	types *types.Package
+	info  *types.Info
 }
 
 // sortedFiles returns every parsed file's absolute path in sorted order,
@@ -165,6 +175,7 @@ type runner struct {
 	exports     map[string]string // import path -> export data file
 	exportsErr  error
 	exportsOnce bool
+	typed       bool // typeCheck has run
 }
 
 // Run loads the configured packages and applies every selected analyzer,
@@ -209,6 +220,11 @@ func Run(cfg Config) ([]Finding, error) {
 	}
 	if want["scratchconfine"] {
 		if err := add(r.scratchConfine()); err != nil {
+			return nil, err
+		}
+	}
+	if want["deadexport"] {
+		if err := add(r.deadExport()); err != nil {
 			return nil, err
 		}
 	}

@@ -1,6 +1,10 @@
 package invarcheck
 
 import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -105,6 +109,60 @@ func TestErrClass(t *testing.T) {
 		fixtureDir + "errclass_bad/errclass_bad.go:15: [errclass] " + errClassMsg,
 		fixtureDir + "errclass_bad/errclass_bad.go:17: [errclass] " + errClassMsg,
 	})
+}
+
+func TestDeadExport(t *testing.T) {
+	const pkg = "repro/internal/invarcheck/testdata/src/deadexport_bad"
+	const msg = " is referenced from no non-test file; delete it with the tests that only exercise it, or move it into a _test.go file"
+	fixture(t, Config{
+		Dirs: []string{
+			fixtureDir + "deadexport_bad",
+			fixtureDir + "deadexport_clean",
+		},
+		Analyzers: []string{"deadexport"},
+	}, []string{
+		fixtureDir + "deadexport_bad/deadexport_bad.go:9: [deadexport] function " + pkg + ".Dead" + msg,
+		fixtureDir + "deadexport_bad/deadexport_bad.go:11: [deadexport] function " + pkg + ".deadHelper" + msg,
+		fixtureDir + "deadexport_bad/deadexport_bad.go:13: [deadexport] method (*" + pkg + ".counter).Bump" + msg,
+		fixtureDir + "deadexport_bad/deadexport_bad.go:15: [deadexport] function " + pkg + ".Recurse" + msg,
+		fixtureDir + "deadexport_bad/deadexport_bad.go:22: [deadexport] function " + pkg + ".TestOnly" + msg,
+	})
+}
+
+// TestDeadExportAllowList pins the allow-list of the real tree: every
+// `//repro:allow deadexport` carries one of the three reasons docs/lint.md
+// accepts, and there are at most 20 of them.
+func TestDeadExportAllowList(t *testing.T) {
+	reasons := map[string]bool{"bench": true, "test injector": true, "paper §5, ROADMAP 2c": true}
+	n := 0
+	for _, root := range []string{"../../internal", "../../cmd", "../../examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.Contains(path, "testdata") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for i, line := range strings.Split(string(src), "\n") {
+				reason, ok := strings.CutPrefix(strings.TrimSpace(line), "//repro:allow deadexport")
+				if !ok {
+					continue
+				}
+				n++
+				if !reasons[strings.TrimPrefix(reason, ": ")] {
+					t.Errorf("%s:%d: deadexport allowed for %q, not one of the accepted reasons", path, i+1, reason)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n == 0 || n > 20 {
+		t.Errorf("%d deadexport allows in the tree, want 1..20", n)
+	}
 }
 
 // TestTreeClean runs the full default suite over the real tree — the same

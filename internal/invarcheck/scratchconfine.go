@@ -27,9 +27,29 @@ import (
 )
 
 func (r *runner) scratchConfine() ([]Finding, error) {
+	if err := r.typeCheck(); err != nil {
+		return nil, err
+	}
+	var fs []Finding
+	for _, p := range r.pkgs {
+		for _, abs := range p.sortedFiles() {
+			fs = append(fs, r.checkGoStmts(p.files[abs], p.info)...)
+		}
+	}
+	return fs, nil
+}
+
+// typeCheck type-checks every loaded package once per Run (scratchconfine
+// and deadexport share the result): go/types over the parsed files, with
+// imports resolved from `go list -export` data through go/importer. Each
+// package keeps its types.Info and its checked *types.Package.
+func (r *runner) typeCheck() error {
+	if r.typed {
+		return nil
+	}
 	exports, err := r.exportData()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	lookup := func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
@@ -38,10 +58,11 @@ func (r *runner) scratchConfine() ([]Finding, error) {
 		}
 		return os.Open(f)
 	}
+	r.typed = true
 	base := importer.ForCompiler(r.fset, "gc", lookup)
-	var fs []Finding
 	for _, p := range r.pkgs {
-		info := &types.Info{
+		p.info = &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
 			Uses:  map[*ast.Ident]types.Object{},
 			Types: map[ast.Expr]types.TypeAndValue{},
 		}
@@ -57,22 +78,19 @@ func (r *runner) scratchConfine() ([]Finding, error) {
 			}
 		}
 		conf := types.Config{Importer: base, Error: func(error) {}, FakeImportC: true}
-		tp, _ := conf.Check(p.ImportPath, r.fset, srcFiles, info)
+		p.types, _ = conf.Check(p.ImportPath, r.fset, srcFiles, p.info)
 		// Pass 2: external test files import the package under test; hand
 		// them the in-memory (test-variant) package from pass 1.
 		if len(xtestFiles) > 0 {
 			xconf := types.Config{
-				Importer:    &overrideImporter{base: base, path: p.ImportPath, pkg: tp},
+				Importer:    &overrideImporter{base: base, path: p.ImportPath, pkg: p.types},
 				Error:       func(error) {},
 				FakeImportC: true,
 			}
-			xconf.Check(p.ImportPath+"_test", r.fset, xtestFiles, info)
-		}
-		for _, abs := range p.sortedFiles() {
-			fs = append(fs, r.checkGoStmts(p.files[abs], info)...)
+			xconf.Check(p.ImportPath+"_test", r.fset, xtestFiles, p.info)
 		}
 	}
-	return fs, nil
+	return nil
 }
 
 // overrideImporter resolves one import path to an in-memory package and

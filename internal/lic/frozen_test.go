@@ -166,7 +166,8 @@ func TestConvolveMatchesFrozen(t *testing.T) {
 	for _, dim := range []struct{ w, h, gw, gh int }{
 		{32, 32, 32, 32}, {40, 24, 17, 29}, {20, 36, 64, 8},
 	} {
-		noise := WhiteNoise(dim.w, dim.h, 7)
+		noise := &Image{}
+		WhiteNoiseInto(noise, dim.w, dim.h, 7)
 		for _, kind := range []struct{ stagnant, nan bool }{{false, false}, {true, false}, {true, true}} {
 			field := swirlField(rng, dim.gw, dim.gh, kind.stagnant, kind.nan)
 			for _, L := range []int{1, 10} {
@@ -239,7 +240,8 @@ func TestLICStepSpeedupGate(t *testing.T) {
 	const size = 128
 	samples, tree := licStepSetup(t, 2000, size)
 	cfg := Config{L: size / 12, StepSize: 0.5, Seed: 7, Phase: -1, Workers: 1}
-	noise := WhiteNoise(size, size, cfg.Seed)
+	noise := &Image{}
+	WhiteNoiseInto(noise, size, size, cfg.Seed)
 	var scr Scratch
 	var grid quadtree.Grid
 	if err := tree.ResampleInto(&grid, size, size); err != nil {

@@ -83,6 +83,13 @@ func (s *Scratch) noiseFor(w, h int, seed int64) *Image {
 // nil scr is a private scratch, dropped on return, so the image is the
 // caller's. Output is bit-identical for any scr/pool/Workers combination.
 //
+// Precondition: every vector of field is finite. It is not checked: a NaN
+// or Inf component makes a streamline position NaN, which passes every
+// bounds comparison and panics the next Grid.At on an int(NaN) index. The
+// pipeline meets it by decoding surface records through
+// quake.DecodeStepInto, which rejects non-finite words as pfs.ErrCorrupt
+// (docs/faults.md); a caller with its own field must check it itself.
+//
 //repro:allocfree
 func ComputeWith(field *quadtree.Grid, w, h int, cfg Config, scr *Scratch) (*Image, error) {
 	if w <= 0 || h <= 0 {
@@ -161,15 +168,8 @@ func (m *Image) At(x, y int) float64 {
 	return float64(m.Pix[y*m.W+x])
 }
 
-// WhiteNoise returns a reproducible w×h white-noise texture in [0,1].
-func WhiteNoise(w, h int, seed int64) *Image {
-	m := &Image{}
-	WhiteNoiseInto(m, w, h, seed)
-	return m
-}
-
-// WhiteNoiseInto fills an existing image with the texture WhiteNoise
-// produces, reusing its pixel buffer.
+// WhiteNoiseInto fills m with a reproducible w×h white-noise texture in
+// [0,1], reusing its pixel buffer.
 func WhiteNoiseInto(m *Image, w, h int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	m.W, m.H = w, h

@@ -95,7 +95,8 @@ func TestLICPreservesMean(t *testing.T) {
 
 func TestLICReducesVarianceVsNoise(t *testing.T) {
 	field := circularField(48, 48)
-	noise := WhiteNoise(48, 48, 3)
+	noise := &Image{}
+	WhiteNoiseInto(noise, 48, 48, 3)
 	out, _ := ComputeWith(field, 48, 48, Config{L: 10, Seed: 3, Phase: -1}, nil)
 	varOf := func(m *Image) float64 {
 		var mean, v float64
@@ -130,7 +131,8 @@ func TestLICZeroFieldReturnsNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noise := WhiteNoise(16, 16, 2)
+	noise := &Image{}
+	WhiteNoiseInto(noise, 16, 16, 2)
 	for i := range out.Pix {
 		if out.Pix[i] != noise.Pix[i] {
 			t.Fatal("stagnant field should return the noise texture")

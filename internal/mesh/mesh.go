@@ -287,12 +287,6 @@ func (m *Mesh) NumNodes() int { return len(m.Nodes) }
 // NumElems returns the element count.
 func (m *Mesh) NumElems() int { return len(m.Elems) }
 
-// NodePos returns the physical position of a node in meters.
-func (m *Mesh) NodePos(id int32) [3]float64 {
-	p := m.Nodes[id].Pos()
-	return [3]float64{p[0] * m.Domain, p[1] * m.Domain, p[2] * m.Domain}
-}
-
 // SurfaceNodes returns the ids of nodes on the ground surface (z = 0),
 // where the paper's 2D vector-field visualization lives.
 func (m *Mesh) SurfaceNodes() []int32 {
@@ -303,15 +297,4 @@ func (m *Mesh) SurfaceNodes() []int32 {
 		}
 	}
 	return out
-}
-
-// Volume returns the total mesh volume in cubic meters (must equal
-// Domain^3 for a covering tree).
-func (m *Mesh) Volume() float64 {
-	var v float64
-	for _, e := range m.Elems {
-		s := e.Leaf.Size() * m.Domain
-		v += s * s * s
-	}
-	return v
 }

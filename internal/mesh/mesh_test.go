@@ -51,8 +51,8 @@ func TestGenerateUniform(t *testing.T) {
 	if len(m.Hanging) != 0 {
 		t.Errorf("uniform mesh has %d hanging nodes", len(m.Hanging))
 	}
-	if math.Abs(m.Volume()-8000*8000*8000) > 1 {
-		t.Errorf("volume = %v", m.Volume())
+	if math.Abs(volume(m)-8000*8000*8000) > 1 {
+		t.Errorf("volume = %v", volume(m))
 	}
 }
 
@@ -68,19 +68,27 @@ func TestGenerateGraded(t *testing.T) {
 	if len(m.Hanging) == 0 {
 		t.Error("graded mesh has no hanging nodes")
 	}
-	if math.Abs(m.Volume()-8000*8000*8000) > 1 {
-		t.Errorf("volume = %v", m.Volume())
+	if math.Abs(volume(m)-8000*8000*8000) > 1 {
+		t.Errorf("volume = %v", volume(m))
 	}
 	// 2:1 balance must hold (Generate balances).
+	isLeaf := make(map[octree.Cell]bool, m.Tree.Len())
+	for _, c := range m.Tree.Leaves {
+		isLeaf[c] = true
+	}
 	for _, c := range m.Tree.Leaves {
 		for _, d := range [][3]int{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {-1, 0, 0}, {0, -1, 0}, {0, 0, -1}} {
 			nb, ok := c.Neighbor(d[0], d[1], d[2])
 			if !ok {
 				continue
 			}
-			leaf, idx := m.Tree.FindLeaf(nb.Center())
-			if idx >= 0 && int(c.Level)-int(leaf.Level) > 1 {
-				t.Fatalf("2:1 violated between %v and %v", c, leaf)
+			// The leaf covering a same-size neighbor that is not itself a
+			// leaf is an ancestor of it, or finer; only an ancestor can be
+			// too coarse.
+			for l := int(nb.Level) - 2; l >= 0; l-- {
+				if leaf := nb.AncestorAt(uint8(l)); isLeaf[leaf] {
+					t.Fatalf("2:1 violated between %v and %v", c, leaf)
+				}
 			}
 		}
 	}
@@ -169,10 +177,11 @@ func TestSurfaceNodes(t *testing.T) {
 
 func TestNodePosScaling(t *testing.T) {
 	m := FromTree(octree.FromLeaves([]octree.Cell{{Level: 0}}), 5000, nil)
-	// Root cell: 8 corner nodes; the far corner is at (5000,5000,5000).
-	far := m.NodePos(m.NodeIndex[GridCoord{1 << octree.MaxLevel, 1 << octree.MaxLevel, 1 << octree.MaxLevel}])
-	if far != [3]float64{5000, 5000, 5000} {
-		t.Errorf("far corner = %v", far)
+	// Root cell: 8 corner nodes; the far corner is the unit cube's, and
+	// Domain scales it to (5000,5000,5000) meters.
+	far := m.Nodes[m.NodeIndex[GridCoord{1 << octree.MaxLevel, 1 << octree.MaxLevel, 1 << octree.MaxLevel}]].Pos()
+	if far != [3]float64{1, 1, 1} || m.Domain != 5000 {
+		t.Errorf("far corner = %v x %v m", far, m.Domain)
 	}
 }
 
@@ -183,4 +192,15 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	if _, err := Generate(Config{Domain: 1, FMax: 1, PointsPerWave: 1, MinLevel: 5, MaxLevel: 2}, gradedModel{}); err == nil {
 		t.Error("min>max levels accepted")
 	}
+}
+
+// volume is the total mesh volume in cubic meters (Domain^3 for a covering
+// tree).
+func volume(m *Mesh) float64 {
+	var v float64
+	for _, e := range m.Elems {
+		s := e.Leaf.Size() * m.Domain
+		v += s * s * s
+	}
+	return v
 }

@@ -15,8 +15,8 @@ import (
 // a socket. Codecs for the pipeline's pooled payloads live next to the
 // payload types (internal/core, internal/compositor, internal/mpiio) and
 // register themselves in init; this file provides the registry plus
-// builtin codecs for the small scalar/slice types tests and collectives
-// ship.
+// builtin codecs for the small scalar/slice types control messages and
+// tests ship.
 //
 // Ownership across the wire (docs/ownership.md "Serialization boundary"):
 // Encode is the sending side's consumer — a codec for a pooled payload
@@ -313,7 +313,7 @@ func AppendU64(buf []byte, v uint64) []byte { return binary.LittleEndian.AppendU
 // --- Builtin codecs --------------------------------------------------------
 
 // Builtin codec IDs (range 1–31). These cover the scalar and small-slice
-// payloads the collectives and tests ship; pipeline payload codecs live
+// payloads control messages and tests ship; pipeline payload codecs live
 // with their types.
 const (
 	codecBool    CodecID = 1
@@ -485,7 +485,6 @@ func init() {
 		},
 	})
 	// []any nests through the registry: each element is a full wire value.
-	// Gather/Allgather results cross the wire with this.
 	RegisterCodec(codecAnys, []any(nil), Codec{
 		Encode: func(buf []byte, v any) ([]byte, error) {
 			s := v.([]any)

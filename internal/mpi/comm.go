@@ -1,7 +1,7 @@
 // Package mpi provides the message-passing runtime the visualization
-// pipeline runs on. It mirrors the MPI subset used by the paper (blocking
-// and non-blocking point-to-point with tag matching, plus the collectives)
-// and runs over one of three interchangeable transports:
+// pipeline runs on. It mirrors the MPI subset the pipeline uses (blocking
+// point-to-point with tag matching, plus the barrier) and runs over one of
+// three interchangeable transports:
 //
 //   - a real transport (RunReal): ranks are goroutines on the local machine,
 //     messages move through mailboxes instantly, and time is wall-clock.
@@ -37,7 +37,7 @@ const (
 	AnyTag    = -1
 )
 
-// collTagBase is the start of the tag namespace reserved for collectives.
+// collTagBase is the start of the tag namespace reserved for Barrier.
 // Application tags must stay below this value.
 const collTagBase = 1 << 24
 
@@ -54,31 +54,6 @@ type Message struct {
 	Bytes int64
 	Data  any
 }
-
-// Request is the completion handle for a non-blocking operation.
-type Request struct {
-	done bool
-	wait func(r *Request)
-}
-
-// Wait blocks until the operation completes.
-func (r *Request) Wait() {
-	if r.done {
-		return
-	}
-	r.wait(r)
-	r.done = true
-}
-
-// Done reports whether the operation has already completed.
-func (r *Request) Done() bool { return r.done }
-
-// completedRequest is the shared completion handle returned by transports
-// whose sends complete before returning (the eager real and network
-// backends). Wait and Done never mutate a Request whose done flag is
-// already set, so a single immutable sentinel serves every such operation
-// without allocating per message on the hot send path.
-var completedRequest = &Request{done: true}
 
 // ErrPeerLost is the sentinel every peer-loss failure wraps: a network
 // peer whose connection died and whose reconnect budget is exhausted is
@@ -123,24 +98,19 @@ func (e *PeerLostError) Is(target error) bool { return target == ErrPeerLost }
 // they cannot steal world or sibling-sub messages from a shared mailbox.
 type world interface {
 	send(c *Comm, dst, tag int, bytes int64, data any)
-	isend(c *Comm, dst, tag int, bytes int64, data any) *Request
 	recv(c *Comm, src, tagLo, tagHi int) Message
 	now(c *Comm) float64
 	compute(c *Comm, seconds float64)
 	ioRead(c *Comm, bytes int64, seeks int)
-	simulated() bool
 }
 
-// lossyWorld is the optional transport surface behind RecvErr, TryRecv
-// and PeerLost: transports that can lose peers (the network transport)
-// or support non-blocking receives (real and network) implement it. The
-// simulated transport does not — RecvErr falls back to the blocking
-// panic-on-failure recv there, which is equivalent because simulated
-// peers never die.
+// lossyWorld is the optional transport surface behind RecvErr:
+// transports whose receives can fail (a lost network peer, a poisoned
+// mailbox) implement it. The simulated transport does not — RecvErr
+// falls back to the blocking panic-on-failure recv there, which is
+// equivalent because simulated peers never die.
 type lossyWorld interface {
 	recvErr(c *Comm, src, tagLo, tagHi int) (Message, error)
-	tryRecv(c *Comm, src, tagLo, tagHi int) (Message, bool, error)
-	peerLost(r int) bool
 }
 
 // Comm is one rank's view of the communicator. All methods must be called
@@ -165,10 +135,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return c.size }
-
-// Simulated reports whether this communicator runs on the discrete-event
-// transport (virtual time) rather than wall-clock goroutines.
-func (c *Comm) Simulated() bool { return c.w.simulated() }
 
 // Now returns elapsed time in seconds: virtual time under RunSim,
 // wall-clock since RunReal started otherwise.
@@ -202,15 +168,6 @@ func (c *Comm) Send(dst, tag int, bytes int64, data any) {
 	c.BytesSent += bytes
 	c.MsgsSent++
 	c.w.send(c, dst, tag, bytes, data)
-}
-
-// Isend starts a non-blocking send and returns its completion handle. The
-// sender may continue immediately; the transfer proceeds in the background.
-func (c *Comm) Isend(dst, tag int, bytes int64, data any) *Request {
-	c.checkPeer(dst, "Isend")
-	c.BytesSent += bytes
-	c.MsgsSent++
-	return c.w.isend(c, dst, tag, bytes, data)
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns it.
@@ -259,150 +216,17 @@ func (c *Comm) RecvErr(src, tag int) (Message, error) {
 	return m, nil
 }
 
-// TryRecv is the non-blocking RecvErr: ok reports whether a matching
-// message had already arrived. A lost source rank (or poisoned
-// transport) surfaces its error with ok false. TryRecv panics on
-// transports without a non-blocking surface (RunSim, where polling has
-// no meaning in virtual time).
-func (c *Comm) TryRecv(src, tag int) (Message, bool, error) {
-	if src != AnySource {
-		c.checkPeer(src, "TryRecv")
-	}
-	lo, hi := tag, tag
-	if tag == AnyTag {
-		lo, hi = 0, maxTag
-	}
-	lw, ok := c.w.(lossyWorld)
-	if !ok {
-		panic("mpi: TryRecv is not supported on this transport")
-	}
-	m, got, err := lw.tryRecv(c, src, lo, hi)
-	if err != nil || !got {
-		return Message{}, false, err
-	}
-	c.BytesRecv += m.Bytes
-	c.MsgsRecv++
-	return m, true, nil
-}
-
-// PeerLost reports whether rank r has been declared permanently lost by
-// the transport. Always false on transports that cannot lose peers.
-func (c *Comm) PeerLost(r int) bool {
-	c.checkPeer(r, "PeerLost")
-	if lw, ok := c.w.(lossyWorld); ok {
-		return lw.peerLost(r)
-	}
-	return false
-}
-
-// --- Collectives -----------------------------------------------------------
-//
-// All collectives are implemented over point-to-point operations in a
-// reserved tag namespace. Every rank must call each collective in the same
-// order; a per-rank sequence number isolates consecutive collectives.
-
-func (c *Comm) nextCollTag() int {
-	c.collSeq++
-	return collTagBase + c.collSeq
-}
-
-// Barrier blocks until every rank has entered it (dissemination algorithm).
+// Barrier blocks until every rank has entered it (dissemination algorithm
+// over point-to-point operations in the reserved collective tag
+// namespace). Every rank must call it in the same order; a per-rank
+// sequence number isolates consecutive barriers.
 func (c *Comm) Barrier() {
-	tag := c.nextCollTag()
+	c.collSeq++
+	tag := collTagBase + c.collSeq
 	for k := 1; k < c.size; k <<= 1 {
 		dst := (c.rank + k) % c.size
 		src := (c.rank - k + c.size) % c.size
 		c.Send(dst, tag, 1, nil)
 		c.Recv(src, tag)
 	}
-}
-
-// Bcast broadcasts (bytes, data) from root using a binomial tree and returns
-// the payload on every rank.
-func (c *Comm) Bcast(root int, bytes int64, data any) any {
-	c.checkPeer(root, "Bcast")
-	tag := c.nextCollTag()
-	// Rotate so the root is virtual rank 0.
-	vr := (c.rank - root + c.size) % c.size
-	if vr != 0 {
-		// Receive from parent first.
-		m := c.Recv(AnySource, tag)
-		data, bytes = m.Data, m.Bytes
-	}
-	// Forward to children: at step k this rank holds the payload iff vr < k,
-	// and its child for the step is vr + k.
-	for k := 1; k < c.size; k <<= 1 {
-		if vr < k && vr+k < c.size {
-			c.Send((vr+k+root)%c.size, tag, bytes, data)
-		}
-	}
-	return data
-}
-
-// Reduce combines each rank's (bytes, data) with op, leaving the result on
-// root (binomial tree). op must be associative; nil inputs are passed
-// through to op as-is in cost-model runs (op may ignore them).
-//
-// Contract: bytes models the size of the *reduced value*, not just this
-// rank's contribution — reductions are size-preserving (elementwise), so
-// every internal tree message carries exactly the sender's declared bytes,
-// and all ranks must pass the same value for the volume model to be
-// meaningful. (Before PR 3 each hop forwarded the maximum payload size seen
-// in its subtree, which mismodels reduction volume: a partially reduced
-// subtree is one reduced value, not its largest input.)
-func (c *Comm) Reduce(root int, bytes int64, data any, op func(a, b any) any) any {
-	c.checkPeer(root, "Reduce")
-	tag := c.nextCollTag()
-	vr := (c.rank - root + c.size) % c.size
-	acc := data
-	for k := 1; k < c.size; k <<= 1 {
-		if vr&k != 0 {
-			parent := vr - k
-			c.Send((parent+root)%c.size, tag, bytes, acc)
-			return nil
-		}
-		child := vr + k
-		if child < c.size {
-			m := c.Recv((child+root)%c.size, tag)
-			acc = op(acc, m.Data)
-		}
-	}
-	return acc
-}
-
-// Allreduce is Reduce to rank 0 followed by Bcast. bytes follows the
-// Reduce contract (the reduced value's size, identical on every rank); it
-// models both the reduction tree's messages and the broadcast of the
-// result.
-func (c *Comm) Allreduce(bytes int64, data any, op func(a, b any) any) any {
-	v := c.Reduce(0, bytes, data, op)
-	return c.Bcast(0, bytes, v)
-}
-
-// Gather collects each rank's (bytes, data) on root; the returned slice is
-// indexed by rank and non-nil only on root.
-func (c *Comm) Gather(root int, bytes int64, data any) []any {
-	c.checkPeer(root, "Gather")
-	tag := c.nextCollTag()
-	if c.rank != root {
-		c.Send(root, tag, bytes, data)
-		return nil
-	}
-	out := make([]any, c.size)
-	out[root] = data
-	for i := 0; i < c.size-1; i++ {
-		m := c.Recv(AnySource, tag)
-		out[m.Src] = m.Data
-	}
-	return out
-}
-
-// Allgather gathers every rank's payload and broadcasts the result.
-func (c *Comm) Allgather(bytes int64, data any) []any {
-	all := c.Gather(0, bytes, data)
-	v := c.Bcast(0, bytes*int64(c.size), all)
-	if v == nil {
-		return nil
-	}
-	return v.([]any)
 }

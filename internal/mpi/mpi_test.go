@@ -76,25 +76,6 @@ func TestTagMatchingHoldsOutOfOrder(t *testing.T) {
 	})
 }
 
-func TestIsendCompletes(t *testing.T) {
-	runBoth(t, 2, func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			req := c.Isend(1, 3, 1000, []byte{1, 2, 3})
-			req.Wait()
-			if !req.Done() {
-				t.Error("request not done after Wait")
-			}
-			req.Wait() // idempotent
-		case 1:
-			m := c.Recv(0, 3)
-			if len(m.Data.([]byte)) != 3 {
-				t.Errorf("bad payload %v", m.Data)
-			}
-		}
-	})
-}
-
 func TestBarrier(t *testing.T) {
 	var phase atomic.Int32
 	RunReal(5, func(c *Comm) {
@@ -125,117 +106,6 @@ func TestBarrierSimTime(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	for _, root := range []int{0, 2} {
-		root := root
-		runBoth(t, 5, func(c *Comm) {
-			var in any
-			if c.Rank() == root {
-				in = 42
-			}
-			out := c.Bcast(root, 8, in)
-			if out.(int) != 42 {
-				t.Errorf("rank %d got %v from Bcast(root=%d)", c.Rank(), out, root)
-			}
-		})
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 8} {
-		n := n
-		runBoth(t, n, func(c *Comm) {
-			sum := c.Reduce(0, 8, c.Rank(), func(a, b any) any { return a.(int) + b.(int) })
-			if c.Rank() == 0 {
-				want := n * (n - 1) / 2
-				if sum.(int) != want {
-					t.Errorf("n=%d: reduce sum=%v, want %d", n, sum, want)
-				}
-			}
-		})
-	}
-}
-
-// TestReduceModelsReducedPayloadSize: every internal tree message must
-// carry exactly the sender's declared reduced-value size — the PR 3 fix for
-// the old max-of-children forwarding, which inflated hops above a large
-// child (observable when a caller violates the equal-bytes contract, and
-// wrong in principle: a partially reduced subtree is one reduced value).
-func TestReduceModelsReducedPayloadSize(t *testing.T) {
-	// Uniform declarations: total reduction volume is (n-1) messages of
-	// exactly `bytes` each, and every non-root rank sends exactly once.
-	for _, n := range []int{2, 3, 5, 8} {
-		_, comms := RunSimStats(n, testCfg(), func(c *Comm) {
-			c.Reduce(0, 100, c.Rank(), func(a, b any) any { return a.(int) + b.(int) })
-		})
-		var total int64
-		for r, cm := range comms {
-			total += cm.BytesSent
-			if r != 0 && (cm.MsgsSent != 1 || cm.BytesSent != 100) {
-				t.Errorf("n=%d rank %d: sent %d msgs / %d bytes, want 1 / 100", n, r, cm.MsgsSent, cm.BytesSent)
-			}
-		}
-		if want := int64(100 * (n - 1)); total != want {
-			t.Errorf("n=%d: reduction volume %d bytes, want %d", n, total, want)
-		}
-	}
-	// Heterogeneous declarations (contract violation): each sender still
-	// ships its own declared size, never the max of its subtree — rank 1's
-	// huge payload must not inflate what ranks 2..n-1 forward.
-	_, comms := RunSimStats(4, testCfg(), func(c *Comm) {
-		bytes := int64(10)
-		if c.Rank() == 1 {
-			bytes = 1000
-		}
-		c.Reduce(0, bytes, c.Rank(), func(a, b any) any { return a.(int) + b.(int) })
-	})
-	for r, want := range []int64{0, 1000, 10, 10} {
-		if comms[r].BytesSent != want {
-			t.Errorf("heterogeneous: rank %d sent %d bytes, want %d", r, comms[r].BytesSent, want)
-		}
-	}
-}
-
-func TestAllreduceMax(t *testing.T) {
-	runBoth(t, 6, func(c *Comm) {
-		v := c.Allreduce(8, c.Rank(), func(a, b any) any {
-			if a.(int) > b.(int) {
-				return a
-			}
-			return b
-		})
-		if v.(int) != 5 {
-			t.Errorf("rank %d: allreduce max=%v, want 5", c.Rank(), v)
-		}
-	})
-}
-
-func TestGather(t *testing.T) {
-	runBoth(t, 4, func(c *Comm) {
-		out := c.Gather(1, 8, c.Rank()*10)
-		if c.Rank() == 1 {
-			for r := 0; r < 4; r++ {
-				if out[r].(int) != r*10 {
-					t.Errorf("gather[%d]=%v, want %d", r, out[r], r*10)
-				}
-			}
-		} else if out != nil {
-			t.Error("non-root got non-nil gather result")
-		}
-	})
-}
-
-func TestAllgather(t *testing.T) {
-	runBoth(t, 3, func(c *Comm) {
-		all := c.Allgather(8, c.Rank())
-		for r := 0; r < 3; r++ {
-			if all[r].(int) != r {
-				t.Errorf("rank %d: allgather[%d]=%v", c.Rank(), r, all[r])
-			}
-		}
-	})
-}
-
 func TestSimTransferTime(t *testing.T) {
 	// 100 MB over a 100 MB/s NIC pair = 1 s.
 	end := RunSim(2, testCfg(), func(c *Comm) {
@@ -248,44 +118,6 @@ func TestSimTransferTime(t *testing.T) {
 	})
 	if math.Abs(end-1.0) > 1e-6 {
 		t.Errorf("transfer finished at %v, want 1.0", end)
-	}
-}
-
-func TestSimSenderNICSharedAcrossIsends(t *testing.T) {
-	// One sender fans 4×25 MB to 4 receivers: sender out-link (100 MB/s) is
-	// the bottleneck, so all complete at t=1.
-	end := RunSim(5, testCfg(), func(c *Comm) {
-		if c.Rank() == 0 {
-			var reqs []*Request
-			for dst := 1; dst <= 4; dst++ {
-				reqs = append(reqs, c.Isend(dst, 0, 25e6, nil))
-			}
-			for _, r := range reqs {
-				r.Wait()
-			}
-		} else {
-			c.Recv(0, 0)
-		}
-	})
-	if math.Abs(end-1.0) > 1e-6 {
-		t.Errorf("fan-out finished at %v, want 1.0", end)
-	}
-}
-
-func TestSimOverlapComputeAndTransfer(t *testing.T) {
-	// Isend 100 MB (1 s) while computing 1 s: total should be ~1 s, not 2.
-	end := RunSim(2, testCfg(), func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			req := c.Isend(1, 0, 100e6, nil)
-			c.Compute(1.0)
-			req.Wait()
-		case 1:
-			c.Recv(0, 0)
-		}
-	})
-	if math.Abs(end-1.0) > 1e-3 {
-		t.Errorf("overlapped send+compute took %v, want ~1.0", end)
 	}
 }
 
@@ -378,8 +210,8 @@ func TestBadRankPanics(t *testing.T) {
 }
 
 func TestSubCommunicator(t *testing.T) {
-	// World of 6; two disjoint subcomms {0,2,4} and {1,3,5} run collectives
-	// concurrently without crosstalk.
+	// World of 6; two disjoint subcomms {0,2,4} and {1,3,5} run a barrier
+	// and a same-tag wildcard gather concurrently without crosstalk.
 	runBoth(t, 6, func(c *Comm) {
 		members := []int{0, 2, 4}
 		id := 0
@@ -391,13 +223,21 @@ func TestSubCommunicator(t *testing.T) {
 		if sc.Size() != 3 {
 			t.Errorf("sub size = %d", sc.Size())
 		}
-		sum := sc.Allreduce(8, c.Rank(), func(a, b any) any { return a.(int) + b.(int) })
-		want := 0 + 2 + 4
-		if c.Rank()%2 == 1 {
-			want = 1 + 3 + 5
-		}
-		if sum.(int) != want {
-			t.Errorf("world rank %d: sub allreduce = %v, want %d", c.Rank(), sum, want)
+		sc.Barrier()
+		if sc.Rank() != 0 {
+			sc.Send(0, 7, 8, c.Rank())
+		} else {
+			sum := c.Rank()
+			for i := 1; i < sc.Size(); i++ {
+				sum += sc.Recv(AnySource, 7).Data.(int)
+			}
+			want := 0 + 2 + 4
+			if c.Rank()%2 == 1 {
+				want = 1 + 3 + 5
+			}
+			if sum != want {
+				t.Errorf("world rank %d: sub sum = %v, want %d", c.Rank(), sum, want)
+			}
 		}
 		// Point-to-point with local ranks and Src mapping.
 		if sc.Rank() == 0 {
@@ -426,8 +266,7 @@ func TestSubRequiresMembership(t *testing.T) {
 }
 
 // TestSimMsgDelayInjection pins the simulated transport's fault-injection
-// hook: MsgDelay charges extra virtual latency per send, deterministically,
-// on both the blocking and nonblocking paths.
+// hook: MsgDelay charges extra virtual latency per send, deterministically.
 func TestSimMsgDelayInjection(t *testing.T) {
 	cfg := testCfg()
 	var calls atomic.Int64
@@ -438,38 +277,32 @@ func TestSimMsgDelayInjection(t *testing.T) {
 		}
 		return 0
 	}
-	run := func(nonblocking bool) float64 {
+	run := func() float64 {
 		calls.Store(0)
 		return RunSim(2, cfg, func(c *Comm) {
 			switch c.Rank() {
 			case 0:
 				// 100 MB over a 100 MB/s NIC pair = 1 s of transfer.
-				if nonblocking {
-					c.Isend(1, 0, 100e6, nil).Wait()
-				} else {
-					c.Send(1, 0, 100e6, nil)
-				}
+				c.Send(1, 0, 100e6, nil)
 			case 1:
 				c.Recv(0, 0)
 			}
 		})
 	}
-	for _, nb := range []bool{false, true} {
-		end := run(nb)
-		if math.Abs(end-1.25) > 1e-6 {
-			t.Errorf("nonblocking=%v: finished at %v, want 1.25 (1s transfer + 0.25s injected)", nb, end)
-		}
-		if calls.Load() != 1 {
-			t.Errorf("nonblocking=%v: MsgDelay called %d times, want 1", nb, calls.Load())
-		}
+	end := run()
+	if math.Abs(end-1.25) > 1e-6 {
+		t.Errorf("finished at %v, want 1.25 (1s transfer + 0.25s injected)", end)
+	}
+	if calls.Load() != 1 {
+		t.Errorf("MsgDelay called %d times, want 1", calls.Load())
 	}
 	// Determinism: two identically-configured runs end at the same time.
-	if a, b := run(false), run(false); a != b {
+	if a, b := run(), run(); a != b {
 		t.Errorf("injected-delay runs diverged: %v vs %v", a, b)
 	}
 	// A negative return adds nothing.
 	cfg.MsgDelay = func(src, dst, tag int, bytes int64) float64 { return -5 }
-	if end := run(false); math.Abs(end-1.0) > 1e-6 {
+	if end := run(); math.Abs(end-1.0) > 1e-6 {
 		t.Errorf("negative delay changed the run: %v, want 1.0", end)
 	}
 }

@@ -721,13 +721,6 @@ func (w *netWorld) injectLocked(p *netPeer, slot *ringSlot, nsent uint64) bool {
 	return false
 }
 
-func (w *netWorld) isend(c *Comm, dst, tag int, bytes int64, data any) *Request {
-	// The kernel socket buffer gives enough asynchrony for the pipeline's
-	// credit-sized messages; large sends may block like Send does.
-	w.send(c, dst, tag, bytes, data)
-	return completedRequest
-}
-
 func (w *netWorld) recv(c *Comm, src, tagLo, tagHi int) Message {
 	return w.box.get(src, tagLo, tagHi)
 }
@@ -736,30 +729,11 @@ func (w *netWorld) recvErr(c *Comm, src, tagLo, tagHi int) (Message, error) {
 	return w.box.getErr(src, tagLo, tagHi)
 }
 
-func (w *netWorld) tryRecv(c *Comm, src, tagLo, tagHi int) (Message, bool, error) {
-	return w.box.tryGet(src, tagLo, tagHi)
-}
-
-func (w *netWorld) peerLost(r int) bool {
-	if r == w.rank || r < 0 || r >= w.size {
-		return false
-	}
-	p := w.peers[r]
-	if p == nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.state == peerLost
-}
-
 func (w *netWorld) now(c *Comm) float64 { return time.Since(w.start).Seconds() }
 
 func (w *netWorld) compute(c *Comm, seconds float64) {} // real work takes real time
 
 func (w *netWorld) ioRead(c *Comm, bytes int64, seeks int) {} // real reads go through pfs
-
-func (w *netWorld) simulated() bool { return false }
 
 // fail poisons the mailbox with err and tears the connections down,
 // so both blocked receivers and the peer reader goroutines unwind.
@@ -1517,6 +1491,8 @@ func readTable(conn net.Conn, size int) ([]string, error) {
 // returns the elapsed wall time and the first rank failure (bootstrap
 // error or recovered panic), tearing the remaining ranks down on error.
 // Default tuning; use RunNetErrs to tune liveness or inject faults.
+//
+//repro:allow deadexport: bench
 func RunNet(n int, body func(c *Comm)) (float64, error) {
 	rep, err := runNet(n, NetTuning{}, true, body)
 	if err != nil {
@@ -1549,6 +1525,8 @@ type NetReport struct {
 // what the chaos suites assert. The error return is reserved for
 // harness-level failures (listener setup); per-rank failures are in the
 // report.
+//
+//repro:allow deadexport: bench
 func RunNetErrs(n int, tun NetTuning, body func(c *Comm)) (NetReport, error) {
 	return runNet(n, tun, false, body)
 }

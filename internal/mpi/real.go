@@ -134,63 +134,27 @@ func (b *mailbox) getErr(src, tagLo, tagHi int) (Message, error) {
 	}
 }
 
-// tryGet is the non-blocking getErr: ok reports whether a matching
-// message was already queued. A poisoned mailbox or lost source rank
-// surfaces its error (with ok false) instead of blocking forever.
-func (b *mailbox) tryGet(src, tagLo, tagHi int) (Message, bool, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i, m := range b.msgs {
-		if matches(m, src, tagLo, tagHi) {
-			return takeMsg(&b.msgs, i), true, nil
-		}
-	}
-	if b.err != nil {
-		return Message{}, false, b.err
-	}
-	if src != AnySource && b.lost != nil {
-		if err := b.lost[src]; err != nil {
-			return Message{}, false, err
-		}
-	}
-	return Message{}, false, nil
-}
-
 func (w *realWorld) send(c *Comm, dst, tag int, bytes int64, data any) {
 	w.boxes[dst].put(Message{Src: c.rank, Tag: tag, Bytes: bytes, Data: data})
-}
-
-func (w *realWorld) isend(c *Comm, dst, tag int, bytes int64, data any) *Request {
-	w.send(c, dst, tag, bytes, data)
-	return completedRequest
 }
 
 func (w *realWorld) recv(c *Comm, src, tagLo, tagHi int) Message {
 	return w.boxes[c.rank].get(src, tagLo, tagHi)
 }
 
-// recvErr/tryRecv/peerLost give the wall-clock transport the lossy
-// surface (lossyWorld): goroutine ranks never lose peers, so recvErr
-// only ever fails on a poisoned mailbox and peerLost is always false,
-// but implementing the interface lets RecvErr/TryRecv callers behave
-// identically across RunReal and RunNet.
+// recvErr gives the wall-clock transport the lossy surface
+// (lossyWorld): goroutine ranks never lose peers, so it only ever fails
+// on a poisoned mailbox, but implementing the interface lets RecvErr
+// callers behave identically across RunReal and RunNet.
 func (w *realWorld) recvErr(c *Comm, src, tagLo, tagHi int) (Message, error) {
 	return w.boxes[c.rank].getErr(src, tagLo, tagHi)
 }
-
-func (w *realWorld) tryRecv(c *Comm, src, tagLo, tagHi int) (Message, bool, error) {
-	return w.boxes[c.rank].tryGet(src, tagLo, tagHi)
-}
-
-func (w *realWorld) peerLost(r int) bool { return false }
 
 func (w *realWorld) now(c *Comm) float64 { return time.Since(w.start).Seconds() }
 
 func (w *realWorld) compute(c *Comm, seconds float64) {} // real work takes real time
 
 func (w *realWorld) ioRead(c *Comm, bytes int64, seeks int) {} // real reads go through pfs
-
-func (w *realWorld) simulated() bool { return false }
 
 // RunReal executes body on n goroutine ranks over the wall-clock transport
 // and blocks until all ranks return. It returns the elapsed wall time in

@@ -6,8 +6,7 @@ package mpi
 //   - mailbox delete left the vacated tail slot populated, pinning the
 //     moved message's payload through the slice's spare capacity;
 //   - subWorld.recv forwarded AnyTag as a true wildcard to the parent,
-//     letting a sub-communicator Recv steal world or sibling-sub traffic;
-//   - realWorld.isend allocated a fresh completed Request per call.
+//     letting a sub-communicator Recv steal world or sibling-sub traffic.
 
 import (
 	"runtime"
@@ -110,67 +109,6 @@ func TestSubRecvDoesNotStealSiblingMessages(t *testing.T) {
 		}
 		if got := subA.Recv(AnySource, AnyTag).Data; got != "from-A" {
 			t.Errorf("sub A Recv got %v, want its own message", got)
-		}
-	})
-}
-
-// TestIsendReturnsSharedSentinel: completed-at-once Isend paths must hand
-// back the one shared Request, not per-call garbage.
-func TestIsendReturnsSharedSentinel(t *testing.T) {
-	RunReal(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			r1 := c.Isend(1, 1, 1, nil)
-			r2 := c.Isend(1, 2, 1, nil)
-			if r1 != completedRequest || r2 != completedRequest {
-				t.Error("realWorld.isend allocated a fresh Request")
-			}
-			r1.Wait()
-			if !r2.Done() {
-				t.Error("sentinel not done")
-			}
-		} else {
-			c.Recv(0, 1)
-			c.Recv(0, 2)
-		}
-	})
-	if _, err := RunNet(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			if r := c.Isend(1, 1, 1, nil); r != completedRequest {
-				t.Error("netWorld.isend allocated a fresh Request")
-			}
-		} else {
-			c.Recv(0, 1)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestIsendPingPongAllocFree extends the steady-state allocation gates to
-// an Isend-using path: a warm Isend/Recv ping-pong on the wall-clock
-// transport must not allocate — neither for the Request (the shared
-// sentinel) nor in the mailboxes (warm slice capacity, reference-passed
-// payloads).
-func TestIsendPingPongAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	const rounds = 100
-	RunReal(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			// AllocsPerRun executes the body rounds+1 times (one warm-up).
-			avg := testing.AllocsPerRun(rounds, func() {
-				c.Isend(1, 3, 8, nil).Wait()
-				c.Recv(1, 4)
-			})
-			if avg != 0 {
-				t.Errorf("Isend ping-pong allocates %v allocs/round, want 0", avg)
-			}
-		} else {
-			for i := 0; i < rounds+1; i++ {
-				c.Recv(0, 3)
-				c.Isend(0, 4, 8, nil).Wait()
-			}
 		}
 	})
 }

@@ -21,9 +21,9 @@ type SimConfig struct {
 	// MsgDelay, when non-nil, returns extra virtual seconds to charge the
 	// sender before a message departs — the simulated transport's
 	// fault-injection hook (slow links, congested routes, chaos schedules).
-	// It is called once per point-to-point send (including self-sends and
-	// nonblocking sends) and must be deterministic in its arguments to keep
-	// simulated runs reproducible. A negative or zero return adds nothing.
+	// It is called once per point-to-point send (including self-sends) and
+	// must be deterministic in its arguments to keep simulated runs
+	// reproducible. A negative or zero return adds nothing.
 	MsgDelay func(src, dst, tag int, bytes int64) float64
 }
 
@@ -42,12 +42,11 @@ func (c *SimConfig) Validate() error {
 }
 
 type simRank struct {
-	proc   *sim.Proc
-	out    *sim.Bucket
-	in     *sim.Bucket
-	disk   *sim.Bucket
-	msgs   []Message
-	waiter bool // the rank's process is parked in recv
+	proc *sim.Proc
+	out  *sim.Bucket
+	in   *sim.Bucket
+	disk *sim.Bucket
+	msgs []Message
 }
 
 type simWorld struct {
@@ -61,9 +60,7 @@ type simWorld struct {
 func (w *simWorld) deliver(dst int, m Message) {
 	r := w.ranks[dst]
 	r.msgs = append(r.msgs, m)
-	if r.waiter {
-		w.k.Unpark(r.proc)
-	}
+	w.k.Unpark(r.proc) // no-op unless parked; recv and Transfer both re-check
 }
 
 // injectDelay returns the MsgDelay hook's extra latency for one send, or 0.
@@ -90,41 +87,6 @@ func (w *simWorld) send(c *Comm, dst, tag int, bytes int64, data any) {
 	w.deliver(dst, Message{Src: c.rank, Tag: tag, Bytes: bytes, Data: data})
 }
 
-func (w *simWorld) isend(c *Comm, dst, tag int, bytes int64, data any) *Request {
-	src := c.rank
-	req := &Request{}
-	var flowDone bool
-	msg := Message{Src: src, Tag: tag, Bytes: bytes, Data: data}
-	start := func() {
-		if dst == src {
-			w.deliver(dst, msg)
-			flowDone = true
-			w.k.Unpark(w.ranks[src].proc)
-			return
-		}
-		w.net.StartFlow(float64(bytes), func() {
-			w.deliver(dst, msg)
-			flowDone = true
-			// The sender may be parked in req.Wait.
-			w.k.Unpark(w.ranks[src].proc)
-		}, w.ranks[src].out, w.ranks[dst].in)
-	}
-	if d := w.cfg.Latency + w.injectDelay(src, dst, tag, bytes); d > 0 {
-		w.k.After(d, start)
-	} else {
-		start()
-	}
-	req.wait = func(r *Request) {
-		p := w.ranks[src].proc
-		for !flowDone {
-			w.ranks[src].waiter = true
-			p.Park()
-			w.ranks[src].waiter = false
-		}
-	}
-	return req
-}
-
 func (w *simWorld) recv(c *Comm, src, tagLo, tagHi int) Message {
 	r := w.ranks[c.rank]
 	for {
@@ -133,9 +95,7 @@ func (w *simWorld) recv(c *Comm, src, tagLo, tagHi int) Message {
 				return takeMsg(&r.msgs, i)
 			}
 		}
-		r.waiter = true
 		r.proc.Park()
-		r.waiter = false
 	}
 }
 
@@ -152,8 +112,6 @@ func (w *simWorld) ioRead(c *Comm, bytes int64, seeks int) {
 	}
 	w.net.Transfer(r.proc, float64(bytes), w.pfsAgg, r.disk)
 }
-
-func (w *simWorld) simulated() bool { return true }
 
 // RunSim executes body on n simulated ranks over the discrete-event
 // transport and returns the final virtual time in seconds. The comms slice

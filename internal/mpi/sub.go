@@ -18,7 +18,7 @@ type subWorld struct {
 // Sub creates a sub-communicator over the given world ranks (which must
 // include this rank). Every member must call Sub with the identical member
 // list and id; id scopes the tag namespace, so two concurrently live
-// sub-communicators must use different ids. Collectives and point-to-point
+// sub-communicators must use different ids. Barriers and point-to-point
 // operations on the result involve only the members.
 func (c *Comm) Sub(members []int, id int) *Comm {
 	if id < 0 {
@@ -51,10 +51,6 @@ func (w *subWorld) send(c *Comm, dst, tag int, bytes int64, data any) {
 	w.parent.w.send(w.parent, w.members[dst], tag+w.offset, bytes, data)
 }
 
-func (w *subWorld) isend(c *Comm, dst, tag int, bytes int64, data any) *Request {
-	return w.parent.w.isend(w.parent, w.members[dst], tag+w.offset, bytes, data)
-}
-
 func (w *subWorld) recv(c *Comm, src, tagLo, tagHi int) Message {
 	wsrc := AnySource
 	if src != AnySource {
@@ -82,4 +78,3 @@ func (w *subWorld) recv(c *Comm, src, tagLo, tagHi int) Message {
 func (w *subWorld) now(c *Comm) float64                    { return w.parent.w.now(w.parent) }
 func (w *subWorld) compute(c *Comm, seconds float64)       { w.parent.w.compute(w.parent, seconds) }
 func (w *subWorld) ioRead(c *Comm, bytes int64, seeks int) { w.parent.w.ioRead(w.parent, bytes, seeks) }
-func (w *subWorld) simulated() bool                        { return w.parent.w.simulated() }

@@ -14,8 +14,8 @@ package mpiio
 //     that were only referenced during the previous round (the packed
 //     physical-read buffer, the per-destination piece slices, the segment
 //     metadata) are dead everywhere and safe to reuse. The exchange is a
-//     message-for-message replica of the mpi.Comm.Allgather the per-call
-//     path used (gather to rank 0, binomial broadcast), so MsgsSent /
+//     message-for-message replica of the allgather the per-call path
+//     used (gather to rank 0, binomial broadcast), so MsgsSent /
 //     BytesSent / MsgsRecv / BytesRecv accounting is bit-identical.
 //
 //   - Piece release is additionally acknowledged through the exchange
@@ -221,7 +221,7 @@ func (s *CollectiveScratch) acquireEpoch(n int) *collEpoch {
 }
 
 // exchangeMeta runs the epoch boundary: an accounting-identical replica of
-// the Allgather the per-call path used (gather every rank's view segments
+// the allgather the per-call path used (gather every rank's view segments
 // to rank 0, broadcast the table down a binomial tree). When it returns,
 // every rank of the communicator has entered the current round — the
 // guarantee that makes reusing the previous round's staging safe. The
@@ -236,7 +236,7 @@ func (s *CollectiveScratch) exchangeMeta(c *mpi.Comm, seq int, mySegs []Segment)
 		c.Send(0, tagG, metaBytes, &s.meta)
 		m := c.Recv(mpi.AnySource, tagB)
 		tbl := m.Data.(*metaTable)
-		// Forward down the binomial tree exactly as mpi.Comm.Bcast does.
+		// Forward down the binomial tree.
 		for k := 1; k < c.Size(); k <<= 1 {
 			if c.Rank() < k && c.Rank()+k < c.Size() {
 				c.Send(c.Rank()+k, tagB, m.Bytes, tbl)

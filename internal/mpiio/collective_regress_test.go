@@ -412,6 +412,35 @@ func TestCollectiveBatchConsumerFallback(t *testing.T) {
 	}
 }
 
+// allgatherPerCall is the Allgather readAllIntoPerCall exchanges its request
+// metadata with: gather to rank 0, then broadcast the table down a binomial
+// tree. exchangeMeta replicates its message accounting.
+func allgatherPerCall(c *mpi.Comm, seq int, bytes int64, data any) []any {
+	tagG := metaTagBase + 2*seq
+	tagB := tagG + 1
+	n := c.Size()
+	var all []any
+	if c.Rank() != 0 {
+		c.Send(0, tagG, bytes, data)
+		m := c.Recv(mpi.AnySource, tagB)
+		all, bytes = m.Data.([]any), m.Bytes
+	} else {
+		all = make([]any, n)
+		all[0] = data
+		for i := 1; i < n; i++ {
+			m := c.Recv(mpi.AnySource, tagG)
+			all[m.Src] = m.Data
+		}
+		bytes *= int64(n)
+	}
+	for k := 1; k < n; k <<= 1 {
+		if c.Rank() < k && c.Rank()+k < n {
+			c.Send(c.Rank()+k, tagB, bytes, all)
+		}
+	}
+	return all
+}
+
 // readAllIntoPerCall is the retained pre-epoch two-phase implementation:
 // every call stages the aggregated physical reads and the shuffled pieces
 // in fresh per-call buffers, so pieces whose assembly on a receiver
@@ -435,7 +464,7 @@ func (f *File) readAllIntoPerCall(seq int, dst []byte) (int, error) {
 	}
 	// Phase 0: exchange request metadata.
 	metaBytes := int64(16 * len(mySegs))
-	allAny := c.Allgather(metaBytes, mySegs)
+	allAny := allgatherPerCall(c, seq, metaBytes, mySegs)
 	all := make([][]Segment, c.Size())
 	lo, hi := int64(-1), int64(-1)
 	for r, v := range allAny {

@@ -178,14 +178,6 @@ func Coalesce(segs []Segment) []Segment {
 	return out
 }
 
-// shiftInto appends the segments displaced by disp bytes to dst.
-func shiftInto(dst, segs []Segment, disp int64) []Segment {
-	for _, s := range segs {
-		dst = append(dst, Segment{Off: s.Off + disp, Len: s.Len})
-	}
-	return dst
-}
-
 // validate checks segment sanity for error messages.
 func validate(segs []Segment) error {
 	for _, s := range segs {

@@ -36,8 +36,8 @@ func TestReopenMatchesOpen(t *testing.T) {
 	if err := f.Reopen(nil, st, "b"); err != nil {
 		t.Fatal(err)
 	}
-	if f.Size() != int64(len(b)) || f.SieveGap != DefaultSieveGap {
-		t.Errorf("Reopen kept stale size/sieve gap: %d, %d", f.Size(), f.SieveGap)
+	if f.size != int64(len(b)) || f.SieveGap != DefaultSieveGap {
+		t.Errorf("Reopen kept stale size/sieve gap: %d, %d", f.size, f.SieveGap)
 	}
 	got, err = readView(f)
 	if err != nil {

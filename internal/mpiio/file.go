@@ -98,18 +98,12 @@ func (f *File) Reopen(c *mpi.Comm, st pfs.Store, name string) error {
 	return nil
 }
 
-// Size returns the file size in bytes.
-func (f *File) Size() int64 { return f.size }
-
 // Opened reports whether the handle currently has an object open. A failed
 // Reopen leaves the handle on its previous object (Reopen commits its
 // fields only after the size probe succeeds), so an Opened handle can keep
 // serving that object — the I/O-level stale fallback fault-tolerant
 // collective fetches rely on (docs/faults.md).
 func (f *File) Opened() bool { return f.st != nil }
-
-// Name returns the name of the currently open object ("" if none).
-func (f *File) Name() string { return f.name }
 
 // SetView establishes this rank's view of the file: the datatype's
 // segments, displaced by disp bytes (mirrors MPI_FILE_SET_VIEW). The view

@@ -45,7 +45,8 @@ func TestReadIntoMatchesRead(t *testing.T) {
 		}
 		// The packed bytes match the raw file contents segment by segment.
 		pos := 0
-		for _, s := range shiftInto(nil, v.dt.Segments(), v.disp) {
+		for _, s := range v.dt.Segments() {
+			s.Off += v.disp
 			if !bytes.Equal(dst[pos:pos+int(s.Len)], data[s.Off:s.Off+s.Len]) {
 				t.Fatalf("%s: segment at %d differs from file", v.name, s.Off)
 			}

@@ -36,16 +36,16 @@ func TestReopenMissingObjectKeepsHandle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Opened() || f.Name() != "a" {
-		t.Fatalf("Opened/Name = %v/%q after Open", f.Opened(), f.Name())
+	if !f.Opened() || f.name != "a" {
+		t.Fatalf("Opened/Name = %v/%q after Open", f.Opened(), f.name)
 	}
 	err = f.Reopen(nil, st, "missing")
 	if !errors.Is(err, pfs.ErrPermanent) {
 		t.Fatalf("Reopen missing = %v, want ErrPermanent classification", err)
 	}
 	// The handle must still serve the previous object in full.
-	if !f.Opened() || f.Name() != "a" || f.Size() != 1024 {
-		t.Fatalf("failed Reopen disturbed the handle: %q size %d", f.Name(), f.Size())
+	if !f.Opened() || f.name != "a" || f.size != 1024 {
+		t.Fatalf("failed Reopen disturbed the handle: %q size %d", f.name, f.size)
 	}
 	got, err := readView(f)
 	if err != nil {
@@ -70,8 +70,8 @@ func TestReopenFailedSizeProbeKeepsHandle(t *testing.T) {
 	if !pfs.IsTransient(err) {
 		t.Fatalf("Reopen with failing probe = %v, want transient classification", err)
 	}
-	if f.Name() != "a" || f.Size() != 512 {
-		t.Fatalf("failed probe disturbed the handle: %q size %d", f.Name(), f.Size())
+	if f.name != "a" || f.size != 512 {
+		t.Fatalf("failed probe disturbed the handle: %q size %d", f.name, f.size)
 	}
 	got, err := readView(f)
 	if err != nil || !bytes.Equal(got, a) {
@@ -82,8 +82,8 @@ func TestReopenFailedSizeProbeKeepsHandle(t *testing.T) {
 	if err := f.Reopen(nil, st, "b"); err != nil {
 		t.Fatal(err)
 	}
-	if f.Name() != "b" || f.Size() != 256 {
-		t.Errorf("healed Reopen: %q size %d", f.Name(), f.Size())
+	if f.name != "b" || f.size != 256 {
+		t.Errorf("healed Reopen: %q size %d", f.name, f.size)
 	}
 }
 
@@ -111,8 +111,8 @@ func TestReopenShrunkObject(t *testing.T) {
 	if err := f.Reopen(nil, st, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if f.Size() != 100 {
-		t.Fatalf("Reopen kept stale size %d", f.Size())
+	if f.size != 100 {
+		t.Fatalf("Reopen kept stale size %d", f.size)
 	}
 	f.SetView(0, &IndexedBlock{Blocklen: 1, Displs: []int64{0, 63}, ElemSize: 16})
 	if _, err := f.ReadInto(buf); err == nil {

@@ -62,14 +62,6 @@ func (c Cell) Key() uint64 {
 	return Morton(x, y, z)<<5 | uint64(c.Level)
 }
 
-// CellFromKey reconstructs a Cell from its Key.
-func CellFromKey(k uint64) Cell {
-	level := uint8(k & 31)
-	x, y, z := UnMorton(k >> 5)
-	s := MaxLevel - level
-	return Cell{X: x >> s, Y: y >> s, Z: z >> s, Level: level}
-}
-
 // Parent returns the containing cell one level up. Parent of the root is
 // the root.
 func (c Cell) Parent() Cell {
@@ -89,11 +81,6 @@ func (c Cell) Child(i int) Cell {
 	}
 }
 
-// ChildIndex returns which child of its parent this cell is.
-func (c Cell) ChildIndex() int {
-	return int(c.X&1) | int(c.Y&1)<<1 | int(c.Z&1)<<2
-}
-
 // AncestorAt returns the ancestor of c at the given (coarser or equal)
 // level. It panics if level > c.Level.
 func (c Cell) AncestorAt(level uint8) Cell {
@@ -111,24 +98,6 @@ func (c Cell) Contains(d Cell) bool {
 		return false
 	}
 	return d.AncestorAt(c.Level) == c
-}
-
-// ContainsPoint reports whether the unit-cube point p is inside the cell
-// (min-inclusive, max-exclusive; the domain boundary at 1.0 belongs to the
-// last cell).
-func (c Cell) ContainsPoint(p [3]float64) bool {
-	min, max := c.Bounds()
-	for i := 0; i < 3; i++ {
-		hi := max[i]
-		if hi >= 1.0 {
-			if p[i] < min[i] || p[i] > 1.0 {
-				return false
-			}
-		} else if p[i] < min[i] || p[i] >= hi {
-			return false
-		}
-	}
-	return true
 }
 
 // Neighbor returns the face neighbor at the same level in direction

@@ -24,24 +24,8 @@ func part1By2(x uint32) uint64 {
 	return v
 }
 
-// compact1By2 is the inverse of part1By2.
-func compact1By2(v uint64) uint32 {
-	v &= 0x1249249249249249
-	v = (v ^ (v >> 2)) & 0x10c30c30c30c30c3
-	v = (v ^ (v >> 4)) & 0x100f00f00f00f00f
-	v = (v ^ (v >> 8)) & 0x1f0000ff0000ff
-	v = (v ^ (v >> 16)) & 0x1f00000000ffff
-	v = (v ^ (v >> 32)) & 0x1fffff
-	return uint32(v)
-}
-
 // Morton interleaves three 16-bit coordinates into a 48-bit Morton code
 // (x in bit 0, y in bit 1, z in bit 2 of each triple).
 func Morton(x, y, z uint32) uint64 {
 	return part1By2(x) | part1By2(y)<<1 | part1By2(z)<<2
-}
-
-// UnMorton splits a Morton code back into coordinates.
-func UnMorton(m uint64) (x, y, z uint32) {
-	return compact1By2(m), compact1By2(m >> 1), compact1By2(m >> 2)
 }

@@ -53,9 +53,6 @@ func TestParentChildInverse(t *testing.T) {
 		if ch.Parent() != c {
 			t.Errorf("child %d of %v has parent %v", i, c, ch.Parent())
 		}
-		if ch.ChildIndex() != i {
-			t.Errorf("child %d reports index %d", i, ch.ChildIndex())
-		}
 		if !c.Contains(ch) {
 			t.Errorf("%v does not Contain its child %v", c, ch)
 		}
@@ -176,8 +173,8 @@ func TestBuildCoversDomainDisjointly(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		p := [3]float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		leaf, idx := tr.FindLeaf(p)
-		if idx < 0 {
+		leaf, ok := findLeaf(tr, p)
+		if !ok {
 			t.Fatalf("no leaf for %v", p)
 		}
 		if !leaf.ContainsPoint(p) {
@@ -192,25 +189,6 @@ func TestLeavesSortedByKey(t *testing.T) {
 		if tr.Leaves[i-1].Key() >= tr.Leaves[i].Key() {
 			t.Fatalf("leaves not strictly sorted at %d", i)
 		}
-	}
-}
-
-func TestFindAtLevelTruncates(t *testing.T) {
-	tr := buildTestTree(5)
-	p := [3]float64{0.01, 0.01, 0.01} // deep corner
-	leaf, _ := tr.FindLeaf(p)
-	if leaf.Level != 5 {
-		t.Fatalf("expected level-5 leaf at corner, got %v", leaf)
-	}
-	c, idx := tr.FindAtLevel(p, 2)
-	if c.Level != 2 || idx != -1 {
-		t.Errorf("FindAtLevel(2) = %v, %d", c, idx)
-	}
-	// A coarse region leaf is returned as-is even when level asks finer.
-	q := [3]float64{0.9, 0.9, 0.9}
-	cq, idxq := tr.FindAtLevel(q, 5)
-	if idxq < 0 || cq.Level > 5 {
-		t.Errorf("FindAtLevel coarse region = %v, %d", cq, idxq)
 	}
 }
 
@@ -237,8 +215,8 @@ func TestBalance21(t *testing.T) {
 					if !ok {
 						continue
 					}
-					leaf, idx := bal.FindLeaf(nb.Center())
-					if idx < 0 {
+					leaf, ok := findLeaf(bal, nb.Center())
+					if !ok {
 						t.Fatalf("no leaf at neighbor of %v", c)
 					}
 					diff := int(c.Level) - int(leaf.Level)
@@ -383,4 +361,59 @@ func TestVisibilityOrderSingleCell(t *testing.T) {
 	if len(ord) != 1 || ord[0] != 0 {
 		t.Errorf("order of root = %v", ord)
 	}
+}
+
+// ContainsPoint reports whether the unit-cube point p is inside the cell
+// (min-inclusive, max-exclusive; the domain boundary at 1.0 belongs to the
+// last cell).
+func (c Cell) ContainsPoint(p [3]float64) bool {
+	min, max := c.Bounds()
+	for i := 0; i < 3; i++ {
+		hi := max[i]
+		if hi >= 1.0 {
+			if p[i] < min[i] || p[i] > 1.0 {
+				return false
+			}
+		} else if p[i] < min[i] || p[i] >= hi {
+			return false
+		}
+	}
+	return true
+}
+
+// findLeaf returns the leaf of t that contains unit-cube point p.
+func findLeaf(t *Tree, p [3]float64) (Cell, bool) {
+	for _, c := range t.Leaves {
+		if c.ContainsPoint(p) {
+			return c, true
+		}
+	}
+	return Cell{}, false
+}
+
+// The inverses of Morton and Cell.Key: the round-trip tests prove the
+// forward maps injective with them; nothing else decodes a key.
+
+// compact1By2 is the inverse of part1By2.
+func compact1By2(v uint64) uint32 {
+	v &= 0x1249249249249249
+	v = (v ^ (v >> 2)) & 0x10c30c30c30c30c3
+	v = (v ^ (v >> 4)) & 0x100f00f00f00f00f
+	v = (v ^ (v >> 8)) & 0x1f0000ff0000ff
+	v = (v ^ (v >> 16)) & 0x1f00000000ffff
+	v = (v ^ (v >> 32)) & 0x1fffff
+	return uint32(v)
+}
+
+// UnMorton splits a Morton code back into coordinates.
+func UnMorton(m uint64) (x, y, z uint32) {
+	return compact1By2(m), compact1By2(m >> 1), compact1By2(m >> 2)
+}
+
+// CellFromKey reconstructs a Cell from its Key.
+func CellFromKey(k uint64) Cell {
+	level := uint8(k & 31)
+	x, y, z := UnMorton(k >> 5)
+	s := MaxLevel - level
+	return Cell{X: x >> s, Y: y >> s, Z: z >> s, Level: level}
 }

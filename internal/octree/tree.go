@@ -5,11 +5,9 @@ import (
 )
 
 // Tree is a linear octree: a set of disjoint leaf cells that tile the unit
-// cube, stored in preorder (Morton/Key) order with an index for point
-// location.
+// cube, stored in preorder (Morton/Key) order.
 type Tree struct {
 	Leaves []Cell
-	pos    map[Cell]int // leaf -> index in Leaves
 }
 
 // Build constructs a tree by top-down refinement: refine(c) is consulted
@@ -32,43 +30,24 @@ func Build(maxLevel uint8, refine func(Cell) bool) *Tree {
 	}
 	rec(Root)
 	t := &Tree{Leaves: leaves}
-	t.reindex()
+	t.sortLeaves()
 	return t
 }
 
-// FromLeaves builds a tree from an explicit leaf set (must be disjoint and
-// cover the domain for point location to be total).
+// FromLeaves builds a tree from an explicit leaf set (which must be
+// disjoint and cover the domain).
 func FromLeaves(leaves []Cell) *Tree {
 	t := &Tree{Leaves: append([]Cell(nil), leaves...)}
-	sort.Slice(t.Leaves, func(i, j int) bool { return t.Leaves[i].Key() < t.Leaves[j].Key() })
-	t.reindex()
+	t.sortLeaves()
 	return t
 }
 
-func (t *Tree) reindex() {
+func (t *Tree) sortLeaves() {
 	sort.Slice(t.Leaves, func(i, j int) bool { return t.Leaves[i].Key() < t.Leaves[j].Key() })
-	t.pos = make(map[Cell]int, len(t.Leaves))
-	for i, c := range t.Leaves {
-		t.pos[c] = i
-	}
 }
 
 // Len returns the number of leaves.
 func (t *Tree) Len() int { return len(t.Leaves) }
-
-// IsLeaf reports whether c is a leaf of the tree.
-func (t *Tree) IsLeaf(c Cell) bool {
-	_, ok := t.pos[c]
-	return ok
-}
-
-// LeafIndex returns the index of leaf c, or -1.
-func (t *Tree) LeafIndex(c Cell) int {
-	if i, ok := t.pos[c]; ok {
-		return i
-	}
-	return -1
-}
 
 // MaxDepth returns the deepest leaf level.
 func (t *Tree) MaxDepth() uint8 {
@@ -79,33 +58,6 @@ func (t *Tree) MaxDepth() uint8 {
 		}
 	}
 	return d
-}
-
-// FindLeaf returns the leaf containing unit-cube point p (clamped into the
-// domain) and its index. The walk tries each level from coarse to fine, so
-// it costs O(depth) map probes.
-func (t *Tree) FindLeaf(p [3]float64) (Cell, int) {
-	for l := uint8(0); l <= MaxLevel; l++ {
-		c := CellAt(p, l)
-		if i, ok := t.pos[c]; ok {
-			return c, i
-		}
-	}
-	return Cell{}, -1
-}
-
-// FindAtLevel locates the cell of the tree covering p, truncated to at most
-// the given level: if the containing leaf is finer than level, the ancestor
-// at level is returned (with index -1); otherwise the leaf itself.
-func (t *Tree) FindAtLevel(p [3]float64, level uint8) (Cell, int) {
-	leaf, i := t.FindLeaf(p)
-	if i < 0 {
-		return leaf, i
-	}
-	if leaf.Level > level {
-		return leaf.AncestorAt(level), -1
-	}
-	return leaf, i
 }
 
 // Balance21 enforces the 2:1 rule across all 26 neighbor directions:

@@ -158,7 +158,7 @@ func sameGridBits(t *testing.T, what string, got, want *Grid) {
 }
 
 // TestResampleMatchesFrozen: over an animation — values replaced every
-// step through UpdateValues or Rebuild, odd values among them, the grid
+// step through Rebuild, odd values among them, the grid
 // size changing and coming back, a sample moved now and then — the
 // remembered map's gather returns what the per-step searches return.
 //
@@ -181,16 +181,10 @@ func TestResampleMatchesFrozen(t *testing.T) {
 				samples[i].VX = oddValues[rng.Intn(len(oddValues))]
 			}
 		}
-		moved := step%7 == 6
-		if moved {
+		if step%7 == 6 { // a moved sample: Rebuild re-inserts
 			samples[rng.Intn(len(samples))].X = rng.Float64()
 		}
-		if step%2 == 0 || moved {
-			err = tree.Rebuild(samples)
-		} else {
-			err = tree.UpdateValues(samples)
-		}
-		if err != nil {
+		if err := tree.Rebuild(samples); err != nil {
 			t.Fatal(err)
 		}
 		size := sizes[step%len(sizes)]

@@ -29,7 +29,7 @@ type node struct {
 
 // Tree is a point-region quadtree over the unit square. The node storage
 // is arena-backed so Rebuild can re-insert a new timestep's samples without
-// reallocating the structure (see Rebuild/UpdateValues).
+// reallocating the structure (see Rebuild).
 type Tree struct {
 	samples []Sample
 	root    node
@@ -43,7 +43,7 @@ type Tree struct {
 	arenaUsed int
 
 	// posX/posY snapshot the sample positions at (re)build time, so the
-	// moved-sample checks in UpdateValues and Rebuild stay meaningful even
+	// moved-sample check in Rebuild stays meaningful even
 	// when the caller mutates and passes back the tree-owned slice (the
 	// pipeline's pattern — comparing samples against themselves would be
 	// vacuous).
@@ -92,25 +92,6 @@ func (t *Tree) rebuild(samples []Sample) error {
 	return nil
 }
 
-// UpdateValues replaces the per-sample vector values in place without
-// touching the topology: samples must be aligned with the build-time set
-// and every position unchanged (checked against the build-time position
-// snapshot — a moved sample is an error, use Rebuild). This is the
-// per-timestep path of the surface-LIC loop, where the scattered node
-// positions are static and only the velocities change. Allocation-free;
-// passing the slice the tree was built from is allowed (the snapshot keeps
-// the moved-sample check meaningful even then).
-func (t *Tree) UpdateValues(samples []Sample) error {
-	if len(samples) != len(t.samples) {
-		return fmt.Errorf("quadtree: UpdateValues with %d samples, tree has %d", len(samples), len(t.samples))
-	}
-	if i := t.setValues(samples); i < len(samples) {
-		return fmt.Errorf("quadtree: UpdateValues sample %d moved (%v,%v) -> (%v,%v)",
-			i, t.posX[i], t.posY[i], samples[i].X, samples[i].Y)
-	}
-	return nil
-}
-
 // setValues copies the vector values of samples (one per sample of the
 // tree) into the tree, stopping at the first sample that moved, and returns
 // that sample's index, len(samples) when none did. Positions are compared
@@ -127,8 +108,10 @@ func (t *Tree) setValues(samples []Sample) int {
 }
 
 // Rebuild re-inserts the given samples into the tree. When every position
-// matches the current samples it is UpdateValues (the node arrays and the
-// resample map are reused untouched); otherwise the tree is rebuilt from
+// matches the build-time snapshot only the vector values are replaced (the
+// node arrays and the resample map are reused untouched) — the
+// per-timestep path of the surface-LIC loop, where the scattered node
+// positions are static and only the velocities change; otherwise the tree is rebuilt from
 // the node arena, reusing every previously allocated block and leaf slice.
 // Either way a steady-state animation loop allocates nothing once the arena
 // has grown. A failed Rebuild leaves the topology as it was, but the values

@@ -243,14 +243,14 @@ func TestRebuildMatchesFreshBuild(t *testing.T) {
 		for i := range samples {
 			samples[i].VX, samples[i].VY = rng.NormFloat64(), rng.NormFloat64()
 		}
-		if err := tree.UpdateValues(samples); err != nil {
+		if err := tree.Rebuild(samples); err != nil {
 			t.Fatal(err)
 		}
 		if err := fresh.Rebuild(append([]Sample(nil), samples...)); err != nil {
 			t.Fatal(err)
 		}
 		if tree.nearW != 20 || tree.nearH != 20 || &tree.near[0] != mapWas {
-			t.Fatalf("gen %d: UpdateValues dropped the resample map", gen)
+			t.Fatalf("gen %d: a value update dropped the resample map", gen)
 		}
 		if fresh.nearW != 20 || fresh.nearH != 20 {
 			t.Fatalf("gen %d: a same-position Rebuild dropped the resample map", gen)
@@ -271,8 +271,8 @@ func TestRebuildValidates(t *testing.T) {
 	}
 }
 
-// TestUpdateValuesInPlace: value updates must flow through to queries
-// without touching topology, and moved samples must be rejected.
+// TestUpdateValuesInPlace: a same-position Rebuild must flow the new values
+// through to queries without touching topology.
 func TestUpdateValuesInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	samples := randSamples(rng, 100)
@@ -284,8 +284,12 @@ func TestUpdateValuesInPlace(t *testing.T) {
 	for i := range samples {
 		samples[i].VX, samples[i].VY = float64(i), -float64(i)
 	}
-	if err := tree.UpdateValues(samples); err != nil {
+	arenaWas := tree.arenaUsed
+	if err := tree.Rebuild(samples); err != nil {
 		t.Fatal(err)
+	}
+	if tree.arenaUsed != arenaWas {
+		t.Error("same-position Rebuild re-inserted the samples")
 	}
 	g, err := tree.Resample(16, 16)
 	if err != nil {
@@ -293,14 +297,6 @@ func TestUpdateValuesInPlace(t *testing.T) {
 	}
 	if g.VX[8*16+8] != samples[tree.Nearest(8.0/15, 8.0/15)].VX {
 		t.Error("updated values not visible in resample")
-	}
-	moved := append([]Sample(nil), samples...)
-	moved[3].X += 0.01
-	if err := tree.UpdateValues(moved); err == nil {
-		t.Error("moved sample accepted by UpdateValues")
-	}
-	if err := tree.UpdateValues(moved[:50]); err == nil {
-		t.Error("short sample set accepted by UpdateValues")
 	}
 }
 
@@ -384,17 +380,11 @@ func TestRebuildDetectsAliasedMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.UpdateValues(samples); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := tree.Resample(24, 24); err != nil { // remember a map over the unmoved set
 		t.Fatal(err)
 	}
 	samples[7].X = samples[7].X/2 + 0.25
-	if err := tree.UpdateValues(samples); err == nil {
-		t.Error("aliased position move accepted by UpdateValues")
-	}
-	// Rebuild must notice too, fall through to a full re-insert, and then
+	// Rebuild must notice, fall through to a full re-insert, and then
 	// answer like a fresh build over the moved set.
 	if err := tree.Rebuild(samples); err != nil {
 		t.Fatal(err)

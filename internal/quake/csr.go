@@ -195,6 +195,3 @@ func (a *csrStiffness) MulVec(dst, x []float64, workers int) {
 	}
 	wg.Wait()
 }
-
-// nnz returns the number of stored scalar coefficients (diagnostics).
-func (a *csrStiffness) nnz() int { return 9 * len(a.col) }

@@ -226,3 +226,31 @@ func ProduceDataset(s *Solver, st pfs.Store, rc RunConfig) (Meta, error) {
 	meta := Meta{NumSteps: out, NumNodes: n, OutDT: s.DT * float64(rc.OutEvery)}
 	return meta, WriteMeta(st, meta)
 }
+
+// PeakGroundVelocity scans a dataset and returns, for each surface node
+// id in surfIDs, the maximum horizontal velocity magnitude over all steps —
+// the PGV map seismologists derive from such simulations. A step object
+// that cannot be read or decoded ends the scan with an error naming the
+// step (a corrupt record matches pfs.ErrCorrupt).
+func PeakGroundVelocity(st pfs.Store, meta Meta, surfIDs []int32) ([]float32, error) {
+	out := make([]float32, len(surfIDs))
+	buf := make([]byte, meta.NumNodes*BytesPerNode)
+	var vec []float32
+	for t := 0; t < meta.NumSteps; t++ {
+		err := st.ReadAt(nil, StepObject(t), 0, buf)
+		if err == nil {
+			vec, err = DecodeStepInto(vec, buf)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("quake: pgv scan step %d: %w", t, err)
+		}
+		for i, id := range surfIDs {
+			vx := float64(vec[3*id])
+			vy := float64(vec[3*id+1])
+			if m := math.Sqrt(vx*vx + vy*vy); m > float64(out[i]) {
+				out[i] = float32(m)
+			}
+		}
+	}
+	return out, nil
+}

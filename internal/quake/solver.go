@@ -146,9 +146,6 @@ func (s *Solver) AddSource(src Source) { s.sources = append(s.sources, src) }
 // Time returns the current simulation time.
 func (s *Solver) Time() float64 { return float64(s.step) * s.DT }
 
-// StepCount returns the number of completed steps.
-func (s *Solver) StepCount() int { return s.step }
-
 // assembleForces computes f = -K x (internal elastic forces, plus folded
 // stiffness-proportional damping) with one CSR SpMV. Stiffness damping
 // folds into the matvec input: the elastic + damping force is K(u + beta*v)
@@ -241,34 +238,6 @@ func (s *Solver) Displacement(out []float32) {
 	for i, v := range s.u {
 		out[i] = float32(v)
 	}
-}
-
-// KineticEnergy returns sum over nodes of 1/2 m |v|^2 (diagnostics).
-func (s *Solver) KineticEnergy() float64 {
-	dt := s.DT
-	var e float64
-	for id := range s.mass {
-		b := 3 * id
-		var v2 float64
-		for k := 0; k < 3; k++ {
-			v := (s.u[b+k] - s.uPrev[b+k]) / dt
-			v2 += v * v
-		}
-		e += 0.5 * s.mass[id] * v2
-	}
-	return e
-}
-
-// MaxDisplacement returns the max nodal |u| (diagnostics / blow-up guard).
-func (s *Solver) MaxDisplacement() float64 {
-	var mx float64
-	for i := 0; i < len(s.u); i += 3 {
-		v := math.Sqrt(s.u[i]*s.u[i] + s.u[i+1]*s.u[i+1] + s.u[i+2]*s.u[i+2])
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
 }
 
 // AddForce adds a force vector to a node's dofs (used by sources).

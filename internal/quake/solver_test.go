@@ -471,67 +471,6 @@ func TestDatasetFieldSelection(t *testing.T) {
 	}
 }
 
-func TestCheckpointRestart(t *testing.T) {
-	mk := func() *Solver {
-		msh := smallMesh(t, 3, 2000, mesh.Material{Rho: 2000, Vs: 1000, Vp: 2000})
-		s, _ := NewSolver(msh, DefaultSolverConfig())
-		s.AddSource(PointSource{Node: s.NearestNode([3]float64{0.5, 0.5, 0.5}),
-			Dir: [3]float64{0, 0, 1}, Amplitude: 1e12, Freq: 4})
-		return s
-	}
-	// Reference: 40 uninterrupted steps.
-	ref := mk()
-	for i := 0; i < 40; i++ {
-		ref.Step()
-	}
-	// Checkpointed: 20 steps, save, restore into a FRESH solver, 20 more.
-	a := mk()
-	for i := 0; i < 20; i++ {
-		a.Step()
-	}
-	st := pfs.NewMemStore()
-	if err := a.WriteCheckpoint(st); err != nil {
-		t.Fatal(err)
-	}
-	b := mk()
-	if err := b.RestoreCheckpoint(st); err != nil {
-		t.Fatal(err)
-	}
-	if b.StepCount() != 20 {
-		t.Fatalf("restored step = %d", b.StepCount())
-	}
-	for i := 0; i < 20; i++ {
-		b.Step()
-	}
-	for i := range ref.u {
-		if math.Abs(ref.u[i]-b.u[i]) > 1e-12+1e-9*math.Abs(ref.u[i]) {
-			t.Fatalf("dof %d differs after restart: %v vs %v", i, ref.u[i], b.u[i])
-		}
-	}
-}
-
-func TestCheckpointValidation(t *testing.T) {
-	msh := smallMesh(t, 2, 1000, mesh.Material{Rho: 2000, Vs: 1000, Vp: 2000})
-	s, _ := NewSolver(msh, DefaultSolverConfig())
-	st := pfs.NewMemStore()
-	if err := s.RestoreCheckpoint(st); err == nil {
-		t.Error("restore from empty store succeeded")
-	}
-	st.Write(CheckpointObject, []byte("garbage"))
-	if err := s.RestoreCheckpoint(st); err == nil {
-		t.Error("garbage checkpoint accepted")
-	}
-	// Mismatched mesh size.
-	big := smallMesh(t, 3, 1000, mesh.Material{Rho: 2000, Vs: 1000, Vp: 2000})
-	sb, _ := NewSolver(big, DefaultSolverConfig())
-	if err := sb.WriteCheckpoint(st); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RestoreCheckpoint(st); err == nil {
-		t.Error("checkpoint from different mesh accepted")
-	}
-}
-
 // TestPeakGroundVelocityCorruptStep: a corrupted step object must end the
 // scan with an error that names the step and matches pfs.ErrCorrupt; it
 // used to panic the process.
@@ -598,4 +537,34 @@ func TestPeakGroundVelocity(t *testing.T) {
 			t.Fatalf("pgv[%d]=%v below last-step value %v", i, pgv[i], m)
 		}
 	}
+}
+
+// Diagnostics the stability and energy tests read; no binary needs them.
+
+// KineticEnergy returns sum over nodes of 1/2 m |v|^2 (diagnostics).
+func (s *Solver) KineticEnergy() float64 {
+	dt := s.DT
+	var e float64
+	for id := range s.mass {
+		b := 3 * id
+		var v2 float64
+		for k := 0; k < 3; k++ {
+			v := (s.u[b+k] - s.uPrev[b+k]) / dt
+			v2 += v * v
+		}
+		e += 0.5 * s.mass[id] * v2
+	}
+	return e
+}
+
+// MaxDisplacement returns the max nodal |u| (diagnostics / blow-up guard).
+func (s *Solver) MaxDisplacement() float64 {
+	var mx float64
+	for i := 0; i < len(s.u); i += 3 {
+		v := math.Sqrt(s.u[i]*s.u[i] + s.u[i+1]*s.u[i+1] + s.u[i+2]*s.u[i+2])
+		if v > mx {
+			mx = v
+		}
+	}
+	return mx
 }

@@ -91,18 +91,3 @@ func computeReferenceStiffness() {
 		}
 	}
 }
-
-// elemForce computes fe = h*(lambda*KLambda + mu*KMu) * ue for one element,
-// accumulating into fe (which the caller zeroes).
-func elemForce(h, lambda, mu float64, ue *[24]float64, fe *[24]float64) {
-	for a := 0; a < 24; a++ {
-		var sl, sm float64
-		rowL := &KLambda[a]
-		rowM := &KMu[a]
-		for b := 0; b < 24; b++ {
-			sl += rowL[b] * ue[b]
-			sm += rowM[b] * ue[b]
-		}
-		fe[a] = h * (lambda*sl + mu*sm)
-	}
-}

@@ -48,32 +48,13 @@ type BlockData struct {
 // notEmpty marks a cell that lies in no empty region.
 const notEmpty = 0xff
 
-// SizeBytes estimates the payload size of the block for transfer modeling.
-func (b *BlockData) SizeBytes() int64 {
-	return int64(len(b.Cells))*(13+32) + 16
-}
-
 // NumCells returns the cell count.
 func (b *BlockData) NumCells() int { return len(b.Cells) }
 
-// MaxValue returns the largest corner value in the block — the renderer's
-// empty-space test: a block whose maximum maps to zero density cannot
-// contribute any pixels and is skipped wholesale.
-func (b *BlockData) MaxValue() float32 {
-	var mx float32
-	for i := range b.Vals {
-		for _, v := range b.Vals[i] {
-			if v > mx {
-				mx = v
-			}
-		}
-	}
-	return mx
-}
-
 // buildEmptyRegions rebuilds the empty-region table and the occupied box
-// from Vals and returns the block's largest corner value (MaxValue, folded
-// into the same pass). A cell is empty when none of its 8 corners is > 0;
+// from Vals and returns the block's largest corner value — the renderer's
+// empty-space test: a block whose maximum maps to zero density cannot
+// contribute any pixels and is skipped wholesale. A cell is empty when none of its 8 corners is > 0;
 // armed is false when the transfer function gives such values a positive
 // density, and then the table holds no empty regions and the box is open on
 // every side.
@@ -295,60 +276,6 @@ func (b *BlockData) find(p Vec3) int {
 		return -1
 	}
 	return i
-}
-
-// Sample interpolates the scalar field at unit point p; ok is false outside
-// the block. hint carries the previously hit cell index for ray coherence;
-// pass -1 initially.
-func (b *BlockData) Sample(p Vec3, hint int) (v float64, cell int, ok bool) {
-	if hint >= 0 && hint < len(b.Cells) && b.Cells[hint].ContainsPoint(p) {
-		cell = hint
-	} else {
-		cell = b.find(p)
-		if cell < 0 {
-			return 0, -1, false
-		}
-	}
-	c := b.Cells[cell]
-	min, _ := c.Bounds()
-	inv := 1 / c.Size()
-	x := (p[0] - min[0]) * inv
-	y := (p[1] - min[1]) * inv
-	z := (p[2] - min[2]) * inv
-	vv := &b.Vals[cell]
-	// Trilinear interpolation over x-fastest corners.
-	c00 := float64(vv[0]) + x*(float64(vv[1])-float64(vv[0]))
-	c10 := float64(vv[2]) + x*(float64(vv[3])-float64(vv[2]))
-	c01 := float64(vv[4]) + x*(float64(vv[5])-float64(vv[4]))
-	c11 := float64(vv[6]) + x*(float64(vv[7])-float64(vv[6]))
-	c0 := c00 + y*(c10-c00)
-	c1 := c01 + y*(c11-c01)
-	return c0 + z*(c1-c0), cell, true
-}
-
-// Gradient estimates the field gradient at p by central differences with a
-// step of half the local cell size.
-func (b *BlockData) Gradient(p Vec3, cell int) Vec3 {
-	h := b.Cells[cell].Size() * 0.5
-	var g Vec3
-	for i := 0; i < 3; i++ {
-		pp, pm := p, p
-		pp[i] += h
-		pm[i] -= h
-		vp, _, okp := b.Sample(pp, cell)
-		vm, _, okm := b.Sample(pm, cell)
-		if !okp || !okm {
-			vc, _, _ := b.Sample(p, cell)
-			if okp {
-				g[i] = (vp - vc) / h
-			} else if okm {
-				g[i] = (vc - vm) / h
-			}
-			continue
-		}
-		g[i] = (vp - vm) / (2 * h)
-	}
-	return g
 }
 
 // ExtractScratch holds reusable per-block extraction targets for frame

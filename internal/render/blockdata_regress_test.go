@@ -185,7 +185,7 @@ func TestExtractBlockDataIntoAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Sampling must not allocate either (index is built inline).
-		if _, _, ok := bd.Sample(Vec3{0.1, 0.1, 0.1}, -1); !ok {
+		if bd.find(Vec3{0.1, 0.1, 0.1}) < 0 {
 			t.Fatal("sample missed inside block")
 		}
 	})

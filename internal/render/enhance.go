@@ -30,28 +30,6 @@ func MagnitudeInto(dst []float32, vec []float32) []float32 {
 	return dst
 }
 
-// NormalizeInto maps values into [0,1] by the given range, written into
-// dst (grown as needed); lo==hi maps to 0. dst may alias vals (every
-// element is read before it is written).
-func NormalizeInto(dst []float32, vals []float32, lo, hi float32) []float32 {
-	dst = pool.Grow(dst, len(vals))
-	if hi <= lo {
-		clear(dst)
-		return dst
-	}
-	inv := 1 / (hi - lo)
-	for i, v := range vals {
-		s := (v - lo) * inv
-		if s < 0 {
-			s = 0
-		} else if s > 1 {
-			s = 1
-		}
-		dst[i] = s
-	}
-	return dst
-}
-
 // MinMax returns the value range of the array.
 func MinMax(vals []float32) (lo, hi float32) {
 	if len(vals) == 0 {

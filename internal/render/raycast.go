@@ -216,6 +216,8 @@ const (
 // (its maximum value maps to zero density everywhere). It is
 // RenderBlocksWith on a one-block list with a private scratch and Workers
 // goroutines; the output is identical for any worker count.
+//
+//repro:allow deadexport: bench
 func (r *Renderer) RenderBlock(bd *BlockData, view *View) *Fragment {
 	return r.RenderBlocksWith([]*BlockData{bd}, view, r.Workers, nil)[0]
 }

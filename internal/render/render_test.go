@@ -69,14 +69,14 @@ func TestTFLookup(t *testing.T) {
 }
 
 func TestTFTable(t *testing.T) {
-	tab := SeismicTF().Table(256)
+	tab := SeismicTF().BuildLUT(256).tab
 	if len(tab) != 256 {
 		t.Fatalf("table len = %d", len(tab))
 	}
-	if tab[0].Density != 0 {
+	if tab[0][3] != 0 {
 		t.Error("zero entry should be transparent")
 	}
-	if tab[255].Density <= tab[128].Density {
+	if tab[255][3] <= tab[128][3] {
 		t.Error("density not increasing toward peak")
 	}
 }
@@ -95,6 +95,17 @@ func constField(m *mesh.Mesh, v float32) []float32 {
 	return f
 }
 
+// sampleAt interpolates bd's field at unit point p the way a ray's sample
+// does; ok is false outside the block.
+func sampleAt(bd *BlockData, p Vec3) (v float64, ok bool) {
+	var s sampler
+	s.reset(bd)
+	if !s.find(p) {
+		return 0, false
+	}
+	return s.sample(p), true
+}
+
 func TestSampleConstantField(t *testing.T) {
 	m := uniformMesh(2)
 	f := constField(m, 0.75)
@@ -105,12 +116,12 @@ func TestSampleConstantField(t *testing.T) {
 	}
 	min, max := bd.Root.Bounds()
 	p := Vec3{(min[0] + max[0]) / 2, (min[1] + max[1]) / 2, (min[2] + max[2]) / 2}
-	v, _, ok := bd.Sample(p, -1)
+	v, ok := sampleAt(bd, p)
 	if !ok || math.Abs(v-0.75) > 1e-6 {
 		t.Errorf("sample = %v, ok=%v", v, ok)
 	}
 	// Outside the block.
-	_, _, ok = bd.Sample(Vec3{0.99, 0.99, 0.99}, -1)
+	_, ok = sampleAt(bd, Vec3{0.99, 0.99, 0.99})
 	if ok {
 		t.Error("sample outside block succeeded")
 	}
@@ -128,7 +139,7 @@ func TestSampleLinearFieldExact(t *testing.T) {
 	bd, _ := ExtractBlockData(m, f, blocks[0], 3)
 	pts := []Vec3{{0.1, 0.2, 0.3}, {0.55, 0.71, 0.13}, {0.9, 0.9, 0.9}}
 	for _, p := range pts {
-		v, _, ok := bd.Sample(p, -1)
+		v, ok := sampleAt(bd, p)
 		want := 0.2*p[0] + 0.5*p[1] + 0.3*p[2]
 		if !ok || math.Abs(v-want) > 1e-5 {
 			t.Errorf("sample(%v) = %v, want %v", p, v, want)
@@ -145,8 +156,12 @@ func TestGradientOfLinearField(t *testing.T) {
 	}
 	bd, _ := ExtractBlockData(m, f, m.Tree.Blocks(0)[0], 3)
 	p := Vec3{0.4, 0.5, 0.6}
-	_, cell, _ := bd.Sample(p, -1)
-	g := bd.Gradient(p, cell)
+	var s sampler
+	s.reset(bd)
+	if !s.find(p) {
+		t.Fatal("sample missed inside block")
+	}
+	g := s.gradient(p)
 	want := Vec3{0.2, 0.5, 0.3}
 	for i := 0; i < 3; i++ {
 		if math.Abs(g[i]-want[i]) > 1e-4 {
@@ -367,8 +382,6 @@ func TestIntoVariantsMatchAllocatingPaths(t *testing.T) {
 	enhInPlace := append([]float32(nil), mag...)
 	checkF32("enhance", enh, EnhanceTemporalInto(enhInPlace, enhInPlace, prev, 3))
 	lo, hi := MinMax(mag)
-	normInPlace := append([]float32(nil), mag...)
-	checkF32("normalize", NormalizeInto(nil, mag, lo, hi), NormalizeInto(normInPlace, normInPlace, lo, hi))
 	q := QuantizeInto(nil, enh, lo, hi)
 	qInto := QuantizeInto(make([]uint8, 4096), enh, lo, hi)
 	if len(q) != len(qInto) {
@@ -409,13 +422,6 @@ func TestQuantizeDegenerateRange(t *testing.T) {
 		if v != 0 {
 			t.Error("degenerate range should quantize to zero")
 		}
-	}
-}
-
-func TestNormalizeClamps(t *testing.T) {
-	out := NormalizeInto(nil, []float32{-1, 0.5, 3}, 0, 1)
-	if out[0] != 0 || out[1] != 0.5 || out[2] != 1 {
-		t.Errorf("normalize = %v", out)
 	}
 }
 
@@ -562,8 +568,8 @@ func TestEmptySpaceSkipping(t *testing.T) {
 	if frag := NewRenderer().RenderBlock(bd, &view); frag != nil {
 		t.Error("empty block produced a fragment")
 	}
-	if bd.MaxValue() != 0 {
-		t.Errorf("MaxValue = %v", bd.MaxValue())
+	if mx := bd.buildEmptyRegions(true); mx != 0 {
+		t.Errorf("buildEmptyRegions max = %v", mx)
 	}
 
 	// A half-empty block renders, and its empty half is one region per
@@ -623,4 +629,11 @@ func TestTransparentBelow(t *testing.T) {
 	if band.TransparentBelow(1.0) {
 		t.Error("band TF: [0,1] contains the opaque band")
 	}
+}
+
+// Ray is rowOffset + rowRay for one pixel, the form the camera tests and
+// the frozen castRay oracles address rays in.
+func (v *View) Ray(x, y int) (origin, dir Vec3) {
+	v.prepare()
+	return v.rowRay(v.rowOffset(y), x)
 }

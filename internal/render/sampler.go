@@ -92,8 +92,9 @@ func supOf(hi float64) float64 {
 	return hi
 }
 
-// within is Cell.ContainsPoint — min-inclusive, max-exclusive, the domain
-// boundary at 1.0 included — on a cell's min corner and its supOf bounds.
+// within reports whether a cell holds p — min-inclusive, max-exclusive, the
+// domain boundary at 1.0 included — given the cell's min corner and its
+// supOf bounds.
 //
 //repro:allocfree
 func within(p, lo, sup Vec3) bool {
@@ -123,8 +124,8 @@ func (s *sampler) find(p Vec3) bool {
 }
 
 // beyondBox reports whether p lies outside the block's occupied box, by the
-// half-open predicate of Cell.ContainsPoint (a side on the domain boundary
-// is infinite): such a sample contributes nothing, see buildEmptyRegions.
+// half-open predicate of within (a side on the domain boundary is
+// infinite): such a sample contributes nothing, see buildEmptyRegions.
 //
 //repro:allocfree
 func (s *sampler) beyondBox(p Vec3) bool {
@@ -261,7 +262,7 @@ func rayAt(o, d Vec3, t float64) Vec3 {
 }
 
 // sample interpolates the scalar field at p, which the cached cell contains
-// (trilinear over the loaded corners, same arithmetic as BlockData.Sample).
+// (trilinear over the loaded x-fastest corners).
 //
 //repro:allocfree
 func (s *sampler) sample(p Vec3) float64 {
@@ -279,8 +280,8 @@ func (s *sampler) sample(p Vec3) float64 {
 
 // gradient returns the exact gradient of the trilinear interpolant at p in
 // the cached cell (valid after sample), computing the cell's corner
-// differences on first use. Unlike the central-difference
-// BlockData.Gradient it needs no further point locations or field samples.
+// differences on first use: no further point locations or field samples,
+// unlike a central-difference estimate.
 //
 //repro:allocfree
 func (s *sampler) gradient(p Vec3) Vec3 {

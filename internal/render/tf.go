@@ -73,18 +73,6 @@ func (tf *TransferFunction) TransparentBelow(s float64) bool {
 	return true
 }
 
-// Table bakes the TF into an n-entry lookup table for the 8-bit quantized
-// path (the paper quantizes 32-bit data to 8-bit on the input processors).
-func (tf *TransferFunction) Table(n int) []TFPoint {
-	out := make([]TFPoint, n)
-	for i := range out {
-		s := float64(i) / float64(n-1)
-		r, g, b, d := tf.Lookup(s)
-		out[i] = TFPoint{S: s, R: r, G: g, B: b, Density: d}
-	}
-	return out
-}
-
 // TFLUT is a transfer function baked into a dense lookup table. The ray
 // caster evaluates the TF once per sample, so replacing the control-point
 // search and interpolation of Lookup with a single table lerp removes the

@@ -95,7 +95,7 @@ func (v *View) prepare() {
 			scale(v.upv, (v.Extent*float64(v.Height)/float64(v.Width))/2-px/2)))
 }
 
-// Prepare computes and freezes the camera frame: afterwards Ray, Project
+// Prepare computes and freezes the camera frame: afterwards Project
 // and ViewDir only read the struct, which makes the View safe to share
 // across goroutines. The parallel render paths freeze a private copy, so
 // a caller's View keeps its lazy semantics. Field changes after Prepare
@@ -105,15 +105,9 @@ func (v *View) Prepare() {
 	v.ready = true
 }
 
-// Ray returns the origin and direction of the ray through pixel (x, y).
-func (v *View) Ray(x, y int) (origin, dir Vec3) {
-	v.prepare()
-	return v.rowRay(v.rowOffset(y), x)
-}
-
-// rowOffset is the part of Ray that every pixel of scanline y shares, and
-// rowRay the rest of it: castRows computes the first once per row on a
-// prepared view. Together they are Ray, operation for operation.
+// rowOffset is the part of pixel (x, y)'s ray that every pixel of scanline
+// y shares, and rowRay the rest of it — the ray's origin and direction:
+// castRows computes the first once per row on a prepared view.
 func (v *View) rowOffset(y int) Vec3 { return scale(v.dy, float64(y)) }
 
 func (v *View) rowRay(row Vec3, x int) (origin, dir Vec3) {

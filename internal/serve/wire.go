@@ -65,6 +65,8 @@ func EncodeWireFrameInto(buf []byte, step int, frame *img.Image, degraded bool) 
 // returning the step, image, degraded flag and the remaining bytes.
 // It is the client-side counterpart of AppendWireFrame, used by the
 // test suite and example clients; allocation per call is fine there.
+//
+//repro:allow deadexport: bench
 func DecodeWireFrame(b []byte) (step int, frame *img.Image, degraded bool, rest []byte, err error) {
 	if len(b) < WireHeaderSize {
 		return 0, nil, false, nil, fmt.Errorf("serve: wire frame shorter than header: %d bytes", len(b))

@@ -77,9 +77,6 @@ func (k *Kernel) schedule(t Time, p *Proc, fn func()) *event {
 	return e
 }
 
-// At schedules fn to run in kernel context at absolute virtual time t.
-func (k *Kernel) At(t Time, fn func()) { k.schedule(t, nil, fn) }
-
 // After schedules fn to run in kernel context d seconds from now.
 func (k *Kernel) After(d Time, fn func()) { k.schedule(k.now+d, nil, fn) }
 
@@ -95,12 +92,6 @@ type Proc struct {
 	dead   bool
 }
 
-// Kernel returns the kernel this process belongs to.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.k.now }
-
 // Spawn creates a process that will begin executing fn at the current
 // virtual time (after already-scheduled events at this time).
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
@@ -115,22 +106,6 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		p.k.yield <- struct{}{}
 	}()
 	k.schedule(k.now, p, nil)
-	return p
-}
-
-// SpawnAt is like Spawn but the process starts at absolute time t.
-func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	k.nproc++
-	p := &Proc{k: k, ID: k.nproc, Name: name, resume: make(chan struct{})}
-	k.nlive++
-	go func() {
-		<-p.resume
-		fn(p)
-		p.dead = true
-		p.k.nlive--
-		p.k.yield <- struct{}{}
-	}()
-	k.schedule(t, p, nil)
 	return p
 }
 
@@ -152,7 +127,7 @@ func (p *Proc) Sleep(d Time) {
 
 // Park suspends the process indefinitely; some other agent must call
 // Kernel.Unpark (or have registered the process with a waking structure such
-// as Queue or Network) to resume it. Spurious wakeups are possible; callers
+// as Network) to resume it. Spurious wakeups are possible; callers
 // must re-check their condition in a loop.
 func (p *Proc) Park() {
 	p.parked = true

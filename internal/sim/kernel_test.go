@@ -12,7 +12,7 @@ func TestSleepAdvancesClock(t *testing.T) {
 	var woke Time
 	k.Spawn("sleeper", func(p *Proc) {
 		p.Sleep(2.5)
-		woke = p.Now()
+		woke = k.Now()
 	})
 	end := k.Run()
 	if !almostEq(woke, 2.5) {
@@ -27,8 +27,8 @@ func TestNegativeSleepIsZero(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("p", func(p *Proc) {
 		p.Sleep(-1)
-		if p.Now() != 0 {
-			t.Errorf("negative sleep advanced clock to %v", p.Now())
+		if k.Now() != 0 {
+			t.Errorf("negative sleep advanced clock to %v", k.Now())
 		}
 	})
 	k.Run()
@@ -37,9 +37,9 @@ func TestNegativeSleepIsZero(t *testing.T) {
 func TestEventOrderingByTimeThenSeq(t *testing.T) {
 	k := NewKernel()
 	var order []int
-	k.At(1.0, func() { order = append(order, 1) })
-	k.At(0.5, func() { order = append(order, 0) })
-	k.At(1.0, func() { order = append(order, 2) }) // same time, later seq
+	k.After(1.0, func() { order = append(order, 1) })
+	k.After(0.5, func() { order = append(order, 0) })
+	k.After(1.0, func() { order = append(order, 2) }) // same time, later seq
 	k.Run()
 	want := []int{0, 1, 2}
 	for i := range want {
@@ -51,13 +51,13 @@ func TestEventOrderingByTimeThenSeq(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	k := NewKernel()
-	k.At(5, func() {
+	k.After(5, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		k.At(1, func() {})
+		k.After(-4, func() {})
 	})
 	k.Run()
 }
@@ -98,11 +98,11 @@ func TestParkUnpark(t *testing.T) {
 	p1 = k.Spawn("waiter", func(p *Proc) {
 		p.Park()
 		done = true
-		if !almostEq(p.Now(), 4) {
-			t.Errorf("unparked at %v, want 4", p.Now())
+		if !almostEq(k.Now(), 4) {
+			t.Errorf("unparked at %v, want 4", k.Now())
 		}
 	})
-	k.At(4, func() { k.Unpark(p1) })
+	k.After(4, func() { k.Unpark(p1) })
 	k.Run()
 	if !done {
 		t.Error("parked process never resumed")
@@ -112,7 +112,7 @@ func TestParkUnpark(t *testing.T) {
 func TestUnparkNonParkedIsNoop(t *testing.T) {
 	k := NewKernel()
 	p1 := k.Spawn("p", func(p *Proc) { p.Sleep(1) })
-	k.At(0.5, func() { k.Unpark(p1) }) // p is sleeping, not parked
+	k.After(0.5, func() { k.Unpark(p1) }) // p is sleeping, not parked
 	end := k.Run()
 	if !almostEq(end, 1) {
 		t.Errorf("end=%v, want 1 (sleep must not be cut short)", end)
@@ -127,71 +127,5 @@ func TestDeadlockPanics(t *testing.T) {
 	}()
 	k := NewKernel()
 	k.Spawn("stuck", func(p *Proc) { p.Park() })
-	k.Run()
-}
-
-func TestSpawnAt(t *testing.T) {
-	k := NewKernel()
-	var start Time = -1
-	k.SpawnAt(7, "late", func(p *Proc) { start = p.Now() })
-	k.Run()
-	if !almostEq(start, 7) {
-		t.Errorf("process started at %v, want 7", start)
-	}
-}
-
-func TestQueueFIFO(t *testing.T) {
-	k := NewKernel()
-	q := NewQueue(k)
-	var got []int
-	k.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, q.Get(p).(int))
-		}
-	})
-	k.At(1, func() { q.Put(10); q.Put(20) })
-	k.At(2, func() { q.Put(30) })
-	k.Run()
-	want := []int{10, 20, 30}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestQueueMultipleWaiters(t *testing.T) {
-	k := NewKernel()
-	q := NewQueue(k)
-	served := 0
-	for i := 0; i < 3; i++ {
-		k.Spawn("c", func(p *Proc) {
-			q.Get(p)
-			served++
-		})
-	}
-	k.At(1, func() {
-		q.Put(1)
-		q.Put(2)
-		q.Put(3)
-	})
-	k.Run()
-	if served != 3 {
-		t.Errorf("served=%d, want 3", served)
-	}
-}
-
-func TestQueueTryGet(t *testing.T) {
-	k := NewKernel()
-	q := NewQueue(k)
-	if _, ok := q.TryGet(); ok {
-		t.Error("TryGet on empty queue returned ok")
-	}
-	q.Put(42)
-	v, ok := q.TryGet()
-	if !ok || v.(int) != 42 {
-		t.Errorf("TryGet = %v,%v want 42,true", v, ok)
-	}
-	// Drain the kernel (no events pending is fine).
 	k.Run()
 }

@@ -37,12 +37,8 @@ type Flow struct {
 	remaining float64 // bytes left
 	rate      float64 // current bytes/sec
 	done      bool
-	owner     *Proc  // parked process to wake on completion (may be nil)
-	onDone    func() // kernel-context callback on completion (may be nil)
+	owner     *Proc // parked process to wake on completion
 }
-
-// Done reports whether the flow has finished transferring.
-func (f *Flow) Done() bool { return f.done }
 
 // NewNetwork returns an empty network attached to k.
 func NewNetwork(k *Kernel) *Network {
@@ -200,12 +196,7 @@ func (n *Network) completeFinished() {
 	n.recompute()
 	// Fire completions after rates are consistent.
 	for _, f := range finished {
-		if f.owner != nil {
-			n.k.Unpark(f.owner)
-		}
-		if f.onDone != nil {
-			f.onDone()
-		}
+		n.k.Unpark(f.owner)
 	}
 }
 
@@ -214,25 +205,6 @@ func (n *Network) add(f *Flow) {
 	n.advance()
 	n.flows = append(n.flows, f)
 	n.recompute()
-}
-
-// StartFlow begins an asynchronous transfer of the given size across the
-// buckets. onDone (may be nil) runs in kernel context when the transfer
-// completes. Zero-byte flows complete via a zero-delay event.
-func (n *Network) StartFlow(bytes float64, onDone func(), buckets ...*Bucket) *Flow {
-	f := &Flow{buckets: buckets, remaining: bytes, onDone: onDone}
-	if bytes <= n.eps || len(buckets) == 0 {
-		f.remaining = 0
-		n.k.After(0, func() {
-			f.done = true
-			if onDone != nil {
-				onDone()
-			}
-		})
-		return f
-	}
-	n.add(f)
-	return f
 }
 
 // Transfer moves bytes across the buckets, blocking the calling process
@@ -244,17 +216,6 @@ func (n *Network) Transfer(p *Proc, bytes float64, buckets ...*Bucket) {
 	f := &Flow{buckets: buckets, remaining: bytes, owner: p}
 	n.add(f)
 	for !f.done {
-		p.Park()
-	}
-}
-
-// WaitFlow blocks the calling process until the flow completes.
-func (n *Network) WaitFlow(p *Proc, f *Flow) {
-	for !f.done {
-		if f.owner != nil && f.owner != p {
-			panic("sim: flow already has a different waiter")
-		}
-		f.owner = p
 		p.Park()
 	}
 }

@@ -12,7 +12,7 @@ func TestSingleFlowRate(t *testing.T) {
 	var done Time
 	k.Spawn("xfer", func(p *Proc) {
 		n.Transfer(p, 500, link)
-		done = p.Now()
+		done = k.Now()
 	})
 	k.Run()
 	if !almostEq(done, 5) {
@@ -27,11 +27,11 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 	var t1, t2 Time
 	k.Spawn("a", func(p *Proc) {
 		n.Transfer(p, 100, link)
-		t1 = p.Now()
+		t1 = k.Now()
 	})
 	k.Spawn("b", func(p *Proc) {
 		n.Transfer(p, 100, link)
-		t2 = p.Now()
+		t2 = k.Now()
 	})
 	k.Run()
 	// Both share 100 B/s -> 50 B/s each -> both finish at t=2.
@@ -47,11 +47,11 @@ func TestProcessorSharingSpeedupAfterCompletion(t *testing.T) {
 	var tShort, tLong Time
 	k.Spawn("short", func(p *Proc) {
 		n.Transfer(p, 100, link)
-		tShort = p.Now()
+		tShort = k.Now()
 	})
 	k.Spawn("long", func(p *Proc) {
 		n.Transfer(p, 300, link)
-		tLong = p.Now()
+		tLong = k.Now()
 	})
 	k.Run()
 	// Shared at 50 B/s until t=2 (short done, long has 200 left);
@@ -72,7 +72,7 @@ func TestMultiBucketFlowBottleneck(t *testing.T) {
 	var done Time
 	k.Spawn("x", func(p *Proc) {
 		n.Transfer(p, 100, out, in)
-		done = p.Now()
+		done = k.Now()
 	})
 	k.Run()
 	if !almostEq(done, 10) {
@@ -90,11 +90,11 @@ func TestMaxMinFairness(t *testing.T) {
 	var tA, tB Time
 	k.Spawn("A", func(p *Proc) {
 		n.Transfer(p, 100, x)
-		tA = p.Now()
+		tA = k.Now()
 	})
 	k.Spawn("B", func(p *Proc) {
 		n.Transfer(p, 150, y)
-		tB = p.Now()
+		tB = k.Now()
 	})
 	k.Spawn("C", func(p *Proc) {
 		n.Transfer(p, 150, y)
@@ -119,11 +119,11 @@ func TestSharedCrossBucket(t *testing.T) {
 	var tFast, tSlow Time
 	k.Spawn("fast", func(p *Proc) {
 		n.Transfer(p, 300, s, fast)
-		tFast = p.Now()
+		tFast = k.Now()
 	})
 	k.Spawn("slow", func(p *Proc) {
 		n.Transfer(p, 100, s, slow)
-		tSlow = p.Now()
+		tSlow = k.Now()
 	})
 	k.Run()
 	if !almostEq(tFast, 10) {
@@ -134,31 +134,17 @@ func TestSharedCrossBucket(t *testing.T) {
 	}
 }
 
-func TestStartFlowAsyncCompletion(t *testing.T) {
-	k := NewKernel()
-	n := NewNetwork(k)
-	link := n.NewBucket("l", 100)
-	var completed Time = -1
-	k.Spawn("p", func(p *Proc) {
-		f := n.StartFlow(200, nil, link)
-		p.Sleep(0.5) // overlap with the transfer
-		n.WaitFlow(p, f)
-		completed = p.Now()
-	})
-	k.Run()
-	if !almostEq(completed, 2) {
-		t.Errorf("async flow completed at %v, want 2", completed)
-	}
-}
-
 func TestZeroByteFlowCompletesImmediately(t *testing.T) {
 	k := NewKernel()
 	n := NewNetwork(k)
 	link := n.NewBucket("l", 100)
-	fired := false
-	n.StartFlow(0, func() { fired = true }, link)
+	returned := false
+	k.Spawn("p", func(p *Proc) {
+		n.Transfer(p, 0, link)
+		returned = true
+	})
 	end := k.Run()
-	if !fired {
+	if !returned {
 		t.Error("zero-byte flow never completed")
 	}
 	if end != 0 {
@@ -173,9 +159,10 @@ func TestLateArrivalSlowsExisting(t *testing.T) {
 	var tA Time
 	k.Spawn("A", func(p *Proc) {
 		n.Transfer(p, 200, link)
-		tA = p.Now()
+		tA = k.Now()
 	})
-	k.SpawnAt(1, "B", func(p *Proc) {
+	k.Spawn("B", func(p *Proc) {
+		p.Sleep(1)
 		n.Transfer(p, 1000, link)
 	})
 	k.Run()
@@ -202,7 +189,7 @@ func TestAggregatePlusPerClientModel(t *testing.T) {
 			cl := n.NewBucket("c", 30)
 			k.Spawn("r", func(p *Proc) {
 				n.Transfer(p, 60, agg, cl)
-				finish = append(finish, p.Now())
+				finish = append(finish, k.Now())
 			})
 		}
 		k.Run()

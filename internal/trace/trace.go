@@ -36,9 +36,6 @@ func (t *Table) AddRow(vals ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Render writes the table.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.headers))

@@ -21,7 +21,7 @@ func TestTableAlignment(t *testing.T) {
 	if !strings.Contains(lines[3], "1.500") {
 		t.Errorf("float formatting: %q", lines[3])
 	}
-	if tb.NumRows() != 2 {
+	if len(tb.rows) != 2 {
 		t.Error("row count")
 	}
 }

@@ -56,10 +56,7 @@ func New(size int) *Pool {
 	return p
 }
 
-// Size returns the number of worker goroutines in the pool.
-func (p *Pool) Size() int { return len(p.st.wake) }
-
-// Run executes fn(0..n-1) across min(workers, Size, n) goroutines, handing
+// Run executes fn(0..n-1) across min(workers, pool size, n) goroutines, handing
 // indices out through an atomic counter (cheap dynamic load balancing) and
 // returning when every index has completed. workers <= 0 uses the whole
 // pool; workers == 1 (or n <= 1) runs inline without touching the pool. The

@@ -83,13 +83,13 @@ func TestRunSerialInline(t *testing.T) {
 func TestPoolSize(t *testing.T) {
 	p := New(3)
 	defer p.Close()
-	if p.Size() != 3 {
-		t.Errorf("Size = %d, want 3", p.Size())
+	if n := len(p.st.wake); n != 3 {
+		t.Errorf("size = %d, want 3", n)
 	}
 	d := New(0)
 	defer d.Close()
-	if d.Size() != runtime.NumCPU() {
-		t.Errorf("default Size = %d, want NumCPU %d", d.Size(), runtime.NumCPU())
+	if n := len(d.st.wake); n != runtime.NumCPU() {
+		t.Errorf("default size = %d, want NumCPU %d", n, runtime.NumCPU())
 	}
 }
 
