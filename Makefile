@@ -6,7 +6,7 @@
 #   make ci      # check plus the perf regression gates (REPRO_PERF_ASSERT)
 #   make benchsmoke  # compile + smoke-test the nested quakebench module (bench/)
 #   make bench   # paper-figure and hot-kernel benchmarks
-#   make fuzz    # short fuzz sessions: datatype/collective replay/RLE/wire codecs + request parser
+#   make fuzz    # short fuzz sessions: datatype/collective replay/RLE/strip + wire codecs + request parser
 #   make size    # non-test lines, test lines, exported identifiers (for CHANGES.md)
 GO ?= go
 
@@ -97,7 +97,8 @@ check: build vet fmtcheck lint test race
 # clipping, the LIC step's resample map and convolve, the collective read's
 # plan replay) only assert when
 # REPRO_PERF_ASSERT=1 so plain `go test ./...` stays immune to scheduler
-# noise; the named alloc-gate pass restates the steady-state zero-
+# noise, and the compressed-strip size gate (the golden scene's strips at
+# most a quarter of their raw bytes) rides the same flag; the named alloc-gate pass restates the steady-state zero-
 # allocation guarantees loudly (including PR 5's collective-read and
 # rendered-frame gates, TestReadAllSteadyStateAllocFree and
 # TestRenderFrameAllocFree); the fixed-seed chaos smoke replays PR 6's
@@ -115,7 +116,7 @@ check: build vet fmtcheck lint test race
 ci: check benchsmoke
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestSpMVSpeedupGate' -v ./internal/quake/
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestCompositeStripSpeedupGate' -v ./internal/compositor/
-	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestDecodeChainSpeedupGate' -v ./internal/core/
+	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestDecodeChainSpeedupGate|TestStripCompressionGate' -v ./internal/core/
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestCastRayLeapSpeedupGate|TestCastRayClipSpeedupGate' -v ./internal/render/
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestLICStepSpeedupGate' -v ./internal/lic/
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestCollectiveReplaySpeedupGate' -v ./internal/mpiio/
@@ -135,6 +136,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRLE$$' -fuzztime=30s ./internal/compositor/
 	$(GO) test -run='^$$' -fuzz='^FuzzCompositeRLEStream$$' -fuzztime=30s ./internal/compositor/
 	$(GO) test -run='^$$' -fuzz='^FuzzCompositeRLEGarbage$$' -fuzztime=30s ./internal/compositor/
+	$(GO) test -run='^$$' -fuzz='^FuzzPasteRLE$$' -fuzztime=30s ./internal/compositor/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeStripPayload$$' -fuzztime=30s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzFaultSchedule$$' -fuzztime=30s ./internal/faultinject/
 	$(GO) test -run='^$$' -fuzz='^FuzzNetFrameDecode$$' -fuzztime=30s ./internal/mpi/
 	$(GO) test -run='^$$' -fuzz='^FuzzNetChaos$$' -fuzztime=30s ./internal/faultinject/

@@ -67,7 +67,7 @@ func main() {
 	steps := flag.Int("steps", 0, "timesteps to render (0 = all; demo dataset has 3)")
 	strategy := flag.String("read", "independent", "read strategy: independent | collective")
 	comp := flag.String("compositor", "slic", "compositor: slic | directsend")
-	compress := flag.Bool("compress", false, "RLE-compress compositing traffic")
+	compress := flag.Bool("compress", false, "RLE-compress compositing traffic and the strips sent to the output ranks")
 	workers := flag.Int("workers", 0, "per-rank render worker goroutines (0 = auto)")
 	timeout := flag.Duration("timeout", 30*time.Second, "bootstrap dial/handshake timeout")
 	heartbeat := flag.Duration("heartbeat", mpi.DefaultNetHeartbeat, "peer heartbeat interval (negative disables liveness probing)")

@@ -42,7 +42,7 @@ func main() {
 	adaptiveFetch := flag.Bool("afetch", false, "adaptive fetching (read only the render level)")
 	strategy := flag.String("read", "independent", "read strategy: independent | collective")
 	comp := flag.String("compositor", "slic", "compositor: slic | directsend")
-	compress := flag.Bool("compress", false, "RLE-compress compositing traffic")
+	compress := flag.Bool("compress", false, "RLE-compress compositing traffic and the strips sent to the output ranks")
 	steps := flag.Int("steps", 0, "timesteps to render (0 = all)")
 	gifPath := flag.String("gif", "", "also write an animated GIF to this path")
 	azimuth := flag.Float64("azimuth", -1000, "camera azimuth in degrees (with -elevation)")

@@ -156,25 +156,20 @@ func blendRLESeg(dst []float32, src []byte) {
 // stream: skip records only advance the pixel cursor (the whole point of
 // the transparent-run compression — skipped pixels cost nothing), and run
 // records blend row segments in place. No decoded image is materialized.
-// The stream is validated exactly as the tests' reference decoder
-// (DecodeRLE) validates it.
+// The stream is validated record by record (rleRecord), exactly as the
+// tests' reference decoder (DecodeRLE) validates it.
 func blendRLE(dst *img.Image, w int, st Strip, s *subFragment) error {
 	data := s.RLE
 	n := s.W * s.H
 	pos := 0
 	i := 0
 	for pos < len(data) {
-		if pos+8 > len(data) {
-			return fmt.Errorf("compositor: truncated RLE header at %d", pos)
+		start, run, err := rleRecord(data, pos, i, n)
+		if err != nil {
+			return err
 		}
-		skip := int(binary.LittleEndian.Uint32(data[pos:]))
-		run := int(binary.LittleEndian.Uint32(data[pos+4:]))
 		pos += 8
-		i += skip
-		// The negative guards matter on 32-bit builds (uint32 -> int wraps there).
-		if i < 0 || i+run > n || run < 0 || pos+16*run > len(data) {
-			return fmt.Errorf("compositor: RLE overrun (i=%d run=%d)", i, run)
-		}
+		i = start
 		for run > 0 {
 			y := i / s.W
 			x := i - y*s.W

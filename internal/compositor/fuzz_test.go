@@ -132,6 +132,66 @@ func FuzzCompositeRLEGarbage(f *testing.F) {
 	})
 }
 
+// FuzzPasteRLE feeds arbitrary bytes to the output processor's paste
+// kernel as the stream of a w×h strip at row y0 of a (w)×(h+4) frame
+// painted with a sentinel (seeded from FuzzCompositeRLEGarbage's corpus,
+// plus strips that hang off either end of the frame). It must never
+// panic; it must accept exactly the streams DecodeRLE accepts for a strip
+// inside the frame; a rejected stream must leave the frame untouched; and
+// an accepted one must leave the decoder's lit pixels in the strip's rows,
+// the sentinel wherever the stream skipped, and every row outside the
+// strip as it was.
+func FuzzPasteRLE(f *testing.F) {
+	f.Add(2, 2, 1, []byte{})
+	f.Add(2, 2, 0, []byte{1, 0, 0, 0, 200, 0, 0, 0}) // run overflows the strip
+	f.Add(1, 1, 2, []byte{0, 0, 0, 0, 1, 0, 0, 0, 1, 2, 3})
+	f.Add(3, 3, 1, []byte{255, 255, 255, 255, 1, 0, 0, 0}) // huge skip
+	f.Add(2, 1, 0, []byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0x80, 0x3f, 0, 0, 0, 0, 0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0x3f})
+	f.Add(2, 3, 3, []byte{})  // strip rows past the frame's last
+	f.Add(2, 3, -1, []byte{}) // strip rows before its first
+	f.Fuzz(func(t *testing.T, w, h, y0 int, data []byte) {
+		w, h, y0 = w%16, h%16, y0%8
+		if w <= 0 || h < 0 {
+			t.Skip()
+		}
+		const sentinel = float32(-7)
+		frame := img.New(w, h+4)
+		for i := range frame.Pix {
+			frame.Pix[i] = sentinel
+		}
+		st := Strip{Y0: y0, H: h}
+		err := PasteRLE(frame, st, data)
+		inside := y0 >= 0 && y0+h <= frame.H
+		dec, decErr := DecodeRLE(data, w, h)
+		if (err == nil) != (inside && decErr == nil) {
+			t.Fatalf("PasteRLE error %v; strip inside frame: %v, decoder error %v", err, inside, decErr)
+		}
+		lit := make([]bool, w*h) // pixels some run record covers
+		if err == nil {
+			for pos, i := 0, 0; pos < len(data); {
+				i += int(binary.LittleEndian.Uint32(data[pos:]))
+				run := int(binary.LittleEndian.Uint32(data[pos+4:]))
+				for k := 0; k < run; k++ {
+					lit[i+k] = true
+				}
+				pos, i = pos+8+16*run, i+run
+			}
+		}
+		for p := 0; p < w*frame.H; p++ {
+			q := p - y0*w // the pixel's index in the strip, when it is in it
+			for ch := 0; ch < 4; ch++ {
+				want := sentinel
+				if err == nil && q >= 0 && q < w*h && lit[q] {
+					want = dec.Pix[4*q+ch]
+				}
+				if got := frame.Pix[4*p+ch]; math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("pixel %d channel %d = %v (bits %08x), want %v (err=%v)", p, ch, got, math.Float32bits(got), want, err)
+				}
+			}
+		}
+	})
+}
+
 // FuzzDecodeRLE feeds arbitrary bytes to the decoder, which must reject or
 // decode them without panicking or writing out of bounds.
 func FuzzDecodeRLE(f *testing.F) {

@@ -441,6 +441,39 @@ func TestEncodeRLEIntoAllocFree(t *testing.T) {
 	}
 }
 
+// TestPasteRLEMatchesRawCopy: pasting a strip's stream into cleared frame
+// rows leaves the bits copying the raw strip there would — for empty, sparse,
+// dense and full strips, -0 alpha (elided like +0) and NaN channels included
+// — touches no other row, and allocates nothing.
+func TestPasteRLEMatchesRawCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const w, fh = 33, 40
+	st := Strip{Y0: 11, H: 17}
+	var buf []byte
+	for _, fill := range []float64{0, 0.05, 0.5, 1} {
+		m := randImage(rng, w, st.H, fill)
+		m.Pix[4*5+3] = float32(math.Copysign(0, -1)) // alpha -0: transparent
+		m.Pix[4*5], m.Pix[4*5+1], m.Pix[4*5+2] = 0, 0, 0
+		m.Pix[4*40] = float32(math.NaN())
+		m.Pix[4*40+3] = 0.5
+		buf = EncodeRLEInto(buf, m)
+		want := img.New(w, fh)
+		copy(want.Pix[4*st.Y0*w:], m.Pix)
+		want.Pix[4*(st.Y0*w+5)+3] = 0 // an elided pixel comes back as +0
+		got := img.New(w, fh)
+		if err := PasteRLE(got, st, buf); err != nil {
+			t.Fatalf("fill=%v: %v", fill, err)
+		}
+		samePix(t, fmt.Sprintf("fill=%v", fill), want, got)
+		if avg := testing.AllocsPerRun(20, func() { _ = PasteRLE(got, st, buf) }); avg != 0 {
+			t.Errorf("fill=%v: PasteRLE allocates %v per strip, want 0", fill, avg)
+		}
+	}
+	if err := PasteRLE(img.New(w, fh), Strip{Y0: fh - 3, H: 4}, nil); err == nil {
+		t.Error("a strip hanging off the frame's last row was accepted")
+	}
+}
+
 // TestSLICSteadyStateAllocFree is the PR 3 acceptance gate for the
 // scheduled compositor: with per-rank scratches, a steady-state SLIC round
 // (clip, encode, send, receive, composite, release) allocates nothing on
@@ -741,12 +774,6 @@ func TestCompositeStripSpeedupGate(t *testing.T) {
 				mode.name, flat, legacy, legacy/flat, mode.floor)
 		}
 	}
-}
-
-// EncodeRLEInto is encodeRLE over a whole image, the form the codec tests
-// and fuzz targets drive the encoder in.
-func EncodeRLEInto(dst []byte, m *img.Image) []byte {
-	return encodeRLE(dst[:0], m.Pix, m.W*m.H)
 }
 
 // DecodeRLE reconstructs a w×h image from an encodeRLE stream: the

@@ -13,13 +13,19 @@ package core
 //     with exact FaultEvents/StaleSteps/DegradedFrames accounting;
 //   - collective mode -> transients heal below MPI-IO (pfs.RetryStore),
 //     invisible to core; a permanently unopenable step degrades to the
-//     stale file handle without desynchronizing the collective.
+//     stale file handle without desynchronizing the collective;
+//   - a compressed strip whose stream does not fit its strip -> the output
+//     rank pastes nothing of it and flags the frame, or without tolerance
+//     returns the error.
 //
 // Every schedule is a pure function of (seed, object, offset), so each
 // case is reproducible and its counters are exact, not bounds.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"runtime"
 	"strings"
@@ -356,6 +362,101 @@ func TestChaosCorruptSurfaceRecordDropsUnderlay(t *testing.T) {
 	}
 	if _, err := quake.DecodeStepInto(nil, raw); !errors.Is(err, pfs.ErrCorrupt) {
 		t.Errorf("DecodeStepInto(flipped record) = %v, want pfs.ErrCorrupt", err)
+	}
+}
+
+// stripCorruptor wraps a RealWorkload and damages one compressed strip on
+// its way out of the renderer: the stream's first record claims a run of
+// 2^30 pixels, more than any strip holds. The length is untouched, so the
+// message is well-formed for every transport and codec and the damage is
+// the output rank's to find.
+type stripCorruptor struct {
+	*RealWorkload
+	step, renderer int
+}
+
+func (s *stripCorruptor) Composite(c *mpi.Comm, t, r int, group []int, rnd any) (int64, any, error) {
+	n, v, err := s.RealWorkload.Composite(c, t, r, group, rnd)
+	if err == nil && t == s.step && r == s.renderer {
+		binary.LittleEndian.PutUint32(v.(*stripPayload).rle[4:], 1<<30)
+	}
+	return n, v, err
+}
+
+// TestChaosCorruptStripStream: a run-length strip whose stream does not fit
+// its strip reaches the output rank, in process and over TCP. Under the
+// fault policy the paste writes nothing, the strip's rows stay transparent
+// like a lost renderer's, exactly that frame is flagged, every other row
+// and frame is the clean run's, and every rank runs to the end. Without the
+// policy the output rank returns the paste kernel's error, naming the
+// sender and the step, and no other rank fails.
+func TestChaosCorruptStripStream(t *testing.T) {
+	const steps, bad, badR = 3, 1, 1
+	store := buildDataset(t, steps)
+	l := Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}
+	out := l.OutputRank(bad)
+	for _, tolerate := range []bool{true, false} {
+		opts := smallOpts(48, 48)
+		if tolerate {
+			opts = tolerant(48, 48)
+		}
+		opts.Compress = true
+		ref, _ := chaosRun(t, store, l, opts, nil)
+		for _, net := range []bool{false, true} {
+			w, err := NewRealWorkload(l, opts, store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(w.Close)
+			p, err := NewPipeline(l, &stripCorruptor{w, bad, badR})
+			if err != nil {
+				t.Fatal(err)
+			}
+			errs := make([]error, l.WorldSize())
+			body := func(c *mpi.Comm) { errs[c.Rank()] = p.Run(c) }
+			if net {
+				rep, err := mpi.RunNetErrs(l.WorldSize(), mpi.NetTuning{}, body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r, rerr := range rep.Errs {
+					if rerr != nil && (tolerate || r != out) {
+						t.Errorf("tolerate=%v net: rank %d transport: %v", tolerate, r, rerr)
+					}
+				}
+			} else {
+				mpi.RunReal(l.WorldSize(), body)
+			}
+			for r, rerr := range errs {
+				if !tolerate && r == out {
+					if rerr == nil || !strings.Contains(rerr.Error(), "RLE overrun") ||
+						!strings.Contains(rerr.Error(), fmt.Sprintf("strip from rank %d at step %d", l.RenderRank(badR), bad)) {
+						t.Errorf("net=%v: output rank returned %v, want the paste error naming rank %d step %d", net, rerr, l.RenderRank(badR), bad)
+					}
+				} else if rerr != nil {
+					t.Errorf("tolerate=%v net=%v: rank %d died: %v", tolerate, net, r, rerr)
+				}
+			}
+			if !tolerate {
+				continue
+			}
+			if p.Res.Frames != steps || p.Res.DegradedFrames != 1 {
+				t.Errorf("net=%v: %d frames, %d degraded, want %d and 1", net, p.Res.Frames, p.Res.DegradedFrames, steps)
+			}
+			gap := w.sched.Strips[badR]
+			for step := 0; step < steps; step++ {
+				if got, want := w.FrameDegraded(step), step == bad; got != want {
+					t.Errorf("net=%v: FrameDegraded(%d) = %v, want %v", net, step, got, want)
+				}
+				want := ref.Frame(step).Clone()
+				if step == bad {
+					clear(want.Pix[4*gap.Y0*want.W : 4*(gap.Y0+gap.H)*want.W])
+				}
+				if !bytes.Equal(frameBits(want), frameBits(w.Frame(step))) {
+					t.Errorf("net=%v: step %d is not the clean frame (minus rows [%d, %d) at step %d)", net, step, gap.Y0, gap.Y0+gap.H, bad)
+				}
+			}
+		}
 	}
 }
 

@@ -71,6 +71,53 @@ func TestLayoutRanks(t *testing.T) {
 	}
 }
 
+// TestTagSpaceBoundary pins where the tag layout ends. The last addressable
+// step's credit tag is the tag just under the compositor's first window, so
+// one step more must be refused rather than aliased; likewise a prefetch
+// depth that would let two steps sharing a compositing window be in flight
+// together. Every accepted run keeps its tags in disjoint ranges.
+func TestTagSpaceBoundary(t *testing.T) {
+	if got := tagCredit(maxSteps - 1); got != tagCompositeBase-1 {
+		t.Fatalf("last step's credit tag = %d, want %d (just under the compositor's base)", got, tagCompositeBase-1)
+	}
+	if tagData(maxSteps) < tagCompositeBase {
+		t.Fatal("maxSteps is not the first step that collides")
+	}
+	if tagComposite(0) != tagComposite(compositeWindows) || tagComposite(1) == tagComposite(compositeWindows) {
+		t.Fatal("compositing windows do not wrap at compositeWindows")
+	}
+	for _, tc := range []struct {
+		steps, depth int
+		ok           bool
+	}{
+		{1, 0, true}, {24, 1, true}, {compositeWindows + 1, 1, true}, // a wrapped window still works
+		{maxSteps, 1, true}, {maxSteps + 1, 1, false}, {1 << 20, 1, false},
+		{24, compositeWindows - 1, true}, {24, compositeWindows, false},
+	} {
+		if err := checkTagSpace(tc.steps, tc.depth); (err == nil) != tc.ok {
+			t.Errorf("checkTagSpace(%d, %d) = %v, want ok=%v", tc.steps, tc.depth, err, tc.ok)
+		}
+	}
+	// The same bound at the two doors a run comes through.
+	l := Layout{Groups: 1, IPsPerGroup: 1, Renderers: 1, Outputs: 1}
+	if _, err := NewPipeline(l, NewModelWorkload(l, ModelConfig{Steps: maxSteps})); err != nil {
+		t.Errorf("NewPipeline refused %d steps: %v", maxSteps, err)
+	}
+	if _, err := NewPipeline(l, NewModelWorkload(l, ModelConfig{Steps: maxSteps + 1})); err == nil {
+		t.Errorf("NewPipeline accepted %d steps", maxSteps+1)
+	}
+	p, err := NewPipeline(l, NewModelWorkload(l, ModelConfig{Steps: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.PrefetchDepth = compositeWindows
+	mpi.RunReal(l.WorldSize(), func(c *mpi.Comm) {
+		if err := p.Run(c); err == nil {
+			t.Errorf("rank %d ran with prefetch depth %d", c.Rank(), p.PrefetchDepth)
+		}
+	})
+}
+
 // --- Model-mode pipeline (paper scale) -------------------------------------
 
 func modelRun(t *testing.T, l Layout, cfg ModelConfig) *Result {

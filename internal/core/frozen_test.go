@@ -39,7 +39,9 @@ func frozenStretchInto(out *img.Image, src *img.Image, w, h int) *img.Image {
 // frame.Under(stretchInto(...)) left.
 //
 // Mutation-checked: reading the source row with the frame's stride, scaling
-// x by src.H, and scaling y by the frame's width each fail this test.
+// x by src.H, and scaling y by the frame's width each fail this test; so
+// (PR 23, the per-view column map) do stretchCols dropping its factor 4 and
+// dividing by the source width.
 func TestUnderStretchedMatchesFrozen(t *testing.T) {
 	rng := rand.New(rand.NewSource(2004))
 	odd := []float32{0, float32(math.Copysign(0, -1)), 1, float32(math.NaN()), float32(math.Inf(1)), 0.5}
@@ -51,6 +53,7 @@ func TestUnderStretchedMatchesFrozen(t *testing.T) {
 			}
 		}
 	}
+	var cols []int32
 	for _, dim := range []struct{ w, h, sw, sh int }{
 		{48, 40, 32, 32}, {40, 48, 32, 32}, {64, 64, 16, 16}, {24, 24, 24, 24},
 		{20, 30, 50, 35}, {33, 17, 7, 19}, {1, 1, 5, 5}, {9, 9, 1, 1},
@@ -62,7 +65,8 @@ func TestUnderStretchedMatchesFrozen(t *testing.T) {
 		want := got.Clone()
 		var stretch img.Image
 		want.Under(frozenStretchInto(&stretch, src, dim.w, dim.h))
-		underStretched(got, src)
+		cols = stretchCols(cols, dim.w, dim.sw) // one buffer re-aimed across sizes, as aim does
+		underStretched(got, src, cols)
 		for i := range want.Pix {
 			g, w := got.Pix[i], want.Pix[i]
 			if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {

@@ -12,7 +12,11 @@ package core
 // release (Render for data pieces, Assemble for strips and the LIC
 // underlay) recycles it locally. Both sides therefore stay
 // allocation-free at steady state, and pixel/value bytes cross as exact
-// bit patterns, keeping frames bit-identical to RunReal.
+// bit patterns, keeping frames bit-identical to RunReal: a float32 as its
+// four little-endian IEEE-754 bytes — and a compressed strip (stripPayload)
+// as the run-length stream the renderer built, which holds every lit pixel
+// as those same sixteen bytes and is moved, never re-encoded, so what
+// crosses is also exactly the size the sender declared.
 
 import (
 	"fmt"
@@ -116,33 +120,68 @@ func decodeDataPayload(wire []byte) (any, error) {
 	return p, nil
 }
 
+// Strip flag bits on the wire.
+const (
+	stripFlagDegraded = 1 << iota
+	stripFlagRLE
+)
+
+// encodeStripPayload ships the strip's rows, its flags and then whichever
+// shape the payload has: the raw canvas, or the length-prefixed run-length
+// stream verbatim — the frame carries the bytes RealWorkload.Composite
+// declared, plus this header.
 func encodeStripPayload(buf []byte, v any) ([]byte, error) {
 	sp := v.(*stripPayload)
 	buf = mpi.AppendU32(buf, uint32(int32(sp.Strip.Y0)))
 	buf = mpi.AppendU32(buf, uint32(int32(sp.Strip.H)))
-	var deg byte
+	var flags byte
 	if sp.degraded {
-		deg = 1
+		flags |= stripFlagDegraded
 	}
-	buf = append(buf, deg)
-	buf = appendImgVal(buf, sp.Img)
+	if sp.compressed {
+		flags |= stripFlagRLE
+	}
+	buf = append(buf, flags)
+	if sp.compressed {
+		buf = mpi.AppendU32(buf, uint32(len(sp.rle)))
+		buf = append(buf, sp.rle...)
+	} else {
+		buf = appendImgVal(buf, sp.Img)
+	}
 	sp.release() // returns the canvas to the sender's CompositeScratch
 	return buf, nil
 }
 
+// decodeStripPayload rebuilds either shape in a payload from netStrips. A
+// stream is copied out of the transport's buffer into the payload's own
+// and not parsed: Assemble's paste validates it against the frame it
+// lands in, which this side of the wire does not know yet.
 func decodeStripPayload(wire []byte) (any, error) {
 	r := mpi.NewWireReader(wire)
 	sp := netStrips.Get()
 	sp.owner = &netStrips
 	sp.comp = nil // the canvas is sp.store, recycled with the struct
 	sp.Strip = compositor.Strip{Y0: int(r.I32()), H: int(r.I32())}
-	sp.degraded = r.U8() != 0
-	if err := readImgVal(&r, &sp.store); err != nil {
-		sp.Img = nil
+	flags := r.U8()
+	sp.degraded = flags&stripFlagDegraded != 0
+	var err error
+	switch {
+	case flags&^(stripFlagDegraded|stripFlagRLE) != 0:
+		err = fmt.Errorf("core: strip payload has unknown flags %#x", flags)
+	case flags&stripFlagRLE != 0:
+		stream := r.Bytes(r.Len(1))
+		if err = r.Done(); err == nil {
+			sp.rle, sp.compressed = append(sp.rle[:0], stream...), true
+		}
+	default:
+		if err = readImgVal(&r, &sp.store); err == nil {
+			sp.Img = &sp.store
+		}
+	}
+	if err != nil {
 		sp.release()
 		return nil, err
 	}
-	sp.Img = &sp.store
 	return sp, nil
 }
 

@@ -40,7 +40,11 @@ type Workload interface {
 	// Render consumes the m pieces for timestep t on renderer r.
 	Render(c *mpi.Comm, t, r int, pieces []mpi.Message) (any, error)
 	// Composite runs sort-last compositing among the renderer group and
-	// returns this renderer's strip payload for the output processor.
+	// returns this renderer's strip payload for the output processor,
+	// with the size it declares on the wire: the bytes the payload really
+	// carries (RealWorkload: 16 per strip pixel, or under Compress the
+	// length of the strip's run-length stream; ModelWorkload halves its
+	// modelled strip under Compress likewise).
 	Composite(c *mpi.Comm, t, r int, group []int, rendered any) (int64, any, error)
 	// Assemble consumes the strips (and optional LIC payload) on the
 	// output processor; it owns frame delivery (e.g. writing the image).
@@ -49,13 +53,43 @@ type Workload interface {
 	WantLIC() bool
 }
 
-// Tag layout: per-timestep point-to-point tags stay below 1<<19; the
-// compositor gets a 256-tag window per timestep above 1<<19.
-func tagData(t int) int      { return t*4 + 0 }
-func tagStrip(t int) int     { return t*4 + 1 }
-func tagLIC(t int) int       { return t*4 + 2 }
-func tagCredit(t int) int    { return t*4 + 3 }
-func tagComposite(t int) int { return 1<<19 + (t%2048)*256 }
+// Tag layout. Every timestep owns tagsPerStep point-to-point tags counting
+// up from zero, and the compositor a window of compositeWindowTags tags
+// from tagCompositeBase up, reused every compositeWindows steps. Everything
+// stays below 1<<20, far under the mpi layer's reserved collective tags.
+const (
+	tagsPerStep         = 4
+	tagCompositeBase    = 1 << 19
+	compositeWindows    = 2048
+	compositeWindowTags = 256
+
+	// maxSteps is the longest run the layout addresses: step maxSteps's
+	// first tag would be the compositor's first.
+	maxSteps = tagCompositeBase / tagsPerStep
+)
+
+func tagData(t int) int      { return t*tagsPerStep + 0 }
+func tagStrip(t int) int     { return t*tagsPerStep + 1 }
+func tagLIC(t int) int       { return t*tagsPerStep + 2 }
+func tagCredit(t int) int    { return t*tagsPerStep + 3 }
+func tagComposite(t int) int { return tagCompositeBase + (t%compositeWindows)*compositeWindowTags }
+
+// checkTagSpace reports a run the tag layout cannot address, instead of
+// letting its messages alias. A step past maxSteps would put its
+// point-to-point tags inside the compositor's windows. Reusing a window
+// every compositeWindows steps is safe while the two steps sharing it are
+// never both in flight: an input sends step t only on every renderer's
+// credit, and a renderer grants t+depth no earlier than it holds t, so
+// renderers are at most depth steps apart — which is what bounds depth.
+func checkTagSpace(steps, depth int) error {
+	if steps > maxSteps {
+		return fmt.Errorf("core: %d steps exceed the %d the tag space addresses", steps, maxSteps)
+	}
+	if depth >= compositeWindows {
+		return fmt.Errorf("core: prefetch depth %d would alias the %d compositing tag windows", depth, compositeWindows)
+	}
+	return nil
+}
 
 // Result accumulates measurements across ranks. Safe for concurrent use.
 type Result struct {
@@ -217,13 +251,17 @@ type Pipeline struct {
 	tolerate bool
 }
 
+// defaultPrefetchDepth is the paper's double buffering: one step streams in
+// while one renders.
+const defaultPrefetchDepth = 1
+
 // NewPipeline validates the layout and prepares a result sink.
 func NewPipeline(l Layout, w Workload) (*Pipeline, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	if w.Steps() > 1<<17 {
-		return nil, fmt.Errorf("core: too many steps (%d) for the tag space", w.Steps())
+	if err := checkTagSpace(w.Steps(), defaultPrefetchDepth); err != nil {
+		return nil, err
 	}
 	// FrameDone and the per-renderer busy map are preallocated so the
 	// per-step bookkeeping never grows them mid-run.
@@ -237,7 +275,7 @@ func NewPipeline(l Layout, w Workload) (*Pipeline, error) {
 	if fw, ok := w.(interface{ attachResult(*Result) }); ok {
 		fw.attachResult(res)
 	}
-	p := &Pipeline{Layout: l, W: w, Res: res, PrefetchDepth: 1}
+	p := &Pipeline{Layout: l, W: w, Res: res, PrefetchDepth: defaultPrefetchDepth}
 	// Rank-loss tolerance is likewise an optional workload property: a
 	// workload running with Options.Faults.Tolerate reports it here and
 	// the pipeline's receives degrade on ErrPeerLost instead of dying.
@@ -267,6 +305,10 @@ func (p *Pipeline) recvOr(c *mpi.Comm, src, tag int) (mpi.Message, error) {
 func (p *Pipeline) Run(c *mpi.Comm) error {
 	if c.Size() != p.Layout.WorldSize() {
 		return fmt.Errorf("core: world has %d ranks, layout needs %d", c.Size(), p.Layout.WorldSize())
+	}
+	// PrefetchDepth is set after NewPipeline, so the layout is re-checked here.
+	if err := checkTagSpace(p.W.Steps(), p.PrefetchDepth); err != nil {
+		return err
 	}
 	switch {
 	case c.Rank() < p.Layout.NumInput():

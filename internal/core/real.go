@@ -49,6 +49,7 @@ type RealWorkload struct {
 	visRank []int
 	sched   *compositor.Schedule
 	rects   [][]compositor.Rect
+	licCols []int32 // stretchCols for the view's width under the LIC underlay
 
 	// Steady-state reuse (PR 3): the per-rank scratches hold every buffer
 	// the per-step path reuses across timesteps (see scratch.go).
@@ -239,6 +240,17 @@ func (w *RealWorkload) aim() {
 		})
 	}
 	w.sched = compositor.BuildSchedule(w.rects, w.opts.Width, w.opts.Height, w.ds.layout.Renderers)
+	if w.opts.LIC {
+		w.licCols = stretchCols(w.licCols, w.opts.Width, w.licSize())
+	}
+}
+
+// licSize is the side of the square surface-LIC underlay licStep computes.
+func (w *RealWorkload) licSize() int {
+	if w.opts.LICSize < 16 {
+		return 16
+	}
+	return w.opts.LICSize
 }
 
 // stepName returns the cached object name of logical timestep t (mapped
@@ -696,10 +708,7 @@ func (w *RealWorkload) licStep(c *mpi.Comm, t int) (int64, any, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	size := w.opts.LICSize
-	if size < 16 {
-		size = 16
-	}
+	size := w.licSize()
 	if err := ls.tree.ResampleInto(&ls.grid, size, size); err != nil {
 		return 0, nil, err
 	}
@@ -823,7 +832,9 @@ func (w *RealWorkload) Render(c *mpi.Comm, t, r int, pieces []mpi.Message) (any,
 // renderer's persistent CompositeScratch (pooled wire payloads, reused
 // clip/RLE buffers, pooled strip canvases), after which the rendered
 // fragments' pixel buffers go back to the frame pool — everything they
-// held has been copied or encoded onto the wire.
+// held has been copied or encoded onto the wire. The finished strip leaves
+// as a stripPayload: the canvas itself, or under Options.Compress its
+// run-length stream, whose length is then the declared message size.
 func (w *RealWorkload) Composite(c *mpi.Comm, t, r int, group []int, rnd any) (int64, any, error) {
 	frags := rnd.(*rendered).frags
 	rs := w.rendScr[r]
@@ -847,11 +858,21 @@ func (w *RealWorkload) Composite(c *mpi.Comm, t, r int, group []int, rnd any) (i
 	}
 	render.ReleaseFragments(frags)
 	sp := rs.strips.Get()
-	sp.Img, sp.Strip, sp.comp = im, st, rs.comp
+	sp.owner = &rs.strips
+	sp.Strip = st
 	// The strip carries the renderer-side degraded flag to the output rank
 	// (netcodec ships it), so cross-process runs fold renderer-local
 	// incidents into the output's Result too.
 	sp.degraded = w.FrameDegraded(t)
+	if w.opts.Compress {
+		// The stream is the payload on every transport, so the canvas is
+		// free for the next step now, not when the output rank is done.
+		sp.rle = compositor.EncodeRLEInto(sp.rle, im)
+		sp.compressed = true
+		rs.comp.ReleaseStrip(im)
+		return int64(len(sp.rle)), sp, nil
+	}
+	sp.Img, sp.comp = im, rs.comp
 	return compositor.RawBytes(im), sp, nil
 }
 
@@ -883,17 +904,28 @@ func (w *RealWorkload) Assemble(c *mpi.Comm, t int, strips []mpi.Message, licMsg
 			// missing input pieces); fold it into this output's Result.
 			w.markDegraded(t)
 		}
-		if sp.Strip.H > 0 {
-			copy(frame.Pix[4*sp.Strip.Y0*w.opts.Width:4*(sp.Strip.Y0+sp.Strip.H)*w.opts.Width], sp.Img.Pix)
-		}
+		err := pasteStrip(frame, sp)
 		sp.release()
+		if err != nil {
+			// A strip that does not fit the frame, or a stream that does not
+			// fit the strip, pasted nothing: under the fault policy its rows
+			// stay transparent like a lost renderer's.
+			if !w.opts.Faults.Tolerate {
+				return fmt.Errorf("core: output strip from rank %d at step %d: %w", s.Src, t, err)
+			}
+			w.markDegraded(t)
+		}
 	}
 	if licMsg != nil && licMsg.Data != nil {
 		lp, ok := licMsg.Data.(*licPayload)
 		if !ok {
 			return fmt.Errorf("core: output got unexpected LIC payload %T", licMsg.Data)
 		}
-		underStretched(frame, &lp.Img)
+		size := w.licSize()
+		if lp.Img.W != size || lp.Img.H != size {
+			return fmt.Errorf("core: output got a %dx%d LIC underlay, want %dx%d", lp.Img.W, lp.Img.H, size, size)
+		}
+		underStretched(frame, &lp.Img, w.licCols)
 		lp.release()
 	} else if licMsg != nil && w.opts.Faults.Tolerate {
 		// LIC underlay dropped (degraded LIC step or lost LIC rank): render
@@ -914,16 +946,50 @@ func (w *RealWorkload) Assemble(c *mpi.Comm, t int, strips []mpi.Message, licMsg
 	return nil
 }
 
+// pasteStrip writes one strip into the frame rows it covers, which the
+// ring handed out cleared: a raw canvas by copy, a run-length stream
+// record by record (skip records touch nothing, so no decoded image sits
+// in between). A strip that does not fit the frame pastes nothing.
+func pasteStrip(frame *img.Image, sp *stripPayload) error {
+	if sp.compressed {
+		return compositor.PasteRLE(frame, sp.Strip, sp.rle)
+	}
+	st := sp.Strip
+	if st.H == 0 {
+		return nil
+	}
+	if st.Y0 < 0 || st.H < 0 || st.Y0 > frame.H || st.H > frame.H-st.Y0 ||
+		sp.Img == nil || len(sp.Img.Pix) != 4*frame.W*st.H {
+		return fmt.Errorf("core: raw strip rows [%d, %d) do not fit a %dx%d frame", st.Y0, st.Y0+st.H, frame.W, frame.H)
+	}
+	copy(frame.Pix[4*st.Y0*frame.W:], sp.Img.Pix)
+	return nil
+}
+
+// stretchCols returns, for each column of a w-pixel-wide frame, the float
+// offset within a srcW-pixel underlay row of the pixel nearest-neighbor
+// scaling puts under it: 4*(x*srcW/w). It depends on the two widths alone,
+// so aim computes it once per view and underStretched divides per row only.
+func stretchCols(dst []int32, w, srcW int) []int32 {
+	dst = pool.Grow(dst, w)
+	for x := range dst {
+		dst[x] = int32(4 * (x * srcW / w))
+	}
+	return dst
+}
+
 // underStretched composites src, nearest-neighbor scaled to frame's size,
 // under frame in place — img.Image.Under of the stretched LIC underlay,
 // reading each source pixel where it lies instead of from a stretched copy.
-func underStretched(frame, src *img.Image) {
+// cols is stretchCols(frame.W, src.W).
+func underStretched(frame, src *img.Image, cols []int32) {
 	w, h := frame.W, frame.H
 	for y := 0; y < h; y++ {
 		row := src.Pix[4*(y*src.H/h)*src.W:]
-		for x := 0; x < w; x++ {
-			s := row[4*(x*src.W/w):][:4]
-			d := frame.Pix[4*(y*w+x):][:4]
+		drow := frame.Pix[4*y*w:][:4*w]
+		for x, sx := range cols {
+			s := row[sx:][:4]
+			d := drow[4*x:][:4]
 			t := 1 - d[3]
 			d[0] += t * s[0]
 			d[1] += t * s[1]

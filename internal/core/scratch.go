@@ -54,16 +54,26 @@ func getData(pl *pool.Pool[dataPayload]) *dataPayload {
 	return p
 }
 
-// stripPayload is the pooled wire form of one composited strip. Img is
-// owned by the sending renderer's CompositeScratch; the output processor
-// releases the payload after pasting, which returns the canvas to that
-// scratch and the struct to the renderer's pool.
+// stripPayload is the pooled wire form of one composited strip, in one of
+// two shapes. Raw (Options.Compress off): Img is the strip canvas, owned by
+// the sending renderer's CompositeScratch; the output processor releases the
+// payload after pasting, which returns the canvas to that scratch and the
+// struct to the renderer's pool. Compressed (Options.Compress on): rle holds
+// the canvas as a run-length stream (compositor.EncodeRLEInto) and Img is
+// nil — the canvas went back to the CompositeScratch when it was encoded,
+// and the stream buffer belongs to the struct, travelling and recycling
+// with it. Either way the declared message size is what the shape carries:
+// 16 bytes per pixel, or the stream's length.
 type stripPayload struct {
 	Img   *img.Image
 	Strip compositor.Strip
 	comp  *compositor.CompositeScratch // canvas owner; nil for unpooled strips
 	owner *pool.Pool[stripPayload]
-	store img.Image // net-decoded payloads: pooled backing image Img points at
+	store img.Image // net-decoded raw payloads: pooled backing image Img points at
+	// rle is the strip's stream when compressed is set; its capacity is kept
+	// across release, so a steady-state encode or decode allocates nothing.
+	rle        []byte
+	compressed bool
 	// degraded flags a strip built without some peer's contribution
 	// (renderer-local incident); it travels on the wire so the output rank
 	// can fold cross-process incidents into its Result.
@@ -77,7 +87,7 @@ func (sp *stripPayload) release() {
 	if sp.comp != nil {
 		sp.comp.ReleaseStrip(sp.Img)
 	}
-	sp.Img, sp.comp, sp.degraded = nil, nil, false
+	sp.Img, sp.comp, sp.compressed, sp.degraded = nil, nil, false, false
 	if sp.owner != nil {
 		sp.owner.Put(sp)
 	}
