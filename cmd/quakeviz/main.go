@@ -11,11 +11,9 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/img"
-	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/quadtree"
 	"repro/internal/quake"
@@ -105,19 +103,9 @@ func main() {
 	log.Printf("pipeline: %d input (%dx%d), %d render, %d output ranks; %d steps",
 		layout.NumInput(), *groups, *ips, *renderers, *outputs, w.Steps())
 
-	var mu sync.Mutex
-	var runErr error
-	elapsed := mpi.RunReal(layout.WorldSize(), func(c *mpi.Comm) {
-		if err := p.Run(c); err != nil {
-			mu.Lock()
-			if runErr == nil {
-				runErr = err
-			}
-			mu.Unlock()
-		}
-	})
-	if runErr != nil {
-		log.Fatal(runErr)
+	elapsed, err := p.RunReal()
+	if err != nil {
+		log.Fatal(err)
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		log.Fatal(err)

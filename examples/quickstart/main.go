@@ -9,11 +9,9 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mesh"
-	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/quake"
 )
@@ -57,19 +55,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var mu sync.Mutex
-	var runErr error
-	elapsed := mpi.RunReal(layout.WorldSize(), func(c *mpi.Comm) {
-		if err := pipe.Run(c); err != nil {
-			mu.Lock()
-			if runErr == nil {
-				runErr = err
-			}
-			mu.Unlock()
-		}
-	})
-	if runErr != nil {
-		log.Fatal(runErr)
+	elapsed, err := pipe.RunReal()
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// 4. Save the frames.

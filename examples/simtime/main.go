@@ -12,12 +12,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/mesh"
-	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/quake"
 )
@@ -87,19 +85,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var mu sync.Mutex
-	var runErr error
-	mpi.RunReal(layout.WorldSize(), func(c *mpi.Comm) {
-		if err := pipe.Run(c); err != nil {
-			mu.Lock()
-			if runErr == nil {
-				runErr = err
-			}
-			mu.Unlock()
-		}
-	})
-	if runErr != nil {
-		log.Fatal(runErr)
+	if _, err := pipe.RunReal(); err != nil {
+		log.Fatal(err)
 	}
 	if err := os.MkdirAll("out", 0o755); err != nil {
 		log.Fatal(err)

@@ -16,14 +16,14 @@ type Strip struct {
 	Y0, H int
 }
 
-// equalStripsInto divides h scanlines into n contiguous strips of
-// near-equal height (the plain direct-send partition).
-func equalStripsInto(out []Strip, h, n int) []Strip {
-	out = out[:0]
-	for i := 0; i < n; i++ {
+// equalStrips divides h scanlines into n contiguous strips of near-equal
+// height (the plain direct-send partition).
+func equalStrips(h, n int) []Strip {
+	out := make([]Strip, n)
+	for i := range out {
 		y0 := h * i / n
 		y1 := h * (i + 1) / n
-		out = append(out, Strip{Y0: y0, H: y1 - y0})
+		out[i] = Strip{Y0: y0, H: y1 - y0}
 	}
 	return out
 }
@@ -226,89 +226,21 @@ type Stats struct {
 // DirectSendWith is the unscheduled baseline: the image is cut into equal
 // strips, and every rank sends every other rank one message containing its
 // (possibly empty) overlapping subfragments — the n(n-1) message pattern
-// the paper describes as the worst case. Returns this rank's composited
-// strip.
-//
-// Wire payloads, clip buffers and the strip canvas all come from the
-// per-rank scratch's pools, so a steady-state frame loop allocates nothing.
-// Receivers return payload buffers to this rank's pool as they finish
-// compositing; the returned strip belongs to scr until ReleaseStrip is
-// called on it (by whoever consumes it). A nil scr is a private scratch,
-// so the strip is the caller's.
-//
-// If a sending rank has been declared lost by the transport, its pixels
-// are composited as absent: the returned strip is still valid (partial)
-// output and the error matches mpi.ErrPeerLost, so loss-tolerant frame
-// loops can keep the strip and mark the frame degraded. The same
-// contract applies to SLICWith.
+// the paper describes as the worst case. It is SLICWith over the schedule
+// that says exactly that (fullSchedule, kept in the scratch while the image
+// height and group size stay the same), so the two share one exchange loop,
+// one scratch and release contract, and one lost-peer contract. Returns
+// this rank's composited strip.
 func DirectSendWith(c *mpi.Comm, group []int, me int, frags []*render.Fragment,
 	w, h, tagBase int, compress bool, scr *CompositeScratch) (*img.Image, Strip, Stats, error) {
 
 	if scr == nil {
 		scr = NewCompositeScratch()
 	}
-	n := len(group)
-	scr.stripv = equalStripsInto(scr.stripv, h, n)
-	strips := scr.stripv
-	var st Stats
-	mine := scr.mine[:0]
-	recvd := scr.recvd[:0]
-	for j := 0; j < n; j++ {
-		p := &scr.self
-		if j != me {
-			p = getPayload(&scr.payloads)
-		} else {
-			p.reset()
-		}
-		var bytes int64
-		for _, f := range frags {
-			bytes += clipFragmentInto(p, f, strips[j], compress)
-		}
-		if j == me {
-			for i := range p.subs {
-				mine = append(mine, &p.subs[i])
-			}
-			continue
-		}
-		c.Send(group[j], tagBase, bytes, p)
-		st.MsgsSent++
-		st.BytesSent += bytes
+	if scr.full == nil || scr.fullH != h || len(scr.full.Strips) != len(group) {
+		scr.full, scr.fullH = fullSchedule(h, len(group)), h
 	}
-	lost := 0
-	for j := 0; j < n; j++ {
-		if j == me {
-			continue
-		}
-		msg, rerr := c.RecvErr(group[j], tagBase)
-		if rerr != nil {
-			if errors.Is(rerr, mpi.ErrPeerLost) {
-				// A dead sender's pixels are simply absent: composite
-				// what arrived and report the gap, so the frame loop can
-				// degrade instead of dying (docs/faults.md).
-				lost++
-				continue
-			}
-			panic(rerr)
-		}
-		if p, ok := msg.Data.(*wirePayload); ok && p != nil {
-			recvd = append(recvd, p)
-			for i := range p.subs {
-				mine = append(mine, &p.subs[i])
-			}
-		}
-	}
-	out := getStrip(&scr.strips, w, strips[me].H)
-	err := compositeStripInto(out, w, strips[me], mine)
-	for _, p := range recvd {
-		p.Release()
-	}
-	scr.mine, scr.recvd = mine[:0], recvd[:0]
-	if err == nil && lost > 0 {
-		// The strip itself is valid (partial) output; callers that
-		// tolerate rank loss match ErrPeerLost and keep it.
-		err = fmt.Errorf("compositor: composited without %d lost peer(s): %w", lost, mpi.ErrPeerLost)
-	}
-	return out, strips[me], st, err
+	return SLICWith(c, group, me, scr.full, frags, w, h, tagBase, compress, scr)
 }
 
 // Rect is a projected screen-space bounding rectangle of one block, used to
@@ -383,13 +315,7 @@ func BuildSchedule(rects [][]Rect, w, h, n int) *Schedule {
 		}
 		strips[j] = Strip{Y0: y0, H: y - y0}
 	}
-	maskW := (n + 63) / 64
-	sched := &Schedule{
-		Strips:   strips,
-		Senders:  make([][]int, n),
-		sendMask: make([]uint64, n*maskW),
-		maskW:    maskW,
-	}
+	sched := newSchedule(strips)
 	for j := 0; j < n; j++ {
 		st := strips[j]
 		for i, rs := range rects {
@@ -401,8 +327,7 @@ func BuildSchedule(rects [][]Rect, w, h, n int) *Schedule {
 					continue
 				}
 				if r.Y0 < st.Y0+st.H && r.Y1 > st.Y0 {
-					sched.Senders[j] = append(sched.Senders[j], i)
-					sched.sendMask[j*maskW+(i>>6)] |= 1 << (uint(i) & 63)
+					sched.addSender(j, i)
 					break
 				}
 			}
@@ -411,10 +336,54 @@ func BuildSchedule(rects [][]Rect, w, h, n int) *Schedule {
 	return sched
 }
 
+// newSchedule returns a schedule over the given strips with no senders yet.
+func newSchedule(strips []Strip) *Schedule {
+	n := len(strips)
+	maskW := (n + 63) / 64
+	return &Schedule{
+		Strips:   strips,
+		Senders:  make([][]int, n),
+		sendMask: make([]uint64, n*maskW),
+		maskW:    maskW,
+	}
+}
+
+// addSender schedules member i to message member j. Callers add a strip's
+// senders in ascending order, which is the order SLICWith receives them in.
+func (s *Schedule) addSender(j, i int) {
+	s.Senders[j] = append(s.Senders[j], i)
+	s.sendMask[j*s.maskW+(i>>6)] |= 1 << (uint(i) & 63)
+}
+
+// fullSchedule is direct send written as a schedule: n equal strips of an
+// h-row image, every member a sender of every other member's strip.
+func fullSchedule(h, n int) *Schedule {
+	sched := newSchedule(equalStrips(h, n))
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			if i != j {
+				sched.addSender(j, i)
+			}
+		}
+	}
+	return sched
+}
+
 // SLICWith performs scheduled direct-send compositing: only scheduled
 // messages are exchanged (senders with no pixels for a strip stay silent),
-// and strip sizes are load-balanced by the precomputed schedule. See
-// DirectSendWith for the scratch pooling and release contract.
+// and strip sizes are load-balanced by the precomputed schedule.
+//
+// Wire payloads, clip buffers and the strip canvas all come from the
+// per-rank scratch's pools, so a steady-state frame loop allocates nothing.
+// Receivers return payload buffers to this rank's pool as they finish
+// compositing; the returned strip belongs to scr until ReleaseStrip is
+// called on it (by whoever consumes it). A nil scr is a private scratch,
+// so the strip is the caller's.
+//
+// If a sending rank has been declared lost by the transport, its pixels
+// are composited as absent: the returned strip is still valid (partial)
+// output and the error matches mpi.ErrPeerLost, so loss-tolerant frame
+// loops can keep the strip and mark the frame degraded.
 func SLICWith(c *mpi.Comm, group []int, me int, sched *Schedule, frags []*render.Fragment,
 	w, h, tagBase int, compress bool, scr *CompositeScratch) (*img.Image, Strip, Stats, error) {
 
@@ -455,7 +424,10 @@ func SLICWith(c *mpi.Comm, group []int, me int, sched *Schedule, frags []*render
 		msg, rerr := c.RecvErr(group[i], tagBase)
 		if rerr != nil {
 			if errors.Is(rerr, mpi.ErrPeerLost) {
-				lost++ // dead sender: composite without its pixels
+				// A dead sender's pixels are simply absent: composite
+				// what arrived and report the gap, so the frame loop can
+				// degrade instead of dying (docs/faults.md).
+				lost++
 				continue
 			}
 			panic(rerr)
@@ -474,6 +446,8 @@ func SLICWith(c *mpi.Comm, group []int, me int, sched *Schedule, frags []*render
 	}
 	scr.mine, scr.recvd = mine[:0], recvd[:0]
 	if err == nil && lost > 0 {
+		// The strip itself is valid (partial) output; callers that
+		// tolerate rank loss match ErrPeerLost and keep it.
 		err = fmt.Errorf("compositor: composited without %d lost peer(s): %w", lost, mpi.ErrPeerLost)
 	}
 	return out, sched.Strips[me], st, err

@@ -75,7 +75,7 @@ func TestRLEQuick(t *testing.T) {
 }
 
 func TestEqualStrips(t *testing.T) {
-	strips := equalStripsInto(nil, 100, 3)
+	strips := equalStrips(100, 3)
 	if len(strips) != 3 {
 		t.Fatal("wrong strip count")
 	}

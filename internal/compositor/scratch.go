@@ -104,10 +104,14 @@ type CompositeScratch struct {
 	payloads pool.Pool[wirePayload]
 	strips   pool.Pool[img.Image]
 
-	self   wirePayload    // clips kept locally (destination == me), never sent
-	mine   []*subFragment // receive-side accumulation
-	recvd  []*wirePayload // received payloads pending Release
-	stripv []Strip        // DirectSend's equal-strip partition
+	self  wirePayload    // clips kept locally (destination == me), never sent
+	mine  []*subFragment // receive-side accumulation
+	recvd []*wirePayload // received payloads pending Release
+
+	// full is DirectSendWith's schedule (fullSchedule) for an image fullH
+	// rows high and a group of len(full.Strips), rebuilt when either changes.
+	full  *Schedule
+	fullH int
 
 	// BinarySwap buffers: the two keep images ping-pong between rounds
 	// (round s writes bsKeep[s&1] while reading the previous round's keep),

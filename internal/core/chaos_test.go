@@ -563,7 +563,7 @@ func TestChaosCollectiveViewBeyondEOF(t *testing.T) {
 			}
 			t.Cleanup(w.Close)
 			maxID := make([]int32, l.IPsPerGroup)
-			for p, ids := range w.ds.collIDs {
+			for p, ids := range w.ds.partIDs {
 				maxID[p] = ids[len(ids)-1]
 			}
 			if maxID[0] == maxID[1] {

@@ -356,6 +356,10 @@ func TestRealPipelineMatchesSerialRenderer(t *testing.T) {
 	}
 }
 
+// TestRealPipelineStrategiesAgree: how a step is read, over how many input
+// ranks and renderers, and how strips are exchanged and shipped must not
+// move a bit of the frame. Every strategy ships the same piece format and
+// every renderer merges it the same way, so this holds by construction.
 func TestRealPipelineStrategiesAgree(t *testing.T) {
 	store := buildDataset(t, 2)
 	base := smallOpts(40, 40)
@@ -386,8 +390,8 @@ func TestRealPipelineStrategiesAgree(t *testing.T) {
 			ref = got
 			continue
 		}
-		if d := img.RMSE(ref, got); d > 1e-5 {
-			t.Errorf("%s: image differs from reference, RMSE=%v", tc.name, d)
+		if d := img.MaxAbsDiff(ref, got); d != 0 {
+			t.Errorf("%s: image differs from reference, max abs diff %v", tc.name, d)
 		}
 	}
 }

@@ -15,19 +15,20 @@ import (
 
 // Dataset is the view-independent half of a real pipeline run: everything
 // the paper computes once as preprocessing — the mesh, the octree block
-// partition and its per-block tables, the load-balanced block assignment
-// and the quantization range. It is built once from (Layout, Options,
-// Store) and never written afterwards: the fields are unexported and no
-// method mutates them, so any number of RealWorkloads (NewWorkload) may
-// share one Dataset across goroutines, each holding only its own view,
-// schedule, scratches and frames.
+// partition and its per-block tables, the load-balanced block assignment,
+// the input side's read-and-gather plan and the quantization range. It is
+// built once from (Layout, Options, Store) and never written afterwards:
+// the fields are unexported and no method mutates them, so any number of
+// RealWorkloads (NewWorkload) may share one Dataset across goroutines, each
+// holding only its own view, schedule, scratches and frames.
 //
-// Only the view-independent options shape a Dataset — Level, BlockLevel,
-// LIC, MaxSteps and FixedVMax; NewWorkload rejects options that disagree
-// with them.
+// The options that shape a Dataset are the view-independent ones — Level,
+// BlockLevel, LIC, MaxSteps and FixedVMax — and the two that pick the read
+// plan, ReadStrategy and AdaptiveFetch; NewWorkload rejects options that
+// disagree with them.
 type Dataset struct {
 	layout Layout
-	opts   Options // the view-independent fields only (see datasetOptions)
+	opts   Options // the fields above only (see datasetOptions)
 	store  pfs.Store
 	mesh   *mesh.Mesh
 	meta   quake.Meta
@@ -40,27 +41,28 @@ type Dataset struct {
 	rblockPos    []int         // block -> position in its owner's rblocks list
 	blockCells   [][]octree.Cell
 	blockBD      []*render.BlockData // per-block template with prebuilt index
-	blockCorner  [][][8]int32
-	blockNodeIDs [][]int32
-	// blockCornerLocal[bi][ci][k] is the index of blockCorner[bi][ci][k]
-	// within blockNodeIDs[bi] — the flat replacement for the old per-block
-	// node-id map, so the per-frame value scatter does no map lookups.
+	blockNodeIDs [][]int32           // per block: the node ids its cells touch at the render level, sorted
+	// blockCornerLocal[bi][ci][k] is the index within blockNodeIDs[bi] of
+	// corner k of the block's cell ci, so the renderers' per-frame value
+	// merge is two flat lookups and no map.
 	blockCornerLocal [][][8]int32
-	collIDs          [][]int32 // group part -> merged sorted node ids of the blocks it reads collectively
 
-	allNeeded []int32 // union of node ids at the render level, sorted
+	// The input side's plan for the run's read strategy, committed once
+	// (Section 5.3 builds the derived datatype from the octree once; only
+	// the step object changes): partIDs[p] are the node ids group part p
+	// reads every step, sorted, partView[p] the file view that selects them
+	// — so a fetched step is their quantized values in that order — and
+	// gather[p][r] says which of those values part p ships renderer r, as
+	// which block runs. Every rank, session and Reopen shares them
+	// read-only. commitPlan documents the three shapes and the coverage
+	// invariant they are built under.
+	partIDs  [][]int32
+	partView []mpiio.Datatype
+	gather   [][]gatherPlan
 
-	surfID  []int32 // surface nodes (LIC only)
-	surfPos [][3]float64
-
-	// The file views over those static id sets, committed once (Section
-	// 5.3 builds the derived datatype from the octree once; only the step
-	// object changes): collView[part] selects collIDs[part], needView[part]
-	// that part's slice of allNeeded (needed), surfView selects surfID.
-	// Every rank, session and Reopen shares them read-only.
-	collView []mpiio.Datatype
-	needView []mpiio.Datatype
-	surfView mpiio.Datatype
+	surfID   []int32 // surface nodes (LIC only)
+	surfPos  [][3]float64
+	surfView mpiio.Datatype // the committed view that selects surfID
 
 	// stepNames caches every step's object name (PR 4): the fetch loop
 	// opens one object per timestep, and formatting the name there was the
@@ -72,17 +74,38 @@ type Dataset struct {
 	vmax float32
 }
 
+// pieceRun names the run of one block's node list a data piece carries:
+// blockNodeIDs[Block][Off : Off+Len].
+type pieceRun struct {
+	Block, Off, Len int32
+}
+
+// gatherPlan is what one group part ships one renderer every step: the runs,
+// in the renderer's block order, and for every value of those runs, in
+// order, its index among the part's fetched values (src indexes partIDs[p]
+// and the rank's view-order q alike). bytes is the size the piece declares:
+// a value per node plus an 8-byte header per run.
+type gatherPlan struct {
+	runs  []pieceRun
+	src   []int32
+	bytes int64
+}
+
 // datasetOptions keeps only the options a Dataset depends on, so two
 // option sets can be compared for "same dataset half".
 func datasetOptions(o Options) Options {
-	return Options{Level: o.Level, BlockLevel: o.BlockLevel, LIC: o.LIC, MaxSteps: o.MaxSteps, FixedVMax: o.FixedVMax}
+	return Options{
+		Level: o.Level, BlockLevel: o.BlockLevel, LIC: o.LIC, MaxSteps: o.MaxSteps, FixedVMax: o.FixedVMax,
+		ReadStrategy: o.ReadStrategy, AdaptiveFetch: o.AdaptiveFetch,
+	}
 }
 
 // NewDataset loads the dataset and performs the one-time, view-independent
 // setup: mesh read, block partition and per-block tables, longest-
-// processing-time block balance over l's renderers, collective-read
-// ownership over l's group parts, and the quantization range (one scan of
-// the run's steps unless opts.FixedVMax pins it).
+// processing-time block balance over l's renderers, the read-and-gather plan
+// of l's group parts under opts' read strategy (commitPlan), and the
+// quantization range (one scan of the run's steps unless opts.FixedVMax
+// pins it).
 func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -115,7 +138,6 @@ func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 	d.roots = make([]octree.Cell, nb)
 	d.blockCells = make([][]octree.Cell, nb)
 	d.blockBD = make([]*render.BlockData, nb)
-	d.blockCorner = make([][][8]int32, nb)
 	d.blockNodeIDs = make([][]int32, nb)
 	d.blockCornerLocal = make([][][8]int32, nb)
 	zeros := make([]float32, m.NumNodes())
@@ -130,18 +152,13 @@ func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 		// renderer scratch copies it once and owns its per-frame Vals.
 		bd.Vals = nil
 		d.blockBD[bi] = bd
-		corners := make([][8]int32, len(bd.Cells))
+		d.blockNodeIDs[bi] = render.BlockNodeIDs(m, b, d.level)
+		local := make([][8]int32, len(bd.Cells))
 		for ci, cell := range bd.Cells {
 			ids, err := cellCornerIDs(m, cell)
 			if err != nil {
 				return nil, err
 			}
-			corners[ci] = ids
-		}
-		d.blockCorner[bi] = corners
-		d.blockNodeIDs[bi] = render.BlockNodeIDs(m, b, d.level)
-		local := make([][8]int32, len(corners))
-		for ci, ids := range corners {
 			for k, id := range ids {
 				pos, ok := slices.BinarySearch(d.blockNodeIDs[bi], id)
 				if !ok {
@@ -188,31 +205,8 @@ func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 		}
 	}
 
-	// Collective-read ownership: split renderers among the m group parts,
-	// and precompute each part's merged sorted node-id set — it is static,
-	// so the per-step collective fetch does no merge or sort.
-	partSets := make([][][]int32, l.IPsPerGroup)
-	for bi, ids := range d.blockNodeIDs {
-		p := d.owner[bi] % l.IPsPerGroup
-		partSets[p] = append(partSets[p], ids)
-	}
-	d.collIDs = make([][]int32, l.IPsPerGroup)
-	d.collView = make([]mpiio.Datatype, l.IPsPerGroup)
-	for p, sets := range partSets {
-		d.collIDs[p] = sortedUnion(sets)
-		if d.collView[p], err = commitNodeView(d.collIDs[p]); err != nil {
-			return nil, err
-		}
-	}
-
-	// Union of needed node ids (for adaptive independent fetch), one view
-	// per part's slice of it.
-	d.allNeeded = sortedUnion(d.blockNodeIDs)
-	d.needView = make([]mpiio.Datatype, l.IPsPerGroup)
-	for p := range d.needView {
-		if d.needView[p], err = commitNodeView(d.needed(p)); err != nil {
-			return nil, err
-		}
+	if err := d.commitPlan(); err != nil {
+		return nil, err
 	}
 
 	// Surface nodes for LIC.
@@ -239,11 +233,114 @@ func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 	return d, nil
 }
 
-// needed returns group part p's slice of the needed node set — what that
-// input rank reads under adaptive independent fetching.
-func (d *Dataset) needed(p int) []int32 {
-	n, m := len(d.allNeeded), d.layout.IPsPerGroup
-	return d.allNeeded[n*p/m : n*(p+1)/m]
+// commitPlan commits, for the dataset's read strategy, what every group part
+// reads and what it ships to whom. The part's node set is, collectively, the
+// merged node set of the blocks of the renderers it serves (renderer r is
+// served by part r mod m); under adaptive fetching its 1/m slice of the node
+// set the render level needs; otherwise its 1/m range of all node records.
+// A collective part ships the blocks it read for; an independent part ships
+// of every block whatever runs of the block's node list fall in its set.
+//
+// Both are pure functions of node-id sets, so the step loop never looks an
+// id up: a fetched step is a value per partIDs entry and a piece is those
+// values picked by gatherPlan.src. The plan is only committed if, over all
+// parts, the runs owed to each renderer cover every node of each of its
+// blocks exactly once — the invariant the renderers' merge relies on and
+// checks every received piece against (RealWorkload.checkPiece).
+func (d *Dataset) commitPlan() error {
+	m := d.layout.IPsPerGroup
+	collective := d.opts.ReadStrategy == ReadCollective
+	d.partIDs = make([][]int32, m)
+	switch {
+	case collective:
+		sets := make([][][]int32, m)
+		for bi, ids := range d.blockNodeIDs {
+			sets[d.owner[bi]%m] = append(sets[d.owner[bi]%m], ids)
+		}
+		for p := range d.partIDs {
+			d.partIDs[p] = sortedUnion(sets[p])
+		}
+	case d.opts.AdaptiveFetch:
+		needed := sortedUnion(d.blockNodeIDs)
+		for p := range d.partIDs {
+			d.partIDs[p] = needed[len(needed)*p/m : len(needed)*(p+1)/m]
+		}
+	default:
+		n := d.meta.NumNodes
+		for p := range d.partIDs {
+			lo, hi := n*p/m, n*(p+1)/m
+			ids := make([]int32, hi-lo)
+			for i := range ids {
+				ids[i] = int32(lo + i)
+			}
+			d.partIDs[p] = ids
+		}
+	}
+	return d.commitGather(collective)
+}
+
+// commitGather commits each part's view of its node set and derives the
+// gather plans from the sets (byOwner: a part ships only the blocks of the
+// renderers it serves), failing unless the runs partition every block's
+// node list.
+func (d *Dataset) commitGather(byOwner bool) error {
+	m := d.layout.IPsPerGroup
+	d.partView = make([]mpiio.Datatype, m)
+	d.gather = make([][]gatherPlan, m)
+	shipped := make([][]bool, len(d.blockNodeIDs)) // per block node: some run carries it
+	for bi, ids := range d.blockNodeIDs {
+		shipped[bi] = make([]bool, len(ids))
+	}
+	at := make([]int32, d.meta.NumNodes) // node id -> index in the part's ids, or -1
+	for p, ids := range d.partIDs {
+		var err error
+		if d.partView[p], err = commitNodeView(ids); err != nil {
+			return err
+		}
+		for i := range at {
+			at[i] = -1
+		}
+		for i, id := range ids {
+			at[id] = int32(i)
+		}
+		d.gather[p] = make([]gatherPlan, len(d.rblocks))
+		for r, blocks := range d.rblocks {
+			g := &d.gather[p][r]
+			if byOwner && r%m != p {
+				blocks = nil // another part serves this renderer
+			}
+			for _, bi := range blocks {
+				open := false // the last run ends at the previous node
+				for k, id := range d.blockNodeIDs[bi] {
+					if at[id] < 0 {
+						open = false
+						continue
+					}
+					if shipped[bi][k] {
+						return fmt.Errorf("core: read plan ships node %d of block %d twice (again from part %d)", id, bi, p)
+					}
+					shipped[bi][k] = true
+					if !open {
+						g.runs = append(g.runs, pieceRun{Block: int32(bi), Off: int32(k)})
+						g.bytes += 8
+						open = true
+					}
+					g.runs[len(g.runs)-1].Len++
+					g.src = append(g.src, at[id])
+					g.bytes++
+				}
+			}
+			if g.bytes == 0 {
+				g.bytes = 1 // nothing owed: the message still goes, as the credit protocol's beat
+			}
+		}
+	}
+	for bi, nodes := range shipped {
+		if k := slices.Index(nodes, false); k >= 0 {
+			return fmt.Errorf("core: read plan ships node %d of block %d from no part", d.blockNodeIDs[bi][k], bi)
+		}
+	}
+	return nil
 }
 
 // commitNodeView commits the step-object view that selects the records of

@@ -1,17 +1,17 @@
 package core
 
 // Degraded-mode operation (PR 6, docs/faults.md): the Workload fetch hooks
-// wrap the strategy-specific read bodies (real.go) with the fault policy.
-// Retryable errors — transient faults and corrupt records, classified by
-// the pfs sentinels — are re-read within a per-step budget; a step that
-// exhausts its budget is served from the previous step's data instead of
-// aborting the run. The fallback is free because the per-rank stepShare
-// (and its full-node quantized buffer) is reused across timesteps: a share
-// whose read failed still holds the previous step's values for its ids, so
-// "degrade" is just publishing the intended id set without overwriting q.
-// Degraded steps mark their frame, and Assemble folds the flag into
-// Result.DegradedFrames; the happy path adds only branch checks and stays
-// allocation-free.
+// wrap the read bodies (real.go) with the fault policy. Retryable errors —
+// transient faults and corrupt records, classified by the pfs sentinels —
+// are re-read within a per-step budget; a step that exhausts its budget is
+// served from the previous step's data instead of aborting the run. The
+// fallback is free because the rank's quantized values (ipScratch.q, one
+// per node its part reads) keep their layout for the whole run and are
+// rewritten only by the last link of a successful decode chain: a step whose
+// read failed still finds the previous step's values there, so "degrade" is
+// just marking the frame and shipping what the buffer holds. Degraded steps
+// mark their frame, and Assemble folds the flag into Result.DegradedFrames;
+// the happy path adds only branch checks and stays allocation-free.
 
 import (
 	"repro/internal/mpi"
@@ -57,31 +57,34 @@ func (w *RealWorkload) FrameDegraded(t int) bool {
 	return w.degraded[t]
 }
 
-// Fetch implements Workload: fetchStep under the fault policy. Retryable
-// failures re-read within the per-step budget; past it the share degrades
-// to the previous step's data (stale fallback) and the frame is marked.
-// Collective reads never re-run fetchStep — a completed collective round
-// cannot be re-entered by one rank (mpiio.ReadAllInto) — so a surfaced
+// Fetch implements Workload: fetchStep under the fault policy. The fetched
+// step it returns is the rank's own scratch, which PayloadFor gathers from.
+// Retryable failures re-read within the per-step budget; past it the step
+// degrades to the previous step's data (stale fallback: the scratch still
+// holds it, zeros before this rank's first successful step, and PayloadFor
+// ships stale values exactly as it would fresh ones) and the frame is
+// marked. Collective reads never re-run fetchStep — a completed collective
+// round cannot be re-entered by one rank (mpiio.ReadAllInto) — so a surfaced
 // collective failure degrades directly; transients there are healed below
 // MPI-IO by pfs.RetryStore.
 func (w *RealWorkload) Fetch(c *mpi.Comm, t, part, m int) (any, error) {
-	share, err := w.fetchStep(c, t, part, m)
+	scr := w.ipScr[c.Rank()]
+	scr.part = part
+	err := w.fetchStep(c, t, part, scr)
 	if err == nil || !w.opts.Faults.Tolerate {
-		return share, err
+		return scr, err
 	}
 	budget := w.opts.Faults.stepRetries()
 	if w.opts.ReadStrategy == ReadCollective {
 		budget = 0
 	}
-	err = w.reread(err, budget, true, func() (err error) {
-		share, err = w.fetchStep(c, t, part, m)
-		return err
+	err = w.reread(err, budget, true, func() error {
+		return w.fetchStep(c, t, part, scr)
 	})
-	if err == nil {
-		return share, nil
+	if err != nil {
+		w.markDegraded(t)
 	}
-	w.markDegraded(t)
-	return w.degradeStep(c, t, part, m), nil
+	return scr, nil
 }
 
 // reread is the budgeted re-read every recovery site runs: while err is
@@ -101,31 +104,6 @@ func (w *RealWorkload) reread(err error, budget int, stale bool, again func() er
 	}
 	w.account(faults, retries, stale)
 	return err
-}
-
-// degradeStep publishes the share an exhausted step would have fetched,
-// without reading: the ids are set to the step's intended set while the
-// reused q buffer keeps the previous step's values for them (zeros before
-// this rank's first successful step). PayloadFor then ships stale values
-// exactly as it would fresh ones.
-func (w *RealWorkload) degradeStep(c *mpi.Comm, t, part, m int) *stepShare {
-	scr := w.ipScr[c.Rank()]
-	share := &scr.share
-	share.t, share.part = t, part
-	share.ids, share.idLo, share.idHi = nil, 0, 0
-	if share.q == nil {
-		share.q = make([]uint8, w.ds.meta.NumNodes)
-	}
-	switch {
-	case w.opts.ReadStrategy == ReadCollective:
-		share.ids = w.ds.collIDs[part]
-	case w.adaptiveFetching():
-		share.ids = w.ds.needed(part)
-	default:
-		n := w.ds.meta.NumNodes
-		share.idLo, share.idHi = int32(n*part/m), int32(n*(part+1)/m)
-	}
-	return share
 }
 
 // retryReopen spends the step budget on a failed pre-collective Reopen —

@@ -195,6 +195,51 @@ func TestAssembleFrameRingAllocFree(t *testing.T) {
 	})
 }
 
+// TestLICPayloadAllocFree gates the underlay's round trip on RunReal: the input
+// rank builds a step's underlay into a pooled payload, the output rank
+// composites it under the frame and releases it, and the next step's
+// licStep gets the same payload back — so once the pool, the quadtree and
+// the image buffers are warm, the LIC step and its Assemble allocate nothing.
+// (Before PR 24 licStep never stamped the payload's owner: release was a
+// no-op and every step allocated a fresh LICSize²·16-byte image.)
+func TestLICPayloadAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are skipped under the race detector")
+	}
+	const steps = 3
+	w, l := fetchWorkload(t, steps, func(o *Options) { o.LIC, o.LICSize, o.Workers = true, 32, 1 })
+	mpi.RunReal(l.WorldSize(), func(c *mpi.Comm) {
+		if c.Rank() != 0 {
+			return
+		}
+		step := 0
+		var first *licPayload
+		round := func() {
+			_, data, err := w.LICPayload(c, step%steps, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if first == nil {
+				first = data.(*licPayload)
+			} else if data != first {
+				t.Error("licStep did not get its released payload back")
+			}
+			if err := w.Assemble(c, 0, nil, &mpi.Message{Data: data}); err != nil {
+				t.Error(err)
+			}
+			w.ReleaseFrame(0)
+			step++
+		}
+		for i := 0; i < steps; i++ {
+			round()
+		}
+		if avg := testing.AllocsPerRun(30, round); avg != 0 {
+			t.Errorf("steady-state LIC step + assemble allocates %v, want 0", avg)
+		}
+	})
+}
+
 // TestFrameRingSemantics pins the ring contract: released canvases are
 // reused, acquired canvases come back cleared, and undersized canvases are
 // not handed out for larger requests.
@@ -252,9 +297,6 @@ func TestFetchChainMatchesLegacy(t *testing.T) {
 	const steps = 3
 	w, _ := fetchWorkload(t, steps, func(o *Options) { o.Enhancement = true; o.EnhanceGain = 3 })
 	scr := w.ipScr[0]
-	if scr.share.q == nil {
-		scr.share.q = make([]uint8, w.ds.meta.NumNodes)
-	}
 	n := w.ds.meta.NumNodes
 	raw := make([]byte, n*quake.BytesPerNode)
 	praw := make([]byte, n*quake.BytesPerNode)
@@ -269,10 +311,10 @@ func TestFetchChainMatchesLegacy(t *testing.T) {
 		mag := stepMagnitude(t, raw)
 		pmag := stepMagnitude(t, praw)
 		want := render.QuantizeInto(nil, render.EnhanceTemporalInto(nil, mag, pmag, w.opts.EnhanceGain), 0, w.ds.vmax)
-		got, err := w.magQuant(nil, step, 0, mpiio.Contig{N: n, ElemSize: quake.BytesPerNode}, raw, scr)
-		if err != nil {
+		if err := w.magQuant(nil, step, mpiio.Contig{N: n, ElemSize: quake.BytesPerNode}, raw, scr); err != nil {
 			t.Fatal(err)
 		}
+		got := scr.q
 		if len(got) != len(want) {
 			t.Fatalf("step %d: %d quantized values, want %d", step, len(got), len(want))
 		}
@@ -295,7 +337,7 @@ func TestFetchSurfacesCorruptStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	whole := mpiio.Contig{N: w.ds.meta.NumNodes, ElemSize: quake.BytesPerNode}
-	if _, err := w.magQuant(nil, 1, 0, whole, raw[:len(raw)-2], scr); err == nil {
+	if err := w.magQuant(nil, 1, whole, raw[:len(raw)-2], scr); err == nil {
 		t.Error("magQuant decoded a truncated record without error")
 	}
 	// Truncate the stored object itself: the whole fetch must fail loudly.

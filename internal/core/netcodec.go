@@ -48,9 +48,10 @@ func init() {
 	mpi.RegisterCodec(codecLICPayload, (*licPayload)(nil), mpi.Codec{Encode: encodeLICPayload, Decode: decodeLICPayload})
 }
 
-// encodeDataPayload ships the run/bval structure plus the single backing
-// value buffer they all alias, in order — the aliasing is rebuilt on
-// decode, so the wire form carries each slice's length, not its bytes.
+// encodeDataPayload ships the run headers (block, offset, length) and then
+// the single backing value buffer the runs alias, in order — the aliasing is
+// rebuilt on decode, so the wire form carries each run's length, not its
+// bytes.
 func encodeDataPayload(buf []byte, v any) ([]byte, error) {
 	p := v.(*dataPayload)
 	buf = mpi.AppendU32(buf, uint32(len(p.runs)))
@@ -59,63 +60,39 @@ func encodeDataPayload(buf []byte, v any) ([]byte, error) {
 		buf = mpi.AppendU32(buf, uint32(p.runs[i].Off))
 		buf = mpi.AppendU32(buf, uint32(len(p.runs[i].Vals)))
 	}
-	buf = mpi.AppendU32(buf, uint32(len(p.bvals)))
-	for i := range p.bvals {
-		buf = mpi.AppendU32(buf, uint32(p.bvals[i].Block))
-		buf = mpi.AppendU32(buf, uint32(len(p.bvals[i].Vals)))
-	}
 	buf = mpi.AppendU32(buf, uint32(len(p.vals)))
 	buf = append(buf, p.vals...)
 	p.release() // transport is the sender-side consumer
 	return buf, nil
 }
 
+// decodeDataPayload rebuilds the payload in one from netData and checks what
+// this side of the wire can: the runs tile the backing bytes exactly. Which
+// blocks and offsets the piece may name is the consuming renderer's to
+// decide, against the plan (RealWorkload.checkPiece).
 func decodeDataPayload(wire []byte) (any, error) {
 	r := mpi.NewWireReader(wire)
-	p := getData(&netData)
-	nruns := r.Len(12)
-	for i := 0; i < nruns; i++ {
-		p.runs = append(p.runs, blockRun{Block: r.I32(), Off: r.I32()})
-		p.voff = append(p.voff, int(r.U32()))
-	}
-	nbvals := r.Len(8)
-	for i := 0; i < nbvals; i++ {
-		p.bvals = append(p.bvals, blockVals{Block: r.I32()})
-		p.voff = append(p.voff, int(r.U32()))
-	}
-	vals := r.Bytes(int(r.U32()))
+	hdr := mpi.NewWireReader(r.Bytes(12 * r.Len(12)))
+	vals := r.Bytes(r.Len(1))
 	if err := r.Done(); err != nil {
-		p.release()
 		return nil, err
 	}
-	p.vals = pool.Grow(p.vals, len(vals))
-	copy(p.vals, vals)
-	// Rebuild the aliasing: voff temporarily holds each entry's length;
-	// runs come first in vals, then bvals, in order.
-	off := 0
-	for i := range p.runs {
-		n := p.voff[i]
-		if off+n > len(p.vals) {
+	p := getData(&netData)
+	p.vals = append(p.vals, vals...)
+	rest := p.vals
+	for hdr.Remaining() > 0 {
+		run := blockRun{Block: hdr.I32(), Off: hdr.I32()}
+		n := int(hdr.U32())
+		if n < 0 || n > len(rest) {
 			p.release()
 			return nil, fmt.Errorf("core: data payload runs overrun %d backing bytes", len(p.vals))
 		}
-		p.runs[i].Vals = p.vals[off : off+n : off+n]
-		p.voff[i] = off
-		off += n
+		run.Vals, rest = rest[:n:n], rest[n:]
+		p.runs = append(p.runs, run)
 	}
-	for i := range p.bvals {
-		n := p.voff[len(p.runs)+i]
-		if off+n > len(p.vals) {
-			p.release()
-			return nil, fmt.Errorf("core: data payload bvals overrun %d backing bytes", len(p.vals))
-		}
-		p.bvals[i].Vals = p.vals[off : off+n : off+n]
-		p.voff[len(p.runs)+i] = off
-		off += n
-	}
-	if off != len(p.vals) {
+	if len(rest) != 0 {
 		p.release()
-		return nil, fmt.Errorf("core: data payload uses %d of %d backing bytes", off, len(p.vals))
+		return nil, fmt.Errorf("core: data payload runs leave %d of %d backing bytes unused", len(rest), len(p.vals))
 	}
 	return p, nil
 }

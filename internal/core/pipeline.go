@@ -32,7 +32,9 @@ type Workload interface {
 	// gradient/vector preparation) from the fetched share.
 	Preprocess(c *mpi.Comm, t, part, m int, fetched any) (any, error)
 	// PayloadFor extracts the piece of the preprocessed step that renderer
-	// r needs (modelled size + optional real payload).
+	// r needs, with the size it declares on the wire (RealWorkload: a byte
+	// per node value plus eight per block run, whatever the read strategy;
+	// ModelWorkload: its modelled share) and the optional real payload.
 	PayloadFor(c *mpi.Comm, t int, prep any, renderer int) (int64, any)
 	// LICPayload builds the surface LIC image for timestep t (called on
 	// group part 0 only, and only when the pipeline has LIC enabled).
@@ -318,6 +320,20 @@ func (p *Pipeline) Run(c *mpi.Comm) error {
 	default:
 		return p.runOutput(c)
 	}
+}
+
+// RunReal runs the pipeline in this process — one goroutine per rank of the
+// layout over the wall-clock transport (mpi.RunReal), each executing Run —
+// and returns the elapsed wall time in seconds and the first error a rank
+// reported.
+func (p *Pipeline) RunReal() (elapsed float64, err error) {
+	var first sync.Once
+	elapsed = mpi.RunReal(p.Layout.WorldSize(), func(c *mpi.Comm) {
+		if rerr := p.Run(c); rerr != nil {
+			first.Do(func() { err = rerr })
+		}
+	})
+	return elapsed, err
 }
 
 // runInput is the input-processor loop: fetch, preprocess, wait for

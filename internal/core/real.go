@@ -79,29 +79,13 @@ type RealWorkload struct {
 	degraded   map[int]bool
 }
 
-// stepShare is one input processor's fetched portion of a timestep.
-type stepShare struct {
-	t    int
-	part int     // which group part fetched this share
-	q    []uint8 // quantized scalar per node (sparse; only fetched ids set)
-	ids  []int32 // which ids are set, sorted (nil means contiguous range)
-	idLo int32   // for contiguous full fetch: [idLo, idHi)
-	idHi int32
-}
-
-// blockRun is the per-block piece of an independent-read payload: Vals are
-// quantized values for blockNodeIDs[Block][Off : Off+len(Vals)].
+// blockRun is the per-block piece of a data payload, the one format every
+// read strategy ships: Vals are quantized values for
+// blockNodeIDs[Block][Off : Off+len(Vals)].
 type blockRun struct {
 	Block int32
 	Off   int32
 	Vals  []uint8
-}
-
-// blockVals is the per-block piece of a collective-read payload: corner
-// values in block-cell order.
-type blockVals struct {
-	Block int32
-	Vals  []uint8 // 8 per cell
 }
 
 type rendered struct {
@@ -123,8 +107,8 @@ func NewRealWorkload(l Layout, opts Options, store pfs.Store) (*RealWorkload, er
 // frame ring, and the view-dependent tables for opts.View. It reads no
 // data, so it costs scratch allocation plus well under a millisecond of
 // CPU; every workload on one Dataset is independent of the others. The
-// view-independent options (Level, BlockLevel, LIC, MaxSteps, FixedVMax)
-// must be the ones the dataset was built with.
+// options that shape the dataset (datasetOptions) must be the ones it was
+// built with.
 func (d *Dataset) NewWorkload(opts Options) (*RealWorkload, error) {
 	if datasetOptions(opts) != d.opts {
 		return nil, fmt.Errorf("core: workload options %+v disagree with the dataset's %+v", datasetOptions(opts), d.opts)
@@ -147,14 +131,15 @@ func (d *Dataset) NewWorkload(opts Options) (*RealWorkload, error) {
 	// Per-rank reuse scratches (PR 3).
 	w.ipScr = make([]*ipScratch, l.NumInput())
 	for i := range w.ipScr {
-		w.ipScr[i] = &ipScratch{}
+		// One value per node the rank's part reads: zeros until its first
+		// successful fetch, which is what a step degraded before then ships.
+		w.ipScr[i] = &ipScratch{q: make([]uint8, len(d.partIDs[i%l.IPsPerGroup]))}
 	}
 	w.rendScr = make([]*rendererScratch, l.Renderers)
 	for r := range w.rendScr {
 		mine := d.rblocks[r]
 		rs := &rendererScratch{
 			nodeVals: make([][]uint8, len(mine)),
-			corn:     make([][]uint8, len(mine)),
 			got:      make([]bool, len(mine)),
 			bds:      make([]*render.BlockData, len(mine)),
 			comp:     compositor.NewCompositeScratch(),
@@ -394,40 +379,17 @@ func (w *RealWorkload) Close() {
 //repro:allow deadexport: bench
 func (w *RealWorkload) VMax() float32 { return w.ds.vmax }
 
-// adaptiveFetching reports whether reads are restricted to the needed
-// node set (adaptive fetching of Section 6) rather than whole steps.
-func (w *RealWorkload) adaptiveFetching() bool {
-	return w.opts.AdaptiveFetch
-}
-
-// readView fetches the node records the committed view selects from step t
-// and returns their magnitudes quantized, in view order. The file handle
-// and read buffer come from the rank's scratch, so a steady-state call
-// allocates nothing.
-func (w *RealWorkload) readView(c *mpi.Comm, t int, view mpiio.Datatype, scr *ipScratch) ([]uint8, error) {
-	f := &scr.file
-	if err := f.Reopen(c, w.store, w.stepName(t)); err != nil {
-		return nil, err
-	}
-	f.SetView(0, view)
-	scr.raw = pool.Grow[byte](scr.raw, int(view.Size()))
-	if _, err := f.ReadInto(scr.raw); err != nil {
-		return nil, err
-	}
-	return w.magQuant(c, t, 0, view, scr.raw, scr)
-}
-
-// magQuant converts the raw node records read through (disp, view) to
-// quantized magnitudes, applying temporal enhancement when enabled. The
+// magQuant converts the raw node records read through view to quantized
+// magnitudes in scr.q, applying temporal enhancement when enabled. The
 // whole decode chain runs through the scratch's Into buffers
 // (quake.DecodeStepInto -> render.MagnitudeInto -> EnhanceTemporalInto in
-// place -> QuantizeInto): the returned slice aliases scr.q and is valid
-// until the rank's next magQuant, and a malformed step record surfaces as
-// an error instead of silently truncating.
-func (w *RealWorkload) magQuant(c *mpi.Comm, t int, disp int64, view mpiio.Datatype, raw []byte, scr *ipScratch) ([]uint8, error) {
+// place -> QuantizeInto). scr.q is written by the last link only, so a step
+// that fails anywhere before it — a malformed record surfaces as an error
+// instead of silently truncating — leaves the previous step's values there.
+func (w *RealWorkload) magQuant(c *mpi.Comm, t int, view mpiio.Datatype, raw []byte, scr *ipScratch) error {
 	vec, err := quake.DecodeStepInto(scr.vec, raw)
 	if err != nil {
-		return nil, fmt.Errorf("core: step %d: %w", t, err)
+		return fmt.Errorf("core: step %d: %w", t, err)
 	}
 	scr.vec = vec
 	scr.mag = render.MagnitudeInto(scr.mag, vec)
@@ -439,135 +401,85 @@ func (w *RealWorkload) magQuant(c *mpi.Comm, t int, disp int64, view mpiio.Datat
 		// collective plan and this one its sieve plan.
 		f := &scr.pfile
 		if err := f.Reopen(c, w.store, w.stepName(t-1)); err != nil {
-			return nil, err
+			return err
 		}
-		f.SetView(disp, view)
+		f.SetView(0, view)
 		scr.praw = pool.Grow[byte](scr.praw, int(view.Size()))
 		if _, err := f.ReadInto(scr.praw); err != nil {
-			return nil, err
+			return err
 		}
 		pvec, err := quake.DecodeStepInto(scr.pvec, scr.praw)
 		if err != nil {
-			return nil, fmt.Errorf("core: step %d: %w", t-1, err)
+			return fmt.Errorf("core: step %d: %w", t-1, err)
 		}
 		scr.pvec = pvec
 		scr.pmag = render.MagnitudeInto(scr.pmag, pvec)
 		mag = render.EnhanceTemporalInto(mag, mag, scr.pmag, w.opts.EnhanceGain)
 	}
 	scr.q = render.QuantizeInto(scr.q, mag, 0, w.ds.vmax)
-	return scr.q, nil
+	return nil
 }
 
-// fetchStep is the strategy-specific read of one step share — the body of
-// Fetch (see faults.go for the retry/degrade wrapper that implements the
-// Workload hook). The stepShare — including its full-node quantized staging
-// buffer q — is reused across this rank's timesteps: a share is only read
-// while the step's payloads are built, strictly before this rank's next
-// Fetch, and PayloadFor only reads the q entries of ids fetched this step,
-// so stale entries from earlier steps are never observed. That same reuse
-// is what makes the degraded-mode stale fallback free: a share whose read
-// failed keeps the previous step's q values for its ids.
-func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part, m int) (*stepShare, error) {
-	scr := w.ipScr[c.Rank()]
-	share := &scr.share
-	share.t, share.part = t, part
-	share.ids, share.idLo, share.idHi = nil, 0, 0
-	if share.q == nil {
-		share.q = make([]uint8, w.ds.meta.NumNodes)
-	}
-	switch {
-	case w.opts.ReadStrategy == ReadCollective:
-		// The group's m IPs read collectively: part p fetches the merged
-		// node set of the renderers it owns through the view the dataset
-		// committed for it (the set is static). The collective runs on the
-		// group's sub-communicator, built once per run and reused across
-		// this rank's timesteps (an input rank always serves one group).
-		ids, view := w.ds.collIDs[part], w.ds.collView[part]
+// fetchStep reads group part's share of step t into the rank's scratch — the
+// body of Fetch (see faults.go for the retry/degrade wrapper that implements
+// the Workload hook): open the step object, view it through the part's
+// committed type, read, and run the decode chain, which leaves the part's
+// quantized values in scr.q in partIDs order. The read strategy picks the
+// read call and nothing else: under ReadCollective the group's m IPs read
+// with one collective call on the group's sub-communicator, otherwise each
+// reads its view independently (data sieving; a hole-free view is one
+// contiguous read).
+func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part int, scr *ipScratch) error {
+	view := w.ds.partView[part]
+	collective := w.opts.ReadStrategy == ReadCollective
+	fc := c
+	if collective {
+		// The sub-communicator is built once per run and reused across this
+		// rank's timesteps (an input rank always serves one group).
 		if scr.sub == nil || scr.subParent != c {
 			g := t % w.ds.layout.Groups
 			scr.sub = c.Sub(w.ds.layout.GroupRanks(g), g)
 			scr.subParent = c
 		}
-		f := &scr.file
-		if err := f.Reopen(scr.sub, w.store, w.stepName(t)); err != nil {
-			// Pre-collective failure. Rank-local retry is still safe here
-			// (nothing collective has happened this round); past the budget,
-			// a handle still open on a previous step serves that object for
-			// the whole round — an I/O-level stale fallback that keeps the
-			// group's collective synchronized. Only a first-step open
-			// failure is terminal (no previous object to fall back to).
-			err = w.retryReopen(f, scr.sub, t, err)
-			if err != nil {
-				if !w.opts.Faults.Tolerate || !f.Opened() {
-					return nil, err
-				}
-				// retryReopen accounted the faults; this only marks staleness.
-				w.markDegraded(t)
-				w.account(0, 0, true)
+		fc = scr.sub
+	}
+	f := &scr.file
+	if err := f.Reopen(fc, w.store, w.stepName(t)); err != nil {
+		if !collective {
+			return err
+		}
+		// Pre-collective failure. Rank-local retry is still safe here
+		// (nothing collective has happened this round); past the budget,
+		// a handle still open on a previous step serves that object for
+		// the whole round — an I/O-level stale fallback that keeps the
+		// group's collective synchronized. Only a first-step open
+		// failure is terminal (no previous object to fall back to).
+		err = w.retryReopen(f, fc, t, err)
+		if err != nil {
+			if !w.opts.Faults.Tolerate || !f.Opened() {
+				return err
 			}
-		}
-		// The buffer is sized from the committed type, not from the handle:
-		// whether the view fits this step's object is for ReadAllInto to
-		// find out, which sees the round through either way. A rank that
-		// turned back here would strand its peers in the exchange.
-		f.SetView(0, view)
-		scr.raw = pool.Grow[byte](scr.raw, int(view.Size()))
-		if _, err := f.ReadAllInto(t, scr.raw); err != nil {
-			return nil, err
-		}
-		q, err := w.magQuant(c, t, 0, view, scr.raw, scr)
-		if err != nil {
-			return nil, err
-		}
-		share.ids = ids
-		for i, id := range ids {
-			share.q[id] = q[i]
-		}
-	case w.adaptiveFetching():
-		// Independent indexed read of this part's slice of the needed set.
-		ids := w.ds.needed(part)
-		q, err := w.readView(c, t, w.ds.needView[part], scr)
-		if err != nil {
-			return nil, err
-		}
-		share.ids = ids
-		for i, id := range ids {
-			share.q[id] = q[i]
-		}
-	default:
-		// Independent contiguous read of 1/m of the node records.
-		n := w.ds.meta.NumNodes
-		lo := int32(n * part / m)
-		hi := int32(n * (part + 1) / m)
-		f := &scr.file
-		if err := f.Reopen(c, w.store, w.stepName(t)); err != nil {
-			return nil, err
-		}
-		scr.raw = pool.Grow[byte](scr.raw, int(hi-lo)*quake.BytesPerNode)
-		if err := f.ReadContigInto(int64(lo)*quake.BytesPerNode, scr.raw); err != nil {
-			return nil, err
-		}
-		ids := growIDRange(scr, lo, hi)
-		scr.contig = mpiio.Contig{N: int(hi - lo), ElemSize: quake.BytesPerNode}
-		q, err := w.magQuant(c, t, int64(lo)*quake.BytesPerNode, &scr.contig, scr.raw, scr)
-		if err != nil {
-			return nil, err
-		}
-		share.idLo, share.idHi = lo, hi
-		for i, id := range ids {
-			share.q[id] = q[i]
+			// retryReopen accounted the faults; this only marks staleness.
+			w.markDegraded(t)
+			w.account(0, 0, true)
 		}
 	}
-	return share, nil
-}
-
-// growIDRange stages the contiguous id range [lo, hi) in the scratch.
-func growIDRange(scr *ipScratch, lo, hi int32) []int32 {
-	scr.ids = pool.Grow(scr.ids, int(hi-lo))
-	for i := range scr.ids {
-		scr.ids[i] = lo + int32(i)
+	// The buffer is sized from the committed type, not from the handle:
+	// whether the view fits this step's object is for the read to find out.
+	// A collective read sees its round through either way; a rank that
+	// turned back here would strand its peers in the exchange.
+	f.SetView(0, view)
+	scr.raw = pool.Grow[byte](scr.raw, int(view.Size()))
+	var err error
+	if collective {
+		_, err = f.ReadAllInto(t, scr.raw)
+	} else {
+		_, err = f.ReadInto(scr.raw)
 	}
-	return scr.ids
+	if err != nil {
+		return err
+	}
+	return w.magQuant(c, t, view, scr.raw, scr)
 }
 
 // Preprocess implements Workload. Magnitude computation, enhancement and
@@ -577,92 +489,27 @@ func (w *RealWorkload) Preprocess(c *mpi.Comm, t, part, m int, fetched any) (any
 	return fetched, nil
 }
 
-// has reports whether the share holds node id.
-func (s *stepShare) has(id int32) bool {
-	if s.ids != nil {
-		lo, hi := 0, len(s.ids)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if s.ids[mid] < id {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo < len(s.ids) && s.ids[lo] == id
-	}
-	return id >= s.idLo && id < s.idHi
-}
-
-// PayloadFor implements Workload. Payloads are pooled on this rank and
-// released by the consuming renderer once merged, so the per-block value
-// slices (all aliasing one backing buffer per payload) are reused across
-// timesteps with the prefetch window's lifetime respected. The pool is
-// mutex-guarded, so the payload-build worker fan-out stays safe.
+// PayloadFor implements Workload: renderer's piece is the committed gather
+// plan applied to the values Fetch left in the rank's scratch (prep) — no
+// node id is looked at. Payloads are pooled on this rank and released by the
+// consuming renderer once merged, so the per-block value slices (all
+// aliasing one backing buffer per payload) are reused across timesteps with
+// the prefetch window's lifetime respected. The pool is mutex-guarded, so
+// the payload-build worker fan-out stays safe.
 func (w *RealWorkload) PayloadFor(c *mpi.Comm, t int, prep any, renderer int) (int64, any) {
-	share := prep.(*stepShare)
-	p := getData(&w.ipScr[c.Rank()].pool)
-	var bytes int64
-	if w.opts.ReadStrategy == ReadCollective {
-		for _, bi := range w.ds.rblocks[renderer] {
-			if w.ds.owner[bi]%w.ds.layout.IPsPerGroup != share.part {
-				continue // another IP of the group owns this block
-			}
-			cells := w.ds.blockCorner[bi]
-			p.voff = append(p.voff, len(p.vals))
-			for _, corners := range cells {
-				for _, id := range corners {
-					p.vals = append(p.vals, share.q[id])
-				}
-			}
-			p.bvals = append(p.bvals, blockVals{Block: int32(bi)})
-			bytes += int64(8*len(cells)) + 8
-		}
-		for i := range p.bvals {
-			end := len(p.vals)
-			if i+1 < len(p.bvals) {
-				end = p.voff[i+1]
-			}
-			p.bvals[i].Vals = p.vals[p.voff[i]:end]
-		}
-		if bytes == 0 {
-			bytes = 1
-		}
-		return bytes, p
+	scr := prep.(*ipScratch)
+	g := &w.ds.gather[scr.part][renderer]
+	p := getData(&scr.pool)
+	p.vals = pool.Grow(p.vals, len(g.src))
+	for i, at := range g.src {
+		p.vals[i] = scr.q[at]
 	}
-	// Independent strategies: ship the runs of each block's node list that
-	// fall inside this share.
-	for _, bi := range w.ds.rblocks[renderer] {
-		ids := w.ds.blockNodeIDs[bi]
-		lo := 0
-		for lo < len(ids) && !share.has(ids[lo]) {
-			lo++
-		}
-		hi := lo
-		for hi < len(ids) && share.has(ids[hi]) {
-			hi++
-		}
-		if hi == lo {
-			continue
-		}
-		p.voff = append(p.voff, len(p.vals))
-		for k := lo; k < hi; k++ {
-			p.vals = append(p.vals, share.q[ids[k]])
-		}
-		p.runs = append(p.runs, blockRun{Block: int32(bi), Off: int32(lo)})
-		bytes += int64(hi-lo) + 8
+	vals := p.vals
+	for _, run := range g.runs {
+		p.runs = append(p.runs, blockRun{Block: run.Block, Off: run.Off, Vals: vals[:run.Len:run.Len]})
+		vals = vals[run.Len:]
 	}
-	for i := range p.runs {
-		end := len(p.vals)
-		if i+1 < len(p.runs) {
-			end = p.voff[i+1]
-		}
-		p.runs[i].Vals = p.vals[p.voff[i]:end]
-	}
-	if bytes == 0 {
-		bytes = 1
-	}
-	return bytes, p
+	return g.bytes, p
 }
 
 // licStep builds the surface-LIC underlay for one step — the body of
@@ -724,94 +571,98 @@ func (w *RealWorkload) licStep(c *mpi.Comm, t int) (int64, any, error) {
 		return 0, nil, err
 	}
 	lp := ls.pool.Get()
+	lp.owner = &ls.pool
 	im.ColorizeInto(&lp.Img, &ls.grid)
 	return compositor.RawBytes(&lp.Img), lp, nil
 }
 
-// Render implements Workload. The per-block staging buffers and the
-// BlockData with their corner-value arrays live in the renderer's
-// scratch (the old per-frame map is a flat rblockPos lookup now); the
-// received payloads are released back to their input ranks' pools as soon
-// as the values are merged — the signal those pools need to reuse the
-// buffers for a later in-flight step.
-func (w *RealWorkload) Render(c *mpi.Comm, t, r int, pieces []mpi.Message) (any, error) {
-	rs := w.rendScr[r]
-	mine := w.ds.rblocks[r]
-	for i := range rs.got {
-		rs.got[i] = false
+// checkPiece reports whether dp is the piece group part owes renderer r: the
+// runs the committed plan says, each as long as it says. Anything else — a
+// block that is not r's, a run outside its block's node list, a piece built
+// for another renderer or layout — is refused whole, before a value moves.
+func (w *RealWorkload) checkPiece(part, r int, dp *dataPayload) error {
+	owed := w.ds.gather[part][r].runs
+	for i, run := range dp.runs {
+		if i == len(owed) {
+			return fmt.Errorf("core: data piece run %d (block %d) is one more than part %d owes renderer %d", i, run.Block, part, r)
+		}
+		if o := owed[i]; run.Block != o.Block || run.Off != o.Off || len(run.Vals) != int(o.Len) {
+			return fmt.Errorf("core: data piece run %d is block %d nodes [%d, %d), part %d owes renderer %d block %d nodes [%d, %d)",
+				i, run.Block, run.Off, int(run.Off)+len(run.Vals), part, r, o.Block, o.Off, o.Off+o.Len)
+		}
 	}
-	if w.opts.ReadStrategy == ReadCollective {
-		for _, p := range pieces {
-			dp, ok := p.Data.(*dataPayload)
-			if !ok || dp == nil {
-				continue
-			}
-			for _, bv := range dp.bvals {
-				pos := w.ds.rblockPos[bv.Block]
-				rs.corn[pos] = bv.Vals
-				rs.got[pos] = true
-			}
+	if n := len(dp.runs); n < len(owed) {
+		return fmt.Errorf("core: data piece ends after %d runs, part %d still owes renderer %d block %d", n, part, r, owed[n].Block)
+	}
+	return nil
+}
+
+// mergePieces scatters step t's pieces — pieces[k] from group part k — into
+// renderer r's per-block staging buffers, turns them into the corner values
+// of its BlockData and hands the wire payloads back to their senders' pools:
+// the signal those pools need to reuse the buffers for a later in-flight
+// step. A piece that is not what its part owes (checkPiece) fails the step;
+// under Faults.Tolerate it is dropped like the piece of a lost input rank,
+// whose nodes stay zero, and the frame is flagged. A block no accepted piece
+// touched is rendered from zeros (fully transparent) and flags the frame
+// too, or fails the step without the fault policy.
+func (w *RealWorkload) mergePieces(t, r int, pieces []mpi.Message) error {
+	rs := w.rendScr[r]
+	clear(rs.got)
+	for i := range rs.nodeVals {
+		clear(rs.nodeVals[i])
+	}
+	degraded := false
+	for part, p := range pieces {
+		dp, ok := p.Data.(*dataPayload)
+		if !ok || dp == nil {
+			continue
 		}
-	} else {
-		// Zero the staging buffers exactly as the old fresh-map path did,
-		// then scatter the runs of every piece into them.
-		for i := range rs.nodeVals {
-			clear(rs.nodeVals[i])
-		}
-		for _, p := range pieces {
-			dp, ok := p.Data.(*dataPayload)
-			if !ok || dp == nil {
-				continue
+		if err := w.checkPiece(part, r, dp); err != nil {
+			if !w.opts.Faults.Tolerate {
+				return fmt.Errorf("core: renderer %d step %d: piece from rank %d: %w", r, t, p.Src, err)
 			}
+			degraded = true
+		} else {
 			for _, run := range dp.runs {
 				pos := w.ds.rblockPos[run.Block]
 				copy(rs.nodeVals[pos][run.Off:], run.Vals)
 				rs.got[pos] = true
 			}
 		}
+		dp.release() // its values are staged, or it was refused: back to the sender's pool
 	}
-	degraded := false
-	for i, bi := range mine {
+	for i, bi := range w.ds.rblocks[r] {
 		bd := rs.bds[i] // static half shared with the dataset; Vals rewritten below
 		if !rs.got[i] {
 			if !w.opts.Faults.Tolerate {
-				return nil, fmt.Errorf("core: renderer %d missing block %d at step %d", r, bi, t)
+				return fmt.Errorf("core: renderer %d missing block %d at step %d", r, bi, t)
 			}
-			// A lost input rank never delivered this block's piece: render
-			// the block from deterministic zero values (fully transparent)
-			// and flag the frame, instead of aborting the run.
 			clear(bd.Vals)
-			rs.corn[i] = nil
 			degraded = true
 			continue
 		}
-		switch w.opts.ReadStrategy {
-		case ReadCollective:
-			bv := rs.corn[i]
-			for ci := range bd.Vals {
-				for k := 0; k < 8; k++ {
-					bd.Vals[ci][k] = float32(bv[8*ci+k]) / 255
-				}
-			}
-		default:
-			nv := rs.nodeVals[i]
-			for ci, local := range w.ds.blockCornerLocal[bi] {
-				for k := 0; k < 8; k++ {
-					bd.Vals[ci][k] = float32(nv[local[k]]) / 255
-				}
+		nv := rs.nodeVals[i]
+		for ci, local := range w.ds.blockCornerLocal[bi] {
+			for k := 0; k < 8; k++ {
+				bd.Vals[ci][k] = float32(nv[local[k]]) / 255
 			}
 		}
-		rs.corn[i] = nil
 	}
 	if degraded {
 		w.markDegraded(t)
 	}
-	// Values are merged; hand the wire payloads back to their senders.
-	for _, p := range pieces {
-		if dp, ok := p.Data.(*dataPayload); ok {
-			dp.release()
-		}
+	return nil
+}
+
+// Render implements Workload: merge the step's pieces into the scratch's
+// BlockData (mergePieces), then ray-cast them.
+func (w *RealWorkload) Render(c *mpi.Comm, t, r int, pieces []mpi.Message) (any, error) {
+	if err := w.mergePieces(t, r, pieces); err != nil {
+		return nil, err
 	}
+	rs := w.rendScr[r]
+	mine := w.ds.rblocks[r]
 	// Fan the ray casting out across this rank's persistent worker pool
 	// (block- and tile-parallel; pixel-identical to the serial path).
 	workers := w.rankWorkers()

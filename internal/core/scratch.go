@@ -24,16 +24,15 @@ import (
 )
 
 // dataPayload is the pooled wire form of one (input rank -> renderer,
-// timestep) data message: block runs (independent reads) or corner-value
-// blocks (collective reads) whose value slices all alias one backing
-// buffer. The receiving renderer must release it after merging the values,
-// returning it to the sending rank's pool (mutex-guarded, so the payload-
-// build worker fan-out and the remote release stay safe).
+// timestep) data message: the block runs the committed gather plan owes
+// that renderer, whose value slices all alias one backing buffer — the one
+// shape every read strategy ships. The receiving renderer must release it
+// after merging the values, returning it to the sending rank's pool (mutex-
+// guarded, so the payload-build worker fan-out and the remote release stay
+// safe).
 type dataPayload struct {
 	runs  []blockRun
-	bvals []blockVals
-	vals  []uint8 // backing store aliased by the run/bval value slices
-	voff  []int   // build-time scratch: per-entry start offsets into vals
+	vals  []uint8 // backing store aliased by the runs' value slices
 	owner *pool.Pool[dataPayload]
 }
 
@@ -48,9 +47,7 @@ func getData(pl *pool.Pool[dataPayload]) *dataPayload {
 	p := pl.Get()
 	p.owner = pl
 	p.runs = p.runs[:0]
-	p.bvals = p.bvals[:0]
 	p.vals = p.vals[:0]
-	p.voff = p.voff[:0]
 	return p
 }
 
@@ -119,36 +116,35 @@ type licState struct {
 	pool    pool.Pool[licPayload]
 }
 
-// ipScratch is one input rank's reusable staging. The stepShare (with its
-// full-node quantized buffer) is reused across this rank's timesteps —
-// safe because a share is only read while its step's payloads are built,
-// strictly before the same rank's next Fetch. The id and read buffers serve
-// whichever read strategy runs, the file handles and decode-chain buffers
-// (PR 4) make a steady-state fetch step allocation-free, and the payload
-// pool cycles the wire messages released by the renderers. No view is built
-// here: the indexed views are committed once in the Dataset and shared, and
-// what a step loop would recompute from them is cached in the handles
-// (mpiio.File: sieve plan, collective plan).
+// ipScratch is one input rank's reusable staging, and what Fetch hands the
+// pipeline as the fetched step: part names the group part the rank serves
+// and q holds that part's quantized values, one per Dataset.partIDs[part]
+// entry in that order. q is static in layout — allocated with the workload,
+// zeros until the first successful fetch, rewritten in place by every later
+// one — which is safe because it is only read while its step's payloads are
+// built, strictly before the same rank's next Fetch, and is what makes the
+// stale fallback free (faults.go). The read buffers, file handles and
+// decode-chain buffers (PR 4) make a steady-state fetch step allocation-
+// free, and the payload pool cycles the wire messages released by the
+// renderers. No view or gather plan is built here: both are committed once
+// in the Dataset and shared, and what a step loop would recompute from a
+// view is cached in the handles (mpiio.File: sieve plan, collective plan).
 type ipScratch struct {
-	share stepShare
-	ids   []int32 // contiguous-range staging
-	raw   []byte  // indexed-read / contiguous-read staging
-	pool  pool.Pool[dataPayload]
-	lic   licState
+	part int
+	q    []uint8
+	raw  []byte // read staging, in view order
+	pool pool.Pool[dataPayload]
+	lic  licState
 
 	// Decode-chain staging (quake.DecodeStepInto -> render.MagnitudeInto ->
-	// EnhanceTemporalInto -> QuantizeInto) plus the reused MPI-IO handles:
-	// file serves the current step, pfile the previous step when temporal
-	// enhancement is on, and contig is the contiguous strategy's view of
-	// that previous step, set by pointer so installing it boxes nothing.
-	// sub caches the group's collective sub-communicator per world
-	// communicator (an input rank serves one group, so one cached entry
-	// suffices).
+	// EnhanceTemporalInto -> QuantizeInto, which lands in q) plus the reused
+	// MPI-IO handles: file serves the current step, pfile the previous step
+	// when temporal enhancement is on. sub caches the group's collective
+	// sub-communicator per world communicator (an input rank serves one
+	// group, so one cached entry suffices).
 	file, pfile mpiio.File
-	contig      mpiio.Contig
 	vec, mag    []float32
 	pvec, pmag  []float32
-	q           []uint8
 	praw        []byte
 	sub         *mpi.Comm
 	subParent   *mpi.Comm // world comm sub was built from (invalidates across runs)
@@ -159,9 +155,8 @@ type ipScratch struct {
 // cells and index are the dataset's, shared), the fragment list, the
 // compositing scratch and the strip-payload pool.
 type rendererScratch struct {
-	nodeVals [][]uint8 // per local block: staged node values (independent reads)
-	corn     [][]uint8 // per local block: corner values (collective reads)
-	got      []bool    // per local block: appeared in some piece this step
+	nodeVals [][]uint8 // per local block: node values staged from the step's pieces
+	got      []bool    // per local block: appeared in some accepted piece this step
 	bds      []*render.BlockData
 	out      rendered
 	comp     *compositor.CompositeScratch

@@ -189,7 +189,8 @@ func TestDatasetSharedAcrossWorkloads(t *testing.T) {
 }
 
 // TestNewWorkloadRejectsForeignOptions pins the one way a workload could
-// disagree with its dataset: options whose view-independent half differs.
+// disagree with its dataset: options whose dataset half (datasetOptions)
+// differs.
 func TestNewWorkloadRejectsForeignOptions(t *testing.T) {
 	store := buildDataset(t, 1)
 	l := Layout{Groups: 1, IPsPerGroup: 1, Renderers: 1, Outputs: 1}
@@ -204,6 +205,10 @@ func TestNewWorkloadRejectsForeignOptions(t *testing.T) {
 		"LIC":        func(o *Options) { o.LIC = true },
 		"MaxSteps":   func(o *Options) { o.MaxSteps = 1 },
 		"FixedVMax":  func(o *Options) { o.FixedVMax = 2 },
+		// The read plan is committed in the dataset: another strategy is
+		// another dataset.
+		"ReadStrategy":  func(o *Options) { o.ReadStrategy = ReadCollective },
+		"AdaptiveFetch": func(o *Options) { o.AdaptiveFetch = true },
 	} {
 		o := base
 		mutate(&o)

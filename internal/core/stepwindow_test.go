@@ -1,11 +1,9 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/img"
-	"repro/internal/mpi"
 )
 
 // runPipelineErr executes one pipeline run of w on its current step window
@@ -15,18 +13,8 @@ func runPipelineErr(w *RealWorkload, l Layout) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var mu sync.Mutex
-	var runErr error
-	mpi.RunReal(l.WorldSize(), func(c *mpi.Comm) {
-		if err := p.Run(c); err != nil {
-			mu.Lock()
-			if runErr == nil {
-				runErr = err
-			}
-			mu.Unlock()
-		}
-	})
-	return p.Res, runErr
+	_, err = p.RunReal()
+	return p.Res, err
 }
 
 // runPipeline is runPipelineErr failing the test on error.

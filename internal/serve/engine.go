@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/img"
-	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/render"
 )
@@ -308,16 +307,6 @@ func (s *session) run(l core.Layout, lo, hi int) error {
 	if err != nil {
 		return err
 	}
-	var mu sync.Mutex
-	var runErr error
-	mpi.RunReal(l.WorldSize(), func(c *mpi.Comm) {
-		if err := p.Run(c); err != nil {
-			mu.Lock()
-			if runErr == nil {
-				runErr = err
-			}
-			mu.Unlock()
-		}
-	})
-	return runErr
+	_, err = p.RunReal()
+	return err
 }
