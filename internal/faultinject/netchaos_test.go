@@ -6,6 +6,7 @@ package faultinject
 // every message to arrive exactly once, in order, regardless of seed.
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -106,6 +107,13 @@ func TestNetChaosMaxFaults(t *testing.T) {
 	}
 }
 
+// word is an int64 as the transport can carry it: []byte is the one builtin
+// wire codec, so a round number crosses as its eight little-endian bytes.
+func word(v int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
+
+// wordOf is the int64 a word payload carries.
+func wordOf(m mpi.Message) int64 { return int64(binary.LittleEndian.Uint64(m.Data.([]byte))) }
+
 // runChaosPingPong drives rounds of a two-rank ordered ping-pong under
 // the given schedule and fails the test on any lost, duplicated or
 // reordered message. Returns the per-rank transport stats.
@@ -124,16 +132,16 @@ func runChaosPingPong(t testing.TB, nc *NetChaos, rounds int) mpi.NetReport {
 		const tag = 12
 		if c.Rank() == 0 {
 			for i := 0; i < rounds; i++ {
-				c.Send(1, tag, 8, int64(i))
+				c.Send(1, tag, 8, word(int64(i)))
 				m := c.Recv(1, tag)
-				if got := m.Data.(int64); got != int64(i) {
+				if got := wordOf(m); got != int64(i) {
 					t.Errorf("round %d: echo %d", i, got)
 				}
 			}
 		} else {
 			for i := 0; i < rounds; i++ {
 				m := c.Recv(0, tag)
-				if got := m.Data.(int64); got != int64(i) {
+				if got := wordOf(m); got != int64(i) {
 					t.Errorf("round %d: received %d", i, got)
 				}
 				c.Send(0, tag, 8, m.Data)

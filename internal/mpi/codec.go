@@ -14,9 +14,8 @@ import (
 // `any` handed over by reference on the in-process transports — can cross
 // a socket. Codecs for the pipeline's pooled payloads live next to the
 // payload types (internal/core, internal/compositor, internal/mpiio) and
-// register themselves in init; this file provides the registry plus
-// builtin codecs for the small scalar/slice types control messages and
-// tests ship.
+// register themselves in init; this file provides the registry plus the
+// one builtin codec, []byte.
 //
 // Ownership across the wire (docs/ownership.md "Serialization boundary"):
 // Encode is the sending side's consumer — a codec for a pooled payload
@@ -29,7 +28,8 @@ import (
 // format and must be stable across all ranks of a job. Ranges are
 // reserved per package so registrations cannot collide:
 //
-//	1–31    internal/mpi builtins
+//	1–31    internal/mpi builtins (8 is []byte; 1–7 and 9–13 carried the
+//	        retired scalar and slice builtins; reserved, never reuse)
 //	32–47   internal/mpiio (32 and 35 retired; reserved, never reuse)
 //	48–63   internal/compositor
 //	64–95   internal/core
@@ -310,213 +310,20 @@ func AppendU32(buf []byte, v uint32) []byte { return binary.LittleEndian.AppendU
 // counterpart of WireReader.U64 (and, via two's complement, I64).
 func AppendU64(buf []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(buf, v) }
 
-// --- Builtin codecs --------------------------------------------------------
+// --- Builtin codec ---------------------------------------------------------
 
-// Builtin codec IDs (range 1–31). These cover the scalar and small-slice
-// payloads control messages and tests ship; pipeline payload codecs live
-// with their types.
-const (
-	codecBool    CodecID = 1
-	codecInt     CodecID = 2
-	codecInt32   CodecID = 3
-	codecInt64   CodecID = 4
-	codecFloat32 CodecID = 5
-	codecFloat64 CodecID = 6
-	codecString  CodecID = 7
-	codecBytes   CodecID = 8
-	codecInt32s  CodecID = 9
-	codecInt64s  CodecID = 10
-	codecF32s    CodecID = 11
-	codecF64s    CodecID = 12
-	codecAnys    CodecID = 13
-)
+// codecBytes is the one builtin codec: a []byte crosses the wire verbatim
+// (quakebench's transport probe ships one). The scalar and slice builtins
+// that only tests sent are retired; see the ID table on CodecID.
+const codecBytes CodecID = 8
 
 func init() {
-	RegisterCodec(codecBool, false, Codec{
-		Encode: func(buf []byte, v any) ([]byte, error) {
-			if v.(bool) {
-				return append(buf, 1), nil
-			}
-			return append(buf, 0), nil
-		},
-		Decode: func(wire []byte) (any, error) {
-			if len(wire) != 1 {
-				return nil, fmt.Errorf("bool payload is %d bytes", len(wire))
-			}
-			return wire[0] != 0, nil
-		},
-	})
-	RegisterCodec(codecInt, int(0), Codec{
-		Encode: func(buf []byte, v any) ([]byte, error) {
-			return binary.LittleEndian.AppendUint64(buf, uint64(int64(v.(int)))), nil
-		},
-		Decode: func(wire []byte) (any, error) {
-			if len(wire) != 8 {
-				return nil, fmt.Errorf("int payload is %d bytes", len(wire))
-			}
-			return int(int64(binary.LittleEndian.Uint64(wire))), nil
-		},
-	})
-	RegisterCodec(codecInt32, int32(0), Codec{
-		Encode: func(buf []byte, v any) ([]byte, error) {
-			return binary.LittleEndian.AppendUint32(buf, uint32(v.(int32))), nil
-		},
-		Decode: func(wire []byte) (any, error) {
-			if len(wire) != 4 {
-				return nil, fmt.Errorf("int32 payload is %d bytes", len(wire))
-			}
-			return int32(binary.LittleEndian.Uint32(wire)), nil
-		},
-	})
-	RegisterCodec(codecInt64, int64(0), Codec{
-		Encode: func(buf []byte, v any) ([]byte, error) {
-			return binary.LittleEndian.AppendUint64(buf, uint64(v.(int64))), nil
-		},
-		Decode: func(wire []byte) (any, error) {
-			if len(wire) != 8 {
-				return nil, fmt.Errorf("int64 payload is %d bytes", len(wire))
-			}
-			return int64(binary.LittleEndian.Uint64(wire)), nil
-		},
-	})
-	RegisterCodec(codecFloat32, float32(0), Codec{
-		Encode: func(buf []byte, v any) ([]byte, error) {
-			return binary.LittleEndian.AppendUint32(buf, math.Float32bits(v.(float32))), nil
-		},
-		Decode: func(wire []byte) (any, error) {
-			if len(wire) != 4 {
-				return nil, fmt.Errorf("float32 payload is %d bytes", len(wire))
-			}
-			return math.Float32frombits(binary.LittleEndian.Uint32(wire)), nil
-		},
-	})
-	RegisterCodec(codecFloat64, float64(0), Codec{
-		Encode: func(buf []byte, v any) ([]byte, error) {
-			return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.(float64))), nil
-		},
-		Decode: func(wire []byte) (any, error) {
-			if len(wire) != 8 {
-				return nil, fmt.Errorf("float64 payload is %d bytes", len(wire))
-			}
-			return math.Float64frombits(binary.LittleEndian.Uint64(wire)), nil
-		},
-	})
-	RegisterCodec(codecString, "", Codec{
-		Encode: func(buf []byte, v any) ([]byte, error) {
-			return append(buf, v.(string)...), nil
-		},
-		Decode: func(wire []byte) (any, error) {
-			return string(wire), nil
-		},
-	})
 	RegisterCodec(codecBytes, []byte(nil), Codec{
 		Encode: func(buf []byte, v any) ([]byte, error) {
 			return append(buf, v.([]byte)...), nil
 		},
 		Decode: func(wire []byte) (any, error) {
 			return append([]byte(nil), wire...), nil
-		},
-	})
-	RegisterCodec(codecInt32s, []int32(nil), Codec{
-		Encode: func(buf []byte, v any) ([]byte, error) {
-			for _, x := range v.([]int32) {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
-			}
-			return buf, nil
-		},
-		Decode: func(wire []byte) (any, error) {
-			if len(wire)%4 != 0 {
-				return nil, fmt.Errorf("[]int32 payload is %d bytes", len(wire))
-			}
-			out := make([]int32, len(wire)/4)
-			for i := range out {
-				out[i] = int32(binary.LittleEndian.Uint32(wire[4*i:]))
-			}
-			return out, nil
-		},
-	})
-	RegisterCodec(codecInt64s, []int64(nil), Codec{
-		Encode: func(buf []byte, v any) ([]byte, error) {
-			for _, x := range v.([]int64) {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
-			}
-			return buf, nil
-		},
-		Decode: func(wire []byte) (any, error) {
-			if len(wire)%8 != 0 {
-				return nil, fmt.Errorf("[]int64 payload is %d bytes", len(wire))
-			}
-			out := make([]int64, len(wire)/8)
-			for i := range out {
-				out[i] = int64(binary.LittleEndian.Uint64(wire[8*i:]))
-			}
-			return out, nil
-		},
-	})
-	RegisterCodec(codecF32s, []float32(nil), Codec{
-		Encode: func(buf []byte, v any) ([]byte, error) {
-			return AppendFloat32s(buf, v.([]float32)), nil
-		},
-		Decode: func(wire []byte) (any, error) {
-			if len(wire)%4 != 0 {
-				return nil, fmt.Errorf("[]float32 payload is %d bytes", len(wire))
-			}
-			r := NewWireReader(wire)
-			out := r.Float32s(nil, len(wire)/4)
-			return out, r.Err()
-		},
-	})
-	RegisterCodec(codecF64s, []float64(nil), Codec{
-		Encode: func(buf []byte, v any) ([]byte, error) {
-			for _, x := range v.([]float64) {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-			}
-			return buf, nil
-		},
-		Decode: func(wire []byte) (any, error) {
-			if len(wire)%8 != 0 {
-				return nil, fmt.Errorf("[]float64 payload is %d bytes", len(wire))
-			}
-			out := make([]float64, len(wire)/8)
-			for i := range out {
-				out[i] = math.Float64frombits(binary.LittleEndian.Uint64(wire[8*i:]))
-			}
-			return out, nil
-		},
-	})
-	// []any nests through the registry: each element is a full wire value.
-	RegisterCodec(codecAnys, []any(nil), Codec{
-		Encode: func(buf []byte, v any) ([]byte, error) {
-			s := v.([]any)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-			var err error
-			for _, e := range s {
-				if buf, err = appendValue(buf, e); err != nil {
-					return nil, err
-				}
-			}
-			return buf, nil
-		},
-		Decode: func(wire []byte) (any, error) {
-			if len(wire) < 4 {
-				return nil, fmt.Errorf("[]any payload is %d bytes", len(wire))
-			}
-			n := int(binary.LittleEndian.Uint32(wire))
-			wire = wire[4:]
-			if n < 0 || n > len(wire)/valueHdrLen {
-				return nil, fmt.Errorf("[]any element count %d impossible for %d payload bytes", n, len(wire))
-			}
-			out := make([]any, n)
-			var err error
-			for i := range out {
-				if out[i], wire, err = readValue(wire); err != nil {
-					return nil, err
-				}
-			}
-			if len(wire) != 0 {
-				return nil, fmt.Errorf("[]any payload has %d trailing bytes", len(wire))
-			}
-			return out, nil
 		},
 	})
 }

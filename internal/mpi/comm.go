@@ -17,13 +17,22 @@
 //   - a network transport (RunNet / Join): ranks are processes connected
 //     over TCP with length-prefixed frames and persistent per-peer
 //     connections; payloads cross the wire through the codec registry
-//     (RegisterCodec). Used to span real machines. RunNet hosts the ranks
-//     as in-process goroutines talking through real loopback sockets —
-//     the same wire path as the multi-process form — so tests can pin
-//     bit-identical behavior against RunReal.
+//     (RegisterCodec), where each pipeline package registers its own
+//     payloads and this package only []byte. Used to span real machines.
+//     RunNet hosts the ranks as in-process goroutines talking through real
+//     loopback sockets — the same wire path as the multi-process form — so
+//     tests can pin bit-identical behavior against RunReal.
 //
 // The pipeline code is written once against *Comm and behaves identically
-// under all transports.
+// under all transports. Every receive is RecvErr underneath: Recv is the
+// panicking form for callers that cannot degrade.
+//
+// Files: comm.go (the communicator), real.go and simworld.go (the
+// in-process transports), sub.go (sub-communicators), codec.go (the codec
+// registry and WireReader), and the network transport in four: net.go
+// (API, tuning, Join, bootstrap, send/recv), netwire.go (frame and
+// handshake codec), netheal.go (read loop, liveness, heal/reattach,
+// heartbeats, teardown) and netrun.go (RunNet, RunNetErrs, NetReport).
 package mpi
 
 import (
@@ -73,7 +82,8 @@ var ErrRankKilled = errors.New("mpi: rank killed by fault injection")
 // PeerLostError reports a permanently lost peer rank. It matches
 // ErrPeerLost via errors.Is and exposes the root cause via Unwrap.
 type PeerLostError struct {
-	// Rank is the lost peer's world rank.
+	// Rank is the lost peer's rank on the communicator the failed receive
+	// addressed it on: its world rank, or its sub-communicator rank.
 	Rank int
 	// Cause is the final transport error that exhausted the reconnect
 	// budget (last dial failure, heartbeat timeout, ...).
@@ -93,24 +103,17 @@ func (e *PeerLostError) Unwrap() error { return e.Cause }
 func (e *PeerLostError) Is(target error) bool { return target == ErrPeerLost }
 
 // world is the transport behind a communicator. recv matches tags in the
-// inclusive range [tagLo, tagHi]; Comm.Recv widens AnyTag into the full
+// inclusive range [tagLo, tagHi]; Comm.RecvErr widens AnyTag into the full
 // range, and sub-communicators narrow wildcards to their own tag window so
 // they cannot steal world or sibling-sub messages from a shared mailbox.
+// recv fails only where a transport can lose what it waits for (a lost
+// network peer, a poisoned mailbox); the simulated one never does.
 type world interface {
 	send(c *Comm, dst, tag int, bytes int64, data any)
-	recv(c *Comm, src, tagLo, tagHi int) Message
+	recv(c *Comm, src, tagLo, tagHi int) (Message, error)
 	now(c *Comm) float64
 	compute(c *Comm, seconds float64)
 	ioRead(c *Comm, bytes int64, seeks int)
-}
-
-// lossyWorld is the optional transport surface behind RecvErr:
-// transports whose receives can fail (a lost network peer, a poisoned
-// mailbox) implement it. The simulated transport does not — RecvErr
-// falls back to the blocking panic-on-failure recv there, which is
-// equivalent because simulated peers never die.
-type lossyWorld interface {
-	recvErr(c *Comm, src, tagLo, tagHi int) (Message, error)
 }
 
 // Comm is one rank's view of the communicator. All methods must be called
@@ -170,9 +173,25 @@ func (c *Comm) Send(dst, tag int, bytes int64, data any) {
 	c.w.send(c, dst, tag, bytes, data)
 }
 
-// Recv blocks until a message matching (src, tag) arrives and returns it.
-// Use AnySource / AnyTag as wildcards.
+// Recv is RecvErr for callers that cannot degrade (Barrier, the
+// collective read, binary swap): a transport failure panics with the
+// error RecvErr would have returned.
 func (c *Comm) Recv(src, tag int) Message {
+	m, err := c.RecvErr(src, tag)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// RecvErr blocks until a message matching (src, tag) arrives and returns
+// it. Use AnySource / AnyTag as wildcards. A receive addressed to a lost
+// peer rank returns an error matching ErrPeerLost (once every
+// already-delivered message from that rank has been consumed), on a
+// sub-communicator as on the world, and a fatally poisoned transport
+// returns its error. On transports that cannot lose peers (RunReal,
+// RunSim) it never fails.
+func (c *Comm) RecvErr(src, tag int) (Message, error) {
 	if src != AnySource {
 		c.checkPeer(src, "Recv")
 	}
@@ -180,34 +199,7 @@ func (c *Comm) Recv(src, tag int) Message {
 	if tag == AnyTag {
 		lo, hi = 0, maxTag
 	}
-	m := c.w.recv(c, src, lo, hi)
-	c.BytesRecv += m.Bytes
-	c.MsgsRecv++
-	return m
-}
-
-// RecvErr is Recv with transport failure reported as an error instead
-// of a panic: a receive addressed to a lost peer rank returns an error
-// matching ErrPeerLost (once every already-delivered message from that
-// rank has been consumed), and a fatally poisoned transport returns its
-// error. On transports that cannot lose peers (RunReal, RunSim) RecvErr
-// succeeds exactly where Recv would.
-func (c *Comm) RecvErr(src, tag int) (Message, error) {
-	if src != AnySource {
-		c.checkPeer(src, "RecvErr")
-	}
-	lo, hi := tag, tag
-	if tag == AnyTag {
-		lo, hi = 0, maxTag
-	}
-	lw, ok := c.w.(lossyWorld)
-	if !ok {
-		m := c.w.recv(c, src, lo, hi)
-		c.BytesRecv += m.Bytes
-		c.MsgsRecv++
-		return m, nil
-	}
-	m, err := lw.recvErr(c, src, lo, hi)
+	m, err := c.w.recv(c, src, lo, hi)
 	if err != nil {
 		return Message{}, err
 	}

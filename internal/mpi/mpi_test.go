@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,23 @@ func testCfg() SimConfig {
 		DiskClientBW: 50e6, DiskAggBW: 400e6, SeekTime: 0,
 	}
 }
+
+// text is a test payload that crosses every transport: []byte is the one
+// builtin wire codec (the pipeline's payloads register their own), so a
+// test that ships a string ships its bytes.
+func text(s string) []byte { return []byte(s) }
+
+// str is the string a text payload carries ("" for any other payload).
+func str(m Message) string {
+	b, _ := m.Data.([]byte)
+	return string(b)
+}
+
+// word is text for an int64: its eight little-endian bytes.
+func word(v int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
+
+// wordOf is the int64 a word payload carries.
+func wordOf(m Message) int64 { return int64(binary.LittleEndian.Uint64(m.Data.([]byte))) }
 
 // runBoth (historical name) runs body on every transport: wall-clock
 // goroutines, the discrete-event kernel, and loopback TCP.
@@ -30,10 +48,10 @@ func TestSendRecvBasic(t *testing.T) {
 	runBoth(t, 2, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(1, 7, 10, "hello")
+			c.Send(1, 7, 10, text("hello"))
 		case 1:
 			m := c.Recv(0, 7)
-			if m.Data.(string) != "hello" || m.Src != 0 || m.Tag != 7 {
+			if str(m) != "hello" || m.Src != 0 || m.Tag != 7 {
 				t.Errorf("bad message %+v", m)
 			}
 		}
@@ -44,9 +62,9 @@ func TestRecvWildcards(t *testing.T) {
 	runBoth(t, 3, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(2, 5, 1, "from0")
+			c.Send(2, 5, 1, text("from0"))
 		case 1:
-			c.Send(2, 9, 1, "from1")
+			c.Send(2, 9, 1, text("from1"))
 		case 2:
 			a := c.Recv(AnySource, 9)
 			if a.Src != 1 {
@@ -64,13 +82,13 @@ func TestTagMatchingHoldsOutOfOrder(t *testing.T) {
 	runBoth(t, 2, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(1, 1, 1, "first")
-			c.Send(1, 2, 1, "second")
+			c.Send(1, 1, 1, text("first"))
+			c.Send(1, 2, 1, text("second"))
 		case 1:
 			m2 := c.Recv(0, 2) // deliberately receive the later tag first
 			m1 := c.Recv(0, 1)
-			if m2.Data.(string) != "second" || m1.Data.(string) != "first" {
-				t.Errorf("tag matching failed: %v %v", m1.Data, m2.Data)
+			if str(m2) != "second" || str(m1) != "first" {
+				t.Errorf("tag matching failed: %q %q", str(m1), str(m2))
 			}
 		}
 	})
@@ -190,10 +208,10 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestSelfSend(t *testing.T) {
 	runBoth(t, 1, func(c *Comm) {
-		c.Send(0, 4, 8, "me")
+		c.Send(0, 4, 8, text("me"))
 		m := c.Recv(0, 4)
-		if m.Data.(string) != "me" {
-			t.Errorf("self-send failed: %v", m.Data)
+		if str(m) != "me" {
+			t.Errorf("self-send failed: %q", str(m))
 		}
 	})
 }
@@ -225,13 +243,13 @@ func TestSubCommunicator(t *testing.T) {
 		}
 		sc.Barrier()
 		if sc.Rank() != 0 {
-			sc.Send(0, 7, 8, c.Rank())
+			sc.Send(0, 7, 8, word(int64(c.Rank())))
 		} else {
-			sum := c.Rank()
+			sum := int64(c.Rank())
 			for i := 1; i < sc.Size(); i++ {
-				sum += sc.Recv(AnySource, 7).Data.(int)
+				sum += wordOf(sc.Recv(AnySource, 7))
 			}
-			want := 0 + 2 + 4
+			want := int64(0 + 2 + 4)
 			if c.Rank()%2 == 1 {
 				want = 1 + 3 + 5
 			}
@@ -241,10 +259,10 @@ func TestSubCommunicator(t *testing.T) {
 		}
 		// Point-to-point with local ranks and Src mapping.
 		if sc.Rank() == 0 {
-			sc.Send(1, 5, 4, "hi")
+			sc.Send(1, 5, 4, text("hi"))
 		} else if sc.Rank() == 1 {
 			m := sc.Recv(0, 5)
-			if m.Src != 0 || m.Data.(string) != "hi" {
+			if m.Src != 0 || str(m) != "hi" {
 				t.Errorf("sub recv = %+v", m)
 			}
 		}

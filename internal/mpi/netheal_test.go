@@ -84,20 +84,20 @@ func TestNetReconnectHealsDrops(t *testing.T) {
 		const tag = 9
 		if c.Rank() == 0 {
 			for i := 0; i < rounds; i++ {
-				c.Send(1, tag, 8, int64(i))
+				c.Send(1, tag, 8, word(int64(i)))
 				m := c.Recv(1, tag)
-				if got := m.Data.(int64); got != int64(i*3) {
+				if got := wordOf(m); got != int64(i*3) {
 					t.Errorf("round %d: echoed %d, want %d", i, got, i*3)
 				}
 			}
 		} else {
 			for i := 0; i < rounds; i++ {
 				m := c.Recv(0, tag)
-				got := m.Data.(int64)
+				got := wordOf(m)
 				if got != int64(i) {
 					t.Errorf("round %d: received %d, want %d", i, got, i)
 				}
-				c.Send(0, tag, 8, got*3)
+				c.Send(0, tag, 8, word(got*3))
 			}
 		}
 	})
@@ -136,13 +136,13 @@ func TestNetPartialWriteHeals(t *testing.T) {
 		const tag = 4
 		if c.Rank() == 0 {
 			for i := 0; i < rounds; i++ {
-				c.Send(1, tag, 8, int64(i))
+				c.Send(1, tag, 8, word(int64(i)))
 				c.Recv(1, tag)
 			}
 		} else {
 			for i := 0; i < rounds; i++ {
 				m := c.Recv(0, tag)
-				if got := m.Data.(int64); got != int64(i) {
+				if got := wordOf(m); got != int64(i) {
 					t.Errorf("round %d: received %d, want %d", i, got, i)
 				}
 				c.Send(0, tag, 0, nil)
@@ -180,7 +180,7 @@ func TestNetPeerKillDeclaresLost(t *testing.T) {
 		switch c.Rank() {
 		case 2:
 			for i := 0; i < 10; i++ {
-				c.Send(0, tag, 8, int64(i)) // the 4th send (nsent 3) kills us
+				c.Send(0, tag, 8, word(int64(i))) // the 4th send (nsent 3) kills us
 			}
 			t.Error("rank 2 survived its kill schedule")
 		case 0:
@@ -190,7 +190,7 @@ func TestNetPeerKillDeclaresLost(t *testing.T) {
 					t.Errorf("pre-kill recv %d: %v", i, err)
 					return
 				}
-				if got := m.Data.(int64); got != int64(i) {
+				if got := wordOf(m); got != int64(i) {
 					t.Errorf("pre-kill recv %d: got %d", i, got)
 				}
 			}
@@ -201,7 +201,7 @@ func TestNetPeerKillDeclaresLost(t *testing.T) {
 			} else if ple.Rank != 2 {
 				t.Errorf("PeerLostError.Rank = %d, want 2", ple.Rank)
 			}
-			c.Send(2, tag, 8, int64(99)) // must drop silently, not panic
+			c.Send(2, tag, 8, word(99)) // must drop silently, not panic
 		case 1:
 			_, err := c.RecvErr(2, tag) // rank 2 never sends to us: loss unblocks it
 			if !errors.Is(err, ErrPeerLost) {
@@ -228,14 +228,53 @@ func TestNetPeerKillDeclaresLost(t *testing.T) {
 	}
 }
 
+// TestNetSubRecvErrReportsPeerLoss: a sub-communicator receive addressed
+// to a killed member reports the loss as an error matching ErrPeerLost,
+// exactly as the world communicator's does, names the member by the sub
+// rank it was addressed by, and does not panic.
+func TestNetSubRecvErrReportsPeerLoss(t *testing.T) {
+	tun := testTuning()
+	tun.Heartbeat = -1 // detection via EOF only
+	tun.ReconnectWindow = 150 * time.Millisecond
+	tun.Fault = &killInjector{rank: 2, atSend: 0}
+	rep, err := RunNetErrs(3, tun, func(c *Comm) {
+		const tag = 4
+		if c.Rank() == 1 {
+			return // not a member
+		}
+		sub := c.Sub([]int{0, 2}, 0) // world rank 2 is sub rank 1
+		if c.Rank() == 2 {
+			sub.Send(0, tag, 8, word(1)) // the first send kills us
+			t.Error("rank 2 survived its kill schedule")
+			return
+		}
+		_, err := sub.RecvErr(1, tag)
+		var ple *PeerLostError
+		if !errors.As(err, &ple) || !errors.Is(err, ErrPeerLost) {
+			t.Errorf("sub RecvErr from the killed member: err = %v, want *PeerLostError", err)
+		} else if ple.Rank != 1 {
+			t.Errorf("PeerLostError.Rank = %d, want sub rank 1 (world rank 2)", ple.Rank)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(rep.Errs[2], ErrRankKilled) {
+		t.Errorf("rank 2 err = %v, want ErrRankKilled", rep.Errs[2])
+	}
+	if rep.Errs[0] != nil {
+		t.Errorf("rank 0 err = %v, want nil (the loss is an error, not a panic)", rep.Errs[0])
+	}
+}
+
 // TestNetCloseReportsDroppedMessages: Close must not silently discard
 // in-flight messages no Recv ever matched — the drained count surfaces
 // as a typed *DroppedMessagesError.
 func TestNetCloseReportsDroppedMessages(t *testing.T) {
 	rep, err := RunNetErrs(2, NetTuning{}, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 1, 8, int64(7)) // never received
-			c.Send(1, 2, 8, int64(8))
+			c.Send(1, 1, 8, word(7)) // never received
+			c.Send(1, 2, 8, word(8))
 		} else {
 			// Per-pair FIFO: once the tag-2 message is here, the tag-1
 			// message is already queued ahead of it.
@@ -402,7 +441,7 @@ func TestNetReconnectStressRace(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			for dst := 0; dst < n; dst++ {
 				if dst != c.Rank() {
-					c.Send(dst, tag, 8, int64(c.Rank()*1000+i))
+					c.Send(dst, tag, 8, word(int64(c.Rank()*1000+i)))
 				}
 			}
 			for src := 0; src < n; src++ {
@@ -410,7 +449,7 @@ func TestNetReconnectStressRace(t *testing.T) {
 					continue
 				}
 				m := c.Recv(src, tag)
-				if got := m.Data.(int64); got != int64(src*1000+i) {
+				if got := wordOf(m); got != int64(src*1000+i) {
 					t.Errorf("rank %d round %d: from %d got %d", c.Rank(), i, src, got)
 				}
 			}
@@ -473,11 +512,11 @@ func BenchmarkNetReconnect(b *testing.B) {
 		if c.Rank() == 0 {
 			// One untimed exchange warms codec scratch and the heal
 			// path itself, then every timed round heals exactly once.
-			c.Send(1, tag, 8, int64(0))
+			c.Send(1, tag, 8, word(0))
 			c.Recv(1, tag)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Send(1, tag, 8, int64(i))
+				c.Send(1, tag, 8, word(int64(i)))
 				c.Recv(1, tag)
 			}
 			b.StopTimer()

@@ -17,7 +17,7 @@ type mailbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	msgs []Message
-	err  error // fatal transport error: get panics with it once the queue drains
+	err  error // fatal transport error: get returns it once the queue drains
 
 	// lost maps a source rank to the loss that severed it permanently
 	// (network transport only). Receives addressed to a lost rank fail
@@ -59,7 +59,7 @@ func (b *mailbox) put(m Message) {
 	b.cond.Broadcast()
 }
 
-// fail poisons the mailbox: blocked and future get calls panic with err
+// fail poisons the mailbox: blocked and future get calls return err
 // once no matching message remains. Used by the network transport to
 // surface a dead peer connection to the rank blocked on it.
 func (b *mailbox) fail(err error) {
@@ -72,7 +72,7 @@ func (b *mailbox) fail(err error) {
 }
 
 // markLost records that messages from src can never arrive again. Any
-// get/getErr blocked on src (and all future ones) unblocks with err once
+// get blocked on src (and all future ones) unblocks with err once
 // no matching message remains in the queue — already-delivered messages
 // are still consumable, preserving per-pair FIFO up to the cut.
 func (b *mailbox) markLost(src int, err error) {
@@ -102,18 +102,11 @@ func (b *mailbox) drain() int {
 	return n
 }
 
-func (b *mailbox) get(src, tagLo, tagHi int) Message {
-	m, err := b.getErr(src, tagLo, tagHi)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// getErr is get with loss reported as an error instead of a panic: a
-// poisoned mailbox or a receive addressed to a lost rank returns the
-// recorded error once no matching message remains.
-func (b *mailbox) getErr(src, tagLo, tagHi int) (Message, error) {
+// get removes and returns the first message matching (src, tag range),
+// blocking until one arrives. A poisoned mailbox or a receive addressed
+// to a lost rank returns the recorded error once no matching message
+// remains.
+func (b *mailbox) get(src, tagLo, tagHi int) (Message, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
@@ -138,16 +131,8 @@ func (w *realWorld) send(c *Comm, dst, tag int, bytes int64, data any) {
 	w.boxes[dst].put(Message{Src: c.rank, Tag: tag, Bytes: bytes, Data: data})
 }
 
-func (w *realWorld) recv(c *Comm, src, tagLo, tagHi int) Message {
+func (w *realWorld) recv(c *Comm, src, tagLo, tagHi int) (Message, error) {
 	return w.boxes[c.rank].get(src, tagLo, tagHi)
-}
-
-// recvErr gives the wall-clock transport the lossy surface
-// (lossyWorld): goroutine ranks never lose peers, so it only ever fails
-// on a poisoned mailbox, but implementing the interface lets RecvErr
-// callers behave identically across RunReal and RunNet.
-func (w *realWorld) recvErr(c *Comm, src, tagLo, tagHi int) (Message, error) {
-	return w.boxes[c.rank].getErr(src, tagLo, tagHi)
 }
 
 func (w *realWorld) now(c *Comm) float64 { return time.Since(w.start).Seconds() }

@@ -24,7 +24,7 @@ func TestMailboxTakeZeroesTailSlot(t *testing.T) {
 	b.put(Message{Src: 0, Tag: 1, Data: payload})
 	b.put(Message{Src: 0, Tag: 2, Data: payload})
 	b.put(Message{Src: 0, Tag: 3, Data: payload})
-	if m := b.get(AnySource, 2, 2); m.Tag != 2 {
+	if m, _ := b.get(AnySource, 2, 2); m.Tag != 2 {
 		t.Fatalf("got tag %d, want 2", m.Tag)
 	}
 	tail := b.msgs[:cap(b.msgs)][len(b.msgs)]
@@ -48,10 +48,10 @@ func TestMailboxDeleteUnpinsPayload(t *testing.T) {
 		b.put(Message{Src: 0, Tag: 2, Data: big})
 		// Out-of-order get of tag 1 copies the tag-2 message down one
 		// slot; the vacated tail slot must not keep a second reference.
-		if m := b.get(AnySource, 1, 1); m.Tag != 1 {
+		if m, _ := b.get(AnySource, 1, 1); m.Tag != 1 {
 			t.Fatalf("got tag %d, want 1", m.Tag)
 		}
-		if m := b.get(AnySource, 2, 2); len(m.Data.([]byte)) != 1<<16 {
+		if m, _ := b.get(AnySource, 2, 2); len(m.Data.([]byte)) != 1<<16 {
 			t.Fatal("payload corrupted in transit")
 		}
 	}()
@@ -77,17 +77,17 @@ func TestSubRecvDoesNotStealWorldMessages(t *testing.T) {
 	runBoth(t, 2, func(c *Comm) {
 		sub := c.Sub([]int{0, 1}, 0)
 		if c.Rank() == 0 {
-			c.Send(1, 5, 1, "world")
-			sub.Send(1, 5, 1, "sub")
+			c.Send(1, 5, 1, text("world"))
+			sub.Send(1, 5, 1, text("sub"))
 			return
 		}
 		// The world message arrives first (same sender, ordered sends),
 		// so a leaky wildcard window would match it here.
-		if got := sub.Recv(AnySource, AnyTag).Data; got != "sub" {
-			t.Errorf("sub wildcard Recv got %v, want the sub message", got)
+		if got := str(sub.Recv(AnySource, AnyTag)); got != "sub" {
+			t.Errorf("sub wildcard Recv got %q, want the sub message", got)
 		}
-		if got := c.Recv(AnySource, AnyTag).Data; got != "world" {
-			t.Errorf("world Recv got %v, want the world message", got)
+		if got := str(c.Recv(AnySource, AnyTag)); got != "world" {
+			t.Errorf("world Recv got %q, want the world message", got)
 		}
 	})
 }
@@ -100,15 +100,15 @@ func TestSubRecvDoesNotStealSiblingMessages(t *testing.T) {
 		subA := c.Sub([]int{0, 1}, 0)
 		subB := c.Sub([]int{0, 1}, 1)
 		if c.Rank() == 0 {
-			subA.Send(1, 9, 1, "from-A")
-			subB.Send(1, 9, 1, "from-B")
+			subA.Send(1, 9, 1, text("from-A"))
+			subB.Send(1, 9, 1, text("from-B"))
 			return
 		}
-		if got := subB.Recv(AnySource, AnyTag).Data; got != "from-B" {
-			t.Errorf("sub B wildcard Recv got %v, want its own message", got)
+		if got := str(subB.Recv(AnySource, AnyTag)); got != "from-B" {
+			t.Errorf("sub B wildcard Recv got %q, want its own message", got)
 		}
-		if got := subA.Recv(AnySource, AnyTag).Data; got != "from-A" {
-			t.Errorf("sub A Recv got %v, want its own message", got)
+		if got := str(subA.Recv(AnySource, AnyTag)); got != "from-A" {
+			t.Errorf("sub A Recv got %q, want its own message", got)
 		}
 	})
 }

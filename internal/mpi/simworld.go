@@ -87,12 +87,12 @@ func (w *simWorld) send(c *Comm, dst, tag int, bytes int64, data any) {
 	w.deliver(dst, Message{Src: c.rank, Tag: tag, Bytes: bytes, Data: data})
 }
 
-func (w *simWorld) recv(c *Comm, src, tagLo, tagHi int) Message {
+func (w *simWorld) recv(c *Comm, src, tagLo, tagHi int) (Message, error) {
 	r := w.ranks[c.rank]
 	for {
 		for i, m := range r.msgs {
 			if matches(m, src, tagLo, tagHi) {
-				return takeMsg(&r.msgs, i)
+				return takeMsg(&r.msgs, i), nil
 			}
 		}
 		r.proc.Park()

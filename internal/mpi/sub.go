@@ -51,7 +51,7 @@ func (w *subWorld) send(c *Comm, dst, tag int, bytes int64, data any) {
 	w.parent.w.send(w.parent, w.members[dst], tag+w.offset, bytes, data)
 }
 
-func (w *subWorld) recv(c *Comm, src, tagLo, tagHi int) Message {
+func (w *subWorld) recv(c *Comm, src, tagLo, tagHi int) (Message, error) {
 	wsrc := AnySource
 	if src != AnySource {
 		wsrc = w.members[src]
@@ -64,7 +64,14 @@ func (w *subWorld) recv(c *Comm, src, tagLo, tagHi int) Message {
 	if tagHi >= subTagStride {
 		tagHi = subTagStride - 1
 	}
-	m := w.parent.w.recv(w.parent, wsrc, tagLo+w.offset, tagHi+w.offset)
+	m, err := w.parent.w.recv(w.parent, wsrc, tagLo+w.offset, tagHi+w.offset)
+	if err != nil {
+		// A lost peer is reported in the numbering the caller addressed it by.
+		if ple, ok := err.(*PeerLostError); ok && ple.Rank == wsrc {
+			err = &PeerLostError{Rank: src, Cause: ple.Cause}
+		}
+		return Message{}, err
+	}
 	m.Tag -= w.offset
 	for i, wm := range w.members {
 		if wm == m.Src {
@@ -72,7 +79,7 @@ func (w *subWorld) recv(c *Comm, src, tagLo, tagHi int) Message {
 			break
 		}
 	}
-	return m
+	return m, nil
 }
 
 func (w *subWorld) now(c *Comm) float64                    { return w.parent.w.now(w.parent) }

@@ -1,33 +1,26 @@
 package mpiio
 
 // Epoch-scoped staging for the collective two-phase read (PR 5). The
-// per-call ReadAllInto of PR 4 still allocated its aggregated physical-read
+// per-call ReadAllInto of PR 4 allocated its aggregated physical-read
 // buffer and shuffle pieces every collective round, because the pieces'
 // lifetime crosses rank boundaries: a receiver may still be assembling a
 // sender's pieces after the sender's call returned. CollectiveScratch
-// retires that allocation with two mechanisms layered on the collective's
-// own synchronization:
-//
-//   - The metadata exchange that starts every round is the epoch boundary.
-//     Its completion on any rank proves every rank has *entered* the
-//     current round, hence fully *completed* the previous one — so buffers
-//     that were only referenced during the previous round (the packed
-//     physical-read buffer, the per-destination piece slices, the segment
-//     metadata) are dead everywhere and safe to reuse. The exchange is a
-//     message-for-message replica of the allgather the per-call path
-//     used (gather to rank 0, binomial broadcast), so MsgsSent /
-//     BytesSent / MsgsRecv / BytesRecv accounting is bit-identical.
-//
-//   - Piece release is additionally acknowledged through the exchange
-//     itself: the pieces shipped to each destination travel as a pooled
-//     *pieceBatch whose receiver releases it after assembling, returning
-//     the whole epoch record to the sender's free list once every batch
-//     (and the sender's own reference) is back. A consumer that does NOT
-//     release — a batch consumer holding pieces across rounds — simply
-//     keeps that epoch record out of the free list, so the next round
-//     falls back to a fresh record (the pre-epoch per-call behavior) and
-//     the held pieces stay intact. This mirrors core.FrameRing's
-//     copy-out-or-release contract.
+// retires that allocation with one rule layered on the collective's own
+// synchronization: the metadata exchange that starts every round is the
+// epoch boundary. Its completion on any rank proves every rank of the
+// communicator has *entered* the current round, hence fully *completed*
+// the previous one — so everything that was only referenced during the
+// previous round (the packed physical-read buffer, the per-destination
+// piece batches, the segment metadata) is dead everywhere and safe to
+// reuse, single-buffered, with no handshake. The exchange is a
+// message-for-message replica of the allgather the per-call path used
+// (gather to rank 0, binomial broadcast), so MsgsSent / BytesSent /
+// MsgsRecv / BytesRecv accounting is bit-identical. The boundary speaks for
+// one communicator only, so a receiver's release of a batch clears the
+// batch's out flag: a round that finds one still out — its predecessor ran
+// on another communicator of a live world — starts from fresh staging,
+// and every other round, on one communicator or across worlds run one
+// after another, reuses it.
 //
 // On top of the staging, the scratch remembers the round's *plan* (collPlan):
 // everything ReadAllInto derives from the exchanged segment table — the
@@ -43,7 +36,6 @@ package mpiio
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/mpi"
@@ -116,70 +108,50 @@ type metaTable struct {
 	all [][]Segment
 }
 
-// pieceBatch is the pooled wire form of the pieces one rank ships one
-// destination during the shuffle phase. The piece data alias the sending
-// epoch's packed buffer; the receiver must release the batch after
-// assembling (copying) the pieces, which is the acknowledgment the
-// sender's epoch recycling waits for.
+// pieceBatch is the wire form of the pieces one rank ships one destination
+// during the shuffle phase. A batch shipped by reference is the sender's
+// CollectiveScratch staging: its pieces alias the sender's packed buffer,
+// and it is out from the send until the receiver releases it (or the
+// network codec has encoded it). A batch decoded from the network owns a
+// copy of the piece bytes, comes from the receiving process's netBatches
+// pool, and goes back there when ReadAllInto releases it.
 type pieceBatch struct {
-	ep *collEpoch
-	ps []piece
+	ps      []piece
+	data    []byte      // decoded batches: the bytes ps aliases
+	decoded bool        // drawn from netBatches
+	out     atomic.Bool // shipped by reference and not yet released
 }
 
-// release returns the batch's reference on its epoch. Safe to call from
-// the receiving rank's goroutine; the batch and its pieces must not be
-// touched afterwards.
-func (b *pieceBatch) release() { b.ep.release() }
-
-// collEpoch is one collective round's cross-rank staging: the packed
-// physical-read buffer every shuffled piece aliases, and the pooled
-// per-destination batches. It is reference-counted — one reference per
-// batch actually sent plus one for the owning call — and returns to its
-// scratch's free list when the count reaches zero.
-type collEpoch struct {
-	owner   *CollectiveScratch
-	packed  []byte
-	batches []pieceBatch
-	refs    atomic.Int32
-}
-
-// release drops one reference, recycling the epoch when none remain.
-func (ep *collEpoch) release() {
-	if ep.refs.Add(-1) == 0 {
-		s := ep.owner
-		s.mu.Lock()
-		s.free = append(s.free, ep)
-		s.mu.Unlock()
+// release ends the receiver's use of a batch: a decoded one goes back to
+// netBatches, a batch shipped by reference is no longer out.
+func (b *pieceBatch) release() {
+	if b.decoded {
+		netBatches.Put(b)
+		return
 	}
+	b.out.Store(false)
 }
 
 // CollectiveScratch holds one file handle's reusable collective-read
-// staging: the epoch records (packed read buffer + shuffle batches), the
-// metadata exchange payloads, and the per-call working slices. A scratch
-// belongs to one rank's file handle and is not concurrency-safe — at most
-// one collective may be in flight per scratch; only the batch/epoch
-// releases arriving from receiving ranks may touch it concurrently (they
-// are confined to the mutex-guarded free list).
+// staging: the packed read buffer and shuffle batches, the metadata
+// exchange payloads, the remembered plan, and the per-call working slices.
+// A scratch belongs to one rank's file handle and is not
+// concurrency-safe: at most one collective may be in flight per scratch;
+// only receivers clearing a batch's out flag touch it concurrently.
 //
 // Buffer ownership follows docs/ownership.md: ReadAllInto's result aliases
-// the caller's dst; the pieces shipped to other ranks are released by
-// their consumer; and the epoch boundary (the metadata exchange) is what
+// the caller's dst, and the epoch boundary (the metadata exchange) is what
 // makes single-buffered reuse of everything else safe.
 type CollectiveScratch struct {
 	meta   metaPayload  // this rank's gather payload
 	tables [2]metaTable // rank 0's ping-pong gather tables
 	flip   int
 
-	mu   sync.Mutex
-	free []*collEpoch // epochs with no outstanding references
+	packed  []byte       // this rank's physical reads; shipped pieces alias it
+	batches []pieceBatch // per destination rank, shipped by reference
 
 	plan    collPlan  // the remembered round geometry, replayed while the table is unchanged
 	clipped []Segment // plan-build staging: aggregated-range clip of every rank's segments
-
-	// holdBatch, when set (tests only), simulates a non-releasing batch
-	// consumer: a received batch for which it returns true is kept instead
-	// of released, pinning its epoch out of the free list.
-	holdBatch func(*pieceBatch) bool
 }
 
 // collective returns the handle's lazily created collective scratch. The
@@ -190,34 +162,6 @@ func (f *File) collective() *CollectiveScratch {
 		f.coll = &CollectiveScratch{}
 	}
 	return f.coll
-}
-
-// acquireEpoch takes an epoch record with no outstanding references from
-// the free list, or builds a fresh one when none is available — the first
-// rounds, and the fallback when a batch consumer still holds pieces of a
-// previous epoch. The record starts with the single reference owned by the
-// calling round.
-func (s *CollectiveScratch) acquireEpoch(n int) *collEpoch {
-	s.mu.Lock()
-	var ep *collEpoch
-	if k := len(s.free); k > 0 {
-		ep = s.free[k-1]
-		s.free = s.free[:k-1]
-	}
-	s.mu.Unlock()
-	if ep == nil {
-		ep = &collEpoch{owner: s}
-	}
-	if cap(ep.batches) < n {
-		ep.batches = make([]pieceBatch, n)
-	}
-	ep.batches = ep.batches[:n]
-	for i := range ep.batches {
-		ep.batches[i].ep = ep
-		ep.batches[i].ps = ep.batches[i].ps[:0]
-	}
-	ep.refs.Store(1)
-	return ep
 }
 
 // exchangeMeta runs the epoch boundary: an accounting-identical replica of
@@ -374,24 +318,6 @@ func (s *CollectiveScratch) buildPlan(all [][]Segment, gap int64, rank int) {
 	}
 }
 
-// assembleStray places a received piece the plan did not expect where it
-// was — or where it was expected with another length — by locating its
-// view segment the way every piece used to be: binary search, then the
-// segment's packed position. It returns the piece length, or -1 for a
-// piece that starts in none of the view's segments.
-func assembleStray(dst []byte, mySegs []Segment, pc piece) int64 {
-	si := findSegIdx(mySegs, pc.Off)
-	if si < 0 {
-		return -1
-	}
-	pos := pc.Off - mySegs[si].Off
-	for _, sg := range mySegs[:si] {
-		pos += sg.Len
-	}
-	copy(dst[pos:], pc.Data)
-	return int64(len(pc.Data))
-}
-
 // ReadAllInto performs a collective read of every rank's view using
 // two-phase I/O (mirrors MPI_FILE_READ_ALL): the union of all requests is
 // split into one contiguous file range per rank; each rank reads its range
@@ -403,15 +329,19 @@ func assembleStray(dst []byte, mySegs []Segment, pc piece) int64 {
 // The two-phase internals stage the aggregated physical reads and the
 // cross-rank shuffle pieces in the handle's CollectiveScratch, scoped by
 // epoch: each round's metadata exchange doubles as the epoch boundary
-// (when it completes, every rank has finished the previous round), and the
-// shipped piece batches are additionally released by their receivers, so a
-// steady-state collective read allocates nothing on any rank while
+// (when it completes, every rank has finished the previous round), so the
+// staging is single-buffered and a steady-state collective read allocates
+// nothing on any rank while
 // PhysReads/PhysBytes/UsefulBytes/ShuffleBytes and the communicator's
 // message accounting stay bit-identical to the per-call oracle the tests
 // keep (readAllIntoPerCall). The partitioning itself — runs, piece lists,
 // landing positions — is derived from the exchanged segment table only
 // when that table, this rank or SieveGap changed; otherwise the scratch's
 // plan is replayed (collPlan), with the same reads, messages and bytes.
+// Every received piece must be the next one the plan expects from its
+// source, offset and length: both sides derive their lists from the same
+// exchanged table, so anything else is refused as a permanent error after
+// the round, like a short or missing piece.
 //
 // Every rank of the communicator must call the collective in the same
 // order, and consecutive collectives on one communicator must use distinct
@@ -454,11 +384,18 @@ func (f *File) ReadAllInto(seq int, dst []byte) (int, error) {
 	}
 	tag := collTagBase + seq
 	// Phase 1: read this rank's aggregation range. The packed buffer and
-	// the per-destination batches belong to the epoch: pieces shipped to
-	// other ranks alias them until released.
-	ep := s.acquireEpoch(c.Size())
-	ep.packed = pool.Grow(ep.packed, int(p.total)) //repro:allow allocfree: amortized epoch-buffer growth
-	packed := ep.packed[:p.total]
+	// the per-destination batches are the scratch's: pieces shipped to other
+	// ranks alias them until their receiver releases the batch, which on one
+	// communicator the exchange above has just proven. A batch still out
+	// was shipped on another communicator whose receiver is not done.
+	for i := range s.batches {
+		if s.batches[i].out.Load() {
+			s.packed, s.batches = nil, nil
+			break
+		}
+	}
+	s.packed, s.batches = pool.Grow(s.packed, int(p.total)), pool.Grow(s.batches, c.Size()) //repro:allow allocfree: amortized staging growth
+	packed := s.packed[:p.total]
 	var readErr error
 	base := int64(0)
 	for _, r := range p.runs {
@@ -486,11 +423,12 @@ func (f *File) ReadAllInto(seq int, dst []byte) (int, error) {
 		if dr == c.Rank() {
 			continue
 		}
-		b := &ep.batches[dr]
+		b := &s.batches[dr]
+		b.ps = b.ps[:0]
 		for _, e := range p.send[p.sendAt[dr]:p.sendAt[dr+1]] {
 			b.ps = append(b.ps, piece{Off: e.off, Data: packed[e.pos : e.pos+e.len]})
 		}
-		ep.refs.Add(1)
+		b.out.Store(true)
 		c.Send(dr, tag, p.sendBytes[dr], b)
 		if len(b.ps) > 0 {
 			f.ShuffleBytes += p.sendBytes[dr]
@@ -502,10 +440,9 @@ func (f *File) ReadAllInto(seq int, dst []byte) (int, error) {
 		copy(dst[e.pos:e.pos+e.len], packed[e.off:])
 		filled += e.len
 	}
-	// Received batches are copied and released. A piece that is the one the
-	// plan expects next from its source — same offset, same length — goes
-	// where the plan says; anything else is located the slow way, which
-	// rejects strays.
+	// Received batches are copied and released. A piece goes where the plan
+	// says only if it is the one the plan expects next from its source —
+	// same offset, same length; anything else is refused.
 	var recvErr error
 	for sr := 0; sr < c.Size(); sr++ {
 		if sr == c.Rank() {
@@ -524,17 +461,13 @@ func (f *File) ReadAllInto(seq int, dst []byte) (int, error) {
 			if i < len(expect) && pc.Off == expect[i].off && int64(len(pc.Data)) == expect[i].len {
 				copy(dst[expect[i].pos:], pc.Data)
 				filled += expect[i].len
-			} else if n := assembleStray(dst, mySegs, pc); n >= 0 {
-				filled += n
 			} else if recvErr == nil {
-				recvErr = fmt.Errorf("mpiio: received stray piece at %d: %w", pc.Off, pfs.ErrPermanent)
+				recvErr = fmt.Errorf("mpiio: rank %d shipped piece %d at [%d,%d), not the one the plan expects: %w",
+					sr, i, pc.Off, pc.Off+int64(len(pc.Data)), pfs.ErrPermanent)
 			}
 		}
-		if s.holdBatch == nil || !s.holdBatch(b) {
-			b.release()
-		}
+		b.release()
 	}
-	ep.release()
 	if preErr != nil {
 		return 0, preErr
 	}

@@ -4,9 +4,8 @@ package mpiio
 // ReadAllInto must match the retained per-call two-phase path byte for
 // byte AND stat for stat (PhysReads/PhysBytes/UsefulBytes/ShuffleBytes/
 // ShuffleMsgs on the file, MsgsSent/BytesSent/MsgsRecv/BytesRecv on the
-// communicator), a steady-state collective round must allocate nothing on
-// any rank, and a batch consumer that holds pieces across rounds must keep
-// seeing correct data through the pre-epoch fallback path.
+// communicator), and a steady-state collective round must allocate nothing
+// on any rank.
 
 import (
 	"bytes"
@@ -304,114 +303,6 @@ func BenchmarkCollectiveReadSteadyState(b *testing.B) {
 	}
 }
 
-// TestCollectiveBatchConsumerFallback pins the pre-epoch fallback path,
-// mirroring the FrameRing batch-consumer test: a consumer that holds its
-// received piece batches instead of releasing them pins their epochs out
-// of the senders' free lists, so later rounds must fall back to fresh
-// staging — the held pieces keep their bytes while every subsequent round
-// still reads correct data — and releasing the batches afterwards lets the
-// pools recover.
-func TestCollectiveBatchConsumerFallback(t *testing.T) {
-	const ranks, elems, holdRound, rounds = 4, 256, 2, 6
-	st := pfs.NewMemStore()
-	names := make([]string, rounds)
-	wants := make([][][]byte, rounds) // per round, per rank: expected bytes
-	for i := range names {
-		names[i] = fmt.Sprintf("s%d", i)
-		data := makeTestFile(t, st, names[i], 12*elems)
-		wants[i] = make([][]byte, ranks)
-		for r := 0; r < ranks; r++ {
-			var want []byte
-			for e := r; e < elems; e += ranks {
-				want = append(want, data[e*12:(e+1)*12]...)
-			}
-			wants[i][r] = want
-		}
-	}
-	files := make([]*File, ranks)
-	mpi.RunReal(ranks, func(c *mpi.Comm) {
-		me := c.Rank()
-		f, err := Open(c, st, names[0])
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		files[me] = f
-		ib := interleavedView(me, ranks, elems, 12)
-		dst := make([]byte, int64(len(ib.Displs))*12)
-		var held []*pieceBatch
-		var heldData [][]byte // snapshot of every held piece's bytes
-		for round := 0; round < rounds; round++ {
-			s := f.collective()
-			if me == 1 && round == holdRound {
-				// Become a non-releasing batch consumer for this round.
-				s.holdBatch = func(b *pieceBatch) bool {
-					held = append(held, b)
-					for _, pc := range b.ps {
-						heldData = append(heldData, append([]byte(nil), pc.Data...))
-					}
-					return true
-				}
-			} else {
-				s.holdBatch = nil
-			}
-			if err := f.Reopen(c, st, names[round]); err != nil {
-				t.Error(err)
-				return
-			}
-			f.SetView(0, &ib)
-			if _, err := f.ReadAllInto(round+1, dst); err != nil {
-				t.Error(err)
-				return
-			}
-			if !bytes.Equal(dst, wants[round][me]) {
-				t.Errorf("rank %d round %d: wrong collective read contents", me, round)
-			}
-			c.Barrier() // lock-step the rounds across ranks
-		}
-		// The held pieces must still show the bytes of their own round:
-		// the fallback path may not have recycled the epochs they alias,
-		// even though several rounds (with different data) ran since.
-		if me == 1 {
-			i := 0
-			for _, b := range held {
-				for _, pc := range b.ps {
-					if !bytes.Equal(pc.Data, heldData[i]) {
-						t.Errorf("held piece %d was overwritten after its epoch ended", i)
-					}
-					i++
-				}
-			}
-			c.Barrier() // peers wait: epochs stay pinned during the check
-			for _, b := range held {
-				b.release()
-			}
-		} else {
-			c.Barrier()
-		}
-	})
-	// After release, every pinned epoch must be back on its sender's free
-	// list: rank 1 held batches from all three peers, so each peer ended
-	// the run with (at least) one epoch pinned plus one in rotation.
-	for r, f := range files {
-		if f == nil || f.coll == nil {
-			t.Fatalf("rank %d file missing", r)
-		}
-		s := f.coll
-		s.mu.Lock()
-		free := len(s.free)
-		s.mu.Unlock()
-		if free == 0 {
-			t.Errorf("rank %d: no epoch returned to the free list after release", r)
-		}
-		for _, ep := range s.free {
-			if got := ep.refs.Load(); got != 0 {
-				t.Errorf("rank %d: free epoch with %d outstanding refs", r, got)
-			}
-		}
-	}
-}
-
 // allgatherPerCall is the Allgather readAllIntoPerCall exchanges its request
 // metadata with: gather to rank 0, then broadcast the table down a binomial
 // tree. exchangeMeta replicates its message accounting.
@@ -591,4 +482,24 @@ func (f *File) readAllIntoPerCall(seq int, dst []byte) (int, error) {
 	}
 	f.UsefulBytes += useful
 	return int(useful), nil
+}
+
+// findSegIdx locates the index of the sorted segment containing file
+// offset off by binary search, or -1: how the per-call oracle places every
+// piece it receives.
+func findSegIdx(segs []Segment, off int64) int {
+	lo, hi := 0, len(segs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if segs[mid].Off <= off {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	i := lo - 1
+	if i < 0 || off >= segs[i].Off+segs[i].Len {
+		return -1
+	}
+	return i
 }

@@ -277,22 +277,3 @@ func clip(s Segment, lo, hi int64) Segment {
 	}
 	return Segment{Off: o, Len: e - o}
 }
-
-// findSegIdx locates the index of the sorted segment containing file
-// offset off by binary search, or -1.
-func findSegIdx(segs []Segment, off int64) int {
-	lo, hi := 0, len(segs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if segs[mid].Off <= off {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	i := lo - 1
-	if i < 0 || off >= segs[i].Off+segs[i].Len {
-		return -1
-	}
-	return i
-}

@@ -7,13 +7,12 @@ package mpiio
 // Ownership across the wire follows docs/ownership.md "Serialization
 // boundary":
 //
-//   - A *pieceBatch is encoded and then released on the sender — the
-//     transport is the sending side's consumer, dropping the epoch
-//     reference the shuffle added for it — and decoded into a
-//     receiver-owned batch whose pieces alias a pooled epoch buffer from
-//     this process's netCollScratch, so the receiver's usual release
-//     recycles it and the steady-state shuffle stays allocation-free on
-//     both sides.
+//   - A *pieceBatch is the sender's collective staging: Send completes
+//     synchronously after encoding, so once encoded the batch is no longer
+//     out, as if a local receiver had released it. It decodes into a batch
+//     from this process's netBatches pool whose pieces alias the batch's
+//     own copy of the bytes; ReadAllInto releases it after assembling, so
+//     the steady-state shuffle stays allocation-free on both sides.
 //   - Metadata payloads (*metaPayload, *metaTable) are retained by the
 //     receiver for the rest of the round with no release signal, so they
 //     decode into fresh allocations; they are a few dozen bytes per rank
@@ -36,11 +35,8 @@ const (
 	codecPieceBatch mpi.CodecID = 36
 )
 
-// netCollScratch hosts the epochs backing net-decoded piece batches: each
-// decoded batch gets a single-batch epoch whose packed buffer holds the
-// copied piece bytes, and the receiver's release returns it here for the
-// next decode to reuse.
-var netCollScratch CollectiveScratch
+// netBatches is the receive-side pool for net-decoded piece batches.
+var netBatches pool.Pool[pieceBatch]
 
 func init() {
 	mpi.RegisterCodec(codecMetaPld, (*metaPayload)(nil), mpi.Codec{
@@ -119,10 +115,7 @@ func appendPieces(buf []byte, ps []piece) []byte {
 func encodePieceBatch(buf []byte, v any) ([]byte, error) {
 	b := v.(*pieceBatch)
 	buf = appendPieces(buf, b.ps)
-	// The transport is this batch's consumer on the sending side: drop
-	// the epoch reference the shuffle added for it, exactly as the
-	// receiving rank's release would have under an in-process transport.
-	b.release()
+	b.out.Store(false)
 	return buf, nil
 }
 
@@ -139,12 +132,13 @@ func decodePieceBatch(wire []byte) (any, error) {
 	if err := sizer.Done(); err != nil {
 		return nil, fmt.Errorf("mpiio: piece batch: %w", err)
 	}
-	// Second pass copies the pieces into a pooled single-batch epoch;
-	// the receiver's usual release recycles it for the next decode.
-	ep := netCollScratch.acquireEpoch(1)
-	b := &ep.batches[0]
-	ep.packed = pool.Grow(ep.packed, total)
-	packed := ep.packed[:0]
+	// Second pass copies the pieces into a pooled batch; ReadAllInto's
+	// release recycles it for the next decode.
+	b := netBatches.Get()
+	b.decoded = true
+	b.ps = b.ps[:0]
+	b.data = pool.Grow(b.data, total)
+	packed := b.data[:0]
 	r := mpi.NewWireReader(wire)
 	r.Len(12)
 	for i := 0; i < n; i++ {

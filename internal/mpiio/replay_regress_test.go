@@ -26,6 +26,11 @@ package mpiio
 //   - the table-length check dropped, so a plan is reused across
 //     communicator sizes            -> TestCollectiveReplayAcrossCommunicators
 //   - rank left out of the key      -> TestCollectiveReplayAcrossCommunicators
+//   - the staging kept while a batch it shipped is still out (the out
+//     check in ReadAllInto dropped)  -> TestCollectiveStagingLifetime/held
+//   - a released batch left out (release does not clear it)
+//                                    -> TestCollectiveStagingLifetime/across-worlds-real
+//   - an encoded batch left out      -> TestCollectiveStagingLifetime/across-worlds-net
 //   - File.segs hands a committed type's array to the handle's own segment
 //     scratch (f.own = ct.segs)     -> TestCommittedViewNotAliased
 
@@ -51,13 +56,10 @@ const (
 )
 
 // rankOp is what one rank does before one round's collective read: which
-// of the replayViews it sets, its SieveGap, and whether it holds this
-// round's received batches (a non-releasing consumer pinning the senders'
-// epochs) until the scenario ends.
+// of the replayViews it sets, and its SieveGap.
 type rankOp struct {
 	view int
 	gap  int64
-	hold bool
 }
 
 // roundOps is one collective round: the object every rank reopens onto and
@@ -157,7 +159,6 @@ func runReplay(t testing.TB, st pfs.Store, ranks int, script []roundOps, run col
 			return
 		}
 		views := newReplayViews(t, me, ranks)
-		var held []*pieceBatch
 		for seq, round := range script {
 			op := round.ranks[me]
 			if err := f.Reopen(c, st, fmt.Sprintf("o%d", round.obj)); err != nil {
@@ -165,10 +166,6 @@ func runReplay(t testing.TB, st pfs.Store, ranks int, script []roundOps, run col
 			}
 			views.set(f, me, op.view)
 			f.SieveGap = op.gap
-			f.collective().holdBatch = nil
-			if op.hold {
-				f.collective().holdBatch = func(b *pieceBatch) bool { held = append(held, b); return true }
-			}
 			n, err := f.ViewSize()
 			if err != nil {
 				t.Errorf("rank %d round %d: %v", me, seq, err)
@@ -179,9 +176,6 @@ func runReplay(t testing.TB, st pfs.Store, ranks int, script []roundOps, run col
 			}
 			out[me] = append(out[me], dst)
 			stats[me] = append(stats[me], snapStats(f, c))
-		}
-		for _, b := range held {
-			b.release()
 		}
 	})
 	if err != nil {
@@ -211,7 +205,7 @@ func requireReplayEqual(t testing.TB, name string, wantOut, gotOut [][][]byte, w
 // scriptFromBytes decodes a byte string into a script, one byte per rank
 // and round (wrapping). Three values in four keep the rank's previous op,
 // so most rounds replay and the changes land between replays; the fourth
-// draws a new view, gap and hold flag. The round's object follows the
+// draws a new view and gap. The round's object follows the
 // round's first byte.
 func scriptFromBytes(data []byte, ranks, rounds int) []roundOps {
 	if len(data) == 0 {
@@ -228,9 +222,8 @@ func scriptFromBytes(data []byte, ranks, rounds int) []roundOps {
 		for r := range ops {
 			b := data[(i*ranks+r)%len(data)]
 			ops[r] = prev[r]
-			ops[r].hold = false
 			if b&3 == 0 {
-				ops[r] = rankOp{view: int(b>>2) % replayViewKinds, gap: gaps[int(b>>5)%len(gaps)], hold: b>>7 == 1}
+				ops[r] = rankOp{view: int(b>>2) % replayViewKinds, gap: gaps[int(b>>5)%len(gaps)]}
 			}
 			prev[r] = ops[r]
 		}
@@ -280,18 +273,10 @@ func TestCollectiveReplayMatchesOracle(t *testing.T) {
 		inPlace[i].ranks[2].view = 4 + i%3
 		inPlace[i].ranks[0].view = []int{4, 4, 2, 2, 4, 3, 3, 4}[i]
 	}
-	// A batch consumer pins an epoch in the middle of a replayed stretch.
-	pinned := steady(ranks, 7, std)
-	pinned[2].ranks[1].hold = true
-	pinned[4].ranks[0].hold = true
-	for i := range pinned {
-		pinned[i].obj = (i / 2) % replayObjs
-	}
 	scripts := map[string][]roundOps{
 		"one-rank-at-a-time":     oneAtATime,
 		"gap-only":               gapOnly,
 		"peer-rewrites-in-place": inPlace,
-		"pinned-epoch":           pinned,
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		data := make([]byte, 64)
@@ -322,7 +307,7 @@ func FuzzCollectiveReplay(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 8, 1, 1, 1, 1, 1})           // one rank changes once
 	f.Add([]byte{0, 4, 8, 12, 16, 20, 24, 32, 64})     // every rank, every round
 	f.Add([]byte{16, 1, 1, 20, 1, 1, 24, 1, 1, 16, 1}) // in-place rewrites
-	f.Add([]byte{128, 1, 1, 1, 1, 1, 160, 1, 1, 1, 1}) // held batches, gap change
+	f.Add([]byte{128, 1, 1, 1, 1, 1, 160, 1, 1, 1, 1}) // view and gap changes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const ranks = 3
 		script := scriptFromBytes(data, ranks, 4+len(data)%9)
@@ -392,12 +377,158 @@ func TestCollectiveReplayAcrossCommunicators(t *testing.T) {
 	}
 }
 
+// stagingOf identifies a handle's shuffle staging: its packed buffer and
+// its batch array.
+type stagingOf struct {
+	packed  *byte
+	batches *pieceBatch
+}
+
+func stagingAt(f *File) stagingOf {
+	s := f.collective()
+	return stagingOf{&s.packed[:1][0], &s.batches[0]}
+}
+
+// TestCollectiveStagingLifetime pins the one lifetime rule of the shuffle
+// staging: the packed buffer and the batches are reused once every batch
+// the last round shipped by reference has been released (or encoded). On
+// one communicator that is always so — its opening exchange proves the
+// last round's receivers are done — and so it is across worlds run one
+// after another, each on a fresh group communicator, which is core's pass
+// loop. A round on another communicator of a live world while a receiver
+// of the last round still holds its batch starts from fresh staging.
+func TestCollectiveStagingLifetime(t *testing.T) {
+	for _, tr := range []struct {
+		name string
+		run  collTransport
+	}{{"real", overReal}, {"net", overNet}} {
+		t.Run("across-worlds-"+tr.name, func(t *testing.T) {
+			const ranks, worlds = 2, 3
+			st := replayStore(t)
+			var files [ranks]*File
+			var seen [ranks][]stagingOf
+			for w := 0; w < worlds; w++ {
+				err := tr.run(ranks, func(c *mpi.Comm) {
+					me := c.Rank()
+					group := c.Sub([]int{0, 1}, 0) // core builds one per pass
+					if files[me] == nil {
+						f, err := Open(group, st, "o0")
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						files[me] = f
+					}
+					f := files[me]
+					view, err := Commit(interleavedView(me, ranks, replayElems, 12))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					dst := make([]byte, view.Size())
+					for seq := 1; seq <= 2; seq++ {
+						if err := f.Reopen(group, st, "o0"); err != nil {
+							t.Error(err)
+						}
+						f.SetView(0, view)
+						if _, err := f.ReadAllInto(seq, dst); err != nil {
+							t.Error(err)
+						}
+						seen[me] = append(seen[me], stagingAt(f))
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for r := range seen {
+				for i := 1; i < len(seen[r]); i++ {
+					if seen[r][i] != seen[r][0] {
+						t.Errorf("rank %d round %d: fresh staging, want the first round's reused", r, i+1)
+					}
+				}
+			}
+		})
+	}
+	t.Run("held", func(t *testing.T) {
+		// Rank 2 is played by hand: it requests nothing, owns the top third
+		// of the union [0, 156), ships rank 0 element 12, and holds the
+		// batches of round 1 until ranks 0 and 1 have run round 2 on a pair.
+		st := pfs.NewMemStore()
+		data := makeTestFile(t, st, "f", 12*16)
+		view, err := Commit(IndexedBlock{Blocklen: 1, Displs: []int64{0, 12}, ElemSize: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(append([]byte(nil), data[:12]...), data[144:156]...)
+		pairDone, released := make(chan struct{}), make(chan struct{})
+		var seen []stagingOf
+		mpi.RunReal(3, func(c *mpi.Comm) {
+			if c.Rank() == 2 {
+				c.Send(0, metaTagBase+2, 0, &metaPayload{})
+				c.Recv(0, metaTagBase+3)
+				c.Send(0, collTagBase+1, 12, &pieceBatch{ps: []piece{{Off: 144, Data: data[144:156]}}})
+				c.Send(1, collTagBase+1, 0, &pieceBatch{})
+				<-pairDone
+				for _, src := range []int{0, 1} {
+					c.Recv(src, collTagBase+1).Data.(*pieceBatch).release()
+				}
+				close(released)
+				return
+			}
+			f, err := Open(c, st, "f")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var mine Datatype = Contig{N: 0, ElemSize: 1}
+			if c.Rank() == 0 {
+				mine = view
+			}
+			dst := make([]byte, mine.Size())
+			pair := c.Sub([]int{0, 1}, 0)
+			for seq, comm := range []*mpi.Comm{c, pair, pair} {
+				if seq == 2 {
+					<-released
+				}
+				if err := f.Reopen(comm, st, "f"); err != nil {
+					t.Error(err)
+				}
+				f.SetView(0, mine)
+				if _, err := f.ReadAllInto(seq+1, dst); err != nil {
+					t.Errorf("rank %d round %d: %v", c.Rank(), seq+1, err)
+				}
+				if c.Rank() == 0 {
+					if !bytes.Equal(dst, want) {
+						t.Errorf("round %d: wrong bytes", seq+1)
+					}
+					seen = append(seen, stagingAt(f))
+				}
+				if seq == 1 && c.Rank() == 0 {
+					close(pairDone)
+				}
+			}
+		})
+		if len(seen) != 3 {
+			t.Fatalf("rank 0 finished %d of 3 rounds", len(seen))
+		}
+		if seen[1] == seen[0] {
+			t.Error("round 2 reused staging rank 2 still held")
+		}
+		if seen[2] != seen[1] {
+			t.Error("round 3 on the same pair did not reuse round 2's staging")
+		}
+	})
+}
+
 // TestCollectiveReplayRejectsForgedPieces plays rank 1 of a two-rank world
 // by hand: an honest first round, so rank 0 has a plan to replay, then a
 // round whose table is unchanged but whose batch is not what the plan
-// expects. The replay must reach the verdict the oracle's assembly would:
-// a short or missing piece leaves the view underfilled, a stray offset is
-// rejected, and a piece split in two is still assembled.
+// expects. Every piece must be the next one the plan expects from its
+// source, offset and length: a short or missing piece leaves the view
+// underfilled, and a stray offset or a piece split in two is refused (the
+// per-call oracle would have assembled the split one; no honest peer sends
+// it, since both sides derive their lists from the same table).
 func TestCollectiveReplayRejectsForgedPieces(t *testing.T) {
 	st := pfs.NewMemStore()
 	data := makeTestFile(t, st, "f", 12*16)
@@ -416,7 +547,7 @@ func TestCollectiveReplayRejectsForgedPieces(t *testing.T) {
 		{"short", func(p piece) []piece { return []piece{{p.Off, p.Data[:8]}} }, false},
 		{"missing", func(p piece) []piece { return nil }, false},
 		{"stray", func(p piece) []piece { return []piece{{p.Off - 24, p.Data}} }, false},
-		{"split", func(p piece) []piece { return []piece{{p.Off, p.Data[:4]}, {p.Off + 4, p.Data[4:]}} }, true},
+		{"split", func(p piece) []piece { return []piece{{p.Off, p.Data[:4]}, {p.Off + 4, p.Data[4:]}} }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mpi.RunReal(2, func(c *mpi.Comm) {
@@ -444,20 +575,15 @@ func TestCollectiveReplayRejectsForgedPieces(t *testing.T) {
 					return
 				}
 				// Rank 1 requests nothing and owns the upper half of the file.
-				var scr CollectiveScratch
 				for seq := 1; seq <= 2; seq++ {
 					c.Send(0, metaTagBase+2*seq, 0, &metaPayload{})
 					c.Recv(0, metaTagBase+2*seq+1)
-					ep := scr.acquireEpoch(1)
-					b := &ep.batches[0]
-					b.ps = []piece{{Off: 144, Data: data[144:156]}}
+					b := &pieceBatch{ps: []piece{{Off: 144, Data: data[144:156]}}}
 					if seq == 2 {
 						b.ps = tc.forge(b.ps[0])
 					}
-					ep.refs.Add(1)
 					c.Send(0, collTagBase+seq, 12, b)
-					c.Recv(0, collTagBase+seq).Data.(*pieceBatch).release()
-					ep.release()
+					c.Recv(0, collTagBase+seq)
 				}
 			})
 		})
