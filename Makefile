@@ -7,7 +7,7 @@
 #   make benchsmoke  # compile + smoke-test the nested quakebench module (bench/)
 #   make bench   # paper-figure and hot-kernel benchmarks
 #   make fuzz    # short fuzz sessions: datatype/collective replay/RLE/strip + data piece + wire codecs + bootstrap handshake + request parser
-#   make size    # non-test lines, test lines, exported identifiers (for CHANGES.md)
+#   make size    # non-test lines, test lines, exported identifiers and struct fields (for CHANGES.md)
 GO ?= go
 
 .PHONY: build test race vet fmtcheck doccheck invarcheck lint bench benchsmoke check ci fuzz size
@@ -51,8 +51,9 @@ doccheck:
 
 # size prints the numbers every CHANGES.md entry reports, so they come out
 # of a command: Go lines outside and inside _test.go files in the root
-# module (bench/ is a nested module and is left out) and the number of
-# exported identifiers doccheck walks.
+# module (bench/ is a nested module and is left out), the number of
+# exported identifiers doccheck walks and, beside it, the exported fields
+# of exported struct types (the settable surface).
 size:
 	@echo "non-test Go lines: $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 	@echo "test Go lines:     $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"

@@ -16,7 +16,9 @@
 // the type's comment is expected to carry that weight.
 //
 // On success it prints the number of exported identifiers it checked — the
-// "exported symbols" figure `make size` reports.
+// "exported symbols" figure `make size` reports — and, beside it, the
+// number of exported fields of exported struct types: the settable surface
+// a caller can configure, which the identifier count does not see.
 package main
 
 import (
@@ -36,15 +38,16 @@ func main() {
 		os.Exit(2)
 	}
 	var missing []string
-	exported := 0
+	exported, fields := 0, 0
 	for _, dir := range os.Args[1:] {
-		m, n, err := checkDir(dir)
+		m, n, f, err := checkDir(dir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 			os.Exit(2)
 		}
 		missing = append(missing, m...)
 		exported += n
+		fields += f
 	}
 	if len(missing) > 0 {
 		sort.Strings(missing)
@@ -54,22 +57,23 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("doccheck: %d exported identifiers, all documented\n", exported)
+	fmt.Printf("doccheck: %d exported identifiers, all documented; %d exported struct fields\n", exported, fields)
 }
 
 // checkDir parses every non-test Go file of one package directory and
 // returns the undocumented exported declarations as "file:line: name"
-// strings, plus the number of exported declarations it checked.
-func checkDir(dir string) ([]string, int, error) {
+// strings, the number of exported declarations it checked and the number
+// of exported fields of its exported struct types.
+func checkDir(dir string) ([]string, int, int, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, parser.ParseComments)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	var missing []string
-	exported := 0
+	exported, fields := 0, 0
 	visit := func(pos token.Pos, name string, documented bool) {
 		exported++
 		if !documented {
@@ -87,11 +91,36 @@ func checkDir(dir string) ([]string, int, error) {
 					}
 				case *ast.GenDecl:
 					checkGenDecl(d, visit)
+					fields += exportedFields(d)
 				}
 			}
 		}
 	}
-	return missing, exported, nil
+	return missing, exported, fields, nil
+}
+
+// exportedFields counts the named exported fields of the exported struct
+// types a declaration defines.
+func exportedFields(d *ast.GenDecl) int {
+	n := 0
+	for _, spec := range d.Specs {
+		ts, ok := spec.(*ast.TypeSpec)
+		if !ok || !ts.Name.IsExported() {
+			continue
+		}
+		st, ok := ts.Type.(*ast.StructType)
+		if !ok {
+			continue
+		}
+		for _, f := range st.Fields.List {
+			for _, name := range f.Names {
+				if name.IsExported() {
+					n++
+				}
+			}
+		}
+	}
+	return n
 }
 
 // exportedReceiver reports whether a func decl is a plain function or a

@@ -48,7 +48,7 @@ func main() {
 	fov := flag.Float64("fov", 0, "perspective field of view in degrees (0 = orthographic)")
 	extent := flag.Float64("extent", 0, "view extent in domain units (smaller = close-up; 0 = fit)")
 	tf := flag.String("tf", "seismic", "transfer function preset: seismic | gray | hot")
-	workers := flag.Int("workers", 0, "per-rank render worker goroutines (0 = split NumCPU across ranks, 1 = single-threaded serial path)")
+	workers := flag.Int("workers", 0, "per-rank render, composite and LIC worker goroutines (0 = automatic, 1 = inline on the rank's goroutine); input ranks always split NumCPU for payload builds")
 	pgvPath := flag.String("pgv", "", "write a peak-ground-velocity surface map PNG to this path")
 	flag.Parse()
 
@@ -99,7 +99,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p.Workers = *workers
 	log.Printf("pipeline: %d input (%dx%d), %d render, %d output ranks; %d steps",
 		layout.NumInput(), *groups, *ips, *renderers, *outputs, w.Steps())
 

@@ -155,11 +155,10 @@ func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 		d.blockNodeIDs[bi] = render.BlockNodeIDs(m, b, d.level)
 		local := make([][8]int32, len(bd.Cells))
 		for ci, cell := range bd.Cells {
-			ids, err := cellCornerIDs(m, cell)
-			if err != nil {
-				return nil, err
-			}
-			for k, id := range ids {
+			for k, id := range m.CornerIDs(cell) {
+				if id < 0 {
+					return nil, fmt.Errorf("core: missing corner node %v of cell %v", mesh.CellCorner(cell, k), cell)
+				}
 				pos, ok := slices.BinarySearch(d.blockNodeIDs[bi], id)
 				if !ok {
 					return nil, fmt.Errorf("core: corner node %d of block %d missing from its node set", id, bi)
@@ -360,21 +359,6 @@ func (d *Dataset) NumSteps() int { return d.meta.NumSteps }
 // VMax returns the quantization range every workload on this dataset
 // shares, which is what makes their frames interchangeable.
 func (d *Dataset) VMax() float32 { return d.vmax }
-
-func cellCornerIDs(m *mesh.Mesh, cell octree.Cell) ([8]int32, error) {
-	var out [8]int32
-	x, y, z := cell.Anchor()
-	step := uint32(1) << (octree.MaxLevel - cell.Level)
-	for i := 0; i < 8; i++ {
-		g := mesh.GridCoord{x + step*uint32(i&1), y + step*uint32(i>>1&1), z + step*uint32(i>>2&1)}
-		id, ok := m.NodeIndex[g]
-		if !ok {
-			return out, fmt.Errorf("core: missing corner node %v of cell %v", g, cell)
-		}
-		out[i] = id
-	}
-	return out, nil
-}
 
 // sortedUnion returns the sorted union of the given node-id sets.
 func sortedUnion(sets [][]int32) []int32 {

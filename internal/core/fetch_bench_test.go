@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/img"
 	"repro/internal/mpi"
-	"repro/internal/mpiio"
 	"repro/internal/quake"
 	"repro/internal/render"
 )
@@ -101,12 +100,8 @@ func BenchmarkFetchStep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f, err := mpiio.Open(c, store, quake.StepObject(i%steps))
-				if err != nil {
-					b.Fatal(err)
-				}
 				raw := make([]byte, n*quake.BytesPerNode)
-				if err := f.ReadContigInto(0, raw); err != nil {
+				if err := store.ReadAt(c, quake.StepObject(i%steps), 0, raw); err != nil {
 					b.Fatal(err)
 				}
 				q := render.QuantizeInto(nil, stepMagnitude(b, raw), 0, w.ds.vmax)

@@ -383,16 +383,12 @@ func TestDecodeChainSpeedupGate(t *testing.T) {
 		t.Skip("set REPRO_PERF_ASSERT=1 to enforce the decode-chain speedup gate")
 	}
 	st := newFetchStore(t, 1<<20)
-	f, err := mpiio.Open(nil, st, "step")
-	if err != nil {
-		t.Fatal(err)
-	}
 	size, _ := st.Size("step")
 	var vec, mag []float32
 	var q []uint8
 	raw := make([]byte, size)
 	runSteady := func() {
-		if err := f.ReadContigInto(0, raw); err != nil {
+		if err := st.ReadAt(nil, "step", 0, raw); err != nil {
 			t.Fatal(err)
 		}
 		var err error
@@ -404,7 +400,7 @@ func TestDecodeChainSpeedupGate(t *testing.T) {
 	}
 	runLegacy := func() {
 		buf := make([]byte, size)
-		if err := f.ReadContigInto(0, buf); err != nil {
+		if err := st.ReadAt(nil, "step", 0, buf); err != nil {
 			t.Fatal(err)
 		}
 		render.QuantizeInto(nil, stepMagnitude(t, buf), 0, 10)

@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/mpi"
@@ -78,9 +79,9 @@ func newFrozenPieces(t *testing.T, w *RealWorkload) *frozenPieces {
 	for bi, cells := range d.blockCells {
 		f.blockCorner[bi] = make([][8]int32, len(cells))
 		for ci, cell := range cells {
-			ids, err := cellCornerIDs(d.mesh, cell)
-			if err != nil {
-				t.Fatal(err)
+			ids := d.mesh.CornerIDs(cell)
+			if slices.Contains(ids[:], -1) {
+				t.Fatalf("block %d cell %v has a corner with no node", bi, cell)
 			}
 			f.blockCorner[bi][ci] = ids
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/mpi"
 )
@@ -249,16 +248,6 @@ func RunModel(l Layout, cfg ModelConfig) (*Result, error) {
 	case cfg.Prefetch > 0:
 		p.PrefetchDepth = cfg.Prefetch
 	}
-	var runErr error
-	var mu sync.Mutex
-	mpi.RunSim(l.WorldSize(), cfg.Scale.SimConfig(), func(c *mpi.Comm) {
-		if err := p.Run(c); err != nil {
-			mu.Lock()
-			if runErr == nil {
-				runErr = err
-			}
-			mu.Unlock()
-		}
-	})
-	return p.Res, runErr
+	_, err = p.RunSim(cfg.Scale.SimConfig())
+	return p.Res, err
 }

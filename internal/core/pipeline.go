@@ -16,8 +16,8 @@ import (
 // ModelWorkload (paper-scale calibrated costs for the timing experiments).
 // All hooks are invoked from the rank's own goroutine/process, except
 // PayloadFor, which an input rank may call concurrently for distinct
-// renderers when Pipeline.Workers permits (both in-tree workloads only
-// read shared state there).
+// renderers when its share of the machine's CPUs exceeds one (both in-tree
+// workloads only read shared state there).
 //
 // A workload owns its wire payloads end to end: the pipeline never
 // inspects them, so a workload that pools payload buffers (RealWorkload
@@ -240,12 +240,6 @@ type Pipeline struct {
 	// prefetch ablation in internal/experiments).
 	PrefetchDepth int
 
-	// Workers bounds the shared-memory parallelism an input rank uses to
-	// build its per-renderer payloads before the (ordered) sends: 0 uses
-	// runtime.NumCPU(), 1 builds serially. Message order and content are
-	// unchanged either way.
-	Workers int
-
 	// tolerate is set when the workload opts into rank-loss degradation
 	// (Options.Faults.Tolerate): a message from a peer the transport has
 	// declared lost becomes an absent (zero) message feeding the
@@ -327,8 +321,20 @@ func (p *Pipeline) Run(c *mpi.Comm) error {
 // and returns the elapsed wall time in seconds and the first error a rank
 // reported.
 func (p *Pipeline) RunReal() (elapsed float64, err error) {
+	return p.runOn(func(body func(*mpi.Comm)) float64 { return mpi.RunReal(p.Layout.WorldSize(), body) })
+}
+
+// RunSim is RunReal on the discrete-event transport (mpi.RunSim) modelling
+// the machine cfg describes; elapsed is virtual seconds.
+func (p *Pipeline) RunSim(cfg mpi.SimConfig) (elapsed float64, err error) {
+	return p.runOn(func(body func(*mpi.Comm)) float64 { return mpi.RunSim(p.Layout.WorldSize(), cfg, body) })
+}
+
+// runOn runs every rank's Run through one transport's launcher and keeps
+// the first error a rank reported.
+func (p *Pipeline) runOn(launch func(body func(*mpi.Comm)) float64) (elapsed float64, err error) {
 	var first sync.Once
-	elapsed = mpi.RunReal(p.Layout.WorldSize(), func(c *mpi.Comm) {
+	elapsed = launch(func(c *mpi.Comm) {
 		if rerr := p.Run(c); rerr != nil {
 			first.Do(func() { err = rerr })
 		}
@@ -350,19 +356,11 @@ func (p *Pipeline) runInput(c *mpi.Comm) error {
 	data := make([]any, l.Renderers)
 	// Payload-build parallelism: constant across steps, so the worker pool
 	// and the build closure are created once and every step's fan-out is a
-	// pool dispatch, not `pw` goroutine spawns.
-	pw := p.Workers
-	if pw <= 0 {
-		// All input ranks share one process under the mock MPI: split the
-		// machine between them like the renderer side does.
-		pw = runtime.NumCPU() / l.NumInput()
-		if pw < 1 {
-			pw = 1
-		}
-	}
-	if pw > l.Renderers {
-		pw = l.Renderers
-	}
+	// pool dispatch, not `pw` goroutine spawns. All input ranks share one
+	// process under the mock MPI, so they split the machine between them
+	// like the renderer side does. Message order and content do not depend
+	// on the width: the sends below go in renderer order either way.
+	pw := min(max(runtime.NumCPU()/l.NumInput(), 1), l.Renderers)
 	var wp *workers.Pool
 	var curT int
 	var curPrep any

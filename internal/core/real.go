@@ -126,7 +126,6 @@ func (d *Dataset) NewWorkload(opts Options) (*RealWorkload, error) {
 	w.rend = render.NewRenderer()
 	w.rend.Lighting = opts.Lighting
 	w.rend.TF = render.TFByName(opts.TFName)
-	w.rend.Workers = opts.Workers
 
 	// Per-rank reuse scratches (PR 3).
 	w.ipScr = make([]*ipScratch, l.NumInput())
@@ -192,33 +191,7 @@ func (w *RealWorkload) aim() {
 		w.rects[r] = w.rects[r][:0]
 	}
 	for bi, root := range w.ds.roots {
-		bmin, bmax := root.Bounds()
-		fx0, fy0, fx1, fy1 := 1e18, 1e18, -1e18, -1e18
-		for ci := 0; ci < 8; ci++ {
-			p := render.Vec3{bmin[0], bmin[1], bmin[2]}
-			if ci&1 != 0 {
-				p[0] = bmax[0]
-			}
-			if ci&2 != 0 {
-				p[1] = bmax[1]
-			}
-			if ci&4 != 0 {
-				p[2] = bmax[2]
-			}
-			x, y := view.Project(p)
-			if x < fx0 {
-				fx0 = x
-			}
-			if y < fy0 {
-				fy0 = y
-			}
-			if x > fx1 {
-				fx1 = x
-			}
-			if y > fy1 {
-				fy1 = y
-			}
-		}
+		fx0, fy0, fx1, fy1, _ := view.ProjectBox(root.Bounds())
 		r := w.ds.owner[bi]
 		w.rects[r] = append(w.rects[r], compositor.Rect{
 			X0: int(fx0), Y0: int(fy0), X1: int(fx1) + 1, Y1: int(fy1) + 1,

@@ -527,7 +527,8 @@ func IOStrategies(quick bool) (*trace.Table, error) {
 			}
 			lo := stepBytes * int64(c.Rank()) / int64(m)
 			hi := stepBytes * int64(c.Rank()+1) / int64(m)
-			if err := f.ReadContigInto(lo, make([]byte, hi-lo)); err != nil {
+			f.SetView(lo, mpiio.Contig{N: int(hi - lo), ElemSize: 1})
+			if _, err := f.ReadInto(make([]byte, hi-lo)); err != nil {
 				firstErr = err
 				return
 			}

@@ -42,7 +42,6 @@ type annotatedFunc struct {
 	file       string // root-relative
 	name       string
 	start, end int // body line span, inclusive
-	pkgDir     string
 }
 
 func (r *runner) allocFree() ([]Finding, error) {
@@ -64,11 +63,10 @@ func (r *runner) allocFree() ([]Finding, error) {
 				_, start := r.position(fd.Body.Pos())
 				_, end := r.position(fd.Body.End())
 				funcs = append(funcs, annotatedFunc{
-					file:   rel,
-					name:   funcName(fd),
-					start:  start,
-					end:    end,
-					pkgDir: r.rel(p.Dir),
+					file:  rel,
+					name:  funcName(fd),
+					start: start,
+					end:   end,
 				})
 				pkgDirs[r.rel(p.Dir)] = true
 			}

@@ -72,13 +72,13 @@ func frozenConvolve(field *quadtree.Grid, noise *Image, x, y int, cfg Config) fl
 			if l < 1e-12 {
 				break // stagnation point
 			}
-			px += dir * cfg.StepSize * vx / l
-			py += dir * cfg.StepSize * vy / l
+			px += dir * stepSize * vx / l
+			py += dir * stepSize * vy / l
 			if px < 0 || py < 0 || px > float64(w-1) || py > float64(h-1) {
 				break
 			}
-			dist += cfg.StepSize
-			t := dir * dist / (float64(cfg.L) * cfg.StepSize)
+			dist += stepSize
+			t := dir * dist / (float64(cfg.L) * stepSize)
 			wt := frozenKernelWeight(t, cfg.Phase)
 			sum += wt * noise.At(int(px+0.5), int(py+0.5))
 			wsum += wt
@@ -172,7 +172,7 @@ func TestConvolveMatchesFrozen(t *testing.T) {
 			field := swirlField(rng, dim.gw, dim.gh, kind.stagnant, kind.nan)
 			for _, L := range []int{1, 10} {
 				for _, phase := range []float64{-1, 0.3} {
-					cfg := Config{L: L, StepSize: 0.5, Seed: 7, Phase: phase}
+					cfg := Config{L: L, Seed: 7, Phase: phase}
 					want := &Image{W: dim.w, H: dim.h, Pix: make([]float32, dim.w*dim.h)}
 					panicked := false
 					for y := 0; y < dim.h; y++ {
@@ -239,7 +239,7 @@ func TestLICStepSpeedupGate(t *testing.T) {
 	}
 	const size = 128
 	samples, tree := licStepSetup(t, 2000, size)
-	cfg := Config{L: size / 12, StepSize: 0.5, Seed: 7, Phase: -1, Workers: 1}
+	cfg := Config{L: size / 12, Seed: 7, Phase: -1, Workers: 1}
 	noise := &Image{}
 	WhiteNoiseInto(noise, size, size, cfg.Seed)
 	var scr Scratch

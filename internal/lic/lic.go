@@ -20,8 +20,6 @@ import (
 type Config struct {
 	// L is the half-length of the convolution kernel in pixels (default 10).
 	L int
-	// StepSize is the streamline integration step in pixels (default 0.5).
-	StepSize float64
 	// Seed makes the white-noise texture reproducible.
 	Seed int64
 	// Periodic phase in [0,1) animates the kernel (flow direction cue);
@@ -100,9 +98,6 @@ func ComputeWith(field *quadtree.Grid, w, h int, cfg Config, scr *Scratch) (*Ima
 	}
 	if cfg.L <= 0 {
 		cfg.L = 10
-	}
-	if cfg.StepSize <= 0 {
-		cfg.StepSize = 0.5
 	}
 	noise := scr.noiseFor(w, h, cfg.Seed)
 	out := &scr.out
@@ -193,6 +188,9 @@ func kernelWeight(t, phase float64) float64 {
 	return (1 + math.Cos(math.Pi*t)) * (1 + math.Cos(2*math.Pi*(t-phase)))
 }
 
+// stepSize is the streamline integration step in pixels.
+const stepSize = 0.5
+
 // convolve traces the streamline through pixel (x,y) forward and backward
 // and convolves the noise texture along it. Both directions leave from the
 // pixel centre, so the field is evaluated there once.
@@ -221,8 +219,8 @@ func convolve(field *quadtree.Grid, noise *Image, x, y int, cfg Config) float64 
 			if l < 1e-12 {
 				break // stagnation point
 			}
-			px += dir * cfg.StepSize * vx / l
-			py += dir * cfg.StepSize * vy / l
+			px += dir * stepSize * vx / l
+			py += dir * stepSize * vy / l
 			if px < 0 || py < 0 || px > float64(w-1) || py > float64(h-1) {
 				break
 			}
@@ -235,8 +233,8 @@ func convolve(field *quadtree.Grid, noise *Image, x, y int, cfg Config) float64 
 				wsum++
 				continue
 			}
-			dist += cfg.StepSize
-			t := dir * dist / (float64(cfg.L) * cfg.StepSize)
+			dist += stepSize
+			t := dir * dist / (float64(cfg.L) * stepSize)
 			wt := kernelWeight(t, cfg.Phase)
 			sum += wt * n
 			wsum += wt

@@ -133,16 +133,6 @@ func FromTree(tree *octree.Tree, domain float64, model Model) *Mesh {
 		Domain:    domain,
 		NodeIndex: make(map[GridCoord]int32),
 	}
-	// Corner offsets in units of the leaf's grid step.
-	corner := func(c octree.Cell, i int) GridCoord {
-		x, y, z := c.Anchor()
-		step := uint32(1) << (octree.MaxLevel - c.Level)
-		return GridCoord{
-			x + step*uint32(i&1),
-			y + step*uint32(i>>1&1),
-			z + step*uint32(i>>2&1),
-		}
-	}
 	node := func(g GridCoord) int32 {
 		if id, ok := m.NodeIndex[g]; ok {
 			return id
@@ -157,7 +147,7 @@ func FromTree(tree *octree.Tree, domain float64, model Model) *Mesh {
 		var e Elem
 		e.Leaf = leaf
 		for i := 0; i < 8; i++ {
-			e.N[i] = node(corner(leaf, i))
+			e.N[i] = node(CellCorner(leaf, i))
 		}
 		if model != nil {
 			e.Mat = model.At(leaf.Center())
@@ -166,6 +156,31 @@ func FromTree(tree *octree.Tree, domain float64, model Model) *Mesh {
 	}
 	m.findHanging()
 	return m
+}
+
+// CellCorner returns the grid coordinate of corner i (0..7, x fastest) of
+// cell c: its anchor plus one cell step along each axis bit i sets. Every
+// table that names a cell's corners — Elem.N, CornerIDs — uses this order.
+func CellCorner(c octree.Cell, i int) GridCoord {
+	x, y, z := c.Anchor()
+	step := uint32(1) << (octree.MaxLevel - c.Level)
+	return GridCoord{x + step*uint32(i&1), y + step*uint32(i>>1&1), z + step*uint32(i>>2&1)}
+}
+
+// CornerIDs returns the node ids of cell c's eight corners in CellCorner
+// order, -1 where the mesh has no node. A leaf's corners are its element's
+// nodes; a coarser cell (an adaptive-level ancestor) may have a corner the
+// mesh never generated, and what that means is the caller's policy.
+func (m *Mesh) CornerIDs(c octree.Cell) [8]int32 {
+	var ids [8]int32
+	for i := range ids {
+		id, ok := m.NodeIndex[CellCorner(c, i)]
+		if !ok {
+			id = -1
+		}
+		ids[i] = id
+	}
+	return ids
 }
 
 // hexEdges lists the 12 edges of a hex as corner-index pairs.

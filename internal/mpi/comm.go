@@ -125,12 +125,10 @@ type Comm struct {
 	collSeq int
 
 	// Stats accumulated by this rank.
-	BytesSent   int64
-	BytesRecv   int64
-	MsgsSent    int
-	MsgsRecv    int
-	IOBytesRead int64
-	IOSeeks     int
+	BytesSent int64
+	BytesRecv int64
+	MsgsSent  int
+	MsgsRecv  int
 }
 
 // Rank returns this rank's index in [0, Size).
@@ -150,11 +148,7 @@ func (c *Comm) Compute(seconds float64) { c.w.compute(c, seconds) }
 // IORead charges a parallel-file-system read of the given size and number
 // of noncontiguous segments (seeks). Under RunReal it is a no-op; real reads
 // go through internal/pfs, which performs them for real.
-func (c *Comm) IORead(bytes int64, seeks int) {
-	c.IOBytesRead += bytes
-	c.IOSeeks += seeks
-	c.w.ioRead(c, bytes, seeks)
-}
+func (c *Comm) IORead(bytes int64, seeks int) { c.w.ioRead(c, bytes, seeks) }
 
 func (c *Comm) checkPeer(r int, op string) {
 	if r < 0 || r >= c.size {

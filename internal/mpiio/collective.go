@@ -25,8 +25,8 @@ package mpiio
 // On top of the staging, the scratch remembers the round's *plan* (collPlan):
 // everything ReadAllInto derives from the exchanged segment table — the
 // physical runs, who is shipped which bytes, where each received piece
-// lands — is a pure function of that table, this rank, the communicator
-// size and SieveGap. A step loop over a static mesh exchanges the same
+// lands — is a pure function of that table, this rank and the communicator
+// size. A step loop over a static mesh exchanges the same
 // table every round, so the plan is built once and replayed until the
 // table's content changes.
 //
@@ -65,8 +65,7 @@ type collPlan struct {
 	// The key: a plan is replayed when the round's table equals this one
 	// segment for segment — one entry per rank, so on a communicator of the
 	// same size; a scratch that has built no plan yet has no entries — on
-	// the same rank, with the same SieveGap.
-	gap   int64
+	// the same rank.
 	rank  int
 	table [][]Segment // per rank, slices of flat
 	flat  []Segment
@@ -204,13 +203,13 @@ func (s *CollectiveScratch) exchangeMeta(c *mpi.Comm, seq int, mySegs []Segment)
 }
 
 // matches reports whether the plan was built for exactly this round: same
-// SieveGap, same rank, and a segment table (one entry per rank of the
+// rank, and a segment table (one entry per rank of the
 // communicator) equal to the retained copy. The comparison is by content,
 // one linear pass: over the network transport every round's table is a
 // freshly decoded slice, so identity would never hit, and in process a peer
 // may rewrite its view cache in place, so identity would hit wrongly.
-func (p *collPlan) matches(all [][]Segment, gap int64, rank int) bool {
-	if p.gap != gap || p.rank != rank || len(all) != len(p.table) {
+func (p *collPlan) matches(all [][]Segment, rank int) bool {
+	if p.rank != rank || len(all) != len(p.table) {
 		return false
 	}
 	for r, rs := range all {
@@ -232,10 +231,10 @@ func span(lo, hi int64, r, m int) int64 {
 // a private copy of the table as the replay key. It runs when the table
 // changed (and on the first round), so unlike ReadAllInto it may allocate
 // while its lists grow to size.
-func (s *CollectiveScratch) buildPlan(all [][]Segment, gap int64, rank int) {
+func (s *CollectiveScratch) buildPlan(all [][]Segment, rank int) {
 	p := &s.plan
 	size := len(all)
-	p.gap, p.rank = gap, rank
+	p.rank = rank
 	p.flat, p.table = p.flat[:0], p.table[:0]
 	for _, rs := range all {
 		p.flat = append(p.flat, rs...)
@@ -271,7 +270,7 @@ func (s *CollectiveScratch) buildPlan(all [][]Segment, gap int64, rank int) {
 		}
 	}
 	s.clipped = Coalesce(s.clipped)
-	p.runs = planSieveInto(p.runs, s.clipped, gap)
+	p.runs = planSieveInto(p.runs, s.clipped, sieveGap)
 	for _, r := range p.runs {
 		p.total += r.Len
 	}
@@ -336,7 +335,7 @@ func (s *CollectiveScratch) buildPlan(all [][]Segment, gap int64, rank int) {
 // message accounting stay bit-identical to the per-call oracle the tests
 // keep (readAllIntoPerCall). The partitioning itself — runs, piece lists,
 // landing positions — is derived from the exchanged segment table only
-// when that table, this rank or SieveGap changed; otherwise the scratch's
+// when that table or this rank changed; otherwise the scratch's
 // plan is replayed (collPlan), with the same reads, messages and bytes.
 // Every received piece must be the next one the plan expects from its
 // source, offset and length: both sides derive their lists from the same
@@ -376,8 +375,8 @@ func (f *File) ReadAllInto(seq int, dst []byte) (int, error) {
 	// Phase 0: exchange request metadata — the epoch boundary.
 	all := s.exchangeMeta(c, seq, mySegs)
 	p := &s.plan
-	if !p.matches(all, f.SieveGap, c.Rank()) {
-		s.buildPlan(all, f.SieveGap, c.Rank())
+	if !p.matches(all, c.Rank()) {
+		s.buildPlan(all, c.Rank())
 	}
 	if p.empty { // nobody wants anything
 		return 0, preErr

@@ -391,7 +391,7 @@ func (f *File) readAllIntoPerCall(seq int, dst []byte) (int, error) {
 		}
 	}
 	clipped = Coalesce(clipped)
-	plan := planSieveInto(nil, clipped, f.SieveGap)
+	plan := planSieveInto(nil, clipped, sieveGap)
 	// Read the physical runs back-to-back into one packed buffer (a single
 	// allocation regardless of the run count). The buffer is per-call, not
 	// the reusable scratch: the pieces shuffled to other ranks alias it

@@ -24,10 +24,10 @@ func TestValidationErrorsClassifiedPermanent(t *testing.T) {
 
 		_, err := readContig(f, 60, 10)
 		if !errors.Is(err, pfs.ErrPermanent) {
-			t.Errorf("ReadContig beyond EOF: err = %v, want pfs.ErrPermanent", err)
+			t.Errorf("contiguous read beyond EOF: err = %v, want pfs.ErrPermanent", err)
 		}
-		if err := f.ReadContigInto(-1, make([]byte, 4)); !errors.Is(err, pfs.ErrPermanent) {
-			t.Errorf("ReadContigInto negative offset: err = %v, want pfs.ErrPermanent", err)
+		if _, err := readContig(f, -1, 4); !errors.Is(err, pfs.ErrPermanent) {
+			t.Errorf("contiguous read at a negative offset: err = %v, want pfs.ErrPermanent", err)
 		}
 
 		f.SetView(0, IndexedBlock{Blocklen: 1, Displs: []int64{100}, ElemSize: 8})

@@ -2,8 +2,8 @@ package mpiio
 
 // PR 4's regression harness for the fetch-side handle reuse: Reopen must
 // behave exactly like a fresh Open (while keeping the grown scratch
-// buffers), ReadContigInto/ReadAllInto must return the file's bytes for
-// fresh and reused destinations alike, and the steady-state reopen-per-step indexed
+// buffers), ReadAllInto must return the file's bytes for fresh and reused
+// destinations alike, and the steady-state reopen-per-step indexed
 // read — the input processors' per-timestep pattern — must allocate
 // nothing.
 
@@ -30,14 +30,13 @@ func TestReopenMatchesOpen(t *testing.T) {
 	if !bytes.Equal(got, a) {
 		t.Fatal("initial open read mismatch")
 	}
-	// Narrow the view and sieve gap, then Reopen: both must reset.
+	// Narrow the view, then Reopen: it must reset to the new whole object.
 	f.SetView(8, Contig{N: 16, ElemSize: 4})
-	f.SieveGap = 1
 	if err := f.Reopen(nil, st, "b"); err != nil {
 		t.Fatal(err)
 	}
-	if f.size != int64(len(b)) || f.SieveGap != DefaultSieveGap {
-		t.Errorf("Reopen kept stale size/sieve gap: %d, %d", f.size, f.SieveGap)
+	if f.size != int64(len(b)) {
+		t.Errorf("Reopen kept stale size %d", f.size)
 	}
 	got, err = readView(f)
 	if err != nil {
@@ -48,28 +47,6 @@ func TestReopenMatchesOpen(t *testing.T) {
 	}
 	if err := f.Reopen(nil, st, "missing"); err == nil {
 		t.Error("Reopen of a missing object succeeded")
-	}
-}
-
-func TestReadContigIntoMatchesReadContig(t *testing.T) {
-	st := pfs.NewMemStore()
-	data := makeTestFile(t, st, "f", 2048)
-	f, err := Open(nil, st, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]byte, 300)
-	if err := f.ReadContigInto(100, dst); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data[100:400], dst) {
-		t.Error("ReadContigInto differs from the file contents")
-	}
-	if err := f.ReadContigInto(2000, dst); err == nil {
-		t.Error("read beyond EOF accepted")
-	}
-	if err := f.ReadContigInto(-1, dst[:1]); err == nil {
-		t.Error("negative offset accepted")
 	}
 }
 

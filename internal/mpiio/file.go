@@ -7,14 +7,15 @@ import (
 	"repro/internal/pfs"
 )
 
-// DefaultSieveGap is the largest hole (in bytes) that data sieving will
-// read through rather than splitting into separate requests. ROMIO's
-// default sieving buffer is of this order.
-const DefaultSieveGap = 64 << 10
+// sieveGap is the largest hole (in bytes) that data sieving reads through
+// rather than splitting into separate requests, independent and collective
+// reads alike. ROMIO's default sieving buffer is of this order.
+const sieveGap = 64 << 10
 
 // File is an open MPI-IO file handle. A handle is rank-local; collective
 // operations (ReadAllInto) must be invoked by every rank of the communicator
-// in the same order, as in MPI.
+// in the same order, as in MPI. Both read paths sieve through holes of up to
+// 64 KiB; a contiguous read is a Contig view at its offset.
 type File struct {
 	c    *mpi.Comm
 	st   pfs.Store
@@ -24,9 +25,6 @@ type File struct {
 	disp    int64
 	view    Datatype
 	defView Contig // backing store for the default whole-file view
-
-	// SieveGap tunes data sieving; zero disables coalescing through holes.
-	SieveGap int64
 
 	// View cache, valid while viewFresh (until the next SetView or Reopen):
 	// cur are the view's absolute segments and useful their byte total. A
@@ -41,14 +39,12 @@ type File struct {
 	own       []Segment
 
 	// Independent-read staging: the sieve plan (physical runs, planTotal
-	// bytes in all) is kept while the segments and the SieveGap it was
-	// built from are unchanged — planOK is dropped whenever own is
-	// rewritten or another committed type than planOf is viewed — and the
-	// runs land in one packed read buffer, so a repeated ReadInto
-	// allocates nothing.
+	// bytes in all) is kept while the segments it was built from are
+	// unchanged — planOK is dropped whenever own is rewritten or another
+	// committed type than planOf is viewed — and the runs land in one packed
+	// read buffer, so a repeated ReadInto allocates nothing.
 	plan      []Segment
 	planTotal int64
-	planGap   int64
 	planOf    *committed
 	planOK    bool
 	scratch   []byte
@@ -93,7 +89,6 @@ func (f *File) Reopen(c *mpi.Comm, st pfs.Store, name string) error {
 	f.disp = 0
 	f.defView = Contig{N: int(size), ElemSize: 1}
 	f.view = &f.defView
-	f.SieveGap = DefaultSieveGap
 	f.viewFresh = false
 	return nil
 }
@@ -199,13 +194,13 @@ func (f *File) ReadInto(dst []byte) (int, error) {
 	if int64(len(dst)) < useful {
 		return 0, fmt.Errorf("mpiio: ReadInto buffer holds %d of %d view bytes: %w", len(dst), useful, pfs.ErrPermanent)
 	}
-	if !f.planOK || f.planGap != f.SieveGap {
-		f.plan = planSieveInto(f.plan[:0], segs, f.SieveGap)
+	if !f.planOK {
+		f.plan = planSieveInto(f.plan[:0], segs, sieveGap)
 		f.planTotal = 0
 		for _, p := range f.plan {
 			f.planTotal += p.Len
 		}
-		f.planOK, f.planGap = true, f.SieveGap
+		f.planOK = true
 	}
 	total := f.planTotal
 	if int64(cap(f.scratch)) < total {
@@ -232,24 +227,6 @@ func (f *File) ReadInto(dst []byte) (int, error) {
 	}
 	f.UsefulBytes += useful
 	return int(useful), nil
-}
-
-// ReadContigInto reads [off, off+len(dst)) directly into the caller's
-// buffer, bypassing the view — the "independent contiguous read" strategy
-// of Section 5.3.2, and the allocation-free per-timestep contiguous fetch.
-// An out-of-range request fails before any I/O.
-func (f *File) ReadContigInto(off int64, dst []byte) error {
-	n := int64(len(dst))
-	if off < 0 || off+n > f.size {
-		return fmt.Errorf("mpiio: contiguous read [%d,%d) beyond EOF of %q: %w", off, off+n, f.name, pfs.ErrPermanent)
-	}
-	if err := f.st.ReadAt(f.c, f.name, off, dst); err != nil {
-		return err
-	}
-	f.PhysReads++
-	f.PhysBytes += n
-	f.UsefulBytes += n
-	return nil
 }
 
 // collTagBase is the tag space for two-phase shuffles; the caller passes a

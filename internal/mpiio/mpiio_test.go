@@ -3,6 +3,7 @@ package mpiio
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -93,15 +94,38 @@ func TestCoalesceProperty(t *testing.T) {
 	}
 }
 
+// TestPlanSieve pins the sieve plan at three gaps: 0 (only touching
+// segments merge), 1 (a one-byte hole is read through) and sieveGap, the
+// one both read paths use, on either side of its boundary.
 func TestPlanSieve(t *testing.T) {
-	segs := []Segment{{0, 10}, {15, 5}, {1000, 10}}
-	plan := planSieveInto(nil, segs, 16)
-	if len(plan) != 2 || plan[0] != (Segment{0, 20}) || plan[1] != (Segment{1000, 10}) {
-		t.Errorf("plan = %v", plan)
+	mixed := []Segment{{0, 10}, {15, 5}, {1000, 10}}
+	oneByte := []Segment{{0, 4}, {5, 4}, {10, 4}}
+	strided := make([]Segment, 64) // 8 useful bytes every 128
+	for i := range strided {
+		strided[i] = Segment{int64(i) * 128, 8}
 	}
-	plan0 := planSieveInto(nil, segs, 0)
-	if len(plan0) != 3 {
-		t.Errorf("gap=0 plan = %v", plan0)
+	atGap := []Segment{{0, 8}, {8 + sieveGap, 8}}
+	pastGap := []Segment{{0, 8}, {9 + sieveGap, 8}}
+	for _, tc := range []struct {
+		name string
+		segs []Segment
+		gap  int64
+		want []Segment
+	}{
+		{"mixed/0", mixed, 0, mixed},
+		{"mixed/1", mixed, 1, mixed},
+		{"mixed/64KiB", mixed, sieveGap, []Segment{{0, 1010}}},
+		{"one-byte-holes/0", oneByte, 0, oneByte},
+		{"one-byte-holes/1", oneByte, 1, []Segment{{0, 14}}},
+		{"strided/0", strided, 0, strided},
+		{"strided/1", strided, 1, strided},
+		{"strided/64KiB", strided, sieveGap, []Segment{{0, 63*128 + 8}}},
+		{"hole-of-64KiB/64KiB", atGap, sieveGap, []Segment{{0, 16 + sieveGap}}},
+		{"hole-past-64KiB/64KiB", pastGap, sieveGap, pastGap},
+	} {
+		if got := planSieveInto(nil, tc.segs, tc.gap); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: plan = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -117,8 +141,9 @@ func makeTestFile(t testing.TB, st pfs.Store, name string, n int) []byte {
 	return data
 }
 
-// readView, readContig and readAllView run the ...Into reads into a fresh,
-// exactly sized destination, the way a one-shot caller does.
+// readView and readAllView run the ...Into reads into a fresh, exactly
+// sized destination, the way a one-shot caller does; readContig is the
+// contiguous read: a Contig view of n bytes at off.
 func readView(f *File) ([]byte, error) {
 	n, err := f.ViewSize()
 	if err != nil {
@@ -132,11 +157,8 @@ func readView(f *File) ([]byte, error) {
 }
 
 func readContig(f *File, off, n int64) ([]byte, error) {
-	out := make([]byte, n)
-	if err := f.ReadContigInto(off, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	f.SetView(off, Contig{N: int(n), ElemSize: 1})
+	return readView(f)
 }
 
 func readAllView(f *File, seq int) ([]byte, error) {
@@ -178,46 +200,41 @@ func TestIndependentReadMatchesDirect(t *testing.T) {
 	})
 }
 
+// TestSievingReducesRequests: 64 segments with 120-byte holes are one
+// physical read through the holes, and the packed bytes are the file's.
+// TestPlanSieve has the same view at gap 0: 64 runs.
 func TestSievingReducesRequests(t *testing.T) {
 	st := pfs.NewMemStore()
-	makeTestFile(t, st, "f", 1<<16)
+	data := makeTestFile(t, st, "f", 1<<16)
 	mpi.RunReal(1, func(c *mpi.Comm) {
 		displs := make([]int64, 64)
+		var want []byte
 		for i := range displs {
 			displs[i] = int64(i * 16) // 8 useful bytes every 128 bytes
+			want = append(want, data[i*128:i*128+8]...)
 		}
-		view := IndexedBlock{Blocklen: 1, Displs: displs, ElemSize: 8}
-
 		sieved, _ := Open(c, st, "f")
-		sieved.SetView(0, view)
-		a, err := readView(sieved)
+		sieved.SetView(0, IndexedBlock{Blocklen: 1, Displs: displs, ElemSize: 8})
+		got, err := readView(sieved)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		nosieve, _ := Open(c, st, "f")
-		nosieve.SieveGap = 0
-		nosieve.SetView(0, view)
-		b, err := readView(nosieve)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if !bytes.Equal(a, b) {
+		if !bytes.Equal(got, want) {
 			t.Error("sieving changed read contents")
 		}
 		if sieved.PhysReads != 1 {
 			t.Errorf("sieved PhysReads = %d, want 1", sieved.PhysReads)
 		}
-		if nosieve.PhysReads != 64 {
-			t.Errorf("unsieved PhysReads = %d, want 64", nosieve.PhysReads)
-		}
-		if sieved.PhysBytes <= nosieve.PhysBytes {
-			t.Error("sieving should read more raw bytes through holes")
+		if want := int64(63*128 + 8); sieved.PhysBytes != want || sieved.UsefulBytes != 64*8 {
+			t.Errorf("sieved PhysBytes/UsefulBytes = %d/%d, want %d/%d", sieved.PhysBytes, sieved.UsefulBytes, want, 64*8)
 		}
 	})
 }
 
+// TestReadContig: the contiguous read — a Contig view at its offset — is
+// one physical read of exactly its bytes, and a range past EOF or before
+// the start of the object is refused.
 func TestReadContig(t *testing.T) {
 	st := pfs.NewMemStore()
 	data := makeTestFile(t, st, "f", 1024)
@@ -231,8 +248,14 @@ func TestReadContig(t *testing.T) {
 		if !bytes.Equal(got, data[100:150]) {
 			t.Error("contiguous read mismatch")
 		}
+		if f.PhysReads != 1 || f.PhysBytes != 50 || f.UsefulBytes != 50 {
+			t.Errorf("PhysReads/PhysBytes/UsefulBytes = %d/%d/%d, want 1/50/50", f.PhysReads, f.PhysBytes, f.UsefulBytes)
+		}
 		if _, err := readContig(f, 1000, 100); err == nil {
 			t.Error("read past EOF succeeded")
+		}
+		if _, err := readContig(f, -1, 1); err == nil {
+			t.Error("negative offset accepted")
 		}
 	})
 }

@@ -101,15 +101,14 @@ func TestReadIntoAllocFree(t *testing.T) {
 // run, PhysBytes spanning the sieved holes, UsefulBytes only the view.
 func TestPackedReadKeepsSievingStats(t *testing.T) {
 	st := pfs.NewMemStore()
-	makeTestFile(t, st, "f", 64<<10)
+	makeTestFile(t, st, "f", 256<<10)
 	f, err := Open(nil, st, "f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.SieveGap = 64
 	// Three clusters of reads: within a cluster the 32-byte holes sieve
-	// through; across clusters the gaps exceed the 64-byte SieveGap.
-	f.SetView(0, IndexedBlock{Blocklen: 4, Displs: []int64{0, 8, 16, 1000, 1008, 4000}, ElemSize: 8})
+	// through; across clusters the holes exceed the 64 KiB sieve gap.
+	f.SetView(0, IndexedBlock{Blocklen: 4, Displs: []int64{0, 8, 16, 10000, 10008, 20000}, ElemSize: 8})
 	if _, err := readView(f); err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +116,8 @@ func TestPackedReadKeepsSievingStats(t *testing.T) {
 		t.Errorf("PhysReads = %d, want 3 (one per sieve run)", f.PhysReads)
 	}
 	// run 1: segments at 0/64/128 (3x32B) sieving through two 32B holes;
-	// run 2: segments at 8000/8064 (2x32B) through one 32B hole;
-	// run 3: the lone segment at 32000.
+	// run 2: segments at 80000/80064 (2x32B) through one 32B hole;
+	// run 3: the lone segment at 160000.
 	wantPhys := int64((3*32 + 2*32) + (2*32 + 32) + 32)
 	if f.PhysBytes != wantPhys {
 		t.Errorf("PhysBytes = %d, want %d", f.PhysBytes, wantPhys)

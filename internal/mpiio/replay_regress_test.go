@@ -16,7 +16,6 @@ package mpiio
 //
 //   - matches skips one rank's table (`for r, rs := range all[1:]`, or
 //     all[:len(all)-1])            -> TestCollectiveReplayMatchesOracle/one-rank-at-a-time
-//   - SieveGap left out of the key  -> .../gap-only (PhysReads/PhysBytes differ)
 //   - buildPlan retains the peers' slices (p.table = append(p.table, rs))
 //     instead of a copy             -> .../peer-rewrites-in-place on RunReal
 //     (a peer's view cache is rewritten in place, the retained slice
@@ -55,18 +54,11 @@ const (
 	replayObjs  = 4
 )
 
-// rankOp is what one rank does before one round's collective read: which
-// of the replayViews it sets, and its SieveGap.
-type rankOp struct {
-	view int
-	gap  int64
-}
-
 // roundOps is one collective round: the object every rank reopens onto and
-// each rank's op.
+// the view kind (of the replayViews) each rank sets before its read.
 type roundOps struct {
 	obj   int
-	ranks []rankOp
+	views []int
 }
 
 // replayViews builds the view menu of one rank. Kinds 0 and 1 are committed
@@ -160,12 +152,10 @@ func runReplay(t testing.TB, st pfs.Store, ranks int, script []roundOps, run col
 		}
 		views := newReplayViews(t, me, ranks)
 		for seq, round := range script {
-			op := round.ranks[me]
 			if err := f.Reopen(c, st, fmt.Sprintf("o%d", round.obj)); err != nil {
 				t.Errorf("rank %d round %d: %v", me, seq, err)
 			}
-			views.set(f, me, op.view)
-			f.SieveGap = op.gap
+			views.set(f, me, round.views[me])
 			n, err := f.ViewSize()
 			if err != nil {
 				t.Errorf("rank %d round %d: %v", me, seq, err)
@@ -203,44 +193,39 @@ func requireReplayEqual(t testing.TB, name string, wantOut, gotOut [][][]byte, w
 }
 
 // scriptFromBytes decodes a byte string into a script, one byte per rank
-// and round (wrapping). Three values in four keep the rank's previous op,
+// and round (wrapping). Three values in four keep the rank's previous view,
 // so most rounds replay and the changes land between replays; the fourth
-// draws a new view and gap. The round's object follows the
-// round's first byte.
+// draws a new view. The round's object follows the round's first byte.
 func scriptFromBytes(data []byte, ranks, rounds int) []roundOps {
 	if len(data) == 0 {
 		data = []byte{0}
 	}
-	gaps := []int64{DefaultSieveGap, 0, 24}
-	prev := make([]rankOp, ranks)
-	for r := range prev {
-		prev[r] = rankOp{view: 0, gap: DefaultSieveGap}
-	}
+	prev := make([]int, ranks)
 	script := make([]roundOps, rounds)
 	for i := range script {
-		ops := make([]rankOp, ranks)
-		for r := range ops {
+		views := make([]int, ranks)
+		for r := range views {
 			b := data[(i*ranks+r)%len(data)]
-			ops[r] = prev[r]
+			views[r] = prev[r]
 			if b&3 == 0 {
-				ops[r] = rankOp{view: int(b>>2) % replayViewKinds, gap: gaps[int(b>>5)%len(gaps)]}
+				views[r] = int(b>>2) % replayViewKinds
 			}
-			prev[r] = ops[r]
+			prev[r] = views[r]
 		}
-		script[i] = roundOps{obj: int(data[(i*ranks)%len(data)]>>3) % replayObjs, ranks: ops}
+		script[i] = roundOps{obj: int(data[(i*ranks)%len(data)]>>3) % replayObjs, views: views}
 	}
 	return script
 }
 
-// steady returns n copies of one round in which every rank has the same op.
-func steady(ranks, n int, op rankOp) []roundOps {
+// steady returns n copies of one round in which every rank sets view kind.
+func steady(ranks, n, kind int) []roundOps {
 	var script []roundOps
 	for i := 0; i < n; i++ {
-		ops := make([]rankOp, ranks)
-		for r := range ops {
-			ops[r] = op
+		views := make([]int, ranks)
+		for r := range views {
+			views[r] = kind
 		}
-		script = append(script, roundOps{ranks: ops})
+		script = append(script, roundOps{views: views})
 	}
 	return script
 }
@@ -250,32 +235,25 @@ func steady(ranks, n int, op rankOp) []roundOps {
 // ones that mix them, on all three transports.
 func TestCollectiveReplayMatchesOracle(t *testing.T) {
 	const ranks = 4
-	std := rankOp{view: 0, gap: DefaultSieveGap}
 	// One rank changes its view per round, every rank in turn (and back),
 	// while the others replay.
 	var oneAtATime []roundOps
-	for i, round := range steady(ranks, 3*ranks+2, std) {
+	for i, round := range steady(ranks, 3*ranks+2, 0) {
 		if i > 0 && i%3 != 0 {
-			round.ranks[(i/3)%ranks].view = 1 + i%3
+			round.views[(i/3)%ranks] = 1 + i%3
 		}
 		round.obj = i % replayObjs
 		oneAtATime = append(oneAtATime, round)
 	}
-	// Only SieveGap changes, on one rank, between otherwise equal rounds
-	// (of a view whose union has holes, so the gap decides the runs).
-	gapOnly := steady(ranks, 6, rankOp{view: 1, gap: DefaultSieveGap})
-	gapOnly[2].ranks[1].gap, gapOnly[3].ranks[1].gap = 0, 0
-	gapOnly[4].ranks[3].gap = 24
 	// A peer rewrites a plain view in place: same slice, same length, other
 	// offsets. Empty and back rides along.
-	inPlace := steady(ranks, 8, rankOp{view: 4, gap: DefaultSieveGap})
+	inPlace := steady(ranks, 8, 4)
 	for i := range inPlace {
-		inPlace[i].ranks[2].view = 4 + i%3
-		inPlace[i].ranks[0].view = []int{4, 4, 2, 2, 4, 3, 3, 4}[i]
+		inPlace[i].views[2] = 4 + i%3
+		inPlace[i].views[0] = []int{4, 4, 2, 2, 4, 3, 3, 4}[i]
 	}
 	scripts := map[string][]roundOps{
 		"one-rank-at-a-time":     oneAtATime,
-		"gap-only":               gapOnly,
 		"peer-rewrites-in-place": inPlace,
 	}
 	for seed := int64(1); seed <= 3; seed++ {
@@ -307,7 +285,7 @@ func FuzzCollectiveReplay(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 8, 1, 1, 1, 1, 1})           // one rank changes once
 	f.Add([]byte{0, 4, 8, 12, 16, 20, 24, 32, 64})     // every rank, every round
 	f.Add([]byte{16, 1, 1, 20, 1, 1, 24, 1, 1, 16, 1}) // in-place rewrites
-	f.Add([]byte{128, 1, 1, 1, 1, 1, 160, 1, 1, 1, 1}) // view and gap changes
+	f.Add([]byte{128, 1, 1, 1, 1, 1, 160, 1, 1, 1, 1}) // view changes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const ranks = 3
 		script := scriptFromBytes(data, ranks, 4+len(data)%9)

@@ -3,6 +3,7 @@ package pfs
 import (
 	"bytes"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -78,16 +79,17 @@ func TestWriteReplacesVirtual(t *testing.T) {
 func TestReadChargesIO(t *testing.T) {
 	st := NewMemStore()
 	st.Write("a", make([]byte, 1000))
-	_, comms := mpi.RunSimStats(1, mpi.SimConfig{
-		OutBW: 1e8, InBW: 1e8, DiskClientBW: 1e6, DiskAggBW: 1e7,
+	elapsed := mpi.RunSim(1, mpi.SimConfig{
+		OutBW: 1e8, InBW: 1e8, DiskClientBW: 1e6, DiskAggBW: 1e7, SeekTime: 0.01,
 	}, func(c *mpi.Comm) {
 		buf := make([]byte, 500)
 		if err := st.ReadAt(c, "a", 0, buf); err != nil {
 			t.Error(err)
 		}
 	})
-	if comms[0].IOBytesRead != 500 || comms[0].IOSeeks != 1 {
-		t.Errorf("io stats = %d bytes, %d seeks", comms[0].IOBytesRead, comms[0].IOSeeks)
+	// One seek, then 500 bytes at the 1 MB/s client bandwidth.
+	if want := 0.01 + 500/1e6; math.Abs(elapsed-want) > 1e-12 {
+		t.Errorf("read charged %v s of virtual time, want %v", elapsed, want)
 	}
 }
 

@@ -24,7 +24,6 @@ type node struct {
 	x0, y0, size float64
 	samples      []int
 	children     *[4]node
-	used         bool
 }
 
 // Tree is a point-region quadtree over the unit square. The node storage
@@ -85,7 +84,7 @@ func (t *Tree) rebuild(samples []Sample) error {
 	}
 	t.arenaUsed = 0
 	t.nearW, t.nearH = 0, 0
-	t.root = node{x0: 0, y0: 0, size: 1, used: true, samples: t.root.samples[:0]}
+	t.root = node{x0: 0, y0: 0, size: 1, samples: t.root.samples[:0]}
 	for i := range samples {
 		t.insert(&t.root, i, 0)
 	}
@@ -167,10 +166,10 @@ func (t *Tree) childFor(n *node, si int) *node {
 func (t *Tree) split(n *node) {
 	h := n.size / 2
 	blk := t.newChildren()
-	blk[0] = node{x0: n.x0, y0: n.y0, size: h, used: true, samples: blk[0].samples[:0]}
-	blk[1] = node{x0: n.x0 + h, y0: n.y0, size: h, used: true, samples: blk[1].samples[:0]}
-	blk[2] = node{x0: n.x0, y0: n.y0 + h, size: h, used: true, samples: blk[2].samples[:0]}
-	blk[3] = node{x0: n.x0 + h, y0: n.y0 + h, size: h, used: true, samples: blk[3].samples[:0]}
+	blk[0] = node{x0: n.x0, y0: n.y0, size: h, samples: blk[0].samples[:0]}
+	blk[1] = node{x0: n.x0 + h, y0: n.y0, size: h, samples: blk[1].samples[:0]}
+	blk[2] = node{x0: n.x0, y0: n.y0 + h, size: h, samples: blk[2].samples[:0]}
+	blk[3] = node{x0: n.x0 + h, y0: n.y0 + h, size: h, samples: blk[3].samples[:0]}
 	n.children = blk
 	old := n.samples
 	n.samples = n.samples[:0]

@@ -393,17 +393,9 @@ func ExtractBlockDataInto(bd *BlockData, m *mesh.Mesh, scalar []float32, block o
 				vals[i] = scalar[nid]
 			}
 		} else {
-			x, y, z := cell.Anchor()
-			step := uint32(1) << (octree.MaxLevel - cell.Level)
-			for i := 0; i < 8; i++ {
-				g := mesh.GridCoord{
-					x + step*uint32(i&1),
-					y + step*uint32(i>>1&1),
-					z + step*uint32(i>>2&1),
-				}
-				nid, ok := m.NodeIndex[g]
-				if !ok {
-					return fmt.Errorf("render: missing corner node %v for cell %v", g, cell)
+			for i, nid := range m.CornerIDs(cell) {
+				if nid < 0 {
+					return fmt.Errorf("render: missing corner node %v for cell %v", mesh.CellCorner(cell, i), cell)
 				}
 				vals[i] = scalar[nid]
 			}
@@ -443,11 +435,8 @@ func BlockNodeIDs(m *mesh.Mesh, block octree.Block, level uint8) []int32 {
 			ids = append(ids, m.Elems[li].N[:]...)
 			continue
 		}
-		x, y, z := cell.Anchor()
-		step := uint32(1) << (octree.MaxLevel - cell.Level)
-		for i := 0; i < 8; i++ {
-			g := mesh.GridCoord{x + step*uint32(i&1), y + step*uint32(i>>1&1), z + step*uint32(i>>2&1)}
-			if nid, ok := m.NodeIndex[g]; ok {
+		for _, nid := range m.CornerIDs(cell) {
+			if nid >= 0 { // a corner the mesh has no node for is skipped
 				ids = append(ids, nid)
 			}
 		}

@@ -130,24 +130,24 @@ func (r *Renderer) castRayReference(s *referenceSampler, o, d Vec3, t0, t1, step
 		if density <= 0 {
 			continue
 		}
-		alpha := 1 - math.Exp(-density*r.DensityScale*step)
+		alpha := 1 - math.Exp(-density*step)
 		if r.Lighting {
 			g := s.gradient(p)
 			gl := math.Sqrt(dot(g, g))
 			if gl > 1e-9 {
 				n := scale(g, 1/gl)
-				diff := dot(n, r.LightDir)
+				diff := dot(n, lightDir)
 				if diff < 0 {
 					diff = -diff // double-sided shading for volumes
 				}
-				shade := r.Ambient + (1-r.Ambient)*diff
+				shade := ambient + (1-ambient)*diff
 				er *= shade
 				eg *= shade
 				eb *= shade
 			} else {
-				er *= r.Ambient
-				eg *= r.Ambient
-				eb *= r.Ambient
+				er *= ambient
+				eg *= ambient
+				eb *= ambient
 			}
 		}
 		w := (1 - aa) * alpha
@@ -155,7 +155,7 @@ func (r *Renderer) castRayReference(s *referenceSampler, o, d Vec3, t0, t1, step
 		ag += w * eg
 		ab += w * eb
 		aa += w
-		if aa >= r.EarlyTermination {
+		if aa >= earlyTermination {
 			break
 		}
 	}
@@ -556,7 +556,7 @@ func TestCastRowsMatchesReference(t *testing.T) {
 					if !ok {
 						continue
 					}
-					want := rr.castRowsReference(bd, &view, rr.StepScale*bd.MinCellSize(), &located)
+					want := rr.castRowsReference(bd, &view, stepScale*bd.MinCellSize(), &located)
 					if frag.X0 != want.X0 || frag.Y0 != want.Y0 || frag.Img.W != want.Img.W || frag.Img.H != want.Img.H {
 						t.Fatalf("%s tf %s view %d block %d: fragment %d,%d %dx%d, reference %d,%d %dx%d", oc.name, tc.name, vi, bi,
 							frag.X0, frag.Y0, frag.Img.W, frag.Img.H, want.X0, want.Y0, want.Img.W, want.Img.H)
@@ -632,7 +632,7 @@ func TestOccupiedBoxFollowsTheTable(t *testing.T) {
 	sl.reset(bd)
 	sr.reset(bd)
 	bmin, bmax := bd.Root.Bounds()
-	step := rr.StepScale * bd.MinCellSize()
+	step := stepScale * bd.MinCellSize()
 	located := 0
 	for py := 0; py < view.Height; py++ {
 		for px := 0; px < view.Width; px++ {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/img"
@@ -31,27 +32,23 @@ func workerCounts() []int {
 }
 
 // TestRenderParallelMatchesSerial is the parity guarantee of the parallel
-// engine: for every worker count, lighting mode and early-termination
-// setting, RenderParallelWith must reproduce RenderSerial pixel-exactly
-// (tolerance 0 — the parallel path runs the identical arithmetic).
+// engine: for every worker count and lighting mode, RenderParallelWith must
+// reproduce RenderSerial pixel-exactly (tolerance 0 — the parallel path runs
+// the identical arithmetic).
 func TestRenderParallelMatchesSerial(t *testing.T) {
 	m := uniformMesh(3)
 	f := waveField(m)
 	cases := []struct {
 		name     string
 		lighting bool
-		early    float64
 	}{
-		{"plain", false, 0.99},
-		{"lighting", true, 0.99},
-		{"early-termination", false, 0.25},
-		{"lit-early-termination", true, 0.25},
+		{"plain", false},
+		{"lighting", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rr := NewRenderer()
 			rr.Lighting = tc.lighting
-			rr.EarlyTermination = tc.early
 			vs := DefaultView(56, 56)
 			want, err := RenderSerial(rr, m, f, 1, 3, &vs)
 			if err != nil {
@@ -146,7 +143,7 @@ func TestRenderParallelPropagatesError(t *testing.T) {
 }
 
 // TestRenderBlockTileParallelMatchesSerial checks the in-block scanline
-// band splitting against the Workers: 1 block renderer.
+// band splitting: one block at width 4 against width 1.
 func TestRenderBlockTileParallelMatchesSerial(t *testing.T) {
 	m := uniformMesh(3)
 	f := waveField(m)
@@ -154,17 +151,14 @@ func TestRenderBlockTileParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := NewRenderer()
-	serial.Workers = 1
+	rr := NewRenderer()
 	vs := DefaultView(96, 96)
-	want := serial.RenderBlock(bd, &vs)
+	want := rr.RenderBlocksWith([]*BlockData{bd}, &vs, 1, nil)[0]
 	if want == nil {
 		t.Fatal("no reference fragment")
 	}
-	par := NewRenderer()
-	par.Workers = 4
 	vp := DefaultView(96, 96)
-	got := par.RenderBlock(bd, &vp)
+	got := rr.RenderBlocksWith([]*BlockData{bd}, &vp, 4, nil)[0]
 	if got == nil {
 		t.Fatal("no parallel fragment")
 	}
@@ -222,27 +216,26 @@ func TestTFLUTMatchesLookup(t *testing.T) {
 	}
 }
 
-// TestRendererKeepsExplicitZeroAmbient is the defaults() regression test:
-// a NewRenderer-built renderer must keep an explicitly set Ambient of 0,
-// while a zero-value literal still gets the default.
-func TestRendererKeepsExplicitZeroAmbient(t *testing.T) {
-	rr := NewRenderer()
-	rr.Ambient = 0
-	rr.Lighting = true
+// TestZeroValueRendererMatchesNewRenderer: a Renderer literal gets the
+// same transfer function, sampling and shading as NewRenderer's, so the two
+// render bit-identical fragments, lit or not.
+func TestZeroValueRendererMatchesNewRenderer(t *testing.T) {
 	m := uniformMesh(2)
-	f := constField(m, 0.9)
-	bd, _ := ExtractBlockData(m, f, m.Tree.Blocks(0)[0], 2)
-	view := DefaultView(24, 24)
-	if frag := rr.RenderBlock(bd, &view); frag == nil {
-		t.Fatal("no fragment")
+	bd, err := ExtractBlockData(m, waveField(m), m.Tree.Blocks(0)[0], 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rr.Ambient != 0 {
-		t.Errorf("explicit Ambient=0 overwritten to %v", rr.Ambient)
-	}
-	zv := &Renderer{}
-	zv.defaults()
-	if zv.Ambient != 0.35 {
-		t.Errorf("zero-value renderer Ambient = %v, want default 0.35", zv.Ambient)
+	for _, lit := range []bool{false, true} {
+		zv, nr := &Renderer{Lighting: lit}, NewRenderer()
+		nr.Lighting = lit
+		va, vb := DefaultView(24, 24), DefaultView(24, 24)
+		a, b := zv.RenderBlocksWith([]*BlockData{bd}, &va, 1, nil)[0], nr.RenderBlocksWith([]*BlockData{bd}, &vb, 1, nil)[0]
+		if a == nil || b == nil || !slices.ContainsFunc(b.Img.Pix, func(v float32) bool { return v > 0 }) {
+			t.Fatalf("lighting %v: nothing rendered; the comparison is vacuous", lit)
+		}
+		if a.X0 != b.X0 || a.Y0 != b.Y0 || !slices.Equal(a.Img.Pix, b.Img.Pix) {
+			t.Errorf("lighting %v: zero-value renderer's fragment differs from NewRenderer's", lit)
+		}
 	}
 }
 

@@ -28,60 +28,37 @@ type Fragment struct {
 	store img.Image            // pooled backing image Img points into
 }
 
-// Renderer holds the rendering parameters shared by all blocks. Build one
-// with NewRenderer and override fields before the first render; a
-// NewRenderer-built renderer keeps explicitly set zero values (e.g.
-// Ambient: 0), while a zero-value literal gets every default filled in.
+// Renderer holds the rendering parameters shared by all blocks: the
+// transfer function and whether to shade. A zero-value Renderer renders with
+// the seismic transfer function; NewRenderer sets it up front. Sampling and
+// shading are fixed: rays step half the local cell size and stop at opacity
+// 0.99, and lighting keeps an ambient floor of 0.35.
 type Renderer struct {
-	TF           *TransferFunction
-	StepScale    float64 // ray step as a fraction of the local cell size (default 0.5)
-	DensityScale float64 // global extinction multiplier (default 1)
-	Lighting     bool
-	LightDir     Vec3    // direction toward the light
-	Ambient      float64 // ambient lighting term (default 0.35)
+	TF       *TransferFunction
+	Lighting bool
 
-	// EarlyTermination stops rays whose opacity exceeds this (default 0.99).
-	EarlyTermination float64
-
-	// Workers bounds the tile-level parallelism of RenderBlock: 0 uses
-	// runtime.NumCPU(), 1 renders strictly serially. Any value produces
-	// pixel-identical output.
-	Workers int
-
-	fromNew bool // built by NewRenderer: all defaults already populated
-	lut     *TFLUT
-	lutFor  *TransferFunction // TF the lut was baked from
+	lut    *TFLUT
+	lutFor *TransferFunction // TF the lut was baked from
 }
+
+// The paper's sampling and shading choices (Section 4.2): rays step half
+// the local cell size, a Phong term lit from lightDir keeps an ambient
+// floor, and a ray stops once its opacity reaches earlyTermination.
+const (
+	stepScale        = 0.5
+	ambient          = 0.35
+	earlyTermination = 0.99
+)
+
+// lightDir is the unit direction toward the light.
+var lightDir = norm(Vec3{-0.4, -0.5, -0.76})
 
 // NewRenderer returns a renderer with the default seismic transfer function.
 func NewRenderer() *Renderer {
-	return &Renderer{
-		TF:               SeismicTF(),
-		StepScale:        0.5,
-		DensityScale:     1,
-		LightDir:         norm(Vec3{-0.4, -0.5, -0.76}),
-		Ambient:          0.35,
-		EarlyTermination: 0.99,
-		fromNew:          true,
-	}
+	return &Renderer{TF: SeismicTF()}
 }
 
 func (r *Renderer) defaults() {
-	if r.StepScale <= 0 {
-		r.StepScale = 0.5
-	}
-	if r.DensityScale <= 0 {
-		r.DensityScale = 1
-	}
-	if r.EarlyTermination <= 0 {
-		r.EarlyTermination = 0.99
-	}
-	// A renderer built by NewRenderer keeps whatever the caller set —
-	// including an explicit Ambient of 0; only zero-value literals get the
-	// default filled in.
-	if r.Ambient == 0 && !r.fromNew {
-		r.Ambient = 0.35
-	}
 	if r.TF == nil {
 		r.TF = SeismicTF()
 	}
@@ -96,10 +73,9 @@ func (r *Renderer) defaults() {
 // 16x and keep the lerp error far below one 8-bit step.
 const tfLUTSize = 4096
 
-// Prepare applies the defaults and bakes the transfer-function lookup
-// table. Rendering does this implicitly, but call it explicitly before
-// sharing one Renderer across goroutines: afterwards rendering only reads
-// the struct.
+// Prepare fills in the transfer function and bakes its lookup table.
+// Rendering does this implicitly, but call it explicitly before sharing one
+// Renderer across goroutines: afterwards rendering only reads the struct.
 func (r *Renderer) Prepare() { r.defaults() }
 
 // blockRect is the projected screen rectangle of a block, the part of it
@@ -139,7 +115,7 @@ func (r *Renderer) projectBlockWith(bd *BlockData, view *View, rs *RenderScratch
 	}
 	bmin, bmax := bd.Root.Bounds()
 	// Projected bounding rectangle.
-	fx0, fy0, fx1, fy1, _ := view.projectBox(bmin, bmax)
+	fx0, fy0, fx1, fy1, _ := view.ProjectBox(bmin, bmax)
 	x0 := clampInt(int(math.Floor(fx0)), 0, view.Width)
 	y0 := clampInt(int(math.Floor(fy0)), 0, view.Height)
 	x1 := clampInt(int(math.Ceil(fx1))+1, 0, view.Width)
@@ -147,7 +123,7 @@ func (r *Renderer) projectBlockWith(bd *BlockData, view *View, rs *RenderScratch
 	if x1 <= x0 || y1 <= y0 {
 		return nil, blockRect{}, false
 	}
-	step := r.StepScale * bd.MinCellSize() // also builds the cell index
+	step := stepScale * bd.MinCellSize() // also builds the cell index
 	if step <= 0 {
 		step = 1e-3
 	}
@@ -165,7 +141,7 @@ func (r *Renderer) projectBlockWith(bd *BlockData, view *View, rs *RenderScratch
 		olo[i], ohi[i] = math.Max(olo[i], bmin[i]), math.Min(ohi[i], bmax[i])
 	}
 	if olo != bmin || ohi != bmax {
-		if fx0, fy0, fx1, fy1, inFront := view.projectBox(olo, ohi); inFront {
+		if fx0, fy0, fx1, fy1, inFront := view.ProjectBox(olo, ohi); inFront {
 			g.tx0 = clampInt(int(math.Ceil(fx0-trimMargin)), x0, x1)
 			g.ty0 = clampInt(int(math.Ceil(fy0-trimMargin)), y0, y1)
 			g.tx1 = clampInt(int(math.Floor(fx1+trimMargin))+1, x0, x1)
@@ -214,12 +190,12 @@ const (
 // RenderBlock ray-casts one block and returns its fragment, or nil when the
 // block's projection misses the image entirely or the block is empty space
 // (its maximum value maps to zero density everywhere). It is
-// RenderBlocksWith on a one-block list with a private scratch and Workers
-// goroutines; the output is identical for any worker count.
+// RenderBlocksWith on a one-block list with a private scratch at the
+// automatic width (runtime.NumCPU() goroutines).
 //
 //repro:allow deadexport: bench
 func (r *Renderer) RenderBlock(bd *BlockData, view *View) *Fragment {
-	return r.RenderBlocksWith([]*BlockData{bd}, view, r.Workers, nil)[0]
+	return r.RenderBlocksWith([]*BlockData{bd}, view, 0, nil)[0]
 }
 
 // renderBlockSerialWith projects and casts one block on the calling
@@ -272,24 +248,24 @@ func (r *Renderer) castRay(s *sampler, o, d Vec3, t0, t1, step float64) (cr, cg,
 		if density <= 0 {
 			continue
 		}
-		alpha := 1 - math.Exp(-density*r.DensityScale*step)
+		alpha := 1 - math.Exp(-density*step)
 		if r.Lighting {
 			g := s.gradient(p)
 			gl := math.Sqrt(dot(g, g))
 			if gl > 1e-9 {
 				n := scale(g, 1/gl)
-				diff := dot(n, r.LightDir)
+				diff := dot(n, lightDir)
 				if diff < 0 {
 					diff = -diff // double-sided shading for volumes
 				}
-				shade := r.Ambient + (1-r.Ambient)*diff
+				shade := ambient + (1-ambient)*diff
 				er *= shade
 				eg *= shade
 				eb *= shade
 			} else {
-				er *= r.Ambient
-				eg *= r.Ambient
-				eb *= r.Ambient
+				er *= ambient
+				eg *= ambient
+				eb *= ambient
 			}
 		}
 		w := (1 - aa) * alpha
@@ -297,7 +273,7 @@ func (r *Renderer) castRay(s *sampler, o, d Vec3, t0, t1, step float64) (cr, cg,
 		ag += w * eg
 		ab += w * eb
 		aa += w
-		if aa >= r.EarlyTermination {
+		if aa >= earlyTermination {
 			break
 		}
 	}

@@ -29,7 +29,7 @@ func benchRaySetup(b testing.TB, lighting bool, field string, at Vec3) (*Rendere
 	}
 	view := DefaultView(256, 256)
 	view.Prepare()
-	step := rr.StepScale * bd.MinCellSize()
+	step := stepScale * bd.MinCellSize()
 	px, py := view.Project(at)
 	o, d := view.Ray(int(math.Round(px)), int(math.Round(py)))
 	bmin, bmax := bd.Root.Bounds()

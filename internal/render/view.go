@@ -118,11 +118,11 @@ func (v *View) rowRay(row Vec3, x int) (origin, dir Vec3) {
 	return o, v.dirN
 }
 
-// projectBox returns the bounds, in pixel coordinates, of the projections
+// ProjectBox returns the bounds, in pixel coordinates, of the projections
 // of the eight corners of the box lo..hi — which bound the projection of
 // the whole box, unless the view is a perspective one and the box reaches
 // behind the eye plane, where Project clamps: inFront is false then.
-func (v *View) projectBox(lo, hi Vec3) (fx0, fy0, fx1, fy1 float64, inFront bool) {
+func (v *View) ProjectBox(lo, hi Vec3) (fx0, fy0, fx1, fy1 float64, inFront bool) {
 	v.prepare()
 	fx0, fy0 = math.Inf(1), math.Inf(1)
 	fx1, fy1 = math.Inf(-1), math.Inf(-1)

@@ -54,7 +54,6 @@ type Kernel struct {
 	events eventHeap
 	yield  chan struct{}
 	nlive  int // processes spawned and not yet finished
-	nproc  int // total processes ever spawned (for ids)
 	run    bool
 }
 
@@ -85,7 +84,6 @@ func (k *Kernel) After(d Time, fn func()) { k.schedule(k.now+d, nil, fn) }
 // process and return control to the kernel.
 type Proc struct {
 	k      *Kernel
-	ID     int
 	Name   string
 	resume chan struct{}
 	parked bool
@@ -95,8 +93,7 @@ type Proc struct {
 // Spawn creates a process that will begin executing fn at the current
 // virtual time (after already-scheduled events at this time).
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	k.nproc++
-	p := &Proc{k: k, ID: k.nproc, Name: name, resume: make(chan struct{})}
+	p := &Proc{k: k, Name: name, resume: make(chan struct{})}
 	k.nlive++
 	go func() {
 		<-p.resume // wait to be scheduled for the first time
