@@ -6,7 +6,7 @@
 #   make ci      # check plus the perf regression gates (REPRO_PERF_ASSERT)
 #   make benchsmoke  # compile + smoke-test the nested quakebench module (bench/)
 #   make bench   # paper-figure and hot-kernel benchmarks
-#   make fuzz    # short fuzz sessions: datatype/collective replay/RLE/strip + data piece + wire codecs + bootstrap handshake + request parser
+#   make fuzz    # short fuzz sessions: datatype/collective replay/RLE/strip + data piece + decode kernel + wire codecs + bootstrap handshake + request parser
 #   make size    # non-test lines, test lines, exported identifiers and struct fields (for CHANGES.md)
 GO ?= go
 
@@ -140,6 +140,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzPasteRLE$$' -fuzztime=30s ./internal/compositor/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeStripPayload$$' -fuzztime=30s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeDataPayload$$' -fuzztime=30s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzMagQuant$$' -fuzztime=30s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzFaultSchedule$$' -fuzztime=30s ./internal/faultinject/
 	$(GO) test -run='^$$' -fuzz='^FuzzNetFrameDecode$$' -fuzztime=30s ./internal/mpi/
 	$(GO) test -run='^$$' -fuzz='^FuzzHandshake$$' -fuzztime=30s ./internal/mpi/

@@ -369,20 +369,20 @@ func sortedUnion(sets [][]int32) []int32 {
 
 // scanRange computes the maximum velocity magnitude over the named step
 // objects for quantization (the paper's preprocessing quantizes 32-bit to
-// 8-bit). The decode buffers are reused across the scan.
+// 8-bit). Each step is one pass of the decode kernel the input ranks'
+// enhancement runs on the current step (recordMagnitudes), into buffers
+// reused across the scan.
 func scanRange(store pfs.Store, numNodes int, names []string) (float32, error) {
 	var vmax float32
 	buf := make([]byte, numNodes*quake.BytesPerNode)
-	var vec, mag []float32
-	var err error
+	mag := make([]float32, numNodes)
 	for t, name := range names {
 		if err := store.ReadAt(nil, name, 0, buf); err != nil {
 			return 0, fmt.Errorf("core: scanning step %d: %w", t, err)
 		}
-		if vec, err = quake.DecodeStepInto(vec, buf); err != nil {
+		if err := recordMagnitudes(mag, buf); err != nil {
 			return 0, fmt.Errorf("core: scanning step %d: %w", t, err)
 		}
-		mag = render.MagnitudeInto(mag, vec)
 		for _, m := range mag {
 			if m > vmax {
 				vmax = m

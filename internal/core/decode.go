@@ -1,0 +1,148 @@
+package core
+
+// The input ranks' decode kernels: one pass each from a step object's node
+// records (quake.BytesPerNode bytes: three little-endian float32 words) to
+// what the pass feeds — float32 magnitudes (recordMagnitudes: the vmax scan,
+// and the current step under temporal enhancement) or quantized bytes
+// (recordQuantize). Each node's arithmetic is written exactly as
+// render.MagnitudeInto, EnhanceTemporalInto and QuantizeInto write it — same
+// operand order, same float32/float64 conversions — so the values are those
+// of that four-pass chain (frozen in frozen_decode_test.go, which pins it),
+// bit for bit. Words are validated branch-free across the pass; only a
+// record that failed is scanned again, by quake.CheckStep, to name its
+// first bad word in the same words DecodeStepInto uses.
+
+import (
+	"encoding/binary"
+	"math"
+
+	"repro/internal/quake"
+)
+
+// A float32 word is non-finite (Inf or NaN) exactly when its exponent field
+// is all ones; adding one to that field then carries into the sign bit.
+// The pair constants test the two words of one 8-byte load at once.
+const (
+	wordExp    = 0x7f800000
+	wordExpInc = 0x00800000
+	pairExp    = 0x7f8000007f800000
+	pairExpInc = 0x0080000000800000
+	pairTop    = 0x8000000080000000
+)
+
+// nodeWords loads the node record at the start of rec as two overlapping
+// 8-byte words — words 0 and 1, and words 1 and 2 — and returns them with
+// a flag word whose pairTop bits are set when one of the three float32
+// words is not finite.
+func nodeWords(rec []byte) (xy, yz, bad uint64) {
+	xy = binary.LittleEndian.Uint64(rec)
+	yz = binary.LittleEndian.Uint64(rec[4:])
+	return xy, yz, (xy&pairExp + pairExpInc) | (yz&pairExp + pairExpInc)
+}
+
+// nodeMagnitude returns the magnitude of the node whose words nodeWords
+// loaded, as render.MagnitudeInto computes it from the decoded words. It
+// is apart from nodeWords because one function doing both is over the
+// compiler's inlining budget, and a call per node costs the kernels.
+func nodeMagnitude(xy, yz uint64) float32 {
+	x := float64(math.Float32frombits(uint32(xy)))
+	y := float64(math.Float32frombits(uint32(yz)))
+	z := float64(math.Float32frombits(uint32(yz >> 32)))
+	return float32(math.Sqrt(x*x + y*y + z*z))
+}
+
+// wordsBad returns the non-finite flags of raw's whole words, for the words
+// of a record past its last decoded node: DecodeStepInto validated them
+// too.
+func wordsBad(raw []byte) uint64 {
+	var bad uint64
+	for ; len(raw) >= 4; raw = raw[4:] {
+		bad |= uint64(binary.LittleEndian.Uint32(raw)&wordExp + wordExpInc)
+	}
+	return bad
+}
+
+// recordMagnitudes writes the magnitude of node i of the step record raw to
+// mag[i], for every node: len(mag) must be len(raw)/quake.BytesPerNode. It
+// fails with quake.CheckStep's error when raw is not a whole number of
+// words or holds a non-finite one, trailing words included; mag's contents
+// are then unspecified.
+//
+//repro:allocfree
+func recordMagnitudes(mag []float32, raw []byte) error {
+	if len(raw)%4 != 0 {
+		return quake.CheckStep(raw)
+	}
+	var bad uint64
+	for i := range mag {
+		xy, yz, b := nodeWords(raw[quake.BytesPerNode*i:][:quake.BytesPerNode])
+		mag[i], bad = nodeMagnitude(xy, yz), bad|b
+	}
+	if (bad|wordsBad(raw[quake.BytesPerNode*len(mag):]))&pairTop != 0 {
+		return quake.CheckStep(raw)
+	}
+	return nil
+}
+
+// recordQuantize writes to q[i] the 8-bit value over [0, vmax] of node i,
+// for every node: len(q) is the node count. Without cur, the value is node
+// i's magnitude in the step record raw, and len(q) must be
+// len(raw)/quake.BytesPerNode. With cur — the current step's magnitudes,
+// len(q) of them — raw is the previous step's record and the value is
+// cur[i] under temporal enhancement by gain against it (cur[i] itself when
+// gain is 0, as EnhanceTemporalInto copies). It fails like
+// recordMagnitudes, every word of raw validated; q's contents are then
+// unspecified, which is why callers quantize into a spare buffer.
+//
+//repro:allocfree
+func recordQuantize(q []uint8, raw []byte, cur []float32, gain, vmax float32) error {
+	if len(raw)%4 != 0 {
+		return quake.CheckStep(raw)
+	}
+	lo, hi := float32(0), vmax
+	inv := 255 / (hi - lo)
+	var bad uint64
+	switch {
+	case cur == nil:
+		for i := range q {
+			xy, yz, b := nodeWords(raw[quake.BytesPerNode*i:][:quake.BytesPerNode])
+			q[i], bad = quantizeValue(nodeMagnitude(xy, yz), lo, inv), bad|b
+		}
+	case gain == 0:
+		cur = cur[:len(q)]
+		for i := range q {
+			_, _, b := nodeWords(raw[quake.BytesPerNode*i:][:quake.BytesPerNode])
+			q[i], bad = quantizeValue(cur[i], lo, inv), bad|b
+		}
+	default:
+		cur = cur[:len(q)]
+		for i := range q {
+			xy, yz, b := nodeWords(raw[quake.BytesPerNode*i:][:quake.BytesPerNode])
+			v := cur[i]
+			d := v - nodeMagnitude(xy, yz)
+			if d < 0 {
+				d = -d
+			}
+			q[i], bad = quantizeValue(v+gain*d, lo, inv), bad|b
+		}
+	}
+	if (bad|wordsBad(raw[quake.BytesPerNode*len(q):]))&pairTop != 0 {
+		return quake.CheckStep(raw)
+	}
+	if hi <= lo {
+		clear(q)
+	}
+	return nil
+}
+
+// quantizeValue is render.QuantizeInto's per-sample step: v over [lo, lo +
+// 255/inv] to a byte, clamped, rounded half up.
+func quantizeValue(v, lo, inv float32) uint8 {
+	s := (v - lo) * inv
+	if s < 0 {
+		s = 0
+	} else if s > 255 {
+		s = 255
+	}
+	return uint8(s + 0.5)
+}

@@ -6,9 +6,10 @@ package core
 // are re-read within a per-step budget; a step that exhausts its budget is
 // served from the previous step's data instead of aborting the run. The
 // fallback is free because the rank's quantized values (ipScratch.q, one
-// per node its part reads) keep their layout for the whole run and are
-// rewritten only by the last link of a successful decode chain: a step whose
-// read failed still finds the previous step's values there, so "degrade" is
+// per node its part reads) keep their layout for the whole run and change
+// only when a step succeeds: the decode kernel quantizes into a spare
+// buffer that is swapped with q on success, so a step whose read or decode
+// failed still finds the previous step's values there, and "degrade" is
 // just marking the frame and shipping what the buffer holds. Degraded steps
 // mark their frame, and Assemble folds the flag into Result.DegradedFrames;
 // the happy path adds only branch checks and stays allocation-free.

@@ -17,7 +17,6 @@ import (
 	"repro/internal/img"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
-	"repro/internal/pfs"
 	"repro/internal/quake"
 	"repro/internal/render"
 )
@@ -38,21 +37,6 @@ func fetchWorkload(t *testing.T, steps int, mod func(*Options)) (*RealWorkload, 
 	}
 	t.Cleanup(w.Close)
 	return w, l
-}
-
-// newFetchStore builds a store holding one synthetic step object of n
-// float32 records (the decode-chain micro-benchmark input).
-func newFetchStore(tb testing.TB, n int) pfs.Store {
-	tb.Helper()
-	vals := make([]float32, n)
-	for i := range vals {
-		vals[i] = float32(i%977) / 977
-	}
-	st := pfs.NewMemStore()
-	if err := st.Write("step", quake.EncodeStep(vals)); err != nil {
-		tb.Fatal(err)
-	}
-	return st
 }
 
 // TestFetchStepAllocFree is the PR 4 acceptance gate for the fetch side:
@@ -368,61 +352,77 @@ func TestInterframeNegativeSkip(t *testing.T) {
 	}
 }
 
-// TestDecodeChainSpeedupGate pins the decode-chain rewrite's win: the
-// steady-state Into chain (reused read buffer and decode/magnitude/
-// quantize targets) against the retained allocating chain on the same
-// bytes. Wall-clock gates are noisy on shared machines, so it only runs
+// TestDecodeChainSpeedupGate pins the fused decode kernels' win: one
+// steady-state step as magQuant decodes it — plain, bytes to q in one pass;
+// enhanced, the current record to magnitudes and the previous one folded in
+// on its way to q — against the frozen four-pass chain
+// (frozen_decode_test.go) on the same bytes, every buffer reused on both
+// sides. Wall-clock gates are noisy on shared machines, so it only runs
 // under REPRO_PERF_ASSERT=1 (set by `make ci`) and takes the min of
-// interleaved windows to shed scheduler and GC bursts. Nominal ~1.2x on
-// the CI container (the chain is memory-bound, so shedding the four
-// per-step allocations plus their zeroing buys a steady fifth of the
-// time); the floor only demands 1.08x, enough to catch a regression to
-// the allocating chain.
+// interleaved windows to shed scheduler and GC bursts. Nominal ~1.45x for
+// both on a 2-vCPU Xeon container (the kernels no longer write and re-read
+// a 12-byte vector and a 4-byte magnitude per node per record); the floor
+// demands 1.2x, enough to catch a return to separate passes.
 func TestDecodeChainSpeedupGate(t *testing.T) {
 	if os.Getenv("REPRO_PERF_ASSERT") != "1" {
 		t.Skip("set REPRO_PERF_ASSERT=1 to enforce the decode-chain speedup gate")
 	}
-	st := newFetchStore(t, 1<<20)
-	size, _ := st.Size("step")
-	var vec, mag []float32
-	var q []uint8
-	raw := make([]byte, size)
-	runSteady := func() {
-		if err := st.ReadAt(nil, "step", 0, raw); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		if vec, err = quake.DecodeStepInto(vec, raw); err != nil {
-			t.Fatal(err)
-		}
-		mag = render.MagnitudeInto(mag, vec)
-		q = render.QuantizeInto(q, mag, 0, 10)
+	const n, gain, vmax = 1 << 18, 3, 2
+	vals, pvals := make([]float32, 3*n), make([]float32, 3*n)
+	for i := range vals {
+		vals[i], pvals[i] = float32(i%977)/977, float32(i%751)/751
 	}
-	runLegacy := func() {
-		buf := make([]byte, size)
-		if err := st.ReadAt(nil, "step", 0, buf); err != nil {
-			t.Fatal(err)
+	raw, praw := quake.EncodeStep(vals), quake.EncodeStep(pvals)
+	for _, enhance := range []bool{false, true} {
+		var vec, mag, pvec, pmag []float32
+		var q []uint8
+		runFrozen := func() {
+			var err error
+			if vec, err = frozenDecodeStepInto(vec, raw); err != nil {
+				t.Fatal(err)
+			}
+			mag = frozenMagnitudeInto(mag, vec)
+			if enhance {
+				if pvec, err = frozenDecodeStepInto(pvec, praw); err != nil {
+					t.Fatal(err)
+				}
+				pmag = frozenMagnitudeInto(pmag, pvec)
+				mag = frozenEnhanceTemporalInto(mag, mag, pmag, gain)
+			}
+			q = frozenQuantizeInto(q, mag, 0, vmax)
 		}
-		render.QuantizeInto(nil, stepMagnitude(t, buf), 0, 10)
-	}
-	window := func(fn func()) float64 {
-		const reps = 4
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			fn()
+		fmag, fq := make([]float32, n), make([]uint8, n)
+		runFused := func() {
+			src, cur := raw, []float32(nil)
+			if enhance {
+				if err := recordMagnitudes(fmag, raw); err != nil {
+					t.Fatal(err)
+				}
+				src, cur = praw, fmag
+			}
+			if err := recordQuantize(fq, src, cur, gain, vmax); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return time.Since(start).Seconds() / reps
-	}
-	runSteady()
-	runLegacy() // warm up
-	steady, legacy := math.Inf(1), math.Inf(1)
-	for trial := 0; trial < 6; trial++ {
-		steady = math.Min(steady, window(runSteady))
-		legacy = math.Min(legacy, window(runLegacy))
-	}
-	t.Logf("decode chain: steady %.3gs, legacy %.3gs (%.2fx)", steady, legacy, legacy/steady)
-	if legacy < 1.08*steady {
-		t.Errorf("decode-chain speedup regressed: steady %.3gs vs legacy %.3gs (%.2fx, want >= 1.08x)",
-			steady, legacy, legacy/steady)
+		window := func(fn func()) float64 {
+			const reps = 4
+			start := time.Now()
+			for i := 0; i < reps; i++ {
+				fn()
+			}
+			return time.Since(start).Seconds() / reps
+		}
+		runFused()
+		runFrozen() // warm up
+		fused, frozen := math.Inf(1), math.Inf(1)
+		for trial := 0; trial < 6; trial++ {
+			fused = math.Min(fused, window(runFused))
+			frozen = math.Min(frozen, window(runFrozen))
+		}
+		t.Logf("decode chain (enhanced %v): fused %.3gs, frozen %.3gs (%.2fx)", enhance, fused, frozen, frozen/fused)
+		if frozen < 1.2*fused {
+			t.Errorf("decode-chain speedup regressed (enhanced %v): fused %.3gs vs frozen %.3gs (%.2fx, want >= 1.2x)",
+				enhance, fused, frozen, frozen/fused)
+		}
 	}
 }

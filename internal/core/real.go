@@ -132,7 +132,8 @@ func (d *Dataset) NewWorkload(opts Options) (*RealWorkload, error) {
 	for i := range w.ipScr {
 		// One value per node the rank's part reads: zeros until its first
 		// successful fetch, which is what a step degraded before then ships.
-		w.ipScr[i] = &ipScratch{q: make([]uint8, len(d.partIDs[i%l.IPsPerGroup]))}
+		n := len(d.partIDs[i%l.IPsPerGroup])
+		w.ipScr[i] = &ipScratch{q: make([]uint8, n), qspare: make([]uint8, n)}
 	}
 	w.rendScr = make([]*rendererScratch, l.Renderers)
 	for r := range w.rendScr {
@@ -353,21 +354,23 @@ func (w *RealWorkload) Close() {
 func (w *RealWorkload) VMax() float32 { return w.ds.vmax }
 
 // magQuant converts the raw node records read through view to quantized
-// magnitudes in scr.q, applying temporal enhancement when enabled. The
-// whole decode chain runs through the scratch's Into buffers
-// (quake.DecodeStepInto -> render.MagnitudeInto -> EnhanceTemporalInto in
-// place -> QuantizeInto). scr.q is written by the last link only, so a step
-// that fails anywhere before it — a malformed record surfaces as an error
-// instead of silently truncating — leaves the previous step's values there.
+// magnitudes in scr.q, applying temporal enhancement when enabled, in one
+// decode kernel pass per record (decode.go): bytes straight to q, or under
+// enhancement the current record to magnitudes first and, only once it
+// validated, the previous step's record read and folded in on its way to
+// q. The kernel quantizes into scr.qspare, which is swapped with scr.q only
+// when the step succeeded, so a step that fails anywhere — a malformed
+// record surfaces as an error instead of silently truncating — leaves the
+// previous step's values in scr.q.
 func (w *RealWorkload) magQuant(c *mpi.Comm, t int, view mpiio.Datatype, raw []byte, scr *ipScratch) error {
-	vec, err := quake.DecodeStepInto(scr.vec, raw)
-	if err != nil {
-		return fmt.Errorf("core: step %d: %w", t, err)
-	}
-	scr.vec = vec
-	scr.mag = render.MagnitudeInto(scr.mag, vec)
-	mag := scr.mag
+	n := len(raw) / quake.BytesPerNode
+	src, srcStep := raw, t
+	var cur []float32
 	if w.opts.Enhancement && t+w.stepBase > 0 {
+		scr.mag = pool.Grow(scr.mag, n)
+		if err := recordMagnitudes(scr.mag, raw); err != nil {
+			return fmt.Errorf("core: step %d: %w", t, err)
+		}
 		// Enhancement needs the previous step's values for the same nodes:
 		// the same view on the previous object, read independently through
 		// the second file handle so the current step's handle keeps its
@@ -381,15 +384,13 @@ func (w *RealWorkload) magQuant(c *mpi.Comm, t int, view mpiio.Datatype, raw []b
 		if _, err := f.ReadInto(scr.praw); err != nil {
 			return err
 		}
-		pvec, err := quake.DecodeStepInto(scr.pvec, scr.praw)
-		if err != nil {
-			return fmt.Errorf("core: step %d: %w", t-1, err)
-		}
-		scr.pvec = pvec
-		scr.pmag = render.MagnitudeInto(scr.pmag, pvec)
-		mag = render.EnhanceTemporalInto(mag, mag, scr.pmag, w.opts.EnhanceGain)
+		src, srcStep, cur = scr.praw, t-1, scr.mag
 	}
-	scr.q = render.QuantizeInto(scr.q, mag, 0, w.ds.vmax)
+	scr.qspare = pool.Grow(scr.qspare, n)
+	if err := recordQuantize(scr.qspare, src, cur, w.opts.EnhanceGain, w.ds.vmax); err != nil {
+		return fmt.Errorf("core: step %d: %w", srcStep, err)
+	}
+	scr.q, scr.qspare = scr.qspare, scr.q
 	return nil
 }
 
@@ -617,9 +618,14 @@ func (w *RealWorkload) mergePieces(t, r int, pieces []mpi.Message) error {
 		}
 		nv := rs.nodeVals[i]
 		for ci, local := range w.ds.blockCornerLocal[bi] {
-			for k := 0; k < 8; k++ {
-				bd.Vals[ci][k] = float32(nv[local[k]]) / 255
-			}
+			// Element by element, not as an [8]float32 literal: the literal
+			// is built on the stack and copied out in 16-byte moves that
+			// stall on its eight 4-byte stores.
+			v := &bd.Vals[ci]
+			v[0], v[1] = render.Dequantize(nv[local[0]]), render.Dequantize(nv[local[1]])
+			v[2], v[3] = render.Dequantize(nv[local[2]]), render.Dequantize(nv[local[3]])
+			v[4], v[5] = render.Dequantize(nv[local[4]]), render.Dequantize(nv[local[5]])
+			v[6], v[7] = render.Dequantize(nv[local[6]]), render.Dequantize(nv[local[7]])
 		}
 	}
 	if degraded {

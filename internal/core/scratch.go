@@ -120,31 +120,32 @@ type licState struct {
 // pipeline as the fetched step: part names the group part the rank serves
 // and q holds that part's quantized values, one per Dataset.partIDs[part]
 // entry in that order. q is static in layout — allocated with the workload,
-// zeros until the first successful fetch, rewritten in place by every later
-// one — which is safe because it is only read while its step's payloads are
-// built, strictly before the same rank's next Fetch, and is what makes the
-// stale fallback free (faults.go). The read buffers, file handles and
-// decode-chain buffers (PR 4) make a steady-state fetch step allocation-
-// free, and the payload pool cycles the wire messages released by the
-// renderers. No view or gather plan is built here: both are committed once
-// in the Dataset and shared, and what a step loop would recompute from a
-// view is cached in the handles (mpiio.File: sieve plan, collective plan).
+// zeros until the first successful fetch — and only a successful fetch
+// changes it: the decode kernel quantizes into qspare, and the two swap
+// when the step succeeded. That is safe because q is only read while its
+// step's payloads are built, strictly before the same rank's next Fetch,
+// and it is what makes the stale fallback free (faults.go). The read
+// buffers, file handles and decode staging (PR 4) make a steady-state
+// fetch step allocation-free, and the payload pool cycles the wire
+// messages released by the renderers. No view or gather plan is built
+// here: both are committed once in the Dataset and shared, and what a step
+// loop would recompute from a view is cached in the handles (mpiio.File:
+// sieve plan, collective plan).
 type ipScratch struct {
-	part int
-	q    []uint8
-	raw  []byte // read staging, in view order
-	pool pool.Pool[dataPayload]
-	lic  licState
+	part      int
+	q, qspare []uint8
+	raw       []byte // read staging, in view order
+	pool      pool.Pool[dataPayload]
+	lic       licState
 
-	// Decode-chain staging (quake.DecodeStepInto -> render.MagnitudeInto ->
-	// EnhanceTemporalInto -> QuantizeInto, which lands in q) plus the reused
-	// MPI-IO handles: file serves the current step, pfile the previous step
-	// when temporal enhancement is on. sub caches the group's collective
-	// sub-communicator per world communicator (an input rank serves one
-	// group, so one cached entry suffices).
+	// Decode staging plus the reused MPI-IO handles: file serves the
+	// current step, pfile the previous step when temporal enhancement is
+	// on, whose record lands in praw while mag holds the current step's
+	// magnitudes; vec is the surface records licStep decodes. sub caches
+	// the group's collective sub-communicator per world communicator (an
+	// input rank serves one group, so one cached entry suffices).
 	file, pfile mpiio.File
 	vec, mag    []float32
-	pvec, pmag  []float32
 	praw        []byte
 	sub         *mpi.Comm
 	subParent   *mpi.Comm // world comm sub was built from (invalidates across runs)

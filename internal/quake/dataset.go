@@ -157,17 +157,33 @@ func EncodeStep(vel []float32) []byte {
 // data and are out of the fault model's scope (docs/faults.md).
 func DecodeStepInto(dst []float32, raw []byte) ([]float32, error) {
 	if len(raw)%4 != 0 {
-		return nil, fmt.Errorf("quake: step record of %d bytes is not a whole number of float32s (truncated step object): %w", len(raw), pfs.ErrCorrupt)
+		return nil, CheckStep(raw)
 	}
 	dst = pool.Grow(dst, len(raw)/4)
 	for i := range dst {
 		bits := binary.LittleEndian.Uint32(raw[4*i:])
 		if bits&0x7f800000 == 0x7f800000 {
-			return nil, fmt.Errorf("quake: non-finite float32 %#08x at record word %d of step object: %w", bits, i, pfs.ErrCorrupt)
+			return nil, CheckStep(raw)
 		}
 		dst[i] = math.Float32frombits(bits)
 	}
 	return dst, nil
+}
+
+// CheckStep returns the error DecodeStepInto reports for raw — a truncated
+// record, or the first non-finite word — or nil when raw decodes. It is
+// the one home of that error's text: decoders that validate words in bulk
+// call it only once a record has failed, to name what failed.
+func CheckStep(raw []byte) error {
+	if len(raw)%4 != 0 {
+		return fmt.Errorf("quake: step record of %d bytes is not a whole number of float32s (truncated step object): %w", len(raw), pfs.ErrCorrupt)
+	}
+	for i := 0; i < len(raw)/4; i++ {
+		if bits := binary.LittleEndian.Uint32(raw[4*i:]); bits&0x7f800000 == 0x7f800000 {
+			return fmt.Errorf("quake: non-finite float32 %#08x at record word %d of step object: %w", bits, i, pfs.ErrCorrupt)
+		}
+	}
+	return nil
 }
 
 // Field selects which node field a dataset stores. The paper visualizes

@@ -100,7 +100,20 @@ func QuantizeInto(dst []uint8, vals []float32, lo, hi float32) []uint8 {
 func DequantizeInto(dst []float32, q []uint8) []float32 {
 	dst = pool.Grow(dst, len(q))
 	for i, v := range q {
-		dst[i] = float32(v) / 255
+		dst[i] = Dequantize(v)
 	}
 	return dst
 }
+
+// dequant[v] is float32(v)/255. It is the one table both DequantizeInto
+// and the renderers' per-step corner merge read, so a byte maps to the
+// same scalar everywhere without a divide per sample.
+var dequant = func() (t [256]float32) {
+	for v := range t {
+		t[v] = float32(v) / 255
+	}
+	return t
+}()
+
+// Dequantize maps one 8-bit sample to its [0,1] scalar, float32(v)/255.
+func Dequantize(v uint8) float32 { return dequant[v] }
