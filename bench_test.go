@@ -6,7 +6,6 @@ package repro
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -21,6 +20,7 @@ import (
 	"repro/internal/quake"
 	"repro/internal/render"
 	"repro/internal/trace"
+	"repro/internal/workers"
 )
 
 // benchTable runs a table-producing experiment b.N times, reporting the
@@ -131,14 +131,15 @@ func BenchmarkRenderSerial(b *testing.B) {
 }
 
 // BenchmarkRenderParallel measures the worker-pool renderer on the same
-// frame as BenchmarkRenderSerial at 1, 2, 4 and NumCPU workers; the
-// workers-1 case casts every block on the calling goroutine, so the
-// sub-benchmark ratios are the parallel speedup.
+// frame as BenchmarkRenderSerial at 1, 2, 4 and the automatic width
+// (workers.Width(1), all of GOMAXPROCS) when larger; the workers-1 case
+// casts every block on the calling goroutine, so the sub-benchmark ratios
+// are the parallel speedup.
 func BenchmarkRenderParallel(b *testing.B) {
 	m, scalar := benchFrameInput(b)
 	rr := render.NewRenderer()
 	counts := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n > 4 {
+	if n := workers.Width(1); n > 4 {
 		counts = append(counts, n)
 	}
 	for _, w := range counts {

@@ -5,7 +5,9 @@
 // discrete-event machine model calibrated to LeMieux; image figures (3, 4,
 // 11, 13/14) run the real renderer over a generated earthquake dataset;
 // the Section 5.3 I/O comparison and the compositing study run the real
-// MPI-IO and compositor code paths.
+// MPI-IO and compositor code paths. The image figures render on all of
+// GOMAXPROCS (GOMAXPROCS=1 renders them single-threaded, pixel-identical),
+// and renderpar sweeps 1, 2, 4 and that width.
 //
 // Usage:
 //
@@ -29,12 +31,10 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paperbench: ")
-	fig := flag.String("fig", "all", "figure to run: 3,4,8,9,10,11,12,13,io,slic,afetch,model,prefetch,balance,rlecomp,renderpar,all")
+	fig := flag.String("fig", "all", "figure to run: 3,4,8,9,10,11,12,13,io,slic,afetch,model,prefetch,balance,rlecomp,renderpar,all (image figures render on GOMAXPROCS threads)")
 	quick := flag.Bool("quick", false, "smaller parameter sweeps")
 	images := flag.String("images", "", "directory for PNG output (empty = no images)")
-	workers := flag.Int("workers", 0, "render worker goroutines (0 = NumCPU, 1 = single-threaded serial path)")
 	flag.Parse()
-	experiments.Workers = *workers
 
 	type exp struct {
 		name string

@@ -17,6 +17,10 @@
 // launcher works with no files at all — every process sees identical
 // bytes, which is the property the transport needs from a real shared
 // filesystem anyway.
+//
+// A rank's shared-memory fan-outs split its process's GOMAXPROCS by the
+// layout, as if every rank of its role shared the process; set GOMAXPROCS
+// per process to size them (GOMAXPROCS=1 runs them inline).
 package main
 
 import (
@@ -62,13 +66,12 @@ func main() {
 	height := flag.Int("height", 256, "image height")
 	groups := flag.Int("groups", 2, "input processor groups")
 	ips := flag.Int("ips", 1, "input processors per group")
-	renderers := flag.Int("renderers", 3, "rendering processors")
+	renderers := flag.Int("renderers", 3, "rendering processors (a renderer's fan-outs get GOMAXPROCS/renderers threads)")
 	outputs := flag.Int("outputs", 1, "output processors")
 	steps := flag.Int("steps", 0, "timesteps to render (0 = all; demo dataset has 3)")
 	strategy := flag.String("read", "independent", "read strategy: independent | collective")
 	comp := flag.String("compositor", "slic", "compositor: slic | directsend")
 	compress := flag.Bool("compress", false, "RLE-compress compositing traffic and the strips sent to the output ranks")
-	workers := flag.Int("workers", 0, "per-rank render worker goroutines (0 = auto)")
 	timeout := flag.Duration("timeout", 30*time.Second, "bootstrap dial/handshake timeout")
 	heartbeat := flag.Duration("heartbeat", mpi.DefaultNetHeartbeat, "peer heartbeat interval (negative disables liveness probing)")
 	reconnect := flag.Int("reconnect", mpi.DefaultNetReconnectAttempts, "reconnect attempts before a silent peer is declared lost (negative disables healing)")
@@ -90,7 +93,6 @@ func main() {
 	opts.View = render.DefaultView(*width, *height)
 	opts.MaxSteps = *steps
 	opts.Compress = *compress
-	opts.Workers = *workers
 	switch *strategy {
 	case "independent":
 		opts.ReadStrategy = core.ReadIndependent

@@ -3,7 +3,9 @@
 // renders frame requests through pooled per-session pipeline instances,
 // caches rendered frames in a byte-bounded LRU, sheds load past its
 // admission bounds, and drains gracefully on SIGINT/SIGTERM. See
-// docs/serve.md for the endpoints and tuning guidance.
+// docs/serve.md for the endpoints and tuning guidance. A session's ranks
+// split GOMAXPROCS between the ranks of each role for their shared-memory
+// fan-outs; GOMAXPROCS=1 renders every session single-threaded.
 //
 // Usage:
 //
@@ -43,9 +45,8 @@ func main() {
 	window := flag.Int("window", 32, "max steps per request range (and per render window)")
 	groups := flag.Int("groups", 1, "input processor groups per session")
 	ips := flag.Int("ips", 1, "input processors per group per session")
-	renderers := flag.Int("renderers", 1, "rendering processors per session")
+	renderers := flag.Int("renderers", 1, "rendering processors per session (they split GOMAXPROCS between them)")
 	outputs := flag.Int("outputs", 1, "output processors per session")
-	workers := flag.Int("workers", 0, "per-rank render worker goroutines (0 = split NumCPU)")
 	lighting := flag.Bool("lighting", false, "gradient Phong lighting")
 	enhance := flag.Bool("enhance", false, "temporal-domain enhancement")
 	tolerate := flag.Bool("tolerate", false, "serve degraded frames on read faults instead of failing requests")
@@ -64,7 +65,6 @@ func main() {
 		MaxWindow:   *window,
 		Enhancement: *enhance,
 		Lighting:    *lighting,
-		Workers:     *workers,
 		FixedVMax:   float32(*vmax),
 		Tolerate:    *tolerate,
 	})

@@ -3,6 +3,12 @@
 // through the MPI-IO layer, rendering processors ray-cast their octree
 // blocks and composite with SLIC, and the output processor assembles and
 // writes one PNG per timestep.
+//
+// Every rank runs in this process, and the ranks of a role split
+// GOMAXPROCS between them for their shared-memory fan-outs (render,
+// composite, payload builds; the LIC convolution takes all of it).
+// GOMAXPROCS=1 runs every fan-out inline; frames are byte-identical at any
+// setting.
 package main
 
 import (
@@ -30,7 +36,7 @@ func main() {
 	height := flag.Int("height", 512, "image height")
 	groups := flag.Int("groups", 2, "input processor groups (1DIP: number of IPs)")
 	ips := flag.Int("ips", 1, "input processors per group (2DIP when > 1)")
-	renderers := flag.Int("renderers", 4, "rendering processors")
+	renderers := flag.Int("renderers", 4, "rendering processors (they split GOMAXPROCS between them)")
 	outputs := flag.Int("outputs", 1, "output processors")
 	level := flag.Int("level", 255, "adaptive rendering level (255 = full)")
 	blockLevel := flag.Int("block", 2, "octree block (distribution) level")
@@ -48,7 +54,6 @@ func main() {
 	fov := flag.Float64("fov", 0, "perspective field of view in degrees (0 = orthographic)")
 	extent := flag.Float64("extent", 0, "view extent in domain units (smaller = close-up; 0 = fit)")
 	tf := flag.String("tf", "seismic", "transfer function preset: seismic | gray | hot")
-	workers := flag.Int("workers", 0, "per-rank render, composite and LIC worker goroutines (0 = automatic, 1 = inline on the rank's goroutine); input ranks always split NumCPU for payload builds")
 	pgvPath := flag.String("pgv", "", "write a peak-ground-velocity surface map PNG to this path")
 	flag.Parse()
 
@@ -72,7 +77,6 @@ func main() {
 	opts.AdaptiveFetch = *adaptiveFetch
 	opts.Compress = *compress
 	opts.MaxSteps = *steps
-	opts.Workers = *workers
 	switch *strategy {
 	case "independent":
 		opts.ReadStrategy = core.ReadIndependent

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/img"
 	"repro/internal/mpi"
@@ -271,7 +272,7 @@ type Schedule struct {
 // hand-built Schedule without a bitmap falls back to scanning Senders.
 func (s *Schedule) sends(j, i int) bool {
 	if s.sendMask == nil {
-		return contains(s.Senders[j], i)
+		return slices.Contains(s.Senders[j], i)
 	}
 	return s.sendMask[j*s.maskW+(i>>6)]&(1<<(uint(i)&63)) != 0
 }
@@ -516,15 +517,6 @@ func BinarySwapWith(c *mpi.Comm, group []int, me int, partial *img.Image,
 	return cur, Strip{Y0: y0, H: hh}, st, nil
 }
 
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 func clamp(v, lo, hi int) int {
 	if v < lo {
 		return lo
@@ -533,18 +525,4 @@ func clamp(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

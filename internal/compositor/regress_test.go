@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -267,7 +268,7 @@ func TestScheduleSenderBitmap(t *testing.T) {
 		sched := BuildSchedule(rectsOf(all), 64, 80, n)
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {
-				if got, want := sched.sends(j, i), contains(sched.Senders[j], i); got != want {
+				if got, want := sched.sends(j, i), slices.Contains(sched.Senders[j], i); got != want {
 					t.Fatalf("n=%d: sends(%d,%d) = %v, list says %v", n, j, i, got, want)
 				}
 			}

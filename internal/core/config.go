@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"repro/internal/render"
+	"repro/internal/workers"
 )
 
 // ReadStrategy selects how a group's input processors read a timestep
@@ -118,6 +119,28 @@ func (l Layout) RenderRanks() []int {
 	return out
 }
 
+// renderWidth is a renderer rank's render and composite fan-out width.
+// Every rank of a layout runs in one process under the in-process
+// transports, so the ranks of a role split GOMAXPROCS between them
+// (workers.Width): here the renderers. Frames are bit-identical at every
+// width.
+func (l Layout) renderWidth() int { return workers.Width(l.Renderers) }
+
+// payloadWidth is an input rank's payload-build width: the input ranks'
+// share of GOMAXPROCS, capped at the one build per renderer there is to
+// split.
+func (l Layout) payloadWidth() int { return min(workers.Width(l.NumInput()), l.Renderers) }
+
+// newPool returns the persistent worker pool a fan-out of the given width
+// dispatches on, or nil at width 1, which workers.Pool.Run executes inline
+// on the rank's goroutine.
+func newPool(width int) *workers.Pool {
+	if width <= 1 {
+		return nil
+	}
+	return workers.New(width)
+}
+
 // DefaultStepRetries is the per-step re-read budget a fault-tolerant input
 // rank spends before falling back to stale data (FaultPolicy.StepRetries 0).
 const DefaultStepRetries = 2
@@ -172,14 +195,6 @@ type Options struct {
 	Compositor    CompositorKind
 	Compress      bool
 	MaxSteps      int // 0 = all dataset steps
-
-	// Workers bounds the shared-memory parallelism each rank applies to
-	// its own CPU-heavy work (block rendering, strip compositing, LIC
-	// convolution): 0 splits runtime.NumCPU() across the renderer ranks
-	// (they share one process under the mock MPI), 1 forces the
-	// single-threaded serial path. Frames are pixel-identical for any
-	// value.
-	Workers int
 
 	// FixedVMax, when positive, sets the quantization range directly
 	// instead of scanning the dataset at startup. Required for

@@ -169,38 +169,19 @@ func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 		d.blockCornerLocal[bi] = local
 	}
 
-	// Load balance with longest-processing-time assignment: sort the blocks
-	// by descending cell count (stable, so equal-sized blocks keep their
-	// key order), then place each on the least-loaded renderer. The sort
-	// replaces PR 1's O(n^2) selection sort; the resulting max load is
-	// identical because the greedy placement only sees the size sequence.
+	// Load balance by workload estimate: a block's cell count.
+	cells := make([]int, nb)
+	for bi := range cells {
+		cells[bi] = len(d.blockCells[bi])
+	}
+	d.rblocks, _ = BalanceBlocks(cells, l.Renderers)
+	// owner and rblockPos flatten the block->renderer and block->slot
+	// lookups the renderers' value merge uses instead of a per-frame map.
 	d.owner = make([]int, nb)
-	d.rblocks = make([][]int, l.Renderers)
-	order := make([]int, nb)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return len(d.blockCells[order[a]]) > len(d.blockCells[order[b]])
-	})
-	load := make([]int, l.Renderers)
-	for _, bi := range order {
-		best := 0
-		for r := 1; r < l.Renderers; r++ {
-			if load[r] < load[best] {
-				best = r
-			}
-		}
-		d.owner[bi] = best
-		load[best] += len(d.blockCells[bi])
-		d.rblocks[best] = append(d.rblocks[best], bi)
-	}
-	// rblockPos flattens the block->slot lookup the renderers' value merge
-	// uses instead of a per-frame map.
 	d.rblockPos = make([]int, nb)
-	for _, blocks := range d.rblocks {
+	for r, blocks := range d.rblocks {
 		for pos, bi := range blocks {
-			d.rblockPos[bi] = pos
+			d.owner[bi], d.rblockPos[bi] = r, pos
 		}
 	}
 
@@ -230,6 +211,34 @@ func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 		}
 	}
 	return d, nil
+}
+
+// BalanceBlocks is the paper's static load balance, longest-processing-time
+// first: it sorts the blocks by descending size (stable, so equal-sized
+// blocks keep their index order) and places each on the least-loaded
+// renderer, the lowest-numbered on a tie. It returns each renderer's
+// blocks in placement order and each renderer's total size. The loads
+// depend only on the descending size sequence, so any ordering of
+// equal-sized blocks reaches the same ones.
+func BalanceBlocks(sizes []int, renderers int) (blocks [][]int, load []int) {
+	order := make([]int, len(sizes))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] > sizes[order[b]] })
+	blocks = make([][]int, renderers)
+	load = make([]int, renderers)
+	for _, bi := range order {
+		best := 0
+		for r := 1; r < renderers; r++ {
+			if load[r] < load[best] {
+				best = r
+			}
+		}
+		load[best] += sizes[bi]
+		blocks[best] = append(blocks[best], bi)
+	}
+	return blocks, load
 }
 
 // commitPlan commits, for the dataset's read strategy, what every group part

@@ -191,7 +191,8 @@ func TestLICPayloadAllocFree(t *testing.T) {
 		t.Skip("allocation gates are skipped under the race detector")
 	}
 	const steps = 3
-	w, l := fetchWorkload(t, steps, func(o *Options) { o.LIC, o.LICSize, o.Workers = true, 32, 1 })
+	setGOMAXPROCS(t, 1) // the LIC convolution inline, without a pool
+	w, l := fetchWorkload(t, steps, func(o *Options) { o.LIC, o.LICSize = true, 32 })
 	mpi.RunReal(l.WorldSize(), func(c *mpi.Comm) {
 		if c.Rank() != 0 {
 			return

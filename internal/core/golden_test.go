@@ -105,15 +105,15 @@ func TestGoldenLICFrame(t *testing.T) {
 }
 
 // TestGoldenFrameWorkerInvariant reruns the golden configuration with a
-// different worker setting and layout split and demands bit-identical
-// frames — the determinism claim the golden constant rests on.
+// different worker width and layout split and demands bit-identical
+// frames — the determinism claim the golden constant rests on. GOMAXPROCS
+// 9 over the alternative layout's 3 renderers gives each a width of 3.
 func TestGoldenFrameWorkerInvariant(t *testing.T) {
 	store := buildDataset(t, 2)
 	base := smallOpts(40, 40)
 	ref, _ := runReal(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, base)
-	alt := base
-	alt.Workers = 3
-	got, _ := runReal(t, store, Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}, alt)
+	setGOMAXPROCS(t, 9)
+	got, _ := runReal(t, store, Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}, base)
 	for step := 0; step < 2; step++ {
 		a, b := ref.Frame(step), got.Frame(step)
 		if a == nil || b == nil {
@@ -129,8 +129,10 @@ func TestGoldenFrameWorkerInvariant(t *testing.T) {
 // PR 3's steady-state reuse paths: with enough timesteps that every pooled
 // buffer (wire payloads, share staging, compositor scratch, strip
 // canvases, LIC state) is on its second or later life, frames must stay
-// bit-identical across layouts, worker counts, compositors and wire
+// bit-identical across layouts, worker widths, compositors and wire
 // compression — and RLE compression itself must not move a single bit.
+// The relayout-workers case runs at GOMAXPROCS 9, which gives each of its
+// 3 renderers a width of 3 and its LIC rank one of 9.
 func TestScratchReuseInvariant(t *testing.T) {
 	const steps = 4 // >= 2 steps per input rank in every layout below
 	store := buildDataset(t, steps)
@@ -139,36 +141,42 @@ func TestScratchReuseInvariant(t *testing.T) {
 	base.LICSize = 32
 	ref, _ := runReal(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, base)
 	for _, tc := range []struct {
-		name string
-		l    Layout
-		mod  func(*Options)
+		name  string
+		l     Layout
+		mod   func(*Options)
+		procs int // GOMAXPROCS for the run; 0 leaves it alone
 	}{
 		{"compressed", Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1},
-			func(o *Options) { o.Compress = true }},
+			func(o *Options) { o.Compress = true }, 0},
 		{"directsend", Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1},
-			func(o *Options) { o.Compositor = CompositeDirectSend }},
+			func(o *Options) { o.Compositor = CompositeDirectSend }, 0},
 		{"directsend-compressed", Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 2},
-			func(o *Options) { o.Compositor = CompositeDirectSend; o.Compress = true }},
+			func(o *Options) { o.Compositor = CompositeDirectSend; o.Compress = true }, 0},
 		{"relayout-workers", Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 2},
-			func(o *Options) { o.Workers = 3 }},
+			func(*Options) {}, 9},
 		{"compressed-relayout", Layout{Groups: 2, IPsPerGroup: 2, Renderers: 2, Outputs: 1},
-			func(o *Options) { o.Compress = true; o.ReadStrategy = ReadCollective }},
+			func(o *Options) { o.Compress = true; o.ReadStrategy = ReadCollective }, 0},
 	} {
-		opts := base
-		tc.mod(&opts)
-		got, res := runReal(t, store, tc.l, opts)
-		if res.Frames != steps {
-			t.Fatalf("%s: %d frames, want %d", tc.name, res.Frames, steps)
-		}
-		for step := 0; step < steps; step++ {
-			a, b := ref.Frame(step), got.Frame(step)
-			if a == nil || b == nil {
-				t.Fatalf("%s: missing frame %d", tc.name, step)
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.procs > 0 {
+				setGOMAXPROCS(t, tc.procs)
 			}
-			if d := img.MaxAbsDiff(a, b); d != 0 {
-				t.Errorf("%s: step %d differs from reference (max abs %g)", tc.name, step, d)
+			opts := base
+			tc.mod(&opts)
+			got, res := runReal(t, store, tc.l, opts)
+			if res.Frames != steps {
+				t.Fatalf("%d frames, want %d", res.Frames, steps)
 			}
-		}
+			for step := 0; step < steps; step++ {
+				a, b := ref.Frame(step), got.Frame(step)
+				if a == nil || b == nil {
+					t.Fatalf("missing frame %d", step)
+				}
+				if d := img.MaxAbsDiff(a, b); d != 0 {
+					t.Errorf("step %d differs from reference (max abs %g)", step, d)
+				}
+			}
+		})
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/mpi"
-	"repro/internal/workers"
 )
 
 // Workload supplies the stage implementations the pipeline schedules. Two
@@ -16,7 +15,7 @@ import (
 // ModelWorkload (paper-scale calibrated costs for the timing experiments).
 // All hooks are invoked from the rank's own goroutine/process, except
 // PayloadFor, which an input rank may call concurrently for distinct
-// renderers when its share of the machine's CPUs exceeds one (both in-tree
+// renderers when its share of GOMAXPROCS exceeds one (both in-tree
 // workloads only read shared state there).
 //
 // A workload owns its wire payloads end to end: the pipeline never
@@ -354,19 +353,17 @@ func (p *Pipeline) runInput(c *mpi.Comm) error {
 	// Per-step payload staging, reused across this rank's timesteps.
 	bytes := make([]int64, l.Renderers)
 	data := make([]any, l.Renderers)
-	// Payload-build parallelism: constant across steps, so the worker pool
-	// and the build closure are created once and every step's fan-out is a
-	// pool dispatch, not `pw` goroutine spawns. All input ranks share one
-	// process under the mock MPI, so they split the machine between them
-	// like the renderer side does. Message order and content do not depend
-	// on the width: the sends below go in renderer order either way.
-	pw := min(max(runtime.NumCPU()/l.NumInput(), 1), l.Renderers)
-	var wp *workers.Pool
+	// Payload-build parallelism (Layout.payloadWidth): constant across
+	// steps, so the worker pool and the build closure are created once and
+	// every step's fan-out is a pool dispatch, not `pw` goroutine spawns.
+	// Message order and content do not depend on the width: the sends below
+	// go in renderer order either way.
+	pw := l.payloadWidth()
 	var curT int
 	var curPrep any
 	build := func(r int) { bytes[r], data[r] = p.W.PayloadFor(c, curT, curPrep, r) }
-	if pw > 1 {
-		wp = workers.New(pw)
+	wp := newPool(pw)
+	if wp != nil {
 		defer wp.Close()
 	}
 	for t := g; t < steps; t += l.Groups {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/compositor"
@@ -134,6 +133,12 @@ func (d *Dataset) NewWorkload(opts Options) (*RealWorkload, error) {
 		// successful fetch, which is what a step degraded before then ships.
 		n := len(d.partIDs[i%l.IPsPerGroup])
 		w.ipScr[i] = &ipScratch{q: make([]uint8, n), qspare: make([]uint8, n)}
+		if opts.LIC && i%l.IPsPerGroup == 0 {
+			// Group part 0 builds the LIC underlay: its row-band
+			// convolution gets a persistent pool at the full width
+			// (ComputeWith takes its width from the pool).
+			w.ipScr[i].lic.scr.Pool = newPool(workers.Width(1))
+		}
 	}
 	w.rendScr = make([]*rendererScratch, l.Renderers)
 	for r := range w.rendScr {
@@ -156,15 +161,13 @@ func (d *Dataset) NewWorkload(opts Options) (*RealWorkload, error) {
 			bd.Vals = make([][8]float32, len(bd.Cells))
 			rs.bds[i] = bd
 		}
-		// The pool is sized to the rank's actual dispatch width (Render
-		// clamps to the same value), not NumCPU: renderer ranks share one
-		// process under the mock MPI, so a full-machine pool per rank would
-		// park Renderers*NumCPU idle goroutines. Width 1 renders inline and
+		// The pool is sized to the rank's share of the process, not all of
+		// it: renderer ranks share one process under the in-process
+		// transports, so a full-width pool per rank would park
+		// Renderers*GOMAXPROCS idle goroutines. Width 1 renders inline and
 		// needs no pool at all.
-		if rw := w.rankWorkers(); rw > 1 {
-			rs.pool = workers.New(rw)
-		}
-		rs.rscr.Pool = rs.pool
+		rs.width = l.renderWidth()
+		rs.rscr.Pool = newPool(rs.width)
 		w.rendScr[r] = rs
 	}
 	w.visRank = make([]int, len(d.roots))
@@ -312,20 +315,6 @@ func (w *RealWorkload) ReleaseFrame(t int) {
 // Mesh exposes the loaded mesh (for examples).
 func (w *RealWorkload) Mesh() *mesh.Mesh { return w.ds.mesh }
 
-// rankWorkers returns one rank's shared-memory dispatch width: the Workers
-// knob, or — since all ranks run as goroutines of one process under the
-// mock MPI — an equal split of the machine across the renderer ranks.
-func (w *RealWorkload) rankWorkers() int {
-	if w.opts.Workers > 0 {
-		return w.opts.Workers
-	}
-	rw := runtime.NumCPU() / w.ds.layout.Renderers
-	if rw < 1 {
-		rw = 1
-	}
-	return rw
-}
-
 // Close shuts down the workload's persistent worker pools (the renderer
 // ranks' and the LIC ranks'). Optional — an unreachable workload's pools
 // are reclaimed by the GC cleanup backstop — but long-lived processes that
@@ -334,9 +323,8 @@ func (w *RealWorkload) rankWorkers() int {
 // their ring remain usable.
 func (w *RealWorkload) Close() {
 	for _, rs := range w.rendScr {
-		if rs.pool != nil {
-			rs.pool.Close()
-			rs.pool = nil
+		if rs.rscr.Pool != nil {
+			rs.rscr.Pool.Close()
 			rs.rscr.Pool = nil
 		}
 	}
@@ -533,14 +521,7 @@ func (w *RealWorkload) licStep(c *mpi.Comm, t int) (int64, any, error) {
 	if err := ls.tree.ResampleInto(&ls.grid, size, size); err != nil {
 		return 0, nil, err
 	}
-	if ls.scr.Pool == nil && w.opts.Workers != 1 {
-		// Persistent pool for the row-band convolution fan-out: the LIC
-		// rank stops spawning goroutines every frame. Workers: 1 convolves
-		// inline and needs no pool; 0 keeps the legacy full-machine width.
-		ls.scr.Pool = workers.New(w.opts.Workers)
-	}
-	im, err := lic.ComputeWith(&ls.grid, size, size,
-		lic.Config{L: size / 12, Seed: 7, Phase: -1, Workers: w.opts.Workers}, &ls.scr)
+	im, err := lic.ComputeWith(&ls.grid, size, size, lic.Config{L: size / 12, Seed: 7, Phase: -1}, &ls.scr)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -644,11 +625,10 @@ func (w *RealWorkload) Render(c *mpi.Comm, t, r int, pieces []mpi.Message) (any,
 	mine := w.ds.rblocks[r]
 	// Fan the ray casting out across this rank's persistent worker pool
 	// (block- and tile-parallel; pixel-identical to the serial path).
-	workers := w.rankWorkers()
 	out := &rs.out
 	out.frags = out.frags[:0]
 	view := w.opts.View
-	frags := w.rend.RenderBlocksWith(rs.bds, &view, workers, &rs.rscr)
+	frags := w.rend.RenderBlocksWith(rs.bds, &view, rs.width, &rs.rscr)
 	for i, frag := range frags {
 		if frag != nil {
 			frag.VisRank = w.visRank[mine[i]]

@@ -20,7 +20,6 @@ import (
 	"repro/internal/pool"
 	"repro/internal/quadtree"
 	"repro/internal/render"
-	"repro/internal/workers"
 )
 
 // dataPayload is the pooled wire form of one (input rank -> renderer,
@@ -163,13 +162,15 @@ type rendererScratch struct {
 	comp     *compositor.CompositeScratch
 	strips   pool.Pool[stripPayload]
 
-	// pool is this renderer rank's persistent worker pool: the projection
-	// and tile fan-outs of every frame dispatch on it instead of spawning
-	// goroutines (PR 4).
-	pool *workers.Pool
+	// width is this renderer rank's fan-out width (Layout.renderWidth when
+	// the workload was built).
+	width int
 
 	// rscr owns the per-frame fragment/rect/tile staging of this rank's
 	// RenderBlocksWith (PR 5); the rendered fragments are borrows from it,
-	// released back by Composite once everything is on the wire.
+	// released back by Composite once everything is on the wire. Its Pool
+	// is the rank's persistent worker pool, which the projection and tile
+	// fan-outs of every frame dispatch on instead of spawning goroutines;
+	// nil at width 1, where they run inline.
 	rscr render.RenderScratch
 }

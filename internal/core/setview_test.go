@@ -218,7 +218,7 @@ func TestNewWorkloadRejectsForeignOptions(t *testing.T) {
 		}
 	}
 	o := base
-	o.Lighting, o.TFName, o.Workers = true, "gray", 1
+	o.Lighting, o.TFName = true, "gray"
 	w, err := ds.NewWorkload(o)
 	if err != nil {
 		t.Fatalf("per-session options rejected: %v", err)

@@ -67,38 +67,11 @@ func LoadBalanceAblation(quick bool) (*trace.Table, error) {
 	tb := trace.NewTable("Ablation — block assignment strategy (per-renderer cell imbalance)",
 		"renderers", "greedy_max/mean", "contiguous_max/mean")
 	for _, r := range []int{4, 8, 16} {
-		greedy := assignGreedy(weights, r)
+		_, greedy := core.BalanceBlocks(weights, r)
 		cont := assignContiguous(weights, r)
 		tb.AddRow(r, imbalance(greedy), imbalance(cont))
 	}
 	return tb, nil
-}
-
-// assignGreedy mirrors the pipeline's strategy: largest first onto the
-// least-loaded renderer; returns per-renderer load.
-func assignGreedy(weights []int, renderers int) []int {
-	order := make([]int, len(weights))
-	for i := range order {
-		order[i] = i
-	}
-	for i := range order {
-		for j := i + 1; j < len(order); j++ {
-			if weights[order[j]] > weights[order[i]] {
-				order[i], order[j] = order[j], order[i]
-			}
-		}
-	}
-	load := make([]int, renderers)
-	for _, bi := range order {
-		best := 0
-		for r := 1; r < renderers; r++ {
-			if load[r] < load[best] {
-				best = r
-			}
-		}
-		load[best] += weights[bi]
-	}
-	return load
 }
 
 // assignContiguous splits the Morton-ordered block list into equal-count

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -20,12 +19,8 @@ import (
 	"repro/internal/quake"
 	"repro/internal/render"
 	"repro/internal/trace"
+	"repro/internal/workers"
 )
-
-// Workers is the shared-memory render parallelism the image experiments
-// use (0 = runtime.NumCPU(), 1 = serial); paperbench -workers sets it.
-// Images are pixel-identical for any value.
-var Workers int
 
 // DatasetSize selects how large a generated test dataset is.
 type DatasetSize int
@@ -187,7 +182,7 @@ func Fig3(quick bool, imgDir string) (*trace.Table, error) {
 		// The worker-pool renderer must reproduce the serial frame exactly.
 		pview := render.DefaultView(px, px)
 		start := time.Now()
-		pim, err := render.RenderParallelWith(rr, m, scalar, 2, lvl, &pview, Workers, nil)
+		pim, err := render.RenderParallelWith(rr, m, scalar, 2, lvl, &pview, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -245,7 +240,7 @@ func Fig4(quick bool, imgDir string) (*trace.Table, error) {
 		"variant", "visible_pixels", "mean_opacity")
 	render1 := func(name string, scalar []float32) (*img.Image, error) {
 		v := view
-		im, err := render.RenderParallelWith(rr, m, scalar, 2, m.Tree.MaxDepth(), &v, Workers, nil)
+		im, err := render.RenderParallelWith(rr, m, scalar, 2, m.Tree.MaxDepth(), &v, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +295,7 @@ func Fig11(quick bool, imgDir string) (*trace.Table, error) {
 	rr := render.NewRenderer()
 	start := time.Now()
 	v1 := view
-	unlit, err := render.RenderParallelWith(rr, m, scalar, 2, m.Tree.MaxDepth(), &v1, Workers, nil)
+	unlit, err := render.RenderParallelWith(rr, m, scalar, 2, m.Tree.MaxDepth(), &v1, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +304,7 @@ func Fig11(quick bool, imgDir string) (*trace.Table, error) {
 	rl.Lighting = true
 	start = time.Now()
 	v2 := view
-	lit, err := render.RenderParallelWith(rl, m, scalar, 2, m.Tree.MaxDepth(), &v2, Workers, nil)
+	lit, err := render.RenderParallelWith(rl, m, scalar, 2, m.Tree.MaxDepth(), &v2, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +364,7 @@ func Fig13(quick bool, imgDir string) (*trace.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		licIm, err := lic.ComputeWith(grid, licPx, licPx, lic.Config{L: licPx / 12, Seed: 7, Phase: -1, Workers: Workers}, nil)
+		licIm, err := lic.ComputeWith(grid, licPx, licPx, lic.Config{L: licPx / 12, Seed: 7, Phase: -1}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -378,7 +373,7 @@ func Fig13(quick bool, imgDir string) (*trace.Table, error) {
 		scalar := pipelineScalar(render.MagnitudeInto(nil, vec), vmax)
 		view := render.DefaultView(px, px)
 		start = time.Now()
-		vol, err := render.RenderParallelWith(render.NewRenderer(), m, scalar, 2, m.Tree.MaxDepth(), &view, Workers, &scratch)
+		vol, err := render.RenderParallelWith(render.NewRenderer(), m, scalar, 2, m.Tree.MaxDepth(), &view, 0, &scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -421,7 +416,8 @@ func writePNG(dir, name string, im *img.Image) error {
 }
 
 // RenderScaling measures the shared-memory parallel renderer: one frame
-// rendered with 1, 2, 4, ... NumCPU workers against the serial reference,
+// rendered with 1, 2, 4 and, when larger, the automatic width
+// (workers.Width(1), all of GOMAXPROCS) against the serial reference,
 // reporting wall-clock speedup and verifying pixel-exact parity (the
 // max_abs_diff column must be exactly 0).
 func RenderScaling(quick bool) (*trace.Table, error) {
@@ -455,7 +451,7 @@ func RenderScaling(quick bool) (*trace.Table, error) {
 		"workers", "frame_s", "speedup", "max_abs_diff")
 	tb.AddRow("serial", serial, 1.0, 0.0)
 	counts := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n > 4 {
+	if n := workers.Width(1); n > 4 {
 		counts = append(counts, n)
 	}
 	for _, k := range counts {

@@ -201,11 +201,11 @@ func TestConvolveMatchesFrozen(t *testing.T) {
 						continue // a band would take the process down with it
 					}
 					for _, run := range []struct {
-						name    string
-						workers int
-						scr     *Scratch
-					}{{"serial", 1, nil}, {"spawned", 3, nil}, {"pooled", 3, &Scratch{Pool: pool}}} {
-						cfg.Workers = run.workers
+						name  string
+						procs int // GOMAXPROCS, the width of a pool-less run
+						scr   *Scratch
+					}{{"serial", 1, nil}, {"spawned", 3, nil}, {"pooled", 1, &Scratch{Pool: pool}}} {
+						setGOMAXPROCS(t, run.procs)
 						got, err := ComputeWith(field, dim.w, dim.h, cfg, run.scr)
 						if err != nil {
 							t.Fatal(err)
@@ -239,10 +239,12 @@ func TestLICStepSpeedupGate(t *testing.T) {
 	}
 	const size = 128
 	samples, tree := licStepSetup(t, 2000, size)
-	cfg := Config{L: size / 12, Seed: 7, Phase: -1, Workers: 1}
+	cfg := Config{L: size / 12, Seed: 7, Phase: -1}
 	noise := &Image{}
 	WhiteNoiseInto(noise, size, size, cfg.Seed)
-	var scr Scratch
+	// A pool of one convolves inline: both sides are single-threaded.
+	scr := Scratch{Pool: workers.New(1)}
+	defer scr.Pool.Close()
 	var grid quadtree.Grid
 	if err := tree.ResampleInto(&grid, size, size); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 
 	"repro/internal/img"
 	"repro/internal/pool"
@@ -25,10 +24,6 @@ type Config struct {
 	// Periodic phase in [0,1) animates the kernel (flow direction cue);
 	// negative disables the periodic filter and uses a box kernel.
 	Phase float64
-	// Workers bounds the row-parallel convolution: 0 = runtime.NumCPU(),
-	// 1 = serial. Every pixel is convolved independently, so the output is
-	// identical for any value.
-	Workers int
 }
 
 // Scratch holds the cross-frame buffers of an animation loop: the
@@ -45,8 +40,9 @@ type Scratch struct {
 
 	// Pool, when set, dispatches the row-band convolution fan-out on a
 	// persistent worker pool instead of spawning goroutines every frame,
-	// so a steady-state parallel frame allocates nothing. Like the
-	// scratch, the pool must belong to one rank.
+	// so a steady-state parallel frame allocates nothing, and its size is
+	// the convolution's width. Like the scratch, the pool must belong to
+	// one rank.
 	Pool *workers.Pool
 
 	// band is the per-frame state of the prebound band closure.
@@ -74,12 +70,14 @@ func (s *Scratch) noiseFor(w, h int, seed int64) *Image {
 }
 
 // ComputeWith returns a w×h grayscale LIC image of the vector field. The
-// noise texture, the output image and the row-band closure come from scr,
-// and the bands dispatch on scr.Pool (nil spawns per call), so a
-// steady-state frame loop allocates nothing with Workers: 1 or with a pool.
-// The returned image points into scr and is valid until the next call; a
-// nil scr is a private scratch, dropped on return, so the image is the
-// caller's. Output is bit-identical for any scr/pool/Workers combination.
+// noise texture, the output image and the row-band closure come from scr.
+// The convolution runs one row band per worker of scr.Pool, or without a
+// pool on workers.Width(1) goroutines spawned per call; so a steady-state
+// frame loop allocates nothing with a pool or at GOMAXPROCS=1, where the
+// one band runs inline. The returned image points into scr and is valid
+// until the next call; a nil scr is a private scratch, dropped on return,
+// so the image is the caller's. Output is bit-identical for any scr, pool
+// and width.
 //
 // Precondition: every vector of field is finite. It is not checked: a NaN
 // or Inf component makes a streamline position NaN, which passes every
@@ -103,16 +101,10 @@ func ComputeWith(field *quadtree.Grid, w, h int, cfg Config, scr *Scratch) (*Ima
 	out := &scr.out
 	out.W, out.H = w, h
 	out.Pix = pool.Grow(out.Pix, w*h) //repro:allow allocfree: amortized scratch growth
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > h {
-		workers = h
-	}
+	workers := min(scr.Pool.Size(), h)
 	// One band per worker; the band closure is created once per scratch and
-	// reads its arguments from the scratch. Workers: 1 is one band, run
-	// inline by the pool.
+	// reads its arguments from the scratch. Width 1 is one band, run inline
+	// by the pool.
 	rows := (h + workers - 1) / workers
 	scr.band = bandJob{field: field, noise: noise, out: out, cfg: cfg, rows: rows, h: h}
 	if scr.bandFn == nil {

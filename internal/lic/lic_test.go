@@ -2,6 +2,7 @@ package lic
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/img"
@@ -153,20 +154,42 @@ func TestLICPeriodicPhaseChangesImage(t *testing.T) {
 	}
 }
 
+// setGOMAXPROCS sets GOMAXPROCS, which a pool-less ComputeWith takes its
+// width from, for the rest of tb and restores it on cleanup.
+func setGOMAXPROCS(tb testing.TB, n int) {
+	old := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// TestLICParallelMatchesSerial: the convolution is bit-identical at every
+// width — one band inline (a pool of one), spawned bands at the automatic
+// width (no pool), and pooled bands of every size up to one row each.
 func TestLICParallelMatchesSerial(t *testing.T) {
 	field := circularField(64, 64)
-	want, err := ComputeWith(field, 64, 64, Config{L: 10, Seed: 9, Phase: -1, Workers: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{0, 2, 7, 64} {
-		got, err := ComputeWith(field, 64, 64, Config{L: 10, Seed: 9, Phase: -1, Workers: k}, nil)
+	cfg := Config{L: 10, Seed: 9, Phase: -1}
+	compute := func(p *workers.Pool) *Image {
+		t.Helper()
+		got, err := ComputeWith(field, 64, 64, cfg, &Scratch{Pool: p})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return got
+	}
+	serial := workers.New(1)
+	defer serial.Close()
+	want := compute(serial)
+	for _, k := range []int{0, 2, 7, 64} {
+		var p *workers.Pool // k == 0: no pool, the automatic width
+		if k > 0 {
+			p = workers.New(k)
+		}
+		got := compute(p)
+		if p != nil {
+			p.Close()
+		}
 		for i := range want.Pix {
 			if want.Pix[i] != got.Pix[i] {
-				t.Fatalf("workers=%d: pixel %d differs", k, i)
+				t.Fatalf("pool of %d (0 = none): pixel %d differs", k, i)
 			}
 		}
 	}
@@ -283,9 +306,11 @@ func licStepSetup(tb testing.TB, n, size int) ([]quadtree.Sample, *quadtree.Tree
 
 // TestLICStepAllocFree is the PR 3 acceptance gate for the surface-LIC
 // step: at steady state, value update + quadtree reuse + resample +
-// convolution + colorize allocate nothing (serial convolution; the worker
-// fan-out allocates its goroutines and is exercised elsewhere).
+// convolution + colorize allocate nothing (serial convolution at
+// GOMAXPROCS=1; the pool-less fan-out allocates its goroutines and is
+// exercised elsewhere).
 func TestLICStepAllocFree(t *testing.T) {
+	setGOMAXPROCS(t, 1)
 	const size = 32
 	samples, tree := licStepSetup(t, 300, size)
 	var grid quadtree.Grid
@@ -304,7 +329,7 @@ func TestLICStepAllocFree(t *testing.T) {
 		if err := tree.ResampleInto(&grid, size, size); err != nil {
 			t.Fatal(err)
 		}
-		im, err := ComputeWith(&grid, size, size, Config{L: size / 12, Seed: 7, Phase: -1, Workers: 1}, &scr)
+		im, err := ComputeWith(&grid, size, size, Config{L: size / 12, Seed: 7, Phase: -1}, &scr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +360,6 @@ func TestLICStepPooledAllocFree(t *testing.T) {
 	var scr Scratch
 	scr.Pool = workers.New(4)
 	defer scr.Pool.Close()
-	cfg.Workers = 4
 	pooled, err := ComputeWith(&grid, size, size, cfg, &scr)
 	if err != nil {
 		t.Fatal(err)
@@ -373,10 +397,12 @@ func TestLICStepPooledAllocFree(t *testing.T) {
 // tree, grid, noise, output, RGBA), `fresh` rebuilds and reallocates
 // everything as the pre-PR-3 pipeline did, and `resample` is the value
 // update and the gather through the remembered grid-point map alone.
+// The convolutions run inline, at GOMAXPROCS=1.
 func BenchmarkLICStep(b *testing.B) {
+	setGOMAXPROCS(b, 1)
 	const size = 64
 	samples, tree := licStepSetup(b, 500, size)
-	cfg := Config{L: size / 12, Seed: 7, Phase: -1, Workers: 1}
+	cfg := Config{L: size / 12, Seed: 7, Phase: -1}
 	b.Run("scratch", func(b *testing.B) {
 		var grid quadtree.Grid
 		var scr Scratch

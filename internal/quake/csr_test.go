@@ -141,11 +141,11 @@ func TestCSRMatchesElementwiseApply(t *testing.T) {
 		for _, beta := range []float64{0, 2e-4} {
 			cfg := DefaultSolverConfig()
 			cfg.DampBeta = beta
-			cfg.Workers = 1
 			s, err := NewSolver(m, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			s.workers = 1
 			randomizeState(s, int64(1000*mi)+int64(beta*1e6))
 			s.assembleForces()
 			got := append([]float64(nil), s.f...)
@@ -208,12 +208,12 @@ func TestCSRMulVecWorkerInvariant(t *testing.T) {
 func TestStepAllocationFree(t *testing.T) {
 	m := smallMesh(t, 3, 2000, mesh.Material{Rho: 2000, Vs: 1000, Vp: 2000})
 	cfg := DefaultSolverConfig()
-	cfg.Workers = 1
 	cfg.DampBeta = 2e-4 // exercise the xbuf path too
 	s, err := NewSolver(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.workers = 1
 	s.AddSource(PointSource{Node: s.NearestNode([3]float64{0.5, 0.5, 0.5}),
 		Dir: [3]float64{0, 0, 1}, Amplitude: 1e12, Freq: 4})
 	s.Step()
@@ -230,12 +230,11 @@ func benchSolver(b *testing.B) *Solver {
 	if err != nil {
 		b.Fatal(err)
 	}
-	scfg := DefaultSolverConfig()
-	scfg.Workers = 1
-	s, err := NewSolver(m, scfg)
+	s, err := NewSolver(m, DefaultSolverConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
+	s.workers = 1
 	rng := rand.New(rand.NewSource(7))
 	for i := range s.u {
 		s.u[i] = (rng.Float64() - 0.5) * 2e-3
@@ -278,12 +277,11 @@ func TestSpMVSpeedupGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scfg := DefaultSolverConfig()
-	scfg.Workers = 1
-	s, err := NewSolver(m, scfg)
+	s, err := NewSolver(m, DefaultSolverConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.workers = 1
 	randomizeState(s, 7)
 	// Interleaved min-of-N windows: the minimum discards scheduler and GC
 	// bursts, and interleaving keeps a sustained slowdown from landing on

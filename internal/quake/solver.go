@@ -3,9 +3,9 @@ package quake
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/mesh"
+	"repro/internal/workers"
 )
 
 // SolverConfig controls the explicit time integrator.
@@ -21,7 +21,6 @@ type SolverConfig struct {
 	SpongeW   float64 // width of the absorbing sponge layer, unit-cube units
 	SpongeMax float64 // extra damping at the outer edge of the sponge (1/s)
 	FixSides  bool    // clamp displacement on side/bottom boundaries
-	Workers   int     // parallel assembly workers (default GOMAXPROCS)
 }
 
 // DefaultSolverConfig returns sensible defaults: light interior damping and
@@ -53,7 +52,7 @@ type Solver struct {
 	sources []Source
 	step    int
 
-	workers int
+	workers int // SpMV row-band width: workers.Width(1)
 }
 
 // NewSolver builds a solver for the mesh. The timestep is set from the CFL
@@ -72,10 +71,7 @@ func NewSolver(m *mesh.Mesh, cfg SolverConfig) (*Solver, error) {
 		f:    make([]float64, 3*n),
 		mass: make([]float64, n), alpha: make([]float64, n), fixed: make([]bool, n),
 	}
-	s.workers = cfg.Workers
-	if s.workers <= 0 {
-		s.workers = runtime.GOMAXPROCS(0)
-	}
+	s.workers = workers.Width(1)
 	s.K = buildCSR(m)
 	if cfg.DampBeta > 0 {
 		s.xbuf = make([]float64, 3*n)

@@ -223,9 +223,8 @@ func TestDoubleCoupleProducesMotion(t *testing.T) {
 func TestSerialAndParallelAssemblyAgree(t *testing.T) {
 	msh := smallMesh(t, 3, 2000, mesh.Material{Rho: 2000, Vs: 1000, Vp: 2000})
 	mk := func(workers int) []float64 {
-		cfg := DefaultSolverConfig()
-		cfg.Workers = workers
-		s, _ := NewSolver(msh, cfg)
+		s, _ := NewSolver(msh, DefaultSolverConfig())
+		s.workers = workers
 		s.AddSource(PointSource{Node: s.NearestNode([3]float64{0.4, 0.6, 0.5}), Dir: [3]float64{1, 1, 0}, Amplitude: 1e12, Freq: 3})
 		for i := 0; i < 30; i++ {
 			s.Step()

@@ -7,11 +7,10 @@
 package render
 
 import (
-	"runtime"
-
 	"repro/internal/img"
 	"repro/internal/mesh"
 	"repro/internal/pool"
+	wpool "repro/internal/workers"
 )
 
 // ReleaseFragments returns scratch-produced fragments (struct, image and
@@ -88,10 +87,10 @@ func buildTilesInto(dst []tileJob, frags []*Fragment, rects []blockRect, workers
 }
 
 // RenderBlocksWith ray-casts a set of prepared blocks across `workers`
-// goroutines (0 = runtime.NumCPU()) and returns their fragments, aligned
-// with bds (nil for skipped or nil blocks). Projection runs block-parallel;
-// casting runs tile-parallel over scanline bands. The caller assigns
-// VisRank afterwards; the caller's View is not mutated (the fan-outs render
+// goroutines (0 = the automatic width, workers.Width(1)) and returns their
+// fragments, aligned with bds (nil for skipped or nil blocks). Projection
+// runs block-parallel; casting runs tile-parallel over scanline bands. The
+// caller assigns VisRank afterwards; the caller's View is not mutated (the fan-outs render
 // through a frozen copy held by the scratch). Output is pixel-identical for
 // any scratch/workers combination, and to RenderSerial's per-block path.
 //
@@ -110,7 +109,7 @@ func (r *Renderer) RenderBlocksWith(bds []*BlockData, view *View, workers int, r
 		rs = &RenderScratch{}
 	}
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = wpool.Width(1)
 	}
 	r.Prepare()
 	rs.view = *view
@@ -161,9 +160,10 @@ func (r *Renderer) RenderBlocksWith(bds []*BlockData, view *View, workers int, r
 }
 
 // RenderParallelWith renders the same image as RenderSerial using
-// `workers` goroutines (0 = runtime.NumCPU()): block extraction fans out
-// across them, ray casting runs tile-parallel (so a single huge block
-// cannot serialize the frame), and compositing runs in parallel strips.
+// `workers` goroutines (0 = the automatic width, workers.Width(1)): block
+// extraction fans out across them, ray casting runs tile-parallel (so a
+// single huge block cannot serialize the frame), and compositing runs in
+// parallel strips.
 // The output is pixel-exact against RenderSerial for any workers/scratch/
 // pool combination — every pixel is computed by exactly one goroutine with
 // identical arithmetic.
@@ -184,7 +184,7 @@ func RenderParallelWith(rr *Renderer, m *mesh.Mesh, scalar []float32, blockLevel
 		scratch = &ExtractScratch{}
 	}
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = wpool.Width(1)
 	}
 	rr.Prepare()
 	scratch.view = *view

@@ -3,7 +3,6 @@ package render
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -22,10 +21,10 @@ func waveField(m *mesh.Mesh) []float32 {
 	return f
 }
 
-// workerCounts returns {1, 2, NumCPU} deduplicated.
+// workerCounts returns {1, 2, the automatic width} deduplicated.
 func workerCounts() []int {
 	counts := []int{1, 2}
-	if n := runtime.NumCPU(); n > 2 {
+	if n := wpool.Width(1); n > 2 {
 		counts = append(counts, n)
 	}
 	return counts

@@ -2,13 +2,13 @@ package render
 
 import (
 	"math"
-	"runtime"
 	"slices"
 
 	"repro/internal/img"
 	"repro/internal/mesh"
 	"repro/internal/octree"
 	"repro/internal/pool"
+	wpool "repro/internal/workers"
 )
 
 // Fragment is the partial image a rendering processor produces for one
@@ -191,7 +191,8 @@ const (
 // block's projection misses the image entirely or the block is empty space
 // (its maximum value maps to zero density everywhere). It is
 // RenderBlocksWith on a one-block list with a private scratch at the
-// automatic width (runtime.NumCPU() goroutines).
+// automatic width (workers.Width(1) goroutines, so GOMAXPROCS=1 renders
+// inline).
 //
 //repro:allow deadexport: bench
 func (r *Renderer) RenderBlock(bd *BlockData, view *View) *Fragment {
@@ -306,8 +307,8 @@ const minStripRows = 64
 // the steady-state sort allocates no closure.
 func cmpVisRank(a, b *Fragment) int { return a.VisRank - b.VisRank }
 
-// compositeFragmentsWith composites with nw workers (0 = NumCPU, 1 =
-// serial), drawing its order slice and output canvas from the scratch and
+// compositeFragmentsWith composites with nw workers (0 = workers.Width(1),
+// 1 = serial), drawing its order slice and output canvas from the scratch and
 // dispatching the strip fan-out on the scratch's pool. The returned image
 // is a borrow, valid until the next composite on the same scratch; a nil
 // scratch is a private one, so the image is the caller's. Output is
@@ -333,7 +334,7 @@ func compositeFragmentsWith(w, h int, frags []*Fragment, nw int, rs *RenderScrat
 	clear(out.Pix)
 	out.W, out.H = w, h
 	if nw <= 0 {
-		nw = runtime.NumCPU()
+		nw = wpool.Width(1)
 	}
 	if nw > h/minStripRows {
 		nw = h / minStripRows

@@ -13,7 +13,9 @@ import (
 
 // EngineConfig configures an Engine. The zero value serves: a 1-rank-per-
 // role layout, a 64 MiB cache, four idle sessions kept warm, and 32-step
-// render windows.
+// render windows. How many threads a session's ranks fan out to is not a
+// setting: each role splits GOMAXPROCS between its ranks (workers.Width),
+// so a 1-rank-per-role session renders at the process's full width.
 type EngineConfig struct {
 	// Layout is the pipeline layout each session runs; the zero value
 	// means one rank per role (Groups=IPsPerGroup=Renderers=Outputs=1).
@@ -31,15 +33,11 @@ type EngineConfig struct {
 	// MaxWindow bounds the steps of one render call (0 = 32): both the
 	// largest request range and the pipeline window a cold render runs.
 	MaxWindow int
-	// Enhancement, Lighting and Workers are engine-wide render options,
-	// identical for every session (and therefore excluded from cache
-	// keys).
+	// Enhancement and Lighting are engine-wide render options, identical
+	// for every session (and therefore excluded from cache keys).
 	Enhancement bool
 	// Lighting enables gradient Phong lighting in every session.
 	Lighting bool
-	// Workers bounds each rank's shared-memory render parallelism
-	// (core.Options.Workers).
-	Workers int
 	// FixedVMax pins the quantization range; 0 scans the dataset once at
 	// engine construction. Either way every session quantizes with the
 	// same range, so cached and fresh frames are interchangeable.
@@ -98,7 +96,6 @@ func NewEngine(store pfs.Store, cfg EngineConfig) (*Engine, error) {
 	o := core.DefaultOptions(0, 0)
 	o.Enhancement = cfg.Enhancement
 	o.Lighting = cfg.Lighting
-	o.Workers = cfg.Workers
 	o.FixedVMax = cfg.FixedVMax
 	o.Faults.Tolerate = cfg.Tolerate
 	ds, err := core.NewDataset(cfg.Layout, o, store)

@@ -38,13 +38,22 @@ type Pool struct {
 	st *state
 }
 
-// New spawns a pool of size worker goroutines (size <= 0 uses
-// runtime.NumCPU()). The goroutines park on unbuffered channels between
-// dispatches; they exit on Close, or — as a leak backstop — when the Pool
-// becomes unreachable and the garbage collector runs its cleanup.
+// Width is the one rule every fan-out's automatic width comes from: an
+// equal split of runtime.GOMAXPROCS(0) between the share ranks of one role
+// that run in the process (share >= 1), and at least 1. GOMAXPROCS is therefore the
+// setting for every width in the tree; GOMAXPROCS=1 runs every fan-out
+// inline on its rank's goroutine.
+func Width(share int) int {
+	return max(runtime.GOMAXPROCS(0)/share, 1)
+}
+
+// New spawns a pool of size worker goroutines (size <= 0 uses Width(1)).
+// The goroutines park on unbuffered channels between dispatches; they exit
+// on Close, or — as a leak backstop — when the Pool becomes unreachable and
+// the garbage collector runs its cleanup.
 func New(size int) *Pool {
 	if size <= 0 {
-		size = runtime.NumCPU()
+		size = Width(1)
 	}
 	st := &state{done: make(chan struct{}), wake: make([]chan struct{}, size)}
 	for i := range st.wake {
@@ -65,18 +74,14 @@ func New(size int) *Pool {
 // visible to the caller when Run returns.
 //
 // On a nil pool the workers-1 helpers are goroutines spawned for this call
-// (workers <= 0 means runtime.NumCPU(), and there is no Size to cap at);
+// (workers <= 0 means Width(1), and there is no pool size to cap at);
 // everything else above holds except that the spawns allocate.
 func (p *Pool) Run(workers, n int, fn func(int)) {
 	if n <= 0 {
 		return
 	}
-	if p == nil {
-		if workers <= 0 {
-			workers = runtime.NumCPU()
-		}
-	} else if workers <= 0 || workers > len(p.st.wake) {
-		workers = len(p.st.wake)
+	if workers <= 0 || (p != nil && workers > len(p.st.wake)) {
+		workers = p.Size()
 	}
 	if workers > n {
 		workers = n
@@ -115,6 +120,15 @@ func (p *Pool) Run(workers, n int, fn func(int)) {
 	// the whole dispatch so a caller whose last reference is this very Run
 	// cannot have the pool shut down underneath it.
 	runtime.KeepAlive(p)
+}
+
+// Size is the width Run(0, n, fn) dispatches at: the pool's goroutine
+// count, or on a nil pool the automatic width Width(1).
+func (p *Pool) Size() int {
+	if p == nil {
+		return Width(1)
+	}
+	return len(p.st.wake)
 }
 
 // spawn is the nil pool's dispatch: the caller and workers-1 fresh

@@ -86,10 +86,41 @@ func TestPoolSize(t *testing.T) {
 	if n := len(p.st.wake); n != 3 {
 		t.Errorf("size = %d, want 3", n)
 	}
+	if n := p.Size(); n != 3 {
+		t.Errorf("Size = %d, want 3", n)
+	}
+	// The default size follows GOMAXPROCS, not the machine's CPU count.
+	setGOMAXPROCS(t, 5)
 	d := New(0)
 	defer d.Close()
-	if n := len(d.st.wake); n != runtime.NumCPU() {
-		t.Errorf("default size = %d, want NumCPU %d", n, runtime.NumCPU())
+	if n := len(d.st.wake); n != 5 {
+		t.Errorf("default size = %d, want GOMAXPROCS 5", n)
+	}
+	if n := (*Pool)(nil).Size(); n != 5 {
+		t.Errorf("nil pool Size = %d, want GOMAXPROCS 5", n)
+	}
+}
+
+// setGOMAXPROCS sets GOMAXPROCS for the rest of the test and restores it on
+// cleanup.
+func setGOMAXPROCS(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// TestWidth pins the rule: GOMAXPROCS split evenly between the ranks of a
+// role, rounded down, never below 1.
+func TestWidth(t *testing.T) {
+	for _, tc := range []struct{ procs, share, want int }{
+		{1, 1, 1}, {1, 4, 1},
+		{2, 1, 2}, {2, 2, 1}, {2, 3, 1},
+		{3, 1, 3}, {3, 2, 1},
+		{8, 1, 8}, {8, 3, 2}, {8, 4, 2}, {8, 9, 1},
+	} {
+		setGOMAXPROCS(t, tc.procs)
+		if got := Width(tc.share); got != tc.want {
+			t.Errorf("GOMAXPROCS %d: Width(%d) = %d, want %d", tc.procs, tc.share, got, tc.want)
+		}
 	}
 }
 
