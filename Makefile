@@ -107,7 +107,7 @@ check: build vet fmtcheck lint test race
 # including the chaos-over-net drop/kill pins, and the TestNet leg
 # replays the transport's heal/peer-loss suite the same way; the serve
 # legs replay the frame server's load suite (bit-exactness + hit-rate +
-# zero-alloc warm path) and chaos suite (degraded serving, shedding,
+# zero-alloc warm path), its pin-lifetime and lookup-count pins, and chaos suite (degraded serving, shedding,
 # drain, leak checks) under the race detector (docs/serve.md); the
 # SetView/shared-Dataset leg replays the re-aim exactness suite and the
 # concurrent-sessions-on-one-Dataset pins the same way; the -benchtime 1x
@@ -127,7 +127,7 @@ ci: check benchsmoke
 	$(GO) test -run 'AllocFree|AllocBudget|ArenaReuse' -v ./internal/compositor/ ./internal/render/ ./internal/lic/ ./internal/quadtree/ ./internal/core/ ./internal/mpiio/ ./internal/workers/ ./internal/mpi/
 	$(GO) test -race -run 'TestChaos' -count=1 -v ./internal/core/ ./internal/serve/
 	$(GO) test -race -run 'TestNet' -count=1 -v ./internal/mpi/ ./internal/faultinject/
-	$(GO) test -race -run 'TestServeLoad' -count=1 -v ./internal/serve/
+	$(GO) test -race -run 'TestServeLoad|TestFrameCachePinnedSurvivesEviction|TestServeCacheCountsOnePerRequest' -count=1 -v ./internal/serve/
 	$(GO) test -race -run 'TestSetView|TestDatasetShared|TestServeNewViews|TestServeConcurrentViewers' -count=1 -v ./internal/core/ ./internal/serve/
 	GOMAXPROCS=1 $(GO) test -run 'TestGolden|TestScratchReuseInvariant|TestCrossTransport|MatchesSerial|TestCompositeFragmentsStripParallel' -count=1 -v ./internal/core/ ./internal/render/ ./internal/lic/
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/compositor/ ./internal/lic/ ./internal/render/ ./internal/mpiio/ ./internal/core/ ./internal/workers/ ./internal/mpi/ ./internal/serve/

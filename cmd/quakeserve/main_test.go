@@ -39,18 +39,21 @@ func dataset(t *testing.T, steps int) pfs.Store {
 }
 
 // serveAll builds an engine over st (what retryStore returned, as in main)
-// and renders every step once, returning owned copies of the frames and
-// the degraded count.
+// and renders every step once, returning the decoded frames and the
+// degraded count.
 func serveAll(st pfs.Store, tolerate bool, steps int) (frames []*img.Image, degraded int, err error) {
 	eng, err := serve.NewEngine(st, serve.EngineConfig{Tolerate: tolerate})
 	if err != nil {
 		return nil, 0, err
 	}
 	defer eng.Close()
-	var scratch img.Image
-	err = eng.Render(serve.RenderConfig{Width: 32, Height: 32}, 0, steps, &scratch,
-		func(step int, frame *img.Image, deg, cached bool) error {
-			frames = append(frames, frame.Clone())
+	err = eng.Render(serve.RenderConfig{Width: 32, Height: 32}, 0, steps,
+		func(step int, body []byte, deg bool) error {
+			_, frame, _, _, err := serve.DecodeWireFrame(body)
+			if err != nil {
+				return err
+			}
+			frames = append(frames, frame)
 			if deg {
 				degraded++
 			}

@@ -1,70 +1,63 @@
 package serve_test
 
 import (
+	"io"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/img"
-	"repro/internal/pool"
 	"repro/internal/serve"
 )
 
-// BenchmarkServeCachedFrame measures the warm serving path — a cache hit
-// copied into a reused canvas plus the wire encode — which the load suite
-// requires to be allocation-free.
+// BenchmarkServeCachedFrame measures what a raw cache hit does — pin the
+// entry, write its wire body, release — which the load suite requires to
+// be allocation-free.
 func BenchmarkServeCachedFrame(b *testing.B) {
 	store := buildDataset(b, 1)
 	eng := newTestEngine(b, store, serve.EngineConfig{})
 	defer eng.Close()
 	cfg := serve.RenderConfig{Width: 256, Height: 256}
-	var dst img.Image
-	if err := eng.Render(cfg, 0, 1, &dst, func(int, *img.Image, bool, bool) error { return nil }); err != nil {
+	if err := eng.Render(cfg, 0, 1, func(int, []byte, bool) error { return nil }); err != nil {
 		b.Fatal(err)
 	}
-	if !eng.CachedInto(cfg, 0, &dst) {
+	c, k := eng.Cache(), serve.FrameKey{Cfg: cfg, Step: 0}
+	f := c.Pin(k)
+	if f == nil {
 		b.Fatal("frame not cached after render")
 	}
-	var buf []byte
-	buf = serve.EncodeWireFrameInto(buf, 0, &dst, false)
-	b.SetBytes(int64(len(buf)))
+	b.SetBytes(int64(len(f.Body())))
+	c.Release(f)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !eng.CachedInto(cfg, 0, &dst) {
+		f := c.Pin(k)
+		if f == nil {
 			b.Fatal("cache entry vanished")
 		}
-		buf = serve.EncodeWireFrameInto(buf, 0, &dst, false)
+		io.Discard.Write(f.Body())
+		c.Release(f)
 	}
 }
 
 // BenchmarkServeColdFrame measures an uncached render through the engine:
 // session acquisition (warm after the first iteration), a one-step
-// pipeline window, and the frame copy-out. The cache is disabled so every
-// iteration pays the full render.
+// pipeline window, and the frame's one wire encode. The cache is disabled
+// so every iteration pays the full render.
 func BenchmarkServeColdFrame(b *testing.B) {
 	store := buildDataset(b, 1)
 	eng := newTestEngine(b, store, serve.EngineConfig{CacheBytes: -1})
 	defer eng.Close()
 	cfg := serve.RenderConfig{Width: 256, Height: 256}
-	var dst img.Image
+	visit := func(int, []byte, bool) error { return nil }
 	// Warm the session pool so iterations measure renders, not construction.
-	if err := eng.Render(cfg, 0, 1, &dst, func(int, *img.Image, bool, bool) error { return nil }); err != nil {
+	if err := eng.Render(cfg, 0, 1, visit); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := eng.Render(cfg, 0, 1, &dst, func(_ int, fr *img.Image, _, _ bool) error {
-			if fr != &dst {
-				dst.W, dst.H = fr.W, fr.H
-				dst.Pix = pool.Grow(dst.Pix, len(fr.Pix))
-				copy(dst.Pix, fr.Pix)
-			}
-			return nil
-		})
-		if err != nil {
+		if err := eng.Render(cfg, 0, 1, visit); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,16 +73,15 @@ func BenchmarkServeNewView(b *testing.B) {
 	eng := newTestEngine(b, store, serve.EngineConfig{CacheBytes: -1})
 	defer eng.Close()
 	cfg := serve.RenderConfig{Width: 256, Height: 256, Orbit: true, El: 35}
-	var dst img.Image
-	visit := func(int, *img.Image, bool, bool) error { return nil }
-	if err := eng.Render(cfg, 0, 1, &dst, visit); err != nil {
+	visit := func(int, []byte, bool) error { return nil }
+	if err := eng.Render(cfg, 0, 1, visit); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Az = 360 * float64(i+1) / float64(b.N+1)
-		if err := eng.Render(cfg, 0, 1, &dst, visit); err != nil {
+		if err := eng.Render(cfg, 0, 1, visit); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,8 +19,8 @@ import (
 
 // TestChaosServeDegradedNotCached pins the degraded-frame contract under
 // permanent read faults: the frame is served with the stale marker
-// header, is never cached (every fetch re-renders), and clean steps are
-// unaffected and cache normally.
+// header and the wire flag, is never cached (every fetch re-renders), and
+// clean steps are unaffected and cache normally.
 func TestChaosServeDegradedNotCached(t *testing.T) {
 	store := buildDataset(t, 3)
 	vmax := independentVMax(t, store)
@@ -34,12 +34,15 @@ func TestChaosServeDegradedNotCached(t *testing.T) {
 	ts := newTestHTTPServer(t, srv)
 
 	for round := 0; round < 2; round++ {
-		_, resp := getFrame(t, ts, serve.RenderConfig{Width: 32, Height: 32}, 1)
+		body, resp := getBody(t, ts, "/frame?step=1&w=32&h=32")
 		if got := resp.Header.Get(serve.HeaderDegraded); got != "stale" {
 			t.Fatalf("round %d: degraded header = %q, want stale", round, got)
 		}
 		if got := resp.Header.Get(serve.HeaderCache); got != "miss" {
 			t.Errorf("round %d: degraded frame served from cache (%q), must never be cached", round, got)
+		}
+		if _, _, deg, _, err := serve.DecodeWireFrame(body); err != nil || !deg {
+			t.Errorf("round %d: degraded frame's wire flag = %v (%v), want set", round, deg, err)
 		}
 	}
 	for round := 0; round < 2; round++ {
@@ -54,6 +57,18 @@ func TestChaosServeDegradedNotCached(t *testing.T) {
 		if got := resp.Header.Get(serve.HeaderCache); got != want {
 			t.Errorf("round %d: clean step cache header = %q, want %q", round, got, want)
 		}
+	}
+	// A stream flags exactly the degraded step, cached or rendered.
+	body, _ := getBody(t, ts, "/frames?lo=0&hi=3&w=32&h=32")
+	for step := 0; step < 3; step++ {
+		got, _, deg, rest, err := serve.DecodeWireFrame(body)
+		if err != nil {
+			t.Fatalf("stream frame %d: %v", step, err)
+		}
+		if got != step || deg != (step == 1) {
+			t.Errorf("stream frame %d: step %d degraded=%v, want degraded only at step 1", step, got, deg)
+		}
+		body = rest
 	}
 }
 

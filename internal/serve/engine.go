@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/img"
 	"repro/internal/pfs"
+	"repro/internal/pool"
 	"repro/internal/render"
 )
 
@@ -54,12 +55,13 @@ type EngineConfig struct {
 // quantization range) is built once and shared read-only; each in-flight
 // render exclusively owns one session (a core.RealWorkload with private
 // view tables, scratches, worker pools and frame ring), and the cache
-// deals only in owned copies.
+// holds wire bodies it encoded itself, handed out pinned.
 type Engine struct {
 	ds    *core.Dataset
 	opts  core.Options // engine-wide session options; acquire fills in the request's view fields
 	cfg   EngineConfig
 	cache *FrameCache
+	wire  pool.Pool[[]byte] // encodings of rendered frames the cache does not hold
 
 	mu     sync.Mutex
 	idle   []*session // oldest first; evicted from the front
@@ -211,25 +213,41 @@ func (e *Engine) Close() {
 	}
 }
 
-// CachedInto serves step from the cache into the caller-owned dst,
-// bypassing sessions and admission entirely. This is the warm path the
-// load suite pins at zero allocations per hit (dst reuse makes the copy
-// in-place).
+// CachedInto decodes step's cached wire body into the caller-owned dst,
+// bypassing sessions and admission entirely: the PNG hit path. A reused,
+// right-sized dst makes it allocation-free, which the load suite pins.
+//
+//repro:allocfree
 func (e *Engine) CachedInto(cfg RenderConfig, step int, dst *img.Image) bool {
-	return e.cache.GetInto(FrameKey{Cfg: cfg, Step: step}, dst)
+	f := e.cache.Pin(FrameKey{Cfg: cfg, Step: step})
+	if f == nil {
+		return false
+	}
+	_, _, _, err := decodeWireInto(f.body, dst)
+	e.cache.Release(f)
+	return err == nil
 }
 
-// Render produces frames for dataset steps [lo, hi) under cfg and hands
-// each to visit in step order. Cached steps are copied into scratch
-// (caller-owned, reused across hits) and visited with cached=true;
-// contiguous runs of missing steps are rendered by an exclusively-owned
-// session in one pipeline window each, cached (unless degraded), and
-// visited directly from the session's frame ring before release.
+// Render produces the wire frames of dataset steps [lo, hi) under cfg and
+// hands each to visit in step order, with its degraded flag. A cached
+// step's body is its cache entry, pinned for the visit. Contiguous runs
+// of missing steps are rendered by an exclusively-owned session in one
+// pipeline window each, and each frame is encoded exactly once: into the
+// cache entry it fills, or, when degraded (never cached) or refused by
+// the cache, into a pooled buffer.
 //
-// The *img.Image passed to visit is only valid for the duration of the
-// call — implementations copy or encode, never retain. A visit error
-// aborts the remaining steps and is returned as-is.
-func (e *Engine) Render(cfg RenderConfig, lo, hi int, scratch *img.Image, visit func(step int, frame *img.Image, degraded, cached bool) error) error {
+// The body passed to visit is only valid for the duration of the call —
+// implementations write or decode it, never retain it. A visit error
+// aborts the remaining steps and is returned as-is. Every step's cache
+// lookup is counted once, hit or miss.
+func (e *Engine) Render(cfg RenderConfig, lo, hi int, visit func(step int, body []byte, degraded bool) error) error {
+	return e.render(cfg, lo, hi, false, visit)
+}
+
+// render is Render for a caller that may already have counted step lo's
+// lookup (counted): that step is re-checked, since it may have been
+// filled while the caller waited for admission, without counting again.
+func (e *Engine) render(cfg RenderConfig, lo, hi int, counted bool, visit func(int, []byte, bool) error) error {
 	if lo < 0 || hi <= lo || hi > e.ds.NumSteps() {
 		return fmt.Errorf("serve: step range [%d, %d) outside dataset steps [0, %d)", lo, hi, e.ds.NumSteps())
 	}
@@ -237,15 +255,17 @@ func (e *Engine) Render(cfg RenderConfig, lo, hi int, scratch *img.Image, visit 
 		return fmt.Errorf("serve: step range [%d, %d) exceeds the %d-step window bound", lo, hi, e.cfg.MaxWindow)
 	}
 	for step := lo; step < hi; {
-		if e.cache.GetInto(FrameKey{Cfg: cfg, Step: step}, scratch) {
-			if err := visit(step, scratch, false, true); err != nil {
+		if f := e.cache.pin(FrameKey{Cfg: cfg, Step: step}, !counted || step != lo); f != nil {
+			err := visit(step, f.body, false)
+			e.cache.Release(f)
+			if err != nil {
 				return err
 			}
 			step++
 			continue
 		}
 		segHi := step + 1
-		for segHi < hi && !e.cache.Contains(FrameKey{Cfg: cfg, Step: segHi}) {
+		for segHi < hi && e.cache.missing(FrameKey{Cfg: cfg, Step: segHi}) {
 			segHi++
 		}
 		if err := e.renderSegment(cfg, step, segHi, visit); err != nil {
@@ -257,10 +277,12 @@ func (e *Engine) Render(cfg RenderConfig, lo, hi int, scratch *img.Image, visit 
 }
 
 // renderSegment renders the contiguous missing steps [lo, hi) with one
-// session window: cache-fill happens by copy while the frame is still
-// owned by the session's ring, then the canvas goes straight back to the
-// ring (the copy-out-or-release contract).
-func (e *Engine) renderSegment(cfg RenderConfig, lo, hi int, visit func(int, *img.Image, bool, bool) error) error {
+// session window. Each frame is encoded once (encode) while the session's
+// ring still owns it, then the canvas goes straight back to the ring (the
+// copy-out-or-release contract). An encoding needs nothing of the
+// session, so the last frame is visited with the session already parked:
+// a client that reads the response and asks again finds it idle.
+func (e *Engine) renderSegment(cfg RenderConfig, lo, hi int, visit func(int, []byte, bool) error) error {
 	s, err := e.acquire(cfg)
 	if err != nil {
 		return err
@@ -269,8 +291,8 @@ func (e *Engine) renderSegment(cfg RenderConfig, lo, hi int, visit func(int, *im
 		e.discard(s)
 		return err
 	}
-	for i := 0; i < hi-lo; i++ {
-		step := lo + i
+	for step := lo; step < hi; step++ {
+		i := step - lo
 		frame := s.w.Frame(i)
 		if frame == nil {
 			e.discard(s)
@@ -278,20 +300,43 @@ func (e *Engine) renderSegment(cfg RenderConfig, lo, hi int, visit func(int, *im
 		}
 		e.rendered.Add(1)
 		degraded := s.w.FrameDegraded(i)
-		if !degraded {
-			e.cache.Put(FrameKey{Cfg: cfg, Step: step}, frame)
-		}
-		err := visit(step, frame, degraded, false)
+		f, buf := e.encode(FrameKey{Cfg: cfg, Step: step}, frame, degraded)
 		s.w.ReleaseFrame(i)
-		if err != nil {
-			// Remaining frames stay on the workload; the next
-			// SetStepWindow (or Close) recycles them.
+		last := step == hi-1
+		if last {
 			e.release(s)
+		}
+		if f != nil {
+			err = visit(step, f.body, false)
+			e.cache.Release(f)
+		} else {
+			err = visit(step, *buf, degraded)
+			e.wire.Put(buf)
+		}
+		if err != nil {
+			if !last {
+				// Remaining frames stay on the workload; the next
+				// SetStepWindow (or Close) recycles them.
+				e.release(s)
+			}
 			return err
 		}
 	}
-	e.release(s)
 	return nil
+}
+
+// encode encodes a rendered frame once: a clean frame into the cache
+// entry its Put fills, returned pinned; a degraded one (never cached), or
+// one the cache refuses, into a pooled buffer, with its flag.
+func (e *Engine) encode(k FrameKey, frame *img.Image, degraded bool) (*CachedFrame, *[]byte) {
+	if !degraded {
+		if f := e.cache.Put(k, frame); f != nil {
+			return f, nil
+		}
+	}
+	buf := e.wire.Get()
+	*buf = EncodeWireFrameInto(*buf, k.Step, frame, degraded)
+	return nil, buf
 }
 
 // run aims the session's workload at dataset steps [lo, hi) and executes

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -72,8 +73,8 @@ func TestServeLoadConcurrentViewers(t *testing.T) {
 		t.Errorf("cache hit rate %.3f below floor %.2f (hits %d misses %d)", rate, hitRateFloor, st.Hits, st.Misses)
 	}
 
-	// The warm cached path must be allocation-free: a reused destination
-	// canvas makes CachedInto pure copy work.
+	// The warm PNG-hit path must be allocation-free: a reused destination
+	// canvas makes CachedInto pure decode work.
 	cfg, step := views[0], 0
 	var dst img.Image
 	if !eng.CachedInto(cfg, step, &dst) {
@@ -87,14 +88,17 @@ func TestServeLoadConcurrentViewers(t *testing.T) {
 		t.Errorf("warm cache hit allocates %v times per run, want 0", allocs)
 	}
 
-	// And the full serve-side encode on top of a hit stays allocation-free
-	// too once the wire buffer is warm.
-	var buf []byte
-	buf = serve.EncodeWireFrameInto(buf, step, &dst, false)
+	// And what a raw hit does — pin, write the cached body, release — is
+	// allocation-free too.
+	c, k := eng.Cache(), serve.FrameKey{Cfg: cfg, Step: step}
 	if allocs := testing.AllocsPerRun(200, func() {
-		eng.CachedInto(cfg, step, &dst)
-		buf = serve.EncodeWireFrameInto(buf, step, &dst, false)
+		f := c.Pin(k)
+		if f == nil {
+			t.Fatal("cache entry vanished")
+		}
+		io.Discard.Write(f.Body())
+		c.Release(f)
 	}); allocs != 0 {
-		t.Errorf("warm hit + wire encode allocates %v times per run, want 0", allocs)
+		t.Errorf("warm raw hit (pin, write, release) allocates %v times per run, want 0", allocs)
 	}
 }

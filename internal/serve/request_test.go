@@ -169,8 +169,30 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	huge[8], huge[9], huge[10], huge[11] = 0xff, 0xff, 0xff, 0x7f
 	bad = append(bad, huge)
 	for i, b := range bad {
-		if _, _, _, _, err := serve.DecodeWireFrame(b); err == nil {
+		_, _, _, _, err := serve.DecodeWireFrame(b)
+		if err == nil {
 			t.Errorf("bad input %d accepted", i)
+			continue
 		}
+		// The in-place path is the same parser: the same refusal, and the
+		// destination untouched.
+		dst := mkFrame(2, 2, 5)
+		_, _, _, intoErr := serve.DecodeWireInto(b, dst)
+		if intoErr == nil || intoErr.Error() != err.Error() {
+			t.Errorf("bad input %d: in-place decode error %v, want %v", i, intoErr, err)
+		}
+		if dst.W != 2 || dst.H != 2 || len(dst.Pix) != 16 || dst.Pix[0] != 5 {
+			t.Errorf("bad input %d: rejected decode touched the destination", i)
+		}
+	}
+
+	// A reused destination decodes in place, to the same pixels.
+	dst := mkFrame(5, 3, 9)
+	step, deg, rest, err = serve.DecodeWireInto(two, dst)
+	if err != nil || step != 0 || deg || len(rest) != len(two)/2 {
+		t.Fatalf("in-place decode: step=%d deg=%v rest=%d err=%v", step, deg, len(rest), err)
+	}
+	if d := img.MaxAbsDiff(frame, dst); d != 0 {
+		t.Errorf("in-place decode differs (max diff %v)", d)
 	}
 }

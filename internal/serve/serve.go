@@ -12,10 +12,10 @@
 // concurrent request that has to render owns a whole session — a
 // RealWorkload with its private scratches, worker pools, and frame ring —
 // so sessions never share mutable state; the cache is the only cross-
-// session structure, and it traffics exclusively in owned copies (copy-in
-// on fill via the ring's copy-out-or-release contract, copy-out on hit
-// into caller-owned canvases), so a cache hit is allocation-free at
-// steady state.
+// session structure. It holds frames in their wire form, encoded once on
+// fill while the session's ring still owns the frame (the ring's
+// copy-out-or-release contract), and hands entries out pinned: a raw hit
+// writes the cached bytes themselves, allocation-free at steady state.
 package serve
 
 import (

@@ -167,10 +167,10 @@ func getFrameErr(ts *httptest.Server, cfg serve.RenderConfig, step int) (*img.Im
 	return frame, nil
 }
 
-// getFrame fetches /frame?step=N for cfg and decodes the wire response.
-func getFrame(t testing.TB, ts *httptest.Server, cfg serve.RenderConfig, step int) (*img.Image, *http.Response) {
+// getBody fetches path and returns the body of its 200 response.
+func getBody(t testing.TB, ts *httptest.Server, path string) ([]byte, *http.Response) {
 	t.Helper()
-	resp, err := ts.Client().Get(fmt.Sprintf("%s/frame?step=%d&%s", ts.URL, step, cfgQuery(cfg)))
+	resp, err := ts.Client().Get(ts.URL + path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +180,15 @@ func getFrame(t testing.TB, ts *httptest.Server, cfg serve.RenderConfig, step in
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /frame step=%d: %s: %s", step, resp.Status, body)
+		t.Fatalf("GET %s: %s: %s", path, resp.Status, body)
 	}
+	return body, resp
+}
+
+// getFrame fetches /frame?step=N for cfg and decodes the wire response.
+func getFrame(t testing.TB, ts *httptest.Server, cfg serve.RenderConfig, step int) (*img.Image, *http.Response) {
+	t.Helper()
+	body, resp := getBody(t, ts, fmt.Sprintf("/frame?step=%d&%s", step, cfgQuery(cfg)))
 	gotStep, frame, _, rest, err := serve.DecodeWireFrame(body)
 	if err != nil {
 		t.Fatal(err)
@@ -305,6 +312,22 @@ func TestServeNewViewsReuseOneSession(t *testing.T) {
 		}
 		if cold, idle := eng.ColdSessions(), eng.IdleSessions(); cold != 1 || idle != 1 {
 			t.Errorf("enhance=%v: %d views built %d sessions (%d idle), want 1 (1 idle)", enhance, len(views), cold, idle)
+		}
+		// The last frame of a render is visited with its session already
+		// parked, so a viewer that reads a response and asks again never
+		// finds the session still busy with the request it just got.
+		err := eng.Render(serve.RenderConfig{Width: 40, Height: 40, Orbit: true, Az: 5, El: 5}, 1, 3, func(step int, _ []byte, _ bool) error {
+			want := 0
+			if step == 2 {
+				want = 1
+			}
+			if idle := eng.IdleSessions(); idle != want {
+				t.Errorf("enhance=%v: visiting step %d with %d idle sessions, want %d", enhance, step, idle, want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 		eng.Close()
 	}
@@ -557,5 +580,37 @@ func TestServeHealthzStatsz(t *testing.T) {
 	getFrame(t, ts, serve.RenderConfig{Width: 32, Height: 32, Orbit: true, Az: 80, El: 40}, 0)
 	if st := srv.Snapshot(); st.ColdSessions != 1 || st.IdleSessions != 1 {
 		t.Errorf("sessions after a camera move: cold %d idle %d, want 1/1", st.ColdSessions, st.IdleSessions)
+	}
+}
+
+// TestServeCacheCountsOnePerRequest pins the hit/miss accounting: a /frame
+// request is one lookup — raw or PNG, hit or miss, however the miss path
+// re-checks after admission — and a /frames window is one lookup per step,
+// partly cached or not.
+func TestServeCacheCountsOnePerRequest(t *testing.T) {
+	store := buildDataset(t, 4)
+	eng := newTestEngine(t, store, serve.EngineConfig{})
+	ts := newTestHTTPServer(t, serve.NewServer(eng, serve.ServerConfig{}))
+	for _, c := range []struct {
+		path         string
+		hits, misses uint64
+	}{
+		{"/frame?step=1&w=32&h=32", 0, 1},                // raw miss
+		{"/frame?step=1&w=32&h=32", 1, 0},                // raw hit
+		{"/frame?step=3&w=32&h=32&format=png", 0, 1},     // PNG miss
+		{"/frame?step=3&w=32&h=32&format=png", 1, 0},     // PNG hit
+		{"/frames?lo=0&hi=4&w=32&h=32", 2, 2},            // steps 1 and 3 cached
+		{"/frames?lo=0&hi=4&w=32&h=32&tf=gray", 0, 4},    // one segment, nothing cached
+		{"/frames?lo=1&hi=3&w=32&h=32&format=raw", 2, 0}, // all cached
+	} {
+		before := eng.Cache().Stats()
+		getBody(t, ts, c.path)
+		after := eng.Cache().Stats()
+		if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != c.hits || misses != c.misses {
+			t.Errorf("GET %s counted %d hits and %d misses, want %d and %d", c.path, hits, misses, c.hits, c.misses)
+		}
+		if n := eng.Cache().Pins(); n != 0 {
+			t.Errorf("GET %s left %d cache entries pinned", c.path, n)
+		}
 	}
 }

@@ -76,14 +76,7 @@ type Server struct {
 	shed   atomic.Uint64
 	served atomic.Uint64
 
-	frames pool.Pool[img.Image]
-	bufs   pool.Pool[respBuf]
-}
-
-// respBuf is a pooled response scratch: the wire-encoding buffer reused
-// across requests.
-type respBuf struct {
-	b []byte
+	frames pool.Pool[img.Image] // PNG canvases: wire bodies decode into them
 }
 
 // NewServer wires a Server over eng. The engine is owned by the server
@@ -216,9 +209,11 @@ func setFrameHeaders(w http.ResponseWriter, req Request) {
 	h.Set(HeaderTFHash, strconv.FormatUint(req.Cfg.TFHash(), 16))
 }
 
-// handleFrame serves one frame: cache hits bypass admission; misses
-// render through an admitted session. FormatRaw bodies are one wire
-// frame; FormatPNG is a tone-mapped PNG.
+// handleFrame serves one frame with one counted cache lookup: hits bypass
+// admission — a FormatRaw hit writes the pinned cache entry itself, a
+// FormatPNG hit decodes it into a pooled canvas — and misses render
+// through an admitted session. FormatRaw bodies are one wire frame;
+// FormatPNG is a tone-mapped PNG.
 func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 	req, err := s.decodeRequest(r, 1)
 	if err != nil {
@@ -226,10 +221,18 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	setFrameHeaders(w, req)
-	frame := s.frames.Get()
-	defer s.frames.Put(frame)
-	if s.eng.CachedInto(req.Cfg, req.Lo, frame) {
-		s.writeSingleFrame(w, req, frame, false, true)
+	asPNG := req.Format == FormatPNG
+	var frame *img.Image
+	if asPNG {
+		frame = s.frames.Get()
+		defer s.frames.Put(frame)
+		if s.eng.CachedInto(req.Cfg, req.Lo, frame) {
+			s.writeSingleFrame(w, req, nil, frame, false, true)
+			return
+		}
+	} else if f := s.eng.Cache().Pin(FrameKey{Cfg: req.Cfg, Step: req.Lo}); f != nil {
+		s.writeSingleFrame(w, req, f.Body(), nil, false, true)
+		s.eng.Cache().Release(f)
 		return
 	}
 	release, err := s.admit(r.Context())
@@ -240,28 +243,23 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	defer s.wg.Done()
 	defer release()
-	var degraded bool
-	err = s.eng.Render(req.Cfg, req.Lo, req.Hi, frame, func(step int, fr *img.Image, deg, cached bool) error {
-		if fr != frame {
-			// Frame came straight from a session ring (cold render):
-			// copy into the pooled canvas so the write happens on owned
-			// memory after the session releases.
-			frame.W, frame.H = fr.W, fr.H
-			frame.Pix = pool.Grow(frame.Pix, len(fr.Pix))
-			copy(frame.Pix, fr.Pix)
+	err = s.eng.render(req.Cfg, req.Lo, req.Hi, true, func(_ int, body []byte, degraded bool) error {
+		if asPNG {
+			if _, _, _, err := decodeWireInto(body, frame); err != nil {
+				return err
+			}
 		}
-		degraded = deg
+		s.writeSingleFrame(w, req, body, frame, degraded, false)
 		return nil
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
 	}
-	s.writeSingleFrame(w, req, frame, degraded, false)
 }
 
-// writeSingleFrame encodes one frame onto the response.
-func (s *Server) writeSingleFrame(w http.ResponseWriter, req Request, frame *img.Image, degraded, cached bool) {
+// writeSingleFrame writes one frame response: the wire body for
+// FormatRaw, frame (the body decoded) as a PNG for FormatPNG.
+func (s *Server) writeSingleFrame(w http.ResponseWriter, req Request, body []byte, frame *img.Image, degraded, cached bool) {
 	h := w.Header()
 	if cached {
 		h.Set(HeaderCache, "hit")
@@ -282,13 +280,10 @@ func (s *Server) writeSingleFrame(w http.ResponseWriter, req Request, frame *img
 		return
 	}
 	h.Set("Content-Type", "application/octet-stream")
-	h.Set(HeaderWidth, strconv.Itoa(frame.W))
-	h.Set(HeaderHeight, strconv.Itoa(frame.H))
-	buf := s.bufs.Get()
-	buf.b = EncodeWireFrameInto(buf.b, req.Lo, frame, degraded)
-	h.Set("Content-Length", strconv.Itoa(len(buf.b)))
-	w.Write(buf.b)
-	s.bufs.Put(buf)
+	h.Set(HeaderWidth, strconv.Itoa(req.Cfg.Width))
+	h.Set(HeaderHeight, strconv.Itoa(req.Cfg.Height))
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // handleFrames streams a step range as concatenated wire frames,
@@ -326,15 +321,10 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 	defer s.wg.Done()
 	defer release()
 
-	frame := s.frames.Get()
-	defer s.frames.Put(frame)
-	buf := s.bufs.Get()
-	defer s.bufs.Put(buf)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	flusher, _ := w.(http.Flusher)
-	err = s.eng.Render(req.Cfg, req.Lo, req.Hi, frame, func(step int, fr *img.Image, deg, cached bool) error {
-		buf.b = EncodeWireFrameInto(buf.b, step, fr, deg)
-		if _, err := w.Write(buf.b); err != nil {
+	err = s.eng.Render(req.Cfg, req.Lo, req.Hi, func(_ int, body []byte, _ bool) error {
+		if _, err := w.Write(body); err != nil {
 			return err
 		}
 		s.served.Add(1)

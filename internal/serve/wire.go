@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/img"
+	"repro/internal/pool"
 )
 
 // The streaming wire format: each frame is a fixed 20-byte header —
@@ -13,9 +14,10 @@ import (
 // uint32 — followed by width*height*4 float32 pixels (RGBA planes
 // interleaved exactly as img.Image.Pix), little-endian. Frames
 // concatenate back to back on a /frames stream; a single /frame response
-// body in FormatRaw is exactly one wire frame. Encoding appends into a
-// caller-owned buffer so the steady-state serve path reuses one buffer
-// per request.
+// body in FormatRaw is exactly one wire frame. The engine encodes each
+// rendered frame once — into the cache entry it fills, or into its
+// session's scratch when the frame is not cached — and every response
+// writes those bytes.
 
 const (
 	// WireMagic opens every wire frame.
@@ -28,7 +30,7 @@ const (
 	WireFlagDegraded = 1 << 0
 )
 
-// maxWirePixels bounds the pixel payload DecodeWireFrame will allocate
+// maxWirePixels bounds the pixel payload decodeWireInto will allocate
 // for, so a corrupt header cannot demand an arbitrary allocation.
 const maxWirePixels = MaxFrameDim * MaxFrameDim
 
@@ -68,27 +70,41 @@ func EncodeWireFrameInto(buf []byte, step int, frame *img.Image, degraded bool) 
 //
 //repro:allow deadexport: bench
 func DecodeWireFrame(b []byte) (step int, frame *img.Image, degraded bool, rest []byte, err error) {
+	frame = new(img.Image)
+	if step, degraded, rest, err = decodeWireInto(b, frame); err != nil {
+		return 0, nil, false, nil, err
+	}
+	return step, frame, degraded, rest, nil
+}
+
+// decodeWireInto is the one wire-frame parser: it checks the header, the
+// size bound and the payload length before touching dst, then decodes the
+// first frame in b into dst (resized with pool.Grow, so a reused dst
+// decodes in place) and returns its step, degraded flag and the bytes
+// after it.
+func decodeWireInto(b []byte, dst *img.Image) (step int, degraded bool, rest []byte, err error) {
 	if len(b) < WireHeaderSize {
-		return 0, nil, false, nil, fmt.Errorf("serve: wire frame shorter than header: %d bytes", len(b))
+		return 0, false, nil, fmt.Errorf("serve: wire frame shorter than header: %d bytes", len(b))
 	}
 	if string(b[:4]) != WireMagic {
-		return 0, nil, false, nil, fmt.Errorf("serve: bad wire magic %q", b[:4])
+		return 0, false, nil, fmt.Errorf("serve: bad wire magic %q", b[:4])
 	}
 	step = int(int32(binary.LittleEndian.Uint32(b[4:])))
 	w := int(binary.LittleEndian.Uint32(b[8:]))
 	h := int(binary.LittleEndian.Uint32(b[12:]))
 	flags := binary.LittleEndian.Uint32(b[16:])
 	if w <= 0 || h <= 0 || w*h > maxWirePixels {
-		return 0, nil, false, nil, fmt.Errorf("serve: wire frame size %dx%d out of range", w, h)
+		return 0, false, nil, fmt.Errorf("serve: wire frame size %dx%d out of range", w, h)
 	}
 	n := 4 * w * h
 	body := b[WireHeaderSize:]
 	if len(body) < 4*n {
-		return 0, nil, false, nil, fmt.Errorf("serve: wire frame truncated: have %d of %d payload bytes", len(body), 4*n)
+		return 0, false, nil, fmt.Errorf("serve: wire frame truncated: have %d of %d payload bytes", len(body), 4*n)
 	}
-	frame = img.New(w, h)
-	for i := range frame.Pix {
-		frame.Pix[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:]))
+	dst.W, dst.H = w, h
+	dst.Pix = pool.Grow(dst.Pix, n)
+	for i := range dst.Pix {
+		dst.Pix[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:]))
 	}
-	return step, frame, flags&WireFlagDegraded != 0, body[4*n:], nil
+	return step, flags&WireFlagDegraded != 0, body[4*n:], nil
 }
