@@ -112,18 +112,20 @@ func (c Cell) Neighbor(dx, dy, dz int) (Cell, bool) {
 }
 
 // CellAt returns the cell of the given level containing unit-cube point p.
-// Points outside [0,1)^3 are clamped to the domain.
+// Points outside [0,1)^3 are clamped to the domain, at any distance: a
+// coordinate >= 1, +Inf included, is clamped before it is converted (the
+// conversion of v*2^level would overflow), while for 0 < v < 1 the product
+// is exact and below 2^level.
 func CellAt(p [3]float64, level uint8) Cell {
 	n := uint32(1) << level
 	idx := func(v float64) uint32 {
-		if v <= 0 {
+		switch {
+		case v <= 0:
 			return 0
+		case v >= 1:
+			return n - 1
 		}
-		i := uint32(v * float64(n))
-		if i >= n {
-			i = n - 1
-		}
-		return i
+		return uint32(v * float64(n))
 	}
 	return Cell{X: idx(p[0]), Y: idx(p[1]), Z: idx(p[2]), Level: level}
 }

@@ -139,6 +139,28 @@ func TestCellAtInverse(t *testing.T) {
 	}
 }
 
+// TestCellAtClampsFarPoints: a coordinate at or beyond 1 lands in the last
+// cell of its axis however far out it is — at 65536, where v*2^16 no longer
+// fits a uint32, at 1e15 and at +Inf the unclamped conversion gave index 0
+// — and one at or below 0 in the first, at every level; the largest
+// coordinate below 1 stays in the last cell too.
+func TestCellAtClampsFarPoints(t *testing.T) {
+	below1 := math.Nextafter(1, 0)
+	for l := uint8(0); l <= MaxLevel; l++ {
+		last := uint32(1)<<l - 1
+		for _, v := range []float64{1, math.Nextafter(1, 2), 2, 65535, 65536, 65537, 1 << 32, 1e15, math.MaxFloat64, math.Inf(1)} {
+			if c := CellAt([3]float64{v, 0.5, below1}, l); c.X != last || c.Z != last {
+				t.Fatalf("CellAt(%g, .5, 1-ulp) at level %d = %v, want X = Z = %d", v, l, c, last)
+			}
+		}
+		for _, v := range []float64{0, math.Copysign(0, -1), -1e-300, -1, -65536, -1e15, math.Inf(-1)} {
+			if c := CellAt([3]float64{0.5, v, 0.5}, l); c.Y != 0 {
+				t.Fatalf("CellAt(.5, %g, .5) at level %d = %v, want Y = 0", v, l, c)
+			}
+		}
+	}
+}
+
 func TestNeighbor(t *testing.T) {
 	c := Cell{X: 0, Y: 0, Z: 0, Level: 2}
 	if _, ok := c.Neighbor(-1, 0, 0); ok {

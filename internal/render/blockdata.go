@@ -17,10 +17,11 @@ import (
 // values of each cell. This is what the input processors extract from the
 // raw node array and ship to the rendering processors.
 //
-// Cells are stored in ascending octree Key (Morton preorder) order — the
-// order extraction produces naturally — and point location is a single
-// predecessor binary search over the flat key array, so a BlockData holds
-// no maps and steady-state re-extraction into an existing BlockData
+// Cells are disjoint, inside Root and stored in ascending octree Key
+// (Morton preorder) order — the order extraction produces naturally. Point
+// location is one load from a voxel→cell directory over the root (see
+// buildDir and find), built beside the flat key array, so a BlockData
+// holds no maps and steady-state re-extraction into an existing BlockData
 // allocates nothing.
 //
 // Rendering a block rebuilds its empty-region table, so one BlockData is
@@ -32,8 +33,16 @@ type BlockData struct {
 	Vals  [][8]float32 // corner values per cell, x-fastest corner order
 
 	keys    []uint64 // Cells[i].Key(), strictly ascending
-	minSize float64
+	finest  uint8    // the finest cell level, 0 without cells
 	indexed bool
+
+	// dir is the voxel→cell directory (buildDir): one entry per voxel of
+	// the root at level dirLevel, x fastest, 1<<sideBits voxels a side;
+	// dirLo is the root's anchor at that level.
+	dir      []int32
+	dirLevel uint8
+	sideBits uint8
+	dirLo    [3]uint32
 
 	// region is the per-frame empty-region table (buildEmptyRegions):
 	// region[i] is the level of the largest octree ancestor of Cells[i]
@@ -221,45 +230,120 @@ func (b *BlockData) occupied() (lo, hi Vec3) {
 // covers.
 func codeSpan(level uint8) uint64 { return 1 << (3 * (octree.MaxLevel - level)) }
 
-// index builds the point-location index: the flat array of cell keys.
-// Extraction fills it inline; this lazy path serves BlockData assembled
-// directly from precomputed cell tables (the distributed pipeline). Cells
-// must be in ascending Key order, which every extraction-derived cell list
-// is; out-of-order cells panic rather than silently mislocate samples.
+// index builds the point-location index: the flat array of cell keys and
+// the directory (buildDir). Extraction fills the keys inline; this lazy path
+// serves a BlockData whose Cells were assembled directly. Cells must be
+// inside Root and in ascending Key order, which every extraction-derived
+// cell list is; other cells panic rather than silently mislocate samples.
 func (b *BlockData) index() {
 	if b.indexed {
 		return
 	}
 	b.keys = b.keys[:0]
-	b.minSize = 1.0
+	b.finest = 0
 	for i, c := range b.Cells {
 		k := c.Key()
 		if i > 0 && k <= b.keys[i-1] {
 			panic(fmt.Sprintf("render: BlockData cells out of key order at %d (%v)", i, c))
 		}
-		b.keys = append(b.keys, k)
-		if s := c.Size(); s < b.minSize {
-			b.minSize = s
+		if !b.Root.Contains(c) {
+			panic(fmt.Sprintf("render: BlockData cell %v outside its root %v", c, b.Root))
 		}
+		b.keys = append(b.keys, k)
+		b.finest = max(b.finest, c.Level)
 	}
+	b.buildDir()
 	b.indexed = true
 }
 
 // MinCellSize returns the smallest cell edge in the block (unit cube).
 func (b *BlockData) MinCellSize() float64 {
 	b.index()
-	return b.minSize
+	return octree.Cell{Level: b.finest}.Size()
 }
 
-// find locates the cell containing unit point p, or -1. Because the cells
-// are disjoint and key-sorted (Morton preorder), the containing cell — the
-// unique ancestor of p's finest-level cell present in the block — is the
-// predecessor of that cell's key.
+// dirBits caps the directory at 1<<dirBits voxels a side below the root:
+// at most 4,096 entries, 16 KiB, per block.
+const dirBits = 4
+
+// buildDir rebuilds the voxel→cell directory from Cells and finest. Its
+// level D is the block's finest level, or Root.Level+dirBits when that is
+// coarser. A voxel inside a cell of level <= D — every voxel when D is the
+// finest level — holds that cell's index; any other voxel holds a tagged
+// entry -(j+1), where j is the first cell in key order inside the voxel, or
+// len(Cells) when no cell is.
+//
+//repro:allocfree
+func (b *BlockData) buildDir() {
+	d := min(max(b.finest, b.Root.Level), b.Root.Level+dirBits)
+	bits := d - b.Root.Level
+	side := 1 << bits
+	b.dirLevel, b.sideBits = d, bits
+	b.dirLo = [3]uint32{b.Root.X << bits, b.Root.Y << bits, b.Root.Z << bits}
+	b.dir = pool.Grow(b.dir, side*side*side) //repro:allow allocfree: amortized growth, kept across frames
+	miss := -int32(len(b.Cells)) - 1
+	for i := range b.dir {
+		b.dir[i] = miss
+	}
+	for i, c := range b.Cells {
+		switch {
+		case c.Level == d: // one voxel: the common case, kept flat
+			b.dir[b.voxel(c.X, c.Y, c.Z)] = int32(i)
+			continue
+		case c.Level > d:
+			a := c.AncestorAt(d)
+			if v := &b.dir[b.voxel(a.X, a.Y, a.Z)]; *v == miss {
+				*v = -int32(i) - 1
+			}
+			continue
+		}
+		s := d - c.Level
+		n := uint32(1) << s
+		x, y, z := c.X<<s, c.Y<<s, c.Z<<s
+		for vz := z; vz < z+n; vz++ {
+			for vy := y; vy < y+n; vy++ {
+				row := b.dir[b.voxel(x, vy, vz):][:n]
+				for v := range row {
+					row[v] = int32(i)
+				}
+			}
+		}
+	}
+}
+
+// voxel returns the directory position of the voxel with level-dirLevel
+// coordinates x, y, z inside the root.
+func (b *BlockData) voxel(x, y, z uint32) int {
+	x, y, z = x-b.dirLo[0], y-b.dirLo[1], z-b.dirLo[2]
+	return int((z<<b.sideBits|y)<<b.sideBits | x)
+}
+
+// find locates the cell containing unit point p, or -1. It takes p's
+// finest-level cell f = CellAt(p, MaxLevel) and shifts it to its voxel at
+// the directory's level D. The shift is exact: scaling by a power of two
+// is, so floor(v·2^16) >> (16-D) = floor(v·2^D), clamping included, and
+// the voxel is CellAt(p, D). One unsigned test rejects a voxel outside the
+// root (below the anchor, the subtraction wraps). A voxel inside a cell
+// holds its index, and that cell is the one containing p: cells are
+// disjoint. Only a block finer than Root.Level+dirBits has voxels that
+// hold several cells; their tagged entry -(j+1) names the first, and
+// because the cells are key-sorted (Morton preorder) the one containing p,
+// if any, is the predecessor of f's key among the cells from j on.
 func (b *BlockData) find(p Vec3) int {
 	b.index()
 	f := octree.CellAt(p, octree.MaxLevel)
+	sh := octree.MaxLevel - b.dirLevel
+	x, y, z := f.X>>sh-b.dirLo[0], f.Y>>sh-b.dirLo[1], f.Z>>sh-b.dirLo[2]
+	if (x|y|z)>>b.sideBits != 0 {
+		return -1
+	}
+	e := b.dir[(z<<b.sideBits|y)<<b.sideBits|x]
+	if e >= 0 {
+		return int(e)
+	}
+	j := int(-e - 1)
 	k := f.Key()
-	lo, hi := 0, len(b.keys)
+	lo, hi := j, len(b.keys)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if b.keys[mid] <= k {
@@ -268,14 +352,10 @@ func (b *BlockData) find(p Vec3) int {
 			hi = mid
 		}
 	}
-	if lo == 0 {
+	if lo == j || !b.Cells[lo-1].Contains(f) {
 		return -1
 	}
-	i := lo - 1
-	if !b.Cells[i].Contains(f) {
-		return -1
-	}
-	return i
+	return lo - 1
 }
 
 // ExtractScratch holds reusable per-block extraction targets for frame
@@ -367,8 +447,8 @@ func ExtractBlockDataInto(bd *BlockData, m *mesh.Mesh, scalar []float32, block o
 	bd.Vals = bd.Vals[:0]
 	bd.keys = bd.keys[:0]
 	bd.region = bd.region[:0] // describes the previous Vals
-	bd.minSize = 1.0
-	bd.indexed = true
+	bd.finest = 0
+	bd.indexed = false // until the directory describes Cells
 	if level < block.Root.Level {
 		level = block.Root.Level // cells cannot be coarser than the block
 	}
@@ -403,10 +483,10 @@ func ExtractBlockDataInto(bd *BlockData, m *mesh.Mesh, scalar []float32, block o
 		bd.Cells = append(bd.Cells, cell)
 		bd.Vals = append(bd.Vals, vals)
 		bd.keys = append(bd.keys, k)
-		if s := cell.Size(); s < bd.minSize {
-			bd.minSize = s
-		}
+		bd.finest = max(bd.finest, cell.Level)
 	}
+	bd.buildDir()
+	bd.indexed = true
 	return nil
 }
 

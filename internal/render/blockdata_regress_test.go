@@ -9,6 +9,8 @@ package render
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/img"
@@ -128,45 +130,241 @@ func TestExtractBlockDataMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestFindMatchesLegacyScan: the predecessor binary search must locate
-// exactly the cell the legacy per-level map probe found, for points inside,
-// outside and on the boundaries of the block.
-func TestFindMatchesLegacyScan(t *testing.T) {
-	m := gradedRenderMesh(t)
-	f := waveField(m)
-	for _, b := range m.Tree.Blocks(1) {
-		bd, err := ExtractBlockData(m, f, b, m.Tree.MaxDepth())
-		if err != nil {
-			t.Fatal(err)
+// deepRenderMesh is refined to level 5 in a box off the centre, so that the
+// level-0 block (root level 0) is finer than its directory (level 4) in
+// part and holds coarse cells elsewhere.
+func deepRenderMesh() *mesh.Mesh {
+	return mesh.FromTree(octree.Build(5, func(c octree.Cell) bool {
+		if c.Level < 2 {
+			return true
 		}
-		// Legacy probe: try CellAt(p, l) for every level, coarse to fine.
+		ctr := c.Center()
+		return math.Abs(ctr[0]-0.6) < 0.2 && math.Abs(ctr[1]-0.4) < 0.2 && ctr[2] < 0.5
+	}).Balance21(), 1000, nil)
+}
+
+// cellsAt returns the block's cells at the given render level the way
+// extraction lists them — its leaves, coarsened to level, each once — as a
+// BlockData with no values, indexed on first use.
+func cellsAt(tree *octree.Tree, b octree.Block, level uint8) *BlockData {
+	bd := &BlockData{Root: b.Root}
+	for _, li := range b.Leaves {
+		c := tree.Leaves[li]
+		if c.Level > level {
+			c = c.AncestorAt(level)
+		}
+		if n := len(bd.Cells); n == 0 || bd.Cells[n-1] != c {
+			bd.Cells = append(bd.Cells, c)
+		}
+	}
+	return bd
+}
+
+// findProbes returns the points TestFindMatchesLegacyScan and FuzzFind's
+// seeds locate in bd: on every face of every cell and one ulp to either
+// side of it (at the cell's centre on the other two axes), and for the
+// block as a whole its corners, its centre with one coordinate at 1.0,
+// afterOne, 0, -0, negative, one root width outside, and far beyond the
+// domain (65,536 and above, where an unclamped CellAt overflowed, and ±Inf).
+func findProbes(bd *BlockData) []Vec3 {
+	var ps []Vec3
+	for _, c := range bd.Cells {
+		lo, hi := c.Bounds()
+		ctr := c.Center()
+		for i := 0; i < 3; i++ {
+			for _, f := range []float64{lo[i], hi[i]} {
+				for _, v := range []float64{math.Nextafter(f, -1), f, math.Nextafter(f, 2)} {
+					p := Vec3(ctr)
+					p[i] = v
+					ps = append(ps, p)
+				}
+			}
+		}
+	}
+	rlo, rhi := bd.Root.Bounds()
+	ctr, w := Vec3(bd.Root.Center()), bd.Root.Size()
+	ps = append(ps, rlo, rhi, Vec3{1, 1, 1}, Vec3{afterOne, afterOne, afterOne}, Vec3{-1, -1, -1})
+	for i := 0; i < 3; i++ {
+		for _, v := range []float64{1, afterOne, 0, math.Copysign(0, -1), -1e-300, -0.5, -65536,
+			ctr[i] - w, ctr[i] + w, 1.5, 65535.5, 65536, 1 << 32, 1e15, math.Inf(1), math.Inf(-1)} {
+			p := ctr
+			p[i] = v
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}
+
+// TestFindMatchesLegacyScan: the directory find, and referenceFind — the
+// predecessor search the castRay oracle locates with — must each locate
+// exactly the cell the legacy per-level probe found (CellAt at every level
+// from the root's, looked up in a map of the cells), at every findProbes
+// point. The blocks are every block of the graded and the deep mesh at
+// block levels 0 to 2, extracted at every render level from the block's own
+// to the mesh depth; a uniform level-5 block at block level 0, whose every
+// voxel holds eight cells; and each of those with every third cell left
+// out, indexed lazily, so that voxels hold no cell or only part of one.
+//
+// Mutation-checked: with find reading the directory one voxel off, the
+// root anchor not subtracted, or a tagged entry returned as a hit, this
+// test fails (and FuzzFind's seeds do).
+func TestFindMatchesLegacyScan(t *testing.T) {
+	var bds []*BlockData
+	add := func(bd *BlockData) {
+		gappy := &BlockData{Root: bd.Root}
+		for i, c := range bd.Cells {
+			if i%3 != 1 {
+				gappy.Cells = append(gappy.Cells, c)
+			}
+		}
+		bds = append(bds, bd, gappy)
+	}
+	for _, m := range []*mesh.Mesh{gradedRenderMesh(t), deepRenderMesh()} {
+		f := waveField(m)
+		for _, blockLevel := range []uint8{0, 1, 2} {
+			for _, b := range m.Tree.Blocks(blockLevel) {
+				for lvl := b.Root.Level; lvl <= m.Tree.MaxDepth(); lvl++ {
+					bd, err := ExtractBlockData(m, f, b, lvl)
+					if err != nil {
+						bd = cellsAt(m.Tree, b, lvl) // a coarse corner node is missing
+					}
+					add(bd)
+				}
+			}
+		}
+	}
+	u := uniformMesh(5)
+	add(cellsAt(u.Tree, u.Tree.Blocks(0)[0], 5))
+	deepVoxels, hits := 0, 0
+	for _, bd := range bds {
+		bd.index()
+		for _, e := range bd.dir {
+			if e < 0 && int(-e-1) < len(bd.Cells) {
+				deepVoxels++
+			}
+		}
+		pos := make(map[octree.Cell]int, len(bd.Cells))
+		for i, c := range bd.Cells {
+			pos[c] = i
+		}
 		legacy := func(p Vec3) int {
 			for l := bd.Root.Level; l <= octree.MaxLevel; l++ {
-				c := octree.CellAt(p, l)
-				for i, cc := range bd.Cells {
-					if cc == c {
-						return i
-					}
+				if i, ok := pos[octree.CellAt(p, l)]; ok {
+					return i
 				}
 			}
 			return -1
 		}
-		min, max := bd.Root.Bounds()
-		probe := func(p Vec3) {
-			t.Helper()
-			if got, want := bd.find(p), legacy(p); got != want {
-				t.Fatalf("find(%v) = %d, legacy scan %d", p, got, want)
+		for _, p := range findProbes(bd) {
+			want := legacy(p)
+			if got := bd.find(p); got != want {
+				t.Fatalf("block %v (%d cells, directory level %d): find(%v) = %d, legacy scan %d", bd.Root, len(bd.Cells), bd.dirLevel, p, got, want)
+			}
+			if got := referenceFind(bd, p); got != want {
+				t.Fatalf("block %v (%d cells): referenceFind(%v) = %d, legacy scan %d", bd.Root, len(bd.Cells), p, got, want)
+			}
+			if want >= 0 {
+				hits++
 			}
 		}
-		for i := 0; i <= 8; i++ {
-			fr := float64(i) / 8
-			probe(Vec3{min[0] + fr*(max[0]-min[0]), min[1] + fr*(max[1]-min[1]), min[2] + fr*(max[2]-min[2])})
-			probe(Vec3{min[0] + fr*(max[0]-min[0]), max[1] - fr*(max[1]-min[1]), min[2]})
+	}
+	if deepVoxels == 0 || hits == 0 {
+		t.Fatalf("%d voxels took the deep branch, %d probes hit a cell", deepVoxels, hits)
+	}
+}
+
+// FuzzFind holds the directory find to referenceFind for arbitrary float64
+// triples, NaN and the infinities included, on every block of the graded
+// and the deep mesh at block levels 0 and 1 — blocks whose directory is as
+// fine as their cells, and the deep mesh's level-0 block, which is finer.
+// The seeds are findProbes' face, ulp and far-out points for one coarse and
+// one deep cell of that block, and NaN in each coordinate.
+func FuzzFind(f *testing.F) {
+	var bds []*BlockData
+	for _, m := range []*mesh.Mesh{gradedRenderMesh(f), deepRenderMesh()} {
+		for _, blockLevel := range []uint8{0, 1} {
+			for _, b := range m.Tree.Blocks(blockLevel) {
+				bds = append(bds, cellsAt(m.Tree, b, m.Tree.MaxDepth()))
+			}
 		}
-		probe(Vec3{-0.5, 0.5, 0.5})
-		probe(Vec3{1.5, 0.25, 0.25})
-		probe(Vec3{min[0], min[1], min[2]})
-		probe(Vec3{max[0], max[1], max[2]})
+	}
+	var deep *BlockData // the deep mesh's level-0 block
+	for _, bd := range bds {
+		if bd.index(); bd.finest > bd.dirLevel {
+			deep = bd
+		}
+	}
+	if deep == nil {
+		f.Fatal("no block is finer than its directory")
+	}
+	seed := &BlockData{Root: deep.Root, Cells: []octree.Cell{deep.Cells[0], deep.Cells[len(deep.Cells)-1]}}
+	for _, c := range deep.Cells {
+		if c.Level == deep.finest {
+			seed.Cells[1] = c
+			break
+		}
+	}
+	for _, p := range findProbes(seed) {
+		f.Add(p[0], p[1], p[2])
+	}
+	nan := math.NaN()
+	f.Add(nan, 0.5, 0.5)
+	f.Add(0.25, nan, 0.75)
+	f.Add(0.1, 0.2, nan)
+	f.Add(nan, nan, nan)
+	f.Fuzz(func(t *testing.T, x, y, z float64) {
+		p := Vec3{x, y, z}
+		for _, bd := range bds {
+			if got, want := bd.find(p), referenceFind(bd, p); got != want {
+				t.Fatalf("block %v (directory level %d): find(%v) = %d, referenceFind %d", bd.Root, bd.dirLevel, p, got, want)
+			}
+		}
+	})
+}
+
+// BenchmarkFind measures point location alone (0 allocs/op) at random
+// points of three blocks of a mesh refined to level 6 in one corner and
+// 2:1-balanced around it: the uniform level-6 block at block level 2, every
+// voxel of its directory a cell; its graded neighbour; and the level-1 block
+// holding both, one level finer than its directory can be, so that an
+// eighth of its samples take the deep branch.
+func BenchmarkFind(b *testing.B) {
+	tree := octree.Build(6, func(c octree.Cell) bool {
+		lo, _ := c.Bounds()
+		return c.Level < 2 || lo[0] < 0.25 && lo[1] < 0.25 && lo[2] < 0.25
+	}).Balance21()
+	block := func(root octree.Cell) *BlockData {
+		for _, bl := range tree.Blocks(root.Level) {
+			if bl.Root == root {
+				return cellsAt(tree, bl, 6)
+			}
+		}
+		b.Fatalf("no block %v", root)
+		return nil
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, tc := range []struct {
+		name string
+		bd   *BlockData
+	}{
+		{"uniform", block(octree.Cell{Level: 2})},
+		{"graded", block(octree.Cell{X: 1, Level: 2})},
+		{"deep", block(octree.Cell{Level: 1})},
+	} {
+		lo, hi := tc.bd.Root.Bounds()
+		ps := make([]Vec3, 4096)
+		for i := range ps {
+			for k := 0; k < 3; k++ {
+				ps[i][k] = lo[k] + rng.Float64()*(hi[k]-lo[k])
+			}
+		}
+		tc.bd.index()
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkPos = tc.bd.find(ps[i&(len(ps)-1)])
+			}
+		})
 	}
 }
 

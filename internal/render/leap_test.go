@@ -25,7 +25,7 @@ import (
 // referenceSampler is the sampler as it was before leaping and clipping,
 // frozen here so that the oracle shares no code with the kernel it judges:
 // per-sample cell membership on recomputed bounds, Size by division,
-// every located cell loaded in full.
+// every located cell loaded in full, point location by referenceFind.
 type referenceSampler struct {
 	bd         *BlockData
 	cell       int
@@ -78,12 +78,39 @@ func (s *referenceSampler) locate(p Vec3) bool {
 	if s.cell >= 0 && s.containsPoint(s.bd.Cells[s.cell], p) {
 		return true
 	}
-	ci := s.bd.find(p)
+	ci := referenceFind(s.bd, p)
 	if ci < 0 {
 		return false
 	}
 	s.setCell(ci)
 	return true
+}
+
+// referenceFind is BlockData.find as it was before the directory: because
+// the cells are disjoint and key-sorted (Morton preorder), the containing
+// cell — the unique ancestor of p's finest-level cell present in the block —
+// is the predecessor of that cell's key.
+func referenceFind(b *BlockData, p Vec3) int {
+	b.index()
+	f := octree.CellAt(p, octree.MaxLevel)
+	k := f.Key()
+	lo, hi := 0, len(b.keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b.keys[mid] <= k {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == 0 {
+		return -1
+	}
+	i := lo - 1
+	if !b.Cells[i].Contains(f) {
+		return -1
+	}
+	return i
 }
 
 func (s *referenceSampler) sample(p Vec3) (float64, bool) {
@@ -302,13 +329,7 @@ type oracleCase struct {
 // block) and a box of exactly one cell.
 func oracleCases(t *testing.T) []oracleCase {
 	rng := rand.New(rand.NewSource(17))
-	deep := mesh.FromTree(octree.Build(5, func(c octree.Cell) bool {
-		if c.Level < 2 {
-			return true
-		}
-		ctr := c.Center()
-		return math.Abs(ctr[0]-0.6) < 0.2 && math.Abs(ctr[1]-0.4) < 0.2 && ctr[2] < 0.5
-	}).Balance21(), 1000, nil)
+	deep := deepRenderMesh()
 	var cases []oracleCase
 	for mi, m := range []*mesh.Mesh{gradedRenderMesh(t), deep} {
 		c := Vec3{0.3 + 0.4*rng.Float64(), 0.3 + 0.4*rng.Float64(), 0.3 + 0.4*rng.Float64()}
@@ -755,6 +776,42 @@ func TestEmptyRegionTableMatchesBruteForce(t *testing.T) {
 	}
 	if empties == 0 || finiteSides == 0 {
 		t.Fatalf("%d empty cells, %d finite box sides in any field", empties, finiteSides)
+	}
+}
+
+// TestMarchToRepeatsTheAdditions pins that marchTo lands on castRay's own
+// sequence t, t+step, (t+step)+step, ... and not on t + k*step, which
+// rounds differently after a few steps. It searches random starts and
+// steps for a k where the two forms differ and asks marchTo for the last
+// sample before the (k+1)th, which must be the repeated-addition one —
+// with an end just short of it, and with t1 there instead.
+//
+// Mutation-checked: with marchTo computing t + k*step, this test fails.
+func TestMarchToRepeatsTheAdditions(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	found := 0
+	for trial := 0; trial < 200; trial++ {
+		t0 := rng.Float64() * 2
+		step := 1e-3 + rng.Float64()*0.05
+		seq := []float64{t0}
+		for k := 1; k < 400; k++ {
+			seq = append(seq, seq[k-1]+step)
+			if seq[k] == t0+float64(k)*step {
+				continue
+			}
+			found++
+			if got := marchTo(t0, seq[k]+step/2, math.Inf(1), step); got != seq[k] {
+				t.Fatalf("marchTo(%v, end past sample %d, step %v) = %v, repeated addition %v, t+k*step %v",
+					t0, k, step, got, seq[k], t0+float64(k)*step)
+			}
+			if got := marchTo(t0, math.Inf(1), seq[k]+step/2, step); got != seq[k] {
+				t.Fatalf("marchTo(%v, t1 past sample %d, step %v) = %v, repeated addition %v", t0, k, step, got, seq[k])
+			}
+			break
+		}
+	}
+	if found < 100 {
+		t.Fatalf("only %d of 200 sequences round differently within 400 steps", found)
 	}
 }
 

@@ -109,9 +109,10 @@ func within(p, lo, sup Vec3) bool {
 func (s *sampler) inCell(p Vec3) bool { return within(p, s.min, s.sup) }
 
 // find positions the sampler at the cell containing p, for a p the cached
-// cell does not contain; ok is false when p falls outside the block. A
-// failed find keeps the previous cell cached — the ray may re-enter it past
-// a concavity.
+// cell does not contain; ok is false when p falls outside the block. The
+// point location is BlockData.find, one directory load unless the block is
+// finer than its directory. A failed find keeps the previous cell cached —
+// the ray may re-enter it past a concavity.
 //
 //repro:allocfree
 func (s *sampler) find(p Vec3) bool {

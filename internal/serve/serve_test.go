@@ -590,7 +590,15 @@ func TestServeHealthzStatsz(t *testing.T) {
 func TestServeCacheCountsOnePerRequest(t *testing.T) {
 	store := buildDataset(t, 4)
 	eng := newTestEngine(t, store, serve.EngineConfig{})
-	ts := newTestHTTPServer(t, serve.NewServer(eng, serve.ServerConfig{}))
+	// A handler releases its pin after writing the body, so the client can
+	// read the whole response first: the pins are counted once the handler
+	// has returned.
+	srv := serve.NewServer(eng, serve.ServerConfig{})
+	served := make(chan struct{}, 1)
+	ts := newTestHTTPServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(w, r)
+		served <- struct{}{}
+	}))
 	for _, c := range []struct {
 		path         string
 		hits, misses uint64
@@ -605,6 +613,7 @@ func TestServeCacheCountsOnePerRequest(t *testing.T) {
 	} {
 		before := eng.Cache().Stats()
 		getBody(t, ts, c.path)
+		<-served
 		after := eng.Cache().Stats()
 		if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != c.hits || misses != c.misses {
 			t.Errorf("GET %s counted %d hits and %d misses, want %d and %d", c.path, hits, misses, c.hits, c.misses)
