@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -49,6 +50,9 @@ type RealWorkload struct {
 	sched   *compositor.Schedule
 	rects   [][]compositor.Rect
 	licCols []int32 // stretchCols for the view's width under the LIC underlay
+	// skipSilent: the transfer function gives a silent block's value, 0, no
+	// density, so Render leaves silent blocks out (projection would drop them).
+	skipSilent bool
 
 	// Steady-state reuse (PR 3): the per-rank scratches hold every buffer
 	// the per-step path reuses across timesteps (see scratch.go).
@@ -146,7 +150,9 @@ func (d *Dataset) NewWorkload(opts Options) (*RealWorkload, error) {
 		rs := &rendererScratch{
 			nodeVals: make([][]uint8, len(mine)),
 			got:      make([]bool, len(mine)),
+			zero:     make([]bool, len(mine)),
 			bds:      make([]*render.BlockData, len(mine)),
+			live:     make([]*render.BlockData, len(mine)),
 			comp:     compositor.NewCompositeScratch(),
 		}
 		for i, bi := range mine {
@@ -160,6 +166,7 @@ func (d *Dataset) NewWorkload(opts Options) (*RealWorkload, error) {
 			*bd = *d.blockBD[bi]
 			bd.Vals = make([][8]float32, len(bd.Cells))
 			rs.bds[i] = bd
+			rs.zero[i] = true
 		}
 		// The pool is sized to the rank's share of the process, not all of
 		// it: renderer ranks share one process under the in-process
@@ -183,6 +190,7 @@ func (w *RealWorkload) aim() {
 	// transfer-function table now, between runs, while single-threaded
 	// (the table is rebuilt only when the transfer function changed).
 	w.rend.Prepare()
+	w.skipSilent = w.rend.TF.TransparentBelow(float64(render.Dequantize(0)))
 
 	// Visibility order of block roots for the view.
 	view := w.opts.View
@@ -559,8 +567,13 @@ func (w *RealWorkload) checkPiece(part, r int, dp *dataPayload) error {
 // step. A piece that is not what its part owes (checkPiece) fails the step;
 // under Faults.Tolerate it is dropped like the piece of a lost input rank,
 // whose nodes stay zero, and the frame is flagged. A block no accepted piece
-// touched is rendered from zeros (fully transparent) and flags the frame
-// too, or fails the step without the fault policy.
+// touched flags the frame too, or fails the step without the fault policy.
+//
+// A silent block — every staged node byte 0, as a block no piece touched
+// always is, since the staging is cleared first — skips the corner gather:
+// its Vals are the dequantized zeros, +0, cleared once when it falls silent
+// (rs.zero), and Render leaves it out where the transfer function is
+// transparent at 0.
 func (w *RealWorkload) mergePieces(t, r int, pieces []mpi.Message) error {
 	rs := w.rendScr[r]
 	clear(rs.got)
@@ -593,11 +606,17 @@ func (w *RealWorkload) mergePieces(t, r int, pieces []mpi.Message) error {
 			if !w.opts.Faults.Tolerate {
 				return fmt.Errorf("core: renderer %d missing block %d at step %d", r, bi, t)
 			}
-			clear(bd.Vals)
 			degraded = true
-			continue
 		}
 		nv := rs.nodeVals[i]
+		if allZero(nv) {
+			if !rs.zero[i] {
+				clear(bd.Vals)
+				rs.zero[i] = true
+			}
+			continue
+		}
+		rs.zero[i] = false
 		for ci, local := range w.ds.blockCornerLocal[bi] {
 			// Element by element, not as an [8]float32 literal: the literal
 			// is built on the stack and copied out in 16-byte moves that
@@ -615,20 +634,43 @@ func (w *RealWorkload) mergePieces(t, r int, pieces []mpi.Message) error {
 	return nil
 }
 
+// allZero reports whether every byte of b is 0, testing eight at a time.
+func allZero(b []uint8) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+	}
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Render implements Workload: merge the step's pieces into the scratch's
-// BlockData (mergePieces), then ray-cast them.
+// BlockData (mergePieces), then ray-cast them, silent blocks left out.
 func (w *RealWorkload) Render(c *mpi.Comm, t, r int, pieces []mpi.Message) (any, error) {
 	if err := w.mergePieces(t, r, pieces); err != nil {
 		return nil, err
 	}
 	rs := w.rendScr[r]
 	mine := w.ds.rblocks[r]
+	for i, bd := range rs.bds {
+		if w.skipSilent && rs.zero[i] {
+			bd = nil // RenderBlocksWith returns no fragment for it
+		}
+		rs.live[i] = bd
+	}
 	// Fan the ray casting out across this rank's persistent worker pool
 	// (block- and tile-parallel; pixel-identical to the serial path).
 	out := &rs.out
 	out.frags = out.frags[:0]
-	view := w.opts.View
-	frags := w.rend.RenderBlocksWith(rs.bds, &view, rs.width, &rs.rscr)
+	// The view is passed in place, not copied: RenderBlocksWith only reads
+	// it, and SetView writes it only between runs. A local copy would
+	// escape to the heap, one allocation a step.
+	frags := w.rend.RenderBlocksWith(rs.live, &w.opts.View, rs.width, &rs.rscr)
 	for i, frag := range frags {
 		if frag != nil {
 			frag.VisRank = w.visRank[mine[i]]

@@ -157,7 +157,9 @@ type ipScratch struct {
 type rendererScratch struct {
 	nodeVals [][]uint8 // per local block: node values staged from the step's pieces
 	got      []bool    // per local block: appeared in some accepted piece this step
+	zero     []bool    // per local block: Vals are all +0, as built and after each step it was silent in
 	bds      []*render.BlockData
+	live     []*render.BlockData // the step's RenderBlocksWith list: bds, nil for each block Render skips as silent
 	out      rendered
 	comp     *compositor.CompositeScratch
 	strips   pool.Pool[stripPayload]

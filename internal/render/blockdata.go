@@ -26,7 +26,10 @@ import (
 //
 // Rendering a block rebuilds its empty-region table, so one BlockData is
 // rendered by one frame at a time (within a frame the table is read-only
-// and any number of goroutines may cast through it).
+// and any number of goroutines may cast through it). The pipeline never
+// projects a silent block (Vals all +0 under a transfer function
+// transparent at 0), so the table left from its last live frame is never
+// read.
 type BlockData struct {
 	Root  octree.Cell
 	Cells []octree.Cell

@@ -10,6 +10,9 @@ package render
 // of fresh fragments for the next frame.
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/img"
@@ -144,6 +147,80 @@ func TestRenderScratchFragmentOwnership(t *testing.T) {
 		t.Error("released fragments were never reused by a later frame")
 	}
 	ReleaseFragments(frags3)
+}
+
+// sameBits reports whether a and b are the same float32, bit for bit.
+func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+
+// TestRenderBlocksNilEntries pins RenderBlocksWith's nil contract, which
+// the pipeline's renderers lean on to leave silent blocks out: a nil entry
+// — first, in the middle or last — gets a nil fragment, every other block
+// the fragment it gets from the same list without the nils, bit for bit,
+// and a steady-state call on a pooled scratch allocates nothing.
+func TestRenderBlocksNilEntries(t *testing.T) {
+	m := gradedRenderMesh(t)
+	level := m.Tree.MaxDepth()
+	f := waveField(m)
+	var bds []*BlockData
+	for _, b := range m.Tree.Blocks(1) {
+		bd, err := ExtractBlockData(m, f, b, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bds = append(bds, bd)
+	}
+	holes := []int{0, len(bds) / 2, len(bds) - 1}
+	holed := append([]*BlockData(nil), bds...)
+	for _, i := range holes {
+		holed[i] = nil
+	}
+	rr := NewRenderer()
+	view := DefaultView(48, 48)
+	for _, width := range []int{1, 2} {
+		t.Run(fmt.Sprintf("width-%d", width), func(t *testing.T) {
+			var rs RenderScratch
+			if width > 1 {
+				rs.Pool = workers.New(width)
+				defer rs.Pool.Close()
+			}
+			// The reference frame, copied out before its fragments go back.
+			ref := rr.RenderBlocksWith(bds, &view, width, &rs)
+			want := make([]*Fragment, len(ref))
+			for i, fr := range ref {
+				if fr != nil {
+					want[i] = &Fragment{X0: fr.X0, Y0: fr.Y0, Img: fr.Img.Clone()}
+				}
+			}
+			ReleaseFragments(ref)
+			for _, i := range holes {
+				if want[i] == nil {
+					t.Fatalf("block %d renders no fragment even without the nils: the hole tests nothing", i)
+				}
+			}
+			got := rr.RenderBlocksWith(holed, &view, width, &rs)
+			for i, fr := range got {
+				switch {
+				case holed[i] == nil:
+					if fr != nil {
+						t.Errorf("nil block %d got a fragment", i)
+					}
+				case (fr == nil) != (want[i] == nil):
+					t.Errorf("block %d: fragment %v beside the nils, %v without them", i, fr != nil, want[i] != nil)
+				case fr != nil && (fr.X0 != want[i].X0 || fr.Y0 != want[i].Y0 || !slices.EqualFunc(fr.Img.Pix, want[i].Img.Pix, sameBits)):
+					t.Errorf("block %d: fragment beside the nils differs from the one without them", i)
+				}
+			}
+			ReleaseFragments(got)
+			if raceEnabled {
+				return // the detector's instrumentation allocates inside the pools
+			}
+			frame := func() { ReleaseFragments(rr.RenderBlocksWith(holed, &view, width, &rs)) }
+			frame()
+			if avg := testing.AllocsPerRun(20, frame); avg != 0 {
+				t.Errorf("steady-state call with nil blocks allocates %v, want 0", avg)
+			}
+		})
+	}
 }
 
 // BenchmarkRenderFrame measures one 64x64 frame of the graded mesh:
