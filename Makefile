@@ -96,7 +96,7 @@ check: build vet fmtcheck lint test race
 # suites of PRs 2-5) plus four extras. The wall-clock speedup gates (CSR
 # SpMV, flat/RLE-stream compositeStrip, decode chain, castRay leaping and
 # clipping, the LIC step's resample map and convolve, the collective read's
-# plan replay) only assert when
+# plan replay, Figure 3's adaptive-level render speedup) only assert when
 # REPRO_PERF_ASSERT=1 so plain `go test ./...` stays immune to scheduler
 # noise, and the compressed-strip size gate (the golden scene's strips at
 # most a quarter of their raw bytes) rides the same flag; the named alloc-gate pass restates the steady-state zero-
@@ -124,6 +124,7 @@ ci: check benchsmoke
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestCastRayLeapSpeedupGate|TestCastRayClipSpeedupGate' -v ./internal/render/
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestLICStepSpeedupGate' -v ./internal/lic/
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestCollectiveReplaySpeedupGate' -v ./internal/mpiio/
+	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestFig3AdaptiveFasterAndClose' -v ./internal/experiments/
 	$(GO) test -run 'AllocFree|AllocBudget|ArenaReuse' -v ./internal/compositor/ ./internal/render/ ./internal/lic/ ./internal/quadtree/ ./internal/core/ ./internal/mpiio/ ./internal/workers/ ./internal/mpi/
 	$(GO) test -race -run 'TestChaos' -count=1 -v ./internal/core/ ./internal/serve/
 	$(GO) test -race -run 'TestNet' -count=1 -v ./internal/mpi/ ./internal/faultinject/

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -126,23 +127,32 @@ func TestModelValidationWithinTolerance(t *testing.T) {
 	}
 }
 
+// TestFig3AdaptiveFasterAndClose: coarser levels must extract strictly
+// fewer cells and stay visually close. The wall-clock speedup they buy
+// (paper: 3-4x at level 8 vs 13; here at least 1.5x two levels coarser) is
+// scheduler-sensitive under package-parallel load, so it only asserts under
+// REPRO_PERF_ASSERT=1 (set by `make ci`), like every wall-clock gate.
 func TestFig3AdaptiveFasterAndClose(t *testing.T) {
 	tb, err := Fig3(true, "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := column(tb, 1)
 	speedups := column(tb, 3)
 	rmses := column(tb, 4)
-	if len(speedups) < 3 {
+	if len(cells) < 3 || len(speedups) < 3 || len(rmses) < 3 {
 		t.Fatalf("bad table: %s", tb)
 	}
-	// Coarser levels must be faster (paper: 3-4x at level 8 vs 13) and
-	// stay visually close.
-	if speedups[2] < 1.5 {
-		t.Errorf("two levels coarser only %vx faster", speedups[2])
+	for i := 1; i < len(cells); i++ {
+		if cells[i] >= cells[i-1] {
+			t.Errorf("level row %d extracts %v cells, not fewer than the finer row's %v", i, cells[i], cells[i-1])
+		}
 	}
 	if rmses[2] > 0.25 {
 		t.Errorf("adaptive image too different: RMSE %v", rmses[2])
+	}
+	if os.Getenv("REPRO_PERF_ASSERT") == "1" && speedups[2] < 1.5 {
+		t.Errorf("two levels coarser only %vx faster", speedups[2])
 	}
 }
 
