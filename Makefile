@@ -146,6 +146,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeStripPayload$$' -fuzztime=30s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeDataPayload$$' -fuzztime=30s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzMagQuant$$' -fuzztime=30s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeMagPayload$$' -fuzztime=30s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzFaultSchedule$$' -fuzztime=30s ./internal/faultinject/
 	$(GO) test -run='^$$' -fuzz='^FuzzNetFrameDecode$$' -fuzztime=30s ./internal/mpi/
 	$(GO) test -run='^$$' -fuzz='^FuzzHandshake$$' -fuzztime=30s ./internal/mpi/

@@ -3,8 +3,9 @@ package core
 // The input ranks' decode kernels: one pass each from a step object's node
 // records (quake.BytesPerNode bytes: three little-endian float32 words) to
 // what the pass feeds — float32 magnitudes (recordMagnitudes: the vmax scan,
-// and the current step under temporal enhancement) or quantized bytes
-// (recordQuantize). Each node's arithmetic is written exactly as
+// and both steps under temporal enhancement) or quantized bytes
+// (recordQuantize) — and one from two steps' magnitudes to quantized bytes
+// (magnitudeQuantize). Each node's arithmetic is written exactly as
 // render.MagnitudeInto, EnhanceTemporalInto and QuantizeInto write it — same
 // operand order, same float32/float64 conversions — so the values are those
 // of that four-pass chain (frozen in frozen_decode_test.go, which pins it),
@@ -84,47 +85,23 @@ func recordMagnitudes(mag []float32, raw []byte) error {
 	return nil
 }
 
-// recordQuantize writes to q[i] the 8-bit value over [0, vmax] of node i,
-// for every node: len(q) is the node count. Without cur, the value is node
-// i's magnitude in the step record raw, and len(q) must be
-// len(raw)/quake.BytesPerNode. With cur — the current step's magnitudes,
-// len(q) of them — raw is the previous step's record and the value is
-// cur[i] under temporal enhancement by gain against it (cur[i] itself when
-// gain is 0, as EnhanceTemporalInto copies). It fails like
-// recordMagnitudes, every word of raw validated; q's contents are then
-// unspecified, which is why callers quantize into a spare buffer.
+// recordQuantize writes to q[i] the 8-bit value over [0, vmax] of node i's
+// magnitude in the step record raw, for every node: len(q) must be
+// len(raw)/quake.BytesPerNode. It fails like recordMagnitudes, every word
+// of raw validated; q's contents are then unspecified, which is why callers
+// quantize into a spare buffer.
 //
 //repro:allocfree
-func recordQuantize(q []uint8, raw []byte, cur []float32, gain, vmax float32) error {
+func recordQuantize(q []uint8, raw []byte, vmax float32) error {
 	if len(raw)%4 != 0 {
 		return quake.CheckStep(raw)
 	}
 	lo, hi := float32(0), vmax
 	inv := 255 / (hi - lo)
 	var bad uint64
-	switch {
-	case cur == nil:
-		for i := range q {
-			xy, yz, b := nodeWords(raw[quake.BytesPerNode*i:][:quake.BytesPerNode])
-			q[i], bad = quantizeValue(nodeMagnitude(xy, yz), lo, inv), bad|b
-		}
-	case gain == 0:
-		cur = cur[:len(q)]
-		for i := range q {
-			_, _, b := nodeWords(raw[quake.BytesPerNode*i:][:quake.BytesPerNode])
-			q[i], bad = quantizeValue(cur[i], lo, inv), bad|b
-		}
-	default:
-		cur = cur[:len(q)]
-		for i := range q {
-			xy, yz, b := nodeWords(raw[quake.BytesPerNode*i:][:quake.BytesPerNode])
-			v := cur[i]
-			d := v - nodeMagnitude(xy, yz)
-			if d < 0 {
-				d = -d
-			}
-			q[i], bad = quantizeValue(v+gain*d, lo, inv), bad|b
-		}
+	for i := range q {
+		xy, yz, b := nodeWords(raw[quake.BytesPerNode*i:][:quake.BytesPerNode])
+		q[i], bad = quantizeValue(nodeMagnitude(xy, yz), lo, inv), bad|b
 	}
 	if (bad|wordsBad(raw[quake.BytesPerNode*len(q):]))&pairTop != 0 {
 		return quake.CheckStep(raw)
@@ -133,6 +110,40 @@ func recordQuantize(q []uint8, raw []byte, cur []float32, gain, vmax float32) er
 		clear(q)
 	}
 	return nil
+}
+
+// magnitudeQuantize writes to q[i] the 8-bit value over [0, vmax] of the
+// current step's magnitude cur[i] under temporal enhancement by gain
+// against the previous step's, prev[i] — cur[i] itself when gain is 0, as
+// EnhanceTemporalInto copies, or when prev is nil (a step with no previous
+// step). Both hold the float32 nodeMagnitude gives for the node's record
+// (recordMagnitudes wrote them, on whichever rank read the record), so q is
+// the four-pass chain's, bit for bit. cur and prev hold at least len(q)
+// values, validated when they were computed, so it cannot fail.
+//
+//repro:allocfree
+func magnitudeQuantize(q []uint8, cur, prev []float32, gain, vmax float32) {
+	lo, hi := float32(0), vmax
+	inv := 255 / (hi - lo)
+	cur = cur[:len(q)]
+	if prev == nil || gain == 0 {
+		for i := range q {
+			q[i] = quantizeValue(cur[i], lo, inv)
+		}
+	} else {
+		prev = prev[:len(q)]
+		for i := range q {
+			v := cur[i]
+			d := v - prev[i]
+			if d < 0 {
+				d = -d
+			}
+			q[i] = quantizeValue(v+gain*d, lo, inv)
+		}
+	}
+	if hi <= lo {
+		clear(q)
+	}
 }
 
 // quantizeValue is render.QuantizeInto's per-sample step: v over [lo, lo +

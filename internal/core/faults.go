@@ -68,24 +68,35 @@ func (w *RealWorkload) FrameDegraded(t int) bool {
 // round cannot be re-entered by one rank (mpiio.ReadAllInto) — so a surfaced
 // collective failure degrades directly; transients there are healed below
 // MPI-IO by pfs.RetryStore.
+//
+// Under temporal enhancement on more than one group every path out of
+// Fetch settles the step's hand-off (magQuant): exactly one hand-off to
+// the next step's rank —
+// magnitudes, or a marker when the step failed or read a stale object —
+// and exactly one taken from the previous step's, shared by the re-reads.
+// A failed step t therefore makes step t+1 read step t itself and fail the
+// same way, so the set of degraded steps is the one reading both records
+// gives.
 func (w *RealWorkload) Fetch(c *mpi.Comm, t, part, m int) (any, error) {
 	scr := w.ipScr[c.Rank()]
 	scr.part = part
-	err := w.fetchStep(c, t, part, scr)
-	if err == nil || !w.opts.Faults.Tolerate {
-		return scr, err
+	var h handoff
+	err := w.fetchStep(c, t, part, scr, &h)
+	if err != nil && w.opts.Faults.Tolerate {
+		budget := w.opts.Faults.stepRetries()
+		if w.opts.ReadStrategy == ReadCollective {
+			budget = 0
+		}
+		err = w.reread(err, budget, true, func() error {
+			return w.fetchStep(c, t, part, scr, &h)
+		})
+		if err != nil {
+			w.markDegraded(t)
+			err = nil
+		}
 	}
-	budget := w.opts.Faults.stepRetries()
-	if w.opts.ReadStrategy == ReadCollective {
-		budget = 0
-	}
-	err = w.reread(err, budget, true, func() error {
-		return w.fetchStep(c, t, part, scr)
-	})
-	if err != nil {
-		w.markDegraded(t)
-	}
-	return scr, nil
+	w.settleHandoff(c, t, scr, &h)
+	return scr, err
 }
 
 // reread is the budgeted re-read every recovery site runs: while err is

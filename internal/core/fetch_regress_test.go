@@ -45,7 +45,10 @@ func fetchWorkload(t *testing.T, steps int, mod func(*Options)) (*RealWorkload, 
 // once every buffer has warmed up. PR 5 extends it to the collective
 // strategy, whose two-phase read now stages through the epoch-scoped
 // CollectiveScratch; TestCollectiveFetchStepAllocFree below is the
-// two-rank leg.
+// two-rank leg. Its layout has one group, so the enhanced case gates the
+// read of the previous object that every step makes there (and that a
+// window's first step makes on any layout); TestHandoffSteadyStateAllocFree
+// gates the hand-off between groups that replaces it.
 func TestFetchStepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are skipped under the race detector")
@@ -85,11 +88,12 @@ func TestFetchStepAllocFree(t *testing.T) {
 	}
 }
 
-// TestCollectiveFetchStepAllocFree is the same gate on batch_io's shape
-// (collectiveFetchWorkload): two IPs fetching in lock step, each round a
-// replayed two-phase plan over committed views plus the enhancement read
-// of the previous object. Allocation counts are process-global, so a
-// nonzero result implicates the steady state of either rank.
+// TestCollectiveFetchStepAllocFree is the same gate on one group of
+// batch_io's shape (collectiveFetchWorkload): two IPs fetching in lock
+// step, each round a replayed two-phase plan over committed views plus the
+// enhancement read of the previous object, which one group makes every
+// step. Allocation counts are process-global, so a nonzero result
+// implicates the steady state of either rank.
 func TestCollectiveFetchStepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are skipped under the race detector")
@@ -296,7 +300,7 @@ func TestFetchChainMatchesLegacy(t *testing.T) {
 		mag := stepMagnitude(t, raw)
 		pmag := stepMagnitude(t, praw)
 		want := render.QuantizeInto(nil, render.EnhanceTemporalInto(nil, mag, pmag, w.opts.EnhanceGain), 0, w.ds.vmax)
-		if err := w.magQuant(nil, step, mpiio.Contig{N: n, ElemSize: quake.BytesPerNode}, raw, scr); err != nil {
+		if err := w.magQuant(nil, step, mpiio.Contig{N: n, ElemSize: quake.BytesPerNode}, raw, scr, &handoff{}); err != nil {
 			t.Fatal(err)
 		}
 		got := scr.q
@@ -322,7 +326,7 @@ func TestFetchSurfacesCorruptStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	whole := mpiio.Contig{N: w.ds.meta.NumNodes, ElemSize: quake.BytesPerNode}
-	if err := w.magQuant(nil, 1, whole, raw[:len(raw)-2], scr); err == nil {
+	if err := w.magQuant(nil, 1, whole, raw[:len(raw)-2], scr, &handoff{}); err == nil {
 		t.Error("magQuant decoded a truncated record without error")
 	}
 	// Truncate the stored object itself: the whole fetch must fail loudly.
@@ -355,14 +359,16 @@ func TestInterframeNegativeSkip(t *testing.T) {
 
 // TestDecodeChainSpeedupGate pins the fused decode kernels' win: one
 // steady-state step as magQuant decodes it — plain, bytes to q in one pass;
-// enhanced, the current record to magnitudes and the previous one folded in
-// on its way to q — against the frozen four-pass chain
+// enhanced, as a step that reads its previous record itself: both records
+// to magnitudes, then the two folded into q (a step whose previous
+// magnitudes were handed to it skips the second record) — against the
+// frozen four-pass chain
 // (frozen_decode_test.go) on the same bytes, every buffer reused on both
 // sides. Wall-clock gates are noisy on shared machines, so it only runs
 // under REPRO_PERF_ASSERT=1 (set by `make ci`) and takes the min of
-// interleaved windows to shed scheduler and GC bursts. Nominal ~1.45x for
-// both on a 2-vCPU Xeon container (the kernels no longer write and re-read
-// a 12-byte vector and a 4-byte magnitude per node per record); the floor
+// interleaved windows to shed scheduler and GC bursts. Nominal ~1.5x plain
+// and ~1.6x enhanced on a 2-vCPU Xeon container (the kernels no longer
+// write and re-read a 12-byte vector per node per record); the floor
 // demands 1.2x, enough to catch a return to separate passes.
 func TestDecodeChainSpeedupGate(t *testing.T) {
 	if os.Getenv("REPRO_PERF_ASSERT") != "1" {
@@ -392,18 +398,21 @@ func TestDecodeChainSpeedupGate(t *testing.T) {
 			}
 			q = frozenQuantizeInto(q, mag, 0, vmax)
 		}
-		fmag, fq := make([]float32, n), make([]uint8, n)
+		fmag, fpmag, fq := make([]float32, n), make([]float32, n), make([]uint8, n)
 		runFused := func() {
-			src, cur := raw, []float32(nil)
-			if enhance {
-				if err := recordMagnitudes(fmag, raw); err != nil {
+			if !enhance {
+				if err := recordQuantize(fq, raw, vmax); err != nil {
 					t.Fatal(err)
 				}
-				src, cur = praw, fmag
+				return
 			}
-			if err := recordQuantize(fq, src, cur, gain, vmax); err != nil {
+			if err := recordMagnitudes(fmag, raw); err != nil {
 				t.Fatal(err)
 			}
+			if err := recordMagnitudes(fpmag, praw); err != nil {
+				t.Fatal(err)
+			}
+			magnitudeQuantize(fq, fmag, fpmag, gain, vmax)
 		}
 		window := func(fn func()) float64 {
 			const reps = 4

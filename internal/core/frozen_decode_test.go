@@ -138,7 +138,7 @@ func (r *magQuantRig) step(raw, prev []byte) error {
 			return err
 		}
 	}
-	return r.w.magQuant(nil, 1, mpiio.Contig{N: np, ElemSize: quake.BytesPerNode}, raw, r.scr)
+	return r.w.magQuant(nil, 1, mpiio.Contig{N: np, ElemSize: quake.BytesPerNode}, raw, r.scr, &handoff{})
 }
 
 // frozen is what the frozen chain makes of the same inputs.
@@ -176,6 +176,9 @@ func (r *magQuantRig) check(tb testing.TB, raw, prev, before []byte) {
 	}
 }
 
+// nodesOf is the number of whole node records in rec.
+func nodesOf(rec []byte) int { return len(rec) / quake.BytesPerNode }
+
 // records packs float32 components into a step record.
 func records(vals ...float32) []byte { return quake.EncodeStep(vals) }
 
@@ -196,7 +199,10 @@ func withWord(rec []byte, i int, bits uint32) []byte {
 // records with one or two words past the last whole node, with enhancement
 // off, on, and on with gain 0. Every case's current and previous record
 // also goes through recordMagnitudes against the frozen decode and
-// magnitude, which is the vmax scan's pass.
+// magnitude, which is the vmax scan's pass, and every case whose records
+// validate goes through magnitudeQuantize — the enhancement hand-off's
+// kernel, fed both steps' magnitudes — with its gain and gain 0, and with
+// no previous step.
 func TestMagQuantMatchesFrozen(t *testing.T) {
 	sub := math.Float32frombits(1)           // least subnormal
 	bigSub := math.Float32frombits(0x7fffff) // greatest subnormal
@@ -261,6 +267,32 @@ func TestMagQuantMatchesFrozen(t *testing.T) {
 				newMagQuantRig(mode.enhance, mode.gain, tc.vmax).check(t, tc.raw, tc.prev, before)
 			})
 		}
+		t.Run(tc.name+"/two-magnitudes", func(t *testing.T) {
+			// The hand-off's kernel: both steps' magnitudes as the ranks that
+			// read the records computed them, with gain tc.gain and 0, and
+			// without a previous step.
+			cur, prev := make([]float32, nodesOf(tc.raw)), make([]float32, nodesOf(tc.prev))
+			if recordMagnitudes(cur, tc.raw) != nil || recordMagnitudes(prev, tc.prev) != nil || len(prev) < len(cur) {
+				return // a record no rank would hand off
+			}
+			for _, gain := range []float32{tc.gain, 0} {
+				for _, p := range [][]float32{prev, nil} {
+					var praw []byte
+					if p != nil {
+						praw = tc.prev
+					}
+					want, err := frozenMagQuant(1, tc.raw, praw, gain, tc.vmax)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := bytes.Repeat([]byte{0xa5}, len(cur))
+					magnitudeQuantize(got, cur, p, gain, tc.vmax)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("gain %v previous %v: q %v, frozen chain %v", gain, p != nil, got, want)
+					}
+				}
+			}
+		})
 		t.Run(tc.name+"/magnitudes", func(t *testing.T) {
 			for _, rec := range [][]byte{tc.raw, tc.prev} {
 				var want []float32
@@ -317,7 +349,7 @@ func TestMagQuantFailureKeepsQ(t *testing.T) {
 				t.Fatal(err)
 			}
 			view := mpiio.Contig{N: len(good) / quake.BytesPerNode, ElemSize: quake.BytesPerNode}
-			if err := r.w.magQuant(nil, 1, view, tc.raw, r.scr); err == nil {
+			if err := r.w.magQuant(nil, 1, view, tc.raw, r.scr, &handoff{}); err == nil {
 				t.Fatal("failing step succeeded")
 			}
 			if !bytes.Equal(r.scr.q, last) {

@@ -155,6 +155,53 @@ func TestCrossTransportCollectiveEquivalence(t *testing.T) {
 	requireSameTraffic(t, "net", refStats, stats)
 }
 
+// TestCrossTransportEnhancedHandoffEquivalence runs batch_io's shape —
+// two groups of two input ranks, collective adaptive reads, temporal
+// enhancement — over all three transports: frames bit-identical, per-rank
+// accounting identical, and the magnitudes hand-off is all the traffic
+// enhancement adds: each input rank sends one message of 4 bytes per part
+// node for every step of its own but the last step of the run, and
+// receives one for every step of its own but step 0.
+func TestCrossTransportEnhancedHandoffEquivalence(t *testing.T) {
+	const steps = 4
+	store := buildDataset(t, steps)
+	l := Layout{Groups: 2, IPsPerGroup: 2, Renderers: 2, Outputs: 1}
+	opts := smallOpts(40, 40)
+	opts.ReadStrategy, opts.AdaptiveFetch = ReadCollective, true
+	_, _, plainStats := runPipelineOver(t, store, l, opts, overReal)
+	opts.Enhancement, opts.EnhanceGain = true, 3
+	ref, refRes, refStats := runPipelineOver(t, store, l, opts, overReal)
+	for r := 0; r < l.NumInput(); r++ {
+		g, part := r/l.IPsPerGroup, r%l.IPsPerGroup
+		nodes := int64(len(ref.ds.partIDs[part]))
+		var sent, recvd int
+		for s := g; s < steps; s += l.Groups {
+			if s+1 < steps {
+				sent++
+			}
+			if s > 0 {
+				recvd++
+			}
+		}
+		want := plainStats[r]
+		want.MsgsSent += sent
+		want.BytesSent += int64(sent) * 4 * nodes
+		want.MsgsRecv += recvd
+		want.BytesRecv += int64(recvd) * 4 * nodes
+		if refStats[r] != want {
+			t.Errorf("input rank %d traffic %+v, want the unenhanced run's plus the hand-offs: %+v", r, refStats[r], want)
+		}
+	}
+	for name, run := range map[string]transportRun{"sim": overSim, "net": overNet} {
+		got, res, stats := runPipelineOver(t, store, l, opts, run)
+		if res.Frames != refRes.Frames {
+			t.Fatalf("%s: %d frames, want %d", name, res.Frames, refRes.Frames)
+		}
+		requireFramesEqual(t, ref, got, steps)
+		requireSameTraffic(t, name, refStats, stats)
+	}
+}
+
 // TestCrossTransportDirectSendEquivalence covers the remaining
 // compositor wire shapes (direct-send exchange) over the network.
 func TestCrossTransportDirectSendEquivalence(t *testing.T) {

@@ -33,6 +33,7 @@ const (
 	codecDataPayload  mpi.CodecID = 64
 	codecStripPayload mpi.CodecID = 65
 	codecLICPayload   mpi.CodecID = 66
+	codecMagPayload   mpi.CodecID = 67
 )
 
 // Receive-side pools for net-decoded payloads.
@@ -40,12 +41,14 @@ var (
 	netData   pool.Pool[dataPayload]
 	netStrips pool.Pool[stripPayload]
 	netLICs   pool.Pool[licPayload]
+	netMags   pool.Pool[magPayload]
 )
 
 func init() {
 	mpi.RegisterCodec(codecDataPayload, (*dataPayload)(nil), mpi.Codec{Encode: encodeDataPayload, Decode: decodeDataPayload})
 	mpi.RegisterCodec(codecStripPayload, (*stripPayload)(nil), mpi.Codec{Encode: encodeStripPayload, Decode: decodeStripPayload})
 	mpi.RegisterCodec(codecLICPayload, (*licPayload)(nil), mpi.Codec{Encode: encodeLICPayload, Decode: decodeLICPayload})
+	mpi.RegisterCodec(codecMagPayload, (*magPayload)(nil), mpi.Codec{Encode: encodeMagPayload, Decode: decodeMagPayload})
 }
 
 // encodeDataPayload ships the run headers (block, offset, length) and then
@@ -178,6 +181,30 @@ func decodeLICPayload(wire []byte) (any, error) {
 		return nil, err
 	}
 	return lp, nil
+}
+
+// encodeMagPayload ships the magnitudes as bare float32 words, which is
+// the 4 bytes per node the hand-off declares.
+func encodeMagPayload(buf []byte, v any) ([]byte, error) {
+	p := v.(*magPayload)
+	buf = mpi.AppendFloat32s(buf, p.mag)
+	p.release() // transport is the sender-side consumer
+	return buf, nil
+}
+
+// decodeMagPayload rebuilds the magnitudes in a payload from netMags,
+// refusing a body that is not whole words. Whether their count is the
+// part's node count is for the receiving rank to check
+// (RealWorkload.takeHandoff), as a renderer checks a piece.
+func decodeMagPayload(wire []byte) (any, error) {
+	if len(wire)%4 != 0 {
+		return nil, fmt.Errorf("core: magnitudes payload of %d bytes is not whole float32 words", len(wire))
+	}
+	r := mpi.NewWireReader(wire)
+	p := netMags.Get()
+	p.owner = &netMags
+	p.mag = r.Float32s(p.mag, len(wire)/4)
+	return p, nil
 }
 
 func appendImgVal(buf []byte, m *img.Image) []byte {

@@ -55,9 +55,15 @@ type Workload interface {
 }
 
 // Tag layout. Every timestep owns tagsPerStep point-to-point tags counting
-// up from zero, and the compositor a window of compositeWindowTags tags
-// from tagCompositeBase up, reused every compositeWindows steps. Everything
-// stays below 1<<20, far under the mpi layer's reserved collective tags.
+// up from zero — its data pieces, strips, LIC underlay and credits — and
+// the compositor a window of compositeWindowTags tags from tagCompositeBase
+// up, reused every compositeWindows steps. Everything stays below 1<<20,
+// far under the mpi layer's reserved collective tags. Messages match by
+// source and tag, so a tag serves every pair of roles that use it apart:
+// tagData(t) carries step t's pieces from input ranks to renderers and,
+// under temporal enhancement, step t's magnitudes hand-off from one input
+// rank to another (RealWorkload.magQuant), on which input ranks receive
+// nothing else.
 const (
 	tagsPerStep         = 4
 	tagCompositeBase    = 1 << 19

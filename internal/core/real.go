@@ -353,24 +353,61 @@ func (w *RealWorkload) VMax() float32 { return w.ds.vmax }
 // magnitudes in scr.q, applying temporal enhancement when enabled, in one
 // decode kernel pass per record (decode.go): bytes straight to q, or under
 // enhancement the current record to magnitudes first and, only once it
-// validated, the previous step's record read and folded in on its way to
-// q. The kernel quantizes into scr.qspare, which is swapped with scr.q only
-// when the step succeeded, so a step that fails anywhere — a malformed
-// record surfaces as an error instead of silently truncating — leaves the
-// previous step's values in scr.q.
-func (w *RealWorkload) magQuant(c *mpi.Comm, t int, view mpiio.Datatype, raw []byte, scr *ipScratch) error {
+// validated, those folded with the previous step's on their way to q. The
+// kernels quantize into scr.qspare, which is swapped with scr.q only when
+// the step succeeded, so a step that fails anywhere — a malformed record
+// surfaces as an error instead of silently truncating — leaves the previous
+// step's values in scr.q.
+//
+// With more than one group the previous step's magnitudes come from the
+// rank that read that step: the same part of the previous step's group,
+// whose view is this part's, so its magnitudes are of the same nodes in
+// the same order. As soon as this step's record has validated, its
+// magnitudes go to the rank that reads the next step (handOff), and only
+// then does this rank take the previous step's (receiveHandoff) and
+// quantize from the two arrays. Without them — with one group, at the
+// window's first step, when a marker came instead, when the predecessor
+// was lost, and when c is nil — it reads the previous step's record
+// itself, the same view through the second file handle, and takes its
+// magnitudes.
+//
+// The hand-off cannot deadlock: a rank sends before it waits for anything
+// but its own read (and its collective round, whose peers read the same
+// step), so the rank reading the earliest step in flight always proceeds,
+// and every receive inside a window has exactly one matching send — Fetch
+// sends a marker on every path that sent no magnitudes. A rank that leaves
+// the input loop early strands its successor here as it already strands
+// the renderers waiting for its pieces.
+func (w *RealWorkload) magQuant(c *mpi.Comm, t int, view mpiio.Datatype, raw []byte, scr *ipScratch, h *handoff) error {
 	n := len(raw) / quake.BytesPerNode
-	src, srcStep := raw, t
-	var cur []float32
-	if w.opts.Enhancement && t+w.stepBase > 0 {
+	scr.qspare = pool.Grow(scr.qspare, n)
+	if !w.opts.Enhancement {
+		if err := recordQuantize(scr.qspare, raw, w.ds.vmax); err != nil {
+			return fmt.Errorf("core: step %d: %w", t, err)
+		}
+		scr.q, scr.qspare = scr.qspare, scr.q
+		return nil
+	}
+	// A re-read of a step whose magnitudes already validated in this Fetch
+	// keeps them: they were handed off, and the same object holds the same
+	// values.
+	if !h.mag {
 		scr.mag = pool.Grow(scr.mag, n)
 		if err := recordMagnitudes(scr.mag, raw); err != nil {
 			return fmt.Errorf("core: step %d: %w", t, err)
 		}
-		// Enhancement needs the previous step's values for the same nodes:
-		// the same view on the previous object, read independently through
-		// the second file handle so the current step's handle keeps its
-		// collective plan and this one its sieve plan.
+		h.mag = true
+		w.handOff(c, t, scr, h, scr.mag)
+	}
+	if err := w.receiveHandoff(c, t, scr, h); err != nil {
+		return err
+	}
+	prev := h.prev
+	if prev == nil && t+w.stepBase > 0 {
+		// The fallback: the same view on the previous object, read
+		// independently through the second file handle so the current
+		// step's handle keeps its collective plan and this one its sieve
+		// plan, and turned into magnitudes as its reader would have.
 		f := &scr.pfile
 		if err := f.Reopen(c, w.store, w.stepName(t-1)); err != nil {
 			return err
@@ -380,14 +417,111 @@ func (w *RealWorkload) magQuant(c *mpi.Comm, t int, view mpiio.Datatype, raw []b
 		if _, err := f.ReadInto(scr.praw); err != nil {
 			return err
 		}
-		src, srcStep, cur = scr.praw, t-1, scr.mag
+		scr.pmag = pool.Grow(scr.pmag, n)
+		if err := recordMagnitudes(scr.pmag, scr.praw); err != nil {
+			return fmt.Errorf("core: step %d: %w", t-1, err)
+		}
+		prev = scr.pmag
 	}
-	scr.qspare = pool.Grow(scr.qspare, n)
-	if err := recordQuantize(scr.qspare, src, cur, w.opts.EnhanceGain, w.ds.vmax); err != nil {
-		return fmt.Errorf("core: step %d: %w", srcStep, err)
-	}
+	magnitudeQuantize(scr.qspare, scr.mag, prev, w.opts.EnhanceGain, w.ds.vmax)
 	scr.q, scr.qspare = scr.qspare, scr.q
 	return nil
+}
+
+// handoff is one Fetch call's side of the enhancement hand-off (magQuant),
+// shared by the step's re-reads: whether this step's magnitudes are in the
+// scratch and whether its hand-off went out, and what came in from the
+// previous step.
+type handoff struct {
+	mag   bool        // scr.mag holds the magnitudes of this step's record
+	sent  bool        // the hand-off to the next step went out
+	recvd bool        // the previous step's hand-off was taken
+	prev  []float32   // the previous step's magnitudes; nil: read that step
+	msg   *magPayload // what prev came in, released when the Fetch ends
+}
+
+// handsOff reports whether step t hands its magnitudes to a next step:
+// under enhancement with more than one group, when the window holds one.
+// With one group the next step's rank is this one, which reads step t
+// again instead. c is nil only for direct decode calls, which have no
+// peers.
+func (w *RealWorkload) handsOff(c *mpi.Comm, t int) bool {
+	return c != nil && w.opts.Enhancement && w.ds.layout.Groups > 1 && t+1 < w.steps
+}
+
+// handOff sends step t's hand-off to the rank that reads step t+1, the
+// same part of the next step's group, once per Fetch: the part's
+// magnitudes mag, or with mag nil an empty marker that tells it to read
+// step t itself. It travels on tagData(t), on which input ranks receive
+// nothing else.
+func (w *RealWorkload) handOff(c *mpi.Comm, t int, scr *ipScratch, h *handoff, mag []float32) {
+	if h.sent || !w.handsOff(c, t) {
+		return
+	}
+	h.sent = true
+	l := w.ds.layout
+	dst := l.InputRank((t+1)%l.Groups, scr.part)
+	if mag == nil {
+		c.Send(dst, tagData(t), 0, nil)
+		return
+	}
+	p := scr.mags.Get()
+	p.owner = &scr.mags
+	p.mag = append(p.mag[:0], mag...)
+	c.Send(dst, tagData(t), int64(4*len(mag)), p)
+}
+
+// receiveHandoff takes step t−1's hand-off, once per Fetch, into h.prev —
+// left nil when a marker came, when the predecessor was lost and the fault
+// policy tolerates it, and where no hand-off comes (handsOff). Magnitudes
+// for another number of nodes than the part has are refused whole, as
+// checkPiece refuses a piece.
+func (w *RealWorkload) receiveHandoff(c *mpi.Comm, t int, scr *ipScratch, h *handoff) error {
+	if h.recvd || t == 0 || !w.handsOff(c, t-1) {
+		return nil
+	}
+	h.recvd = true
+	l := w.ds.layout
+	msg, err := c.RecvErr(l.InputRank((t-1)%l.Groups, scr.part), tagData(t-1))
+	if err != nil {
+		if w.opts.Faults.Tolerate && errors.Is(err, mpi.ErrPeerLost) {
+			return nil
+		}
+		return err
+	}
+	return w.takeHandoff(t, scr.part, msg.Data, h)
+}
+
+// takeHandoff accepts data, what arrived as step t−1's hand-off to group
+// part's rank: a marker (nil) leaves h.prev nil, magnitudes for exactly the
+// part's nodes become h.prev, and anything else is refused. A payload is
+// kept in h.msg either way, for settleHandoff to release.
+func (w *RealWorkload) takeHandoff(t, part int, data any, h *handoff) error {
+	switch p := data.(type) {
+	case nil:
+		return nil
+	case *magPayload:
+		h.msg = p
+		if n := len(w.ds.partIDs[part]); len(p.mag) != n {
+			return fmt.Errorf("core: step %d: magnitudes hand-off holds %d values, part %d has %d nodes", t, len(p.mag), part, n)
+		}
+		h.prev = p.mag
+		return nil
+	default:
+		return fmt.Errorf("core: step %d: hand-off for part %d is a %T, not magnitudes", t, part, data)
+	}
+}
+
+// settleHandoff closes the Fetch of step t: a marker goes to the next step
+// if no magnitudes did, the previous step's hand-off is taken if the step
+// failed before it needed it (so no message outlives the window), and what
+// came is released.
+func (w *RealWorkload) settleHandoff(c *mpi.Comm, t int, scr *ipScratch, h *handoff) {
+	w.handOff(c, t, scr, h, nil)
+	// The step is over whatever came: a drained hand-off's error cannot
+	// change it.
+	_ = w.receiveHandoff(c, t, scr, h)
+	h.msg.release()
 }
 
 // fetchStep reads group part's share of step t into the rank's scratch — the
@@ -399,7 +533,7 @@ func (w *RealWorkload) magQuant(c *mpi.Comm, t int, view mpiio.Datatype, raw []b
 // with one collective call on the group's sub-communicator, otherwise each
 // reads its view independently (data sieving; a hole-free view is one
 // contiguous read).
-func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part int, scr *ipScratch) error {
+func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part int, scr *ipScratch, h *handoff) error {
 	view := w.ds.partView[part]
 	collective := w.opts.ReadStrategy == ReadCollective
 	fc := c
@@ -430,8 +564,11 @@ func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part int, scr *ipScratch) error
 				return err
 			}
 			// retryReopen accounted the faults; this only marks staleness.
+			// The round reads an older object, whose magnitudes are not
+			// step t's: the next step reads step t itself.
 			w.markDegraded(t)
 			w.account(0, 0, true)
+			w.handOff(c, t, scr, h, nil)
 		}
 	}
 	// The buffer is sized from the committed type, not from the handle:
@@ -449,7 +586,7 @@ func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part int, scr *ipScratch) error
 	if err != nil {
 		return err
 	}
-	return w.magQuant(c, t, view, scr.raw, scr)
+	return w.magQuant(c, t, view, scr.raw, scr, h)
 }
 
 // Preprocess implements Workload. Magnitude computation, enhancement and

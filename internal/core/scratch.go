@@ -50,6 +50,23 @@ func getData(pl *pool.Pool[dataPayload]) *dataPayload {
 	return p
 }
 
+// magPayload is the pooled wire form of one temporal-enhancement hand-off:
+// the node magnitudes of one step over one group part's nodes, in
+// Dataset.partIDs order, sent by the input rank that read the step to the
+// one that reads the next (RealWorkload.magQuant). The receiving rank must
+// release it once it has quantized against the values, returning it to the
+// sending rank's pool, as a renderer releases a dataPayload.
+type magPayload struct {
+	mag   []float32
+	owner *pool.Pool[magPayload]
+}
+
+func (p *magPayload) release() {
+	if p != nil && p.owner != nil {
+		p.owner.Put(p)
+	}
+}
+
 // stripPayload is the pooled wire form of one composited strip, in one of
 // two shapes. Raw (Options.Compress off): Img is the strip canvas, owned by
 // the sending renderer's CompositeScratch; the output processor releases the
@@ -138,16 +155,24 @@ type ipScratch struct {
 	lic       licState
 
 	// Decode staging plus the reused MPI-IO handles: file serves the
-	// current step, pfile the previous step when temporal enhancement is
-	// on, whose record lands in praw while mag holds the current step's
-	// magnitudes; vec is the surface records licStep decodes. sub caches
-	// the group's collective sub-communicator per world communicator (an
-	// input rank serves one group, so one cached entry suffices).
+	// current step and mag holds its magnitudes under temporal enhancement;
+	// vec is the surface records licStep decodes. pfile and praw serve the
+	// fallback read of the previous step, when no hand-off brought its
+	// magnitudes (magQuant). sub caches the group's collective
+	// sub-communicator per world communicator (an input rank serves one
+	// group, so one cached entry suffices).
 	file, pfile mpiio.File
 	vec, mag    []float32
 	praw        []byte
 	sub         *mpi.Comm
 	subParent   *mpi.Comm // world comm sub was built from (invalidates across runs)
+
+	// The enhancement hand-off (RealWorkload.magQuant): mags pools the
+	// payloads this rank sends to the rank that reads its next step, and
+	// pmag holds the previous step's magnitudes when the fallback read
+	// them instead.
+	mags pool.Pool[magPayload]
+	pmag []float32
 }
 
 // rendererScratch is one renderer's reusable staging: per-local-block
