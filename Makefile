@@ -51,12 +51,15 @@ doccheck:
 
 # size prints the numbers every CHANGES.md entry reports, so they come out
 # of a command: Go lines outside and inside _test.go files in the root
-# module (bench/ is a nested module and is left out), the number of
-# exported identifiers doccheck walks and, beside it, the exported fields
-# of exported struct types (the settable surface).
+# module (bench/ is a nested module and is left out), the part of the
+# latter in the oracle files docs/ci.md's ledger covers (*frozen*,
+# *regress* and *_equiv_* test files plus render/leap_test.go), the number
+# of exported identifiers doccheck walks and, beside it, the exported
+# fields of exported struct types (the settable surface).
 size:
 	@echo "non-test Go lines: $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 	@echo "test Go lines:     $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@echo "  in oracle files: $$(find . -not -path './bench/*' \( -name '*frozen*_test.go' -o -name '*regress*_test.go' -o -name '*_equiv_*test.go' -o -name leap_test.go \) | xargs cat | wc -l)"
 	@$(GO) run ./cmd/doccheck $(DOCDIRS)
 
 # invarcheck runs the invariant lint suite (cmd/invarcheck): allocfree,

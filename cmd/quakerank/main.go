@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mesh"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/quake"
@@ -291,33 +290,9 @@ func openStore(dir string, steps int) pfs.Store {
 	if steps <= 0 || steps > 8 {
 		steps = 3
 	}
-	cfg := mesh.Config{Domain: 2000, FMax: 1.2, PointsPerWave: 4, MaxLevel: 4, MinLevel: 2}
-	msh, err := mesh.Generate(cfg, demoMaterial{})
+	st, err := quake.DemoDataset(steps)
 	if err != nil {
-		log.Fatal(err)
-	}
-	s, err := quake.NewSolver(msh, quake.DefaultSolverConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	s.AddSource(quake.PointSource{Node: s.NearestNode([3]float64{0.5, 0.5, 0.3}),
-		Dir: [3]float64{0, 0, 1}, Amplitude: 1e12, Freq: 2})
-	st := pfs.NewMemStore()
-	if _, err := quake.ProduceDataset(s, st, quake.RunConfig{Steps: steps * 4, OutEvery: 4}); err != nil {
 		log.Fatal(err)
 	}
 	return st
-}
-
-// demoMaterial is the demo dataset's layered halfspace with a soft
-// basin-like inclusion (the shape the tests use).
-type demoMaterial struct{}
-
-// At returns the material at a normalized domain position.
-func (demoMaterial) At(p [3]float64) mesh.Material {
-	vs := 900 + 2000*p[2]
-	if d := (p[0]-0.5)*(p[0]-0.5) + (p[1]-0.5)*(p[1]-0.5) + p[2]*p[2]; d < 0.09 {
-		vs = 400
-	}
-	return mesh.Material{Rho: 2200, Vs: vs, Vp: 1.8 * vs}
 }

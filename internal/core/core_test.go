@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/img"
-	"repro/internal/mesh"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/quake"
@@ -245,39 +244,14 @@ func TestModelDeterministic(t *testing.T) {
 
 // --- Real-mode pipeline ----------------------------------------------------
 
-type uniModel struct{ m mesh.Material }
-
-func (u uniModel) At(p [3]float64) mesh.Material { return u.m }
-
-// buildDataset produces a small real dataset in a fresh store.
+// buildDataset is quake's demo dataset with the given number of steps.
 func buildDataset(t testing.TB, steps int) pfs.Store {
 	t.Helper()
-	cfg := mesh.Config{Domain: 2000, FMax: 1.2, PointsPerWave: 4, MaxLevel: 4, MinLevel: 2}
-	msh, err := mesh.Generate(cfg, basinish{})
+	st, err := quake.DemoDataset(steps)
 	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := quake.NewSolver(msh, quake.DefaultSolverConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.AddSource(quake.PointSource{Node: s.NearestNode([3]float64{0.5, 0.5, 0.3}),
-		Dir: [3]float64{0, 0, 1}, Amplitude: 1e12, Freq: 2})
-	st := pfs.NewMemStore()
-	if _, err := quake.ProduceDataset(s, st, quake.RunConfig{Steps: steps * 4, OutEvery: 4}); err != nil {
 		t.Fatal(err)
 	}
 	return st
-}
-
-type basinish struct{}
-
-func (basinish) At(p [3]float64) mesh.Material {
-	vs := 900 + 2000*p[2]
-	if d := (p[0]-0.5)*(p[0]-0.5) + (p[1]-0.5)*(p[1]-0.5) + p[2]*p[2]; d < 0.09 {
-		vs = 400
-	}
-	return mesh.Material{Rho: 2200, Vs: vs, Vp: 1.8 * vs}
 }
 
 // runReal executes the real pipeline and returns workload + result.
@@ -291,35 +265,12 @@ func runReal(t *testing.T, store pfs.Store, l Layout, opts Options) (*RealWorklo
 	return w, runPipeline(t, w, l)
 }
 
-// stepMagnitude decodes a step object into fresh per-node magnitudes — the
-// allocating reference chain the tests compare the pipeline's reused
-// buffers against.
-func stepMagnitude(tb testing.TB, raw []byte) []float32 {
-	tb.Helper()
-	vec, err := quake.DecodeStepInto(nil, raw)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return render.MagnitudeInto(nil, vec)
-}
-
-// serialFrame renders timestep t directly (reference image) using the same
-// quantization as the pipeline.
+// serialFrame renders timestep t directly (reference image) from the frozen
+// decode chain's bytes.
 func serialFrame(t *testing.T, w *RealWorkload, opts Options, step int) *img.Image {
 	t.Helper()
-	buf := make([]byte, w.ds.meta.NumNodes*quake.BytesPerNode)
-	if err := w.store.ReadAt(nil, quake.StepObject(step), 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	mag := stepMagnitude(t, buf)
-	if opts.Enhancement && step > 0 {
-		pbuf := make([]byte, len(buf))
-		if err := w.store.ReadAt(nil, quake.StepObject(step-1), 0, pbuf); err != nil {
-			t.Fatal(err)
-		}
-		mag = render.EnhanceTemporalInto(nil, mag, stepMagnitude(t, pbuf), opts.EnhanceGain)
-	}
-	scalar := render.DequantizeInto(nil, render.QuantizeInto(nil, mag, 0, w.ds.vmax))
+	q := frozenSteps(t, w.store, step+1, w.ds.meta.NumNodes, opts.Enhancement, opts.EnhanceGain, w.ds.vmax)[step]
+	scalar := render.DequantizeInto(nil, q)
 	rr := render.NewRenderer()
 	rr.Lighting = opts.Lighting
 	view := opts.View

@@ -1,7 +1,7 @@
 package core
 
-// PR 4's hot-path benchmarks: one input-rank fetch step (steady Into chain
-// vs the retained allocating chain) and the frame-ring assemble canvas
+// PR 4's hot-path benchmarks: one input-rank fetch step (independent and
+// collective) and the frame-ring assemble canvas
 // (acquire/release vs a fresh allocation per frame). Both run in the
 // `-benchtime 1x` smoke of `make ci` so they cannot bit-rot.
 
@@ -10,8 +10,6 @@ import (
 
 	"repro/internal/img"
 	"repro/internal/mpi"
-	"repro/internal/quake"
-	"repro/internal/render"
 )
 
 // collectiveFetchWorkload is quakebench's batch_io shape at test scale: the
@@ -36,10 +34,9 @@ func collectiveFetchWorkload(tb testing.TB, steps int, mod func(*Options)) (*Rea
 
 // BenchmarkFetchStep measures one full input-rank fetch of a timestep
 // (open, contiguous read, decode, magnitude, quantize, scatter into the
-// share). `steady` is the PR 4 allocation-free path through Fetch; `legacy`
-// is the pre-PR-4 chain rebuilt verbatim on the same store; `collective` is
-// a lock-step round of both IPs of collectiveFetchWorkload, the path whose
-// view and two-phase plan are computed once and replayed.
+// share). `steady` is the PR 4 allocation-free path through Fetch;
+// `collective` is a lock-step round of both IPs of collectiveFetchWorkload,
+// the path whose view and two-phase plan are computed once and replayed.
 func BenchmarkFetchStep(b *testing.B) {
 	const steps = 4
 	store := buildDataset(b, steps)
@@ -87,25 +84,6 @@ func BenchmarkFetchStep(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				fetch(i)
-			}
-		})
-	})
-	b.Run("legacy", func(b *testing.B) {
-		mpi.RunReal(l.WorldSize(), func(c *mpi.Comm) {
-			if c.Rank() != 0 {
-				return
-			}
-			n := w.ds.meta.NumNodes
-			share := make([]uint8, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				raw := make([]byte, n*quake.BytesPerNode)
-				if err := store.ReadAt(c, quake.StepObject(i%steps), 0, raw); err != nil {
-					b.Fatal(err)
-				}
-				q := render.QuantizeInto(nil, stepMagnitude(b, raw), 0, w.ds.vmax)
-				copy(share, q)
 			}
 		})
 	})

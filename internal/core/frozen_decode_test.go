@@ -110,6 +110,32 @@ func frozenMagQuant(t int, raw, praw []byte, gain, vmax float32) ([]uint8, error
 	return frozenQuantizeInto(nil, mag, 0, vmax), nil
 }
 
+// frozenSteps is the quantized value of every node in each of the first
+// steps dataset steps, through the frozen four-pass chain on whole objects:
+// the one reference every bit-exactness test of the decode stage computes
+// its expected bytes with.
+func frozenSteps(tb testing.TB, store pfs.Store, steps, nodes int, enhance bool, gain, vmax float32) [][]uint8 {
+	tb.Helper()
+	out := make([][]uint8, steps)
+	var prev []byte
+	for s := range out {
+		raw := make([]byte, nodes*quake.BytesPerNode)
+		if err := store.ReadAt(nil, quake.StepObject(s), 0, raw); err != nil {
+			tb.Fatal(err)
+		}
+		var praw []byte
+		if enhance && s > 0 {
+			praw = prev
+		}
+		q, err := frozenMagQuant(s, raw, praw, gain, vmax)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[s], prev = q, raw
+	}
+	return out
+}
+
 // magQuantRig is the least workload magQuant runs on: a store holding the
 // previous step's object, the enhancement settings and the quantization
 // range, and one input rank's scratch. Step 1 is the step it decodes, so

@@ -88,30 +88,6 @@ func (q *quantTap) Fetch(c *mpi.Comm, t, part, m int) (any, error) {
 	return prep, nil
 }
 
-// frozenSteps is every dataset step's quantized value of every node,
-// through the frozen four-pass chain on whole objects.
-func frozenSteps(t *testing.T, store pfs.Store, steps, nodes int, enhance bool, gain, vmax float32) [][]uint8 {
-	t.Helper()
-	out := make([][]uint8, steps)
-	var prev []byte
-	for s := range out {
-		raw := make([]byte, nodes*quake.BytesPerNode)
-		if err := store.ReadAt(nil, quake.StepObject(s), 0, raw); err != nil {
-			t.Fatal(err)
-		}
-		var praw []byte
-		if enhance && s > 0 {
-			praw = prev
-		}
-		q, err := frozenMagQuant(s, raw, praw, gain, vmax)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[s], prev = q, raw
-	}
-	return out
-}
-
 // handoffStrategies are the three read strategies the hand-off rides on.
 var handoffStrategies = []struct {
 	name string

@@ -57,6 +57,10 @@ func requirePlanContract(t *testing.T, name string, d *Dataset) {
 				if run.Off < 0 || run.Len < 1 || int(run.Off+run.Len) > len(ids) {
 					t.Fatalf("%s: run %+v outside block's %d nodes", name, run, len(ids))
 				}
+				reads := func(k int32) bool { _, ok := slices.BinarySearch(d.partIDs[p], ids[k]); return ok }
+				if run.Off > 0 && reads(run.Off-1) || int(run.Off+run.Len) < len(ids) && reads(run.Off+run.Len) {
+					t.Fatalf("%s: part %d renderer %d: run %+v of block %d stops beside a node the part reads", name, p, r, run, run.Block)
+				}
 				for k := run.Off; k < run.Off+run.Len; k++ {
 					covered[run.Block][k]++
 					if got := d.partIDs[p][g.src[at]]; got != ids[k] {
@@ -91,12 +95,14 @@ func requirePlanContract(t *testing.T, name string, d *Dataset) {
 // only and, over all parts, cover each block's node list exactly once; src
 // points at the id the run claims, so what a part ships is a subset of what
 // it reads; a part's ids are strictly ascending and its view selects exactly
-// their records, in that order; and the declared size is a byte per value
-// plus eight per run.
+// their records, in that order; each run is as long as it can be, stopping
+// only at its block's ends or beside a node the part does not read; and the
+// declared size is a byte per value plus eight per run.
 //
 // Mutation-checked: commitGather recording at[id]+1, counting 4 bytes per
-// header, committing the view of another part's ids and letting a collective
-// part ship the other part's blocks each fail here; never closing a run at a
+// header, opening a run at every node, committing the view of another
+// part's ids and letting a collective part ship the other part's blocks
+// each fail here; never closing a run at a
 // gap fails TestCommitGatherEnforcesCoverage's interleaved sets (no strategy
 // leaves a gap inside a block), as does dropping either coverage check.
 func TestGatherPlanPartitions(t *testing.T) {

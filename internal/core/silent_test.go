@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/mesh"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/quake"
@@ -26,8 +25,7 @@ const silentSteps = 6
 // are its own.
 func silentStore(tb testing.TB) (pfs.Store, Options) {
 	tb.Helper()
-	cfg := mesh.Config{Domain: 2000, FMax: 1.2, PointsPerWave: 4, MaxLevel: 4, MinLevel: 2}
-	msh, err := mesh.Generate(cfg, basinish{})
+	msh, err := quake.DemoMesh()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -99,16 +97,6 @@ func silentStore(tb testing.TB) (pfs.Store, Options) {
 	return store, opts
 }
 
-// stepQuant is step s's quantized field, by the allocating reference chain.
-func stepQuant(tb testing.TB, w *RealWorkload, s int) []uint8 {
-	tb.Helper()
-	raw := make([]byte, w.ds.meta.NumNodes*quake.BytesPerNode)
-	if err := w.store.ReadAt(nil, quake.StepObject(s), 0, raw); err != nil {
-		tb.Fatal(err)
-	}
-	return render.QuantizeInto(nil, stepMagnitude(tb, raw), 0, w.ds.vmax)
-}
-
 // checkMerged holds every renderer's blocks to the step whose quantized
 // field is q: each corner value is the dequantized node byte, bit for bit
 // (+0 in a silent block), the zero flag says whether the block is silent,
@@ -151,10 +139,11 @@ func checkMerged(tb testing.TB, w *RealWorkload, q []uint8) (silent int) {
 // holds each block's merge to the step's bytes (checkMerged) and the frame
 // to RenderSerial on the same quantized field, pixel for pixel. Under a
 // transfer function dense at 0 no block may be skipped, and the frames
-// must still match.
+// must still match. Three more runs split each step between two input
+// ranks, under each read strategy, so blocks get their values through the
+// gather plans of both parts.
 func TestSilentSkipMatchesSerial(t *testing.T) {
-	store, opts := silentStore(t)
-	l := Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}
+	store, base := silentStore(t)
 	dense := render.NewTransferFunction([]render.TFPoint{
 		{S: 0, R: 0.2, G: 0.2, B: 0.3, Density: 0.6},
 		{S: 1, R: 1, G: 0.3, B: 0, Density: 20},
@@ -163,13 +152,22 @@ func TestSilentSkipMatchesSerial(t *testing.T) {
 		name string
 		run  transportRun
 		tf   *render.TransferFunction // nil: the options' transfer function
+		read func(*Options)           // nil: one input rank per group, contiguous
 	}{
-		{"real", overReal, nil},
-		{"net", overNet, nil},
-		{"real-dense-at-0", overReal, dense},
-		{"net-dense-at-0", overNet, dense},
+		{"real", overReal, nil, nil},
+		{"net", overNet, nil, nil},
+		{"real-dense-at-0", overReal, dense, nil},
+		{"net-dense-at-0", overNet, dense, nil},
+		{"real-collective-2-parts", overReal, nil, func(o *Options) { o.ReadStrategy = ReadCollective }},
+		{"real-adaptive-2-parts", overReal, nil, func(o *Options) { o.AdaptiveFetch = true }},
+		{"real-contiguous-2-parts", overReal, nil, func(o *Options) {}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			l, opts := Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}, base
+			if tc.read != nil {
+				l.IPsPerGroup = 2
+				tc.read(&opts)
+			}
 			w, err := NewRealWorkload(l, opts, store)
 			if err != nil {
 				t.Fatal(err)
@@ -185,13 +183,14 @@ func TestSilentSkipMatchesSerial(t *testing.T) {
 				t.Fatalf("skipSilent = %v under the %s transfer function", w.skipSilent, tc.name)
 			}
 			blocks := len(w.ds.roots)
+			qs := frozenSteps(t, store, silentSteps, w.ds.meta.NumNodes, false, 0, w.ds.vmax)
 			silent := make([]int, silentSteps)
 			for s := range silent {
 				if err := w.SetStepWindow(s, s+1); err != nil {
 					t.Fatal(err)
 				}
 				runWorkloadOver(t, w, w, l, tc.run)
-				q := stepQuant(t, w, s)
+				q := qs[s]
 				silent[s] = checkMerged(t, w, q)
 				view := opts.View
 				want, err := render.RenderSerial(rr, w.ds.mesh, render.DequantizeInto(nil, q), opts.BlockLevel, w.ds.level, &view)

@@ -1,9 +1,13 @@
 package invarcheck
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -162,6 +166,166 @@ func TestDeadExportAllowList(t *testing.T) {
 	}
 	if n == 0 || n > 20 {
 		t.Errorf("%d deadexport allows in the tree, want 1..20", n)
+	}
+}
+
+// oracleName matches the names a frozen or retained reference body goes
+// by in a test file: frozen*, *Legacy, reference*/*Reference and *PerCall.
+var oracleName = regexp.MustCompile(`^(frozen|reference)|(Legacy|Reference|PerCall)$`)
+
+// testName matches a test, benchmark or fuzz target, with its subtest path.
+var testName = regexp.MustCompile(`^(Test|Benchmark|Fuzz)[A-Z0-9_]\w*(/\S*)?$`)
+
+// ledgerFindings holds the oracle ledger — the rows of docs/ci.md's
+// "Oracle ledger" section — to the test files in src (path -> source). A
+// row's first cell names a file and the reference functions in it. It
+// reports every function or method of a test file whose name marks it as a
+// reference (oracleName) and that no row of its file lists, every listed
+// name its file does not declare, and every test the ledger names that no
+// test file declares.
+func ledgerFindings(t *testing.T, doc string, src map[string]string) []string {
+	t.Helper()
+	decls := map[string]map[string]bool{} // file -> declared funcs, methods, types
+	tests := map[string]bool{}
+	var refs []string // "file: name" of every reference-named function
+	fset := token.NewFileSet()
+	for path, text := range src {
+		f, err := parser.ParseFile(fset, path, text, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decls[path] = map[string]bool{}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				name := d.Name.Name
+				decls[path][name] = true
+				if testName.MatchString(name) {
+					tests[name] = true
+				} else if oracleName.MatchString(name) {
+					refs = append(refs, path+": "+name)
+				}
+			case *ast.GenDecl:
+				for _, sp := range d.Specs {
+					if ts, ok := sp.(*ast.TypeSpec); ok {
+						decls[path][ts.Name.Name] = true
+					}
+				}
+			}
+		}
+	}
+	_, ledger, ok := strings.Cut(doc, "\n## Oracle ledger\n")
+	if !ok {
+		return []string{"docs/ci.md has no \"## Oracle ledger\" section"}
+	}
+	ledger, _, _ = strings.Cut(ledger, "\n## ")
+	var out []string
+	listed := map[string]bool{}
+	for _, line := range strings.Split(ledger, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.HasPrefix(line, "|") {
+			continue
+		}
+		names := ticked(cells[1])
+		if len(names) == 0 || !strings.HasSuffix(names[0], "_test.go") {
+			continue // the header and its rule
+		}
+		file := names[0]
+		if decls[file] == nil {
+			out = append(out, "ledger row for "+file+": no such test file")
+			continue
+		}
+		for _, name := range names[1:] {
+			listed[file+": "+name] = true
+			if !decls[file][name] {
+				out = append(out, "ledger lists "+file+": "+name+", which it does not declare")
+			}
+		}
+	}
+	for _, ref := range refs {
+		if !listed[ref] {
+			out = append(out, ref+" is a reference body the ledger does not list")
+		}
+	}
+	for _, name := range ticked(ledger) {
+		if testName.MatchString(name) && !tests[strings.SplitN(name, "/", 2)[0]] {
+			out = append(out, "ledger names "+name+", which no test file declares")
+		}
+	}
+	return out
+}
+
+// ticked returns the backquoted spans of s, in order.
+func ticked(s string) []string {
+	parts := strings.Split(s, "`")
+	var out []string
+	for i := 1; i < len(parts); i += 2 {
+		out = append(out, parts[i])
+	}
+	return out
+}
+
+// TestOracleLedger holds docs/ci.md's oracle ledger to the tree: every
+// frozen or retained reference body in a test file has a row, and the
+// ledger names no body and no test that is gone.
+func TestOracleLedger(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/ci.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := map[string]string{}
+	err = filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || d.Name() == "bench" || strings.HasPrefix(d.Name(), ".") && path != "../..") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, "_test.go") {
+			text, err := os.ReadFile(path)
+			src[strings.TrimPrefix(path, "../../")] = string(text)
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range ledgerFindings(t, string(doc), src) {
+		t.Error(f)
+	}
+}
+
+// TestOracleLedgerFindings proves the ledger check fires: on an unlisted
+// frozen body, on a listed body or test that no longer exists, and on a
+// row for a missing file — and stays silent on a ledger that matches.
+func TestOracleLedgerFindings(t *testing.T) {
+	src := map[string]string{"a/x_test.go": `package a
+func frozenStep() {}
+func (r *rig) stepReference() {}
+func TestStepMatchesFrozen() {}
+type rig struct{}`}
+	doc := func(rows ...string) string {
+		return "# CI\n## Oracle ledger\n| reference | killed by |\n|---|---|\n" + strings.Join(rows, "\n") + "\n## Next\n| `a/x_test.go`: `frozenGone` |\n"
+	}
+	for _, tc := range []struct {
+		name string
+		doc  string
+		want []string
+	}{
+		{"matches", doc("| `a/x_test.go`: `frozenStep`, `stepReference`, `rig` | `TestStepMatchesFrozen` |"), nil},
+		{"unlisted", doc("| `a/x_test.go`: `stepReference` | `TestStepMatchesFrozen/case` |"),
+			[]string{"a/x_test.go: frozenStep is a reference body the ledger does not list"}},
+		{"gone", doc("| `a/x_test.go`: `frozenStep`, `stepReference`, `frozenGone` | `TestGone` |"),
+			[]string{"ledger lists a/x_test.go: frozenGone, which it does not declare", "ledger names TestGone, which no test file declares"}},
+		{"no-file", doc("| `a/x_test.go`: `frozenStep`, `stepReference` |", "| `a/y_test.go`: `frozenStep` |"),
+			[]string{"ledger row for a/y_test.go: no such test file"}},
+		{"no-section", "# CI\n", []string{`docs/ci.md has no "## Oracle ledger" section`}},
+	} {
+		got := ledgerFindings(t, tc.doc, src)
+		if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+			t.Errorf("%s: findings %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -1,14 +1,13 @@
 package mpiio
 
-// PR 5's regression harness for the epoch-scoped collective read: the new
-// ReadAllInto must match the retained per-call two-phase path byte for
-// byte AND stat for stat (PhysReads/PhysBytes/UsefulBytes/ShuffleBytes/
-// ShuffleMsgs on the file, MsgsSent/BytesSent/MsgsRecv/BytesRecv on the
-// communicator), and a steady-state collective round must allocate nothing
-// on any rank.
+// PR 5's regression harness for the epoch-scoped collective read: the
+// per-call two-phase oracle ReadAllInto is held to, byte for byte AND stat
+// for stat (PhysReads/PhysBytes/UsefulBytes/ShuffleBytes/ShuffleMsgs on the
+// file, MsgsSent/BytesSent/MsgsRecv/BytesRecv on the communicator), by the
+// scripts of replay_regress_test.go; and the gate that a steady-state
+// collective round allocates nothing on any rank.
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -46,122 +45,6 @@ func interleavedView(rank, ranks, elems int, elemSize int64) IndexedBlock {
 		displs = append(displs, int64(e))
 	}
 	return IndexedBlock{Blocklen: 1, Displs: displs, ElemSize: elemSize}
-}
-
-// runCollectiveRounds opens the named objects on every rank, applies the
-// view built by mkView, and runs one collective read per object through
-// read. It returns each rank's bytes from every round plus the final
-// accounting snapshot.
-func runCollectiveRounds(t *testing.T, st pfs.Store, names []string, ranks int,
-	mkView func(rank int) IndexedBlock,
-	read func(f *File, seq int, dst []byte) (int, error),
-) ([][][]byte, []collStats) {
-	t.Helper()
-	out := make([][][]byte, ranks)
-	stats := make([]collStats, ranks)
-	mpi.RunReal(ranks, func(c *mpi.Comm) {
-		f, err := Open(c, st, names[0])
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ib := mkView(c.Rank())
-		for seq, name := range names {
-			if err := f.Reopen(c, st, name); err != nil {
-				t.Error(err)
-				return
-			}
-			f.SetView(0, &ib)
-			n, err := f.ViewSize()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			dst := make([]byte, n)
-			m, err := read(f, seq+1, dst)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			out[c.Rank()] = append(out[c.Rank()], dst[:m])
-		}
-		stats[c.Rank()] = snapStats(f, c)
-	})
-	return out, stats
-}
-
-// TestReadAllEpochMatchesPerCall pins the epoch-scoped collective to the
-// retained per-call reference: same bytes on every rank in every round,
-// and bit-identical I/O and message accounting.
-func TestReadAllEpochMatchesPerCall(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		ranks int
-		elems int
-	}{
-		{"4-rank-interleaved", 4, 256},
-		{"7-rank-uneven", 7, 100},
-		{"1-rank", 1, 64},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			st := pfs.NewMemStore()
-			names := []string{"s0", "s1", "s2", "s3"}
-			for i, n := range names {
-				makeTestFile(t, st, n, 12*tc.elems+i) // vary sizes slightly
-			}
-			mkView := func(rank int) IndexedBlock {
-				return interleavedView(rank, tc.ranks, tc.elems, 12)
-			}
-			legacy, legacyStats := runCollectiveRounds(t, st, names, tc.ranks, mkView,
-				func(f *File, seq int, dst []byte) (int, error) { return f.readAllIntoPerCall(seq, dst) })
-			epoch, epochStats := runCollectiveRounds(t, st, names, tc.ranks, mkView,
-				func(f *File, seq int, dst []byte) (int, error) { return f.ReadAllInto(seq, dst) })
-			for r := 0; r < tc.ranks; r++ {
-				for round := range legacy[r] {
-					if !bytes.Equal(legacy[r][round], epoch[r][round]) {
-						t.Errorf("rank %d round %d: epoch path bytes differ from per-call path", r, round)
-					}
-				}
-				if legacyStats[r] != epochStats[r] {
-					t.Errorf("rank %d accounting differs:\n per-call %+v\n epoch    %+v", r, legacyStats[r], epochStats[r])
-				}
-			}
-		})
-	}
-}
-
-// TestReadAllEpochEmptyViews covers the degenerate collectives on the
-// epoch path: some ranks empty, and everyone empty.
-func TestReadAllEpochEmptyViews(t *testing.T) {
-	st := pfs.NewMemStore()
-	makeTestFile(t, st, "f", 256)
-	mpi.RunReal(3, func(c *mpi.Comm) {
-		f, _ := Open(c, st, "f")
-		for round := 0; round < 3; round++ {
-			if c.Rank() == 1 {
-				f.SetView(0, IndexedBlock{Blocklen: 4, Displs: []int64{2}, ElemSize: 8})
-			} else {
-				f.SetView(0, Contig{N: 0, ElemSize: 1})
-			}
-			got, err := readAllView(f, 1+round)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			want := 0
-			if c.Rank() == 1 {
-				want = 32
-			}
-			if len(got) != want {
-				t.Errorf("rank %d round %d: got %d bytes, want %d", c.Rank(), round, len(got), want)
-			}
-			// All-empty round: every rank must return immediately.
-			f.SetView(0, Contig{N: 0, ElemSize: 1})
-			if out, err := readAllView(f, 100+round); err != nil || len(out) != 0 {
-				t.Errorf("rank %d all-empty round: %v, %d bytes", c.Rank(), err, len(out))
-			}
-		}
-	})
 }
 
 // TestReadAllSteadyStateAllocFree is the PR 5 acceptance gate for the

@@ -161,10 +161,11 @@ func runReplay(t testing.TB, st pfs.Store, ranks int, script []roundOps, run col
 				t.Errorf("rank %d round %d: %v", me, seq, err)
 			}
 			dst := make([]byte, n)
-			if _, err := read(f, seq+1, dst); err != nil {
+			m, err := read(f, seq+1, dst)
+			if err != nil {
 				t.Errorf("rank %d round %d: %v", me, seq, err)
 			}
-			out[me] = append(out[me], dst)
+			out[me] = append(out[me], dst[:m])
 			stats[me] = append(stats[me], snapStats(f, c))
 		}
 	})
@@ -230,6 +231,22 @@ func steady(ranks, n, kind int) []roundOps {
 	return script
 }
 
+// replayMatchesOracle plays the script through the per-call oracle on
+// RunReal, then through ReadAllInto on RunReal, RunSim and RunNet, and
+// holds every run to the oracle's.
+func replayMatchesOracle(t *testing.T, ranks int, script []roundOps) {
+	t.Helper()
+	st := replayStore(t)
+	wantOut, wantStats := runReplay(t, st, ranks, script, overReal, perCallRead)
+	for _, tr := range []struct {
+		name string
+		run  collTransport
+	}{{"real", overReal}, {"sim", overSim}, {"net", overNet}} {
+		gotOut, gotStats := runReplay(t, st, ranks, script, tr.run, epochRead)
+		requireReplayEqual(t, tr.name, wantOut, gotOut, wantStats, gotStats)
+	}
+}
+
 // TestCollectiveReplayMatchesOracle is the suite's body: hand-written
 // scripts that each isolate one way a plan goes stale, and seeded random
 // ones that mix them, on all three transports.
@@ -261,20 +278,37 @@ func TestCollectiveReplayMatchesOracle(t *testing.T) {
 		rand.New(rand.NewSource(seed)).Read(data)
 		scripts[fmt.Sprintf("random-%d", seed)] = scriptFromBytes(data, ranks, 40)
 	}
-	transports := []struct {
-		name string
-		run  collTransport
-	}{{"real", overReal}, {"sim", overSim}, {"net", overNet}}
 	for name, script := range scripts {
-		t.Run(name, func(t *testing.T) {
-			st := replayStore(t)
-			wantOut, wantStats := runReplay(t, st, ranks, script, overReal, perCallRead)
-			for _, tr := range transports {
-				gotOut, gotStats := runReplay(t, st, ranks, script, tr.run, epochRead)
-				requireReplayEqual(t, tr.name, wantOut, gotOut, wantStats, gotStats)
+		t.Run(name, func(t *testing.T) { replayMatchesOracle(t, ranks, script) })
+	}
+}
+
+// TestReadAllEpochMatchesPerCall holds the steady state to the oracle at
+// three world sizes — 4 ranks, 7 (which do not divide the elements) and
+// 1 — every rank on a plain interleaved view, one round per object.
+func TestReadAllEpochMatchesPerCall(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		ranks int
+	}{{"4-rank-interleaved", 4}, {"7-rank-uneven", 7}, {"1-rank", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			script := steady(tc.ranks, replayObjs, 3)
+			for i := range script {
+				script[i].obj = i
 			}
+			replayMatchesOracle(t, tc.ranks, script)
 		})
 	}
+}
+
+// TestReadAllEpochEmptyViews holds the degenerate rounds to the oracle:
+// only rank 1 of three reads, then no rank does, three times over.
+func TestReadAllEpochEmptyViews(t *testing.T) {
+	script := steady(3, 6, 2)
+	for i := 0; i < len(script); i += 2 {
+		script[i].views[1] = 3
+	}
+	replayMatchesOracle(t, 3, script)
 }
 
 // FuzzCollectiveReplay lets a byte string drive the per-round view edits of

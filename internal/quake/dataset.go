@@ -243,6 +243,43 @@ func ProduceDataset(s *Solver, st pfs.Store, rc RunConfig) (Meta, error) {
 	return meta, WriteMeta(st, meta)
 }
 
+// DemoMesh generates the demo dataset's mesh (see DemoDataset).
+func DemoMesh() (*mesh.Mesh, error) {
+	return mesh.Generate(mesh.Config{Domain: 2000, FMax: 1.2, PointsPerWave: 4, MaxLevel: 4, MinLevel: 2}, demoBasin{})
+}
+
+// DemoDataset builds the demo dataset in a fresh in-memory store, the same
+// bytes in every process: a 2 km cube meshed for 1.2 Hz (octree levels 2
+// to 4) over demoBasin, shaken by a vertical 2 Hz point source below the
+// basin, with steps output steps, one every fourth solver step.
+func DemoDataset(steps int) (pfs.Store, error) {
+	msh, err := DemoMesh()
+	if err != nil {
+		return nil, err
+	}
+	s, err := NewSolver(msh, DefaultSolverConfig())
+	if err != nil {
+		return nil, err
+	}
+	s.AddSource(PointSource{Node: s.NearestNode([3]float64{0.5, 0.5, 0.3}), Dir: [3]float64{0, 0, 1}, Amplitude: 1e12, Freq: 2})
+	st := pfs.NewMemStore()
+	_, err = ProduceDataset(s, st, RunConfig{Steps: steps * 4, OutEvery: 4})
+	return st, err
+}
+
+// demoBasin is a halfspace whose Vs rises from 900 to 2,900 m/s with depth,
+// 400 m/s inside a hemisphere of radius 0.3 at the centre of the surface.
+type demoBasin struct{}
+
+// At implements mesh.Model.
+func (demoBasin) At(p [3]float64) mesh.Material {
+	vs := 900 + 2000*p[2]
+	if d := (p[0]-0.5)*(p[0]-0.5) + (p[1]-0.5)*(p[1]-0.5) + p[2]*p[2]; d < 0.09 {
+		vs = 400
+	}
+	return mesh.Material{Rho: 2200, Vs: vs, Vp: 1.8 * vs}
+}
+
 // PeakGroundVelocity scans a dataset and returns, for each surface node
 // id in surfIDs, the maximum horizontal velocity magnitude over all steps —
 // the PGV map seismologists derive from such simulations. A step object

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/img"
-	"repro/internal/mesh"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/quake"
@@ -24,34 +23,13 @@ import (
 
 // --- Shared fixtures --------------------------------------------------------
 
-type basinish struct{}
-
-func (basinish) At(p [3]float64) mesh.Material {
-	vs := 900 + 2000*p[2]
-	if d := (p[0]-0.5)*(p[0]-0.5) + (p[1]-0.5)*(p[1]-0.5) + p[2]*p[2]; d < 0.09 {
-		vs = 400
-	}
-	return mesh.Material{Rho: 2200, Vs: vs, Vp: 1.8 * vs}
-}
-
-// buildDataset produces a small real dataset in a fresh store (the same
-// fixture the core suite uses, so serve-layer frames are comparable to
-// the pinned pipeline behavior).
+// buildDataset is quake's demo dataset with the given number of steps (the
+// fixture the core suite uses, so serve-layer frames are comparable to the
+// pinned pipeline behavior).
 func buildDataset(t testing.TB, steps int) pfs.Store {
 	t.Helper()
-	cfg := mesh.Config{Domain: 2000, FMax: 1.2, PointsPerWave: 4, MaxLevel: 4, MinLevel: 2}
-	msh, err := mesh.Generate(cfg, basinish{})
+	st, err := quake.DemoDataset(steps)
 	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := quake.NewSolver(msh, quake.DefaultSolverConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.AddSource(quake.PointSource{Node: s.NearestNode([3]float64{0.5, 0.5, 0.3}),
-		Dir: [3]float64{0, 0, 1}, Amplitude: 1e12, Freq: 2})
-	st := pfs.NewMemStore()
-	if _, err := quake.ProduceDataset(s, st, quake.RunConfig{Steps: steps * 4, OutEvery: 4}); err != nil {
 		t.Fatal(err)
 	}
 	return st
