@@ -37,7 +37,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/quake"
-	"repro/internal/render"
 )
 
 // Job exit codes, surfaced per rank and folded to their maximum by the
@@ -89,7 +88,6 @@ func main() {
 
 	store, retry := retryStore(openStore(*data, *steps), *tolerate, *rank)
 	opts := core.DefaultOptions(*width, *height)
-	opts.View = render.DefaultView(*width, *height)
 	opts.MaxSteps = *steps
 	opts.Compress = *compress
 	switch *strategy {

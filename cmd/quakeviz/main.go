@@ -5,8 +5,8 @@
 // writes one PNG per timestep.
 //
 // Every rank runs in this process, and the ranks of a role split
-// GOMAXPROCS between them for their shared-memory fan-outs (render,
-// composite, payload builds; the LIC convolution takes all of it).
+// GOMAXPROCS between them for their shared-memory fan-outs (render and
+// composite; the LIC convolution takes all of it).
 // GOMAXPROCS=1 runs every fan-out inline; frames are byte-identical at any
 // setting.
 package main
@@ -62,7 +62,6 @@ func main() {
 		log.Fatal(err)
 	}
 	opts := core.DefaultOptions(*width, *height)
-	opts.View = render.DefaultView(*width, *height)
 	if *azimuth > -999 {
 		opts.View = render.OrbitView(*width, *height, *azimuth, *elevation)
 	}

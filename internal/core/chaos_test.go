@@ -29,7 +29,6 @@ import (
 	"hash/fnv"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -47,41 +46,6 @@ func stepObjectsOnly(name string) bool { return strings.HasPrefix(name, "step_")
 // onlyObject matches exactly one object name.
 func onlyObject(want string) func(string) bool {
 	return func(name string) bool { return name == want }
-}
-
-// chaosRun builds the workload on the clean store, then swaps the fetch
-// path onto wrap(store) before running the pipeline — construction (mesh,
-// meta, vmax scan) reads clean, every per-step read goes through the
-// injector. A nil wrap runs clean.
-func chaosRun(t *testing.T, store pfs.Store, l Layout, opts Options, wrap func(pfs.Store) pfs.Store) (*RealWorkload, *Result) {
-	t.Helper()
-	w, err := NewRealWorkload(l, opts, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-	if wrap != nil {
-		w.store = wrap(store)
-	}
-	p, err := NewPipeline(l, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var runErr error
-	mpi.RunReal(l.WorldSize(), func(c *mpi.Comm) {
-		if err := p.Run(c); err != nil {
-			mu.Lock()
-			if runErr == nil {
-				runErr = err
-			}
-			mu.Unlock()
-		}
-	})
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	return w, p.Res
 }
 
 // requireFramesEqual demands bit-identical frames for steps [0, n).
@@ -114,7 +78,7 @@ func TestChaosZeroFaultGolden(t *testing.T) {
 	store := buildDataset(t, 3)
 	l := Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}
 	var inj *faultinject.Store
-	w, res := chaosRun(t, store, l, tolerant(48, 48), func(st pfs.Store) pfs.Store {
+	w, res, _ := runPipelineOver(t, store, l, tolerant(48, 48), overReal, func(st pfs.Store) pfs.Store {
 		inj = faultinject.Wrap(st, faultinject.Config{Seed: 1})
 		return inj
 	})
@@ -155,7 +119,7 @@ func TestChaosHealableFaultsBitIdentical(t *testing.T) {
 	const steps = 3
 	store := buildDataset(t, steps)
 	l := Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}
-	ref, _ := chaosRun(t, store, l, tolerant(48, 48), nil)
+	ref, _, _ := runPipelineOver(t, store, l, tolerant(48, 48), overReal, nil)
 	for _, tc := range []struct {
 		name string
 		cfg  faultinject.Config
@@ -179,7 +143,7 @@ func TestChaosHealableFaultsBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() (*RealWorkload, *Result, faultinject.Stats) {
 				var inj *faultinject.Store
-				w, res := chaosRun(t, store, l, tolerant(48, 48), func(st pfs.Store) pfs.Store {
+				w, res, _ := runPipelineOver(t, store, l, tolerant(48, 48), overReal, func(st pfs.Store) pfs.Store {
 					inj = faultinject.Wrap(st, tc.cfg)
 					return inj
 				})
@@ -239,7 +203,7 @@ func TestChaosTransientCountsPinned(t *testing.T) {
 	store := buildDataset(t, steps)
 	l := Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}
 	var inj *faultinject.Store
-	_, res := chaosRun(t, store, l, tolerant(48, 48), func(st pfs.Store) pfs.Store {
+	_, res, _ := runPipelineOver(t, store, l, tolerant(48, 48), overReal, func(st pfs.Store) pfs.Store {
 		inj = faultinject.Wrap(st, faultinject.Config{Seed: 11, PTransient: 0.5, Match: stepObjectsOnly})
 		return inj
 	})
@@ -263,8 +227,8 @@ func TestChaosPermanentFaultDegrades(t *testing.T) {
 	const steps = 4
 	store := buildDataset(t, steps)
 	l := Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}
-	ref, _ := chaosRun(t, store, l, tolerant(48, 48), nil)
-	w, res := chaosRun(t, store, l, tolerant(48, 48), func(st pfs.Store) pfs.Store {
+	ref, _, _ := runPipelineOver(t, store, l, tolerant(48, 48), overReal, nil)
+	w, res, _ := runPipelineOver(t, store, l, tolerant(48, 48), overReal, func(st pfs.Store) pfs.Store {
 		return faultinject.Wrap(st, faultinject.Config{
 			Seed: 3, PPermanent: 1, Match: onlyObject(quake.StepObject(3)),
 		})
@@ -323,16 +287,16 @@ func TestChaosCorruptSurfaceRecordDropsUnderlay(t *testing.T) {
 	opts := tolerant(48, 48)
 	opts.LIC, opts.LICSize = true, 32
 	opts.Faults.StepRetries = 2
-	ref, _ := chaosRun(t, store, l, opts, nil)
+	ref, _, _ := runPipelineOver(t, store, l, opts, overReal, nil)
 	plain := opts
 	plain.LIC = false
-	bare, _ := chaosRun(t, store, l, plain, nil)
+	bare, _, _ := runPipelineOver(t, store, l, plain, overReal, nil)
 
 	full, err := store.Size(quake.StepObject(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, res := chaosRun(t, store, l, opts, func(st pfs.Store) pfs.Store {
+	w, res, _ := runPipelineOver(t, store, l, opts, overReal, func(st pfs.Store) pfs.Store {
 		return surfaceFlip{st, quake.StepObject(bad), int(full)}
 	})
 	if res.Frames != steps {
@@ -401,7 +365,7 @@ func TestChaosCorruptStripStream(t *testing.T) {
 			opts = tolerant(48, 48)
 		}
 		opts.Compress = true
-		ref, _ := chaosRun(t, store, l, opts, nil)
+		ref, _, _ := runPipelineOver(t, store, l, opts, overReal, nil)
 		for _, net := range []bool{false, true} {
 			w, err := NewRealWorkload(l, opts, store)
 			if err != nil {
@@ -472,10 +436,10 @@ func TestChaosCollectiveTransientsHealBelowMPIIO(t *testing.T) {
 	l := Layout{Groups: 2, IPsPerGroup: 2, Renderers: 2, Outputs: 1}
 	opts := tolerant(40, 40)
 	opts.ReadStrategy = ReadCollective
-	ref, _ := chaosRun(t, store, l, opts, nil)
+	ref, _, _ := runPipelineOver(t, store, l, opts, overReal, nil)
 	var inj *faultinject.Store
 	var rs *pfs.RetryStore
-	w, res := chaosRun(t, store, l, opts, func(st pfs.Store) pfs.Store {
+	w, res, _ := runPipelineOver(t, store, l, opts, overReal, func(st pfs.Store) pfs.Store {
 		inj = faultinject.Wrap(st, faultinject.Config{Seed: 21, PTransient: 0.5, Match: stepObjectsOnly})
 		rs = pfs.NewRetryStore(inj, pfs.RetryConfig{}) // no sleeping: deterministic and fast
 		return rs
@@ -511,8 +475,8 @@ func TestChaosCollectivePermanentProbeStaleHandle(t *testing.T) {
 	l := Layout{Groups: 2, IPsPerGroup: 2, Renderers: 2, Outputs: 1}
 	opts := tolerant(40, 40)
 	opts.ReadStrategy = ReadCollective
-	ref, _ := chaosRun(t, store, l, opts, nil)
-	w, res := chaosRun(t, store, l, opts, func(st pfs.Store) pfs.Store {
+	ref, _, _ := runPipelineOver(t, store, l, opts, overReal, nil)
+	w, res, _ := runPipelineOver(t, store, l, opts, overReal, func(st pfs.Store) pfs.Store {
 		return faultinject.Wrap(st, faultinject.Config{
 			Seed: 5, PPermanent: 1, Match: onlyObject(quake.StepObject(3)),
 		})
@@ -550,7 +514,7 @@ func TestChaosCollectiveViewBeyondEOF(t *testing.T) {
 	opts := tolerant(40, 40)
 	opts.ReadStrategy = ReadCollective
 	opts.AdaptiveFetch = true
-	ref, _ := chaosRun(t, buildDataset(t, steps), l, opts, nil)
+	ref, _, _ := runPipelineOver(t, buildDataset(t, steps), l, opts, overReal, nil)
 	for _, tr := range []struct {
 		name string
 		run  transportRun
@@ -577,25 +541,7 @@ func TestChaosCollectiveViewBeyondEOF(t *testing.T) {
 			if err := store.Write(quake.StepObject(2), raw); err != nil {
 				t.Fatal(err)
 			}
-			p, err := NewPipeline(l, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				tr.run(t, l.WorldSize(), func(c *mpi.Comm) {
-					if err := p.Run(c); err != nil {
-						t.Errorf("rank %d: %v", c.Rank(), err)
-					}
-				})
-			}()
-			select {
-			case <-done:
-			case <-time.After(30 * time.Second):
-				t.Fatal("the run never returned: an input rank deserted a collective round")
-			}
-			res := p.Res
+			res, _ := runWorkloadOver(t, w, w, l, tr.run, nil)
 			if res.Frames != steps {
 				t.Fatalf("frames = %d, want %d", res.Frames, steps)
 			}
@@ -635,7 +581,7 @@ func TestChaosTolerantFetchAllocFree(t *testing.T) {
 		{"collective", func(o *Options) { o.Faults.Tolerate = true; o.ReadStrategy = ReadCollective }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w, l := fetchWorkload(t, steps, tc.mod)
+			w, l := fetchWorkload(t, oneInput, steps, tc.mod)
 			mpi.RunReal(l.WorldSize(), func(c *mpi.Comm) {
 				if c.Rank() != 0 {
 					return

@@ -126,11 +126,6 @@ func (l Layout) RenderRanks() []int {
 // width.
 func (l Layout) renderWidth() int { return workers.Width(l.Renderers) }
 
-// payloadWidth is an input rank's payload-build width: the input ranks'
-// share of GOMAXPROCS, capped at the one build per renderer there is to
-// split.
-func (l Layout) payloadWidth() int { return min(workers.Width(l.NumInput()), l.Renderers) }
-
 // newPool returns the persistent worker pool a fan-out of the given width
 // dispatches on, or nil at width 1, which workers.Pool.Run executes inline
 // on the rank's goroutine.

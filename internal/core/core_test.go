@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/img"
 	"repro/internal/mpi"
@@ -254,15 +257,96 @@ func buildDataset(t testing.TB, steps int) pfs.Store {
 	return st
 }
 
-// runReal executes the real pipeline and returns workload + result.
-func runReal(t *testing.T, store pfs.Store, l Layout, opts Options) (*RealWorkload, *Result) {
+// commStats is the per-rank accounting compared across transports.
+type commStats struct {
+	MsgsSent, MsgsRecv   int
+	BytesSent, BytesRecv int64
+}
+
+// transportRun adapts one of the three transports to a common shape.
+type transportRun func(n int, body func(c *mpi.Comm)) error
+
+func overReal(n int, body func(c *mpi.Comm)) error { mpi.RunReal(n, body); return nil }
+
+func overSim(n int, body func(c *mpi.Comm)) error {
+	cfg := mpi.SimConfig{OutBW: 1e8, InBW: 1e8, DiskClientBW: 5e7, DiskAggBW: 4e8}
+	mpi.RunSim(n, cfg, body)
+	return nil
+}
+
+func overNet(n int, body func(c *mpi.Comm)) error {
+	_, err := mpi.RunNet(n, body)
+	return err
+}
+
+// runDeadline bounds one test run: a lost message would otherwise leave a
+// rank waiting forever.
+const runDeadline = 2 * time.Minute
+
+// runOver runs wl once over the given transport — a new pipeline, every
+// rank's Run — and returns the result, each rank's accounting snapshot
+// taken after its Run returned, and the first rank or transport error, or
+// an error when the run has not returned within runDeadline. It may be
+// called from any goroutine.
+func runOver(wl Workload, l Layout, run transportRun) (*Result, []commStats, error) {
+	p, err := NewPipeline(l, wl)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats := make([]commStats, l.WorldSize())
+	var mu sync.Mutex
+	var runErr error
+	done := make(chan error, 1)
+	go func() {
+		done <- run(l.WorldSize(), func(c *mpi.Comm) {
+			err := p.Run(c)
+			mu.Lock()
+			if err != nil && runErr == nil {
+				runErr = err
+			}
+			stats[c.Rank()] = commStats{c.MsgsSent, c.MsgsRecv, c.BytesSent, c.BytesRecv}
+			mu.Unlock()
+		})
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(runDeadline):
+		return nil, nil, fmt.Errorf("the run did not return within %v: a message was never sent", runDeadline)
+	}
+	if runErr != nil {
+		return nil, nil, runErr
+	}
+	return p.Res, stats, err
+}
+
+// runWorkloadOver is runOver failing t on error, for a workload the caller
+// built: wl is what the pipeline schedules, w what it renders — w itself or
+// a wrapper around it. A non-nil wrap first swaps w's step reads onto
+// wrap(w.store), so construction (mesh, meta, range scan) read clean and
+// every per-step read goes through the wrapper.
+func runWorkloadOver(t testing.TB, w *RealWorkload, wl Workload, l Layout, run transportRun, wrap func(pfs.Store) pfs.Store) (*Result, []commStats) {
+	t.Helper()
+	if wrap != nil {
+		w.store = wrap(w.store)
+	}
+	res, stats, err := runOver(wl, l, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, stats
+}
+
+// runPipelineOver builds a workload on store and runs it once
+// (runWorkloadOver).
+func runPipelineOver(t testing.TB, store pfs.Store, l Layout, opts Options, run transportRun, wrap func(pfs.Store) pfs.Store) (*RealWorkload, *Result, []commStats) {
 	t.Helper()
 	w, err := NewRealWorkload(l, opts, store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Close)
-	return w, runPipeline(t, w, l)
+	res, stats := runWorkloadOver(t, w, w, l, run, wrap)
+	return w, res, stats
 }
 
 // serialFrame renders timestep t directly (reference image) from the frozen
@@ -282,16 +366,14 @@ func serialFrame(t *testing.T, w *RealWorkload, opts Options, step int) *img.Ima
 }
 
 func smallOpts(w, h int) Options {
-	o := DefaultOptions(w, h)
-	o.View = render.DefaultView(w, h)
-	return o
+	return DefaultOptions(w, h)
 }
 
 func TestRealPipelineMatchesSerialRenderer(t *testing.T) {
 	store := buildDataset(t, 4)
 	opts := smallOpts(48, 48)
 	l := Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}
-	w, res := runReal(t, store, l, opts)
+	w, res, _ := runPipelineOver(t, store, l, opts, overReal, nil)
 	if res.Frames != 4 {
 		t.Fatalf("frames = %d, want 4", res.Frames)
 	}
@@ -332,7 +414,7 @@ func TestRealPipelineStrategiesAgree(t *testing.T) {
 		if tc.name == "independent-2dip" || tc.name == "collective-2dip" {
 			l = Layout{Groups: 2, IPsPerGroup: 2, Renderers: 3, Outputs: 1}
 		}
-		w, _ := runReal(t, store, l, opts)
+		w, _, _ := runPipelineOver(t, store, l, opts, overReal, nil)
 		got := w.Frame(1)
 		if got == nil {
 			t.Fatalf("%s: no frame", tc.name)
@@ -350,10 +432,10 @@ func TestRealPipelineStrategiesAgree(t *testing.T) {
 func TestRealPipelineEnhancementChangesFrames(t *testing.T) {
 	store := buildDataset(t, 3)
 	plain := smallOpts(32, 32)
-	w1, _ := runReal(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, plain)
+	w1, _, _ := runPipelineOver(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, plain, overReal, nil)
 	enh := plain
 	enh.Enhancement = true
-	w2, _ := runReal(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, enh)
+	w2, _, _ := runPipelineOver(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, enh, overReal, nil)
 	// Step 0 has no previous step: identical. Later steps: enhanced.
 	if d := img.RMSE(w1.Frame(0), w2.Frame(0)); d != 0 {
 		t.Errorf("step 0 changed by enhancement: %v", d)
@@ -373,7 +455,7 @@ func TestRealPipelineWithLIC(t *testing.T) {
 	opts := smallOpts(40, 40)
 	opts.LIC = true
 	opts.LICSize = 32
-	w, res := runReal(t, store, Layout{Groups: 2, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, opts)
+	w, res, _ := runPipelineOver(t, store, Layout{Groups: 2, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, opts, overReal, nil)
 	if res.Frames != 2 {
 		t.Fatalf("frames = %d", res.Frames)
 	}
@@ -391,7 +473,7 @@ func TestRealPipelineWithLIC(t *testing.T) {
 	}
 	// And the underlay must not be present without LIC.
 	plain := smallOpts(40, 40)
-	wp, _ := runReal(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, plain)
+	wp, _, _ := runPipelineOver(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, plain, overReal, nil)
 	if img.RMSE(wp.Frame(1), frame) == 0 {
 		t.Error("LIC made no difference to the frame")
 	}
@@ -400,7 +482,7 @@ func TestRealPipelineWithLIC(t *testing.T) {
 func TestRealPipelineMultipleOutputs(t *testing.T) {
 	store := buildDataset(t, 4)
 	opts := smallOpts(32, 32)
-	w, res := runReal(t, store, Layout{Groups: 2, IPsPerGroup: 1, Renderers: 2, Outputs: 2}, opts)
+	w, res, _ := runPipelineOver(t, store, Layout{Groups: 2, IPsPerGroup: 1, Renderers: 2, Outputs: 2}, opts, overReal, nil)
 	if res.Frames != 4 {
 		t.Fatalf("frames = %d, want 4", res.Frames)
 	}
@@ -460,7 +542,7 @@ func TestResultInterframe(t *testing.T) {
 func TestRenderImbalanceReported(t *testing.T) {
 	store := buildDataset(t, 3)
 	opts := smallOpts(40, 40)
-	_, res := runReal(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 3, Outputs: 1}, opts)
+	_, res, _ := runPipelineOver(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 3, Outputs: 1}, opts, overReal, nil)
 	imb := res.RenderImbalance()
 	if imb < 1.0-1e-9 {
 		t.Errorf("impossible imbalance %v", imb)

@@ -21,7 +21,8 @@ import (
 // take values from more than one piece under the independent strategies.
 var pieceLayout = Layout{Groups: 1, IPsPerGroup: 2, Renderers: 3, Outputs: 1}
 
-// pieceWorkloads builds a tolerant and an intolerant workload on one dataset.
+// pieceWorkloads builds a tolerant and an intolerant workload, each on its
+// own dataset.
 func pieceWorkloads(tb testing.TB, mod func(*Options)) (tolerate, strict *RealWorkload) {
 	tb.Helper()
 	opts := smallOpts(16, 16)
@@ -29,14 +30,12 @@ func pieceWorkloads(tb testing.TB, mod func(*Options)) (tolerate, strict *RealWo
 	if mod != nil {
 		mod(&opts)
 	}
-	ds, err := NewDataset(pieceLayout, opts, buildDataset(tb, 1))
-	if err != nil {
-		tb.Fatal(err)
-	}
+	store := buildDataset(tb, 1)
 	ws := make([]*RealWorkload, 2)
 	for i := range ws {
 		opts.Faults.Tolerate = i == 0
-		if ws[i], err = ds.NewWorkload(opts); err != nil {
+		var err error
+		if ws[i], err = NewRealWorkload(pieceLayout, opts, store); err != nil {
 			tb.Fatal(err)
 		}
 		tb.Cleanup(ws[i].Close)

@@ -22,13 +22,12 @@ import (
 // RealWorkloads (NewWorkload) may share one Dataset across goroutines, each
 // holding only its own view, schedule, scratches and frames.
 //
-// The options that shape a Dataset are the view-independent ones — Level,
-// BlockLevel, LIC, MaxSteps and FixedVMax — and the two that pick the read
-// plan, ReadStrategy and AdaptiveFetch; NewWorkload rejects options that
-// disagree with them.
+// A Dataset owns every option but the view: a workload on it takes its
+// Width, Height, View and TFName from NewWorkload and every other option
+// from here.
 type Dataset struct {
 	layout Layout
-	opts   Options // the fields above only (see datasetOptions)
+	opts   Options
 	store  pfs.Store
 	mesh   *mesh.Mesh
 	meta   quake.Meta
@@ -91,15 +90,6 @@ type gatherPlan struct {
 	bytes int64
 }
 
-// datasetOptions keeps only the options a Dataset depends on, so two
-// option sets can be compared for "same dataset half".
-func datasetOptions(o Options) Options {
-	return Options{
-		Level: o.Level, BlockLevel: o.BlockLevel, LIC: o.LIC, MaxSteps: o.MaxSteps, FixedVMax: o.FixedVMax,
-		ReadStrategy: o.ReadStrategy, AdaptiveFetch: o.AdaptiveFetch,
-	}
-}
-
 // NewDataset loads the dataset and performs the one-time, view-independent
 // setup: mesh read, block partition and per-block tables, longest-
 // processing-time block balance over l's renderers, the read-and-gather plan
@@ -121,7 +111,7 @@ func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 	if meta.NumNodes != m.NumNodes() {
 		return nil, fmt.Errorf("core: meta says %d nodes, mesh has %d", meta.NumNodes, m.NumNodes())
 	}
-	d := &Dataset{layout: l, opts: datasetOptions(opts), store: store, mesh: m, meta: meta}
+	d := &Dataset{layout: l, opts: opts, store: store, mesh: m, meta: meta}
 	d.steps = meta.NumSteps
 	if opts.MaxSteps > 0 && opts.MaxSteps < d.steps {
 		d.steps = opts.MaxSteps

@@ -8,6 +8,7 @@ import (
 	"repro/internal/img"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
+	"repro/internal/pool"
 	"repro/internal/quake"
 	"repro/internal/render"
 )
@@ -110,11 +111,65 @@ func TestAssembleRejectsForeignPayloads(t *testing.T) {
 	})
 }
 
+// TestAssembleWrongSizedUnderlay: a LIC underlay of another size than the
+// workload's — over RunNet its size comes off the wire — is, under the
+// fault policy, a dropped one: the frame is stored without it and flagged.
+// Without the policy it fails the step. Either way the payload goes back to
+// its pool, and a failed step hands its canvas back to the frame ring, as
+// does a step failed by a foreign strip.
+func TestAssembleWrongSizedUnderlay(t *testing.T) {
+	store := buildDataset(t, 1)
+	l := Layout{Groups: 1, IPsPerGroup: 1, Renderers: 1, Outputs: 1}
+	for _, tolerate := range []bool{true, false} {
+		opts := smallOpts(16, 16)
+		opts.LIC, opts.Faults.Tolerate = true, tolerate
+		w, err := NewRealWorkload(l, opts, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		var underlays pool.Pool[licPayload]
+		lp := underlays.Get()
+		lp.owner, lp.Img = &underlays, *img.New(w.licSize()/2, w.licSize())
+		canvases := len(w.ring.free)
+		mpi.RunReal(1, func(c *mpi.Comm) {
+			err := w.Assemble(c, 0, nil, &mpi.Message{Data: lp})
+			if tolerate {
+				if err != nil {
+					t.Fatalf("tolerant assemble of a wrong-sized underlay: %v", err)
+				}
+				if w.Frame(0) == nil || !w.FrameDegraded(0) {
+					t.Errorf("tolerant: frame %v, degraded %v; want a flagged frame", w.Frame(0) != nil, w.FrameDegraded(0))
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "LIC underlay") {
+				t.Errorf("strict assemble of a wrong-sized underlay: %v", err)
+			}
+			if w.Frame(0) != nil {
+				t.Error("strict: a failed step stored its frame")
+			}
+			if got := len(w.ring.free); got != canvases {
+				t.Errorf("strict: the ring holds %d canvases after the failed step, want %d", got, canvases)
+			}
+			if err := w.Assemble(c, 1, []mpi.Message{{Data: "not a strip"}}, nil); err == nil {
+				t.Error("strict: foreign strip accepted")
+			}
+			if got := len(w.ring.free); got != canvases {
+				t.Errorf("strict: the ring holds %d canvases after a foreign strip, want %d", got, canvases)
+			}
+		})
+		if underlays.Get() != lp {
+			t.Errorf("tolerate=%v: the wrong-sized underlay was not released", tolerate)
+		}
+	}
+}
+
 func TestSingleRankPerRole(t *testing.T) {
 	// The minimal world: 1 input, 1 renderer, 1 output still works.
 	store := buildDataset(t, 2)
 	opts := smallOpts(24, 24)
-	w, res := runReal(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 1, Outputs: 1}, opts)
+	w, res, _ := runPipelineOver(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 1, Outputs: 1}, opts, overReal, nil)
 	if res.Frames != 2 || w.Frame(1) == nil {
 		t.Fatalf("minimal layout failed: %d frames", res.Frames)
 	}
@@ -126,7 +181,7 @@ func TestManyMoreRenderersThanBlocks(t *testing.T) {
 	store := buildDataset(t, 2)
 	opts := smallOpts(24, 24)
 	opts.BlockLevel = 1 // at most 8 blocks
-	w, res := runReal(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 12, Outputs: 1}, opts)
+	w, res, _ := runPipelineOver(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 12, Outputs: 1}, opts, overReal, nil)
 	if res.Frames != 2 || w.Frame(1) == nil {
 		t.Fatalf("oversubscribed renderers failed: %d frames", res.Frames)
 	}
@@ -136,7 +191,7 @@ func TestMoreIPsThanSteps(t *testing.T) {
 	// Groups beyond the step count idle cleanly.
 	store := buildDataset(t, 2)
 	opts := smallOpts(24, 24)
-	w, res := runReal(t, store, Layout{Groups: 5, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, opts)
+	w, res, _ := runPipelineOver(t, store, Layout{Groups: 5, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, opts, overReal, nil)
 	if res.Frames != 2 || w.Frame(1) == nil {
 		t.Fatalf("excess groups failed: %d frames", res.Frames)
 	}
@@ -146,7 +201,7 @@ func TestMaxStepsLimits(t *testing.T) {
 	store := buildDataset(t, 4)
 	opts := smallOpts(24, 24)
 	opts.MaxSteps = 2
-	w, res := runReal(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, opts)
+	w, res, _ := runPipelineOver(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, opts, overReal, nil)
 	if res.Frames != 2 {
 		t.Errorf("frames = %d, want 2", res.Frames)
 	}
@@ -206,7 +261,7 @@ func TestOrbitViewInPipeline(t *testing.T) {
 	store := buildDataset(t, 2)
 	opts := smallOpts(24, 24)
 	opts.View = render.OrbitView(24, 24, 45, 35)
-	w, res := runReal(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, opts)
+	w, res, _ := runPipelineOver(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, opts, overReal, nil)
 	if res.Frames != 2 || w.Frame(1) == nil {
 		t.Fatal("orbit view pipeline failed")
 	}

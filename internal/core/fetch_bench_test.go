@@ -12,30 +12,10 @@ import (
 	"repro/internal/mpi"
 )
 
-// collectiveFetchWorkload is quakebench's batch_io shape at test scale: the
-// two IPs of one group reading collectively through their committed views,
-// adaptive fetch, temporal enhancement on (so every step also reads the
-// previous object independently through the same view).
-func collectiveFetchWorkload(tb testing.TB, steps int, mod func(*Options)) (*RealWorkload, Layout) {
-	tb.Helper()
-	opts := smallOpts(32, 32)
-	opts.ReadStrategy, opts.AdaptiveFetch, opts.Enhancement = ReadCollective, true, true
-	if mod != nil {
-		mod(&opts)
-	}
-	l := Layout{Groups: 1, IPsPerGroup: 2, Renderers: 2, Outputs: 1}
-	w, err := NewRealWorkload(l, opts, buildDataset(tb, steps))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(w.Close)
-	return w, l
-}
-
 // BenchmarkFetchStep measures one full input-rank fetch of a timestep
 // (open, contiguous read, decode, magnitude, quantize, scatter into the
 // share). `steady` is the PR 4 allocation-free path through Fetch;
-// `collective` is a lock-step round of both IPs of collectiveFetchWorkload,
+// `collective` is a lock-step round of both IPs of the batchIO shape,
 // the path whose view and two-phase plan are computed once and replayed.
 func BenchmarkFetchStep(b *testing.B) {
 	const steps = 4
@@ -64,7 +44,7 @@ func BenchmarkFetchStep(b *testing.B) {
 		})
 	})
 	b.Run("collective", func(b *testing.B) {
-		w, l := collectiveFetchWorkload(b, steps, nil)
+		w, l := fetchWorkload(b, batchIO, steps, nil)
 		mpi.RunReal(l.WorldSize(), func(c *mpi.Comm) {
 			part := c.Rank()
 			if part >= l.IPsPerGroup {

@@ -19,22 +19,47 @@ import (
 	"repro/internal/quake"
 )
 
-// fetchWorkload builds a small dataset and a 1-input workload for fetch
-// micro-tests.
-func fetchWorkload(t *testing.T, steps int, mod func(*Options)) (*RealWorkload, Layout) {
-	t.Helper()
-	store := buildDataset(t, steps)
+// fetchShape is a layout and the options, on top of smallOpts(32, 32), a
+// fetch micro-test runs.
+type fetchShape struct {
+	l   Layout
+	mod func(*Options)
+}
+
+var (
+	// oneInput is one input rank serving two renderers.
+	oneInput = fetchShape{Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, nil}
+	// batchIO is quakebench's batch_io shape at test scale: the two IPs of
+	// one group reading collectively through their committed views,
+	// adaptive fetch, temporal enhancement on (so every step also reads the
+	// previous object independently through the same view).
+	batchIO = fetchShape{Layout{Groups: 1, IPsPerGroup: 2, Renderers: 2, Outputs: 1}, func(o *Options) {
+		o.ReadStrategy, o.AdaptiveFetch, o.Enhancement = ReadCollective, true, true
+	}}
+	// handoffIO is batchIO on two groups at gain 3: every step but the
+	// first takes its previous step's magnitudes from the other group's rank.
+	handoffIO = fetchShape{Layout{Groups: 2, IPsPerGroup: 2, Renderers: 2, Outputs: 1}, func(o *Options) {
+		batchIO.mod(o)
+		o.EnhanceGain = 3
+	}}
+)
+
+// fetchWorkload builds a workload of the given shape, then mod, on a demo
+// dataset of the given steps.
+func fetchWorkload(tb testing.TB, sh fetchShape, steps int, mod func(*Options)) (*RealWorkload, Layout) {
+	tb.Helper()
 	opts := smallOpts(32, 32)
-	if mod != nil {
-		mod(&opts)
+	for _, m := range []func(*Options){sh.mod, mod} {
+		if m != nil {
+			m(&opts)
+		}
 	}
-	l := Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}
-	w, err := NewRealWorkload(l, opts, store)
+	w, err := NewRealWorkload(sh.l, opts, buildDataset(tb, steps))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(w.Close)
-	return w, l
+	tb.Cleanup(w.Close)
+	return w, sh.l
 }
 
 // TestFetchStepAllocFree is the PR 4 acceptance gate for the fetch side:
@@ -62,7 +87,7 @@ func TestFetchStepAllocFree(t *testing.T) {
 		{"collective", func(o *Options) { o.ReadStrategy = ReadCollective }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w, l := fetchWorkload(t, steps, tc.mod)
+			w, l := fetchWorkload(t, oneInput, steps, tc.mod)
 			mpi.RunReal(l.WorldSize(), func(c *mpi.Comm) {
 				if c.Rank() != 0 {
 					return
@@ -87,7 +112,7 @@ func TestFetchStepAllocFree(t *testing.T) {
 }
 
 // TestCollectiveFetchStepAllocFree is the same gate on one group of
-// batch_io's shape (collectiveFetchWorkload): two IPs fetching in lock
+// batch_io's shape (batchIO): two IPs fetching in lock
 // step, each round a replayed two-phase plan over committed views plus the
 // enhancement read of the previous object, which one group makes every
 // step. Allocation counts are process-global, so a nonzero result
@@ -105,7 +130,7 @@ func TestCollectiveFetchStepAllocFree(t *testing.T) {
 		{"tolerant", func(o *Options) { o.Faults.Tolerate = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w, l := collectiveFetchWorkload(t, steps, tc.mod)
+			w, l := fetchWorkload(t, batchIO, steps, tc.mod)
 			var avg float64
 			mpi.RunReal(l.WorldSize(), func(c *mpi.Comm) {
 				part := c.Rank()
@@ -145,7 +170,7 @@ func TestAssembleFrameRingAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are skipped under the race detector")
 	}
-	w, l := fetchWorkload(t, 2, nil)
+	w, l := fetchWorkload(t, oneInput, 2, nil)
 	width, height := w.opts.Width, w.opts.Height
 	// Two synthetic strips tiling the frame, as the compositors produce.
 	half := height / 2
@@ -194,7 +219,7 @@ func TestLICPayloadAllocFree(t *testing.T) {
 	}
 	const steps = 3
 	setGOMAXPROCS(t, 1) // the LIC convolution inline, without a pool
-	w, l := fetchWorkload(t, steps, func(o *Options) { o.LIC, o.LICSize = true, 32 })
+	w, l := fetchWorkload(t, oneInput, steps, func(o *Options) { o.LIC, o.LICSize = true, 32 })
 	mpi.RunReal(l.WorldSize(), func(c *mpi.Comm) {
 		if c.Rank() != 0 {
 			return
@@ -261,7 +286,7 @@ func TestFrameReleaseAndCopyOut(t *testing.T) {
 	store := buildDataset(t, 2)
 	opts := smallOpts(32, 32)
 	l := Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}
-	w, _ := runReal(t, store, l, opts)
+	w, _, _ := runPipelineOver(t, store, l, opts, overReal, nil)
 	ref := w.Frame(1)
 	if ref == nil || w.Frame(1) != ref {
 		t.Fatal("borrowing frame 1 twice gave two images")
@@ -281,7 +306,7 @@ func TestFrameReleaseAndCopyOut(t *testing.T) {
 // surface as an error from the decode path (magQuant) and from Fetch, not
 // render a wrong frame.
 func TestFetchSurfacesCorruptStep(t *testing.T) {
-	w, l := fetchWorkload(t, 2, nil)
+	w, l := fetchWorkload(t, oneInput, 2, nil)
 	scr := w.ipScr[0]
 	raw := make([]byte, w.ds.meta.NumNodes*quake.BytesPerNode)
 	if err := w.store.ReadAt(nil, w.stepName(1), 0, raw); err != nil {

@@ -54,7 +54,7 @@ func goldenSum(t *testing.T, steps int, opts Options, bytes func(*img.Image) []b
 	}
 	store := buildDataset(t, steps)
 	l := Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}
-	w, res := runReal(t, store, l, opts)
+	w, res, _ := runPipelineOver(t, store, l, opts, overReal, nil)
 	if res.Frames != steps {
 		t.Fatalf("frames = %d, want %d", res.Frames, steps)
 	}
@@ -111,9 +111,9 @@ func TestGoldenLICFrame(t *testing.T) {
 func TestGoldenFrameWorkerInvariant(t *testing.T) {
 	store := buildDataset(t, 2)
 	base := smallOpts(40, 40)
-	ref, _ := runReal(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, base)
+	ref, _, _ := runPipelineOver(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, base, overReal, nil)
 	setGOMAXPROCS(t, 9)
-	got, _ := runReal(t, store, Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}, base)
+	got, _, _ := runPipelineOver(t, store, Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}, base, overReal, nil)
 	for step := 0; step < 2; step++ {
 		a, b := ref.Frame(step), got.Frame(step)
 		if a == nil || b == nil {
@@ -139,7 +139,7 @@ func TestScratchReuseInvariant(t *testing.T) {
 	base := smallOpts(40, 40)
 	base.LIC = true
 	base.LICSize = 32
-	ref, _ := runReal(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, base)
+	ref, _, _ := runPipelineOver(t, store, Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}, base, overReal, nil)
 	for _, tc := range []struct {
 		name  string
 		l     Layout
@@ -163,7 +163,7 @@ func TestScratchReuseInvariant(t *testing.T) {
 			}
 			opts := base
 			tc.mod(&opts)
-			got, res := runReal(t, store, tc.l, opts)
+			got, res, _ := runPipelineOver(t, store, tc.l, opts, overReal, nil)
 			if res.Frames != steps {
 				t.Fatalf("%d frames, want %d", res.Frames, steps)
 			}
@@ -193,34 +193,11 @@ func TestLPTBalanceMatchesSelectionSort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nb := len(w.ds.blockCells)
-		// Legacy ordering: PR 1's repeated-swap selection sort, verbatim.
-		order := make([]int, nb)
-		for i := range order {
-			order[i] = i
+		sizes := make([]int, len(w.ds.blockCells))
+		for bi, cells := range w.ds.blockCells {
+			sizes[bi] = len(cells)
 		}
-		for i := 0; i < nb; i++ {
-			for j := i + 1; j < nb; j++ {
-				if len(w.ds.blockCells[order[j]]) > len(w.ds.blockCells[order[i]]) {
-					order[i], order[j] = order[j], order[i]
-				}
-			}
-		}
-		if !sort.SliceIsSorted(order, func(a, b int) bool {
-			return len(w.ds.blockCells[order[a]]) > len(w.ds.blockCells[order[b]])
-		}) {
-			t.Fatal("legacy selection sort did not produce descending sizes")
-		}
-		legacyLoad := make([]int, renderers)
-		for _, bi := range order {
-			best := 0
-			for r := 1; r < renderers; r++ {
-				if legacyLoad[r] < legacyLoad[best] {
-					best = r
-				}
-			}
-			legacyLoad[best] += len(w.ds.blockCells[bi])
-		}
+		legacyLoad := balanceLoadsLegacy(t, sizes, renderers)
 		newLoad := make([]int, renderers)
 		total := 0
 		for r, blocks := range w.ds.rblocks {
@@ -241,6 +218,38 @@ func TestLPTBalanceMatchesSelectionSort(t *testing.T) {
 				renderers, got, want, newLoad, legacyLoad)
 		}
 	}
+}
+
+// balanceLoadsLegacy is PR 1's block balance, verbatim but for taking the
+// sizes as a slice: a repeated-swap selection sort into descending size
+// order, then each block placed on the least-loaded renderer. It returns
+// each renderer's load.
+func balanceLoadsLegacy(t *testing.T, sizes []int, renderers int) []int {
+	order := make([]int, len(sizes))
+	for i := range order {
+		order[i] = i
+	}
+	for i := range order {
+		for j := i + 1; j < len(order); j++ {
+			if sizes[order[j]] > sizes[order[i]] {
+				order[i], order[j] = order[j], order[i]
+			}
+		}
+	}
+	if !sort.SliceIsSorted(order, func(a, b int) bool { return sizes[order[a]] > sizes[order[b]] }) {
+		t.Fatal("legacy selection sort did not produce descending sizes")
+	}
+	load := make([]int, renderers)
+	for _, bi := range order {
+		best := 0
+		for r := 1; r < renderers; r++ {
+			if load[r] < load[best] {
+				best = r
+			}
+		}
+		load[best] += sizes[bi]
+	}
+	return load
 }
 
 func maxOf(xs []int) int {

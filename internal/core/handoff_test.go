@@ -131,12 +131,14 @@ func TestHandoffMatchesFrozen(t *testing.T) {
 					opts := smallOpts(24, 24)
 					opts.Enhancement = true
 					st.mod(&opts)
-					ds, err := NewDataset(l, opts, store)
-					if err != nil {
-						t.Fatal(err)
-					}
 					for _, gain := range []float32{0, 3} {
 						opts.EnhanceGain = gain
+						w, err := NewRealWorkload(l, opts, store)
+						if err != nil {
+							t.Fatal(err)
+						}
+						t.Cleanup(w.Close)
+						ds := w.ds
 						if want[gain] == nil {
 							want[gain] = frozenSteps(t, store, steps, ds.meta.NumNodes, true, gain, ds.vmax)
 							vmax = ds.vmax
@@ -144,11 +146,6 @@ func TestHandoffMatchesFrozen(t *testing.T) {
 						if ds.vmax != vmax {
 							t.Fatalf("dataset range %v, the frozen chain quantized over %v", ds.vmax, vmax)
 						}
-						w, err := ds.NewWorkload(opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						t.Cleanup(w.Close)
 						rc := newReadCounter(store, l.WorldSize())
 						w.store = rc
 						tap := &quantTap{RealWorkload: w, t: t, want: want[gain]}
@@ -158,7 +155,7 @@ func TestHandoffMatchesFrozen(t *testing.T) {
 							}
 							rc.reset()
 							tap.fetches = 0
-							runHandoffPipeline(t, tap, l)
+							runWorkloadOver(t, w, tap, l, overReal, nil)
 							if n := (steps - from) * m; tap.fetches != n {
 								t.Fatalf("gain %v window [%d, %d): %d fetches, want %d", gain, from, steps, tap.fetches, n)
 							}
@@ -185,30 +182,6 @@ func TestHandoffMatchesFrozen(t *testing.T) {
 			}
 		}
 	}
-}
-
-// runHandoffPipeline runs wl once on RunReal under a deadline: a lost
-// hand-off would leave a rank waiting forever.
-func runHandoffPipeline(t *testing.T, wl Workload, l Layout) *Result {
-	t.Helper()
-	p, err := NewPipeline(l, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := p.RunReal()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("the run never returned: a hand-off was never sent")
-	}
-	return p.Res
 }
 
 // requireWindowReads pins where step objects were read in a run of dataset
@@ -292,7 +265,7 @@ func TestHandoffCorruptStepDegradesPair(t *testing.T) {
 		opts := tolerant(32, 32)
 		opts.Enhancement, opts.EnhanceGain = true, 3
 		st.mod(&opts)
-		ref, _, _ := runPipelineOver(t, clean, l, opts, overReal)
+		ref, _, _ := runPipelineOver(t, clean, l, opts, overReal, nil)
 		for _, dmg := range []struct {
 			name string
 			obj  []byte
@@ -311,29 +284,7 @@ func TestHandoffCorruptStepDegradesPair(t *testing.T) {
 					if err := top.Write(quake.StepObject(bad), dmg.obj); err != nil {
 						t.Fatal(err)
 					}
-					w.store = overlayStore{clean, top}
-					p, err := NewPipeline(l, w)
-					if err != nil {
-						t.Fatal(err)
-					}
-					done := make(chan struct{})
-					go func() {
-						defer close(done)
-						tr.run(t, l.WorldSize(), func(c *mpi.Comm) {
-							if err := p.Run(c); err != nil {
-								t.Errorf("rank %d: %v", c.Rank(), err)
-							}
-						})
-					}()
-					select {
-					case <-done:
-					case <-time.After(60 * time.Second):
-						t.Fatal("the run never returned: a failed step sent no marker")
-					}
-					if t.Failed() {
-						return
-					}
-					res := p.Res
+					res, _ := runWorkloadOver(t, w, w, l, tr.run, func(st pfs.Store) pfs.Store { return overlayStore{st, top} })
 					if res.DegradedFrames != 2 {
 						t.Errorf("degraded frames = %d, want 2", res.DegradedFrames)
 					}
@@ -370,8 +321,8 @@ func TestHandoffStaleCollectiveRoundFallsBack(t *testing.T) {
 	l := Layout{Groups: 2, IPsPerGroup: 2, Renderers: 2, Outputs: 1}
 	opts := tolerant(32, 32)
 	opts.ReadStrategy, opts.Enhancement, opts.EnhanceGain = ReadCollective, true, 3
-	ref, _ := chaosRun(t, store, l, opts, nil)
-	w, res := chaosRun(t, store, l, opts, func(st pfs.Store) pfs.Store {
+	ref, _, _ := runPipelineOver(t, store, l, opts, overReal, nil)
+	w, res, _ := runPipelineOver(t, store, l, opts, overReal, func(st pfs.Store) pfs.Store {
 		return faultinject.Wrap(st, faultinject.Config{
 			Seed: 5, PPermanent: 1, Match: onlyObject(quake.StepObject(bad)),
 		})
@@ -411,7 +362,7 @@ func TestHandoffLostPredecessorFallsBack(t *testing.T) {
 	l := Layout{Groups: 2, IPsPerGroup: 1, Renderers: 2, Outputs: 1}
 	opts := tolerant(32, 32)
 	opts.Enhancement, opts.EnhanceGain = true, 3
-	ref, _, _ := runPipelineOver(t, store, l, opts, overReal)
+	ref, _, _ := runPipelineOver(t, store, l, opts, overReal, nil)
 
 	nc := faultinject.NewNetChaos(faultinject.NetChaosConfig{Kill: true, KillRank: killRank, KillAtSend: 3})
 	tun := mpi.NetTuning{
@@ -472,25 +423,6 @@ func TestHandoffLostPredecessorFallsBack(t *testing.T) {
 	}
 }
 
-// handoffWorkload is batch_io's shape at test scale on two groups:
-// collective adaptive reads with enhancement, so every step but the first
-// takes its previous step's magnitudes from the other group's rank.
-func handoffWorkload(tb testing.TB, steps int, mod func(*Options)) (*RealWorkload, Layout) {
-	tb.Helper()
-	opts := smallOpts(32, 32)
-	opts.ReadStrategy, opts.AdaptiveFetch, opts.Enhancement, opts.EnhanceGain = ReadCollective, true, true, 3
-	if mod != nil {
-		mod(&opts)
-	}
-	l := Layout{Groups: 2, IPsPerGroup: 2, Renderers: 2, Outputs: 1}
-	w, err := NewRealWorkload(l, opts, buildDataset(tb, steps))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(w.Close)
-	return w, l
-}
-
 // TestHandoffSteadyStateAllocFree gates the hand-off's steady state: two
 // groups of two input ranks fetch a window in pipeline order — each step's
 // collective round, its magnitudes sent to the next group's rank, the
@@ -511,7 +443,7 @@ func TestHandoffSteadyStateAllocFree(t *testing.T) {
 		{"tolerant", func(o *Options) { o.Faults.Tolerate = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w, l := handoffWorkload(t, steps, tc.mod)
+			w, l := fetchWorkload(t, handoffIO, steps, tc.mod)
 			var avg float64
 			mpi.RunReal(l.WorldSize(), func(c *mpi.Comm) {
 				if c.Rank() >= l.NumInput() {
@@ -597,7 +529,7 @@ func magWire(n int) []byte {
 // takeHandoff accepting any value count each fail this test and the
 // committed seeds of FuzzDecodeMagPayload.
 func TestMagPayloadRefusesHostile(t *testing.T) {
-	w, _ := handoffWorkload(t, 2, nil)
+	w, _ := fetchWorkload(t, handoffIO, 2, nil)
 	nodes := len(w.ds.partIDs[1])
 	for _, tc := range []struct {
 		name string
@@ -653,7 +585,7 @@ func TestMagPayloadRefusesHostile(t *testing.T) {
 // and the receiving rank takes a decoded hand-off exactly when it holds
 // one value per node of its part.
 func FuzzDecodeMagPayload(f *testing.F) {
-	w, _ := handoffWorkload(f, 2, nil)
+	w, _ := fetchWorkload(f, handoffIO, 2, nil)
 	const part = 0
 	nodes := len(w.ds.partIDs[part])
 	f.Add(magWire(nodes))

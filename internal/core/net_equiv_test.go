@@ -30,68 +30,6 @@ import (
 	"repro/internal/quake"
 )
 
-// commStats is the per-rank accounting compared across transports.
-type commStats struct {
-	MsgsSent, MsgsRecv   int
-	BytesSent, BytesRecv int64
-}
-
-// transportRun adapts one of the three transports to a common shape.
-type transportRun func(t *testing.T, n int, body func(c *mpi.Comm))
-
-func overReal(t *testing.T, n int, body func(c *mpi.Comm)) { mpi.RunReal(n, body) }
-
-func overSim(t *testing.T, n int, body func(c *mpi.Comm)) {
-	cfg := mpi.SimConfig{OutBW: 1e8, InBW: 1e8, DiskClientBW: 5e7, DiskAggBW: 4e8}
-	mpi.RunSim(n, cfg, body)
-}
-
-func overNet(t *testing.T, n int, body func(c *mpi.Comm)) {
-	t.Helper()
-	if _, err := mpi.RunNet(n, body); err != nil {
-		t.Fatalf("RunNet: %v", err)
-	}
-}
-
-// runPipelineOver runs a fresh workload and pipeline over the given
-// transport and returns the frames, the result, and each rank's
-// accounting snapshot taken after its Run returned.
-func runPipelineOver(t *testing.T, store pfs.Store, l Layout, opts Options, run transportRun) (*RealWorkload, *Result, []commStats) {
-	t.Helper()
-	w, err := NewRealWorkload(l, opts, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-	return runWorkloadOver(t, w, w, l, run)
-}
-
-// runWorkloadOver is runPipelineOver for a workload the caller built (and
-// possibly wrapped: wl is what the pipeline schedules, w what it renders).
-func runWorkloadOver(t *testing.T, w *RealWorkload, wl Workload, l Layout, run transportRun) (*RealWorkload, *Result, []commStats) {
-	t.Helper()
-	p, err := NewPipeline(l, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := make([]commStats, l.WorldSize())
-	var mu sync.Mutex
-	var runErr error
-	run(t, l.WorldSize(), func(c *mpi.Comm) {
-		err := p.Run(c)
-		mu.Lock()
-		if err != nil && runErr == nil {
-			runErr = err
-		}
-		stats[c.Rank()] = commStats{c.MsgsSent, c.MsgsRecv, c.BytesSent, c.BytesRecv}
-		mu.Unlock()
-	})
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	return w, p.Res, stats
-}
-
 // requireSameTraffic demands identical per-rank accounting: the network
 // transport must exchange exactly the messages the in-process transports
 // do — same count, same declared bytes, rank by rank.
@@ -112,9 +50,9 @@ func TestCrossTransportGoldenEquivalence(t *testing.T) {
 	store := buildDataset(t, steps)
 	l := Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}
 	opts := smallOpts(48, 48)
-	ref, refRes, refStats := runPipelineOver(t, store, l, opts, overReal)
+	ref, refRes, refStats := runPipelineOver(t, store, l, opts, overReal, nil)
 	for name, run := range map[string]transportRun{"sim": overSim, "net": overNet} {
-		got, res, stats := runPipelineOver(t, store, l, opts, run)
+		got, res, stats := runPipelineOver(t, store, l, opts, run, nil)
 		if res.Frames != refRes.Frames {
 			t.Fatalf("%s: %d frames, want %d", name, res.Frames, refRes.Frames)
 		}
@@ -146,8 +84,8 @@ func TestCrossTransportCollectiveEquivalence(t *testing.T) {
 	opts.LIC = true
 	opts.LICSize = 32
 	opts.Compress = true
-	ref, refRes, refStats := runPipelineOver(t, store, l, opts, overReal)
-	got, res, stats := runPipelineOver(t, store, l, opts, overNet)
+	ref, refRes, refStats := runPipelineOver(t, store, l, opts, overReal, nil)
+	got, res, stats := runPipelineOver(t, store, l, opts, overNet, nil)
 	if res.Frames != refRes.Frames {
 		t.Fatalf("net: %d frames, want %d", res.Frames, refRes.Frames)
 	}
@@ -168,9 +106,9 @@ func TestCrossTransportEnhancedHandoffEquivalence(t *testing.T) {
 	l := Layout{Groups: 2, IPsPerGroup: 2, Renderers: 2, Outputs: 1}
 	opts := smallOpts(40, 40)
 	opts.ReadStrategy, opts.AdaptiveFetch = ReadCollective, true
-	_, _, plainStats := runPipelineOver(t, store, l, opts, overReal)
+	_, _, plainStats := runPipelineOver(t, store, l, opts, overReal, nil)
 	opts.Enhancement, opts.EnhanceGain = true, 3
-	ref, refRes, refStats := runPipelineOver(t, store, l, opts, overReal)
+	ref, refRes, refStats := runPipelineOver(t, store, l, opts, overReal, nil)
 	for r := 0; r < l.NumInput(); r++ {
 		g, part := r/l.IPsPerGroup, r%l.IPsPerGroup
 		nodes := int64(len(ref.ds.partIDs[part]))
@@ -193,7 +131,7 @@ func TestCrossTransportEnhancedHandoffEquivalence(t *testing.T) {
 		}
 	}
 	for name, run := range map[string]transportRun{"sim": overSim, "net": overNet} {
-		got, res, stats := runPipelineOver(t, store, l, opts, run)
+		got, res, stats := runPipelineOver(t, store, l, opts, run, nil)
 		if res.Frames != refRes.Frames {
 			t.Fatalf("%s: %d frames, want %d", name, res.Frames, refRes.Frames)
 		}
@@ -210,8 +148,8 @@ func TestCrossTransportDirectSendEquivalence(t *testing.T) {
 	l := Layout{Groups: 1, IPsPerGroup: 1, Renderers: 3, Outputs: 2}
 	opts := smallOpts(40, 40)
 	opts.Compositor = CompositeDirectSend
-	ref, refRes, refStats := runPipelineOver(t, store, l, opts, overReal)
-	got, res, stats := runPipelineOver(t, store, l, opts, overNet)
+	ref, refRes, refStats := runPipelineOver(t, store, l, opts, overReal, nil)
+	got, res, stats := runPipelineOver(t, store, l, opts, overNet, nil)
 	if res.Frames != refRes.Frames {
 		t.Fatalf("net: %d frames, want %d", res.Frames, refRes.Frames)
 	}
@@ -347,11 +285,8 @@ func TestCompressedStripsBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(w.Close)
-				if tc.wrap != nil {
-					w.store = tc.wrap(store)
-				}
 				m := newStripMeter(t, w)
-				_, res, stats := runWorkloadOver(t, w, m, tc.l, over)
+				res, stats := runWorkloadOver(t, w, m, tc.l, over, tc.wrap)
 				if res.Frames != steps {
 					t.Fatalf("%d frames, want %d", res.Frames, steps)
 				}
@@ -405,41 +340,30 @@ func TestChaosOverNet(t *testing.T) {
 	const steps = 3
 	store := buildDataset(t, steps)
 	l := Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}
-	ref, _, _ := runPipelineOver(t, store, l, tolerant(48, 48), overReal)
+	ref, _, _ := runPipelineOver(t, store, l, tolerant(48, 48), overReal, nil)
 
-	w, err := NewRealWorkload(l, tolerant(48, 48), store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-	inj := faultinject.Wrap(store, faultinject.Config{
-		Seed:       42,
-		PTransient: 0.5,
-		PShortRead: 0.2,
-		PCorrupt:   0.2,
-		Match:      stepObjectsOnly,
-	})
-	w.store = inj
-	p, err := NewPipeline(l, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	overNet(t, l.WorldSize(), func(c *mpi.Comm) {
-		if err := p.Run(c); err != nil {
-			t.Errorf("rank %d: %v", c.Rank(), err)
-		}
+	var inj *faultinject.Store
+	w, res, _ := runPipelineOver(t, store, l, tolerant(48, 48), overNet, func(st pfs.Store) pfs.Store {
+		inj = faultinject.Wrap(st, faultinject.Config{
+			Seed:       42,
+			PTransient: 0.5,
+			PShortRead: 0.2,
+			PCorrupt:   0.2,
+			Match:      stepObjectsOnly,
+		})
+		return inj
 	})
 	st := inj.Stats()
 	if st.Transients+st.ShortReads+st.Corrupts == 0 {
 		t.Fatal("seed injected no faults: the chaos leg tests nothing")
 	}
-	if p.Res.FaultEvents == 0 || p.Res.Retries == 0 {
+	if res.FaultEvents == 0 || res.Retries == 0 {
 		t.Errorf("faults fired but pipeline accounted none (events=%d retries=%d)",
-			p.Res.FaultEvents, p.Res.Retries)
+			res.FaultEvents, res.Retries)
 	}
-	if p.Res.StaleSteps != 0 || p.Res.DegradedFrames != 0 {
+	if res.StaleSteps != 0 || res.DegradedFrames != 0 {
 		t.Errorf("healable schedule degraded the run: stale=%d degraded=%d",
-			p.Res.StaleSteps, p.Res.DegradedFrames)
+			res.StaleSteps, res.DegradedFrames)
 	}
 	requireFramesEqual(t, ref, w, steps)
 }

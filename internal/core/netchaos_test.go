@@ -62,7 +62,7 @@ func TestChaosNetDropsHealBitIdentical(t *testing.T) {
 	store := buildDataset(t, steps)
 	l := Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}
 	opts := tolerant(48, 48)
-	ref, refRes, refStats := runPipelineOver(t, store, l, opts, overReal)
+	ref, refRes, refStats := runPipelineOver(t, store, l, opts, overReal, nil)
 
 	// World ranks: inputs 0-1, renderers 2-4, output 5. Group 0's input
 	// (rank 0) serves steps 0 and 2, so (0,2) carries data seqs 1-2;
@@ -134,7 +134,7 @@ func TestChaosNetPeerKillDegrades(t *testing.T) {
 	store := buildDataset(t, steps)
 	l := Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}
 	opts := tolerant(48, 48)
-	ref, _, _ := runPipelineOver(t, store, l, opts, overReal)
+	ref, _, _ := runPipelineOver(t, store, l, opts, overReal, nil)
 
 	const killRank = 3
 	nc := faultinject.NewNetChaos(faultinject.NetChaosConfig{

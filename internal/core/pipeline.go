@@ -13,10 +13,8 @@ import (
 // Workload supplies the stage implementations the pipeline schedules. Two
 // implementations exist: RealWorkload (actual data, actual rendering) and
 // ModelWorkload (paper-scale calibrated costs for the timing experiments).
-// All hooks are invoked from the rank's own goroutine/process, except
-// PayloadFor, which an input rank may call concurrently for distinct
-// renderers when its share of GOMAXPROCS exceeds one (both in-tree
-// workloads only read shared state there).
+// Every hook is invoked from the rank's own goroutine/process, one at a
+// time.
 //
 // A workload owns its wire payloads end to end: the pipeline never
 // inspects them, so a workload that pools payload buffers (RealWorkload
@@ -356,22 +354,6 @@ func (p *Pipeline) runInput(c *mpi.Comm) error {
 	part := i % l.IPsPerGroup
 	m := l.IPsPerGroup
 	steps := p.W.Steps()
-	// Per-step payload staging, reused across this rank's timesteps.
-	bytes := make([]int64, l.Renderers)
-	data := make([]any, l.Renderers)
-	// Payload-build parallelism (Layout.payloadWidth): constant across
-	// steps, so the worker pool and the build closure are created once and
-	// every step's fan-out is a pool dispatch, not `pw` goroutine spawns.
-	// Message order and content do not depend on the width: the sends below
-	// go in renderer order either way.
-	pw := l.payloadWidth()
-	var curT int
-	var curPrep any
-	build := func(r int) { bytes[r], data[r] = p.W.PayloadFor(c, curT, curPrep, r) }
-	wp := newPool(pw)
-	if wp != nil {
-		defer wp.Close()
-	}
 	for t := g; t < steps; t += l.Groups {
 		t0 := c.Now()
 		fetched, err := p.W.Fetch(c, t, part, m)
@@ -395,13 +377,9 @@ func (p *Pipeline) runInput(c *mpi.Comm) error {
 			}
 		}
 		t3 := c.Now()
-		// Build every renderer's payload (concurrently when allowed: wp is
-		// nil exactly when pw is 1, which Run executes inline), then send
-		// in renderer order so the message stream is unchanged.
-		curT, curPrep = t, prep
-		wp.Run(pw, l.Renderers, build)
 		for r := 0; r < l.Renderers; r++ {
-			c.Send(l.RenderRank(r), tagData(t), bytes[r], data[r])
+			bytes, data := p.W.PayloadFor(c, t, prep, r)
+			c.Send(l.RenderRank(r), tagData(t), bytes, data)
 		}
 		t4 := c.Now()
 		if p.W.WantLIC() && part == 0 {

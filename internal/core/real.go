@@ -96,26 +96,25 @@ type rendered struct {
 }
 
 // NewRealWorkload loads the dataset and performs the one-time setup: the
-// shared half (NewDataset), then one workload on it.
+// shared half (NewDataset), then one workload on it aimed at opts' view.
 func NewRealWorkload(l Layout, opts Options, store pfs.Store) (*RealWorkload, error) {
 	d, err := NewDataset(l, opts, store)
 	if err != nil {
 		return nil, err
 	}
-	return d.NewWorkload(opts)
+	return d.NewWorkload(opts.Width, opts.Height, opts.View, opts.TFName), nil
 }
 
-// NewWorkload builds a workload on the dataset: the renderer and its
-// transfer-function table, the per-rank scratches and worker pools, the
-// frame ring, and the view-dependent tables for opts.View. It reads no
-// data, so it costs scratch allocation plus well under a millisecond of
-// CPU; every workload on one Dataset is independent of the others. The
-// options that shape the dataset (datasetOptions) must be the ones it was
-// built with.
-func (d *Dataset) NewWorkload(opts Options) (*RealWorkload, error) {
-	if datasetOptions(opts) != d.opts {
-		return nil, fmt.Errorf("core: workload options %+v disagree with the dataset's %+v", datasetOptions(opts), d.opts)
-	}
+// NewWorkload builds a workload on the dataset aimed at the view SetView
+// takes — image size, camera and transfer function — with every other
+// option the dataset's: the renderer and its transfer-function table, the
+// per-rank scratches and worker pools, the frame ring, and the
+// view-dependent tables. It reads no data, so it costs scratch allocation
+// plus well under a millisecond of CPU; every workload on one Dataset is
+// independent of the others.
+func (d *Dataset) NewWorkload(width, height int, view render.View, tfName string) *RealWorkload {
+	opts := d.opts
+	opts.Width, opts.Height, opts.View, opts.TFName = width, height, view, tfName
 	l := d.layout
 	w := &RealWorkload{
 		ds: d, opts: opts, store: d.store, steps: d.steps,
@@ -180,7 +179,7 @@ func (d *Dataset) NewWorkload(opts Options) (*RealWorkload, error) {
 	w.visRank = make([]int, len(d.roots))
 	w.rects = make([][]compositor.Rect, l.Renderers)
 	w.aim()
-	return w, nil
+	return w
 }
 
 // aim computes everything that depends on the viewpoint, image size or
@@ -265,8 +264,8 @@ func (w *RealWorkload) SetStepWindow(lo, hi int) error {
 // recomputed (block visibility order, SLIC schedule, and the transfer-
 // function table when tfName changed); the dataset, scratches, pools and
 // frame ring stay warm, so a camera move costs one frame render. The next
-// run's frames are bit-identical to those of a workload built with these
-// values in its Options.
+// run's frames are bit-identical to those of a workload NewWorkload built
+// with these values.
 func (w *RealWorkload) SetView(width, height int, view render.View, tfName string) {
 	w.resetRun()
 	if tfName != w.opts.TFName {
@@ -601,8 +600,7 @@ func (w *RealWorkload) Preprocess(c *mpi.Comm, t, part, m int, fetched any) (any
 // node id is looked at. Payloads are pooled on this rank and released by the
 // consuming renderer once merged, so the per-block value slices (all
 // aliasing one backing buffer per payload) are reused across timesteps with
-// the prefetch window's lifetime respected. The pool is mutex-guarded, so
-// the payload-build worker fan-out stays safe.
+// the prefetch window's lifetime respected.
 func (w *RealWorkload) PayloadFor(c *mpi.Comm, t int, prep any, renderer int) (int64, any) {
 	scr := prep.(*ipScratch)
 	g := &w.ds.gather[scr.part][renderer]
@@ -870,9 +868,29 @@ func (w *RealWorkload) Composite(c *mpi.Comm, t, r int, group []int, rnd any) (i
 // once consumed, returning their buffers to the sending ranks' pools; the
 // assembled frame comes from the frame ring, so a consumer that copies out
 // or releases frames as it goes makes the whole per-frame assemble
-// allocation-free.
+// allocation-free. A step that fails hands its canvas back to the ring.
 func (w *RealWorkload) Assemble(c *mpi.Comm, t int, strips []mpi.Message, licMsg *mpi.Message) error {
 	frame := w.ring.Acquire(w.opts.Width, w.opts.Height)
+	if err := w.assembleInto(frame, t, strips, licMsg); err != nil {
+		w.ring.Release(frame)
+		return err
+	}
+	w.framesMu.Lock()
+	if old := w.frames[t]; old != nil && old != frame {
+		w.ring.Release(old) // re-assembled step: recycle the stale frame
+	}
+	w.frames[t] = frame
+	w.framesMu.Unlock()
+	// Every input of step t ran strictly before its strips/LIC arrived
+	// here, so the degraded set is final for t: flag the frame now.
+	if w.res != nil && w.FrameDegraded(t) {
+		w.res.addDegradedFrame()
+	}
+	return nil
+}
+
+// assembleInto is Assemble's body on the acquired canvas frame.
+func (w *RealWorkload) assembleInto(frame *img.Image, t int, strips []mpi.Message, licMsg *mpi.Message) error {
 	for _, s := range strips {
 		if s.Data == nil {
 			// A lost renderer's strip never arrived (Pipeline substituted an
@@ -905,32 +923,35 @@ func (w *RealWorkload) Assemble(c *mpi.Comm, t int, strips []mpi.Message, licMsg
 			w.markDegraded(t)
 		}
 	}
-	if licMsg != nil && licMsg.Data != nil {
-		lp, ok := licMsg.Data.(*licPayload)
-		if !ok {
-			return fmt.Errorf("core: output got unexpected LIC payload %T", licMsg.Data)
-		}
-		size := w.licSize()
-		if lp.Img.W != size || lp.Img.H != size {
-			return fmt.Errorf("core: output got a %dx%d LIC underlay, want %dx%d", lp.Img.W, lp.Img.H, size, size)
-		}
-		underStretched(frame, &lp.Img, w.licCols)
-		lp.release()
-	} else if licMsg != nil && w.opts.Faults.Tolerate {
+	if licMsg == nil {
+		return nil
+	}
+	if licMsg.Data == nil {
 		// LIC underlay dropped (degraded LIC step or lost LIC rank): render
 		// the frame without it and flag it.
+		if w.opts.Faults.Tolerate {
+			w.markDegraded(t)
+		}
+		return nil
+	}
+	lp, ok := licMsg.Data.(*licPayload)
+	if !ok {
+		return fmt.Errorf("core: output got unexpected LIC payload %T", licMsg.Data)
+	}
+	// An underlay of another size (its size comes off the wire over RunNet)
+	// is one that did not arrive: under the fault policy the frame goes
+	// without it and is flagged, as for a dropped underlay.
+	size, uw, uh := w.licSize(), lp.Img.W, lp.Img.H
+	fits := uw == size && uh == size
+	if fits {
+		underStretched(frame, &lp.Img, w.licCols)
+	}
+	lp.release()
+	if !fits {
+		if !w.opts.Faults.Tolerate {
+			return fmt.Errorf("core: output got a %dx%d LIC underlay, want %dx%d", uw, uh, size, size)
+		}
 		w.markDegraded(t)
-	}
-	w.framesMu.Lock()
-	if old := w.frames[t]; old != nil && old != frame {
-		w.ring.Release(old) // re-assembled step: recycle the stale frame
-	}
-	w.frames[t] = frame
-	w.framesMu.Unlock()
-	// Every input of step t ran strictly before its strips/LIC arrived
-	// here, so the degraded set is final for t: flag the frame now.
-	if w.res != nil && w.FrameDegraded(t) {
-		w.res.addDegradedFrame()
 	}
 	return nil
 }

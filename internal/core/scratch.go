@@ -27,7 +27,7 @@ import (
 // that renderer, whose value slices all alias one backing buffer — the one
 // shape every read strategy ships. The receiving renderer must release it
 // after merging the values, returning it to the sending rank's pool (mutex-
-// guarded, so the payload-build worker fan-out and the remote release stay
+// guarded, so the renderer's release and the sender's next build stay
 // safe).
 type dataPayload struct {
 	runs  []blockRun

@@ -54,8 +54,8 @@ func TestSetViewMatchesFreshWorkload(t *testing.T) {
 			t.Cleanup(w.Close)
 			for i, a := range aimCases {
 				w.SetView(a.w, a.h, a.view(), a.tf)
-				runPipeline(t, w, l)
-				fresh, _ := runReal(t, store, l, a.options(base))
+				runWorkloadOver(t, w, w, l, overReal, nil)
+				fresh, _, _ := runPipelineOver(t, store, l, a.options(base), overReal, nil)
 				for step := 0; step < w.Steps(); step++ {
 					want, got := fresh.Frame(step), w.Frame(step)
 					if want == nil || got == nil {
@@ -87,7 +87,7 @@ func TestSetViewReleasesLeftoverFrames(t *testing.T) {
 	var canvases int
 	for i, a := range aimCases[:3] {
 		w.SetView(24, 24, a.view(), a.tf)
-		runPipeline(t, w, l)
+		runWorkloadOver(t, w, w, l, overReal, nil)
 		if i == 0 {
 			canvases = len(w.ring.free) + len(w.frames)
 		}
@@ -153,9 +153,7 @@ func TestDatasetSharedAcrossWorkloads(t *testing.T) {
 	cases := aimCases[:4]
 	shared := make([]*RealWorkload, len(cases))
 	for i, a := range cases {
-		if shared[i], err = ds.NewWorkload(a.options(base)); err != nil {
-			t.Fatal(err)
-		}
+		shared[i] = ds.NewWorkload(a.w, a.h, a.view(), a.tf)
 		t.Cleanup(shared[i].Close)
 	}
 	errs := make([]error, len(cases))
@@ -168,7 +166,7 @@ func TestDatasetSharedAcrossWorkloads(t *testing.T) {
 			// other workloads' renders too.
 			for _, a := range []aimCase{cases[(i+1)%len(cases)], cases[i]} {
 				w.SetView(a.w, a.h, a.view(), a.tf)
-				if _, errs[i] = runPipelineErr(w, l); errs[i] != nil {
+				if _, _, errs[i] = runOver(w, l, overReal); errs[i] != nil {
 					return
 				}
 			}
@@ -179,49 +177,11 @@ func TestDatasetSharedAcrossWorkloads(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("workload %d: %v", i, errs[i])
 		}
-		alone, _ := runReal(t, store, l, a.options(base))
+		alone, _, _ := runPipelineOver(t, store, l, a.options(base), overReal, nil)
 		for step := 0; step < 2; step++ {
 			if d := img.MaxAbsDiff(alone.Frame(step), shared[i].Frame(step)); d != 0 {
 				t.Errorf("workload %d step %d: frame on the shared dataset differs from a standalone render (max diff %v)", i, step, d)
 			}
 		}
 	}
-}
-
-// TestNewWorkloadRejectsForeignOptions pins the one way a workload could
-// disagree with its dataset: options whose dataset half (datasetOptions)
-// differs.
-func TestNewWorkloadRejectsForeignOptions(t *testing.T) {
-	store := buildDataset(t, 1)
-	l := Layout{Groups: 1, IPsPerGroup: 1, Renderers: 1, Outputs: 1}
-	base := smallOpts(24, 24)
-	ds, err := NewDataset(l, base, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, mutate := range map[string]func(*Options){
-		"Level":      func(o *Options) { o.Level = 3 },
-		"BlockLevel": func(o *Options) { o.BlockLevel = 1 },
-		"LIC":        func(o *Options) { o.LIC = true },
-		"MaxSteps":   func(o *Options) { o.MaxSteps = 1 },
-		"FixedVMax":  func(o *Options) { o.FixedVMax = 2 },
-		// The read plan is committed in the dataset: another strategy is
-		// another dataset.
-		"ReadStrategy":  func(o *Options) { o.ReadStrategy = ReadCollective },
-		"AdaptiveFetch": func(o *Options) { o.AdaptiveFetch = true },
-	} {
-		o := base
-		mutate(&o)
-		if w, err := ds.NewWorkload(o); err == nil {
-			w.Close()
-			t.Errorf("workload with a different %s accepted on the dataset", name)
-		}
-	}
-	o := base
-	o.Lighting, o.TFName = true, "gray"
-	w, err := ds.NewWorkload(o)
-	if err != nil {
-		t.Fatalf("per-session options rejected: %v", err)
-	}
-	w.Close()
 }

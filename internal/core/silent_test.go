@@ -189,7 +189,7 @@ func TestSilentSkipMatchesSerial(t *testing.T) {
 				if err := w.SetStepWindow(s, s+1); err != nil {
 					t.Fatal(err)
 				}
-				runWorkloadOver(t, w, w, l, tc.run)
+				runWorkloadOver(t, w, w, l, tc.run, nil)
 				q := qs[s]
 				silent[s] = checkMerged(t, w, q)
 				view := opts.View

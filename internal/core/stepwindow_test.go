@@ -6,27 +6,6 @@ import (
 	"repro/internal/img"
 )
 
-// runPipelineErr executes one pipeline run of w on its current step window
-// and returns the first rank error (callable from any goroutine).
-func runPipelineErr(w *RealWorkload, l Layout) (*Result, error) {
-	p, err := NewPipeline(l, w)
-	if err != nil {
-		return nil, err
-	}
-	_, err = p.RunReal()
-	return p.Res, err
-}
-
-// runPipeline is runPipelineErr failing the test on error.
-func runPipeline(t *testing.T, w *RealWorkload, l Layout) *Result {
-	t.Helper()
-	res, err := runPipelineErr(w, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 // TestStepWindowMatchesFullRun pins the serving layer's cache-fill
 // contract: a windowed run renders dataset steps [lo, hi) bit-identically
 // to the same steps of a whole-dataset run — including temporal
@@ -42,7 +21,7 @@ func TestStepWindowMatchesFullRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(full.Close)
-		runPipeline(t, full, l)
+		runWorkloadOver(t, full, full, l, overReal, nil)
 
 		win, err := NewRealWorkload(l, opts, store)
 		if err != nil {
@@ -55,7 +34,7 @@ func TestStepWindowMatchesFullRun(t *testing.T) {
 		if win.Steps() != 2 {
 			t.Fatalf("windowed steps = %d, want 2", win.Steps())
 		}
-		runPipeline(t, win, l)
+		runWorkloadOver(t, win, win, l, overReal, nil)
 		for logical := 0; logical < 2; logical++ {
 			want := full.Frame(2 + logical)
 			got := win.Frame(logical)
@@ -106,7 +85,7 @@ func TestStepWindowReleasesLeftoverFrames(t *testing.T) {
 		if err := w.SetStepWindow(win[0], win[1]); err != nil {
 			t.Fatal(err)
 		}
-		runPipeline(t, w, l) // frames deliberately left unconsumed
+		runWorkloadOver(t, w, w, l, overReal, nil) // frames deliberately left unconsumed
 		if w.Frame(0) == nil {
 			t.Fatalf("window %v produced no frame", win)
 		}

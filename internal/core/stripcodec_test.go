@@ -53,15 +53,7 @@ func goldenStrips(tb testing.TB, w, h int) []*stripPayload {
 	}
 	defer wl.Close()
 	tap := &stripTap{RealWorkload: wl, step: steps - 1}
-	p, err := NewPipeline(l, tap)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	mpi.RunReal(l.WorldSize(), func(c *mpi.Comm) {
-		if err := p.Run(c); err != nil {
-			tb.Errorf("rank %d: %v", c.Rank(), err)
-		}
-	})
+	runWorkloadOver(tb, wl, tap, l, overReal, nil)
 	if len(tap.got) != l.Renderers {
 		tb.Fatalf("tapped %d strips, want %d", len(tap.got), l.Renderers)
 	}
@@ -251,7 +243,7 @@ func TestStripCompressionGate(t *testing.T) {
 	}
 	defer wl.Close()
 	m := newStripMeter(t, wl)
-	runWorkloadOver(t, wl, m, l, overReal)
+	runWorkloadOver(t, wl, m, l, overReal, nil)
 	raw := int64(steps * 16 * w * h)
 	if got := sumBytes(m.recv); got == 0 || 4*got > raw {
 		t.Errorf("compressed strips total %d bytes over %d steps, raw %d: want at most a quarter", got, steps, raw)

@@ -24,12 +24,10 @@ func poolWidth(p *workers.Pool) int {
 }
 
 // TestRoleWidthsFollowGOMAXPROCS pins the one rule on the layouts of the
-// bench workloads: a renderer gets GOMAXPROCS/Renderers, an input rank's
-// payload builds min(GOMAXPROCS/NumInput, Renderers) and the LIC rank all
-// of GOMAXPROCS, each at least 1 — read from the pools a workload builds.
-// At GOMAXPROCS 2 a renderer gets 1 on the batch layouts and 2 on serve's,
-// payload builds 1 everywhere and LIC 2; at 1 every width is 1 and no pool
-// exists.
+// bench workloads: a renderer gets GOMAXPROCS/Renderers and the LIC rank
+// all of GOMAXPROCS, each at least 1 — read from the pools a workload
+// builds. At GOMAXPROCS 2 a renderer gets 1 on the batch layouts and 2 on
+// serve's, and LIC 2; at 1 every width is 1 and no pool exists.
 func TestRoleWidthsFollowGOMAXPROCS(t *testing.T) {
 	layouts := []struct {
 		name string
@@ -40,12 +38,12 @@ func TestRoleWidthsFollowGOMAXPROCS(t *testing.T) {
 		{"net_composite", Layout{Groups: 2, IPsPerGroup: 1, Renderers: 4, Outputs: 1}},
 		{"serve", Layout{Groups: 1, IPsPerGroup: 1, Renderers: 1, Outputs: 1}}, // the engine default
 	}
-	// want[procs][layout] = {renderer, payload build, LIC}.
-	want := map[int][4][3]int{
-		1: {{1, 1, 1}, {1, 1, 1}, {1, 1, 1}, {1, 1, 1}},
-		2: {{1, 1, 2}, {1, 1, 2}, {1, 1, 2}, {2, 1, 2}},
-		3: {{1, 1, 3}, {1, 1, 3}, {1, 1, 3}, {3, 1, 3}},
-		8: {{4, 2, 8}, {4, 2, 8}, {2, 4, 8}, {8, 1, 8}},
+	// want[procs][layout] = {renderer, LIC}.
+	want := map[int][4][2]int{
+		1: {{1, 1}, {1, 1}, {1, 1}, {1, 1}},
+		2: {{1, 2}, {1, 2}, {1, 2}, {2, 2}},
+		3: {{1, 3}, {1, 3}, {1, 3}, {3, 3}},
+		8: {{4, 8}, {4, 8}, {2, 8}, {8, 8}},
 	}
 	store := buildDataset(t, 1)
 	opts := smallOpts(32, 32)
@@ -57,10 +55,7 @@ func TestRoleWidthsFollowGOMAXPROCS(t *testing.T) {
 		}
 		for _, procs := range []int{1, 2, 3, 8} {
 			setGOMAXPROCS(t, procs)
-			w, err := ds.NewWorkload(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			w := ds.NewWorkload(opts.Width, opts.Height, opts.View, opts.TFName)
 			var pools []*workers.Pool
 			for _, rs := range w.rendScr {
 				if rs.width != poolWidth(rs.rscr.Pool) {
@@ -68,12 +63,11 @@ func TestRoleWidthsFollowGOMAXPROCS(t *testing.T) {
 				}
 				pools = append(pools, rs.rscr.Pool)
 			}
-			payload := newPool(lc.l.payloadWidth()) // the pool runInput builds
 			licPool := w.ipScr[0].lic.scr.Pool
-			pools = append(pools, payload, licPool)
-			got := [3]int{poolWidth(w.rendScr[0].rscr.Pool), poolWidth(payload), poolWidth(licPool)}
+			pools = append(pools, licPool)
+			got := [2]int{poolWidth(w.rendScr[0].rscr.Pool), poolWidth(licPool)}
 			if got != want[procs][li] {
-				t.Errorf("%s at GOMAXPROCS %d: renderer, payload, LIC widths %v, want %v", lc.name, procs, got, want[procs][li])
+				t.Errorf("%s at GOMAXPROCS %d: renderer, LIC widths %v, want %v", lc.name, procs, got, want[procs][li])
 			}
 			if procs == 1 {
 				for _, p := range pools {
@@ -81,9 +75,6 @@ func TestRoleWidthsFollowGOMAXPROCS(t *testing.T) {
 						t.Errorf("%s at GOMAXPROCS 1: a pool of %d exists", lc.name, p.Size())
 					}
 				}
-			}
-			if payload != nil {
-				payload.Close()
 			}
 			w.Close()
 		}

@@ -170,8 +170,9 @@ func TestDeadExportAllowList(t *testing.T) {
 }
 
 // oracleName matches the names a frozen or retained reference body goes
-// by in a test file: frozen*, *Legacy, reference*/*Reference and *PerCall.
-var oracleName = regexp.MustCompile(`^(frozen|reference)|(Legacy|Reference|PerCall)$`)
+// by in a test file: frozen*, *Legacy, reference*/*Reference, *PerCall and
+// *Elementwise.
+var oracleName = regexp.MustCompile(`^(frozen|reference)|(Legacy|Reference|PerCall|Elementwise)$`)
 
 // testName matches a test, benchmark or fuzz target, with its subtest path.
 var testName = regexp.MustCompile(`^(Test|Benchmark|Fuzz)[A-Z0-9_]\w*(/\S*)?$`)
@@ -297,12 +298,14 @@ func TestOracleLedger(t *testing.T) {
 }
 
 // TestOracleLedgerFindings proves the ledger check fires: on an unlisted
-// frozen body, on a listed body or test that no longer exists, and on a
-// row for a missing file — and stays silent on a ledger that matches.
+// frozen or elementwise body, on a listed body or test that no longer
+// exists, and on a row for a missing file — and stays silent on a ledger
+// that matches.
 func TestOracleLedgerFindings(t *testing.T) {
 	src := map[string]string{"a/x_test.go": `package a
 func frozenStep() {}
 func (r *rig) stepReference() {}
+func (r *rig) applyElementwise() {}
 func TestStepMatchesFrozen() {}
 type rig struct{}`}
 	doc := func(rows ...string) string {
@@ -313,12 +316,14 @@ type rig struct{}`}
 		doc  string
 		want []string
 	}{
-		{"matches", doc("| `a/x_test.go`: `frozenStep`, `stepReference`, `rig` | `TestStepMatchesFrozen` |"), nil},
-		{"unlisted", doc("| `a/x_test.go`: `stepReference` | `TestStepMatchesFrozen/case` |"),
+		{"matches", doc("| `a/x_test.go`: `frozenStep`, `stepReference`, `applyElementwise`, `rig` | `TestStepMatchesFrozen` |"), nil},
+		{"unlisted", doc("| `a/x_test.go`: `stepReference`, `applyElementwise` | `TestStepMatchesFrozen/case` |"),
 			[]string{"a/x_test.go: frozenStep is a reference body the ledger does not list"}},
-		{"gone", doc("| `a/x_test.go`: `frozenStep`, `stepReference`, `frozenGone` | `TestGone` |"),
+		{"unlisted-elementwise", doc("| `a/x_test.go`: `frozenStep`, `stepReference` | `TestStepMatchesFrozen` |"),
+			[]string{"a/x_test.go: applyElementwise is a reference body the ledger does not list"}},
+		{"gone", doc("| `a/x_test.go`: `frozenStep`, `stepReference`, `applyElementwise`, `frozenGone` | `TestGone` |"),
 			[]string{"ledger lists a/x_test.go: frozenGone, which it does not declare", "ledger names TestGone, which no test file declares"}},
-		{"no-file", doc("| `a/x_test.go`: `frozenStep`, `stepReference` |", "| `a/y_test.go`: `frozenStep` |"),
+		{"no-file", doc("| `a/x_test.go`: `frozenStep`, `stepReference`, `applyElementwise` |", "| `a/y_test.go`: `frozenStep` |"),
 			[]string{"ledger row for a/y_test.go: no such test file"}},
 		{"no-section", "# CI\n", []string{`docs/ci.md has no "## Oracle ledger" section`}},
 	} {

@@ -57,8 +57,7 @@ type EngineConfig struct {
 // view tables, scratches, worker pools and frame ring), and the cache
 // holds wire bodies it encoded itself, handed out pinned.
 type Engine struct {
-	ds    *core.Dataset
-	opts  core.Options // engine-wide session options; acquire fills in the request's view fields
+	ds    *core.Dataset // holds the engine-wide session options; a session adds the request's view
 	cfg   EngineConfig
 	cache *FrameCache
 	wire  pool.Pool[[]byte] // encodings of rendered frames the cache does not hold
@@ -104,7 +103,7 @@ func NewEngine(store pfs.Store, cfg EngineConfig) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: building dataset: %w", err)
 	}
-	return &Engine{ds: ds, opts: o, cfg: cfg, cache: NewFrameCache(cfg.CacheBytes)}, nil
+	return &Engine{ds: ds, cfg: cfg, cache: NewFrameCache(cfg.CacheBytes)}, nil
 }
 
 // Steps returns the dataset's timestep count (valid request steps are
@@ -147,14 +146,8 @@ func (e *Engine) acquire(cfg RenderConfig) (*session, error) {
 		s.w.SetView(cfg.Width, cfg.Height, view(cfg), cfg.TF)
 		return s, nil
 	}
-	o := e.opts
-	o.Width, o.Height, o.View, o.TFName = cfg.Width, cfg.Height, view(cfg), cfg.TF
-	w, err := e.ds.NewWorkload(o)
-	if err != nil {
-		return nil, fmt.Errorf("serve: building session: %w", err)
-	}
 	e.sessions.Add(1)
-	return &session{w: w}, nil
+	return &session{w: e.ds.NewWorkload(cfg.Width, cfg.Height, view(cfg), cfg.TF)}, nil
 }
 
 // release parks a session for reuse, evicting the least recently used

@@ -1,7 +1,6 @@
 // Package workers provides the persistent per-rank worker pool the
 // steady-state pipeline dispatches its shared-memory fan-outs on (block
-// projection, tile ray casting, strip compositing, LIC row bands, payload
-// builds). The pre-PR-4 fan-outs spawned fresh goroutines every frame;
+// projection, tile ray casting, strip compositing, LIC row bands). The pre-PR-4 fan-outs spawned fresh goroutines every frame;
 // a Pool spawns its goroutines once, so a steady-state dispatch costs two
 // channel operations per woken worker and zero allocations.
 package workers
