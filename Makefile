@@ -119,7 +119,9 @@ check: build vet fmtcheck lint test race
 # module. The GOMAXPROCS=1 leg replays the golden, worker/layout-invariance,
 # cross-transport and serial-parity suites with every fan-out inline: the
 # rule (workers.Width) gives width 1 everywhere, and nothing else reaches
-# the inline paths. See docs/ci.md for the full gate catalog.
+# the inline paths. The two-mode leg runs one quakeviz command as a -spawn
+# job of rank processes over loopback TCP and in-process, and requires
+# byte-identical frames. See docs/ci.md for the full gate catalog.
 ci: check benchsmoke
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestSpMVSpeedupGate' -v ./internal/quake/
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestCompositeStripSpeedupGate' -v ./internal/compositor/
@@ -134,6 +136,7 @@ ci: check benchsmoke
 	$(GO) test -race -run 'TestServeLoad|TestFrameCachePinnedSurvivesEviction|TestServeCacheCountsOnePerRequest' -count=1 -v ./internal/serve/
 	$(GO) test -race -run 'TestSetView|TestDatasetShared|TestServeNewViews|TestServeConcurrentViewers' -count=1 -v ./internal/core/ ./internal/serve/
 	GOMAXPROCS=1 $(GO) test -run 'TestGolden|TestScratchReuseInvariant|TestCrossTransport|MatchesSerial|TestCompositeFragmentsStripParallel' -count=1 -v ./internal/core/ ./internal/render/ ./internal/lic/
+	$(GO) test -run 'TestSpawnSmoke' -count=1 -v ./cmd/quakeviz/
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/compositor/ ./internal/lic/ ./internal/render/ ./internal/mpiio/ ./internal/core/ ./internal/workers/ ./internal/mpi/ ./internal/serve/
 
 # Short exploratory fuzz sessions; the committed seeds alone run in `test`.

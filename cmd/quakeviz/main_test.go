@@ -1,10 +1,12 @@
 package main
 
-// Launcher smoke test: build the binary and run a tiny -spawn job on
-// loopback with heartbeats and healing enabled. The job must exit 0 and
-// the output rank must write every frame.
+// The binary's two run modes end to end, its -spawn argument builder, and
+// where -tolerate reaches storage.
 import (
+	"bytes"
 	"errors"
+	"flag"
+	"fmt"
 	"net"
 	"os"
 	"os/exec"
@@ -34,27 +36,11 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
-func TestSpawnSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and forks a whole multi-process job")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "quakerank")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-
-	frames := filepath.Join(dir, "frames")
-	cmd := exec.Command(bin,
-		"-spawn",
-		"-coord", freePort(t),
-		"-groups", "1", "-ips", "1", "-renderers", "2", "-outputs", "1",
-		"-steps", "2", "-width", "48", "-height", "48",
-		"-heartbeat", "50ms", "-reconnect", "3", "-tolerate",
-		"-out", frames,
-		"-timeout", "30s",
-	)
+// runJob runs the built binary with args under a deadline and returns its
+// combined output, failing t unless it exits 0.
+func runJob(t *testing.T, bin string, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
 	done := make(chan []byte, 1)
 	var runErr error
 	go func() {
@@ -67,15 +53,76 @@ func TestSpawnSmoke(t *testing.T) {
 	case out = <-done:
 	case <-time.After(4 * time.Minute):
 		cmd.Process.Kill()
-		t.Fatalf("spawn job timed out\n%s", <-done)
+		t.Fatalf("%v timed out\n%s", args, <-done)
 	}
 	if runErr != nil {
-		t.Fatalf("spawn job failed: %v\n%s", runErr, out)
+		t.Fatalf("%v: %v\n%s", args, runErr, out)
 	}
-	for step := 0; step < 2; step++ {
-		name := filepath.Join(frames, "frame_000"+string(rune('0'+step))+".png")
-		if fi, err := os.Stat(name); err != nil || fi.Size() == 0 {
-			t.Errorf("missing or empty frame %s (err=%v)\njob output:\n%s", name, err, out)
+	return out
+}
+
+// TestSpawnSmoke: one command, two modes, identical frames. The binary runs
+// a tiny job with every rendering stage on — the enhancement hand-off
+// between two groups, the LIC underlay, lighting, RLE strips — and the
+// fault policy, once as a -spawn job of rank processes on loopback TCP
+// with heartbeats and healing enabled, and once in-process with the same
+// flags. Both must exit 0 and write every frame, byte for byte the same.
+func TestSpawnSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and forks a whole multi-process job")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "quakeviz")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+
+	const steps = 2
+	flags := []string{
+		"-data", "", "-groups", "2", "-ips", "1", "-renderers", "2", "-outputs", "1",
+		"-steps", fmt.Sprint(steps), "-width", "48", "-height", "48",
+		"-lic", "-enhance", "-lighting", "-compress", "-tolerate",
+		"-coord", freePort(t), "-heartbeat", "50ms", "-reconnect", "3", "-timeout", "30s",
+	}
+	spawned, inproc := filepath.Join(dir, "spawned"), filepath.Join(dir, "inproc")
+	out := runJob(t, bin, append([]string{"-spawn", "-out", spawned}, flags...)...)
+	runJob(t, bin, append([]string{"-out", inproc}, flags...)...)
+	for step := 0; step < steps; step++ {
+		name := fmt.Sprintf("frame_%04d.png", step)
+		a, err := os.ReadFile(filepath.Join(spawned, name))
+		if err != nil || len(a) == 0 {
+			t.Fatalf("missing or empty frame %s (err=%v)\njob output:\n%s", name, err, out)
+		}
+		b, err := os.ReadFile(filepath.Join(inproc, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: the spawned job's frame differs from the in-process run's", name)
+		}
+	}
+}
+
+// TestSpawnChildArgs: however the parent spelled -spawn, its children parse
+// it as false and take their own rank, so a child never forks a job of its
+// own. No process is started.
+func TestSpawnChildArgs(t *testing.T) {
+	for _, spelling := range []string{"-spawn", "--spawn", "-spawn=1", "-spawn=T", "-spawn=true"} {
+		args := []string{"-groups", "2", spelling, "-rank", "7", "-lic"}
+		fs := flag.NewFlagSet("child", flag.ContinueOnError)
+		spawn := fs.Bool("spawn", false, "")
+		rank := fs.Int("rank", -1, "")
+		fs.Int("groups", 0, "")
+		fs.Bool("lic", false, "")
+		if err := fs.Parse(childArgs(args, 3)); err != nil {
+			t.Fatalf("%s: %v", spelling, err)
+		}
+		if *spawn || *rank != 3 || fs.NArg() != 0 {
+			t.Errorf("%s: child parses spawn=%v rank=%d, %d stray arguments; want false, 3, 0", spelling, *spawn, *rank, fs.NArg())
+		}
+		if args[2] != spelling || len(args) != 6 {
+			t.Errorf("%s: building the child's arguments changed the parent's: %q", spelling, args)
 		}
 	}
 }

@@ -254,6 +254,65 @@ func TestChaosPermanentFaultDegrades(t *testing.T) {
 	}
 }
 
+// TestChaosPerRankWorkloads: TestChaosPermanentFaultDegrades' schedule with
+// every rank on its own workload and pipeline over one Dataset, as each
+// process of a multi-process job builds them, so no rank sees another's
+// memory. The stale step must reach the output rank on the messages alone:
+// that rank's workload flags frame 3 and nothing else, its Result counts one
+// degraded frame, the input rank that served the step counts it stale, and
+// every frame is bit-identical to the shared-workload run's.
+func TestChaosPerRankWorkloads(t *testing.T) {
+	const steps = 4
+	store := buildDataset(t, steps)
+	l := Layout{Groups: 2, IPsPerGroup: 1, Renderers: 3, Outputs: 1}
+	opts := tolerant(48, 48)
+	wrap := func(st pfs.Store) pfs.Store {
+		return faultinject.Wrap(st, faultinject.Config{
+			Seed: 3, PPermanent: 1, Match: onlyObject(quake.StepObject(3)),
+		})
+	}
+	shared, _, _ := runPipelineOver(t, store, l, opts, overReal, wrap)
+	ds, err := NewDataset(l, opts, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  transportRun
+	}{{"real", overReal}, {"net", overNet}} {
+		ws := make([]*RealWorkload, l.WorldSize())
+		ps := make([]*Pipeline, l.WorldSize())
+		for r := range ws {
+			ws[r] = ds.NewWorkload(opts.Width, opts.Height, opts.View, opts.TFName)
+			t.Cleanup(ws[r].Close)
+			ws[r].store = wrap(ws[r].store)
+			if ps[r], err = NewPipeline(l, ws[r]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		errs := make([]error, l.WorldSize())
+		if err := tc.run(l.WorldSize(), func(c *mpi.Comm) { errs[c.Rank()] = ps[c.Rank()].Run(c) }); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := errors.Join(errs...); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		out := l.OutputRank(0)
+		for step := 0; step < steps; step++ {
+			if got, want := ws[out].FrameDegraded(step), step == 3; got != want {
+				t.Errorf("%s: output rank's FrameDegraded(%d) = %v, want %v", tc.name, step, got, want)
+			}
+		}
+		if res := ps[out].Res; res.Frames != steps || res.DegradedFrames != 1 {
+			t.Errorf("%s: output rank assembled %d frames, %d degraded; want %d, 1", tc.name, res.Frames, res.DegradedFrames, steps)
+		}
+		if res := ps[l.InputRank(1, 0)].Res; res.FaultEvents != 1 || res.StaleSteps != 1 {
+			t.Errorf("%s: input rank 1 accounted %d fault events, %d stale steps; want 1, 1", tc.name, res.FaultEvents, res.StaleSteps)
+		}
+		requireFramesEqual(t, shared, ws[out], steps)
+	}
+}
+
 // surfaceFlip corrupts every read of one step object that is shorter than
 // the whole record — the LIC rank's sieved surface read, not the volume
 // fetch — by setting the first word's exponent bits, the non-finite

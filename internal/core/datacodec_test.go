@@ -62,10 +62,11 @@ func planPiece(w *RealWorkload, part, r int, val func(i int) uint8) *dataPayload
 // wireRun is one run header of a hand-built data piece.
 type wireRun struct{ block, off, n int32 }
 
-// wirePiece builds a data-piece wire frame by hand: the run headers, a
-// claimed backing length (negative: the true one) and the backing bytes.
+// wirePiece builds a data-piece wire frame by hand: no flags, the run
+// headers, a claimed backing length (negative: the true one) and the
+// backing bytes.
 func wirePiece(runs []wireRun, claim int, vals []byte, trailing ...byte) []byte {
-	b := mpi.AppendU32(nil, uint32(len(runs)))
+	b := mpi.AppendU32([]byte{0}, uint32(len(runs)))
 	for _, run := range runs {
 		b = mpi.AppendU32(mpi.AppendU32(mpi.AppendU32(b, uint32(run.block)), uint32(run.off)), uint32(run.n))
 	}
@@ -86,7 +87,8 @@ func owedWire(w *RealWorkload, part, r int, val func(i int) uint8) ([]wireRun, [
 }
 
 // mergedVals merges pieces into renderer r of w as step 0 of a fresh run and
-// returns a copy of its blocks' corner values and the step's degraded flag.
+// returns a copy of its blocks' corner values and the renderer's degraded
+// flag for the step.
 func mergedVals(tb testing.TB, w *RealWorkload, r int, pieces []mpi.Message) ([][][8]float32, bool) {
 	tb.Helper()
 	w.resetRun()
@@ -97,7 +99,7 @@ func mergedVals(tb testing.TB, w *RealWorkload, r int, pieces []mpi.Message) ([]
 	for i, bd := range w.rendScr[r].bds {
 		out[i] = append([][8]float32(nil), bd.Vals...)
 	}
-	return out, w.FrameDegraded(0)
+	return out, w.rendScr[r].degraded
 }
 
 func sameVals(a, b [][][8]float32) bool {
@@ -114,10 +116,10 @@ func sameVals(a, b [][][8]float32) bool {
 }
 
 // TestDataCodecRoundTrip: under each read strategy, every piece of the plan
-// survives encode -> decode run for run and byte for byte, the decoded
-// payload owns its bytes (the wire buffer can be scribbled over), encoding
-// released the sender's payload to its pool, and the renderer the piece was
-// built for accepts the decoded copy.
+// survives encode -> decode run for run and byte for byte, stale flag
+// included, the decoded payload owns its bytes (the wire buffer can be
+// scribbled over), encoding released the sender's payload to its pool, and
+// the renderer the piece was built for accepts the decoded copy.
 func TestDataCodecRoundTrip(t *testing.T) {
 	for name, mod := range map[string]func(*Options){
 		"collective": func(o *Options) { o.ReadStrategy = ReadCollective },
@@ -128,6 +130,7 @@ func TestDataCodecRoundTrip(t *testing.T) {
 		for part := 0; part < pieceLayout.IPsPerGroup; part++ {
 			for r := 0; r < pieceLayout.Renderers; r++ {
 				src := planPiece(w, part, r, func(i int) uint8 { return uint8(7*i + part + r) })
+				src.stale = (part+r)%2 == 1
 				var sendPool pool.Pool[dataPayload]
 				src.owner = &sendPool
 				want := planPiece(w, part, r, func(i int) uint8 { return uint8(7*i + part + r) })
@@ -146,6 +149,9 @@ func TestDataCodecRoundTrip(t *testing.T) {
 					wire[k] = 0xAA // the transport reuses this buffer
 				}
 				got := v.(*dataPayload)
+				if got.stale != ((part+r)%2 == 1) {
+					t.Errorf("%s part %d renderer %d: decoded stale=%v", name, part, r, got.stale)
+				}
 				if len(got.runs) != len(want.runs) {
 					t.Fatalf("%s part %d renderer %d: decoded %d runs, encoded %d", name, part, r, len(got.runs), len(want.runs))
 				}
@@ -187,6 +193,11 @@ func TestDataCodecHostile(t *testing.T) {
 	if degraded || sameVals(whole, absent) {
 		t.Fatalf("the honest piece: degraded %v, changes nothing %v", degraded, sameVals(whole, absent))
 	}
+	stale := planPiece(tolerate, 0, r, val)
+	stale.stale = true
+	if got, degraded := mergedVals(t, tolerate, r, []mpi.Message{{Src: 0, Data: stale}, honest1()}); !degraded || !sameVals(got, whole) {
+		t.Errorf("a stale piece: degraded %v, merged like a fresh one %v", degraded, sameVals(got, whole))
+	}
 
 	foreign := int32(d.rblocks[1][0]) // a block renderer 1 owns
 	with := func(i int, run wireRun) []wireRun {
@@ -212,7 +223,8 @@ func TestDataCodecHostile(t *testing.T) {
 		{"no runs", wirePiece(nil, -1, nil), true},
 		{"part 1's piece", func() []byte { r1, v1 := owedWire(tolerate, 1, r, val); return wirePiece(r1, -1, v1) }(), true},
 		{"length prefix beyond the wire", wirePiece(runs, 1<<20, vals), false},
-		{"run count beyond the wire", mpi.AppendU32(nil, 1<<20), false},
+		{"run count beyond the wire", mpi.AppendU32([]byte{0}, 1<<20), false},
+		{"unknown flags", append([]byte{dataFlagStale << 1}, wirePiece(runs, -1, vals)[1:]...), false},
 		{"runs overrun the backing bytes", wirePiece(runs, -1, vals[:len(vals)-1]), false},
 		{"backing bytes no run names", wirePiece(runs, -1, append(vals[:len(vals):len(vals)], 9)), false},
 		{"trailing bytes", wirePiece(runs, -1, vals, 0), false},
@@ -280,7 +292,9 @@ func FuzzDecodeDataPayload(f *testing.F) {
 		if err != nil {
 			return
 		}
-		sent := bytes.Clone(v.(*dataPayload).vals) // the merge releases the payload
+		dp := v.(*dataPayload)
+		sent := bytes.Clone(dp.vals) // the merge releases the payload
+		dp.stale = false             // a stale piece flags the step whether merged or not
 		got, refused := staged(t, []mpi.Message{{Src: 0, Data: v}, honest1()})
 		want := absent
 		if !refused {

@@ -10,9 +10,13 @@ package core
 // only when a step succeeds: the decode kernel quantizes into a spare
 // buffer that is swapped with q on success, so a step whose read or decode
 // failed still finds the previous step's values there, and "degrade" is
-// just marking the frame and shipping what the buffer holds. Degraded steps
-// mark their frame, and Assemble folds the flag into Result.DegradedFrames;
-// the happy path adds only branch checks and stays allocation-free.
+// just flagging the step and shipping what the buffer holds. A degraded
+// frame is flagged only on the messages that build it — a stale step's
+// pieces, the strips of a renderer that took a flagged, refused or missing
+// piece, a dropped underlay — so the output rank flags it the same whether
+// the ranks share a process or not, and Assemble folds the flag into
+// Result.DegradedFrames; the happy path adds only branch checks and stays
+// allocation-free.
 
 import (
 	"repro/internal/mpi"
@@ -37,25 +41,15 @@ func (w *RealWorkload) account(faults, retries int, stale bool) {
 	}
 }
 
-// markDegraded records that some input rank served stale or dropped data
-// for timestep t.
-func (w *RealWorkload) markDegraded(t int) {
-	w.degradedMu.Lock()
-	if w.degraded == nil {
-		w.degraded = make(map[int]bool)
-	}
-	w.degraded[t] = true
-	w.degradedMu.Unlock()
-}
-
 // FrameDegraded reports whether timestep t's frame was built from degraded
-// input: a stale-data fallback share or a dropped LIC underlay. Valid once
-// the frame exists (Frame(t) != nil); consumers use it to tag or skip
-// frames that do not reflect step t's true data.
+// input: a stale-data fallback share, a refused or missing piece or strip,
+// a partial composite, or a dropped LIC underlay. Valid once the frame
+// exists (Frame(t) != nil), in the process that assembled it; consumers
+// use it to tag or skip frames that do not reflect step t's true data.
 func (w *RealWorkload) FrameDegraded(t int) bool {
-	w.degradedMu.Lock()
-	defer w.degradedMu.Unlock()
-	return w.degraded[t]
+	w.framesMu.Lock()
+	defer w.framesMu.Unlock()
+	return w.frames[t].degraded
 }
 
 // Fetch implements Workload: fetchStep under the fault policy. The fetched
@@ -64,7 +58,8 @@ func (w *RealWorkload) FrameDegraded(t int) bool {
 // degrades to the previous step's data (stale fallback: the scratch still
 // holds it, zeros before this rank's first successful step, and PayloadFor
 // ships stale values exactly as it would fresh ones) and the frame is
-// marked. Collective reads never re-run fetchStep — a completed collective
+// flagged (scr.stale, which PayloadFor stamps on the step's pieces).
+// Collective reads never re-run fetchStep — a completed collective
 // round cannot be re-entered by one rank (mpiio.ReadAllInto) — so a surfaced
 // collective failure degrades directly; transients there are healed below
 // MPI-IO by pfs.RetryStore.
@@ -79,7 +74,7 @@ func (w *RealWorkload) FrameDegraded(t int) bool {
 // gives.
 func (w *RealWorkload) Fetch(c *mpi.Comm, t, part, m int) (any, error) {
 	scr := w.ipScr[c.Rank()]
-	scr.part = part
+	scr.part, scr.stale = part, false
 	var h handoff
 	err := w.fetchStep(c, t, part, scr, &h)
 	if err != nil && w.opts.Faults.Tolerate {
@@ -91,7 +86,7 @@ func (w *RealWorkload) Fetch(c *mpi.Comm, t, part, m int) (any, error) {
 			return w.fetchStep(c, t, part, scr, &h)
 		})
 		if err != nil {
-			w.markDegraded(t)
+			scr.stale = true
 			err = nil
 		}
 	}
@@ -133,7 +128,7 @@ func (w *RealWorkload) retryReopen(f *mpiio.File, c *mpi.Comm, t int, err error)
 
 // LICPayload implements Workload: licStep under the fault policy. A failed
 // LIC build retries within the step budget, then degrades by shipping a nil
-// underlay (Assemble renders the frame without it) and marking the frame.
+// underlay, which Assemble renders the frame without and flags it for.
 func (w *RealWorkload) LICPayload(c *mpi.Comm, t int, prep any) (int64, any, error) {
 	bytes, data, err := w.licStep(c, t)
 	if err == nil || !w.opts.Faults.Tolerate {
@@ -146,6 +141,5 @@ func (w *RealWorkload) LICPayload(c *mpi.Comm, t int, prep any) (int64, any, err
 	if err == nil {
 		return bytes, data, nil
 	}
-	w.markDegraded(t)
 	return 1, nil, nil
 }

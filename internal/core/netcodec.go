@@ -51,12 +51,20 @@ func init() {
 	mpi.RegisterCodec(codecMagPayload, (*magPayload)(nil), mpi.Codec{Encode: encodeMagPayload, Decode: decodeMagPayload})
 }
 
-// encodeDataPayload ships the run headers (block, offset, length) and then
-// the single backing value buffer the runs alias, in order — the aliasing is
-// rebuilt on decode, so the wire form carries each run's length, not its
-// bytes.
+// Data-piece flag bits on the wire.
+const dataFlagStale = 1
+
+// encodeDataPayload ships a flags byte, the run headers (block, offset,
+// length) and then the single backing value buffer the runs alias, in
+// order — the aliasing is rebuilt on decode, so the wire form carries each
+// run's length, not its bytes.
 func encodeDataPayload(buf []byte, v any) ([]byte, error) {
 	p := v.(*dataPayload)
+	var flags byte
+	if p.stale {
+		flags |= dataFlagStale
+	}
+	buf = append(buf, flags)
 	buf = mpi.AppendU32(buf, uint32(len(p.runs)))
 	for i := range p.runs {
 		buf = mpi.AppendU32(buf, uint32(p.runs[i].Block))
@@ -70,17 +78,22 @@ func encodeDataPayload(buf []byte, v any) ([]byte, error) {
 }
 
 // decodeDataPayload rebuilds the payload in one from netData and checks what
-// this side of the wire can: the runs tile the backing bytes exactly. Which
-// blocks and offsets the piece may name is the consuming renderer's to
-// decide, against the plan (RealWorkload.checkPiece).
+// this side of the wire can: the flags are known and the runs tile the
+// backing bytes exactly. Which blocks and offsets the piece may name is the
+// consuming renderer's to decide, against the plan (RealWorkload.checkPiece).
 func decodeDataPayload(wire []byte) (any, error) {
 	r := mpi.NewWireReader(wire)
+	flags := r.U8()
 	hdr := mpi.NewWireReader(r.Bytes(12 * r.Len(12)))
 	vals := r.Bytes(r.Len(1))
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
+	if flags&^dataFlagStale != 0 {
+		return nil, fmt.Errorf("core: data payload has unknown flags %#x", flags)
+	}
 	p := getData(&netData)
+	p.stale = flags&dataFlagStale != 0
 	p.vals = append(p.vals, vals...)
 	rest := p.vals
 	for hdr.Remaining() > 0 {

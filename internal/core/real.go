@@ -70,16 +70,18 @@ type RealWorkload struct {
 	ring *FrameRing
 
 	framesMu sync.Mutex
-	frames   map[int]*img.Image
+	frames   map[int]assembled
 
-	// Degraded-mode state (PR 6, docs/faults.md): res is the run's fault
-	// accounting sink (attached by NewPipeline), degraded the set of
-	// timesteps some input rank served stale or dropped data for — written
-	// by input ranks during Fetch/LICPayload, read by Assemble (strictly
-	// after every input of the step) to flag the frame.
-	res        *Result
-	degradedMu sync.Mutex
-	degraded   map[int]bool
+	// res is the run's fault accounting sink (docs/faults.md),
+	// attached by NewPipeline.
+	res *Result
+}
+
+// assembled is one frame an output rank of this workload assembled, with
+// whether it was built from degraded input (FrameDegraded).
+type assembled struct {
+	img      *img.Image
+	degraded bool
 }
 
 // blockRun is the per-block piece of a data payload, the one format every
@@ -118,7 +120,7 @@ func (d *Dataset) NewWorkload(width, height int, view render.View, tfName string
 	l := d.layout
 	w := &RealWorkload{
 		ds: d, opts: opts, store: d.store, steps: d.steps,
-		frames: make(map[int]*img.Image),
+		frames: make(map[int]assembled),
 	}
 	// The frame ring is sized to the pipeline's prefetch window (the
 	// default depth of 1 keeps one step streaming while one renders, so at
@@ -241,9 +243,9 @@ func (w *RealWorkload) stepName(t int) string {
 // serving layer's cache-fill hook (internal/serve renders one miss-run per
 // request); batch runs never call it and keep the whole-dataset window.
 //
-// The call must happen between pipeline runs, never during one: it resets
-// the degraded-step accounting and releases any frames still held from the
-// previous window back to the ring (the copy-out-or-release contract for a
+// The call must happen between pipeline runs, never during one: it releases
+// any frames still held from the previous window, and their degraded flags,
+// back to the ring (the copy-out-or-release contract for a
 // consumer that re-aims instead of consuming). Scratches, pools and the
 // quantization range are untouched — they are window-independent, which is
 // what keeps a session's warm buffers warm across windows.
@@ -259,8 +261,8 @@ func (w *RealWorkload) SetStepWindow(lo, hi int) error {
 
 // SetView re-aims the workload at another camera, image size or transfer
 // function — the sibling of SetStepWindow, under the same contract: call
-// it between pipeline runs; leftover frames go back to the ring and the
-// degraded-step accounting is cleared. Only the view-dependent tables are
+// it between pipeline runs; leftover frames and their degraded flags go
+// back to the ring. Only the view-dependent tables are
 // recomputed (block visibility order, SLIC schedule, and the transfer-
 // function table when tfName changed); the dataset, scratches, pools and
 // frame ring stay warm, so a camera move costs one frame render. The next
@@ -276,17 +278,14 @@ func (w *RealWorkload) SetView(width, height int, view render.View, tfName strin
 }
 
 // resetRun drops what the previous run left behind: unconsumed frames
-// return to the ring and the degraded-step set is cleared.
+// return to the ring.
 func (w *RealWorkload) resetRun() {
 	w.framesMu.Lock()
-	for t, frame := range w.frames {
+	for t, f := range w.frames {
 		delete(w.frames, t)
-		w.ring.Release(frame)
+		w.ring.Release(f.img)
 	}
 	w.framesMu.Unlock()
-	w.degradedMu.Lock()
-	clear(w.degraded)
-	w.degradedMu.Unlock()
 }
 
 // Steps implements Workload.
@@ -303,7 +302,7 @@ func (w *RealWorkload) WantLIC() bool { return w.opts.LIC }
 func (w *RealWorkload) Frame(t int) *img.Image {
 	w.framesMu.Lock()
 	defer w.framesMu.Unlock()
-	return w.frames[t]
+	return w.frames[t].img
 }
 
 // ReleaseFrame returns timestep t's assembled frame to the frame ring and
@@ -313,10 +312,10 @@ func (w *RealWorkload) Frame(t int) *img.Image {
 // ring at the prefetch depth and the steady-state assemble allocation-free.
 func (w *RealWorkload) ReleaseFrame(t int) {
 	w.framesMu.Lock()
-	frame := w.frames[t]
+	f := w.frames[t]
 	delete(w.frames, t)
 	w.framesMu.Unlock()
-	w.ring.Release(frame)
+	w.ring.Release(f.img)
 }
 
 // Mesh exposes the loaded mesh (for examples).
@@ -565,7 +564,7 @@ func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part int, scr *ipScratch, h *ha
 			// retryReopen accounted the faults; this only marks staleness.
 			// The round reads an older object, whose magnitudes are not
 			// step t's: the next step reads step t itself.
-			w.markDegraded(t)
+			scr.stale = true
 			w.account(0, 0, true)
 			w.handOff(c, t, scr, h, nil)
 		}
@@ -597,7 +596,7 @@ func (w *RealWorkload) Preprocess(c *mpi.Comm, t, part, m int, fetched any) (any
 
 // PayloadFor implements Workload: renderer's piece is the committed gather
 // plan applied to the values Fetch left in the rank's scratch (prep) — no
-// node id is looked at. Payloads are pooled on this rank and released by the
+// node id is looked at — flagged stale when the step was. Payloads are pooled on this rank and released by the
 // consuming renderer once merged, so the per-block value slices (all
 // aliasing one backing buffer per payload) are reused across timesteps with
 // the prefetch window's lifetime respected.
@@ -605,6 +604,7 @@ func (w *RealWorkload) PayloadFor(c *mpi.Comm, t int, prep any, renderer int) (i
 	scr := prep.(*ipScratch)
 	g := &w.ds.gather[scr.part][renderer]
 	p := getData(&scr.pool)
+	p.stale = scr.stale
 	p.vals = pool.Grow(p.vals, len(g.src))
 	for i, at := range g.src {
 		p.vals[i] = scr.q[at]
@@ -701,8 +701,9 @@ func (w *RealWorkload) checkPiece(part, r int, dp *dataPayload) error {
 // the signal those pools need to reuse the buffers for a later in-flight
 // step. A piece that is not what its part owes (checkPiece) fails the step;
 // under Faults.Tolerate it is dropped like the piece of a lost input rank,
-// whose nodes stay zero, and the frame is flagged. A block no accepted piece
-// touched flags the frame too, or fails the step without the fault policy.
+// whose nodes stay zero, and the step is flagged (rs.degraded, which
+// Composite ships on the strip). A block no accepted piece touched flags the
+// step too, or fails it without the fault policy, and so does a stale piece.
 //
 // A silent block — every staged node byte 0, as a block no piece touched
 // always is, since the staging is cleared first — skips the corner gather:
@@ -715,17 +716,18 @@ func (w *RealWorkload) mergePieces(t, r int, pieces []mpi.Message) error {
 	for i := range rs.nodeVals {
 		clear(rs.nodeVals[i])
 	}
-	degraded := false
+	rs.degraded = false
 	for part, p := range pieces {
 		dp, ok := p.Data.(*dataPayload)
 		if !ok || dp == nil {
 			continue
 		}
+		rs.degraded = rs.degraded || dp.stale
 		if err := w.checkPiece(part, r, dp); err != nil {
 			if !w.opts.Faults.Tolerate {
 				return fmt.Errorf("core: renderer %d step %d: piece from rank %d: %w", r, t, p.Src, err)
 			}
-			degraded = true
+			rs.degraded = true
 		} else {
 			for _, run := range dp.runs {
 				pos := w.ds.rblockPos[run.Block]
@@ -741,7 +743,7 @@ func (w *RealWorkload) mergePieces(t, r int, pieces []mpi.Message) error {
 			if !w.opts.Faults.Tolerate {
 				return fmt.Errorf("core: renderer %d missing block %d at step %d", r, bi, t)
 			}
-			degraded = true
+			rs.degraded = true
 		}
 		nv := rs.nodeVals[i]
 		if allZero(nv) {
@@ -762,9 +764,6 @@ func (w *RealWorkload) mergePieces(t, r int, pieces []mpi.Message) error {
 			v[4], v[5] = render.Dequantize(nv[local[4]]), render.Dequantize(nv[local[5]])
 			v[6], v[7] = render.Dequantize(nv[local[6]]), render.Dequantize(nv[local[7]])
 		}
-	}
-	if degraded {
-		w.markDegraded(t)
 	}
 	return nil
 }
@@ -821,7 +820,8 @@ func (w *RealWorkload) Render(c *mpi.Comm, t, r int, pieces []mpi.Message) (any,
 // fragments' pixel buffers go back to the frame pool — everything they
 // held has been copied or encoded onto the wire. The finished strip leaves
 // as a stripPayload: the canvas itself, or under Options.Compress its
-// run-length stream, whose length is then the declared message size.
+// run-length stream, whose length is then the declared message size. The
+// strip carries the renderer's step flag (rs.degraded) to the output rank.
 func (w *RealWorkload) Composite(c *mpi.Comm, t, r int, group []int, rnd any) (int64, any, error) {
 	frags := rnd.(*rendered).frags
 	rs := w.rendScr[r]
@@ -841,16 +841,13 @@ func (w *RealWorkload) Composite(c *mpi.Comm, t, r int, group []int, rnd any) (i
 		if !w.opts.Faults.Tolerate || !errors.Is(err, mpi.ErrPeerLost) {
 			return 0, nil, err
 		}
-		w.markDegraded(t)
+		rs.degraded = true
 	}
 	render.ReleaseFragments(frags)
 	sp := rs.strips.Get()
 	sp.owner = &rs.strips
 	sp.Strip = st
-	// The strip carries the renderer-side degraded flag to the output rank
-	// (netcodec ships it), so cross-process runs fold renderer-local
-	// incidents into the output's Result too.
-	sp.degraded = w.FrameDegraded(t)
+	sp.degraded = rs.degraded
 	if w.opts.Compress {
 		// The stream is the payload on every transport, so the canvas is
 		// free for the next step now, not when the output rank is done.
@@ -869,48 +866,48 @@ func (w *RealWorkload) Composite(c *mpi.Comm, t, r int, group []int, rnd any) (i
 // assembled frame comes from the frame ring, so a consumer that copies out
 // or releases frames as it goes makes the whole per-frame assemble
 // allocation-free. A step that fails hands its canvas back to the ring.
+// The frame is stored with its degraded flag, which the step's strips and
+// underlay alone decide: every input of step t reached this rank on them.
 func (w *RealWorkload) Assemble(c *mpi.Comm, t int, strips []mpi.Message, licMsg *mpi.Message) error {
 	frame := w.ring.Acquire(w.opts.Width, w.opts.Height)
-	if err := w.assembleInto(frame, t, strips, licMsg); err != nil {
+	degraded, err := w.assembleInto(frame, t, strips, licMsg)
+	if err != nil {
 		w.ring.Release(frame)
 		return err
 	}
 	w.framesMu.Lock()
-	if old := w.frames[t]; old != nil && old != frame {
+	if old := w.frames[t].img; old != nil && old != frame {
 		w.ring.Release(old) // re-assembled step: recycle the stale frame
 	}
-	w.frames[t] = frame
+	w.frames[t] = assembled{img: frame, degraded: degraded}
 	w.framesMu.Unlock()
-	// Every input of step t ran strictly before its strips/LIC arrived
-	// here, so the degraded set is final for t: flag the frame now.
-	if w.res != nil && w.FrameDegraded(t) {
+	if w.res != nil && degraded {
 		w.res.addDegradedFrame()
 	}
 	return nil
 }
 
-// assembleInto is Assemble's body on the acquired canvas frame.
-func (w *RealWorkload) assembleInto(frame *img.Image, t int, strips []mpi.Message, licMsg *mpi.Message) error {
+// assembleInto is Assemble's body on the acquired canvas frame; it reports
+// whether the frame is degraded.
+func (w *RealWorkload) assembleInto(frame *img.Image, t int, strips []mpi.Message, licMsg *mpi.Message) (degraded bool, err error) {
 	for _, s := range strips {
 		if s.Data == nil {
 			// A lost renderer's strip never arrived (Pipeline substituted an
 			// empty message): the ring frame's pixels are already zeroed, so
 			// the gap stays transparent and the frame is flagged.
 			if !w.opts.Faults.Tolerate {
-				return fmt.Errorf("core: output missing strip from rank %d at step %d", s.Src, t)
+				return false, fmt.Errorf("core: output missing strip from rank %d at step %d", s.Src, t)
 			}
-			w.markDegraded(t)
+			degraded = true
 			continue
 		}
 		sp, ok := s.Data.(*stripPayload)
 		if !ok {
-			return fmt.Errorf("core: output got unexpected strip payload %T", s.Data)
+			return false, fmt.Errorf("core: output got unexpected strip payload %T", s.Data)
 		}
-		if sp.degraded {
-			// The renderer flagged its own incident (partial composite or
-			// missing input pieces); fold it into this output's Result.
-			w.markDegraded(t)
-		}
+		// The renderer flagged its step (stale, refused or missing input,
+		// or a partial composite).
+		degraded = degraded || sp.degraded
 		err := pasteStrip(frame, sp)
 		sp.release()
 		if err != nil {
@@ -918,25 +915,22 @@ func (w *RealWorkload) assembleInto(frame *img.Image, t int, strips []mpi.Messag
 			// fit the strip, pasted nothing: under the fault policy its rows
 			// stay transparent like a lost renderer's.
 			if !w.opts.Faults.Tolerate {
-				return fmt.Errorf("core: output strip from rank %d at step %d: %w", s.Src, t, err)
+				return false, fmt.Errorf("core: output strip from rank %d at step %d: %w", s.Src, t, err)
 			}
-			w.markDegraded(t)
+			degraded = true
 		}
 	}
 	if licMsg == nil {
-		return nil
+		return degraded, nil
 	}
 	if licMsg.Data == nil {
 		// LIC underlay dropped (degraded LIC step or lost LIC rank): render
 		// the frame without it and flag it.
-		if w.opts.Faults.Tolerate {
-			w.markDegraded(t)
-		}
-		return nil
+		return degraded || w.opts.Faults.Tolerate, nil
 	}
 	lp, ok := licMsg.Data.(*licPayload)
 	if !ok {
-		return fmt.Errorf("core: output got unexpected LIC payload %T", licMsg.Data)
+		return false, fmt.Errorf("core: output got unexpected LIC payload %T", licMsg.Data)
 	}
 	// An underlay of another size (its size comes off the wire over RunNet)
 	// is one that did not arrive: under the fault policy the frame goes
@@ -949,11 +943,11 @@ func (w *RealWorkload) assembleInto(frame *img.Image, t int, strips []mpi.Messag
 	lp.release()
 	if !fits {
 		if !w.opts.Faults.Tolerate {
-			return fmt.Errorf("core: output got a %dx%d LIC underlay, want %dx%d", uw, uh, size, size)
+			return false, fmt.Errorf("core: output got a %dx%d LIC underlay, want %dx%d", uw, uh, size, size)
 		}
-		w.markDegraded(t)
+		degraded = true
 	}
-	return nil
+	return degraded, nil
 }
 
 // pasteStrip writes one strip into the frame rows it covers, which the

@@ -33,6 +33,10 @@ type dataPayload struct {
 	runs  []blockRun
 	vals  []uint8 // backing store aliased by the runs' value slices
 	owner *pool.Pool[dataPayload]
+	// stale flags a piece built from the previous step's values (the
+	// sender's step degraded); it travels on the wire, so the renderer
+	// flags its strip and the output rank its frame.
+	stale bool
 }
 
 func (p *dataPayload) release() {
@@ -47,6 +51,7 @@ func getData(pl *pool.Pool[dataPayload]) *dataPayload {
 	p.owner = pl
 	p.runs = p.runs[:0]
 	p.vals = p.vals[:0]
+	p.stale = false
 	return p
 }
 
@@ -87,9 +92,10 @@ type stripPayload struct {
 	// across release, so a steady-state encode or decode allocates nothing.
 	rle        []byte
 	compressed bool
-	// degraded flags a strip built without some peer's contribution
-	// (renderer-local incident); it travels on the wire so the output rank
-	// can fold cross-process incidents into its Result.
+	// degraded flags a strip built from degraded input: a stale or refused
+	// piece, a block no piece reached, or a partial composite. It travels
+	// on the wire, so the output rank flags the frame in whichever process
+	// it runs.
 	degraded bool
 }
 
@@ -140,7 +146,8 @@ type licState struct {
 // changes it: the decode kernel quantizes into qspare, and the two swap
 // when the step succeeded. That is safe because q is only read while its
 // step's payloads are built, strictly before the same rank's next Fetch,
-// and it is what makes the stale fallback free (faults.go). The read
+// and it is what makes the stale fallback free (faults.go); stale marks a
+// step served that way, which PayloadFor stamps on its pieces. The read
 // buffers, file handles and decode staging (PR 4) make a steady-state
 // fetch step allocation-free, and the payload pool cycles the wire
 // messages released by the renderers. No view or gather plan is built
@@ -150,6 +157,7 @@ type licState struct {
 type ipScratch struct {
 	part      int
 	q, qspare []uint8
+	stale     bool   // this step's q holds an earlier step's values
 	raw       []byte // read staging, in view order
 	pool      pool.Pool[dataPayload]
 	lic       licState
@@ -182,6 +190,7 @@ type ipScratch struct {
 type rendererScratch struct {
 	nodeVals [][]uint8 // per local block: node values staged from the step's pieces
 	got      []bool    // per local block: appeared in some accepted piece this step
+	degraded bool      // this step's input was stale, refused or missing, or its composite partial
 	zero     []bool    // per local block: Vals are all +0, as built and after each step it was silent in
 	bds      []*render.BlockData
 	live     []*render.BlockData // the step's RenderBlocksWith list: bds, nil for each block Render skips as silent

@@ -239,7 +239,7 @@ func renderStep(c *mpi.Comm, w *RealWorkload, s int, pieces []mpi.Message) (*ren
 
 // TestLostBlockIsSilent: a block no piece reached is merged as a silent
 // one. Under Faults.Tolerate its Vals are +0, it is left out of the render
-// and the frame is flagged; without the fault policy the step fails.
+// and the renderer flags the step (its strip carries the flag); without the fault policy the step fails.
 func TestLostBlockIsSilent(t *testing.T) {
 	store, opts := silentStore(t)
 	l := Layout{Groups: 1, IPsPerGroup: 1, Renderers: 1, Outputs: 1}
@@ -273,8 +273,8 @@ func TestLostBlockIsSilent(t *testing.T) {
 				return
 			}
 			render.ReleaseFragments(rnd.(*rendered).frags)
-			if !w.FrameDegraded(3) {
-				t.Error("a lost block's frame is not flagged degraded")
+			if !w.rendScr[0].degraded {
+				t.Error("a lost block's step is not flagged degraded")
 			}
 			if n := checkMerged(t, w, make([]uint8, w.ds.meta.NumNodes)); n != len(w.ds.roots) {
 				t.Errorf("%d of %d blocks silent after every piece was lost", n, len(w.ds.roots))

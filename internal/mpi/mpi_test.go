@@ -279,45 +279,3 @@ func TestSubRequiresMembership(t *testing.T) {
 		c.Sub([]int{1}, 0)
 	})
 }
-
-// TestSimMsgDelayInjection pins the simulated transport's fault-injection
-// hook: MsgDelay charges extra virtual latency per send, deterministically.
-func TestSimMsgDelayInjection(t *testing.T) {
-	cfg := testCfg()
-	var calls atomic.Int64
-	cfg.MsgDelay = func(src, dst, tag int, bytes int64) float64 {
-		calls.Add(1)
-		if src == 0 && dst == 1 {
-			return 0.25 // slow link 0->1
-		}
-		return 0
-	}
-	run := func() float64 {
-		calls.Store(0)
-		return RunSim(2, cfg, func(c *Comm) {
-			switch c.Rank() {
-			case 0:
-				// 100 MB over a 100 MB/s NIC pair = 1 s of transfer.
-				c.Send(1, 0, 100e6, nil)
-			case 1:
-				c.Recv(0, 0)
-			}
-		})
-	}
-	end := run()
-	if math.Abs(end-1.25) > 1e-6 {
-		t.Errorf("finished at %v, want 1.25 (1s transfer + 0.25s injected)", end)
-	}
-	if calls.Load() != 1 {
-		t.Errorf("MsgDelay called %d times, want 1", calls.Load())
-	}
-	// Determinism: two identically-configured runs end at the same time.
-	if a, b := run(), run(); a != b {
-		t.Errorf("injected-delay runs diverged: %v vs %v", a, b)
-	}
-	// A negative return adds nothing.
-	cfg.MsgDelay = func(src, dst, tag int, bytes int64) float64 { return -5 }
-	if end := run(); math.Abs(end-1.0) > 1e-6 {
-		t.Errorf("negative delay changed the run: %v, want 1.0", end)
-	}
-}

@@ -17,14 +17,6 @@ type SimConfig struct {
 	DiskClientBW float64 // per-rank parallel-FS client bandwidth
 	DiskAggBW    float64 // aggregate parallel-FS bandwidth across all ranks
 	SeekTime     float64 // per noncontiguous segment (request overhead)
-
-	// MsgDelay, when non-nil, returns extra virtual seconds to charge the
-	// sender before a message departs — the simulated transport's
-	// fault-injection hook (slow links, congested routes, chaos schedules).
-	// It is called once per point-to-point send (including self-sends) and
-	// must be deterministic in its arguments to keep simulated runs
-	// reproducible. A negative or zero return adds nothing.
-	MsgDelay func(src, dst, tag int, bytes int64) float64
 }
 
 // Validate fills harmless defaults and rejects nonsensical values.
@@ -63,21 +55,10 @@ func (w *simWorld) deliver(dst int, m Message) {
 	w.k.Unpark(r.proc) // no-op unless parked; recv and Transfer both re-check
 }
 
-// injectDelay returns the MsgDelay hook's extra latency for one send, or 0.
-func (w *simWorld) injectDelay(src, dst, tag int, bytes int64) float64 {
-	if w.cfg.MsgDelay == nil {
-		return 0
-	}
-	if d := w.cfg.MsgDelay(src, dst, tag, bytes); d > 0 {
-		return d
-	}
-	return 0
-}
-
 func (w *simWorld) send(c *Comm, dst, tag int, bytes int64, data any) {
 	r := w.ranks[c.rank]
-	if d := w.cfg.Latency + w.injectDelay(c.rank, dst, tag, bytes); d > 0 {
-		r.proc.Sleep(d)
+	if w.cfg.Latency > 0 {
+		r.proc.Sleep(w.cfg.Latency)
 	}
 	if dst == c.rank {
 		w.deliver(dst, Message{Src: c.rank, Tag: tag, Bytes: bytes, Data: data})

@@ -63,18 +63,11 @@ type Engine struct {
 	wire  pool.Pool[[]byte] // encodings of rendered frames the cache does not hold
 
 	mu     sync.Mutex
-	idle   []*session // oldest first; evicted from the front
+	idle   []*core.RealWorkload // idle sessions, oldest first; evicted from the front
 	closed bool
 
 	rendered atomic.Uint64 // frames produced by pipeline runs
 	sessions atomic.Uint64 // sessions ever built (cold starts)
-}
-
-// session is one exclusively-owned rendering instance: a workload whose
-// view tables, scratches, pools and frame ring belong to whichever
-// request holds it.
-type session struct {
-	w *core.RealWorkload
 }
 
 // NewEngine builds the shared dataset half — mesh, block tables, and the
@@ -127,54 +120,56 @@ func view(cfg RenderConfig) render.View {
 	return render.DefaultView(cfg.Width, cfg.Height)
 }
 
-// acquire hands the caller an exclusively-owned session aimed at cfg: the
-// most recently parked idle session, re-aimed (any session serves any
-// view — only its view tables are recomputed, its buffers stay warm), or,
-// when none is idle, a new one built on the shared dataset.
-func (e *Engine) acquire(cfg RenderConfig) (*session, error) {
+// acquire hands the caller an exclusively-owned session — a workload whose
+// view tables, scratches, pools and frame ring belong to whichever request
+// holds it — aimed at cfg: the most recently parked idle session, re-aimed
+// (any session serves any view — only its view tables are recomputed, its
+// buffers stay warm), or, when none is idle, a new one built on the shared
+// dataset.
+func (e *Engine) acquire(cfg RenderConfig) (*core.RealWorkload, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("serve: engine closed")
 	}
-	var s *session
+	var w *core.RealWorkload
 	if n := len(e.idle); n > 0 {
-		s, e.idle = e.idle[n-1], e.idle[:n-1]
+		w, e.idle = e.idle[n-1], e.idle[:n-1]
 	}
 	e.mu.Unlock()
-	if s != nil {
-		s.w.SetView(cfg.Width, cfg.Height, view(cfg), cfg.TF)
-		return s, nil
+	if w != nil {
+		w.SetView(cfg.Width, cfg.Height, view(cfg), cfg.TF)
+		return w, nil
 	}
 	e.sessions.Add(1)
-	return &session{w: e.ds.NewWorkload(cfg.Width, cfg.Height, view(cfg), cfg.TF)}, nil
+	return e.ds.NewWorkload(cfg.Width, cfg.Height, view(cfg), cfg.TF), nil
 }
 
 // release parks a session for reuse, evicting the least recently used
 // idle session past the pool bound (its worker pools are shut down).
 // Sessions whose render failed are discarded instead (see discard).
-func (e *Engine) release(s *session) {
+func (e *Engine) release(w *core.RealWorkload) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		s.w.Close()
+		w.Close()
 		return
 	}
-	e.idle = append(e.idle, s)
-	var victim *session
+	e.idle = append(e.idle, w)
+	var victim *core.RealWorkload
 	if len(e.idle) > e.cfg.MaxSessions {
 		victim = e.idle[0]
 		e.idle = e.idle[1:]
 	}
 	e.mu.Unlock()
 	if victim != nil {
-		victim.w.Close()
+		victim.Close()
 	}
 }
 
 // discard closes a session whose pipeline run failed: a mid-run abort
 // leaves workload state undefined, so it never returns to the pool.
-func (e *Engine) discard(s *session) { s.w.Close() }
+func (e *Engine) discard(w *core.RealWorkload) { w.Close() }
 
 // IdleSessions returns the pooled-session count (for stats).
 func (e *Engine) IdleSessions() int {
@@ -201,8 +196,8 @@ func (e *Engine) Close() {
 	e.idle = nil
 	e.closed = true
 	e.mu.Unlock()
-	for _, s := range idle {
-		s.w.Close()
+	for _, w := range idle {
+		w.Close()
 	}
 }
 
@@ -276,28 +271,28 @@ func (e *Engine) render(cfg RenderConfig, lo, hi int, counted bool, visit func(i
 // session, so the last frame is visited with the session already parked:
 // a client that reads the response and asks again finds it idle.
 func (e *Engine) renderSegment(cfg RenderConfig, lo, hi int, visit func(int, []byte, bool) error) error {
-	s, err := e.acquire(cfg)
+	w, err := e.acquire(cfg)
 	if err != nil {
 		return err
 	}
-	if err := s.run(e.cfg.Layout, lo, hi); err != nil {
-		e.discard(s)
+	if err := run(w, e.cfg.Layout, lo, hi); err != nil {
+		e.discard(w)
 		return err
 	}
 	for step := lo; step < hi; step++ {
 		i := step - lo
-		frame := s.w.Frame(i)
+		frame := w.Frame(i)
 		if frame == nil {
-			e.discard(s)
+			e.discard(w)
 			return fmt.Errorf("serve: step %d produced no frame", step)
 		}
 		e.rendered.Add(1)
-		degraded := s.w.FrameDegraded(i)
+		degraded := w.FrameDegraded(i)
 		f, buf := e.encode(FrameKey{Cfg: cfg, Step: step}, frame, degraded)
-		s.w.ReleaseFrame(i)
+		w.ReleaseFrame(i)
 		last := step == hi-1
 		if last {
-			e.release(s)
+			e.release(w)
 		}
 		if f != nil {
 			err = visit(step, f.body, false)
@@ -310,7 +305,7 @@ func (e *Engine) renderSegment(cfg RenderConfig, lo, hi int, visit func(int, []b
 			if !last {
 				// Remaining frames stay on the workload; the next
 				// SetStepWindow (or Close) recycles them.
-				e.release(s)
+				e.release(w)
 			}
 			return err
 		}
@@ -332,13 +327,13 @@ func (e *Engine) encode(k FrameKey, frame *img.Image, degraded bool) (*CachedFra
 	return nil, buf
 }
 
-// run aims the session's workload at dataset steps [lo, hi) and executes
-// one pipeline run over its layout.
-func (s *session) run(l core.Layout, lo, hi int) error {
-	if err := s.w.SetStepWindow(lo, hi); err != nil {
+// run aims a session's workload at dataset steps [lo, hi) and executes
+// one pipeline run over layout l.
+func run(w *core.RealWorkload, l core.Layout, lo, hi int) error {
+	if err := w.SetStepWindow(lo, hi); err != nil {
 		return err
 	}
-	p, err := core.NewPipeline(l, s.w)
+	p, err := core.NewPipeline(l, w)
 	if err != nil {
 		return err
 	}
