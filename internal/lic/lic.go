@@ -2,6 +2,15 @@
 // the ground-surface vector-field visualization of the paper's Section 4.3:
 // a white-noise texture is convolved along streamlines of the 2D velocity
 // field, yielding the flow-structure images of Figures 13 and 14.
+//
+// The convolution traces the streamlines of a group of adjacent pixels of
+// a row together (convolveLanes), each stage of an integration step run
+// over the group before the next, so the divide-and-square-root chains of
+// neighbouring pixels overlap; the field is interpolated through
+// quadtree's Grid.AtBatch. ComputeWith refuses images and fields narrower
+// or shorter than two pixels with an error, and its finite-field
+// precondition holds per row band: a non-finite vector panics the band
+// whose streamline meets it.
 package lic
 
 import (
@@ -77,19 +86,26 @@ func (s *Scratch) noiseFor(w, h int, seed int64) *Image {
 // one band runs inline. The returned image points into scr and is valid
 // until the next call; a nil scr is a private scratch, dropped on return,
 // so the image is the caller's. Output is bit-identical for any scr, pool
-// and width.
+// and width. It returns an error, before any band starts, for w or h
+// below 2, for a field whose W or H is below 2, and for one whose VX or VY
+// does not hold W·H values.
 //
 // Precondition: every vector of field is finite. It is not checked: a NaN
 // or Inf component makes a streamline position NaN, which passes every
-// bounds comparison and panics the next Grid.At on an int(NaN) index. The
+// bounds comparison and panics the next field lookup on an int(NaN)
+// index. The panic is its row band's: it takes down the goroutine running
+// the band, which without a pool is a spawned one, so the process. The
 // pipeline meets it by decoding surface records through
 // quake.DecodeStepInto, which rejects non-finite words as pfs.ErrCorrupt
 // (docs/faults.md); a caller with its own field must check it itself.
 //
 //repro:allocfree
 func ComputeWith(field *quadtree.Grid, w, h int, cfg Config, scr *Scratch) (*Image, error) {
-	if w <= 0 || h <= 0 {
+	if w < 2 || h < 2 {
 		return nil, fmt.Errorf("lic: invalid size %dx%d", w, h)
+	}
+	if field.W < 2 || field.H < 2 || len(field.VX) != field.W*field.H || len(field.VY) != field.W*field.H {
+		return nil, fmt.Errorf("lic: invalid %dx%d field of %d,%d vectors", field.W, field.H, len(field.VX), len(field.VY))
 	}
 	if scr == nil {
 		scr = &Scratch{} //repro:allow allocfree: a nil scratch is a private scratch
@@ -126,8 +142,9 @@ func ComputeWith(field *quadtree.Grid, w, h int, cfg Config, scr *Scratch) (*Ima
 // convolveRows fills rows [yLo, yHi) of out; field and noise are only read.
 func convolveRows(field *quadtree.Grid, noise *Image, out *Image, yLo, yHi int, cfg Config) {
 	for y := yLo; y < yHi; y++ {
-		for x := 0; x < out.W; x++ {
-			out.Pix[y*out.W+x] = float32(convolve(field, noise, x, y, cfg))
+		row := out.Pix[y*out.W : (y+1)*out.W]
+		for x := 0; x < out.W; x += lanes {
+			convolveLanes(field, noise, row, x, y, cfg)
 		}
 	}
 }
@@ -166,16 +183,11 @@ func WhiteNoiseInto(m *Image, w, h int, seed int64) {
 	}
 }
 
-// vecAt samples the field at pixel coordinates.
-func vecAt(field *quadtree.Grid, w, h int, x, y float64) (float64, float64) {
-	return field.At(x/float64(w-1), y/float64(h-1))
-}
-
 // kernelWeight evaluates the periodic filter at normalized kernel position
 // t in [-1, 1]: a Hanning-windowed ripple whose phase, animated, shifts
 // along the streamline and gives the impression of flow direction. (A
 // negative Config.Phase selects the box kernel, weight 1 everywhere, which
-// convolve adds up without calling this.)
+// convolveLanes uses without calling this.)
 func kernelWeight(t, phase float64) float64 {
 	return (1 + math.Cos(math.Pi*t)) * (1 + math.Cos(2*math.Pi*(t-phase)))
 }
@@ -183,59 +195,128 @@ func kernelWeight(t, phase float64) float64 {
 // stepSize is the streamline integration step in pixels.
 const stepSize = 0.5
 
-// convolve traces the streamline through pixel (x,y) forward and backward
-// and convolves the noise texture along it. Both directions leave from the
-// pixel centre, so the field is evaluated there once.
-func convolve(field *quadtree.Grid, noise *Image, x, y int, cfg Config) float64 {
+// lanes is the number of adjacent pixels whose streamlines convolveLanes
+// advances together. Each sample's position depends on the previous one
+// through five divisions and a square root, so a single streamline keeps
+// the processor waiting on that chain; running each stage over a group of
+// independent chains before the next stage fills the wait. Of 4, 8 and 16
+// lanes, 8 measured fastest (amd64, BenchmarkLICStep/scratch128).
+const lanes = 8
+
+// convolveLanes traces the streamlines through pixels x0 … x0+lanes−1 of
+// row y forward and backward, convolves the noise texture along them and
+// writes row[x0:]; lanes past the row's end start dead. Both directions
+// leave from the pixel centre, so the field is evaluated there once. Each
+// pixel's arithmetic is the single-streamline kernel's, operation for
+// operation (frozenConvolve in the tests), so the grouping moves no bit.
+//
+// In each step every stage runs over the live lanes before the next
+// starts: the coordinate divides, the interpolation (Grid.AtBatch), the
+// hypot, then the advance, bounds test and noise fetch, which compacts the
+// live list. A live lane at step s has gone s steps of stepSize, so one
+// kernel weight per step serves all of them.
+func convolveLanes(field *quadtree.Grid, noise *Image, row []float32, x0, y int, cfg Config) {
 	w, h := noise.W, noise.H
-	box := cfg.Phase < 0
-	// Center sample.
+	sx, sy := float64(w-1), float64(h-1)
+	n := min(lanes, w-x0)
+	var (
+		// Indexed by lane.
+		px, py, sum, wsum, cvx, cvy, cl [lanes]float64
+		// Indexed by slot: slot j holds lane live[j].
+		ux, uy, vx, vy, l [lanes]float64
+		live              [lanes]int
+	)
+	for k := range n {
+		ux[k], uy[k] = float64(x0+k)/sx, float64(y)/sy
+	}
+	field.AtBatch(ux[:n], uy[:n], cvx[:n], cvy[:n])
+	hypots(cvx[:n], cvy[:n], cl[:n])
 	w0 := 1.0
-	if !box {
+	if cfg.Phase >= 0 {
 		w0 = kernelWeight(0, cfg.Phase)
 	}
-	sum := w0 * noise.At(x, y)
-	wsum := w0
-	cvx, cvy := vecAt(field, w, h, float64(x), float64(y))
-	cl := math.Hypot(cvx, cvy)
+	for k := range n {
+		sum[k] = w0 * noise.At(x0+k, y)
+		wsum[k] = w0
+	}
 	for dir := -1.0; dir <= 1.0; dir += 2 {
-		px := float64(x)
-		py := float64(y)
+		m := n
+		for k := range n {
+			live[k] = k
+			px[k], py[k] = float64(x0+k), float64(y)
+		}
+		vx, vy, l = cvx, cvy, cl
 		dist := 0.0
-		vx, vy, l := cvx, cvy, cl
-		for step := 1; step <= cfg.L; step++ {
+		for step := 1; step <= cfg.L && m > 0; step++ {
 			if step > 1 {
-				vx, vy = vecAt(field, w, h, px, py)
-				l = math.Hypot(vx, vy)
-			}
-			if l < 1e-12 {
-				break // stagnation point
-			}
-			px += dir * stepSize * vx / l
-			py += dir * stepSize * vy / l
-			if px < 0 || py < 0 || px > float64(w-1) || py > float64(h-1) {
-				break
-			}
-			// At, not a direct index: a NaN vector makes px NaN, which
-			// passes every comparison above, and At clamps whatever int(NaN)
-			// is on this platform.
-			n := noise.At(int(px+0.5), int(py+0.5))
-			if box {
-				sum += n
-				wsum++
-				continue
+				for j, k := range live[:m] {
+					ux[j], uy[j] = px[k]/sx, py[k]/sy
+				}
+				field.AtBatch(ux[:m], uy[:m], vx[:m], vy[:m])
+				hypots(vx[:m], vy[:m], l[:m])
 			}
 			dist += stepSize
-			t := dir * dist / (float64(cfg.L) * stepSize)
-			wt := kernelWeight(t, cfg.Phase)
-			sum += wt * n
-			wsum += wt
+			wt := 1.0
+			if cfg.Phase >= 0 {
+				wt = kernelWeight(dir*dist/(float64(cfg.L)*stepSize), cfg.Phase)
+			}
+			alive := 0
+			for j, k := range live[:m] {
+				if l[j] < 1e-12 {
+					continue // stagnation point
+				}
+				px[k] += dir * stepSize * vx[j] / l[j]
+				py[k] += dir * stepSize * vy[j] / l[j]
+				if px[k] < 0 || py[k] < 0 || px[k] > sx || py[k] > sy {
+					continue
+				}
+				// At, not a direct index: a NaN vector makes px NaN, which
+				// passes every comparison above, and At clamps whatever
+				// int(NaN) is on this platform.
+				sum[k] += wt * noise.At(int(px[k]+0.5), int(py[k]+0.5))
+				wsum[k] += wt
+				live[alive] = k
+				alive++
+			}
+			m = alive
 		}
 	}
-	if wsum == 0 {
-		return noise.At(x, y)
+	for k := range n {
+		if wsum[k] == 0 {
+			row[x0+k] = float32(noise.At(x0+k, y))
+		} else {
+			row[x0+k] = float32(sum[k] / wsum[k])
+		}
 	}
-	return sum / wsum
+}
+
+// hypots sets l[i] to math.Hypot(vx[i], vy[i]), bit for bit, for every
+// i < len(l); vx and vy must be at least as long. On amd64 math.Hypot is
+// an assembly routine, a call per sample the compiler cannot inline. The
+// body is math's portable hypot, so 1+q*q is fused exactly where math's is
+// (arm64, say) and unfused like the amd64 assembly at the default GOAMD64;
+// at GOAMD64=v3 TestHypotsMatchesMathHypot would report the fused form.
+func hypots(vx, vy, l []float64) {
+	vx, vy = vx[:len(l)], vy[:len(l)]
+	for i := range l {
+		p, q := math.Abs(vx[i]), math.Abs(vy[i])
+		switch {
+		case p > math.MaxFloat64 || q > math.MaxFloat64:
+			l[i] = math.Inf(1)
+		case p != p || q != q:
+			l[i] = math.NaN()
+		default:
+			if p < q {
+				p, q = q, p
+			}
+			if p == 0 {
+				l[i] = 0
+				continue
+			}
+			q /= p
+			l[i] = p * math.Sqrt(1+q*q)
+		}
+	}
 }
 
 // ColorizeInto maps the LIC gray texture onto an RGBA image for compositing

@@ -2,6 +2,7 @@ package lic
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -195,9 +196,62 @@ func TestLICParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestLICInvalidSize: an image or a field narrower or shorter than two
+// pixels, and a field whose vectors do not fill it, are refused with an
+// error (not a panic on a spawned band's goroutine), at any width.
 func TestLICInvalidSize(t *testing.T) {
-	if _, err := ComputeWith(uniformField(8, 8, 1, 0), 0, 8, Config{}, nil); err == nil {
-		t.Error("zero size accepted")
+	short := uniformField(8, 8, 1, 0)
+	short.VY = short.VY[:63]
+	for _, tc := range []struct {
+		name  string
+		field *quadtree.Grid
+		w, h  int
+	}{
+		{"0x8 image", uniformField(8, 8, 1, 0), 0, 8},
+		{"1x8 image", uniformField(8, 8, 1, 0), 1, 8},
+		{"8x1 image", uniformField(8, 8, 1, 0), 8, 1},
+		{"1x8 field", uniformField(1, 8, 1, 0), 8, 8},
+		{"8x1 field", uniformField(8, 1, 1, 0), 8, 8},
+		{"short field", short, 8, 8},
+	} {
+		for _, procs := range []int{1, 3} {
+			setGOMAXPROCS(t, procs)
+			if _, err := ComputeWith(tc.field, tc.w, tc.h, Config{}, nil); err == nil {
+				t.Errorf("%s at GOMAXPROCS=%d accepted", tc.name, procs)
+			}
+		}
+	}
+}
+
+// TestHypotsMatchesMathHypot: the kernel's hypot returns math.Hypot's bits
+// for every pairing of signed zeros, subnormals, infinities, NaN, the
+// largest finite value and magnitudes near 1e±300 (ratios that underflow
+// or overflow when squared), and for random pairs. Infinity wins over NaN
+// in either position, as in math.Hypot: under a non-finite vector the
+// streamline position turns NaN either way, so no kernel test sees the
+// order and this pin is the only one.
+func TestHypotsMatchesMathHypot(t *testing.T) {
+	odd := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+		math.Inf(1), math.Inf(-1), math.NaN(), 1, -1, 1e300, -1e300, 1e-300, 3e-300,
+		math.MaxFloat64, -math.MaxFloat64, 1e154, 3e-13, 0.5}
+	var ps, qs []float64
+	for _, p := range odd {
+		for _, q := range odd {
+			ps, qs = append(ps, p), append(qs, q)
+		}
+	}
+	rng := rand.New(rand.NewSource(2004))
+	for i := 0; i < 2000; i++ {
+		ps = append(ps, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(40)-20)))
+		qs = append(qs, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(40)-20)))
+	}
+	got := make([]float64, len(ps))
+	hypots(ps, qs, got)
+	for i := range ps {
+		if want := math.Hypot(ps[i], qs[i]); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Errorf("hypot(%v, %v) = %v [%#x], math.Hypot %v [%#x]",
+				ps[i], qs[i], got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+		}
 	}
 }
 
@@ -392,38 +446,46 @@ func TestLICStepPooledAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkLICStep measures one full surface-LIC timestep (128-node
-// scatter, 64x64 grid): `scratch` is the steady-state PR 3 path (reused
-// tree, grid, noise, output, RGBA), `fresh` rebuilds and reallocates
-// everything as the pre-PR-3 pipeline did, and `resample` is the value
-// update and the gather through the remembered grid-point map alone.
-// The convolutions run inline, at GOMAXPROCS=1.
+// BenchmarkLICStep measures one full surface-LIC timestep (500-node
+// scatter, 64x64 grid): `scratch` is the steady-state path (reused tree,
+// grid, noise, output, RGBA), `scratch128` the same at 128x128, the size
+// the pipeline's underlay runs at, `fresh` rebuilds and reallocates
+// everything per step, and `resample` is the value update and the gather
+// through the remembered grid-point map alone. The steady-state legs
+// convolve inline, on a pool of one (the testing package resets
+// GOMAXPROCS before each sub-benchmark, so setting it here would not
+// hold), with the pipeline's box kernel.
 func BenchmarkLICStep(b *testing.B) {
-	setGOMAXPROCS(b, 1)
 	const size = 64
 	samples, tree := licStepSetup(b, 500, size)
 	cfg := Config{L: size / 12, Seed: 7, Phase: -1}
-	b.Run("scratch", func(b *testing.B) {
-		var grid quadtree.Grid
-		var scr Scratch
-		var rgba img.Image
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			samples[0].VX = float64(i)
-			if err := tree.Rebuild(samples); err != nil {
-				b.Fatal(err)
+	scratch := func(size int) func(*testing.B) {
+		cfg := Config{L: size / 12, Seed: 7, Phase: -1}
+		return func(b *testing.B) {
+			var grid quadtree.Grid
+			scr := Scratch{Pool: workers.New(1)}
+			defer scr.Pool.Close()
+			var rgba img.Image
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				samples[0].VX = float64(i)
+				if err := tree.Rebuild(samples); err != nil {
+					b.Fatal(err)
+				}
+				if err := tree.ResampleInto(&grid, size, size); err != nil {
+					b.Fatal(err)
+				}
+				im, err := ComputeWith(&grid, size, size, cfg, &scr)
+				if err != nil {
+					b.Fatal(err)
+				}
+				im.ColorizeInto(&rgba, &grid)
 			}
-			if err := tree.ResampleInto(&grid, size, size); err != nil {
-				b.Fatal(err)
-			}
-			im, err := ComputeWith(&grid, size, size, cfg, &scr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			im.ColorizeInto(&rgba, &grid)
 		}
-	})
+	}
+	b.Run("scratch", scratch(size))
+	b.Run("scratch128", scratch(128))
 	b.Run("resample", func(b *testing.B) {
 		var grid quadtree.Grid
 		b.ReportAllocs()

@@ -69,6 +69,17 @@ func atOrPanic(at func(x, y float64) (float64, float64), x, y float64) (vx, vy f
 	return vx, vy, false
 }
 
+// batchOrPanic is atOrPanic for a run of points through AtBatch.
+func batchOrPanic(g *Grid, x, y, vx, vy []float64) (panicked bool) {
+	defer func() {
+		if recover() != nil {
+			panicked = true
+		}
+	}()
+	g.AtBatch(x, y, vx, vy)
+	return false
+}
+
 // oddValues are the field values and coordinates a clamp or an
 // interpolation can get wrong without a smooth field noticing.
 var oddValues = []float64{0, math.Copysign(0, -1), 1, -1, math.NaN(), math.Inf(1), math.Inf(-1),
@@ -92,7 +103,8 @@ func oddGrid(rng *rand.Rand, w, h int) *Grid {
 // TestGridAtMatchesFrozen: the branch clamp and the inlined interpolation
 // return the frozen At's bits for every pairing of the odd coordinates,
 // for random coordinates inside and outside [0,1], on square and
-// non-square grids down to 2×2.
+// non-square grids down to 2×2 — through At, and through AtBatch on runs
+// of 1 to 9 of the same points.
 //
 // Mutation-checked: a clamp that tests x < 0 (so -0 stays -0 and the
 // weights of the right-hand column pick up its sign), and one that tests
@@ -120,7 +132,9 @@ func TestGridAtMatchesFrozen(t *testing.T) {
 				coords = append(coords, [2]float64{2*rng.Float64() - 0.5, 2*rng.Float64() - 0.5})
 			}
 			frozen := func(x, y float64) (float64, float64) { return frozenGridAt(g, x, y) }
-			for _, c := range coords {
+			panicked := make([]bool, len(coords))
+			want := make([][2]float64, len(coords))
+			for i, c := range coords {
 				wx, wy, wp := atOrPanic(frozen, c[0], c[1])
 				gx, gy, gp := atOrPanic(g.At, c[0], c[1])
 				if gp != wp {
@@ -129,6 +143,30 @@ func TestGridAtMatchesFrozen(t *testing.T) {
 				if !sameBits(gx, wx) || !sameBits(gy, wy) {
 					t.Fatalf("%dx%d At(%v,%v) = (%v,%v) [%#x,%#x], frozen (%v,%v) [%#x,%#x]", g.W, g.H, c[0], c[1],
 						gx, gy, math.Float64bits(gx), math.Float64bits(gy), wx, wy, math.Float64bits(wx), math.Float64bits(wy))
+				}
+				panicked[i], want[i] = wp, [2]float64{wx, wy}
+			}
+			// AtBatch over runs of 1 to 9 points: a run panics exactly when
+			// one of its points does, and otherwise holds each point's bits.
+			for lo, n := 0, 1; lo < len(coords); lo, n = lo+n, n%9+1 {
+				hi := min(lo+n, len(coords))
+				var xs, ys, vx, vy [9]float64
+				for i := lo; i < hi; i++ {
+					xs[i-lo], ys[i-lo] = coords[i][0], coords[i][1]
+				}
+				gp := batchOrPanic(g, xs[:hi-lo], ys[:], vx[:], vy[:])
+				wp := false
+				for _, p := range panicked[lo:hi] {
+					wp = wp || p
+				}
+				if gp != wp {
+					t.Fatalf("%dx%d AtBatch(%v): panicked %v, frozen panicked %v", g.W, g.H, coords[lo:hi], gp, wp)
+				}
+				for i := lo; i < hi && !wp; i++ {
+					if !sameBits(vx[i-lo], want[i][0]) || !sameBits(vy[i-lo], want[i][1]) {
+						t.Fatalf("%dx%d AtBatch point %d (%v,%v) = (%v,%v), frozen (%v,%v)", g.W, g.H, i-lo,
+							coords[i][0], coords[i][1], vx[i-lo], vy[i-lo], want[i][0], want[i][1])
+					}
 				}
 			}
 		}

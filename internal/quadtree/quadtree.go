@@ -245,22 +245,37 @@ func clamp01(x float64) float64 {
 
 // At returns the bilinearly interpolated vector at unit coordinates (x,y).
 func (g *Grid) At(x, y float64) (vx, vy float64) {
-	fx := clamp01(x) * float64(g.W-1)
-	fy := clamp01(y) * float64(g.H-1)
-	ix := int(fx)
-	iy := int(fy)
-	if ix >= g.W-1 {
-		ix = g.W - 2
+	xs, ys := [1]float64{x}, [1]float64{y}
+	var vxs, vys [1]float64
+	g.AtBatch(xs[:], ys[:], vxs[:], vys[:])
+	return vxs[0], vys[0]
+}
+
+// AtBatch sets (vx[i], vy[i]) to At(x[i], y[i]) for every i < len(x), bit
+// for bit; y, vx and vy must be at least as long as x. The points are
+// independent, so a caller with several (the LIC kernel's lanes) has their
+// interpolations overlap instead of waiting out one call per point.
+func (g *Grid) AtBatch(x, y, vx, vy []float64) {
+	y, vx, vy = y[:len(x)], vx[:len(x)], vy[:len(x)]
+	sx, sy := float64(g.W-1), float64(g.H-1)
+	for p := range x {
+		fx := clamp01(x[p]) * sx
+		fy := clamp01(y[p]) * sy
+		ix := int(fx)
+		iy := int(fy)
+		if ix >= g.W-1 {
+			ix = g.W - 2
+		}
+		if iy >= g.H-1 {
+			iy = g.H - 2
+		}
+		tx := fx - float64(ix)
+		ty := fy - float64(iy)
+		i := iy*g.W + ix
+		j := i + g.W
+		vx[p] = g.VX[i]*(1-tx)*(1-ty) + g.VX[i+1]*tx*(1-ty) + g.VX[j]*(1-tx)*ty + g.VX[j+1]*tx*ty
+		vy[p] = g.VY[i]*(1-tx)*(1-ty) + g.VY[i+1]*tx*(1-ty) + g.VY[j]*(1-tx)*ty + g.VY[j+1]*tx*ty
 	}
-	if iy >= g.H-1 {
-		iy = g.H - 2
-	}
-	tx := fx - float64(ix)
-	ty := fy - float64(iy)
-	i := iy*g.W + ix
-	j := i + g.W
-	return g.VX[i]*(1-tx)*(1-ty) + g.VX[i+1]*tx*(1-ty) + g.VX[j]*(1-tx)*ty + g.VX[j+1]*tx*ty,
-		g.VY[i]*(1-tx)*(1-ty) + g.VY[i+1]*tx*(1-ty) + g.VY[j]*(1-tx)*ty + g.VY[j+1]*tx*ty
 }
 
 // Resample derives a w×h regular-grid vector field by nearest-sample lookup
