@@ -30,7 +30,7 @@
 //   - deadexport: a function or method declared under internal/ must be
 //     referenced from some non-test file of the module (interface
 //     implementations excepted), so code only tests reach cannot
-//     accumulate (ROADMAP item 6).
+//     accumulate (docs/lint.md lists the three allowed reasons).
 //
 // False positives are suppressed per line with a
 // `//repro:allow <analyzer>: <reason>` comment on the offending line or

@@ -321,26 +321,29 @@ func (b *BlockData) voxel(x, y, z uint32) int {
 	return int((z<<b.sideBits|y)<<b.sideBits | x)
 }
 
-// find locates the cell containing unit point p, or -1. It takes p's
-// finest-level cell f = CellAt(p, MaxLevel) and shifts it to its voxel at
-// the directory's level D. The shift is exact: scaling by a power of two
-// is, so floor(v·2^16) >> (16-D) = floor(v·2^D), clamping included, and
-// the voxel is CellAt(p, D). One unsigned test rejects a voxel outside the
+// find locates the cell containing the unit point p = (x, y, z), or -1. It
+// takes p's finest-level cell f = CellAt(p, MaxLevel) and shifts it to its
+// voxel at the directory's level D. The shift is exact: scaling by a power
+// of two is, so floor(v·2^16) >> (16-D) = floor(v·2^D), clamping
+// included, and the voxel is CellAt(p, D). One unsigned test rejects a voxel outside the
 // root (below the anchor, the subtraction wraps). A voxel inside a cell
 // holds its index, and that cell is the one containing p: cells are
 // disjoint. Only a block finer than Root.Level+dirBits has voxels that
 // hold several cells; their tagged entry -(j+1) names the first, and
 // because the cells are key-sorted (Morton preorder) the one containing p,
-// if any, is the predecessor of f's key among the cells from j on.
-func (b *BlockData) find(p Vec3) int {
+// if any, is the predecessor of f's key among the cells from j on. The
+// point comes as scalars, like the rest of the per-sample path (castRay).
+//
+//repro:allocfree
+func (b *BlockData) find(x, y, z float64) int {
 	b.index()
-	f := octree.CellAt(p, octree.MaxLevel)
+	f := octree.CellAt(Vec3{x, y, z}, octree.MaxLevel)
 	sh := octree.MaxLevel - b.dirLevel
-	x, y, z := f.X>>sh-b.dirLo[0], f.Y>>sh-b.dirLo[1], f.Z>>sh-b.dirLo[2]
-	if (x|y|z)>>b.sideBits != 0 {
+	vx, vy, vz := f.X>>sh-b.dirLo[0], f.Y>>sh-b.dirLo[1], f.Z>>sh-b.dirLo[2]
+	if (vx|vy|vz)>>b.sideBits != 0 {
 		return -1
 	}
-	e := b.dir[(z<<b.sideBits|y)<<b.sideBits|x]
+	e := b.dir[(vz<<b.sideBits|vy)<<b.sideBits|vx]
 	if e >= 0 {
 		return int(e)
 	}

@@ -257,7 +257,7 @@ func TestFindMatchesLegacyScan(t *testing.T) {
 		}
 		for _, p := range findProbes(bd) {
 			want := legacy(p)
-			if got := bd.find(p); got != want {
+			if got := bd.find(p[0], p[1], p[2]); got != want {
 				t.Fatalf("block %v (%d cells, directory level %d): find(%v) = %d, legacy scan %d", bd.Root, len(bd.Cells), bd.dirLevel, p, got, want)
 			}
 			if got := referenceFind(bd, p); got != want {
@@ -315,7 +315,7 @@ func FuzzFind(f *testing.F) {
 	f.Fuzz(func(t *testing.T, x, y, z float64) {
 		p := Vec3{x, y, z}
 		for _, bd := range bds {
-			if got, want := bd.find(p), referenceFind(bd, p); got != want {
+			if got, want := bd.find(x, y, z), referenceFind(bd, p); got != want {
 				t.Fatalf("block %v (directory level %d): find(%v) = %d, referenceFind %d", bd.Root, bd.dirLevel, p, got, want)
 			}
 		}
@@ -362,7 +362,8 @@ func BenchmarkFind(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkPos = tc.bd.find(ps[i&(len(ps)-1)])
+				p := &ps[i&(len(ps)-1)]
+				sinkPos = tc.bd.find(p[0], p[1], p[2])
 			}
 		})
 	}
@@ -383,7 +384,7 @@ func TestExtractBlockDataIntoAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Sampling must not allocate either (index is built inline).
-		if bd.find(Vec3{0.1, 0.1, 0.1}) < 0 {
+		if bd.find(0.1, 0.1, 0.1) < 0 {
 			t.Fatal("sample missed inside block")
 		}
 	})
@@ -412,7 +413,7 @@ func TestCastRayAllocFree(t *testing.T) {
 		for _, lit := range []bool{false, true} {
 			rr, s, o, d, t0, t1, step := benchRaySetup(t, lit, ray.field, ray.at)
 			if avg := testing.AllocsPerRun(20, func() {
-				_, _, _, sinkAlpha = rr.castRay(s, o, d, t0, t1, step)
+				_, _, _, sinkRay = rr.castRay(s, o, d, t0, t1, step)
 			}); avg != 0 {
 				t.Errorf("castRay(lit=%v, %s at %v) allocates %v per ray, want 0", lit, ray.field, ray.at, avg)
 			}

@@ -143,8 +143,9 @@ func (s *referenceSampler) gradient(p Vec3) Vec3 {
 
 // castRayReference is castRay as it was before leaping: every sample of
 // the sequence is located, interpolated and looked up. located counts the
-// samples that fell inside a cell.
-func (r *Renderer) castRayReference(s *referenceSampler, o, d Vec3, t0, t1, step float64, located *int) (cr, cg, cb, ca float32) {
+// samples that fell inside a cell. It returns the float64 accumulators, as
+// castRay does, so that the oracle pins the kernel before rounding.
+func (r *Renderer) castRayReference(s *referenceSampler, o, d Vec3, t0, t1, step float64, located *int) (cr, cg, cb, ca float64) {
 	var ar, ag, ab, aa float64
 	for t := t0 + step/2; t < t1; t += step {
 		p := Vec3{o[0] + t*d[0], o[1] + t*d[1], o[2] + t*d[2]}
@@ -186,7 +187,7 @@ func (r *Renderer) castRayReference(s *referenceSampler, o, d Vec3, t0, t1, step
 			break
 		}
 	}
-	return float32(ar), float32(ag), float32(ab), float32(aa)
+	return ar, ag, ab, aa
 }
 
 // referenceRect is the block's projected rectangle as projectBlockWith
@@ -242,7 +243,8 @@ func (r *Renderer) castRowsReference(bd *BlockData, view *View, step float64, lo
 			if t0 < 0 {
 				t0 = 0
 			}
-			cr, cg, cb, ca := r.castRayReference(&s, o, d, t0, t1, step, located)
+			ar, ag, ab, aa := r.castRayReference(&s, o, d, t0, t1, step, located)
+			cr, cg, cb, ca := float32(ar), float32(ag), float32(ab), float32(aa)
 			if ca > 0 {
 				frag.Img.Set(px-x0, py-y0, cr, cg, cb, ca)
 			}
@@ -497,14 +499,14 @@ func TestCastRayLeapMatchesReference(t *testing.T) {
 							}
 							t0 = math.Max(t0, 0)
 							rays++
-							if t0+g.step/2 < t1 && sl.beyondBox(rayAt(o, d, t0+g.step/2)) {
+							if p := rayAt(o, d, t0+g.step/2); t0+g.step/2 < t1 && sl.beyondBox(p[0], p[1], p[2]) {
 								clipped++
 							}
-							var got, want [4]float32
+							var got, want [4]float64
 							got[0], got[1], got[2], got[3] = rr.castRay(&sl, o, d, t0, t1, g.step)
 							want[0], want[1], want[2], want[3] = rr.castRayReference(&sr, o, d, t0, t1, g.step, &refLocated)
 							for k := range want {
-								if math.Float32bits(got[k]) != math.Float32bits(want[k]) {
+								if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
 									t.Fatalf("%s tf %s lit %v view %d block %d %s (%d,%d) o %v d %v: castRay %v, reference %v",
 										oc.name, tc.name, lit, vi, bi, what, px, py, o, d, got, want)
 								}
@@ -662,11 +664,13 @@ func TestOccupiedBoxFollowsTheTable(t *testing.T) {
 			if !hit {
 				continue
 			}
-			var got, want [4]float32
+			var got, want [4]float64
 			got[0], got[1], got[2], got[3] = rr.castRay(&sl, o, d, math.Max(t0, 0), t1, step)
 			want[0], want[1], want[2], want[3] = rr.castRayReference(&sr, o, d, math.Max(t0, 0), t1, step, &located)
-			if got != want {
-				t.Fatalf("pixel (%d,%d): castRay %v through an unprojected block, reference %v", px, py, got, want)
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("pixel (%d,%d): castRay %v through an unprojected block, reference %v", px, py, got, want)
+				}
 			}
 			if sl.cell != sr.cell {
 				t.Fatalf("pixel (%d,%d): a sample was skipped in an unprojected block", px, py)
@@ -871,9 +875,9 @@ func TestCastRayLeapSpeedupGate(t *testing.T) {
 	}
 	located := 0
 	leap, ref := minOver(6,
-		scan(func(o, d Vec3, t0, t1 float64) { _, _, _, sinkAlpha = rr.castRay(&s, o, d, t0, t1, g.step) }),
+		scan(func(o, d Vec3, t0, t1 float64) { _, _, _, sinkRay = rr.castRay(&s, o, d, t0, t1, g.step) }),
 		scan(func(o, d Vec3, t0, t1 float64) {
-			_, _, _, sinkAlpha = rr.castRayReference(&sr, o, d, t0, t1, g.step, &located)
+			_, _, _, sinkRay = rr.castRayReference(&sr, o, d, t0, t1, g.step, &located)
 		}))
 	t.Logf("castRay over a sparse block: kernel %.3gs, reference %.3gs (%.2fx)", leap, ref, ref/leap)
 	if ref < 1.5*leap {

@@ -170,7 +170,8 @@ func (r *Renderer) castRows(bd *BlockData, view *View, frag *Fragment, g blockRe
 			if t0 < 0 {
 				t0 = 0
 			}
-			cr, cg, cb, ca := r.castRay(s, o, d, t0, t1, g.step)
+			ar, ag, ab, aa := r.castRay(s, o, d, t0, t1, g.step)
+			cr, cg, cb, ca := float32(ar), float32(ag), float32(ab), float32(aa)
 			if ca > 0 {
 				frag.Img.Set(px-g.x0, py-g.y0, cr, cg, cb, ca)
 			}
@@ -216,46 +217,54 @@ func (r *Renderer) renderBlockSerialWith(bd *BlockData, view *View, rs *RenderSc
 }
 
 // castRay integrates the volume rendering equation front-to-back along one
-// ray segment. The sampler provides cached cell location and the baked TF
-// table provides emission/density, keeping the loop allocation-free. A
-// sample outside the block's occupied box moves on to the box, or ends the
-// ray, without being located, and one that lands in an empty octree region
-// (BlockData's empty-region table) leaps to the region's far side — both on
-// the same t sequence, skipping only samples that provably contribute
-// nothing; see sampler.clip and sampler.leap.
+// ray segment and returns the accumulated colour and opacity, which
+// castRows rounds to the pixel. The sampler provides cached cell location
+// and the baked TF table provides emission/density, keeping the loop
+// allocation-free. A sample outside the block's occupied box moves on to
+// the box, or ends the ray, without being located, and one that lands in
+// an empty octree region (BlockData's empty-region table) leaps to the
+// region's far side — both on the same t sequence, skipping only samples
+// that provably contribute nothing; see sampler.clip and sampler.leap.
+//
+// The per-sample path works on float64 scalars, never on Vec3 values: the
+// compiler keeps no array of more than one element in registers, so a
+// sample point or gradient held as a Vec3 goes through the stack on every
+// sample. The lighting spells out dot and scale in their operation order.
 //
 //repro:allocfree
-func (r *Renderer) castRay(s *sampler, o, d Vec3, t0, t1, step float64) (cr, cg, cb, ca float32) {
-	var ar, ag, ab, aa float64
+func (r *Renderer) castRay(s *sampler, o, d Vec3, t0, t1, step float64) (ar, ag, ab, aa float64) {
+	ox, oy, oz := o[0], o[1], o[2]
+	dx, dy, dz := d[0], d[1], d[2]
 	for t := t0 + step/2; t < t1; t += step {
-		p := rayAt(o, d, t)
-		if !s.inCell(p) {
-			if s.beyondBox(p) {
-				t = s.clip(o, d, p, t, t1, step)
+		px, py, pz := ox+t*dx, oy+t*dy, oz+t*dz
+		if !s.inCell(px, py, pz) {
+			if s.beyondBox(px, py, pz) {
+				t = s.clip(o, d, Vec3{px, py, pz}, t, t1, step)
 				continue
 			}
-			if !s.find(p) {
+			if !s.find(px, py, pz) {
 				continue
 			}
 		}
 		if s.empty {
-			if last, ok := s.leap(o, d, p, t, t1, step); ok {
+			if last, ok := s.leap(o, d, Vec3{px, py, pz}, t, t1, step); ok {
 				t = last
 				continue
 			}
-			s.loadVals() // p was clamped into the cell: evaluate it there
+			s.loadVals() // the point was clamped into the cell: evaluate it there
 		}
-		er, eg, eb, density := r.lut.Lookup(s.sample(p))
+		er, eg, eb, density := r.lut.Lookup(s.sample(px, py, pz))
 		if density <= 0 {
 			continue
 		}
 		alpha := 1 - math.Exp(-density*step)
 		if r.Lighting {
-			g := s.gradient(p)
-			gl := math.Sqrt(dot(g, g))
+			gx, gy, gz := s.gradient(px, py, pz)
+			gl := math.Sqrt(gx*gx + gy*gy + gz*gz)
 			if gl > 1e-9 {
-				n := scale(g, 1/gl)
-				diff := dot(n, lightDir)
+				inv := 1 / gl
+				nx, ny, nz := gx*inv, gy*inv, gz*inv
+				diff := nx*lightDir[0] + ny*lightDir[1] + nz*lightDir[2]
 				if diff < 0 {
 					diff = -diff // double-sided shading for volumes
 				}
@@ -278,7 +287,7 @@ func (r *Renderer) castRay(s *sampler, o, d Vec3, t0, t1, step float64) (cr, cg,
 			break
 		}
 	}
-	return float32(ar), float32(ag), float32(ab), float32(aa)
+	return ar, ag, ab, aa
 }
 
 func clampInt(v, lo, hi int) int {

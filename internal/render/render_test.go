@@ -100,10 +100,10 @@ func constField(m *mesh.Mesh, v float32) []float32 {
 func sampleAt(bd *BlockData, p Vec3) (v float64, ok bool) {
 	var s sampler
 	s.reset(bd)
-	if !s.find(p) {
+	if !s.find(p[0], p[1], p[2]) {
 		return 0, false
 	}
-	return s.sample(p), true
+	return s.sample(p[0], p[1], p[2]), true
 }
 
 func TestSampleConstantField(t *testing.T) {
@@ -158,10 +158,11 @@ func TestGradientOfLinearField(t *testing.T) {
 	p := Vec3{0.4, 0.5, 0.6}
 	var s sampler
 	s.reset(bd)
-	if !s.find(p) {
+	if !s.find(p[0], p[1], p[2]) {
 		t.Fatal("sample missed inside block")
 	}
-	g := s.gradient(p)
+	var g Vec3
+	g[0], g[1], g[2] = s.gradient(p[0], p[1], p[2])
 	want := Vec3{0.2, 0.5, 0.3}
 	for i := 0; i < 3; i++ {
 		if math.Abs(g[i]-want[i]) > 1e-4 {

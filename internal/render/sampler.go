@@ -92,31 +92,32 @@ func supOf(hi float64) float64 {
 	return hi
 }
 
-// within reports whether a cell holds p — min-inclusive, max-exclusive, the
-// domain boundary at 1.0 included — given the cell's min corner and its
-// supOf bounds.
+// within reports whether a cell holds the point x, y, z — min-inclusive,
+// max-exclusive, the domain boundary at 1.0 included — given the cell's min
+// corner and its supOf bounds. The point comes as scalars and the bounds by
+// pointer, so a sample point never goes through the stack (see castRay).
 //
 //repro:allocfree
-func within(p, lo, sup Vec3) bool {
-	return !(p[0] < lo[0] || p[0] >= sup[0] ||
-		p[1] < lo[1] || p[1] >= sup[1] ||
-		p[2] < lo[2] || p[2] >= sup[2])
+func within(x, y, z float64, lo, sup *Vec3) bool {
+	return !(x < lo[0] || x >= sup[0] ||
+		y < lo[1] || y >= sup[1] ||
+		z < lo[2] || z >= sup[2])
 }
 
-// inCell reports whether the cached cell contains p.
+// inCell reports whether the cached cell contains the point x, y, z.
 //
 //repro:allocfree
-func (s *sampler) inCell(p Vec3) bool { return within(p, s.min, s.sup) }
+func (s *sampler) inCell(x, y, z float64) bool { return within(x, y, z, &s.min, &s.sup) }
 
-// find positions the sampler at the cell containing p, for a p the cached
-// cell does not contain; ok is false when p falls outside the block. The
-// point location is BlockData.find, one directory load unless the block is
-// finer than its directory. A failed find keeps the previous cell cached —
-// the ray may re-enter it past a concavity.
+// find positions the sampler at the cell containing the point x, y, z, for
+// a point the cached cell does not contain; ok is false when it falls
+// outside the block. The point location is BlockData.find, one directory
+// load unless the block is finer than its directory. A failed find keeps
+// the previous cell cached — the ray may re-enter it past a concavity.
 //
 //repro:allocfree
-func (s *sampler) find(p Vec3) bool {
-	ci := s.bd.find(p)
+func (s *sampler) find(x, y, z float64) bool {
+	ci := s.bd.find(x, y, z)
 	if ci < 0 {
 		return false
 	}
@@ -124,15 +125,16 @@ func (s *sampler) find(p Vec3) bool {
 	return true
 }
 
-// beyondBox reports whether p lies outside the block's occupied box, by the
-// half-open predicate of within (a side on the domain boundary is
-// infinite): such a sample contributes nothing, see buildEmptyRegions.
+// beyondBox reports whether the point x, y, z lies outside the block's
+// occupied box, by the half-open predicate of within (a side on the domain
+// boundary is infinite): such a sample contributes nothing, see
+// buildEmptyRegions.
 //
 //repro:allocfree
-func (s *sampler) beyondBox(p Vec3) bool {
-	return p[0] < s.olo[0] || p[0] >= s.ohi[0] ||
-		p[1] < s.olo[1] || p[1] >= s.ohi[1] ||
-		p[2] < s.olo[2] || p[2] >= s.ohi[2]
+func (s *sampler) beyondBox(x, y, z float64) bool {
+	return x < s.olo[0] || x >= s.ohi[0] ||
+		y < s.olo[1] || y >= s.ohi[1] ||
+		z < s.olo[2] || z >= s.ohi[2]
 }
 
 // clip advances the ray-marching parameter past the samples that cannot
@@ -232,7 +234,7 @@ func marchTo(t, end, t1, step float64) float64 {
 //
 //repro:allocfree
 func (s *sampler) leap(o, d, p Vec3, t, t1, step float64) (last float64, ok bool) {
-	if !within(p, s.rlo, s.rsup) {
+	if !within(p[0], p[1], p[2], &s.rlo, &s.rsup) {
 		return t, false
 	}
 	end := math.Inf(1)
@@ -251,7 +253,7 @@ func (s *sampler) leap(o, d, p Vec3, t, t1, step float64) (last float64, ok bool
 		}
 	}
 	last = marchTo(t, end, t1, step)
-	if last != t && !within(rayAt(o, d, last), s.rlo, s.rsup) {
+	if q := rayAt(o, d, last); last != t && !within(q[0], q[1], q[2], &s.rlo, &s.rsup) {
 		return t, true
 	}
 	return last, true
@@ -262,14 +264,14 @@ func rayAt(o, d Vec3, t float64) Vec3 {
 	return Vec3{o[0] + t*d[0], o[1] + t*d[1], o[2] + t*d[2]}
 }
 
-// sample interpolates the scalar field at p, which the cached cell contains
-// (trilinear over the loaded x-fastest corners).
+// sample interpolates the scalar field at the point px, py, pz, which the
+// cached cell contains (trilinear over the loaded x-fastest corners).
 //
 //repro:allocfree
-func (s *sampler) sample(p Vec3) float64 {
-	x := (p[0] - s.min[0]) * s.inv
-	y := (p[1] - s.min[1]) * s.inv
-	z := (p[2] - s.min[2]) * s.inv
+func (s *sampler) sample(px, py, pz float64) float64 {
+	x := (px - s.min[0]) * s.inv
+	y := (py - s.min[1]) * s.inv
+	z := (pz - s.min[2]) * s.inv
 	c00 := s.v[0] + x*(s.v[1]-s.v[0])
 	c10 := s.v[2] + x*(s.v[3]-s.v[2])
 	c01 := s.v[4] + x*(s.v[5]-s.v[4])
@@ -279,26 +281,24 @@ func (s *sampler) sample(p Vec3) float64 {
 	return c0 + z*(c1-c0)
 }
 
-// gradient returns the exact gradient of the trilinear interpolant at p in
-// the cached cell (valid after sample), computing the cell's corner
-// differences on first use: no further point locations or field samples,
-// unlike a central-difference estimate.
+// gradient returns the exact gradient of the trilinear interpolant at the
+// point px, py, pz in the cached cell (valid after sample), computing the
+// cell's corner differences on first use: no further point locations or
+// field samples, unlike a central-difference estimate.
 //
 //repro:allocfree
-func (s *sampler) gradient(p Vec3) Vec3 {
+func (s *sampler) gradient(px, py, pz float64) (gx, gy, gz float64) {
 	if !s.hasDiffs {
 		s.dx = [4]float64{s.v[1] - s.v[0], s.v[3] - s.v[2], s.v[5] - s.v[4], s.v[7] - s.v[6]}
 		s.dy = [4]float64{s.v[2] - s.v[0], s.v[3] - s.v[1], s.v[6] - s.v[4], s.v[7] - s.v[5]}
 		s.dz = [4]float64{s.v[4] - s.v[0], s.v[5] - s.v[1], s.v[6] - s.v[2], s.v[7] - s.v[3]}
 		s.hasDiffs = true
 	}
-	x := (p[0] - s.min[0]) * s.inv
-	y := (p[1] - s.min[1]) * s.inv
-	z := (p[2] - s.min[2]) * s.inv
+	x := (px - s.min[0]) * s.inv
+	y := (py - s.min[1]) * s.inv
+	z := (pz - s.min[2]) * s.inv
 	mx, my, mz := 1-x, 1-y, 1-z
-	return Vec3{
-		(s.dx[0]*my*mz + s.dx[1]*y*mz + s.dx[2]*my*z + s.dx[3]*y*z) * s.inv,
+	return (s.dx[0]*my*mz + s.dx[1]*y*mz + s.dx[2]*my*z + s.dx[3]*y*z) * s.inv,
 		(s.dy[0]*mx*mz + s.dy[1]*x*mz + s.dy[2]*mx*z + s.dy[3]*x*z) * s.inv,
-		(s.dz[0]*mx*my + s.dz[1]*x*my + s.dz[2]*mx*y + s.dz[3]*x*y) * s.inv,
-	}
+		(s.dz[0]*mx*my + s.dz[1]*x*my + s.dz[2]*mx*y + s.dz[3]*x*y) * s.inv
 }

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -79,6 +80,40 @@ func FuzzServeRequestParse(f *testing.F) {
 		}
 		if req.Format != serve.FormatRaw && req.Format != serve.FormatPNG {
 			t.Fatalf("accepted unknown format %q from %q", req.Format, raw)
+		}
+	})
+}
+
+// FuzzDecodeWireFrame drives arbitrary bytes through the wire decoder: it
+// must never panic, and a frame it accepts lies within MaxFrameDim on
+// each side and re-encodes to exactly the bytes it consumed (the flag
+// word up to the bits the decoder reads), which holds AppendWireFrame's
+// output to the format the decoder parses. The seeds are a valid frame,
+// two of them back to back, the header whose width times height wraps,
+// and a truncated payload.
+func FuzzDecodeWireFrame(f *testing.F) {
+	frame := mkFrame(3, 2, 0)
+	for i := range frame.Pix {
+		frame.Pix[i] = float32(i) * 0.125
+	}
+	one := serve.AppendWireFrame(nil, 4, frame, true)
+	f.Add(one)
+	f.Add(serve.AppendWireFrame(serve.AppendWireFrame(nil, 0, frame, false), 1, frame, true))
+	f.Add(wrappingHeader())
+	f.Add(one[:len(one)-1])
+	f.Fuzz(func(t *testing.T, b []byte) {
+		step, got, degraded, rest, err := serve.DecodeWireFrame(b)
+		if err != nil {
+			return
+		}
+		if got.W <= 0 || got.H <= 0 || got.W > serve.MaxFrameDim || got.H > serve.MaxFrameDim {
+			t.Fatalf("accepted a %dx%d frame", got.W, got.H)
+		}
+		consumed := append([]byte(nil), b[:len(b)-len(rest)]...)
+		consumed[16] &= serve.WireFlagDegraded
+		consumed[17], consumed[18], consumed[19] = 0, 0, 0
+		if enc := serve.AppendWireFrame(nil, step, got, degraded); !bytes.Equal(enc, consumed) {
+			t.Fatalf("decoded %dx%d frame re-encodes to %d bytes unlike the %d consumed", got.W, got.H, len(enc), len(consumed))
 		}
 	})
 }

@@ -123,7 +123,8 @@ func TestConfigHashesStable(t *testing.T) {
 
 // TestWireFrameRoundTrip pins the wire codec: encode/decode round-trips
 // pixels, step and the degraded flag exactly, and corrupt inputs error
-// without over-allocating.
+// without over-allocating — a header whose width times height wraps
+// included.
 func TestWireFrameRoundTrip(t *testing.T) {
 	frame := mkFrame(5, 3, 0)
 	for i := range frame.Pix {
@@ -167,7 +168,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	huge := serve.AppendWireFrame(nil, 0, frame, false)[:serve.WireHeaderSize]
 	huge = append([]byte(nil), huge...)
 	huge[8], huge[9], huge[10], huge[11] = 0xff, 0xff, 0xff, 0x7f
-	bad = append(bad, huge)
+	bad = append(bad, huge, wrappingHeader())
 	for i, b := range bad {
 		_, _, _, _, err := serve.DecodeWireFrame(b)
 		if err == nil {
@@ -195,4 +196,11 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	if d := img.MaxAbsDiff(frame, dst); d != 0 {
 		t.Errorf("in-place decode differs (max diff %v)", d)
 	}
+}
+
+// wrappingHeader is a 20-byte wire header that claims a 0xFFFFFFFF x
+// 0xFFFFFFFF frame: on a 64-bit int the pixel count wraps negative, so a
+// bound on the product alone lets it through to the allocation.
+func wrappingHeader() []byte {
+	return []byte(serve.WireMagic + "\x00\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff\x00\x00\x00\x00")
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/img"
 	"repro/internal/pool"
@@ -30,29 +31,24 @@ const (
 	WireFlagDegraded = 1 << 0
 )
 
-// maxWirePixels bounds the pixel payload decodeWireInto will allocate
-// for, so a corrupt header cannot demand an arbitrary allocation.
-const maxWirePixels = MaxFrameDim * MaxFrameDim
-
 // AppendWireFrame appends one encoded frame to dst and returns the
 // extended slice (append semantics: steady-state reuse of a sized buffer
-// allocates nothing).
+// allocates nothing). The room for the whole frame is reserved once, so no
+// append below reallocates; the words are appended rather than put at an
+// index, which on amd64 measured slower than appending.
 func AppendWireFrame(dst []byte, step int, frame *img.Image, degraded bool) []byte {
-	var hdr [WireHeaderSize]byte
-	copy(hdr[:4], WireMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(step))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(frame.W))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(frame.H))
+	dst = slices.Grow(dst, WireHeaderSize+4*len(frame.Pix))
 	var flags uint32
 	if degraded {
 		flags |= WireFlagDegraded
 	}
-	binary.LittleEndian.PutUint32(hdr[16:], flags)
-	dst = append(dst, hdr[:]...)
+	dst = append(dst, WireMagic...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(step))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(frame.W))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(frame.H))
+	dst = binary.LittleEndian.AppendUint32(dst, flags)
 	for _, p := range frame.Pix {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(p))
-		dst = append(dst, b[:]...)
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(p))
 	}
 	return dst
 }
@@ -78,7 +74,9 @@ func DecodeWireFrame(b []byte) (step int, frame *img.Image, degraded bool, rest 
 }
 
 // decodeWireInto is the one wire-frame parser: it checks the header, the
-// size bound and the payload length before touching dst, then decodes the
+// size bound (each side at most MaxFrameDim, tested before the two are
+// multiplied, so no header can wrap the product) and the payload length
+// before touching dst, then decodes the
 // first frame in b into dst (resized with pool.Grow, so a reused dst
 // decodes in place) and returns its step, degraded flag and the bytes
 // after it.
@@ -93,7 +91,7 @@ func decodeWireInto(b []byte, dst *img.Image) (step int, degraded bool, rest []b
 	w := int(binary.LittleEndian.Uint32(b[8:]))
 	h := int(binary.LittleEndian.Uint32(b[12:]))
 	flags := binary.LittleEndian.Uint32(b[16:])
-	if w <= 0 || h <= 0 || w*h > maxWirePixels {
+	if w <= 0 || h <= 0 || w > MaxFrameDim || h > MaxFrameDim {
 		return 0, false, nil, fmt.Errorf("serve: wire frame size %dx%d out of range", w, h)
 	}
 	n := 4 * w * h
