@@ -6,7 +6,7 @@
 #   make ci      # check plus the perf regression gates (REPRO_PERF_ASSERT)
 #   make benchsmoke  # compile + smoke-test the nested quakebench module (bench/)
 #   make bench   # paper-figure and hot-kernel benchmarks
-#   make fuzz    # short fuzz sessions: datatype/collective replay/RLE/strip + data piece + decode kernel + wire codecs + bootstrap handshake + request parser + frame wire decoder + point location + LIC row kernel
+#   make fuzz    # short fuzz sessions: datatype/collective replay/RLE/strip + data piece + decode kernel + wire codecs + bootstrap handshake + request parser + frame wire decoder + point location + LIC row kernel + mesh object reader
 #   make size    # non-test lines, test lines, exported identifiers and struct fields (for CHANGES.md)
 GO ?= go
 
@@ -161,3 +161,4 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeWireFrame$$' -fuzztime=30s ./internal/serve/
 	$(GO) test -run='^$$' -fuzz='^FuzzFind$$' -fuzztime=30s ./internal/render/
 	$(GO) test -run='^$$' -fuzz='^FuzzConvolveMatchesFrozen$$' -fuzztime=30s ./internal/lic/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadMesh$$' -fuzztime=30s ./internal/quake/

@@ -131,6 +131,10 @@ func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 	d.blockNodeIDs = make([][]int32, nb)
 	d.blockCornerLocal = make([][][8]int32, nb)
 	zeros := make([]float32, m.NumNodes())
+	// pos[id] is 1 + node id's index in the current block's node list, 0
+	// for a node outside it: filled from the list and cleared again per
+	// block, so a corner's local index is one load.
+	pos := make([]int32, m.NumNodes())
 	for bi, b := range blocks {
 		d.roots[bi] = b.Root
 		bd, err := render.ExtractBlockData(m, zeros, b, d.level)
@@ -142,19 +146,25 @@ func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 		// renderer scratch copies it once and owns its per-frame Vals.
 		bd.Vals = nil
 		d.blockBD[bi] = bd
-		d.blockNodeIDs[bi] = render.BlockNodeIDs(m, b, d.level)
+		ids := render.BlockNodeIDs(m, b, d.level)
+		d.blockNodeIDs[bi] = ids
+		for i, id := range ids {
+			pos[id] = int32(i) + 1
+		}
 		local := make([][8]int32, len(bd.Cells))
-		for ci, cell := range bd.Cells {
-			for k, id := range m.CornerIDs(cell) {
+		for ci, corners := range render.BlockCorners(m, b, d.level) {
+			for k, id := range corners {
 				if id < 0 {
-					return nil, fmt.Errorf("core: missing corner node %v of cell %v", mesh.CellCorner(cell, k), cell)
+					return nil, fmt.Errorf("core: missing corner node %v of cell %v", mesh.CellCorner(bd.Cells[ci], k), bd.Cells[ci])
 				}
-				pos, ok := slices.BinarySearch(d.blockNodeIDs[bi], id)
-				if !ok {
+				if pos[id] == 0 {
 					return nil, fmt.Errorf("core: corner node %d of block %d missing from its node set", id, bi)
 				}
-				local[ci][k] = int32(pos)
+				local[ci][k] = pos[id] - 1
 			}
+		}
+		for _, id := range ids {
+			pos[id] = 0
 		}
 		d.blockCornerLocal[bi] = local
 	}

@@ -5,11 +5,18 @@
 // (Vs / (pointsPerWavelength * fmax)). Nodes are the deduplicated element
 // corners; corner nodes lying on the edge or face of a coarser neighbor are
 // "hanging" and carry an interpolation constraint.
+//
+// As in the Etree method, nodes are keyed by their grid coordinate, not by
+// a hash map: FromTree numbers them in an open-addressing table of ids
+// keyed by the coordinate packed 17 bits an axis, and collects hanging
+// constraints on per-node arrays, so no Go map is on the path every
+// dataset load takes.
 package mesh
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/octree"
 )
@@ -67,12 +74,18 @@ type Mesh struct {
 	Tree   *octree.Tree
 	Domain float64 // physical edge length of the unit cube, meters
 
-	Nodes     []GridCoord
-	NodeIndex map[GridCoord]int32
-	Elems     []Elem // Elems[i] corresponds to Tree.Leaves[i]
+	Nodes []GridCoord
+	Elems []Elem // Elems[i] corresponds to Tree.Leaves[i]
 
-	Hanging []Constraint  // sorted by node id; masters fully resolved
-	hangSet map[int32]int // node id -> index into Hanging
+	Hanging []Constraint // sorted by node id; masters fully resolved
+
+	// slots is the node table NodeID probes: open addressing, linear
+	// probing from the top 64-shift bits of hashGrid. A slot holds 1 + a
+	// node id, 0 when empty, and at most half of them are full.
+	slots []int32
+	shift uint8
+	// hanging[id] says node id carries a constraint.
+	hanging []bool
 }
 
 // Config controls mesh generation.
@@ -126,36 +139,91 @@ func Generate(cfg Config, model Model) (*Mesh, error) {
 }
 
 // FromTree builds the node/element/constraint tables for an existing
-// (already balanced) octree.
+// (already balanced) octree. Node ids are given in first-touch order: the
+// leaves in key order, each leaf's corners in CellCorner order, a new
+// coordinate taking the next id. No hash map is involved: nodes are
+// deduplicated in an open-addressing table of ids (NodeID), sized from the
+// leaf count, and constraints are collected on per-node arrays
+// (findHanging).
 func FromTree(tree *octree.Tree, domain float64, model Model) *Mesh {
-	m := &Mesh{
-		Tree:      tree,
-		Domain:    domain,
-		NodeIndex: make(map[GridCoord]int32),
-	}
-	node := func(g GridCoord) int32 {
-		if id, ok := m.NodeIndex[g]; ok {
-			return id
-		}
-		id := int32(len(m.Nodes))
-		m.Nodes = append(m.Nodes, g)
-		m.NodeIndex[g] = id
-		return id
-	}
+	m := &Mesh{Tree: tree, Domain: domain}
+	m.resizeSlots(tree.Len() + tree.Len()/4)
 	m.Elems = make([]Elem, tree.Len())
 	for li, leaf := range tree.Leaves {
-		var e Elem
+		e := &m.Elems[li]
 		e.Leaf = leaf
-		for i := 0; i < 8; i++ {
-			e.N[i] = node(CellCorner(leaf, i))
+		for i := range e.N {
+			e.N[i] = m.addNode(CellCorner(leaf, i))
 		}
 		if model != nil {
 			e.Mat = model.At(leaf.Center())
 		}
-		m.Elems[li] = e
 	}
 	m.findHanging()
 	return m
+}
+
+// hashGrid spreads a grid coordinate over 64 bits: the coordinate packed
+// 17 bits an axis (2^MaxLevel itself is a coordinate), times the 64-bit
+// golden ratio, whose top bits are the home slot (Fibonacci hashing).
+func hashGrid(g GridCoord) uint64 {
+	return (uint64(g[0]) | uint64(g[1])<<17 | uint64(g[2])<<34) * 0x9e3779b97f4a7c15
+}
+
+// resizeSlots rebuilds the node table with room for n entries at a load of
+// at most one half: a power of two, at least 16, slots.
+func (m *Mesh) resizeSlots(n int) {
+	bits := uint(4)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	m.slots = make([]int32, 1<<bits)
+	m.shift = uint8(64 - bits)
+	mask := uint64(len(m.slots) - 1)
+	for id, g := range m.Nodes {
+		i := hashGrid(g) >> m.shift
+		for m.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		m.slots[i] = int32(id) + 1
+	}
+}
+
+// probe returns the slot that holds g's node id, or the empty slot it
+// would take.
+func (m *Mesh) probe(g GridCoord) uint64 {
+	mask := uint64(len(m.slots) - 1)
+	i := hashGrid(g) >> m.shift
+	for s := m.slots[i]; s != 0 && m.Nodes[s-1] != g; s = m.slots[i] {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// addNode returns the id of the node at g, appending it to Nodes under the
+// next id when it is new.
+func (m *Mesh) addNode(g GridCoord) int32 {
+	i := m.probe(g)
+	if s := m.slots[i]; s != 0 {
+		return s - 1
+	}
+	id := int32(len(m.Nodes))
+	m.Nodes = append(m.Nodes, g)
+	m.slots[i] = id + 1
+	if 2*len(m.Nodes) > len(m.slots) {
+		m.resizeSlots(len(m.Nodes))
+	}
+	return id
+}
+
+// NodeID returns the id of the node at grid coordinate g, and false (with
+// id -1) when the mesh has none there.
+func (m *Mesh) NodeID(g GridCoord) (int32, bool) {
+	if len(m.slots) == 0 {
+		return -1, false
+	}
+	s := m.slots[m.probe(g)]
+	return s - 1, s != 0
 }
 
 // CellCorner returns the grid coordinate of corner i (0..7, x fastest) of
@@ -174,11 +242,7 @@ func CellCorner(c octree.Cell, i int) GridCoord {
 func (m *Mesh) CornerIDs(c octree.Cell) [8]int32 {
 	var ids [8]int32
 	for i := range ids {
-		id, ok := m.NodeIndex[CellCorner(c, i)]
-		if !ok {
-			id = -1
-		}
-		ids[i] = id
+		ids[i], _ = m.NodeID(CellCorner(c, i))
 	}
 	return ids
 }
@@ -204,96 +268,160 @@ func midpoint(a, b GridCoord) GridCoord {
 // findHanging detects hanging nodes: a node that sits at the midpoint of a
 // leaf's edge or the center of a leaf's face hangs off that (coarser-side)
 // entity and is constrained to the average of the entity's corners. With a
-// 2:1-balanced tree this enumeration is exhaustive. Constraints whose
-// masters are themselves hanging are resolved transitively.
+// 2:1-balanced tree this enumeration is exhaustive. Each node keeps its raw
+// masters in a fixed [4]int32 with a count: the first edge to reach it
+// wins, and any face centre overwrites what it holds.
+//
+// Only leaves with a finer leaf at a corner are probed. A node at the
+// midpoint of a level-l leaf's edge is a corner of a finer leaf inside one
+// of the other level-l cells around that edge, which is therefore split;
+// the leaf of that cell at the edge's endpoint is finer than l and has the
+// endpoint as a corner. The same holds for a face centre and the face's
+// corners. So where every corner's finest leaf (fine) is the leaf's own
+// level, no midpoint of the leaf is a node. That includes every leaf at
+// octree.MaxLevel, between whose corners no grid point lies (its
+// truncated midpoints would be corners).
+//
+// Constraints whose masters are themselves hanging are then resolved
+// transitively (resolver), in node-id order.
 func (m *Mesh) findHanging() {
-	raw := make(map[int32][]int32)
+	fine := make([]uint8, len(m.Nodes))
 	for li := range m.Elems {
 		e := &m.Elems[li]
+		for _, id := range e.N {
+			fine[id] = max(fine[id], e.Leaf.Level)
+		}
+	}
+	n := len(m.Nodes)
+	r := resolver{raw: make([][4]int32, n), count: make([]uint8, n), start: make([]int32, n), end: make([]int32, n)}
+	for li := range m.Elems {
+		e := &m.Elems[li]
+		l := e.Leaf.Level
+		if !slices.ContainsFunc(e.N[:], func(id int32) bool { return fine[id] > l }) {
+			continue
+		}
+		var c [8]GridCoord
+		for i := range c {
+			c[i] = CellCorner(e.Leaf, i)
+		}
 		for _, ed := range hexEdges {
-			a, b := m.Nodes[e.N[ed[0]]], m.Nodes[e.N[ed[1]]]
-			mid := midpoint(a, b)
-			if id, ok := m.NodeIndex[mid]; ok {
-				if _, dup := raw[id]; !dup {
-					raw[id] = []int32{e.N[ed[0]], e.N[ed[1]]}
-				}
+			if fine[e.N[ed[0]]] <= l {
+				continue
+			}
+			if id, ok := m.NodeID(midpoint(c[ed[0]], c[ed[1]])); ok && r.count[id] == 0 {
+				r.raw[id] = [4]int32{e.N[ed[0]], e.N[ed[1]]}
+				r.count[id] = 2
 			}
 		}
 		for _, fc := range hexFaces {
-			a, d := m.Nodes[e.N[fc[0]]], m.Nodes[e.N[fc[3]]]
-			ctr := midpoint(a, d)
-			if id, ok := m.NodeIndex[ctr]; ok {
+			if fine[e.N[fc[0]]] <= l {
+				continue
+			}
+			if id, ok := m.NodeID(midpoint(c[fc[0]], c[fc[3]])); ok {
 				// A face center beats any edge-midpoint interpretation.
-				raw[id] = []int32{e.N[fc[0]], e.N[fc[1]], e.N[fc[2]], e.N[fc[3]]}
+				r.raw[id] = [4]int32{e.N[fc[0]], e.N[fc[1]], e.N[fc[2]], e.N[fc[3]]}
+				r.count[id] = 4
 			}
 		}
 	}
-	// Resolve chains: replace hanging masters by their own masters until
-	// all masters are free nodes. Levels strictly coarsen along the chain,
-	// so this terminates.
-	resolve := func(id int32) []int32 {
-		seen := map[int32]float64{}
-		var walk func(n int32, w float64)
-		walk = func(n int32, w float64) {
-			if ms, ok := raw[n]; ok && n != id {
-				for _, mm := range ms {
-					walk(mm, w/float64(len(ms)))
-				}
-				return
-			}
-			seen[n] += w
+	m.hanging = make([]bool, len(m.Nodes))
+	var masters []int32 // every constraint's masters, back to back
+	var ends []int
+	for id, c := range r.count {
+		if c == 0 {
+			continue
 		}
-		ms := raw[id]
-		for _, mm := range ms {
-			walk(mm, 1/float64(len(ms)))
-		}
-		// Keep equal-weight masters only if the weights are uniform;
-		// otherwise encode weights by repetition is wrong — but for a
-		// 2:1-balanced octree every resolved constraint remains a uniform
-		// average, so assert and flatten.
-		out := make([]int32, 0, len(seen))
-		var w0 float64
-		first := true
-		uniform := true
-		for n, w := range seen {
-			if first {
-				w0, first = w, false
-			} else if math.Abs(w-w0) > 1e-9 {
-				uniform = false
-			}
-			out = append(out, n)
-		}
-		if !uniform {
-			// Fall back to direct masters (still correct to one level).
-			return append([]int32(nil), raw[id]...)
-		}
-		sortInt32(out)
-		return out
+		m.hanging[id] = true
+		masters = r.resolve(masters, int32(id))
+		m.Hanging = append(m.Hanging, Constraint{Node: int32(id)})
+		ends = append(ends, len(masters))
 	}
-	m.hangSet = make(map[int32]int, len(raw))
-	ids := make([]int32, 0, len(raw))
-	for id := range raw {
-		ids = append(ids, id)
-	}
-	sortInt32(ids)
-	for _, id := range ids {
-		m.hangSet[id] = len(m.Hanging)
-		m.Hanging = append(m.Hanging, Constraint{Node: id, Masters: resolve(id)})
+	start := 0
+	for i, end := range ends {
+		m.Hanging[i].Masters = masters[start:end:end]
+		start = end
 	}
 }
 
-func sortInt32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+// resolver flattens constraint chains. raw and count are every node's raw
+// masters (count 0: the node is free). A hanging node's weights — the free
+// nodes its value averages and each one's share — are computed once, from
+// its masters' (weightsOf), and kept in arena[start[n]:end[n]], so a chain
+// is walked once however many constraints run through it. Every share is
+// a product of halves and quarters, exact in a float64, so the sums do not
+// depend on the order they are formed in.
+type resolver struct {
+	raw        [][4]int32
+	count      []uint8
+	start, end []int32
+	arena      []weighted
+}
+
+// weighted is a free node and its share of a hanging node's value.
+type weighted struct {
+	node int32
+	w    float64
+}
+
+// resolve appends the resolved masters of hanging node id to out: its raw
+// masters with each hanging one replaced by that node's own, until all are
+// free, sorted. For a 2:1-balanced octree every resolved constraint is a
+// uniform average; where the shares differ, the raw masters are appended
+// instead (still correct to one level).
+func (r *resolver) resolve(out []int32, id int32) []int32 {
+	ws := r.weightsOf(id)
+	start := len(out)
+	for _, x := range ws {
+		if math.Abs(x.w-ws[0].w) > 1e-9 {
+			return append(out[:start], r.raw[id][:r.count[id]]...)
+		}
+		out = append(out, x.node)
+	}
+	slices.Sort(out[start:])
+	return out
+}
+
+// weightsOf returns hanging node n's weights, computing its hanging
+// masters' first. Levels strictly coarsen along a chain (a node hangs off
+// the coarser leaf's corners), so the recursion is at most MaxLevel deep.
+func (r *resolver) weightsOf(n int32) []weighted {
+	if r.end[n] == 0 {
+		ms := r.raw[n][:r.count[n]]
+		for _, mm := range ms {
+			if r.count[mm] > 0 {
+				r.weightsOf(mm)
+			}
+		}
+		start := int32(len(r.arena))
+		share := 1 / float64(len(ms))
+		for _, mm := range ms {
+			if r.count[mm] == 0 {
+				r.add(start, mm, share)
+				continue
+			}
+			for _, x := range r.arena[r.start[mm]:r.end[mm]] {
+				r.add(start, x.node, x.w*share)
+			}
+		}
+		r.start[n], r.end[n] = start, int32(len(r.arena))
+	}
+	return r.arena[r.start[n]:r.end[n]]
+}
+
+// add adds share w of node to the weights being built at arena[start:].
+func (r *resolver) add(start int32, node int32, w float64) {
+	for i := range r.arena[start:] {
+		if x := &r.arena[int(start)+i]; x.node == node {
+			x.w += w
+			return
 		}
 	}
+	r.arena = append(r.arena, weighted{node, w})
 }
 
 // IsHanging reports whether node id carries a constraint.
 func (m *Mesh) IsHanging(id int32) bool {
-	_, ok := m.hangSet[id]
-	return ok
+	return uint(id) < uint(len(m.hanging)) && m.hanging[id]
 }
 
 // NumNodes returns the node count.

@@ -179,8 +179,11 @@ func TestNodePosScaling(t *testing.T) {
 	m := FromTree(octree.FromLeaves([]octree.Cell{{Level: 0}}), 5000, nil)
 	// Root cell: 8 corner nodes; the far corner is the unit cube's, and
 	// Domain scales it to (5000,5000,5000) meters.
-	far := m.Nodes[m.NodeIndex[GridCoord{1 << octree.MaxLevel, 1 << octree.MaxLevel, 1 << octree.MaxLevel}]].Pos()
-	if far != [3]float64{1, 1, 1} || m.Domain != 5000 {
+	id, ok := m.NodeID(GridCoord{1 << octree.MaxLevel, 1 << octree.MaxLevel, 1 << octree.MaxLevel})
+	if !ok {
+		t.Fatal("no node at the far corner")
+	}
+	if far := m.Nodes[id].Pos(); far != [3]float64{1, 1, 1} || m.Domain != 5000 {
 		t.Errorf("far corner = %v x %v m", far, m.Domain)
 	}
 }

@@ -1,6 +1,8 @@
 package octree
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 )
 
@@ -42,8 +44,28 @@ func FromLeaves(leaves []Cell) *Tree {
 	return t
 }
 
+// sortLeaves puts the leaves in Key order. Leaves already in it (Build's
+// recursion and a stored mesh produce them so) are left alone; otherwise
+// each key is computed once and the leaves are sorted on them.
 func (t *Tree) sortLeaves() {
-	sort.Slice(t.Leaves, func(i, j int) bool { return t.Leaves[i].Key() < t.Leaves[j].Key() })
+	byKey := func(a, b Cell) int { return cmp.Compare(a.Key(), b.Key()) }
+	if slices.IsSortedFunc(t.Leaves, byKey) {
+		return
+	}
+	keyed := make([]keyedCell, len(t.Leaves))
+	for i, c := range t.Leaves {
+		keyed[i] = keyedCell{c.Key(), c}
+	}
+	slices.SortFunc(keyed, func(a, b keyedCell) int { return cmp.Compare(a.key, b.key) })
+	for i, k := range keyed {
+		t.Leaves[i] = k.cell
+	}
+}
+
+// keyedCell is a cell with its Key, the sort record of sortLeaves.
+type keyedCell struct {
+	key  uint64
+	cell Cell
 }
 
 // Len returns the number of leaves.

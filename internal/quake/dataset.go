@@ -53,8 +53,21 @@ func WriteMesh(st pfs.Store, m *mesh.Mesh) error {
 	return st.Write(MeshObject, buf.Bytes())
 }
 
+// Mesh object layout: a 20-byte header (magic, domain, leaf count) and one
+// 13-byte record per leaf (X, Y, Z, Level), all little-endian.
+const (
+	meshHeaderBytes = 20
+	meshLeafBytes   = 13
+)
+
 // ReadMesh loads and rebuilds the mesh (without materials, which only the
-// solver needs).
+// solver needs). It refuses an object WriteMesh cannot have written before
+// it builds anything: a size other than the header's leaf count implies,
+// an invalid cell, leaves out of strictly increasing key order, a leaf
+// containing its successor, or leaves that do not tile the unit cube.
+// Leaves in key order, none containing its successor, are disjoint, so
+// their volumes (8^(MaxLevel-level) grid cells each) sum to the cube's
+// exactly when they cover it.
 func ReadMesh(st pfs.Store) (*mesh.Mesh, error) {
 	size, err := st.Size(MeshObject)
 	if err != nil {
@@ -64,42 +77,43 @@ func ReadMesh(st pfs.Store) (*mesh.Mesh, error) {
 	if err := st.ReadAt(nil, MeshObject, 0, raw); err != nil {
 		return nil, err
 	}
-	r := bytes.NewReader(raw)
-	var magic uint64
-	var domain float64
-	var n uint32
-	rd := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	if err := rd(&magic); err != nil || magic != meshMagic {
+	if len(raw) < meshHeaderBytes {
+		return nil, fmt.Errorf("quake: truncated mesh object (%d bytes)", len(raw))
+	}
+	le := binary.LittleEndian
+	if magic := le.Uint64(raw); magic != meshMagic {
 		return nil, fmt.Errorf("quake: bad mesh object (magic %x)", magic)
 	}
-	if err := rd(&domain); err != nil {
-		return nil, err
-	}
-	if err := rd(&n); err != nil {
-		return nil, err
+	domain := math.Float64frombits(le.Uint64(raw[8:]))
+	n := int64(le.Uint32(raw[16:]))
+	if want := meshHeaderBytes + meshLeafBytes*n; int64(len(raw)) != want {
+		return nil, fmt.Errorf("quake: mesh object of %d bytes for %d leaves (want %d)", len(raw), n, want)
 	}
 	leaves := make([]octree.Cell, n)
+	const cube = uint64(1) << (3 * octree.MaxLevel)
+	var volume uint64
 	for i := range leaves {
-		var c octree.Cell
-		if err := rd(&c.X); err != nil {
-			return nil, fmt.Errorf("quake: truncated mesh object: %w", err)
-		}
-		if err := rd(&c.Y); err != nil {
-			return nil, err
-		}
-		if err := rd(&c.Z); err != nil {
-			return nil, err
-		}
-		if err := rd(&c.Level); err != nil {
-			return nil, err
-		}
+		r := raw[meshHeaderBytes+meshLeafBytes*i:]
+		c := octree.Cell{X: le.Uint32(r), Y: le.Uint32(r[4:]), Z: le.Uint32(r[8:]), Level: r[12]}
 		if !c.Valid() {
 			return nil, fmt.Errorf("quake: invalid cell %v in mesh object", c)
 		}
+		if i > 0 {
+			prev := leaves[i-1]
+			if c.Key() <= prev.Key() {
+				return nil, fmt.Errorf("quake: mesh leaf %d (%v) out of key order after %v", i, c, prev)
+			}
+			if prev.Contains(c) {
+				return nil, fmt.Errorf("quake: mesh leaf %v contains its successor %v", prev, c)
+			}
+		}
+		volume += uint64(1) << (3 * (octree.MaxLevel - uint64(c.Level)))
 		leaves[i] = c
 	}
-	tree := octree.FromLeaves(leaves)
-	return mesh.FromTree(tree, domain, nil), nil
+	if volume != cube {
+		return nil, fmt.Errorf("quake: mesh leaves cover %d of the %d finest cells of the domain", volume, cube)
+	}
+	return mesh.FromTree(&octree.Tree{Leaves: leaves}, domain, nil), nil
 }
 
 // WriteMeta stores the dataset metadata.

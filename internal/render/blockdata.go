@@ -3,7 +3,7 @@ package render
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 
 	"repro/internal/mesh"
 	"repro/internal/octree"
@@ -496,37 +496,60 @@ func ExtractBlockDataInto(bd *BlockData, m *mesh.Mesh, scalar []float32, block o
 	return nil
 }
 
-// BlockNodeIDs returns the sorted unique node ids needed to extract the
-// block at the given level — the read set used for adaptive fetching with
-// MPI-IO indexed reads.
-func BlockNodeIDs(m *mesh.Mesh, block octree.Block, level uint8) []int32 {
+// BlockCorners returns the corner node ids, in mesh.CellCorner order, of
+// every cell ExtractBlockData extracts from the block at the given level,
+// in its cell order: a leaf's are its element's nodes, a coarsened cell's
+// its CornerIDs (-1 where the mesh has no node).
+func BlockCorners(m *mesh.Mesh, block octree.Block, level uint8) [][8]int32 {
 	if level < block.Root.Level {
 		level = block.Root.Level
 	}
-	var ids []int32
+	out := make([][8]int32, 0, len(block.Leaves))
 	var lastKey uint64
-	have := false
-	for _, li := range block.Leaves {
+	for i, li := range block.Leaves {
 		leaf := m.Tree.Leaves[li]
 		cell := leaf
 		if leaf.Level > level {
 			cell = leaf.AncestorAt(level)
 		}
-		if k := cell.Key(); have && k == lastKey {
-			continue
+		if k := cell.Key(); i > 0 && k == lastKey {
+			continue // consecutive leaves of the same coarsened cell
 		} else {
-			lastKey, have = k, true
+			lastKey = k
 		}
 		if cell == leaf {
-			ids = append(ids, m.Elems[li].N[:]...)
-			continue
+			out = append(out, m.Elems[li].N)
+		} else {
+			out = append(out, m.CornerIDs(cell))
 		}
-		for _, nid := range m.CornerIDs(cell) {
-			if nid >= 0 { // a corner the mesh has no node for is skipped
-				ids = append(ids, nid)
+	}
+	return out
+}
+
+// BlockNodeIDs returns the sorted unique node ids needed to extract the
+// block at the given level — the read set used for adaptive fetching with
+// MPI-IO indexed reads. A corner the mesh has no node for is skipped. The
+// ids are marked in a bitset over the mesh's nodes and read back in order,
+// so nothing is sorted.
+func BlockNodeIDs(m *mesh.Mesh, block octree.Block, level uint8) []int32 {
+	seen := make([]uint64, (m.NumNodes()+63)/64)
+	n := 0
+	for _, c := range BlockCorners(m, block, level) {
+		for _, id := range c {
+			if id < 0 {
+				continue
+			}
+			if w, b := id/64, uint64(1)<<(id%64); seen[w]&b == 0 {
+				seen[w] |= b
+				n++
 			}
 		}
 	}
-	slices.Sort(ids)
-	return slices.Compact(ids)
+	ids := make([]int32, 0, n)
+	for w, word := range seen {
+		for ; word != 0; word &= word - 1 {
+			ids = append(ids, int32(64*w+bits.TrailingZeros64(word)))
+		}
+	}
+	return ids
 }

@@ -56,7 +56,7 @@ func extractBlockDataLegacy(m *mesh.Mesh, scalar []float32, block octree.Block, 
 					y + step*uint32(i>>1&1),
 					z + step*uint32(i>>2&1),
 				}
-				nid, ok := m.NodeIndex[g]
+				nid, ok := m.NodeID(g)
 				if !ok {
 					return nil, fmt.Errorf("render: missing corner node %v for cell %v", g, cell)
 				}

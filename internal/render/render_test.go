@@ -2,6 +2,7 @@ package render
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/img"
@@ -202,6 +203,36 @@ func TestBlockNodeIDsShrinkWithLevel(t *testing.T) {
 	for i := 1; i < len(full); i++ {
 		if full[i-1] >= full[i] {
 			t.Fatal("node ids not sorted")
+		}
+	}
+}
+
+// TestBlockCornersMatchExtraction: on a graded mesh at every level,
+// BlockCorners names each extracted cell's corners as CornerIDs does (a
+// leaf's through its element), and BlockNodeIDs is their sorted set.
+func TestBlockCornersMatchExtraction(t *testing.T) {
+	m := gradedRenderMesh(t)
+	for level := uint8(0); level <= m.Tree.MaxDepth(); level++ {
+		for _, b := range m.Tree.Blocks(1) {
+			bd, err := ExtractBlockData(m, make([]float32, m.NumNodes()), b, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corners := BlockCorners(m, b, level)
+			if len(corners) != len(bd.Cells) {
+				t.Fatalf("level %d block %v: %d corner sets for %d cells", level, b.Root, len(corners), len(bd.Cells))
+			}
+			var ids []int32
+			for i, cell := range bd.Cells {
+				if want := m.CornerIDs(cell); corners[i] != want {
+					t.Fatalf("level %d cell %v: corners %v, want %v", level, cell, corners[i], want)
+				}
+				ids = append(ids, corners[i][:]...)
+			}
+			slices.Sort(ids)
+			if got := BlockNodeIDs(m, b, level); !slices.Equal(got, slices.Compact(ids)) {
+				t.Fatalf("level %d block %v: BlockNodeIDs %v, want %v", level, b.Root, got, ids)
+			}
 		}
 	}
 }
