@@ -161,7 +161,7 @@ func TestDataCodecRoundTrip(t *testing.T) {
 							name, part, r, i, run.Block, run.Off, len(run.Vals), o.Block, o.Off, len(o.Vals))
 					}
 				}
-				if err := w.checkPiece(part, r, got); err != nil {
+				if err := w.checkPiece(0, part, r, got); err != nil {
 					t.Errorf("%s: the renderer refuses its own piece: %v", name, err)
 				}
 				got.release()

@@ -146,6 +146,52 @@ func magnitudeQuantize(q []uint8, cur, prev []float32, gain, vmax float32) {
 	}
 }
 
+// recordRuns returns run i's records in raw, which holds the records of
+// runs packed in run order, those of run i from byte off on; the last
+// run's reach to raw's end, so its trailing words are validated with it.
+// raw holds every run's records: it was sized from the runs' view.
+func recordRuns(raw []byte, runs []posRun, i, off int) []byte {
+	if i == len(runs)-1 {
+		return raw[off:]
+	}
+	return raw[off : off+int(runs[i].hi-runs[i].lo)*quake.BytesPerNode]
+}
+
+// quantizeRuns is recordQuantize over the records of the positions of runs,
+// packed in raw as recordRuns reads them: q[lo:hi] receives run [lo, hi)'s
+// values. It fails, as recordQuantize does, with quake.CheckStep's error
+// over the whole of raw.
+//
+//repro:allocfree
+func quantizeRuns(q []uint8, raw []byte, runs []posRun, vmax float32) error {
+	off := 0
+	for i, r := range runs {
+		rec := recordRuns(raw, runs, i, off)
+		if recordQuantize(q[r.lo:r.hi], rec, vmax) != nil {
+			return quake.CheckStep(raw)
+		}
+		off += len(rec)
+	}
+	return nil
+}
+
+// magnitudeRuns is recordMagnitudes over the records of the positions of
+// runs, as quantizeRuns is recordQuantize: mag[lo:hi] receives run
+// [lo, hi)'s magnitudes.
+//
+//repro:allocfree
+func magnitudeRuns(mag []float32, raw []byte, runs []posRun) error {
+	off := 0
+	for i, r := range runs {
+		rec := recordRuns(raw, runs, i, off)
+		if recordMagnitudes(mag[r.lo:r.hi], rec) != nil {
+			return quake.CheckStep(raw)
+		}
+		off += len(rec)
+	}
+	return nil
+}
+
 // quantizeValue is render.QuantizeInto's per-sample step: v over [lo, lo +
 // 255/inv] to a byte, clamped, rounded half up.
 func quantizeValue(v, lo, inv float32) uint8 {

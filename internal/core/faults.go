@@ -57,8 +57,10 @@ func (w *RealWorkload) FrameDegraded(t int) bool {
 // Retryable failures re-read within the per-step budget; past it the step
 // degrades to the previous step's data (stale fallback: the scratch still
 // holds it, zeros before this rank's first successful step, and PayloadFor
-// ships stale values exactly as it would fresh ones) and the frame is
-// flagged (scr.stale, which PayloadFor stamps on the step's pieces).
+// ships it as it would fresh values, every block's runs, since which of
+// them the stale values leave silent is not the step's to say) and the
+// frame is flagged (scr.stale, which PayloadFor stamps on the step's
+// pieces).
 // Collective reads never re-run fetchStep — a completed collective
 // round cannot be re-entered by one rank (mpiio.ReadAllInto) — so a surfaced
 // collective failure degrades directly; transients there are healed below

@@ -313,7 +313,7 @@ func TestFetchSurfacesCorruptStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	whole := mpiio.Contig{N: w.ds.meta.NumNodes, ElemSize: quake.BytesPerNode}
-	if err := w.magQuant(nil, 1, whole, raw[:len(raw)-2], scr, &handoff{}); err == nil {
+	if err := w.magQuant(nil, 1, contigStep(whole, raw[:len(raw)-2]), raw[:len(raw)-2], scr, &handoff{}); err == nil {
 		t.Error("magQuant decoded a truncated record without error")
 	}
 	// Truncate the stored object itself: the whole fetch must fail loudly.

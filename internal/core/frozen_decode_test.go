@@ -164,7 +164,15 @@ func (r *magQuantRig) step(raw, prev []byte) error {
 			return err
 		}
 	}
-	return r.w.magQuant(nil, 1, mpiio.Contig{N: np, ElemSize: quake.BytesPerNode}, raw, r.scr, &handoff{})
+	return r.w.magQuant(nil, 1, contigStep(mpiio.Contig{N: np, ElemSize: quake.BytesPerNode}, raw), raw, r.scr, &handoff{})
+}
+
+// contigStep is the read plan of raw's whole records through view, every
+// position live, as a step the occupancy index does not cover reads them.
+func contigStep(view mpiio.Datatype, raw []byte) *partStep {
+	n := len(raw) / quake.BytesPerNode
+	all := []posRun{{0, int32(n)}}
+	return &partStep{view: view, read: all, live: all, next: all, nodes: n, nlive: n}
 }
 
 // frozen is what the frozen chain makes of the same inputs.
@@ -375,7 +383,7 @@ func TestMagQuantFailureKeepsQ(t *testing.T) {
 				t.Fatal(err)
 			}
 			view := mpiio.Contig{N: len(good) / quake.BytesPerNode, ElemSize: quake.BytesPerNode}
-			if err := r.w.magQuant(nil, 1, view, tc.raw, r.scr, &handoff{}); err == nil {
+			if err := r.w.magQuant(nil, 1, contigStep(view, tc.raw), tc.raw, r.scr, &handoff{}); err == nil {
 				t.Fatal("failing step succeeded")
 			}
 			if !bytes.Equal(r.scr.q, last) {

@@ -583,11 +583,11 @@ func TestMagPayloadRefusesHostile(t *testing.T) {
 // FuzzDecodeMagPayload: on arbitrary wire bodies the magnitudes codec
 // decodes exactly the bodies of whole words, to their words bit for bit,
 // and the receiving rank takes a decoded hand-off exactly when it holds
-// one value per node of its part.
+// one value per node of its part live at the step.
 func FuzzDecodeMagPayload(f *testing.F) {
 	w, _ := fetchWorkload(f, handoffIO, 2, nil)
 	const part = 0
-	nodes := len(w.ds.partIDs[part])
+	nodes := w.ds.partStep(1, part).nlive
 	f.Add(magWire(nodes))
 	f.Add(magWire(nodes - 1))
 	f.Add(magWire(nodes + 1))

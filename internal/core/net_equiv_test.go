@@ -96,19 +96,34 @@ func TestCrossTransportCollectiveEquivalence(t *testing.T) {
 // TestCrossTransportEnhancedHandoffEquivalence runs batch_io's shape —
 // two groups of two input ranks, collective adaptive reads, temporal
 // enhancement — over all three transports: frames bit-identical, per-rank
-// accounting identical, and the magnitudes hand-off is all the traffic
-// enhancement adds: each input rank sends one message of 4 bytes per part
-// node for every step of its own but the last step of the run, and
-// receives one for every step of its own but step 0.
+// accounting identical. With every block live (FixedVMax: no occupancy
+// index, so both runs read and ship the same records) the magnitudes
+// hand-off is all the traffic enhancement adds: each input rank sends one
+// message of 4 bytes per part node for every step of its own but the last
+// step of the run, and receives one for every step of its own but step 0.
+// With the index the messages are the same — each hand-off of step s
+// holds exactly the magnitudes of the nodes live at step s+1, or the
+// receiving rank would refuse it (takeHandoff) and fail the run — and the
+// run renders the every-block-live run's frames.
 func TestCrossTransportEnhancedHandoffEquivalence(t *testing.T) {
 	const steps = 4
 	store := buildDataset(t, steps)
 	l := Layout{Groups: 2, IPsPerGroup: 2, Renderers: 2, Outputs: 1}
 	opts := smallOpts(40, 40)
 	opts.ReadStrategy, opts.AdaptiveFetch = ReadCollective, true
-	_, _, plainStats := runPipelineOver(t, store, l, opts, overReal, nil)
-	opts.Enhancement, opts.EnhanceGain = true, 3
+	opts.EnhanceGain = 3
+	scan, err := NewDataset(l, func() Options { o := opts; o.Enhancement = true; return o }(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := opts
+	dense.FixedVMax = scan.VMax()
+	_, _, plainStats := runPipelineOver(t, store, l, dense, overReal, nil)
+	dense.Enhancement = true
+	denseRef, _, denseStats := runPipelineOver(t, store, l, dense, overReal, nil)
+	opts.Enhancement = true
 	ref, refRes, refStats := runPipelineOver(t, store, l, opts, overReal, nil)
+	requireFramesEqual(t, denseRef, ref, steps)
 	for r := 0; r < l.NumInput(); r++ {
 		g, part := r/l.IPsPerGroup, r%l.IPsPerGroup
 		nodes := int64(len(ref.ds.partIDs[part]))
@@ -126,8 +141,14 @@ func TestCrossTransportEnhancedHandoffEquivalence(t *testing.T) {
 		want.BytesSent += int64(sent) * 4 * nodes
 		want.MsgsRecv += recvd
 		want.BytesRecv += int64(recvd) * 4 * nodes
-		if refStats[r] != want {
-			t.Errorf("input rank %d traffic %+v, want the unenhanced run's plus the hand-offs: %+v", r, refStats[r], want)
+		if denseStats[r] != want {
+			t.Errorf("input rank %d traffic %+v, want the unenhanced run's plus the hand-offs: %+v", r, denseStats[r], want)
+		}
+		if got, want := refStats[r].MsgsSent, denseStats[r].MsgsSent; got != want {
+			t.Errorf("input rank %d sent %d messages, %d with every block live", r, got, want)
+		}
+		if got, want := refStats[r].MsgsRecv, denseStats[r].MsgsRecv; got != want {
+			t.Errorf("input rank %d received %d messages, %d with every block live", r, got, want)
 		}
 	}
 	for name, run := range map[string]transportRun{"sim": overSim, "net": overNet} {

@@ -38,7 +38,7 @@ func requirePlanContract(t *testing.T, name string, d *Dataset) {
 			}
 		}
 		var viewed []int32
-		for _, seg := range d.partView[p].Segments() {
+		for _, seg := range d.dense[p].view.Segments() {
 			for off := seg.Off; off < seg.Off+seg.Len; off += quake.BytesPerNode {
 				viewed = append(viewed, int32(off/quake.BytesPerNode))
 			}
@@ -48,7 +48,7 @@ func requirePlanContract(t *testing.T, name string, d *Dataset) {
 		}
 		for r := range d.rblocks {
 			g := d.gather[p][r]
-			at, bytes := 0, int64(0)
+			at := 0
 			for _, run := range g.runs {
 				if d.owner[run.Block] != r {
 					t.Fatalf("%s: part %d ships renderer %d block %d, which renderer %d owns", name, p, r, run.Block, d.owner[run.Block])
@@ -68,16 +68,9 @@ func requirePlanContract(t *testing.T, name string, d *Dataset) {
 					}
 					at++
 				}
-				bytes += int64(run.Len) + 8
 			}
 			if at != len(g.src) {
 				t.Fatalf("%s: part %d renderer %d: runs hold %d values, src %d", name, p, r, at, len(g.src))
-			}
-			if bytes == 0 {
-				bytes = 1
-			}
-			if g.bytes != bytes {
-				t.Fatalf("%s: part %d renderer %d declares %d bytes, its runs make %d", name, p, r, g.bytes, bytes)
 			}
 		}
 	}
@@ -96,8 +89,9 @@ func requirePlanContract(t *testing.T, name string, d *Dataset) {
 // points at the id the run claims, so what a part ships is a subset of what
 // it reads; a part's ids are strictly ascending and its view selects exactly
 // their records, in that order; each run is as long as it can be, stopping
-// only at its block's ends or beside a node the part does not read; and the
-// declared size is a byte per value plus eight per run.
+// only at its block's ends or beside a node the part does not read.
+// (TestStepPlansContract holds the per-step plans and the declared piece
+// sizes.)
 //
 // Mutation-checked: commitGather recording at[id]+1, counting 4 bytes per
 // header, opening a run at every node, committing the view of another

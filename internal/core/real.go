@@ -11,7 +11,6 @@ import (
 	"repro/internal/lic"
 	"repro/internal/mesh"
 	"repro/internal/mpi"
-	"repro/internal/mpiio"
 	"repro/internal/octree"
 	"repro/internal/pfs"
 	"repro/internal/pool"
@@ -347,27 +346,31 @@ func (w *RealWorkload) Close() {
 //repro:allow deadexport: bench
 func (w *RealWorkload) VMax() float32 { return w.ds.vmax }
 
-// magQuant converts the raw node records read through view to quantized
-// magnitudes in scr.q, applying temporal enhancement when enabled, in one
-// decode kernel pass per record (decode.go): bytes straight to q, or under
-// enhancement the current record to magnitudes first and, only once it
-// validated, those folded with the previous step's on their way to q. The
+// magQuant converts the raw node records read through ps.view to quantized
+// values in scr.q, one per position of the part (ps.nodes), applying
+// temporal enhancement when enabled, in one decode kernel pass per run of
+// records (decode.go): bytes straight to q, or under enhancement the
+// current records to magnitudes first and, only once they validated, those
+// folded with the previous step's on their way to q. Only the positions of
+// ps.live are computed; every other position of the part belongs to blocks
+// the occupancy index calls silent at the step, whose values are 0. The
 // kernels quantize into scr.qspare, which is swapped with scr.q only when
 // the step succeeded, so a step that fails anywhere — a malformed record
 // surfaces as an error instead of silently truncating — leaves the previous
-// step's values in scr.q.
+// step's values in scr.q. Without enhancement the plan reads exactly its
+// live positions (ps.read is ps.live).
 //
 // With more than one group the previous step's magnitudes come from the
 // rank that read that step: the same part of the previous step's group,
-// whose view is this part's, so its magnitudes are of the same nodes in
-// the same order. As soon as this step's record has validated, its
-// magnitudes go to the rank that reads the next step (handOff), and only
-// then does this rank take the previous step's (receiveHandoff) and
-// quantize from the two arrays. Without them — with one group, at the
-// window's first step, when a marker came instead, when the predecessor
-// was lost, and when c is nil — it reads the previous step's record
-// itself, the same view through the second file handle, and takes its
-// magnitudes.
+// which read the records of this step's live positions too (its ps.next)
+// and sends their magnitudes, in position order. As soon as this step's
+// records have validated, the magnitudes of the next step's live
+// positions go to the rank that reads it (handOff), and only then does
+// this rank take the previous step's (receiveHandoff) and quantize from
+// the two. Without them — with one group, at the window's first step,
+// when a marker came instead, when the predecessor was lost, and when c is
+// nil — it reads the previous step's records itself, through the same view
+// and the second file handle, and takes their magnitudes.
 //
 // The hand-off cannot deadlock: a rank sends before it waits for anything
 // but its own read (and its collective round, whose peers read the same
@@ -376,11 +379,14 @@ func (w *RealWorkload) VMax() float32 { return w.ds.vmax }
 // sends a marker on every path that sent no magnitudes. A rank that leaves
 // the input loop early strands its successor here as it already strands
 // the renderers waiting for its pieces.
-func (w *RealWorkload) magQuant(c *mpi.Comm, t int, view mpiio.Datatype, raw []byte, scr *ipScratch, h *handoff) error {
-	n := len(raw) / quake.BytesPerNode
+func (w *RealWorkload) magQuant(c *mpi.Comm, t int, ps *partStep, raw []byte, scr *ipScratch, h *handoff) error {
+	n := ps.nodes
 	scr.qspare = pool.Grow(scr.qspare, n)
+	if ps.nlive < n {
+		clear(scr.qspare)
+	}
 	if !w.opts.Enhancement {
-		if err := recordQuantize(scr.qspare, raw, w.ds.vmax); err != nil {
+		if err := quantizeRuns(scr.qspare, raw, ps.read, w.ds.vmax); err != nil {
 			return fmt.Errorf("core: step %d: %w", t, err)
 		}
 		scr.q, scr.qspare = scr.qspare, scr.q
@@ -391,37 +397,53 @@ func (w *RealWorkload) magQuant(c *mpi.Comm, t int, view mpiio.Datatype, raw []b
 	// values.
 	if !h.mag {
 		scr.mag = pool.Grow(scr.mag, n)
-		if err := recordMagnitudes(scr.mag, raw); err != nil {
+		if err := magnitudeRuns(scr.mag, raw, ps.read); err != nil {
 			return fmt.Errorf("core: step %d: %w", t, err)
 		}
 		h.mag = true
-		w.handOff(c, t, scr, h, scr.mag)
+		w.handOff(c, t, scr, h, ps)
 	}
 	if err := w.receiveHandoff(c, t, scr, h); err != nil {
 		return err
 	}
-	prev := h.prev
-	if prev == nil && t+w.stepBase > 0 {
+	// prev holds the previous step's magnitudes: of the live positions,
+	// packed, as the hand-off carries them, or of every read position. A
+	// round that read a stale object whole (fetchStep) reads the previous
+	// step whole too: the hand-off holds the step's live positions only.
+	var prev []float32
+	packed := h.handed && !scr.stale
+	if packed {
+		prev = h.prev
+	} else if t+w.stepBase > 0 {
 		// The fallback: the same view on the previous object, read
 		// independently through the second file handle so the current
-		// step's handle keeps its collective plan and this one its sieve
-		// plan, and turned into magnitudes as its reader would have.
+		// step's handle keeps its collective round and this one its own,
+		// and turned into magnitudes as its reader would have.
 		f := &scr.pfile
 		if err := f.Reopen(c, w.store, w.stepName(t-1)); err != nil {
 			return err
 		}
-		f.SetView(0, view)
-		scr.praw = pool.Grow[byte](scr.praw, int(view.Size()))
+		f.SetView(0, ps.view)
+		scr.praw = pool.Grow[byte](scr.praw, int(ps.view.Size()))
 		if _, err := f.ReadInto(scr.praw); err != nil {
 			return err
 		}
 		scr.pmag = pool.Grow(scr.pmag, n)
-		if err := recordMagnitudes(scr.pmag, scr.praw); err != nil {
+		if err := magnitudeRuns(scr.pmag, scr.praw, ps.read); err != nil {
 			return fmt.Errorf("core: step %d: %w", t-1, err)
 		}
 		prev = scr.pmag
 	}
-	magnitudeQuantize(scr.qspare, scr.mag, prev, w.opts.EnhanceGain, w.ds.vmax)
+	for _, r := range ps.live {
+		p := prev
+		switch {
+		case packed:
+			p, prev = prev[:r.hi-r.lo], prev[r.hi-r.lo:]
+		case p != nil:
+			p = p[r.lo:r.hi]
+		}
+		magnitudeQuantize(scr.qspare[r.lo:r.hi], scr.mag[r.lo:r.hi], p, w.opts.EnhanceGain, w.ds.vmax)
+	}
 	scr.q, scr.qspare = scr.qspare, scr.q
 	return nil
 }
@@ -431,11 +453,12 @@ func (w *RealWorkload) magQuant(c *mpi.Comm, t int, view mpiio.Datatype, raw []b
 // scratch and whether its hand-off went out, and what came in from the
 // previous step.
 type handoff struct {
-	mag   bool        // scr.mag holds the magnitudes of this step's record
-	sent  bool        // the hand-off to the next step went out
-	recvd bool        // the previous step's hand-off was taken
-	prev  []float32   // the previous step's magnitudes; nil: read that step
-	msg   *magPayload // what prev came in, released when the Fetch ends
+	mag    bool        // scr.mag holds the magnitudes of this step's record
+	sent   bool        // the hand-off to the next step went out
+	recvd  bool        // the previous step's hand-off was taken
+	handed bool        // prev came in a hand-off; else the rank reads the previous step itself
+	prev   []float32   // the previous step's magnitudes of this step's live positions, packed
+	msg    *magPayload // what prev came in, released when the Fetch ends
 }
 
 // handsOff reports whether step t hands its magnitudes to a next step:
@@ -448,32 +471,36 @@ func (w *RealWorkload) handsOff(c *mpi.Comm, t int) bool {
 }
 
 // handOff sends step t's hand-off to the rank that reads step t+1, the
-// same part of the next step's group, once per Fetch: the part's
-// magnitudes mag, or with mag nil an empty marker that tells it to read
-// step t itself. It travels on tagData(t), on which input ranks receive
-// nothing else.
-func (w *RealWorkload) handOff(c *mpi.Comm, t int, scr *ipScratch, h *handoff, mag []float32) {
+// same part of the next step's group, once per Fetch: with ps, the
+// magnitudes in scr.mag of the positions ps.next — the next step's live
+// ones — packed in position order, or with ps nil an empty marker that
+// tells it to read step t itself. It travels on tagData(t), on which input
+// ranks receive nothing else.
+func (w *RealWorkload) handOff(c *mpi.Comm, t int, scr *ipScratch, h *handoff, ps *partStep) {
 	if h.sent || !w.handsOff(c, t) {
 		return
 	}
 	h.sent = true
 	l := w.ds.layout
 	dst := l.InputRank((t+1)%l.Groups, scr.part)
-	if mag == nil {
+	if ps == nil {
 		c.Send(dst, tagData(t), 0, nil)
 		return
 	}
 	p := scr.mags.Get()
 	p.owner = &scr.mags
-	p.mag = append(p.mag[:0], mag...)
-	c.Send(dst, tagData(t), int64(4*len(mag)), p)
+	p.mag = p.mag[:0]
+	for _, r := range ps.next {
+		p.mag = append(p.mag, scr.mag[r.lo:r.hi]...)
+	}
+	c.Send(dst, tagData(t), int64(4*len(p.mag)), p)
 }
 
 // receiveHandoff takes step t−1's hand-off, once per Fetch, into h.prev —
 // left nil when a marker came, when the predecessor was lost and the fault
 // policy tolerates it, and where no hand-off comes (handsOff). Magnitudes
-// for another number of nodes than the part has are refused whole, as
-// checkPiece refuses a piece.
+// for another number of nodes than the part's live positions at step t are
+// refused whole, as checkPiece refuses a piece.
 func (w *RealWorkload) receiveHandoff(c *mpi.Comm, t int, scr *ipScratch, h *handoff) error {
 	if h.recvd || t == 0 || !w.handsOff(c, t-1) {
 		return nil
@@ -492,18 +519,19 @@ func (w *RealWorkload) receiveHandoff(c *mpi.Comm, t int, scr *ipScratch, h *han
 
 // takeHandoff accepts data, what arrived as step t−1's hand-off to group
 // part's rank: a marker (nil) leaves h.prev nil, magnitudes for exactly the
-// part's nodes become h.prev, and anything else is refused. A payload is
-// kept in h.msg either way, for settleHandoff to release.
+// part's live positions at step t become h.prev, and anything else is
+// refused. A payload is kept in h.msg either way, for settleHandoff to
+// release.
 func (w *RealWorkload) takeHandoff(t, part int, data any, h *handoff) error {
 	switch p := data.(type) {
 	case nil:
 		return nil
 	case *magPayload:
 		h.msg = p
-		if n := len(w.ds.partIDs[part]); len(p.mag) != n {
-			return fmt.Errorf("core: step %d: magnitudes hand-off holds %d values, part %d has %d nodes", t, len(p.mag), part, n)
+		if n := w.ds.partStep(t+w.stepBase, part).nlive; len(p.mag) != n {
+			return fmt.Errorf("core: step %d: magnitudes hand-off holds %d values, part %d has %d nodes live at the step", t, len(p.mag), part, n)
 		}
-		h.prev = p.mag
+		h.prev, h.handed = p.mag, true
 		return nil
 	default:
 		return fmt.Errorf("core: step %d: hand-off for part %d is a %T, not magnitudes", t, part, data)
@@ -525,14 +553,15 @@ func (w *RealWorkload) settleHandoff(c *mpi.Comm, t int, scr *ipScratch, h *hand
 // fetchStep reads group part's share of step t into the rank's scratch — the
 // body of Fetch (see faults.go for the retry/degrade wrapper that implements
 // the Workload hook): open the step object, view it through the part's
-// committed type, read, and run the decode chain, which leaves the part's
-// quantized values in scr.q in partIDs order. The read strategy picks the
-// read call and nothing else: under ReadCollective the group's m IPs read
-// with one collective call on the group's sub-communicator, otherwise each
-// reads its view independently (data sieving; a hole-free view is one
-// contiguous read).
+// committed type for the step (Dataset.partStep: the records of the
+// step's live blocks), read, and run the decode chain, which leaves the
+// part's quantized values in scr.q in partIDs order. The read strategy
+// picks the read call and nothing else: under ReadCollective the group's m
+// IPs read with one collective call on the group's sub-communicator,
+// otherwise each reads its view independently (data sieving; a hole-free
+// view is one contiguous read).
 func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part int, scr *ipScratch, h *handoff) error {
-	view := w.ds.partView[part]
+	ps := w.ds.partStep(t+w.stepBase, part)
 	collective := w.opts.ReadStrategy == ReadCollective
 	fc := c
 	if collective {
@@ -563,12 +592,16 @@ func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part int, scr *ipScratch, h *ha
 			}
 			// retryReopen accounted the faults; this only marks staleness.
 			// The round reads an older object, whose magnitudes are not
-			// step t's: the next step reads step t itself.
+			// step t's: the next step reads step t itself. It reads the
+			// object whole, through the part's plan with every block live,
+			// since its pieces ship every block's values (PayloadFor).
 			scr.stale = true
 			w.account(0, 0, true)
 			w.handOff(c, t, scr, h, nil)
+			ps = &w.ds.dense[part]
 		}
 	}
+	view := ps.view
 	// The buffer is sized from the committed type, not from the handle:
 	// whether the view fits this step's object is for the read to find out.
 	// A collective read sees its round through either way; a rank that
@@ -584,7 +617,7 @@ func (w *RealWorkload) fetchStep(c *mpi.Comm, t, part int, scr *ipScratch, h *ha
 	if err != nil {
 		return err
 	}
-	return w.magQuant(c, t, view, scr.raw, scr, h)
+	return w.magQuant(c, t, ps, scr.raw, scr, h)
 }
 
 // Preprocess implements Workload. Magnitude computation, enhancement and
@@ -596,25 +629,49 @@ func (w *RealWorkload) Preprocess(c *mpi.Comm, t, part, m int, fetched any) (any
 
 // PayloadFor implements Workload: renderer's piece is the committed gather
 // plan applied to the values Fetch left in the rank's scratch (prep) — no
-// node id is looked at — flagged stale when the step was. Payloads are pooled on this rank and released by the
-// consuming renderer once merged, so the per-block value slices (all
+// node id is looked at — restricted to the runs of the blocks live at the
+// step (Dataset.liveAt): a silent block's values are all 0, which is what
+// a block no piece touches reads as. A stale step ships every block's runs,
+// flagged: its values are an earlier step's, whose live blocks the plan of
+// this step does not name. Payloads are pooled on this rank and released by
+// the consuming renderer once merged, so the per-block value slices (all
 // aliasing one backing buffer per payload) are reused across timesteps with
-// the prefetch window's lifetime respected.
+// the prefetch window's lifetime respected. The declared size is a value
+// per node plus an 8-byte header per run, 1 for a piece of no run: the
+// message still goes, as the credit protocol's beat.
 func (w *RealWorkload) PayloadFor(c *mpi.Comm, t int, prep any, renderer int) (int64, any) {
 	scr := prep.(*ipScratch)
 	g := &w.ds.gather[scr.part][renderer]
+	live := w.pieceLive(t, scr.stale)
 	p := getData(&scr.pool)
 	p.stale = scr.stale
 	p.vals = pool.Grow(p.vals, len(g.src))
-	for i, at := range g.src {
-		p.vals[i] = scr.q[at]
-	}
-	vals := p.vals
+	bytes, n, src := int64(0), 0, g.src
 	for _, run := range g.runs {
-		p.runs = append(p.runs, blockRun{Block: run.Block, Off: run.Off, Vals: vals[:run.Len:run.Len]})
-		vals = vals[run.Len:]
+		at := src[:run.Len]
+		src = src[run.Len:]
+		if !blockLive(live, run.Block) {
+			continue
+		}
+		vals := p.vals[n : n+len(at) : n+len(at)]
+		for i, k := range at {
+			vals[i] = scr.q[k]
+		}
+		p.runs = append(p.runs, blockRun{Block: run.Block, Off: run.Off, Vals: vals})
+		n += len(at)
+		bytes += 8 + int64(len(at))
 	}
-	return g.bytes, p
+	p.vals = p.vals[:n]
+	return max(bytes, 1), p
+}
+
+// pieceLive is the live-block set the pieces of logical step t carry: the
+// occupancy index's, or every block for a stale piece.
+func (w *RealWorkload) pieceLive(t int, stale bool) []uint64 {
+	if stale {
+		return nil
+	}
+	return w.ds.liveAt(t + w.stepBase)
 }
 
 // licStep builds the surface-LIC underlay for one step — the body of
@@ -674,23 +731,30 @@ func (w *RealWorkload) licStep(c *mpi.Comm, t int) (int64, any, error) {
 	return compositor.RawBytes(&lp.Img), lp, nil
 }
 
-// checkPiece reports whether dp is the piece group part owes renderer r: the
-// runs the committed plan says, each as long as it says. Anything else — a
-// block that is not r's, a run outside its block's node list, a piece built
-// for another renderer or layout — is refused whole, before a value moves.
-func (w *RealWorkload) checkPiece(part, r int, dp *dataPayload) error {
-	owed := w.ds.gather[part][r].runs
-	for i, run := range dp.runs {
-		if i == len(owed) {
-			return fmt.Errorf("core: data piece run %d (block %d) is one more than part %d owes renderer %d", i, run.Block, part, r)
+// checkPiece reports whether dp is the piece group part owes renderer r at
+// logical step t: the committed plan's runs of the blocks live at the step
+// (every block's, for a stale piece), each as long as the plan says.
+// Anything else — a block that is not r's or not live, a run outside its
+// block's node list, a piece built for another renderer, step or layout —
+// is refused whole, before a value moves.
+func (w *RealWorkload) checkPiece(t, part, r int, dp *dataPayload) error {
+	live := w.pieceLive(t, dp.stale)
+	i := 0
+	for _, o := range w.ds.gather[part][r].runs {
+		if !blockLive(live, o.Block) {
+			continue
 		}
-		if o := owed[i]; run.Block != o.Block || run.Off != o.Off || len(run.Vals) != int(o.Len) {
+		if i == len(dp.runs) {
+			return fmt.Errorf("core: data piece ends after %d runs, part %d still owes renderer %d block %d", i, part, r, o.Block)
+		}
+		if run := dp.runs[i]; run.Block != o.Block || run.Off != o.Off || len(run.Vals) != int(o.Len) {
 			return fmt.Errorf("core: data piece run %d is block %d nodes [%d, %d), part %d owes renderer %d block %d nodes [%d, %d)",
 				i, run.Block, run.Off, int(run.Off)+len(run.Vals), part, r, o.Block, o.Off, o.Off+o.Len)
 		}
+		i++
 	}
-	if n := len(dp.runs); n < len(owed) {
-		return fmt.Errorf("core: data piece ends after %d runs, part %d still owes renderer %d block %d", n, part, r, owed[n].Block)
+	if i < len(dp.runs) {
+		return fmt.Errorf("core: data piece run %d (block %d) is one more than part %d owes renderer %d", i, dp.runs[i].Block, part, r)
 	}
 	return nil
 }
@@ -702,11 +766,14 @@ func (w *RealWorkload) checkPiece(part, r int, dp *dataPayload) error {
 // step. A piece that is not what its part owes (checkPiece) fails the step;
 // under Faults.Tolerate it is dropped like the piece of a lost input rank,
 // whose nodes stay zero, and the step is flagged (rs.degraded, which
-// Composite ships on the strip). A block no accepted piece touched flags the
-// step too, or fails it without the fault policy, and so does a stale piece.
+// Composite ships on the strip). A block of which no accepted piece's part
+// owes any run — whether the step's index calls it live or not — flags the
+// step too, or fails it without the fault policy, and so does a stale
+// piece.
 //
 // A silent block — every staged node byte 0, as a block no piece touched
-// always is, since the staging is cleared first — skips the corner gather:
+// always is, since the staging is cleared first; the blocks the occupancy
+// index calls silent come in no piece — skips the corner gather:
 // its Vals are the dequantized zeros, +0, cleared once when it falls silent
 // (rs.zero), and Render leaves it out where the transfer function is
 // transparent at 0.
@@ -723,16 +790,17 @@ func (w *RealWorkload) mergePieces(t, r int, pieces []mpi.Message) error {
 			continue
 		}
 		rs.degraded = rs.degraded || dp.stale
-		if err := w.checkPiece(part, r, dp); err != nil {
+		if err := w.checkPiece(t, part, r, dp); err != nil {
 			if !w.opts.Faults.Tolerate {
 				return fmt.Errorf("core: renderer %d step %d: piece from rank %d: %w", r, t, p.Src, err)
 			}
 			rs.degraded = true
 		} else {
 			for _, run := range dp.runs {
-				pos := w.ds.rblockPos[run.Block]
-				copy(rs.nodeVals[pos][run.Off:], run.Vals)
-				rs.got[pos] = true
+				copy(rs.nodeVals[w.ds.rblockPos[run.Block]][run.Off:], run.Vals)
+			}
+			for _, run := range w.ds.gather[part][r].runs {
+				rs.got[w.ds.rblockPos[run.Block]] = true
 			}
 		}
 		dp.release() // its values are staged, or it was refused: back to the sender's pool
@@ -985,20 +1053,27 @@ func stretchCols(dst []int32, w, srcW int) []int32 {
 // underStretched composites src, nearest-neighbor scaled to frame's size,
 // under frame in place — img.Image.Under of the stretched LIC underlay,
 // reading each source pixel where it lies instead of from a stretched copy.
-// cols is stretchCols(frame.W, src.W).
+// cols is stretchCols(frame.W, src.W), non-decreasing, so a source pixel
+// lies under a run of consecutive frame columns: it is loaded once for its
+// run, and each frame pixel blends it channel by channel in Under's order.
 func underStretched(frame, src *img.Image, cols []int32) {
 	w, h := frame.W, frame.H
+	cols = cols[:w]
 	for y := 0; y < h; y++ {
-		row := src.Pix[4*(y*src.H/h)*src.W:]
+		row := src.Pix[4*(y*src.H/h)*src.W:][:4*src.W]
 		drow := frame.Pix[4*y*w:][:4*w]
-		for x, sx := range cols {
-			s := row[sx:][:4]
-			d := drow[4*x:][:4]
-			t := 1 - d[3]
-			d[0] += t * s[0]
-			d[1] += t * s[1]
-			d[2] += t * s[2]
-			d[3] += t * s[3]
+		for x := 0; x < w; {
+			sx := cols[x]
+			s := row[sx : sx+4 : sx+4]
+			s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+			for ; x < w && cols[x] == sx; x++ {
+				d := drow[4*x : 4*x+4 : 4*x+4]
+				t := 1 - d[3]
+				d[0] += t * s0
+				d[1] += t * s1
+				d[2] += t * s2
+				d[3] += t * s3
+			}
 		}
 	}
 }

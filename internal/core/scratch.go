@@ -56,9 +56,10 @@ func getData(pl *pool.Pool[dataPayload]) *dataPayload {
 }
 
 // magPayload is the pooled wire form of one temporal-enhancement hand-off:
-// the node magnitudes of one step over one group part's nodes, in
-// Dataset.partIDs order, sent by the input rank that read the step to the
-// one that reads the next (RealWorkload.magQuant). The receiving rank must
+// the node magnitudes of one step over the group part's positions live at
+// the next step (partStep.next), in Dataset.partIDs order, sent by the
+// input rank that read the step to the one that reads the next
+// (RealWorkload.magQuant). The receiving rank must
 // release it once it has quantized against the values, returning it to the
 // sending rank's pool, as a renderer releases a dataPayload.
 type magPayload struct {

@@ -366,3 +366,21 @@ func BenchmarkStripCodec(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkUnderStretched times the output rank's underlay blend at
+// net_composite's sizes: a 128×128 LIC underlay under a 512×512 frame
+// whose alpha is mixed, so every pixel blends.
+func BenchmarkUnderStretched(b *testing.B) {
+	src, frame := img.New(128, 128), img.New(512, 512)
+	for i := range src.Pix {
+		src.Pix[i] = float32(i%7) / 7
+	}
+	for i := range frame.Pix {
+		frame.Pix[i] = float32(i%5) / 10
+	}
+	cols := stretchCols(nil, frame.W, src.W)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		underStretched(frame, src, cols)
+	}
+}

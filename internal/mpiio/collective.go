@@ -22,13 +22,15 @@ package mpiio
 // and every other round, on one communicator or across worlds run one
 // after another, reuses it.
 //
-// On top of the staging, the scratch remembers the round's *plan* (collPlan):
-// everything ReadAllInto derives from the exchanged segment table — the
-// physical runs, who is shipped which bytes, where each received piece
-// lands — is a pure function of that table, this rank and the communicator
-// size. A step loop over a static mesh exchanges the same
-// table every round, so the plan is built once and replayed until the
-// table's content changes.
+// On top of the staging, the scratch remembers the rounds' *plans*
+// (collPlan): what ReadAllInto derives from the exchanged segment table —
+// the physical runs and who is shipped which bytes — is a pure function of
+// that table, this rank and the communicator size. A step loop exchanges
+// one table per distinct set of views, one per step at most, so each plan
+// is built once and replayed whenever its table comes round again (up to
+// maxPlans tables). Where each received piece lands needs no list: it is
+// this rank's own segments, clipped to the sender's range, walked in
+// order.
 //
 // See docs/ownership.md for the repository-wide buffer-ownership
 // conventions this design follows.
@@ -48,9 +50,8 @@ import (
 // shuffle tag space (collTagBase) and below the mpi collective namespace.
 const metaTagBase = 1 << 22
 
-// planCopy is one entry of a plan's copy lists: len bytes identified by
-// off, moved to or from position pos. What off and pos index depends on the
-// list (see collPlan).
+// planCopy is one entry of a plan's send list: len bytes at file offset
+// off, taken from packed position pos.
 type planCopy struct {
 	off, pos, len int64
 }
@@ -64,28 +65,29 @@ type planCopy struct {
 type collPlan struct {
 	// The key: a plan is replayed when the round's table equals this one
 	// segment for segment — one entry per rank, so on a communicator of the
-	// same size; a scratch that has built no plan yet has no entries — on
-	// the same rank.
-	rank  int
-	table [][]Segment // per rank, slices of flat
-	flat  []Segment
+	// same size — on the same rank. A rank's entry that is a committed
+	// type's shared array (frozen) is kept as that array, and compared by
+	// identity: the array never changes, so the same array is the same
+	// segments, and holding it keeps its memory from being reused. Every
+	// other entry is a copy, in flat.
+	rank   int
+	table  [][]Segment // per rank: the frozen array, or a slice of flat
+	flat   []Segment
+	frozen []bool
 
-	empty bool      // no rank requests anything: the round ends after the exchange
-	runs  []Segment // this rank's physical reads, packed back to back in this order
-	total int64     // packed buffer length
+	empty  bool      // no rank requests anything: the round ends after the exchange
+	lo, hi int64     // the union of every rank's segments spans [lo, hi): span splits it
+	runs   []Segment // this rank's physical reads, packed back to back in this order
+	total  int64     // packed buffer length
 
 	// send[sendAt[dr]:sendAt[dr+1]] are the pieces shipped to rank dr (off:
-	// file offset, pos: packed position), sendBytes[dr] their sum. own are
-	// this rank's pieces of its own range (off: packed position, pos:
-	// position in dst). expect[expectAt[sr]:expectAt[sr+1]] are the pieces
-	// rank sr's range owes this rank, in the order sr ships them (off: file
-	// offset, pos: position in dst).
+	// file offset, pos: packed position), sendBytes[dr] their sum. What
+	// this rank's own range and every other range owe it is not listed:
+	// it is this rank's own segments (table[rank]) clipped to the range,
+	// in order, which ReadAllInto walks (ownPieces, expectation).
 	send      []planCopy
 	sendAt    []int
 	sendBytes []int64
-	own       []planCopy
-	expect    []planCopy
-	expectAt  []int
 }
 
 // metaPayload is the wire form of one rank's view metadata during the
@@ -95,7 +97,8 @@ type collPlan struct {
 // the slice header into its metaTable before broadcasting, so the payload
 // struct itself is only read during the gather.
 type metaPayload struct {
-	segs []Segment
+	segs   []Segment
+	frozen bool // segs is a committed type's shared array (never on the wire)
 }
 
 // metaTable is the broadcast result of the epoch boundary: every rank's
@@ -104,7 +107,8 @@ type metaPayload struct {
 // the round it was built for, which is strictly before rank 0 gathers two
 // rounds later.
 type metaTable struct {
-	all [][]Segment
+	all    [][]Segment
+	frozen []bool // per rank: all[r] is a committed type's array; nil off the wire
 }
 
 // pieceBatch is the wire form of the pieces one rank ships one destination
@@ -149,9 +153,16 @@ type CollectiveScratch struct {
 	packed  []byte       // this rank's physical reads; shipped pieces alias it
 	batches []pieceBatch // per destination rank, shipped by reference
 
-	plan    collPlan  // the remembered round geometry, replayed while the table is unchanged
-	clipped []Segment // plan-build staging: aggregated-range clip of every rank's segments
+	plans   []collPlan // the remembered round geometries, one per distinct table
+	evict   int        // the plan the next build replaces once maxPlans are kept
+	clipped []Segment  // plan-build staging: aggregated-range clip of every rank's segments
 }
+
+// maxPlans bounds the plans a scratch remembers: a step loop's distinct
+// tables, one per step it reads when every step has its own view. Past the
+// bound a new table replaces the plans in turn, which stays correct and
+// allocation-free but builds a plan per round.
+const maxPlans = 64
 
 // collective returns the handle's lazily created collective scratch. The
 // scratch survives Reopen — like the handle's other steady-state buffers,
@@ -170,12 +181,12 @@ func (f *File) collective() *CollectiveScratch {
 // guarantee that makes reusing the previous round's staging safe. The
 // returned per-rank segment table is shared read-only by all ranks until
 // the end of the round.
-func (s *CollectiveScratch) exchangeMeta(c *mpi.Comm, seq int, mySegs []Segment) [][]Segment {
+func (s *CollectiveScratch) exchangeMeta(c *mpi.Comm, seq int, mySegs []Segment, frozen bool) *metaTable {
 	tagG := metaTagBase + 2*seq
 	tagB := tagG + 1
 	metaBytes := int64(16 * len(mySegs))
 	if c.Rank() != 0 {
-		s.meta.segs = mySegs
+		s.meta.segs, s.meta.frozen = mySegs, frozen
 		c.Send(0, tagG, metaBytes, &s.meta)
 		m := c.Recv(mpi.AnySource, tagB)
 		tbl := m.Data.(*metaTable)
@@ -185,39 +196,74 @@ func (s *CollectiveScratch) exchangeMeta(c *mpi.Comm, seq int, mySegs []Segment)
 				c.Send(c.Rank()+k, tagB, m.Bytes, tbl)
 			}
 		}
-		return tbl.all
+		return tbl
 	}
 	tbl := &s.tables[s.flip]
 	s.flip ^= 1
-	tbl.all = pool.Grow(tbl.all, c.Size())
-	tbl.all[0] = mySegs
+	tbl.all, tbl.frozen = pool.Grow(tbl.all, c.Size()), pool.Grow(tbl.frozen, c.Size())
+	tbl.all[0], tbl.frozen[0] = mySegs, frozen
 	for i := 0; i < c.Size()-1; i++ {
 		m := c.Recv(mpi.AnySource, tagG)
-		tbl.all[m.Src] = m.Data.(*metaPayload).segs
+		mp := m.Data.(*metaPayload)
+		tbl.all[m.Src], tbl.frozen[m.Src] = mp.segs, mp.frozen
 	}
 	bytes := metaBytes * int64(c.Size())
 	for k := 1; k < c.Size(); k <<= 1 {
 		c.Send(k, tagB, bytes, tbl)
 	}
-	return tbl.all
+	return tbl
 }
 
+// frozenAt reports whether rank r's entry of the table is a committed
+// type's shared array.
+func (t *metaTable) frozenAt(r int) bool { return r < len(t.frozen) && t.frozen[r] }
+
 // matches reports whether the plan was built for exactly this round: same
-// rank, and a segment table (one entry per rank of the
-// communicator) equal to the retained copy. The comparison is by content,
-// one linear pass: over the network transport every round's table is a
-// freshly decoded slice, so identity would never hit, and in process a peer
-// may rewrite its view cache in place, so identity would hit wrongly.
-func (p *collPlan) matches(all [][]Segment, rank int) bool {
-	if p.rank != rank || len(all) != len(p.table) {
+// rank, and a segment table (one entry per rank of the communicator) equal
+// to the retained copy. An entry that is frozen now and was when the plan
+// was built is equal when it is the same array; any other entry is
+// compared by content, one linear pass: over the network transport every
+// round's table is a freshly decoded slice, so identity would never hit,
+// and in process a peer may rewrite a view cache that is not a committed
+// type's in place, so identity would hit wrongly.
+func (p *collPlan) matches(tbl *metaTable, rank int) bool {
+	if p.rank != rank || len(tbl.all) != len(p.table) {
 		return false
 	}
-	for r, rs := range all {
-		if !slices.Equal(rs, p.table[r]) {
+	for r, rs := range tbl.all {
+		if p.frozen[r] && tbl.frozenAt(r) {
+			if len(rs) != len(p.table[r]) || len(rs) > 0 && &rs[0] != &p.table[r][0] {
+				return false
+			}
+		} else if !slices.Equal(rs, p.table[r]) {
 			return false
 		}
 	}
 	return true
+}
+
+// planFor returns the remembered plan of this round's table, building one
+// (in a new slot, or over the next plan in turn once maxPlans are kept)
+// when none matches, which it reports.
+func (s *CollectiveScratch) planFor(tbl *metaTable, rank int) (*collPlan, bool) {
+	for i := range s.plans {
+		if s.plans[i].matches(tbl, rank) {
+			return &s.plans[i], false
+		}
+	}
+	if len(s.plans) < maxPlans {
+		s.plans = append(s.plans, collPlan{})
+		p := &s.plans[len(s.plans)-1]
+		s.buildPlan(p, tbl, rank)
+		// A new plan's lists grew by appending; it is kept for the run, so
+		// it keeps no more than it holds.
+		p.runs, p.send = slices.Clone(p.runs), slices.Clone(p.send)
+		return p, true
+	}
+	p := &s.plans[s.evict]
+	s.evict = (s.evict + 1) % maxPlans
+	s.buildPlan(p, tbl, rank)
+	return p, true
 }
 
 // span returns the start of rank r's aggregation range when [lo, hi) is
@@ -231,42 +277,55 @@ func span(lo, hi int64, r, m int) int64 {
 // a private copy of the table as the replay key. It runs when the table
 // changed (and on the first round), so unlike ReadAllInto it may allocate
 // while its lists grow to size.
-func (s *CollectiveScratch) buildPlan(all [][]Segment, rank int) {
-	p := &s.plan
+func (s *CollectiveScratch) buildPlan(p *collPlan, tbl *metaTable, rank int) {
+	all := tbl.all
 	size := len(all)
 	p.rank = rank
-	p.flat, p.table = p.flat[:0], p.table[:0]
-	for _, rs := range all {
-		p.flat = append(p.flat, rs...)
+	p.flat, p.table, p.frozen = p.flat[:0], p.table[:0], p.frozen[:0]
+	for r, rs := range all {
+		if !tbl.frozenAt(r) {
+			p.flat = append(p.flat, rs...)
+		}
 	}
 	at := 0
-	for _, rs := range all {
+	for r, rs := range all {
+		fz := tbl.frozenAt(r)
+		p.frozen = append(p.frozen, fz)
+		if fz {
+			p.table = append(p.table, rs)
+			continue
+		}
 		p.table = append(p.table, p.flat[at:at+len(rs):at+len(rs)])
 		at += len(rs)
 	}
-	p.runs, p.send, p.own, p.expect = p.runs[:0], p.send[:0], p.own[:0], p.expect[:0]
-	p.sendAt, p.sendBytes, p.expectAt = append(p.sendAt[:0], 0), p.sendBytes[:0], append(p.expectAt[:0], 0)
+	p.runs, p.send = p.runs[:0], p.send[:0]
+	p.sendAt, p.sendBytes = append(p.sendAt[:0], 0), p.sendBytes[:0]
 	p.total = 0
 	lo, hi := int64(-1), int64(-1)
-	for _, sg := range p.flat {
-		if lo < 0 || sg.Off < lo {
-			lo = sg.Off
-		}
-		if e := sg.Off + sg.Len; e > hi {
-			hi = e
+	for _, rs := range p.table {
+		for _, sg := range rs {
+			if lo < 0 || sg.Off < lo {
+				lo = sg.Off
+			}
+			if e := sg.Off + sg.Len; e > hi {
+				hi = e
+			}
 		}
 	}
 	if p.empty = lo < 0; p.empty {
 		return
 	}
+	p.lo, p.hi = lo, hi
 	// Phase 1 geometry: this rank aggregates [myLo, myHi) — the union of
 	// every rank's segments clipped to it, read with data sieving into one
 	// packed buffer.
 	myLo, myHi := span(lo, hi, rank, size), span(lo, hi, rank+1, size)
 	s.clipped = s.clipped[:0]
-	for _, sg := range p.flat {
-		if cl := clip(sg, myLo, myHi); cl.Len > 0 {
-			s.clipped = append(s.clipped, cl)
+	for _, rs := range p.table {
+		for _, sg := range rs {
+			if cl := clip(sg, myLo, myHi); cl.Len > 0 {
+				s.clipped = append(s.clipped, cl)
+			}
 		}
 	}
 	s.clipped = Coalesce(s.clipped)
@@ -274,47 +333,77 @@ func (s *CollectiveScratch) buildPlan(all [][]Segment, rank int) {
 	for _, r := range p.runs {
 		p.total += r.Len
 	}
-	// Phase 2 geometry: what this range owes every rank, itself included.
+	// Phase 2 geometry: what this range owes every other rank.
 	for dr, rs := range p.table {
-		var bytes, viewAt int64 // viewAt: sg's position in rank dr's packed view
-		ri, base := 0, int64(0) // runs[ri] starts at packed position base; runs and segments both ascend
-		for _, sg := range rs {
-			segAt := viewAt
-			viewAt += sg.Len
-			cl := clip(sg, myLo, myHi)
-			if cl.Len == 0 {
-				continue
-			}
-			for cl.Off >= p.runs[ri].Off+p.runs[ri].Len {
-				base += p.runs[ri].Len
-				ri++
-			}
-			packedAt := base + cl.Off - p.runs[ri].Off
-			if dr == rank {
-				p.own = append(p.own, planCopy{packedAt, segAt + cl.Off - sg.Off, cl.Len})
-			} else {
-				p.send = append(p.send, planCopy{cl.Off, packedAt, cl.Len})
+		var bytes int64
+		if dr != rank {
+			ri, base := 0, int64(0) // runs[ri] starts at packed position base; runs and segments both ascend
+			for _, sg := range rs {
+				cl := clip(sg, myLo, myHi)
+				if cl.Len == 0 {
+					continue
+				}
+				for cl.Off >= p.runs[ri].Off+p.runs[ri].Len {
+					base += p.runs[ri].Len
+					ri++
+				}
+				p.send = append(p.send, planCopy{cl.Off, base + cl.Off - p.runs[ri].Off, cl.Len})
 				bytes += cl.Len
 			}
 		}
 		p.sendAt = append(p.sendAt, len(p.send))
 		p.sendBytes = append(p.sendBytes, bytes)
 	}
-	// What every other range owes this rank, in the order its owner ships
-	// it: this rank's segments clipped to that range.
-	for sr := 0; sr < size; sr++ {
-		if sr != rank {
-			srLo, srHi := span(lo, hi, sr, size), span(lo, hi, sr+1, size)
-			viewAt := int64(0)
-			for _, sg := range p.table[rank] {
-				if cl := clip(sg, srLo, srHi); cl.Len > 0 {
-					p.expect = append(p.expect, planCopy{cl.Off, viewAt + cl.Off - sg.Off, cl.Len})
-				}
-				viewAt += sg.Len
-			}
+}
+
+// ownPieces copies the pieces of this rank's view that fall in its own
+// range from the packed runs to their places in dst and returns their
+// byte count: its segments, mine, clipped to [lo, hi), located in the runs
+// by a cursor (runs and segments both ascend).
+func (p *collPlan) ownPieces(dst, packed []byte, mine []Segment, lo, hi int64) int64 {
+	var filled, viewAt int64
+	ri, base := 0, int64(0) // runs[ri] starts at packed position base
+	for _, sg := range mine {
+		segAt := viewAt
+		viewAt += sg.Len
+		cl := clip(sg, lo, hi)
+		if cl.Len == 0 {
+			continue
 		}
-		p.expectAt = append(p.expectAt, len(p.expect))
+		for cl.Off >= p.runs[ri].Off+p.runs[ri].Len {
+			base += p.runs[ri].Len
+			ri++
+		}
+		at := base + cl.Off - p.runs[ri].Off
+		copy(dst[segAt+cl.Off-sg.Off:][:cl.Len], packed[at:at+cl.Len])
+		filled += cl.Len
 	}
+	return filled
+}
+
+// expectation walks the pieces one aggregation range [lo, hi) owes this
+// rank, in the order its owner ships them: this rank's segments from
+// mine[j] on (the first that is not wholly below the range; at is its
+// position in the rank's packed view) clipped to the range.
+type expectation struct {
+	mine   []Segment
+	j      int
+	at     int64
+	lo, hi int64
+}
+
+// next returns the next piece expected — its file segment and its
+// position in dst — or false when the range owes no more.
+func (e *expectation) next() (Segment, int64, bool) {
+	for e.j < len(e.mine) && e.mine[e.j].Off < e.hi {
+		sg, segAt := e.mine[e.j], e.at
+		e.j++
+		e.at += sg.Len
+		if cl := clip(sg, e.lo, e.hi); cl.Len > 0 {
+			return cl, segAt + cl.Off - sg.Off, true
+		}
+	}
+	return Segment{}, 0, false
 }
 
 // ReadAllInto performs a collective read of every rank's view using
@@ -333,14 +422,15 @@ func (s *CollectiveScratch) buildPlan(all [][]Segment, rank int) {
 // nothing on any rank while
 // PhysReads/PhysBytes/UsefulBytes/ShuffleBytes and the communicator's
 // message accounting stay bit-identical to the per-call oracle the tests
-// keep (readAllIntoPerCall). The partitioning itself — runs, piece lists,
-// landing positions — is derived from the exchanged segment table only
-// when that table or this rank changed; otherwise the scratch's
-// plan is replayed (collPlan), with the same reads, messages and bytes.
-// Every received piece must be the next one the plan expects from its
-// source, offset and length: both sides derive their lists from the same
-// exchanged table, so anything else is refused as a permanent error after
-// the round, like a short or missing piece.
+// keep (readAllIntoPerCall). The partitioning itself — runs and the
+// pieces shipped — is derived from the exchanged segment table only the
+// first time this rank meets that table; afterwards the scratch's plan of
+// it is replayed (collPlan), with the same reads, messages and bytes.
+// Every received piece must be the next one expected from its source,
+// offset and length — this rank's next segment clipped to the source's
+// range: both sides derive them from the same exchanged table, so anything
+// else is refused as a permanent error after the round, like a short or
+// missing piece.
 //
 // Every rank of the communicator must call the collective in the same
 // order, and consecutive collectives on one communicator must use distinct
@@ -373,10 +463,9 @@ func (f *File) ReadAllInto(seq int, dst []byte) (int, error) {
 		mySegs = nil
 	}
 	// Phase 0: exchange request metadata — the epoch boundary.
-	all := s.exchangeMeta(c, seq, mySegs)
-	p := &s.plan
-	if !p.matches(all, c.Rank()) {
-		s.buildPlan(all, c.Rank())
+	p, built := s.planFor(s.exchangeMeta(c, seq, mySegs, f.frozen && preErr == nil), c.Rank())
+	if built {
+		f.PlanBuilds++
 	}
 	if p.empty { // nobody wants anything
 		return 0, preErr
@@ -434,16 +523,19 @@ func (f *File) ReadAllInto(seq int, dst []byte) (int, error) {
 			f.ShuffleMsgs++
 		}
 	}
-	filled := int64(0)
-	for _, e := range p.own {
-		copy(dst[e.pos:e.pos+e.len], packed[e.off:])
-		filled += e.len
-	}
+	size, mine := c.Size(), p.table[c.Rank()]
+	filled := p.ownPieces(dst, packed, mine, span(p.lo, p.hi, c.Rank(), size), span(p.lo, p.hi, c.Rank()+1, size))
 	// Received batches are copied and released. A piece goes where the plan
 	// says only if it is the one the plan expects next from its source —
 	// same offset, same length; anything else is refused.
 	var recvErr error
-	for sr := 0; sr < c.Size(); sr++ {
+	k, kAt := 0, int64(0) // mine[k]: this rank's first segment not wholly below range sr; kAt its view position
+	for sr := 0; sr < size; sr++ {
+		srLo, srHi := span(p.lo, p.hi, sr, size), span(p.lo, p.hi, sr+1, size)
+		for k < len(mine) && mine[k].Off+mine[k].Len <= srLo {
+			kAt += mine[k].Len
+			k++
+		}
 		if sr == c.Rank() {
 			continue
 		}
@@ -455,11 +547,11 @@ func (f *File) ReadAllInto(seq int, dst []byte) (int, error) {
 			}
 			continue
 		}
-		expect := p.expect[p.expectAt[sr]:p.expectAt[sr+1]]
+		expect := expectation{mine: mine, j: k, at: kAt, lo: srLo, hi: srHi}
 		for i, pc := range b.ps {
-			if i < len(expect) && pc.Off == expect[i].off && int64(len(pc.Data)) == expect[i].len {
-				copy(dst[expect[i].pos:], pc.Data)
-				filled += expect[i].len
+			if seg, pos, ok := expect.next(); ok && pc.Off == seg.Off && int64(len(pc.Data)) == seg.Len {
+				copy(dst[pos:], pc.Data)
+				filled += seg.Len
 			} else if recvErr == nil {
 				recvErr = fmt.Errorf("mpiio: rank %d shipped piece %d at [%d,%d), not the one the plan expects: %w",
 					sr, i, pc.Off, pc.Off+int64(len(pc.Data)), pfs.ErrPermanent)

@@ -27,27 +27,28 @@ type File struct {
 	defView Contig // backing store for the default whole-file view
 
 	// View cache, valid while viewFresh (until the next SetView or Reopen):
-	// cur are the view's absolute segments and useful their byte total. A
-	// committed view at displacement zero lends cur its own shared array,
-	// so a SetView after a Reopen costs the end-of-file check and nothing
-	// else; every other view is expanded into own, the handle's private
-	// segment scratch and the only segment array a handle ever writes.
+	// cur are the view's absolute segments and useful their byte total,
+	// plan the sieve plan of an independent read (physical runs, planTotal
+	// bytes in all). A committed view at displacement zero lends cur and
+	// plan its own shared arrays (frozen is then set), so a SetView after a
+	// Reopen costs the end-of-file check and nothing else; every other view
+	// is expanded into own, the handle's private segment scratch, and its
+	// plan built into ownPlan on its first independent read — the only
+	// segment arrays a handle ever writes.
 	cur       []Segment
 	useful    int64
 	viewErr   error
 	viewFresh bool
+	frozen    bool
 	own       []Segment
-
-	// Independent-read staging: the sieve plan (physical runs, planTotal
-	// bytes in all) is kept while the segments it was built from are
-	// unchanged — planOK is dropped whenever own is rewritten or another
-	// committed type than planOf is viewed — and the runs land in one packed
-	// read buffer, so a repeated ReadInto allocates nothing.
 	plan      []Segment
 	planTotal int64
-	planOf    *committed
 	planOK    bool
-	scratch   []byte
+	ownPlan   []Segment
+
+	// The independent reads' physical runs land back to back in scratch,
+	// so a repeated ReadInto allocates nothing.
+	scratch []byte
 
 	// coll is the epoch-scoped collective-read staging (see
 	// CollectiveScratch), created lazily by the first ReadAllInto and kept
@@ -60,6 +61,7 @@ type File struct {
 	UsefulBytes  int64 // bytes actually requested by the view
 	ShuffleBytes int64 // bytes exchanged during two-phase redistribution
 	ShuffleMsgs  int   // messages exchanged during two-phase redistribution
+	PlanBuilds   int   // read plans built: sieve plans of uncommitted views and collective round plans
 }
 
 // Open opens the named object for reading.
@@ -118,38 +120,41 @@ func (f *File) segs() ([]Segment, int64, error) {
 	if f.viewFresh {
 		return f.cur, f.useful, f.viewErr
 	}
+	end := int64(0)
 	if ct, ok := f.view.(*committed); ok && f.disp == 0 {
-		if f.planOf != ct {
-			f.planOf, f.planOK = ct, false
-		}
-		f.cur, f.useful, f.viewErr = ct.segs, ct.size, nil
+		f.cur, f.useful, f.viewErr, f.frozen = ct.segs, ct.size, nil, true
+		f.plan, f.planTotal, f.planOK = ct.plan, ct.planTotal, true
+		end = ct.end
 	} else {
-		f.planOf, f.planOK = nil, false
 		f.own = f.view.AppendSegments(f.own[:0])
 		f.useful = 0
 		for i := range f.own {
 			f.own[i].Off += f.disp
 			f.useful += f.own[i].Len
 		}
-		f.cur, f.viewErr = f.own, validate(f.own)
+		f.cur, f.viewErr, f.frozen, f.planOK = f.own, validate(f.own), false, false
+		// Segments are sorted and disjoint, so the last one reaches furthest.
+		end = extentOf(f.view, nil) + f.disp
+		if n := len(f.cur); n > 0 {
+			end = max(end, f.cur[n-1].Off+f.cur[n-1].Len)
+		}
 	}
-	// Segments are sorted and disjoint, so the last one reaches furthest.
-	if n := len(f.cur); f.viewErr == nil && n > 0 && f.cur[n-1].Off+f.cur[n-1].Len > f.size {
-		f.viewErr = f.eofError()
+	if f.viewErr == nil && end > f.size {
+		f.viewErr = f.eofError(end)
 	}
 	f.viewFresh = true
 	return f.cur, f.useful, f.viewErr
 }
 
 // eofError names the first segment of the current view that reaches beyond
-// the end of the open object.
-func (f *File) eofError() error {
+// the end of the open object, or the view's extent, end, when none does.
+func (f *File) eofError(end int64) error {
 	for _, seg := range f.cur {
 		if seg.Off+seg.Len > f.size {
 			return fmt.Errorf("mpiio: view segment [%d,%d) beyond EOF of %q (size %d): %w", seg.Off, seg.Off+seg.Len, f.name, f.size, pfs.ErrPermanent)
 		}
 	}
-	return nil
+	return fmt.Errorf("mpiio: view extent %d beyond EOF of %q (size %d): %w", end, f.name, f.size, pfs.ErrPermanent)
 }
 
 // ViewSize returns the number of useful bytes the current view selects —
@@ -184,8 +189,9 @@ func planSieveInto(dst, segs []Segment, gap int64) []Segment {
 // with data sieving: every physical sieve run lands back-to-back in one
 // reusable contiguous scratch buffer — a packed contiguous read per run
 // instead of a per-displacement allocation loop — and the useful parts are
-// then scatter-copied into dst, so the steady state of a step loop with an
-// unchanged view allocates nothing.
+// then scatter-copied into dst. A committed view brings its plan; any
+// other view's is built on its first read, so a step loop over committed
+// views builds no plan and, once the scratch has grown, allocates nothing.
 func (f *File) ReadInto(dst []byte) (int, error) {
 	segs, useful, err := f.segs()
 	if err != nil {
@@ -195,8 +201,9 @@ func (f *File) ReadInto(dst []byte) (int, error) {
 		return 0, fmt.Errorf("mpiio: ReadInto buffer holds %d of %d view bytes: %w", len(dst), useful, pfs.ErrPermanent)
 	}
 	if !f.planOK {
-		f.plan = planSieveInto(f.plan[:0], segs, sieveGap)
-		f.planTotal = 0
+		f.ownPlan = planSieveInto(f.ownPlan[:0], segs, sieveGap)
+		f.PlanBuilds++
+		f.plan, f.planTotal = f.ownPlan, 0
 		for _, p := range f.plan {
 			f.planTotal += p.Len
 		}

@@ -2,6 +2,7 @@ package mpiio
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -49,6 +50,51 @@ func TestIndexedBlockCoalescesAdjacent(t *testing.T) {
 	if ib.Size() != 8 {
 		t.Errorf("size = %d, want 8", ib.Size())
 	}
+}
+
+// TestIndexedSegments: an Indexed type's blocks of differing lengths are
+// sorted and coalesced like an IndexedBlock's, and its size counts every
+// byte once.
+func TestIndexedSegments(t *testing.T) {
+	ix := Indexed{Blocklens: []int64{3, 1, 2, 2}, Displs: []int64{10, 0, 13, 1}, ElemSize: 4}
+	want := []Segment{{0, 12}, {40, 20}}
+	if s := ix.Segments(); !slices.Equal(s, want) {
+		t.Errorf("segments = %v, want %v", s, want)
+	}
+	if ix.Size() != 32 {
+		t.Errorf("size = %d, want 32", ix.Size())
+	}
+}
+
+// TestResizedExtentFailsEOF: a view resized past an object's end fails
+// its end-of-file check — committed or not — though every segment fits,
+// and the same view at an extent the object holds reads.
+func TestResizedExtentFailsEOF(t *testing.T) {
+	st := pfs.NewMemStore()
+	data := makeTestFile(t, st, "o", 64)
+	sub := Indexed{Blocklens: []int64{2}, Displs: []int64{1}, ElemSize: 8}
+	mpi.RunReal(1, func(c *mpi.Comm) {
+		f, err := Open(c, st, "o")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, extent := range []int64{64, 65} {
+			committed, err := Commit(Resized{Type: sub, Extent: extent})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, view := range []Datatype{Resized{Type: sub, Extent: extent}, committed} {
+				f.SetView(0, view)
+				got, err := readView(f)
+				switch {
+				case extent > 64 && !errors.Is(err, pfs.ErrPermanent):
+					t.Errorf("%T at extent %d: read error %v, want the end-of-file error", view, extent, err)
+				case extent <= 64 && (err != nil || !bytes.Equal(got, data[8:24])):
+					t.Errorf("%T at extent %d: read %v, %v", view, extent, got, err)
+				}
+			}
+		}
+	})
 }
 
 func TestCoalesceProperty(t *testing.T) {

@@ -90,12 +90,19 @@ func (t *Tree) Balance21() *Tree {
 	for _, c := range t.Leaves {
 		leafSet[c] = true
 	}
-	// find returns the current leaf containing p.
-	find := func(p [3]float64) (Cell, bool) {
-		for l := uint8(0); l <= MaxLevel; l++ {
-			c := CellAt(p, l)
-			if leafSet[c] {
-				return c, true
+	// find returns the current leaf containing p, probing the levels
+	// outward from near, where it most likely is: the cells containing p
+	// at the different levels nest, and leaves are disjoint, so at most
+	// one level holds it and the order of the probes cannot change which.
+	find := func(p [3]float64, near uint8) (Cell, bool) {
+		for d := 0; d <= MaxLevel; d++ {
+			for _, l := range [2]int{int(near) - d, int(near) + d} {
+				if l < 0 || l > MaxLevel || d == 0 && l != int(near) {
+					continue
+				}
+				if c := CellAt(p, uint8(l)); leafSet[c] {
+					return c, true
+				}
 			}
 		}
 		return Cell{}, false
@@ -121,7 +128,7 @@ func (t *Tree) Balance21() *Tree {
 					if !ok {
 						continue
 					}
-					leaf, found := find(nb.Center())
+					leaf, found := find(nb.Center(), c.Level)
 					if !found {
 						continue
 					}
@@ -133,7 +140,7 @@ func (t *Tree) Balance21() *Tree {
 							leafSet[ch] = true
 							queue = append(queue, ch)
 						}
-						leaf, _ = find(nb.Center())
+						leaf, _ = find(nb.Center(), leaf.Level+1)
 					}
 				}
 			}
@@ -155,24 +162,30 @@ type Block struct {
 
 // Blocks partitions the leaves into subtrees at blockLevel. Leaves coarser
 // than blockLevel become single-leaf blocks of their own. Blocks are
-// returned in Key order of their roots.
+// returned in Key order of their roots. A subtree's leaves are contiguous
+// in Key order, so one pass over the leaves groups them, and a block's
+// leaf indices are a run of consecutive ones.
 func (t *Tree) Blocks(blockLevel uint8) []Block {
-	group := make(map[Cell][]int)
+	idx := make([]int, len(t.Leaves))
+	var out []Block
+	start := 0
 	for i, c := range t.Leaves {
+		idx[i] = i
 		root := c
 		if c.Level > blockLevel {
 			root = c.AncestorAt(blockLevel)
 		}
-		group[root] = append(group[root], i)
+		if n := len(out); n > 0 && out[n-1].Root == root {
+			continue
+		}
+		if n := len(out); n > 0 {
+			out[n-1].Leaves = idx[start:i:i]
+		}
+		out = append(out, Block{Root: root})
+		start = i
 	}
-	roots := make([]Cell, 0, len(group))
-	for r := range group {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].Key() < roots[j].Key() })
-	out := make([]Block, len(roots))
-	for i, r := range roots {
-		out[i] = Block{Root: r, Leaves: group[r]}
+	if n := len(out); n > 0 {
+		out[n-1].Leaves = idx[start:]
 	}
 	return out
 }
