@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/mesh"
 	"repro/internal/mpiio"
@@ -588,17 +587,12 @@ func scanRange(store pfs.Store, numNodes int, names []string, blocks [][]int32, 
 	for t := range peak {
 		peak[t] = flat[len(blocks)*t : len(blocks)*(t+1)]
 	}
-	n := max(min(workers.Width(1), len(names)), 1)
+	var p *workers.Pool
+	n := max(min(p.Size(), len(names)), 1)
 	vmaxes, errs := make([]float32, n), make([]error, n)
-	var wg sync.WaitGroup
-	for k := range vmaxes {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			vmaxes[k], errs[k] = scanSteps(store, numNodes, names, len(names)*k/n, len(names)*(k+1)/n, blocks, gain, peak)
-		}(k)
-	}
-	wg.Wait()
+	p.Run(0, n, func(k int) {
+		vmaxes[k], errs[k] = scanSteps(store, numNodes, names, len(names)*k/n, len(names)*(k+1)/n, blocks, gain, peak)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return 0, nil, err

@@ -18,6 +18,7 @@ import (
 	"hash/fnv"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -96,15 +97,14 @@ func TestCrossTransportCollectiveEquivalence(t *testing.T) {
 // TestCrossTransportEnhancedHandoffEquivalence runs batch_io's shape —
 // two groups of two input ranks, collective adaptive reads, temporal
 // enhancement — over all three transports: frames bit-identical, per-rank
-// accounting identical. With every block live (FixedVMax: no occupancy
-// index, so both runs read and ship the same records) the magnitudes
+// accounting identical. With every block live (FixedVMax) the magnitudes
 // hand-off is all the traffic enhancement adds: each input rank sends one
 // message of 4 bytes per part node for every step of its own but the last
 // step of the run, and receives one for every step of its own but step 0.
-// With the index the messages are the same — each hand-off of step s
-// holds exactly the magnitudes of the nodes live at step s+1, or the
-// receiving rank would refuse it (takeHandoff) and fail the run — and the
-// run renders the every-block-live run's frames.
+// With the occupancy index every input rank's traffic is that run's with
+// what the step plans set — the pieces and the hand-offs (planTraffic) —
+// taken out as the every-block-live plans set it and put back as the
+// index's do, and the frames are that run's.
 func TestCrossTransportEnhancedHandoffEquivalence(t *testing.T) {
 	const steps = 4
 	store := buildDataset(t, steps)
@@ -124,6 +124,10 @@ func TestCrossTransportEnhancedHandoffEquivalence(t *testing.T) {
 	opts.Enhancement = true
 	ref, refRes, refStats := runPipelineOver(t, store, l, opts, overReal, nil)
 	requireFramesEqual(t, denseRef, ref, steps)
+	densePlan, indexPlan := planTraffic(denseRef.ds, steps), planTraffic(ref.ds, steps)
+	if slices.Equal(densePlan, indexPlan) {
+		t.Fatal("the index leaves every block of the dataset live: its plans set the traffic every-block-live ones do")
+	}
 	for r := 0; r < l.NumInput(); r++ {
 		g, part := r/l.IPsPerGroup, r%l.IPsPerGroup
 		nodes := int64(len(ref.ds.partIDs[part]))
@@ -144,11 +148,13 @@ func TestCrossTransportEnhancedHandoffEquivalence(t *testing.T) {
 		if denseStats[r] != want {
 			t.Errorf("input rank %d traffic %+v, want the unenhanced run's plus the hand-offs: %+v", r, denseStats[r], want)
 		}
-		if got, want := refStats[r].MsgsSent, denseStats[r].MsgsSent; got != want {
-			t.Errorf("input rank %d sent %d messages, %d with every block live", r, got, want)
-		}
-		if got, want := refStats[r].MsgsRecv, denseStats[r].MsgsRecv; got != want {
-			t.Errorf("input rank %d received %d messages, %d with every block live", r, got, want)
+		want = denseStats[r]
+		want.MsgsSent += indexPlan[r].MsgsSent - densePlan[r].MsgsSent
+		want.BytesSent += indexPlan[r].BytesSent - densePlan[r].BytesSent
+		want.MsgsRecv += indexPlan[r].MsgsRecv - densePlan[r].MsgsRecv
+		want.BytesRecv += indexPlan[r].BytesRecv - densePlan[r].BytesRecv
+		if refStats[r] != want {
+			t.Errorf("input rank %d traffic %+v, want the every-block-live run's with the index's plans: %+v", r, refStats[r], want)
 		}
 	}
 	for name, run := range map[string]transportRun{"sim": overSim, "net": overNet} {
@@ -159,6 +165,42 @@ func TestCrossTransportEnhancedHandoffEquivalence(t *testing.T) {
 		requireFramesEqual(t, ref, got, steps)
 		requireSameTraffic(t, name, refStats, stats)
 	}
+}
+
+// planTraffic is the traffic of every input rank of a run of steps over d
+// that d's step plans set: the data pieces (one per renderer and step, 8
+// bytes per run of a live block plus a byte per value, 1 for none) and the
+// enhancement hand-offs (4 bytes per node live at the receiving step). A
+// collective read's exchange runs on the group's sub-communicator, whose
+// messages are its own, not the world communicator's.
+func planTraffic(d *Dataset, steps int) []commStats {
+	l := d.layout
+	ts := make([]commStats, l.NumInput())
+	for s := 0; s < steps; s++ {
+		live := d.liveAt(s)
+		for part := range l.IPsPerGroup {
+			r := l.InputRank(s%l.Groups, part)
+			for rr := range l.Renderers {
+				bytes := int64(0)
+				for _, run := range d.gather[part][rr].runs {
+					if blockLive(live, run.Block) {
+						bytes += 8 + int64(run.Len)
+					}
+				}
+				ts[r].MsgsSent++
+				ts[r].BytesSent += max(bytes, 1)
+			}
+			if d.opts.Enhancement && l.Groups > 1 && s+1 < steps {
+				bytes := 4 * int64(d.partStep(s+1, part).nlive)
+				next := l.InputRank((s+1)%l.Groups, part)
+				ts[r].MsgsSent++
+				ts[r].BytesSent += bytes
+				ts[next].MsgsRecv++
+				ts[next].BytesRecv += bytes
+			}
+		}
+	}
+	return ts
 }
 
 // TestCrossTransportDirectSendEquivalence covers the remaining

@@ -27,10 +27,9 @@ package mpiio
 // the physical runs and who is shipped which bytes — is a pure function of
 // that table, this rank and the communicator size. A step loop exchanges
 // one table per distinct set of views, one per step at most, so each plan
-// is built once and replayed whenever its table comes round again (up to
-// maxPlans tables). Where each received piece lands needs no list: it is
-// this rank's own segments, clipped to the sender's range, walked in
-// order.
+// is built once and replayed whenever its table comes round again. Where
+// each received piece lands needs no list: it is this rank's own segments,
+// clipped to the sender's range, walked in order.
 //
 // See docs/ownership.md for the repository-wide buffer-ownership
 // conventions this design follows.
@@ -153,16 +152,10 @@ type CollectiveScratch struct {
 	packed  []byte       // this rank's physical reads; shipped pieces alias it
 	batches []pieceBatch // per destination rank, shipped by reference
 
-	plans   []collPlan // the remembered round geometries, one per distinct table
-	evict   int        // the plan the next build replaces once maxPlans are kept
+	plans   []collPlan // the remembered round geometries, one per distinct table met
+	next    int        // where planFor's search starts: the plan after the last one matched
 	clipped []Segment  // plan-build staging: aggregated-range clip of every rank's segments
 }
-
-// maxPlans bounds the plans a scratch remembers: a step loop's distinct
-// tables, one per step it reads when every step has its own view. Past the
-// bound a new table replaces the plans in turn, which stays correct and
-// allocation-free but builds a plan per round.
-const maxPlans = 64
 
 // collective returns the handle's lazily created collective scratch. The
 // scratch survives Reopen — like the handle's other steady-state buffers,
@@ -242,27 +235,29 @@ func (p *collPlan) matches(tbl *metaTable, rank int) bool {
 	return true
 }
 
-// planFor returns the remembered plan of this round's table, building one
-// (in a new slot, or over the next plan in turn once maxPlans are kept)
-// when none matches, which it reports.
+// planFor returns the remembered plan of this round's table, building and
+// keeping one when none matches, which it reports. The scratch keeps one
+// plan per distinct table it has met, so their number is that of the
+// distinct sets of views its callers read through — one per step at most
+// for a step loop. The search starts after the plan the previous round
+// matched, so a loop that meets its tables in the same order every pass
+// matches each at the first comparison.
 func (s *CollectiveScratch) planFor(tbl *metaTable, rank int) (*collPlan, bool) {
-	for i := range s.plans {
+	n := len(s.plans)
+	for k := range n {
+		i := (s.next + k) % n
 		if s.plans[i].matches(tbl, rank) {
+			s.next = (i + 1) % n
 			return &s.plans[i], false
 		}
 	}
-	if len(s.plans) < maxPlans {
-		s.plans = append(s.plans, collPlan{})
-		p := &s.plans[len(s.plans)-1]
-		s.buildPlan(p, tbl, rank)
-		// A new plan's lists grew by appending; it is kept for the run, so
-		// it keeps no more than it holds.
-		p.runs, p.send = slices.Clone(p.runs), slices.Clone(p.send)
-		return p, true
-	}
-	p := &s.plans[s.evict]
-	s.evict = (s.evict + 1) % maxPlans
+	s.plans = append(s.plans, collPlan{})
+	p := &s.plans[n]
 	s.buildPlan(p, tbl, rank)
+	// A new plan's lists grew by appending; it is kept for the run, so it
+	// keeps no more than it holds.
+	p.runs, p.send = slices.Clone(p.runs), slices.Clone(p.send)
+	s.next = 0
 	return p, true
 }
 

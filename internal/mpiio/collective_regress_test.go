@@ -8,6 +8,7 @@ package mpiio
 // collective round allocates nothing on any rank.
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -130,6 +131,59 @@ func TestReadAllSteadyStateAllocFree(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCollectivePlansCoverLongStepLoop runs a step loop of more distinct
+// views than any bound a plan cache might guess, twice over, the way the
+// pipeline reads one committed view per step: the first pass builds one
+// plan per step, the second replays every one of them and builds none,
+// with the bytes the first pass read.
+func TestCollectivePlansCoverLongStepLoop(t *testing.T) {
+	const ranks, steps, elems = 2, 100, 256
+	st := pfs.NewMemStore()
+	data := makeTestFile(t, st, "s", 12*elems)
+	mpi.RunReal(ranks, func(c *mpi.Comm) {
+		views := make([]Datatype, steps)
+		for k := range views {
+			ib := IndexedBlock{Blocklen: 1, ElemSize: 12}
+			for j := 0; j <= k; j++ {
+				ib.Displs = append(ib.Displs, int64(c.Rank()+ranks*j))
+			}
+			var err error
+			if views[k], err = Commit(ib); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		f, err := Open(c, st, "s")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		builds := [2]int{}
+		for pass := range builds {
+			before := f.PlanBuilds
+			for k, view := range views {
+				f.SetView(0, view)
+				dst := make([]byte, view.Size())
+				if _, err := f.ReadAllInto(pass*steps+k, dst); err != nil {
+					t.Error(err)
+					return
+				}
+				for j := 0; j <= k; j++ {
+					e := c.Rank() + ranks*j
+					if !bytes.Equal(dst[12*j:12*j+12], data[12*e:12*e+12]) {
+						t.Errorf("rank %d pass %d step %d: element %d differs from the file's", c.Rank(), pass, k, e)
+						return
+					}
+				}
+			}
+			builds[pass] = f.PlanBuilds - before
+		}
+		if builds != [2]int{steps, 0} {
+			t.Errorf("rank %d built %d plans in the first pass and %d in the second, want %d and 0", c.Rank(), builds[0], builds[1], steps)
+		}
+	})
 }
 
 // BenchmarkCollectiveReadSteadyState measures a steady-state 4-rank
