@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -499,14 +500,23 @@ func TestNetSendRecvAllocFree(t *testing.T) {
 
 // netRoundTripAllocFree sends build()'s payload from rank 0 to rank 1 of a
 // loopback job, hands it to consume there (which must release it), waits
-// for an empty reply, and fails if a round allocates at steady state.
+// for an empty reply, and fails if a round allocates at steady state. It
+// reads the least of three windows of rounds. A round's own code
+// allocates nothing, but where the peer lock is contended (the connection's
+// reader takes it for every ack while the sender holds it over its write)
+// the parked goroutine needs a sudog, which the runtime allocates when
+// its P's cache is empty: after the GC that opens the measurement, or as
+// sudogs drift between the Ps' caches. On a machine kept busy by another
+// test binary, 100 runs read up to 64 of them (0.25/round) in a window,
+// every one a sudog in a memory profile, and the least of each run's
+// three windows read 0.
 func netRoundTripAllocFree(t *testing.T, build func() (int64, any), consume func(m mpi.Message) error) {
-	const warmup, rounds = 64, 256
-	var perRound float64
+	const warmup, rounds, windows = 64, 256, 3
+	perRound := math.Inf(1)
 	if _, err := mpi.RunNet(2, func(c *mpi.Comm) {
 		const tag = 21
 		if c.Rank() == 1 {
-			for i := 0; i < warmup+rounds; i++ {
+			for i := 0; i < warmup+windows*rounds; i++ {
 				if err := consume(c.Recv(0, tag)); err != nil {
 					panic(fmt.Sprintf("round %d: %v", i, err))
 				}
@@ -525,12 +535,14 @@ func netRoundTripAllocFree(t *testing.T, build func() (int64, any), consume func
 		runtime.GC()
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < rounds; i++ {
-			round()
+		for w := 0; w < windows; w++ {
+			runtime.ReadMemStats(&before)
+			for i := 0; i < rounds; i++ {
+				round()
+			}
+			runtime.ReadMemStats(&after)
+			perRound = min(perRound, float64(after.Mallocs-before.Mallocs)/rounds)
 		}
-		runtime.ReadMemStats(&after)
-		perRound = float64(after.Mallocs-before.Mallocs) / rounds
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,8 @@ type Result struct {
 	WaitCredit float64
 	RenderSec  float64 // summed across renderers
 	CompSec    float64
-	RenderOps  int // render invocations (renderers x steps)
+	LICSec     float64 // LICPayload time, summed across the group part-0 IPs
+	RenderOps  int     // render invocations (renderers x steps)
 	Frames     int
 
 	// RankRenderSec records each renderer's total busy time, the basis for
@@ -132,12 +133,13 @@ type Result struct {
 // addInputStep folds one input-rank step's stage timings in. The typed
 // adders replace the old closure-taking add hook, whose per-step closure
 // allocations were the last garbage of the pipeline bookkeeping.
-func (r *Result) addInputStep(fetch, prep, wait, send float64) {
+func (r *Result) addInputStep(fetch, prep, wait, send, lic float64) {
 	r.mu.Lock()
 	r.FetchSec += fetch
 	r.PrepSec += prep
 	r.WaitCredit += wait
 	r.SendSec += send
+	r.LICSec += lic
 	r.mu.Unlock()
 }
 
@@ -382,14 +384,16 @@ func (p *Pipeline) runInput(c *mpi.Comm) error {
 			c.Send(l.RenderRank(r), tagData(t), bytes, data)
 		}
 		t4 := c.Now()
+		var licSec float64
 		if p.W.WantLIC() && part == 0 {
 			bytes, data, err := p.W.LICPayload(c, t, prep)
 			if err != nil {
 				return fmt.Errorf("core: input %d lic step %d: %w", i, t, err)
 			}
+			licSec = c.Now() - t4
 			c.Send(l.OutputRank(t), tagLIC(t), bytes, data)
 		}
-		p.Res.addInputStep(t1-t0, t2-t1, t3-t2, t4-t3)
+		p.Res.addInputStep(t1-t0, t2-t1, t3-t2, t4-t3, licSec)
 	}
 	return nil
 }

@@ -1,13 +1,72 @@
 package experiments
 
 import (
+	"bytes"
+	"hash/fnv"
+	"image"
+	"image/draw"
+	"image/png"
 	"os"
+	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/pfs"
+	"repro/internal/quake"
 	"repro/internal/trace"
 )
+
+// The quick image figures' goldens: the FNV-1a 64 checksum checkFigure
+// takes over the PNGs a figure writes, recorded on linux/amd64 (go1.24)
+// from the figures as they rendered before they ran on core.Dataset. Like
+// core's goldenFrameSum they pin every visible pixel at 8 bits;
+// intentional changes to the figures' pictures must update them.
+const (
+	goldenFig3Sum  = 0x2e58093f96091732
+	goldenFig4Sum  = 0x5bb1f3beb9c93751
+	goldenFig11Sum = 0x87b7feedce24f9b4
+	goldenFig13Sum = 0x531053344c98e616
+)
+
+// checkFigure compares with want the FNV-1a 64 checksum, over the PNGs a
+// figure wrote to dir in file-name order, of each file's name and its
+// decoded 8-bit RGBA pixels.
+func checkFigure(t *testing.T, name, dir string, want uint64) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		// Recorded on amd64; other architectures may fuse multiply-adds
+		// (FMA) and move low-order float bits.
+		t.Logf("%s golden recorded on amd64, not checked on %s", name, runtime.GOARCH)
+		return
+	}
+	entries, err := os.ReadDir(dir) // sorted by file name
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) != ".png" {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		im, err := png.Decode(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		rgba := image.NewRGBA(im.Bounds())
+		draw.Draw(rgba, rgba.Bounds(), im, im.Bounds().Min, draw.Src)
+		h.Write([]byte(e.Name()))
+		h.Write(rgba.Pix)
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("%s images checksum = %#x, want golden %#x", name, got, want)
+	}
+}
 
 // column extracts a numeric column from a rendered table (skipping header
 // and separator lines).
@@ -133,10 +192,12 @@ func TestModelValidationWithinTolerance(t *testing.T) {
 // scheduler-sensitive under package-parallel load, so it only asserts under
 // REPRO_PERF_ASSERT=1 (set by `make ci`), like every wall-clock gate.
 func TestFig3AdaptiveFasterAndClose(t *testing.T) {
-	tb, err := Fig3(true, "")
+	dir := t.TempDir()
+	tb, err := Fig3(true, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, "Figure 3", dir, goldenFig3Sum)
 	cells := column(tb, 1)
 	speedups := column(tb, 3)
 	rmses := column(tb, 4)
@@ -151,16 +212,19 @@ func TestFig3AdaptiveFasterAndClose(t *testing.T) {
 	if rmses[2] > 0.25 {
 		t.Errorf("adaptive image too different: RMSE %v", rmses[2])
 	}
+	t.Logf("two levels coarser: %.2fx the finest level's render stage", speedups[2])
 	if os.Getenv("REPRO_PERF_ASSERT") == "1" && speedups[2] < 1.5 {
 		t.Errorf("two levels coarser only %vx faster", speedups[2])
 	}
 }
 
 func TestFig4EnhancementRevealsStructure(t *testing.T) {
-	tb, err := Fig4(true, "")
+	dir := t.TempDir()
+	tb, err := Fig4(true, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, "Figure 4", dir, goldenFig4Sum)
 	visible := column(tb, 1)
 	if len(visible) != 2 {
 		t.Fatalf("bad table: %s", tb)
@@ -171,10 +235,12 @@ func TestFig4EnhancementRevealsStructure(t *testing.T) {
 }
 
 func TestFig11LightingChangesImage(t *testing.T) {
-	tb, err := Fig11(true, "")
+	dir := t.TempDir()
+	tb, err := Fig11(true, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, "Figure 11", dir, goldenFig11Sum)
 	rmse := column(tb, 2)
 	if len(rmse) != 2 || rmse[1] == 0 {
 		t.Errorf("lighting had no visible effect: %s", tb)
@@ -182,10 +248,12 @@ func TestFig11LightingChangesImage(t *testing.T) {
 }
 
 func TestFig13Runs(t *testing.T) {
-	tb, err := Fig13(true, t.TempDir())
+	dir := t.TempDir()
+	tb, err := Fig13(true, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkFigure(t, "Figures 13/14", dir, goldenFig13Sum)
 	if rows := column(tb, 0); len(rows) != 4 {
 		t.Errorf("rows = %d", len(rows))
 	}
@@ -281,10 +349,22 @@ func TestMakeDatasetDeterministic(t *testing.T) {
 	if m1.NumNodes() != m2.NumNodes() {
 		t.Fatal("mesh not deterministic")
 	}
-	s1, _ := a.Size("step_0001.dat")
-	s2, _ := b.Size("step_0001.dat")
-	if s1 != s2 || s1 == 0 {
-		t.Errorf("step sizes %d vs %d", s1, s2)
+	read := func(st pfs.Store, name string) []byte {
+		t.Helper()
+		n, err := st.Size(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, n)
+		if err := st.ReadAt(nil, name, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	for _, name := range []string{quake.MeshObject, quake.MetaObject, quake.StepObject(0), quake.StepObject(1)} {
+		if !bytes.Equal(read(a, name), read(b, name)) {
+			t.Errorf("%s differs between two generations", name)
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package experiments reproduces every figure of the paper's evaluation
 // (Section 6). The timing figures (8, 9, 10, 12) run the pipeline at paper
 // scale on the discrete-event machine model; the image figures (3, 4, 11,
-// 13/14) run the real renderer on a generated dataset; the Section 5.3 I/O
+// 13/14) run the real pipeline (core.Dataset on RunReal) over a generated
+// dataset; the Section 5.3 I/O
 // comparison and the SLIC compositing study run the real code paths.
 // cmd/paperbench prints the tables; bench_test.go wraps them as benchmarks.
 package experiments

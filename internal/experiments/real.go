@@ -9,13 +9,12 @@ import (
 	"time"
 
 	"repro/internal/compositor"
+	"repro/internal/core"
 	"repro/internal/img"
-	"repro/internal/lic"
 	"repro/internal/mesh"
 	"repro/internal/mpi"
 	"repro/internal/mpiio"
 	"repro/internal/pfs"
-	"repro/internal/quadtree"
 	"repro/internal/quake"
 	"repro/internal/render"
 	"repro/internal/trace"
@@ -76,93 +75,94 @@ func MakeDataset(size DatasetSize, steps int) (pfs.Store, *mesh.Mesh, error) {
 	return st, m, nil
 }
 
-// readStep reads and decodes the velocity vectors of one timestep.
-func readStep(st pfs.Store, m *mesh.Mesh, t int) ([]float32, error) {
-	buf := make([]byte, m.NumNodes()*quake.BytesPerNode)
-	if err := st.ReadAt(nil, quake.StepObject(t), 0, buf); err != nil {
-		return nil, err
-	}
-	return quake.DecodeStepInto(nil, buf)
+// figLayout is the processor layout the image figures run the pipeline
+// on. Frames do not depend on the layout (one input rank or many, any
+// renderer count), so the smallest one with more than one renderer does:
+// its frames still go through the SLIC composite.
+var figLayout = core.Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}
+
+// figOptions returns the options of an image figure: the pipeline's
+// defaults for a px×px frame, over the dataset's first steps steps, which
+// bound the range scan.
+func figOptions(px, steps int) core.Options {
+	opts := core.DefaultOptions(px, px)
+	opts.MaxSteps = steps
+	return opts
 }
 
-// pipelineScalar quantizes and dequantizes a magnitude field exactly as the
-// pipeline would.
-func pipelineScalar(mag []float32, vmax float32) []float32 {
-	return render.DequantizeInto(nil, render.QuantizeInto(nil, mag, 0, vmax))
-}
-
-// loadScalar reads one timestep and returns the normalized magnitude field.
-func loadScalar(st pfs.Store, m *mesh.Mesh, t int, vmax float32) ([]float32, error) {
-	vec, err := readStep(st, m, t)
+// figWorkload builds the dataset of st under opts and a workload on it
+// aimed at opts' view and at dataset step t alone.
+func figWorkload(st pfs.Store, opts core.Options, t int) (*core.RealWorkload, error) {
+	ds, err := core.NewDataset(figLayout, opts, st)
 	if err != nil {
 		return nil, err
 	}
-	return pipelineScalar(render.MagnitudeInto(nil, vec), vmax), nil
+	w := ds.NewWorkload(opts.Width, opts.Height, opts.View, opts.TFName)
+	if err := w.SetStepWindow(t, t+1); err != nil {
+		w.Close()
+		return nil, err
+	}
+	return w, nil
 }
 
-// scanVMax finds the dataset's peak magnitude.
-func scanVMax(st pfs.Store, m *mesh.Mesh, steps int) (float32, error) {
-	var vmax float32
-	for t := 0; t < steps; t++ {
-		vec, err := readStep(st, m, t)
-		if err != nil {
-			return 0, err
-		}
-		for _, v := range render.MagnitudeInto(nil, vec) {
-			if v > vmax {
-				vmax = v
-			}
-		}
+// figFrame runs the pipeline once over w's one-step window and returns
+// the frame and the run's Result. The frame stays valid until w runs
+// again.
+func figFrame(w *core.RealWorkload) (*img.Image, *core.Result, error) {
+	p, err := core.NewPipeline(figLayout, w)
+	if err != nil {
+		return nil, nil, err
 	}
-	if vmax == 0 {
-		vmax = 1
+	if _, err := p.RunReal(); err != nil {
+		return nil, nil, err
 	}
-	return vmax, nil
+	return w.Frame(0), p.Res, nil
 }
 
 // Fig3 reproduces Figure 3: full-resolution vs adaptive (coarser octree
 // level) rendering — the adaptive image is several times cheaper while
-// staying visually close. Returns the timing/quality table and the two
-// images (full, adaptive) of the last measured step.
+// staying visually close. Every level is one pipeline run of the last
+// step at that Options.Level; render_time_s is the pipeline's render
+// stage (Result.AvgRender). Returns the timing/quality table and writes
+// each level's image.
 func Fig3(quick bool, imgDir string) (*trace.Table, error) {
 	size := Medium
 	px := 256
 	if quick {
 		size, px = Small, 96
 	}
-	st, m, err := MakeDataset(size, 4)
-	if err != nil {
-		return nil, err
-	}
-	vmax, err := scanVMax(st, m, 4)
-	if err != nil {
-		return nil, err
-	}
-	scalar, err := loadScalar(st, m, 3, vmax)
+	const nsteps = 4
+	st, m, err := MakeDataset(size, nsteps)
 	if err != nil {
 		return nil, err
 	}
 	depth := m.Tree.MaxDepth()
-	rr := render.NewRenderer()
-	tb := trace.NewTable("Figure 3 — full vs adaptive rendering",
-		"level", "cells", "render_time_s", "speedup", "rmse_vs_full", "psnr_db",
-		"par_time_s", "par_speedup")
 	levels := []uint8{depth, depth - 1, depth - 2}
-	// A level's serial time is its minimum over a few repeats, interleaved
-	// across the levels: a quick render is ~10 ms, so a single shot lets
-	// one GC pause decide the speedup column.
+	ws := make([]*core.RealWorkload, len(levels))
+	for i, lvl := range levels {
+		opts := figOptions(px, nsteps)
+		opts.Level = lvl
+		if ws[i], err = figWorkload(st, opts, nsteps-1); err != nil {
+			return nil, err
+		}
+		defer ws[i].Close()
+	}
+	tb := trace.NewTable("Figure 3 — full vs adaptive rendering",
+		"level", "cells", "render_time_s", "speedup", "rmse_vs_full", "psnr_db")
+	// A level's time is its minimum over a few runs, interleaved across
+	// the levels: a quick render is about a millisecond, so a single shot
+	// lets one GC pause decide the speedup column. The first run also warms the
+	// workload's scratches.
 	const reps = 3
 	ims := make([]*img.Image, len(levels))
 	dts := make([]float64, len(levels))
 	for rep := 0; rep < reps; rep++ {
-		for i, lvl := range levels {
-			view := render.DefaultView(px, px)
-			start := time.Now()
-			im, err := render.RenderSerial(rr, m, scalar, 2, lvl, &view)
+		for i, w := range ws {
+			im, res, err := figFrame(w)
 			if err != nil {
 				return nil, err
 			}
-			if dt := time.Since(start).Seconds(); rep == 0 || dt < dts[i] {
+			if dt := res.AvgRender(); rep == 0 || dt < dts[i] {
 				dts[i] = dt
 			}
 			ims[i] = im
@@ -172,29 +172,14 @@ func Fig3(quick bool, imgDir string) (*trace.Table, error) {
 	for i, lvl := range levels {
 		cells := 0
 		for _, b := range m.Tree.Blocks(2) {
-			bd, err := render.ExtractBlockData(m, scalar, b, lvl)
-			if err != nil {
-				return nil, err
-			}
-			cells += bd.NumCells()
+			cells += len(render.BlockCorners(m, b, lvl))
 		}
 		im, dt := ims[i], dts[i]
-		// The worker-pool renderer must reproduce the serial frame exactly.
-		pview := render.DefaultView(px, px)
-		start := time.Now()
-		pim, err := render.RenderParallelWith(rr, m, scalar, 2, lvl, &pview, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		pdt := time.Since(start).Seconds()
-		if d := img.MaxAbsDiff(im, pim); d != 0 {
-			return nil, fmt.Errorf("experiments: parallel render differs from serial at level %d (max abs diff %g)", lvl, d)
-		}
 		if i == 0 {
-			tb.AddRow(lvl, cells, dt, 1.0, 0.0, "inf", pdt, dt/pdt)
+			tb.AddRow(lvl, cells, dt, 1.0, 0.0, "inf")
 		} else {
 			tb.AddRow(lvl, cells, dt, fullTime/dt, img.RMSE(fullImg, im),
-				fmt.Sprintf("%.1f", img.PSNR(fullImg, im)), pdt, dt/pdt)
+				fmt.Sprintf("%.1f", img.PSNR(fullImg, im)))
 		}
 		if imgDir != "" {
 			if err := writePNG(imgDir, fmt.Sprintf("fig3_level%d.png", lvl), im); err != nil {
@@ -207,40 +192,32 @@ func Fig3(quick bool, imgDir string) (*trace.Table, error) {
 
 // Fig4 reproduces Figure 4: temporal-domain enhancement at a late timestep
 // brings out wave fronts whose amplitude has decayed. The table reports
-// how much visible (non-transparent) structure the enhancement recovers.
+// how much visible (non-transparent) structure the enhancement recovers:
+// the same step rendered by the pipeline without and with
+// Options.Enhancement.
 func Fig4(quick bool, imgDir string) (*trace.Table, error) {
 	size := Medium
 	px := 192
 	if quick {
 		size, px = Small, 80
 	}
-	nsteps := 8
-	st, m, err := MakeDataset(size, nsteps)
+	const nsteps = 8
+	st, _, err := MakeDataset(size, nsteps)
 	if err != nil {
 		return nil, err
 	}
-	vmax, err := scanVMax(st, m, nsteps)
-	if err != nil {
-		return nil, err
-	}
-	t := nsteps - 1 // late step: direct rendering shows little
-	vec, err := readStep(st, m, t)
-	if err != nil {
-		return nil, err
-	}
-	cur := render.MagnitudeInto(nil, vec)
-	if vec, err = readStep(st, m, t-1); err != nil {
-		return nil, err
-	}
-	prev := render.MagnitudeInto(nil, vec)
-
-	rr := render.NewRenderer()
-	view := render.DefaultView(px, px)
 	tb := trace.NewTable("Figure 4 — temporal enhancement at a late timestep",
 		"variant", "visible_pixels", "mean_opacity")
-	render1 := func(name string, scalar []float32) (*img.Image, error) {
-		v := view
-		im, err := render.RenderParallelWith(rr, m, scalar, 2, m.Tree.MaxDepth(), &v, 0, nil)
+	for _, enhance := range []bool{false, true} {
+		opts := figOptions(px, nsteps)
+		opts.Enhancement = enhance
+		// The late step: direct rendering shows little.
+		w, err := figWorkload(st, opts, nsteps-1)
+		if err != nil {
+			return nil, err
+		}
+		im, _, err := figFrame(w)
+		w.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -252,76 +229,68 @@ func Fig4(quick bool, imgDir string) (*trace.Table, error) {
 			}
 			sum += float64(im.Pix[i])
 		}
+		name := "plain"
+		if enhance {
+			name = "enhanced"
+		}
 		tb.AddRow(name, visible, sum/float64(px*px))
 		if imgDir != "" {
 			if err := writePNG(imgDir, fmt.Sprintf("fig4_%s.png", name), im); err != nil {
 				return nil, err
 			}
 		}
-		return im, nil
-	}
-	if _, err := render1("plain", pipelineScalar(cur, vmax)); err != nil {
-		return nil, err
-	}
-	enh := pipelineScalar(render.EnhanceTemporalInto(nil, cur, prev, 4), vmax)
-	if _, err := render1("enhanced", enh); err != nil {
-		return nil, err
 	}
 	return tb, nil
 }
 
 // Fig11 reproduces Figure 11: rendering with and without gradient Phong
-// lighting. Lighting adds shading variation that reveals flow structure.
+// lighting (Options.Lighting). Lighting adds shading variation that
+// reveals flow structure.
 func Fig11(quick bool, imgDir string) (*trace.Table, error) {
 	size := Medium
 	px := 192
 	if quick {
 		size, px = Small, 80
 	}
-	st, m, err := MakeDataset(size, 4)
-	if err != nil {
-		return nil, err
-	}
-	vmax, err := scanVMax(st, m, 4)
-	if err != nil {
-		return nil, err
-	}
-	scalar, err := loadScalar(st, m, 3, vmax)
+	const nsteps = 4
+	st, _, err := MakeDataset(size, nsteps)
 	if err != nil {
 		return nil, err
 	}
 	tb := trace.NewTable("Figure 11 — lighting on/off", "variant", "render_time_s", "rmse_vs_unlit")
-	view := render.DefaultView(px, px)
-	rr := render.NewRenderer()
-	start := time.Now()
-	v1 := view
-	unlit, err := render.RenderParallelWith(rr, m, scalar, 2, m.Tree.MaxDepth(), &v1, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	tb.AddRow("unlit", time.Since(start).Seconds(), 0.0)
-	rl := render.NewRenderer()
-	rl.Lighting = true
-	start = time.Now()
-	v2 := view
-	lit, err := render.RenderParallelWith(rl, m, scalar, 2, m.Tree.MaxDepth(), &v2, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	tb.AddRow("lit", time.Since(start).Seconds(), img.RMSE(unlit, lit))
-	if imgDir != "" {
-		if err := writePNG(imgDir, "fig11_unlit.png", unlit); err != nil {
+	var unlit *img.Image
+	for _, lit := range []bool{false, true} {
+		opts := figOptions(px, nsteps)
+		opts.Lighting = lit
+		w, err := figWorkload(st, opts, nsteps-1)
+		if err != nil {
 			return nil, err
 		}
-		if err := writePNG(imgDir, "fig11_lit.png", lit); err != nil {
+		defer w.Close()
+		im, res, err := figFrame(w)
+		if err != nil {
 			return nil, err
+		}
+		name := "unlit"
+		if lit {
+			name = "lit"
+		} else {
+			unlit = im
+		}
+		tb.AddRow(name, res.AvgRender(), img.RMSE(unlit, im))
+		if imgDir != "" {
+			if err := writePNG(imgDir, fmt.Sprintf("fig11_%s.png", name), im); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return tb, nil
 }
 
 // Fig13 reproduces Figures 13/14: simultaneous volume rendering and
-// surface LIC for a sequence of timesteps.
+// surface LIC (Options.LIC) for a sequence of timesteps, one pipeline run
+// per step so each row times its own LIC (Result.LICSec) and render
+// stage.
 func Fig13(quick bool, imgDir string) (*trace.Table, error) {
 	size := Medium
 	px := 192
@@ -329,78 +298,37 @@ func Fig13(quick bool, imgDir string) (*trace.Table, error) {
 	if quick {
 		size, px, licPx = Small, 80, 48
 	}
-	nsteps := 4
+	const nsteps = 4
 	st, m, err := MakeDataset(size, nsteps)
 	if err != nil {
 		return nil, err
 	}
-	vmax, err := scanVMax(st, m, nsteps)
+	opts := figOptions(px, nsteps)
+	opts.LIC, opts.LICSize = true, licPx
+	w, err := figWorkload(st, opts, 0)
 	if err != nil {
 		return nil, err
 	}
-	surf := m.SurfaceNodes()
+	defer w.Close()
+	surf := len(m.SurfaceNodes())
 	tb := trace.NewTable("Figures 13/14 — volume + surface LIC",
 		"step", "surface_nodes", "lic_time_s", "volume_time_s")
-	// One scratch across the animation: steady-state frames re-extract the
-	// same block partition with zero allocations.
-	var scratch render.ExtractScratch
 	for t := 0; t < nsteps; t++ {
-		vec, err := readStep(st, m, t)
+		if err := w.SetStepWindow(t, t+1); err != nil {
+			return nil, err
+		}
+		im, res, err := figFrame(w)
 		if err != nil {
 			return nil, err
 		}
-		samples := make([]quadtree.Sample, len(surf))
-		for i, id := range surf {
-			p := m.Nodes[id].Pos()
-			samples[i] = quadtree.Sample{X: p[0], Y: p[1],
-				VX: float64(vec[3*id]), VY: float64(vec[3*id+1])}
-		}
-		start := time.Now()
-		qt, err := quadtree.Build(samples, 8)
-		if err != nil {
-			return nil, err
-		}
-		grid, err := qt.Resample(licPx, licPx)
-		if err != nil {
-			return nil, err
-		}
-		licIm, err := lic.ComputeWith(grid, licPx, licPx, lic.Config{L: licPx / 12, Seed: 7, Phase: -1}, nil)
-		if err != nil {
-			return nil, err
-		}
-		licTime := time.Since(start).Seconds()
-
-		scalar := pipelineScalar(render.MagnitudeInto(nil, vec), vmax)
-		view := render.DefaultView(px, px)
-		start = time.Now()
-		vol, err := render.RenderParallelWith(render.NewRenderer(), m, scalar, 2, m.Tree.MaxDepth(), &view, 0, &scratch)
-		if err != nil {
-			return nil, err
-		}
-		volTime := time.Since(start).Seconds()
-		tb.AddRow(t, len(surf), licTime, volTime)
+		tb.AddRow(t, surf, res.LICSec, res.AvgRender())
 		if imgDir != "" {
-			combined := vol.Clone()
-			combined.Under(stretchTo(licIm.ColorizeInto(nil, grid), px, px))
-			if err := writePNG(imgDir, fmt.Sprintf("fig13_step%d.png", t), combined); err != nil {
+			if err := writePNG(imgDir, fmt.Sprintf("fig13_step%d.png", t), im); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return tb, nil
-}
-
-func stretchTo(src *img.Image, w, h int) *img.Image {
-	out := img.New(w, h)
-	for y := 0; y < h; y++ {
-		sy := y * src.H / h
-		for x := 0; x < w; x++ {
-			sx := x * src.W / w
-			r, g, b, a := src.At(sx, sy)
-			out.Set(x, y, r, g, b, a)
-		}
-	}
-	return out
 }
 
 func writePNG(dir, name string, im *img.Image) error {
@@ -430,14 +358,18 @@ func RenderScaling(quick bool) (*trace.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	vmax, err := scanVMax(st, m, 2)
+	// Step 1's field, quantized over its own range as the pipeline would.
+	buf := make([]byte, m.NumNodes()*quake.BytesPerNode)
+	if err := st.ReadAt(nil, quake.StepObject(1), 0, buf); err != nil {
+		return nil, err
+	}
+	vec, err := quake.DecodeStepInto(nil, buf)
 	if err != nil {
 		return nil, err
 	}
-	scalar, err := loadScalar(st, m, 1, vmax)
-	if err != nil {
-		return nil, err
-	}
+	mag := render.MagnitudeInto(nil, vec)
+	lo, hi := render.MinMax(mag)
+	scalar := render.DequantizeInto(nil, render.QuantizeInto(nil, mag, lo, hi))
 	rr := render.NewRenderer()
 	depth := m.Tree.MaxDepth()
 	view := render.DefaultView(px, px)

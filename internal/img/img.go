@@ -30,6 +30,8 @@ func New(w, h int) *Image {
 }
 
 // Clone returns a deep copy.
+//
+//repro:allow deadexport: bench
 func (m *Image) Clone() *Image {
 	out := &Image{W: m.W, H: m.H, Pix: make([]float32, len(m.Pix))}
 	copy(out.Pix, m.Pix)

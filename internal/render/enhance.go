@@ -57,6 +57,8 @@ func MinMax(vals []float32) (lo, hi float32) {
 // through unchanged, so the result never shares storage with cur unless the
 // caller passed it as dst — a caller that mutates the result cannot corrupt
 // the source field.
+//
+//repro:allow deadexport: bench
 func EnhanceTemporalInto(dst, cur, prev []float32, gain float32) []float32 {
 	dst = pool.Grow(dst, len(cur))
 	if prev == nil || gain == 0 {
