@@ -502,14 +502,14 @@ func TestNetSendRecvAllocFree(t *testing.T) {
 // loopback job, hands it to consume there (which must release it), waits
 // for an empty reply, and fails if a round allocates at steady state. It
 // reads the least of three windows of rounds. A round's own code
-// allocates nothing, but where the peer lock is contended (the connection's
-// reader takes it for every ack while the sender holds it over its write)
-// the parked goroutine needs a sudog, which the runtime allocates when
-// its P's cache is empty: after the GC that opens the measurement, or as
-// sudogs drift between the Ps' caches. On a machine kept busy by another
-// test binary, 100 runs read up to 64 of them (0.25/round) in a window,
-// every one a sudog in a memory profile, and the least of each run's
-// three windows read 0.
+// allocates nothing, and no transport lock is held across a socket write
+// (the link's one write path, flush, releases the peer lock before it
+// writes), so the reader's acks no longer park behind a sender. What a
+// window can still catch is the runtime's own: on a machine kept busy by
+// another test binary, 200 runs read 0 in 585 of 600 windows and 1 or 2
+// allocations (at most 0.008/round) in the rest, the memory profile
+// showing only the runtime's GC and thread start-up, and the least of
+// each run's three windows read 0.
 func netRoundTripAllocFree(t *testing.T, build func() (int64, any), consume func(m mpi.Message) error) {
 	const warmup, rounds, windows = 64, 256, 3
 	perRound := math.Inf(1)

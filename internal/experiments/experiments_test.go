@@ -190,7 +190,9 @@ func TestModelValidationWithinTolerance(t *testing.T) {
 // fewer cells and stay visually close. The wall-clock speedup they buy
 // (paper: 3-4x at level 8 vs 13; here at least 1.5x two levels coarser) is
 // scheduler-sensitive under package-parallel load, so it only asserts under
-// REPRO_PERF_ASSERT=1 (set by `make ci`), like every wall-clock gate.
+// REPRO_PERF_ASSERT=1 (set by `make ci`), like every wall-clock gate, and
+// on the full-size figure: the quick one's ~0.5 ms renders are mostly
+// per-pixel work no level removes, and read a speedup of about 1.55.
 func TestFig3AdaptiveFasterAndClose(t *testing.T) {
 	dir := t.TempDir()
 	tb, err := Fig3(true, dir)
@@ -212,8 +214,17 @@ func TestFig3AdaptiveFasterAndClose(t *testing.T) {
 	if rmses[2] > 0.25 {
 		t.Errorf("adaptive image too different: RMSE %v", rmses[2])
 	}
-	t.Logf("two levels coarser: %.2fx the finest level's render stage", speedups[2])
-	if os.Getenv("REPRO_PERF_ASSERT") == "1" && speedups[2] < 1.5 {
+	t.Logf("quick figure, two levels coarser: %.2fx the finest level's render stage", speedups[2])
+	if os.Getenv("REPRO_PERF_ASSERT") != "1" {
+		return
+	}
+	full, err := Fig3(false, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	speedups = column(full, 3)
+	t.Logf("full figure, two levels coarser: %.2fx the finest level's render stage", speedups[2])
+	if speedups[2] < 1.5 {
 		t.Errorf("two levels coarser only %vx faster", speedups[2])
 	}
 }

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -258,24 +259,34 @@ const (
 type ringSlot struct {
 	seq uint64
 	buf []byte
+	// fault and delay are the injector's verdict for the frame's first
+	// write; flush clears them as it takes the frame, so a replay is
+	// never faulted.
+	fault NetFaultAction
+	delay time.Duration
 }
 
 // netPeer is one peer link: the current connection, the resend ring of
-// unacknowledged frames, and the liveness bookkeeping. The mutex
-// serializes senders and state transitions; cond signals window space
-// (ack progress) and state changes.
+// unacknowledged frames, and the liveness bookkeeping. mu guards the
+// state, the connection and the cursors, and is never held across a
+// socket read or write: the reader takes it for every ack. wmu is the
+// link's write side, held by flush alone, so frames leave in seq order
+// through one writer at a time. cond signals window space (ack and write
+// progress) and state changes.
 type netPeer struct {
 	rank int
 	mu   sync.Mutex
+	wmu  sync.Mutex
 	cond *sync.Cond
 
 	state int
 	conn  net.Conn // nil while healing
 
 	sendSeq uint64     // last data seq assigned on this link
+	written uint64     // last data seq written to conn; flush writes the frames above it
 	acked   uint64     // highest cumulative ack received from the peer
 	ring    []ringSlot // unacked frames, slot = seq % len(ring)
-	ctl     []byte     // reusable control-frame buffer (heartbeats)
+	ctl     []byte     // flush's control-frame buffer (heartbeat, goodbye)
 	enc     []byte     // reusable scratch for frames dropped on lost peers
 
 	lastWrite    time.Time // when any frame last left for this peer
@@ -534,8 +545,12 @@ func (w *netWorld) acceptHellos(deadline time.Time, want int) error {
 }
 
 // send delivers one message to dst: reference delivery to self, framed
-// write on the pooled connection otherwise. The frame buffer and wire
-// codec scratch are reused, so the steady-state send allocates nothing.
+// write on the peer's connection otherwise. Under the peer's lock it
+// waits for window space, numbers the frame, encodes it into its resend
+// ring slot and records the fault injector's verdict there; flush then
+// writes it with the lock released, so the reader's acks never wait on
+// this write. The frame buffer and wire codec scratch are reused, so the
+// steady-state send allocates nothing.
 //
 //repro:allocfree
 func (w *netWorld) send(c *Comm, dst, tag int, bytes int64, data any) {
@@ -547,12 +562,13 @@ func (w *netWorld) send(c *Comm, dst, tag int, bytes int64, data any) {
 	}
 	nsent := w.dataSends.Add(1) - 1
 	p := w.peers[dst]
+	var err error
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	// Window backpressure: at most len(ring) unacked frames in flight,
-	// so every unacked frame is still available for replay. Ack progress
-	// (piggybacked on inbound data or heartbeats) broadcasts the cond.
-	for p.state != peerLost && !w.closed.Load() && p.sendSeq-p.acked >= uint64(len(p.ring)) {
+	// so every unacked frame is still available for replay, and a slot
+	// is reused only once flush is done writing it. Ack and write
+	// progress broadcast the cond.
+	for p.state != peerLost && !w.closed.Load() && p.sendSeq-min(p.acked, p.written) >= uint64(len(p.ring)) {
 		p.cond.Wait()
 	}
 	if p.state == peerLost || w.closed.Load() {
@@ -560,43 +576,129 @@ func (w *netWorld) send(c *Comm, dst, tag int, bytes int64, data any) {
 		// runs the codec, which releases pooled payload ownership the
 		// sender already gave up; the frame itself is dropped and the
 		// layers above account the loss (degraded frames).
-		var err error
-		p.enc, err = appendFrame(p.enc[:0], 0, 0, uint64(tag), uint64(bytes), data)
+		p.enc, err = appendFrame(p.enc[:0], 0, uint64(tag), uint64(bytes), data)
+		p.mu.Unlock()
 		if err != nil {
 			panic(err)
 		}
 		w.dropped.Add(1)
 		return
 	}
-	p.sendSeq++
-	slot := &p.ring[p.sendSeq%uint64(len(p.ring))]
-	slot.seq = p.sendSeq
-	ack := p.recvSeq.Load()
-	var err error
-	slot.buf, err = appendFrame(slot.buf[:0], p.sendSeq, ack, uint64(tag), uint64(bytes), data)
+	seq := p.sendSeq + 1
+	slot := &p.ring[seq%uint64(len(p.ring))]
+	slot.buf, err = appendFrame(slot.buf[:0], seq, uint64(tag), uint64(bytes), data)
+	slot.seq, slot.fault, slot.delay = seq, NetFaultNone, 0
+	if err == nil && p.state == peerOK && w.tun.Fault != nil {
+		slot.fault, slot.delay = w.tun.Fault.SendFault(w.rank, dst, seq, nsent)
+	}
+	kill := slot.fault == NetFaultKill
+	if err == nil && !kill {
+		p.sendSeq = seq // ringed: flush writes it, or a heal's replay does
+	}
+	p.mu.Unlock()
 	if err != nil {
 		panic(err)
 	}
-	if p.state == peerOK {
-		w.writeSlotLocked(p, slot, ack, nsent)
+	if kill {
+		// The frame is never ringed, so no writer can pick it up: the
+		// kill lands between this rank's frames, like a crash.
+		w.kill()
+		panic(fmt.Errorf("mpi: rank %d: %w", w.rank, ErrRankKilled))
 	}
-	// If the link is healing, the frame stays ringed; adopt replays it.
+	w.flush(p, flushData)
 }
 
-// writeSlotLocked writes one ringed frame to the live connection,
-// consulting the fault injector first. A write failure starts the heal
-// path; the frame stays in the ring for replay.
-func (w *netWorld) writeSlotLocked(p *netPeer, slot *ringSlot, ack, nsent uint64) {
-	if w.tun.Fault != nil && w.injectLocked(p, slot, nsent) {
-		return
+// What flush writes once no data frame is pending.
+const (
+	flushData    = iota // nothing
+	flushBeat           // a heartbeat, if the link is quiet and no other writer holds it
+	flushGoodbye        // the clean-shutdown frame
+)
+
+// flush is the link's one write path. Holding the write side (wmu), it
+// writes every ringed frame above p.written to the live connection in
+// seq order, then the control frame ctl asks for. It takes p.mu only
+// between frames, to pick the next frame, stamp the cumulative ack into
+// it and read the connection, and afterwards to advance the cursor. A
+// failed write starts the heal path; the frame stays ringed and the new
+// connection's flush replays it. A link that is healing, lost or swapped
+// for a new connection mid-write ends the call: adopt flushes again.
+//
+//repro:allocfree
+func (w *netWorld) flush(p *netPeer, ctl int) {
+	if ctl != flushBeat {
+		p.wmu.Lock()
+	} else if !p.wmu.TryLock() {
+		return // a link mid-write is not quiet
 	}
-	p.conn.SetWriteDeadline(time.Now().Add(w.tun.WriteTimeout))
-	if _, err := p.conn.Write(slot.buf); err != nil {
-		w.startHealLocked(p, fmt.Errorf("mpi: net send to rank %d: %w", p.rank, err))
-		return
+	defer p.wmu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.state == peerOK && !w.killed.Load() {
+		conn, seq := p.conn, p.written+1
+		data := seq <= p.sendSeq
+		var buf []byte
+		var act NetFaultAction
+		var delay time.Duration
+		switch {
+		case data && ctl != flushBeat:
+			slot := &p.ring[seq%uint64(len(p.ring))]
+			buf, act, delay = slot.buf, slot.fault, slot.delay
+			slot.fault = NetFaultNone
+		case ctl == flushGoodbye,
+			// A heartbeat goes when no frame is pending (its sender is
+			// about to flush it) and nothing left within a period (the
+			// peer's read deadline needs traffic) or a delivered frame's
+			// ack has ridden on nothing (one-way flows must not stall
+			// the sender's window).
+			ctl == flushBeat && !data && (p.recvSeq.Load() != p.lastAckSent || time.Since(p.lastWrite) >= w.tun.Heartbeat):
+			seq = 0
+			if ctl == flushGoodbye {
+				seq = goodbyeSeq
+			}
+			p.ctl, _ = appendFrame(p.ctl[:0], seq, 0, 0, nil) // a nil value cannot fail to encode
+			buf, ctl = p.ctl, flushData
+		default:
+			return
+		}
+		ack := p.recvSeq.Load()
+		putFrameAck(buf, ack)
+		p.mu.Unlock()
+		n := len(buf)
+		var err error
+		switch act {
+		case NetFaultDelay:
+			time.Sleep(delay)
+		case NetFaultDropConn:
+			n, err = 0, errors.New("injected connection drop") // severed before the frame leaves
+		case NetFaultPartialWrite:
+			n, err = n/2, errors.New("injected partial write") // the peer sees a truncated frame
+		}
+		if n > 0 {
+			conn.SetWriteDeadline(time.Now().Add(w.tun.WriteTimeout))
+			if _, werr := conn.Write(buf[:n]); err == nil {
+				err = werr
+			}
+		}
+		p.mu.Lock()
+		if p.conn != conn {
+			return // healed or lost meanwhile; whatever holds the link now flushes
+		}
+		if err != nil {
+			if !w.closed.Load() && !w.killed.Load() {
+				w.startHealLocked(p, fmt.Errorf("mpi: net send to rank %d: frame %d (%d B): %w", p.rank, seq, len(buf), err))
+			}
+			return
+		}
+		p.lastWrite, p.lastAckSent = time.Now(), ack
+		switch {
+		case data:
+			p.written = seq
+			p.cond.Broadcast()
+		case seq == 0:
+			w.hbSent.Add(1)
+		}
 	}
-	p.lastWrite = time.Now()
-	p.lastAckSent = ack
 }
 
 func (w *netWorld) recv(c *Comm, src, tagLo, tagHi int) (Message, error) {

@@ -21,7 +21,7 @@ import (
 // netWorld.send does.
 func buildTestFrame(t testing.TB, tag int, nbytes int64, data any) []byte {
 	t.Helper()
-	buf, err := appendFrame(nil, 1, 0, uint64(tag), uint64(nbytes), data)
+	buf, err := appendFrame(nil, 1, uint64(tag), uint64(nbytes), data)
 	if err != nil {
 		t.Fatalf("appendFrame: %v", err)
 	}

@@ -12,8 +12,8 @@ import (
 // This file is the network transport's failure domain (docs/faults.md
 // "Network failure domain"): the per-connection reader loop and its
 // liveness deadline, heartbeats, the heal path (re-dial or wait, the
-// reattach handshake, resend-ring replay, adoption), peer-loss
-// declaration, injected faults, and teardown.
+// reattach handshake, adoption), peer-loss declaration, and teardown.
+// Every frame write, a replay or an injected fault included, is flush's.
 
 // DroppedMessagesError is returned by NetWorld.Close when in-flight
 // messages that no Recv ever matched were drained at shutdown, so
@@ -47,36 +47,6 @@ func (nw *NetWorld) Close() error {
 		return &DroppedMessagesError{Rank: w.rank, Count: n}
 	}
 	return nil
-}
-
-// injectLocked applies the injector's verdict for this frame. It
-// reports whether the write was fully handled (diverted) by the fault.
-func (w *netWorld) injectLocked(p *netPeer, slot *ringSlot, nsent uint64) bool {
-	act, d := w.tun.Fault.SendFault(w.rank, p.rank, slot.seq, nsent)
-	switch act {
-	case NetFaultDelay:
-		time.Sleep(d)
-	case NetFaultDropConn:
-		// Sever before the frame leaves: the normal write below fails,
-		// heals, and the ring replays this frame on the new connection.
-		p.conn.Close()
-	case NetFaultPartialWrite:
-		p.conn.SetWriteDeadline(time.Now().Add(w.tun.WriteTimeout))
-		p.conn.Write(slot.buf[:len(slot.buf)/2])
-		p.conn.Close()
-		w.startHealLocked(p, fmt.Errorf("mpi: injected partial write to rank %d", p.rank))
-		return true
-	case NetFaultKill:
-		// kill closes every peer connection, which needs every peer's
-		// lock — including the one this send holds. Drop it around the
-		// kill; the deferred re-lock keeps send's own unlock balanced
-		// while the panic unwinds.
-		p.mu.Unlock()
-		defer p.mu.Lock()
-		w.kill()
-		panic(fmt.Errorf("mpi: rank %d: %w", w.rank, ErrRankKilled))
-	}
-	return false
 }
 
 // fail poisons the mailbox with err and tears the connections down,
@@ -117,38 +87,27 @@ func (w *netWorld) closeConns() {
 			if p == nil {
 				continue
 			}
+			if !killed {
+				// Announce the clean shutdown (best effort, after any
+				// pending frame) so the peer retires this link quietly
+				// instead of burning its reconnect budget on a rank that
+				// is gone on purpose. flush writes nothing on a link that
+				// is not live.
+				w.flush(p, flushGoodbye)
+			}
 			p.mu.Lock()
-			if p.conn != nil {
-				switch {
-				case killed:
-					// A killed rank sends no goodbye — a crash must look
-					// like a crash — but it half-closes when it can: FIN
-					// after every frame already written, while the read
-					// side keeps draining (bounded by a deadline) so the
-					// close never RSTs the peer and discards frames this
-					// rank sent before dying. readLoop closes the conn
-					// when the drain deadline fires.
-					if tc, ok := p.conn.(*net.TCPConn); ok {
-						tc.CloseWrite()
-						tc.SetReadDeadline(time.Now().Add(w.tun.WriteTimeout))
-					} else {
-						p.conn.Close()
-					}
-				case p.state == peerOK:
-					// Announce the clean shutdown (best effort) so the
-					// peer retires this link quietly instead of burning
-					// its reconnect budget on a rank that is gone on
-					// purpose.
-					if buf, err := appendFrame(p.ctl[:0], goodbyeSeq,
-						p.recvSeq.Load(), 0, 0, nil); err == nil {
-						p.ctl = buf
-						p.conn.SetWriteDeadline(time.Now().Add(w.tun.WriteTimeout))
-						p.conn.Write(p.ctl)
-					}
-					p.conn.Close()
-				default:
-					p.conn.Close()
-				}
+			if tc, ok := p.conn.(*net.TCPConn); ok && killed {
+				// A killed rank sends no goodbye — a crash must look like
+				// a crash — but it half-closes when it can: FIN after
+				// every frame already written, while the read side keeps
+				// draining (bounded by a deadline) so the close never
+				// RSTs the peer and discards frames this rank sent before
+				// dying. readLoop closes the conn when the drain deadline
+				// fires.
+				tc.CloseWrite()
+				tc.SetReadDeadline(time.Now().Add(w.tun.WriteTimeout))
+			} else if p.conn != nil {
+				p.conn.Close()
 			}
 			if p.cond != nil {
 				p.cond.Broadcast()
@@ -216,28 +175,17 @@ func (w *netWorld) connFailed(src int, p *netPeer, conn net.Conn, err error) {
 		conn.Close()
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conn != conn {
-		// Already healing (write path noticed first) or already adopted
-		// a replacement; this reader's failure is stale news.
-		return
-	}
-	if p.departed.Load() {
-		// The peer said goodbye before the stream ended: a deliberate
-		// shutdown, not a failure. No healing, no PeersLost — but the
-		// rank is still marked unreachable so a straggling receive
-		// addressed to it errors out instead of hanging forever.
-		w.declareLostLocked(p, fmt.Errorf("mpi: rank %d shut down", src), false)
-		return
-	}
-	var cause error
+	cause := fmt.Errorf("mpi: net receive from rank %d: %w", src, err)
 	if errors.Is(err, io.EOF) {
 		cause = fmt.Errorf("mpi: rank %d closed the connection", src)
-	} else {
-		cause = fmt.Errorf("mpi: net receive from rank %d: %w", src, err)
 	}
-	w.startHealLocked(p, cause)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	// On another conn the link is already healing (the write path
+	// noticed first) or has adopted a replacement: stale news.
+	if p.conn == conn {
+		w.startHealLocked(p, cause)
+	}
 }
 
 // startHealLocked transitions a live peer into healing (or, when
@@ -252,6 +200,10 @@ func (w *netWorld) startHealLocked(p *netPeer, cause error) {
 	}
 	p.conn = nil
 	if p.departed.Load() {
+		// The peer said goodbye before the stream ended: a deliberate
+		// shutdown, not a failure. No healing, no PeersLost — but the
+		// rank is still marked unreachable so a straggling receive
+		// addressed to it errors out instead of hanging forever.
 		w.declareLostLocked(p, fmt.Errorf("mpi: rank %d shut down", p.rank), false)
 		return
 	}
@@ -285,6 +237,7 @@ func (w *netWorld) heal(p *netPeer, oldReader chan struct{}, cause error) {
 // healDial re-dials the peer with capped exponential backoff and
 // deterministic jitter until adoption succeeds or the budget runs out.
 func (w *netWorld) healDial(p *netPeer, cause error) {
+	failure := cause
 	for a := 1; a <= w.tun.ReconnectAttempts; a++ {
 		if a > 1 && !w.sleepBackoff(p.rank, a) {
 			break // teardown
@@ -294,8 +247,8 @@ func (w *netWorld) healDial(p *netPeer, cause error) {
 		}
 		conn, peerSeq, err := w.dialReattach(p.rank)
 		if err != nil {
-			cause = fmt.Errorf("mpi: reattach to rank %d (attempt %d/%d): %w",
-				p.rank, a, w.tun.ReconnectAttempts, err)
+			cause = fmt.Errorf("%v; reattach to rank %d (attempt %d/%d): %w",
+				failure, p.rank, a, w.tun.ReconnectAttempts, err)
 			continue
 		}
 		if err := w.adopt(p, conn, peerSeq); err != nil {
@@ -305,7 +258,9 @@ func (w *netWorld) healDial(p *netPeer, cause error) {
 		}
 		return
 	}
-	w.declareLost(p, cause)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	w.declareLostLocked(p, cause, true)
 }
 
 // healWait is the acceptor side of a heal: wait (bounded by the
@@ -404,59 +359,45 @@ func (w *netWorld) dialReattach(r int) (net.Conn, uint64, error) {
 	return conn, h.seq, nil
 }
 
-// adopt installs a fresh connection for a healing peer: frames the peer
-// never delivered (above its receive cursor peerSeq) are replayed from
-// the resend ring in order, then the reader restarts and senders
-// unblock. Callers must have waited for the previous reader to exit.
+// adopt installs a fresh connection for a healing peer: the reader
+// restarts, senders unblock, and the replay of every frame the peer never
+// delivered (above its receive cursor peerSeq) is flush writing from that
+// cursor. Callers must have waited for the previous reader to exit.
 func (w *netWorld) adopt(p *netPeer, conn net.Conn, peerSeq uint64) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.state != peerHealing || w.closed.Load() || w.killed.Load() {
+		p.mu.Unlock()
 		return fmt.Errorf("mpi: rank %d is not healing", p.rank)
 	}
-	if peerSeq > p.acked {
-		p.acked = peerSeq // the cursor is the strongest ack there is
-	}
+	p.acked = max(p.acked, peerSeq) // the cursor is the strongest ack there is
 	if p.sendSeq-p.acked > uint64(len(p.ring)) {
 		// Unreachable while the send window holds, but never replay
 		// garbage: the ring no longer covers the oldest unacked frame.
+		// (Every slot above the oldest holds its seq: only send fills
+		// slots, numbering each before it advances sendSeq.)
+		p.mu.Unlock()
 		return fmt.Errorf("mpi: resend ring overrun for rank %d", p.rank)
 	}
-	for s := p.acked + 1; s <= p.sendSeq; s++ {
-		slot := &p.ring[s%uint64(len(p.ring))]
-		if slot.seq != s {
-			return fmt.Errorf("mpi: resend ring slot mismatch for rank %d (have %d, want %d)", p.rank, slot.seq, s)
-		}
-		conn.SetWriteDeadline(time.Now().Add(w.tun.WriteTimeout))
-		if _, err := conn.Write(slot.buf); err != nil {
-			return fmt.Errorf("mpi: replaying frame %d to rank %d: %w", s, p.rank, err)
-		}
-		w.resent.Add(1)
-	}
-	conn.SetWriteDeadline(time.Time{})
 	p.conn = conn
 	p.state = peerOK
+	p.written = p.acked
+	w.resent.Add(p.sendSeq - p.acked) // the flush below replays them
 	p.lastWrite = time.Now()
 	p.readerDone = make(chan struct{})
 	w.reconnects.Add(1)
 	w.readers.Add(1)
 	go w.readLoop(p.rank, p, conn, p.readerDone)
 	p.cond.Broadcast()
+	p.mu.Unlock()
+	w.flush(p, flushData)
 	return nil
 }
 
-// declareLost marks the peer permanently gone: pending and future
+// declareLostLocked marks the peer permanently gone: pending and future
 // receives addressed to it unblock with a *PeerLostError, window-blocked
-// senders drop, and reattach attempts are rejected.
-func (w *netWorld) declareLost(p *netPeer, cause error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	w.declareLostLocked(p, cause, true)
-}
-
-// declareLostLocked is declareLost with p.mu held. counted is false for
+// senders drop, and reattach attempts are rejected. counted is false for
 // an announced clean shutdown, which makes the rank unreachable without
-// registering as a failure in the PeersLost counter.
+// registering as a failure in the PeersLost counter. Callers hold p.mu.
 func (w *netWorld) declareLostLocked(p *netPeer, cause error, counted bool) {
 	if p.state == peerLost {
 		return
@@ -499,7 +440,8 @@ func (w *netWorld) acceptLoop() {
 // handleReattach runs the acceptor side of a reconnect: validate the
 // handshake, retire the old connection if we had not yet noticed its
 // failure, wait for its reader to exit, reply with our receive cursor,
-// and adopt.
+// and adopt. A failed reattach leaves the link healing, where the heal
+// path's bounded waiter still declares it lost if no later one adopts.
 func (w *netWorld) handleReattach(conn net.Conn) {
 	defer w.aux.Done()
 	conn.SetDeadline(time.Now().Add(w.tun.PeerTimeout))
@@ -515,45 +457,22 @@ func (w *netWorld) handleReattach(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	if p.state == peerOK {
-		// The peer saw a failure we have not noticed yet: retire the
-		// current connection and adopt the replacement.
-		if p.conn != nil {
-			p.conn.Close()
-		}
-		p.conn = nil
-		p.state = peerHealing
-		p.healDeadline = time.Now().Add(w.tun.ReconnectWindow)
-	}
+	// A live link means the peer saw a failure we have not noticed
+	// yet: retire the current connection and adopt the replacement.
+	w.startHealLocked(p, fmt.Errorf("mpi: rank %d reattached after a failure this rank had not seen", h.rank))
 	oldReader := p.readerDone
 	p.mu.Unlock()
 	<-oldReader
-	if err := writeHandshake(conn, handshake{kind: hsReattachOK, rank: w.rank, seq: p.recvSeq.Load()}); err != nil {
-		conn.Close()
-		w.rearm(p, err)
-		return
-	}
+	err = writeHandshake(conn, handshake{kind: hsReattachOK, rank: w.rank, seq: p.recvSeq.Load()})
 	conn.SetDeadline(time.Time{})
-	if err := w.adopt(p, conn, h.seq); err != nil {
+	if err != nil || w.adopt(p, conn, h.seq) != nil {
 		conn.Close()
-		w.rearm(p, err)
 	}
 }
 
-// rearm restores loss detection after a failed reattach adoption: if
-// the peer is still healing, a bounded waiter (or dialer) takes over
-// again so the link cannot linger half-healed forever.
-func (w *netWorld) rearm(p *netPeer, cause error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.state != peerHealing || w.closed.Load() {
-		return
-	}
-	w.aux.Add(1)
-	go w.heal(p, p.readerDone, cause)
-}
-
-// heartbeatLoop ticks every Heartbeat and beats each quiet peer link.
+// heartbeatLoop ticks every Heartbeat and has flush beat each quiet peer
+// link. A link in the middle of a write is skipped, not waited on: one
+// long write never delays another link's heartbeat.
 func (w *netWorld) heartbeatLoop() {
 	defer w.aux.Done()
 	t := time.NewTimer(w.tun.Heartbeat)
@@ -566,40 +485,9 @@ func (w *netWorld) heartbeatLoop() {
 		}
 		for _, p := range w.peers {
 			if p != nil {
-				w.beat(p)
+				w.flush(p, flushBeat)
 			}
 		}
 		t.Reset(w.tun.Heartbeat)
 	}
-}
-
-// beat writes one control frame if the link has been quiet: either
-// nothing left for the peer within a heartbeat period (its read
-// deadline needs traffic) or frames were delivered whose ack has not
-// ridden on any outgoing data frame (one-way flows must not stall the
-// sender's resend window). Busy links piggyback acks on data and skip
-// the heartbeat entirely.
-func (w *netWorld) beat(p *netPeer) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.state != peerOK {
-		return
-	}
-	ack := p.recvSeq.Load()
-	if ack == p.lastAckSent && time.Since(p.lastWrite) < w.tun.Heartbeat {
-		return
-	}
-	var err error
-	p.ctl, err = appendFrame(p.ctl[:0], 0, ack, 0, 0, nil)
-	if err != nil {
-		return
-	}
-	p.conn.SetWriteDeadline(time.Now().Add(w.tun.WriteTimeout))
-	if _, werr := p.conn.Write(p.ctl); werr != nil {
-		w.startHealLocked(p, fmt.Errorf("mpi: heartbeat to rank %d: %w", p.rank, werr))
-		return
-	}
-	p.lastWrite = time.Now()
-	p.lastAckSent = ack
-	w.hbSent.Add(1)
 }

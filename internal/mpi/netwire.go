@@ -44,13 +44,13 @@ const (
 
 // appendFrame encodes one frame into buf (reusing its capacity) and
 // patches the length prefix. seq 0 with nil data is a pure control
-// frame.
+// frame. The ack is left 0 for putFrameAck to stamp as the frame leaves.
 //
 //repro:allocfree
-func appendFrame(buf []byte, seq, ack, tag, nbytes uint64, data any) ([]byte, error) {
+func appendFrame(buf []byte, seq, tag, nbytes uint64, data any) ([]byte, error) {
 	buf = append(buf, 0, 0, 0, 0)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint64(buf, ack)
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // ack
 	buf = binary.LittleEndian.AppendUint64(buf, tag)
 	buf = binary.LittleEndian.AppendUint64(buf, nbytes)
 	buf, err := appendValue(buf, data)
@@ -62,6 +62,13 @@ func appendFrame(buf []byte, seq, ack, tag, nbytes uint64, data any) ([]byte, er
 	}
 	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
 	return buf, nil
+}
+
+// putFrameAck stamps the cumulative ack into an encoded frame in place,
+// so a frame (a replay too) acks what the reader has delivered when it
+// leaves, not when it was encoded.
+func putFrameAck(frame []byte, ack uint64) {
+	binary.LittleEndian.PutUint64(frame[12:], ack)
 }
 
 // readFrame reads and decodes one frame, returning its seq and ack
@@ -133,7 +140,9 @@ func readFrameBody(br *bufio.Reader, scratch *[]byte, n int) ([]byte, error) {
 	for got := 0; got < n; {
 		c := min(n-got, 1<<20)
 		if cap(buf) < got+c {
-			nbuf := make([]byte, got+c) //repro:allow allocfree: bounded-chunk growth of the reused scratch
+			// Doubling keeps the copying linear in the frame size, and
+			// the capacity within twice the bytes that have arrived.
+			nbuf := make([]byte, got+c, min(n, max(got+c, 2*cap(buf)))) //repro:allow allocfree: bounded-chunk growth of the reused scratch
 			copy(nbuf, buf[:got])
 			buf = nbuf
 		} else {
