@@ -8,9 +8,10 @@
 #   make bench   # paper-figure and hot-kernel benchmarks
 #   make fuzz    # short fuzz sessions: datatype/collective replay/RLE/strip + data piece + decode kernel + wire codecs + bootstrap handshake + request parser + frame wire decoder + point location + LIC row kernel + mesh object reader
 #   make size    # non-test lines, test lines, exported identifiers and struct fields (for CHANGES.md)
+#   make gatecheck  # every REPRO_PERF_ASSERT gate ten times, one process each: least and median reading vs bound
 GO ?= go
 
-.PHONY: build test race vet fmtcheck doccheck invarcheck lint bench benchsmoke check ci fuzz size
+.PHONY: build test race vet fmtcheck doccheck invarcheck lint bench benchsmoke check ci fuzz size gatecheck
 
 build:
 	$(GO) build ./...
@@ -138,6 +139,14 @@ ci: check benchsmoke
 	GOMAXPROCS=1 $(GO) test -run 'TestGolden|TestScratchReuseInvariant|TestCrossTransport|MatchesSerial|TestCompositeFragmentsStripParallel' -count=1 -v ./internal/core/ ./internal/render/ ./internal/lic/
 	$(GO) test -run 'TestSpawnSmoke' -count=1 -v ./cmd/quakeviz/
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/compositor/ ./internal/lic/ ./internal/render/ ./internal/mpiio/ ./internal/core/ ./internal/workers/ ./internal/mpi/ ./internal/serve/
+
+# gatecheck runs every REPRO_PERF_ASSERT gate of the ci target RUNS times
+# (default 10), each run in its own process, and prints each reading's
+# least and median against the gate's bound (scripts/gatecheck.sh). A gate
+# that reads below its bound in any run is noise, not a gate: docs/ci.md
+# records one run per gate and ROADMAP item 23 says how a gate is fixed.
+gatecheck:
+	GO=$(GO) bash scripts/gatecheck.sh
 
 # Short exploratory fuzz sessions; the committed seeds alone run in `test`.
 fuzz:

@@ -95,7 +95,7 @@ func main() {
 	coord := flag.String("coord", "127.0.0.1:47600", "rank mode: coordinator address rank 0 binds and peers dial")
 	listen := flag.String("listen", "127.0.0.1:0", "rank mode: address this rank binds for peer connections")
 	timeout := flag.Duration("timeout", 30*time.Second, "rank mode: bootstrap dial/handshake timeout")
-	heartbeat := flag.Duration("heartbeat", mpi.DefaultNetHeartbeat, "rank mode: peer heartbeat interval (negative disables liveness probing)")
+	heartbeat := flag.Duration("heartbeat", mpi.DefaultNetHeartbeat, "rank mode: peer heartbeat interval; a link fails after 8 intervals with no byte moving (negative disables heartbeats and the read-side check; writes stay bounded by 10s)")
 	reconnect := flag.Int("reconnect", mpi.DefaultNetReconnectAttempts, "rank mode: reconnect attempts before a silent peer is declared lost (negative disables healing)")
 	flag.Parse()
 

@@ -206,11 +206,8 @@ func TestDirectSendLostPeerMatchesFrozen(t *testing.T) {
 			out[v] = make([]rankOutcome, n)
 			tun := mpi.NetTuning{
 				Heartbeat:         -1, // EOF-based detection
-				PeerTimeout:       2 * time.Second,
-				WriteTimeout:      250 * time.Millisecond,
+				PeerTimeout:       250 * time.Millisecond,
 				ReconnectAttempts: 2,
-				ReconnectBase:     2 * time.Millisecond,
-				ReconnectMax:      10 * time.Millisecond,
 				ReconnectWindow:   300 * time.Millisecond,
 				Fault: faultinject.NewNetChaos(faultinject.NetChaosConfig{
 					Kill: true, KillRank: killRank, KillAtSend: 0,

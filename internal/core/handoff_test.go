@@ -367,11 +367,8 @@ func TestHandoffLostPredecessorFallsBack(t *testing.T) {
 	nc := faultinject.NewNetChaos(faultinject.NetChaosConfig{Kill: true, KillRank: killRank, KillAtSend: 3})
 	tun := mpi.NetTuning{
 		Heartbeat:         -1,
-		PeerTimeout:       2 * time.Second,
-		WriteTimeout:      250 * time.Millisecond,
+		PeerTimeout:       250 * time.Millisecond,
 		ReconnectAttempts: 2,
-		ReconnectBase:     2 * time.Millisecond,
-		ReconnectMax:      10 * time.Millisecond,
 		ReconnectWindow:   300 * time.Millisecond,
 		Fault:             nc,
 	}

@@ -78,8 +78,6 @@ func TestChaosNetDropsHealBitIdentical(t *testing.T) {
 		Heartbeat:         20 * time.Millisecond,
 		PeerTimeout:       300 * time.Millisecond,
 		ReconnectAttempts: 5,
-		ReconnectBase:     2 * time.Millisecond,
-		ReconnectMax:      20 * time.Millisecond,
 		ReconnectWindow:   2 * time.Second,
 		Fault:             nc,
 	}
@@ -144,11 +142,8 @@ func TestChaosNetPeerKillDegrades(t *testing.T) {
 	})
 	tun := mpi.NetTuning{
 		Heartbeat:         -1, // EOF-based detection: pre-kill frames all arrive
-		PeerTimeout:       2 * time.Second,
-		WriteTimeout:      250 * time.Millisecond,
+		PeerTimeout:       250 * time.Millisecond,
 		ReconnectAttempts: 2,
-		ReconnectBase:     2 * time.Millisecond,
-		ReconnectMax:      10 * time.Millisecond,
 		ReconnectWindow:   300 * time.Millisecond,
 		Fault:             nc,
 	}

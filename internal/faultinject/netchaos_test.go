@@ -123,8 +123,6 @@ func runChaosPingPong(t testing.TB, nc *NetChaos, rounds int) mpi.NetReport {
 		Heartbeat:         10 * time.Millisecond,
 		PeerTimeout:       300 * time.Millisecond,
 		ReconnectAttempts: 5,
-		ReconnectBase:     2 * time.Millisecond,
-		ReconnectMax:      20 * time.Millisecond,
 		ReconnectWindow:   2 * time.Second,
 		Fault:             nc,
 	}

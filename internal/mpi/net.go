@@ -27,8 +27,7 @@ import (
 // to itself.
 //
 // The transport is self-healing (docs/faults.md "Network failure
-// domain"): read deadlines plus idle-aware heartbeats detect a dead
-// peer within NetTuning.PeerTimeout; a failed connection is transparently
+// domain"): a link fails once no byte moves on it for PeerTimeout; it is
 // re-dialed with capped exponential backoff and deterministic jitter
 // (the pfs.RetryStore idiom), unacknowledged frames replayed from a
 // bounded resend ring and deduplicated by seq on the receiver; and a
@@ -44,10 +43,25 @@ const (
 	// DefaultNetReconnectAttempts is the reconnect budget per connection
 	// failure when NetTuning.ReconnectAttempts is zero.
 	DefaultNetReconnectAttempts = 5
-	// DefaultNetResendRing is the per-peer resend-ring depth (maximum
-	// unacknowledged frames in flight) when NetTuning.ResendRing is zero.
-	DefaultNetResendRing = 64
 )
+
+// The link's fixed shape: the most unacknowledged data frames in flight
+// before a sender blocks, a heal's backoff, which doubles from the second
+// dial on, and the liveness rule's second look (liveConn).
+const (
+	resendRing    = 64
+	reconnectBase = 5 * time.Millisecond
+	reconnectMax  = 250 * time.Millisecond
+	secondLook    = time.Millisecond
+)
+
+// keepFrame is the largest frame buffer a link keeps for reuse once its
+// frame is acknowledged (a ring slot) or delivered (the reader's scratch).
+// It is above every frame the pipeline's benchmark workloads send (at
+// most 256 KiB), so their steady state allocates nothing, while a link
+// that carried larger frames returns their memory: a ring holds at most
+// resendRing x keepFrame acknowledged bytes.
+const keepFrame = 4 << 20
 
 // NetFaultAction is an injected transport fault, returned by a
 // NetFaultInjector for one specific frame write.
@@ -88,47 +102,31 @@ type NetFaultInjector interface {
 
 // NetTuning configures the self-healing behavior of the network
 // transport. The zero value selects the defaults; every rank in a job
-// must use the same tuning (the liveness protocol is symmetric: a rank
-// that stops heartbeating looks dead to peers whose timeout is shorter).
+// must use the same tuning (the liveness rule is symmetric: a rank that
+// stops heartbeating looks dead to peers whose timeout is shorter).
 type NetTuning struct {
 	// Heartbeat is the control-frame cadence: a peer link idle longer
 	// than this (no data, or delivered frames whose ack has not ridden
 	// on any data frame) gets a pure seq-0 frame carrying the cumulative
 	// ack. 0 means DefaultNetHeartbeat; negative disables heartbeats and
-	// read-deadline liveness entirely (failures are then detected only
-	// by write errors).
+	// the read side of the liveness rule (a link then fails on a read
+	// error, or on a write that moves no byte for PeerTimeout).
 	Heartbeat time.Duration
-	// PeerTimeout is the liveness window: a connection silent for this
-	// long is considered failed and enters the heal path. It also bounds
-	// reattach dials and handshakes. 0 means 8x Heartbeat (10s when
-	// heartbeats are disabled).
+	// PeerTimeout is the liveness window: a link has failed once no byte
+	// has moved on it for this long. It also bounds reattach dials and
+	// handshakes and a killed rank's drain. 0 means 8x Heartbeat (10s
+	// when heartbeats are disabled).
 	PeerTimeout time.Duration
-	// WriteTimeout bounds every frame write; a peer that stops draining
-	// its socket fails the send within it. 0 means PeerTimeout.
-	WriteTimeout time.Duration
-	// ReconnectAttempts is how many re-dials a connection failure is
-	// granted before the peer is declared lost. 0 means
-	// DefaultNetReconnectAttempts; negative disables reconnection (the
-	// first failure declares the peer lost).
+	// ReconnectAttempts is how many re-dials, 5ms apart doubling to at
+	// most 250ms, a connection failure is granted before the peer is
+	// declared lost. 0 means DefaultNetReconnectAttempts; negative
+	// disables reconnection (the first failure declares the peer lost).
 	ReconnectAttempts int
-	// ReconnectBase is the backoff before the second attempt, doubling
-	// per attempt up to ReconnectMax, jittered deterministically from
-	// Seed. 0 means 5ms.
-	ReconnectBase time.Duration
-	// ReconnectMax caps the per-attempt backoff. 0 means 250ms.
-	ReconnectMax time.Duration
 	// ReconnectWindow is how long the accepting (lower-ranked) side of a
 	// failed connection waits for the peer to re-dial before declaring
 	// it lost. 0 derives a window generous enough to cover the dialer's
 	// full detect+retry budget.
 	ReconnectWindow time.Duration
-	// ResendRing is the per-peer resend-ring depth: the maximum
-	// unacknowledged data frames in flight before senders block. Frames
-	// in the ring are replayed after a reconnect. 0 means
-	// DefaultNetResendRing.
-	ResendRing int
-	// Seed drives the deterministic backoff jitter.
-	Seed uint64
 	// Fault, when non-nil, is consulted for every outgoing data frame
 	// (fault injection for the chaos suites; nil in production).
 	Fault NetFaultInjector
@@ -137,10 +135,7 @@ type NetTuning struct {
 // normalized resolves every zero field of t to its default.
 func (t NetTuning) normalized() NetTuning {
 	if t.Heartbeat == 0 {
-		t.Heartbeat = DefaultNetHeartbeat
-	}
-	if t.Heartbeat < 0 {
-		t.Heartbeat = 0 // disabled
+		t.Heartbeat = DefaultNetHeartbeat // negative stays: disabled
 	}
 	if t.PeerTimeout <= 0 {
 		if t.Heartbeat > 0 {
@@ -149,29 +144,17 @@ func (t NetTuning) normalized() NetTuning {
 			t.PeerTimeout = 10 * time.Second
 		}
 	}
-	if t.WriteTimeout <= 0 {
-		t.WriteTimeout = t.PeerTimeout
-	}
 	if t.ReconnectAttempts == 0 {
 		t.ReconnectAttempts = DefaultNetReconnectAttempts
 	}
 	if t.ReconnectAttempts < 0 {
 		t.ReconnectAttempts = 0 // first failure declares the peer lost
 	}
-	if t.ReconnectBase <= 0 {
-		t.ReconnectBase = 5 * time.Millisecond
-	}
-	if t.ReconnectMax <= 0 {
-		t.ReconnectMax = 250 * time.Millisecond
-	}
 	if t.ReconnectWindow <= 0 {
 		// The acceptor must outlast the dialer's whole budget: detection
 		// lag plus per-attempt dial timeouts and backoffs.
 		t.ReconnectWindow = t.PeerTimeout +
-			time.Duration(t.ReconnectAttempts+1)*(t.PeerTimeout+t.ReconnectMax)
-	}
-	if t.ResendRing <= 0 {
-		t.ResendRing = DefaultNetResendRing
+			time.Duration(t.ReconnectAttempts+1)*(t.PeerTimeout+reconnectMax)
 	}
 	return t
 }
@@ -269,10 +252,11 @@ type ringSlot struct {
 // netPeer is one peer link: the current connection, the resend ring of
 // unacknowledged frames, and the liveness bookkeeping. mu guards the
 // state, the connection and the cursors, and is never held across a
-// socket read or write: the reader takes it for every ack. wmu is the
-// link's write side, held by flush alone, so frames leave in seq order
-// through one writer at a time. cond signals window space (ack and write
-// progress) and state changes.
+// socket read or write or a frame's encode: the reader takes it for
+// every ack, a heartbeat to leave. wmu is the link's write side, held by
+// flush alone, so frames leave in seq order through one writer at a
+// time. cond signals window space (ack and write progress) and state
+// changes.
 type netPeer struct {
 	rank int
 	mu   sync.Mutex
@@ -377,19 +361,9 @@ func Join(cfg NetConfig) (*NetWorld, error) {
 		}
 		w.addrs[0] = cfg.Coordinator
 		for r, p := range w.peers {
-			if p == nil {
-				continue
+			if p != nil {
+				w.attach(r, p)
 			}
-			p.rank = r
-			p.cond = sync.NewCond(&p.mu)
-			p.ring = make([]ringSlot, w.tun.ResendRing)
-			p.readerDone = make(chan struct{})
-			p.lastWrite = time.Now()
-			// Handshake deadlines are done; liveness now comes from the
-			// reader's rolling read deadline.
-			p.conn.SetDeadline(time.Time{})
-			w.readers.Add(1)
-			go w.readLoop(r, p, p.conn, p.readerDone)
 		}
 		if w.ln != nil {
 			w.aux.Add(1)
@@ -401,6 +375,19 @@ func Join(cfg NetConfig) (*NetWorld, error) {
 		}
 	}
 	return &NetWorld{w: w, comm: &Comm{rank: cfg.Rank, size: cfg.Size, w: w}}, nil
+}
+
+// attach starts peer r's link, its ring and reader, on p's handshaken conn.
+func (w *netWorld) attach(r int, p *netPeer) {
+	p.rank = r
+	p.cond = sync.NewCond(&p.mu)
+	p.ring = make([]ringSlot, resendRing)
+	p.readerDone = make(chan struct{})
+	p.lastWrite = time.Now()
+	// Handshake deadlines are done; the liveness rule takes over.
+	p.conn.SetDeadline(time.Time{})
+	w.readers.Add(1)
+	go w.readLoop(r, p, p.conn, p.readerDone)
 }
 
 // bootstrapRoot runs rank 0's side of the rendezvous: accept a
@@ -545,12 +532,13 @@ func (w *netWorld) acceptHellos(deadline time.Time, want int) error {
 }
 
 // send delivers one message to dst: reference delivery to self, framed
-// write on the peer's connection otherwise. Under the peer's lock it
-// waits for window space, numbers the frame, encodes it into its resend
-// ring slot and records the fault injector's verdict there; flush then
-// writes it with the lock released, so the reader's acks never wait on
-// this write. The frame buffer and wire codec scratch are reused, so the
-// steady-state send allocates nothing.
+// write on the peer's connection otherwise. It waits for window space
+// under the peer's lock, encodes the frame into its ring slot with the
+// lock released (heartbeats and acks flow while a large payload encodes;
+// the slot above sendSeq is the sending goroutine's, since a Comm is its
+// rank goroutine's alone), rings it with the fault injector's verdict
+// under the lock again, and flushes. Buffers and codec scratch are
+// reused, so the steady-state send allocates nothing.
 //
 //repro:allocfree
 func (w *netWorld) send(c *Comm, dst, tag int, bytes int64, data any) {
@@ -562,7 +550,6 @@ func (w *netWorld) send(c *Comm, dst, tag int, bytes int64, data any) {
 	}
 	nsent := w.dataSends.Add(1) - 1
 	p := w.peers[dst]
-	var err error
 	p.mu.Lock()
 	// Window backpressure: at most len(ring) unacked frames in flight,
 	// so every unacked frame is still available for replay, and a slot
@@ -571,34 +558,34 @@ func (w *netWorld) send(c *Comm, dst, tag int, bytes int64, data any) {
 	for p.state != peerLost && !w.closed.Load() && p.sendSeq-min(p.acked, p.written) >= uint64(len(p.ring)) {
 		p.cond.Wait()
 	}
-	if p.state == peerLost || w.closed.Load() {
-		// The peer can no longer receive. Encoding into scratch still
-		// runs the codec, which releases pooled payload ownership the
-		// sender already gave up; the frame itself is dropped and the
-		// layers above account the loss (degraded frames).
-		p.enc, err = appendFrame(p.enc[:0], 0, uint64(tag), uint64(bytes), data)
-		p.mu.Unlock()
-		if err != nil {
-			panic(err)
-		}
+	lost := p.state == peerLost || w.closed.Load()
+	seq := p.sendSeq + 1
+	p.mu.Unlock()
+	slot := &p.ring[seq%uint64(len(p.ring))]
+	enc := &slot.buf
+	if lost {
+		enc = &p.enc // the window no longer guards the ring
+	}
+	var err error
+	if *enc, err = appendFrame((*enc)[:0], seq, uint64(tag), uint64(bytes), data); err != nil {
+		panic(err)
+	}
+	if lost {
+		// The peer can no longer receive: the codec has released the
+		// pooled payload, and the layers above account the loss.
 		w.dropped.Add(1)
 		return
 	}
-	seq := p.sendSeq + 1
-	slot := &p.ring[seq%uint64(len(p.ring))]
-	slot.buf, err = appendFrame(slot.buf[:0], seq, uint64(tag), uint64(bytes), data)
+	p.mu.Lock()
 	slot.seq, slot.fault, slot.delay = seq, NetFaultNone, 0
-	if err == nil && p.state == peerOK && w.tun.Fault != nil {
+	if p.state == peerOK && w.tun.Fault != nil {
 		slot.fault, slot.delay = w.tun.Fault.SendFault(w.rank, dst, seq, nsent)
 	}
 	kill := slot.fault == NetFaultKill
-	if err == nil && !kill {
+	if !kill {
 		p.sendSeq = seq // ringed: flush writes it, or a heal's replay does
 	}
 	p.mu.Unlock()
-	if err != nil {
-		panic(err)
-	}
 	if kill {
 		// The frame is never ringed, so no writer can pick it up: the
 		// kill lands between this rank's frames, like a crash.
@@ -675,8 +662,7 @@ func (w *netWorld) flush(p *netPeer, ctl int) {
 			n, err = n/2, errors.New("injected partial write") // the peer sees a truncated frame
 		}
 		if n > 0 {
-			conn.SetWriteDeadline(time.Now().Add(w.tun.WriteTimeout))
-			if _, werr := conn.Write(buf[:n]); err == nil {
+			if _, werr := (liveConn{conn, w}).Write(buf[:n]); err == nil {
 				err = werr
 			}
 		}

@@ -6,14 +6,15 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"time"
 )
 
 // This file is the network transport's failure domain (docs/faults.md
-// "Network failure domain"): the per-connection reader loop and its
-// liveness deadline, heartbeats, the heal path (re-dial or wait, the
-// reattach handshake, adoption), peer-loss declaration, and teardown.
-// Every frame write, a replay or an injected fault included, is flush's.
+// "Network failure domain"): the liveness rule, the per-connection reader
+// loop, heartbeats, the heal path (re-dial or wait, the reattach
+// handshake, adoption), peer-loss declaration, and teardown. Every frame
+// write, a replay or an injected fault included, is flush's.
 
 // DroppedMessagesError is returned by NetWorld.Close when in-flight
 // messages that no Recv ever matched were drained at shutdown, so
@@ -97,15 +98,13 @@ func (w *netWorld) closeConns() {
 			}
 			p.mu.Lock()
 			if tc, ok := p.conn.(*net.TCPConn); ok && killed {
-				// A killed rank sends no goodbye — a crash must look like
-				// a crash — but it half-closes when it can: FIN after
-				// every frame already written, while the read side keeps
-				// draining (bounded by a deadline) so the close never
-				// RSTs the peer and discards frames this rank sent before
-				// dying. readLoop closes the conn when the drain deadline
-				// fires.
+				// A killed rank sends no goodbye (a crash must look like
+				// one) but half-closes: FIN after every frame written,
+				// while the read side drains for PeerTimeout so the close
+				// never RSTs away frames sent before dying. readLoop
+				// closes the conn when the drain deadline fires.
 				tc.CloseWrite()
-				tc.SetReadDeadline(time.Now().Add(w.tun.WriteTimeout))
+				tc.SetReadDeadline(time.Now().Add(w.tun.PeerTimeout))
 			} else if p.conn != nil {
 				p.conn.Close()
 			}
@@ -117,33 +116,65 @@ func (w *netWorld) closeConns() {
 	})
 }
 
+// liveConn keeps the liveness rule: a link has failed only when no byte
+// has moved on it for PeerTimeout. A read may wait that long for a byte
+// (heartbeats on; a killed rank's drain keeps closeConns' bound); a write
+// attempt cut short after moving bytes made progress, and the rest goes in
+// a fresh one. An expired deadline gets a secondLook first: its timer
+// fires late when this process stalls, and bytes that moved are progress.
+type liveConn struct {
+	net.Conn
+	w *netWorld
+}
+
+func (c liveConn) Read(b []byte) (n int, err error) {
+	for _, d := range [2]time.Duration{c.w.tun.PeerTimeout, secondLook} {
+		if c.w.tun.Heartbeat > 0 && !c.w.killed.Load() {
+			c.SetReadDeadline(time.Now().Add(d))
+		}
+		if n, err = c.Conn.Read(b); n > 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+			break
+		}
+	}
+	return n, err
+}
+
+//repro:allocfree
+func (c liveConn) Write(b []byte) (n int, err error) {
+	for m, d := 0, c.w.tun.PeerTimeout; ; n += m {
+		c.SetWriteDeadline(time.Now().Add(d))
+		if m, err = c.Conn.Write(b[n:]); err == nil || !errors.Is(err, os.ErrDeadlineExceeded) || m == 0 && d == secondLook {
+			return n + m, err
+		}
+		if d = c.w.tun.PeerTimeout; m == 0 {
+			d = secondLook
+		}
+	}
+}
+
 // readLoop drains one peer connection into the mailbox until the
 // connection dies: clean teardown exits quietly, anything else enters
-// the heal path. The rolling read deadline is the liveness detector —
-// a healthy peer's heartbeats keep the stream from ever going silent
-// for PeerTimeout.
+// the heal path.
 func (w *netWorld) readLoop(src int, p *netPeer, conn net.Conn, done chan struct{}) {
 	defer w.readers.Done()
 	defer close(done)
-	br := bufio.NewReaderSize(conn, 64<<10)
+	br := bufio.NewReaderSize(liveConn{conn, w}, 64<<10)
 	var scratch []byte
 	for {
-		if w.tun.Heartbeat > 0 {
-			conn.SetReadDeadline(time.Now().Add(w.tun.PeerTimeout))
-		}
 		m, seq, ack, err := readFrame(br, &scratch)
 		if err != nil {
 			w.connFailed(src, p, conn, err)
 			return
 		}
+		if cap(scratch) > keepFrame {
+			scratch = nil // the decoded message never aliases it
+		}
 		if ack > 0 {
 			p.mu.Lock()
-			// Cumulative ack: frees resend-ring slots and reopens the
-			// send window. Bounded by our own sendSeq so a corrupt ack
-			// cannot wreck the window arithmetic.
+			// Bounded by our own sendSeq so a corrupt ack cannot wreck
+			// the window arithmetic.
 			if ack > p.acked && ack <= p.sendSeq {
-				p.acked = ack
-				p.cond.Broadcast()
+				p.ackLocked(ack)
 			}
 			p.mu.Unlock()
 		}
@@ -161,6 +192,19 @@ func (w *netWorld) readLoop(src int, p *netPeer, conn net.Conn, done chan struct
 		m.Src = src
 		w.box.put(m)
 	}
+}
+
+// ackLocked advances the cumulative ack, which frees resend-ring slots
+// and reopens the send window. An acknowledged slot keeps its buffer for
+// the next frame unless it is larger than keepFrame. Callers hold p.mu.
+func (p *netPeer) ackLocked(ack uint64) {
+	for s := p.acked + 1; s <= ack; s++ {
+		if slot := &p.ring[s%uint64(len(p.ring))]; cap(slot.buf) > keepFrame {
+			slot.buf = nil
+		}
+	}
+	p.acked = ack
+	p.cond.Broadcast()
 }
 
 // connFailed is the reader-side failure path: quiet exit at teardown,
@@ -282,19 +326,11 @@ func (w *netWorld) healWait(p *netPeer, cause error) {
 // sleepBackoff sleeps the capped, jittered backoff before the given
 // attempt (2-based; the first re-dial is immediate). Returns false when
 // interrupted by teardown. The jitter is the pfs.RetryStore idiom: half
-// the delay fixed, half scaled by a hash of (seed, ranks, attempt), so
-// retries are reproducible for a fixed seed yet decorrelated across
-// links.
+// the delay fixed, half scaled by a hash of (ranks, attempt), so retries
+// are reproducible yet decorrelated across links.
 func (w *netWorld) sleepBackoff(peer, attempt int) bool {
-	shift := attempt - 2
-	if shift > 16 {
-		shift = 16
-	}
-	d := w.tun.ReconnectBase << shift
-	if d <= 0 || d > w.tun.ReconnectMax {
-		d = w.tun.ReconnectMax
-	}
-	h := netJitterHash(w.tun.Seed, uint64(w.rank), uint64(peer), uint64(attempt))
+	d := min(reconnectBase<<min(attempt-2, 16), reconnectMax)
+	h := netJitterHash(uint64(w.rank), uint64(peer), uint64(attempt))
 	d = d/2 + time.Duration(uint64(d/2)*(h>>40)>>24)
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -306,17 +342,17 @@ func (w *netWorld) sleepBackoff(peer, attempt int) bool {
 	}
 }
 
-// netJitterHash mixes (seed, a, b, c) into a uniform 64-bit value
+// netJitterHash mixes (a, b, c) into a uniform 64-bit value
 // (FNV-1a over the words, splitmix64-style finalizer) — a local copy of
 // the pfs.HashSite construction, which cannot be imported from here
 // (pfs depends on mpi).
-func netJitterHash(seed, a, b, c uint64) uint64 {
+func netJitterHash(a, b, c uint64) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for _, v := range [4]uint64{seed, a, b, c} {
+	for _, v := range [3]uint64{a, b, c} {
 		for i := 0; i < 8; i++ {
 			h ^= (v >> (8 * i)) & 0xff
 			h *= prime64
@@ -369,8 +405,8 @@ func (w *netWorld) adopt(p *netPeer, conn net.Conn, peerSeq uint64) error {
 		p.mu.Unlock()
 		return fmt.Errorf("mpi: rank %d is not healing", p.rank)
 	}
-	p.acked = max(p.acked, peerSeq) // the cursor is the strongest ack there is
-	if p.sendSeq-p.acked > uint64(len(p.ring)) {
+	ack := max(p.acked, peerSeq) // the cursor is the strongest ack there is
+	if p.sendSeq-ack > uint64(len(p.ring)) {
 		// Unreachable while the send window holds, but never replay
 		// garbage: the ring no longer covers the oldest unacked frame.
 		// (Every slot above the oldest holds its seq: only send fills
@@ -378,6 +414,7 @@ func (w *netWorld) adopt(p *netPeer, conn net.Conn, peerSeq uint64) error {
 		p.mu.Unlock()
 		return fmt.Errorf("mpi: resend ring overrun for rank %d", p.rank)
 	}
+	p.ackLocked(ack)
 	p.conn = conn
 	p.state = peerOK
 	p.written = p.acked

@@ -22,10 +22,7 @@ func testTuning() NetTuning {
 		Heartbeat:         10 * time.Millisecond,
 		PeerTimeout:       300 * time.Millisecond,
 		ReconnectAttempts: 5,
-		ReconnectBase:     2 * time.Millisecond,
-		ReconnectMax:      20 * time.Millisecond,
 		ReconnectWindow:   2 * time.Second,
-		Seed:              1,
 	}
 }
 
@@ -492,7 +489,7 @@ type hashDropInjector struct {
 }
 
 func (hi *hashDropInjector) SendFault(src, dst int, seq, nsent uint64) (NetFaultAction, time.Duration) {
-	h := netJitterHash(hi.seed, uint64(src), uint64(dst), seq)
+	h := netJitterHash(hi.seed, uint64(src)<<32|uint64(dst), seq)
 	if h%1000 < hi.permille {
 		hi.fired.Add(1)
 		return NetFaultDropConn, 0

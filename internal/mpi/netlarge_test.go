@@ -5,7 +5,8 @@ package mpi_test
 // rank sends each peer two large frames before it receives any. Both
 // directions of a link then have a writer blocked until the other side's
 // reader drains, so a reader that ever waits on its own link's writer
-// (for the ack it piggybacks) deadlocks the pair until the write timeout.
+// (for the ack it piggybacks) deadlocks the pair until no byte has moved
+// for PeerTimeout.
 // The chaos legs sever the link in the middle of one of those frames.
 
 import (
@@ -114,13 +115,9 @@ func netTotals(rep mpi.NetReport) (s mpi.NetStats) {
 // bytes, and, with reconnection off, the loss names the frame and its
 // size.
 func TestNetSymmetricLargeFrames(t *testing.T) {
-	// The default tuning; under the race detector a 32 MB frame can take
-	// 2 s to arrive on a loaded 2-vCPU host, too close to the default 4 s
-	// liveness window, so the race build widens it.
+	// The default tuning, under the race detector too: a link fails only
+	// when no byte moves for PeerTimeout, however long a frame takes.
 	var tun mpi.NetTuning
-	if mpi.RaceEnabled {
-		tun.PeerTimeout = 10 * time.Second
-	}
 	for _, n := range []int{2, 4} {
 		t.Run(fmt.Sprintf("%d-ranks", n), func(t *testing.T) {
 			if n > 2 && mpi.RaceEnabled {
@@ -147,6 +144,31 @@ func TestNetSymmetricLargeFrames(t *testing.T) {
 			t.Logf("%d ranks: %.2fs", n, time.Since(start).Seconds())
 		})
 	}
+
+	// Once both large frames are acknowledged, their buffers are the
+	// runtime's again: a resend-ring slot keeps at most keepFrame for the
+	// next frame it holds. The barrier's frame from the peer carries the
+	// ack, since the peer has received every frame before it enters.
+	t.Run("acked-frames-released", func(t *testing.T) {
+		rep, err := mpi.RunNetErrs(2, tun, func(c *mpi.Comm) {
+			exchangeLarge(t, c, func(src int, err error) {
+				t.Errorf("rank %d: receive from rank %d: %v", c.Rank(), src, err)
+			})
+			c.Barrier()
+			if held := mpi.HeldFrameBytes(c); held >= 1<<20 {
+				t.Errorf("rank %d holds %d B of frame buffers once its large frames are acknowledged, want under 1 MiB",
+					c.Rank(), held)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, rerr := range rep.Errs {
+			if rerr != nil {
+				t.Errorf("rank %d: %v", r, rerr)
+			}
+		}
+	})
 
 	// Rank 0's second large frame to rank 1 (seq 3, after the warm-up and
 	// the first) is half written, then its connection is severed.

@@ -95,7 +95,11 @@ func readFrame(br *bufio.Reader, scratch *[]byte) (Message, uint64, uint64, erro
 	}
 	body, err := readFrameBody(br, scratch, n)
 	if err != nil {
-		return Message{}, 0, 0, fmt.Errorf("mpi: net frame truncated: %w", err)
+		// Name the frame as the write side does, once its seq is in.
+		if len(body) < 8 {
+			return Message{}, 0, 0, fmt.Errorf("mpi: net frame (%d B) truncated after %d B: %w", n+4, len(body)+4, err)
+		}
+		return Message{}, 0, 0, fmt.Errorf("mpi: net frame %d (%d B) truncated after %d B: %w", binary.LittleEndian.Uint64(body), n+4, len(body)+4, err)
 	}
 	seq := binary.LittleEndian.Uint64(body)
 	ack := binary.LittleEndian.Uint64(body[8:])
@@ -121,20 +125,18 @@ func readFrame(br *bufio.Reader, scratch *[]byte) (Message, uint64, uint64, erro
 // buffer. When the scratch is already big enough (the steady state) this
 // is a single zero-allocation ReadFull; otherwise it grows in bounded
 // chunks as bytes actually arrive, so a hostile length prefix on a
-// truncated stream cannot force a huge up-front allocation.
+// truncated stream cannot force a huge up-front allocation. On error it
+// returns the part of the body that arrived.
 //
 //repro:allocfree
 func readFrameBody(br *bufio.Reader, scratch *[]byte, n int) ([]byte, error) {
 	buf := *scratch
 	if cap(buf) >= n {
-		buf = buf[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
+		got, err := io.ReadFull(br, buf[:n])
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
-		return buf, nil
+		return buf[:got], err
 	}
 	buf = buf[:0]
 	for got := 0; got < n; {
@@ -149,11 +151,11 @@ func readFrameBody(br *bufio.Reader, scratch *[]byte, n int) ([]byte, error) {
 			buf = buf[:got+c]
 		}
 		*scratch = buf
-		if _, err := io.ReadFull(br, buf[got:got+c]); err != nil {
+		if k, err := io.ReadFull(br, buf[got:got+c]); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return nil, err
+			return buf[:got+k], err
 		}
 		got += c
 	}
