@@ -64,7 +64,7 @@ size:
 	@$(GO) run ./cmd/doccheck $(DOCDIRS)
 
 # invarcheck runs the invariant lint suite (cmd/invarcheck): allocfree,
-# codecid, decodealias, scratchconfine, errclass and deadexport, each
+# codecid, scratchconfine, errclass and deadexport, each
 # failing with exact file:line diagnostics. docs/lint.md catalogs the rules.
 invarcheck:
 	$(GO) run ./cmd/invarcheck .

@@ -1,5 +1,5 @@
 // Command invarcheck runs the repository's invariant lint suite
-// (internal/invarcheck) over the module: six static analyzers that
+// (internal/invarcheck) over the module: five static analyzers that
 // machine-check the ownership, codec, allocation-free,
 // error-classification and reachability contracts documented in
 // docs/ownership.md, docs/faults.md and docs/lint.md. `make lint` (and
@@ -13,7 +13,7 @@
 //
 // The module root defaults to the current directory. -only restricts the
 // run to a comma-separated subset of analyzers (allocfree, codecid,
-// decodealias, scratchconfine, errclass, deadexport) — handy while
+// scratchconfine, errclass, deadexport) — handy while
 // iterating on one rule.
 package main
 

@@ -38,7 +38,12 @@ func init() {
 	mpi.RegisterCodec(codecSwapPayload, (*swapPayload)(nil), mpi.Codec{Encode: encodeSwapPayload, Decode: decodeSwapPayload})
 }
 
-func appendImg(buf []byte, m *img.Image) []byte {
+// AppendImg appends m's wire form — W | H as uint32 LE, then the 4·W·H
+// pixel floats as exact IEEE-754 bits — to buf; a nil m ships as 0×0.
+// ReadImgInto is its decode side. Every image that crosses the network
+// transport (compositing payloads, core's raw strips and LIC underlay)
+// uses this one format.
+func AppendImg(buf []byte, m *img.Image) []byte {
 	if m == nil {
 		return mpi.AppendU32(mpi.AppendU32(buf, 0), 0)
 	}
@@ -47,9 +52,12 @@ func appendImg(buf []byte, m *img.Image) []byte {
 	return mpi.AppendFloat32s(buf, m.Pix)
 }
 
-// readImgInto decodes a w/h/pixels image into dst, reusing its pixel
-// capacity. A zero-sized image decodes to an empty (but valid) dst.
-func readImgInto(r *mpi.WireReader, dst *img.Image) error {
+// ReadImgInto decodes an AppendImg image from r into dst, reusing its
+// pixel capacity. A zero-sized image decodes to an empty (but valid) dst.
+// The size is checked, overflow-safe, against the bytes remaining before
+// any pixel is allocated. Bytes may follow the image: a caller whose
+// payload ends with it checks r.Done.
+func ReadImgInto(r *mpi.WireReader, dst *img.Image) error {
 	w, h := int(r.U32()), int(r.U32())
 	if r.Err() != nil {
 		return r.Err()
@@ -78,15 +86,14 @@ func encodeWirePayload(buf []byte, v any) ([]byte, error) {
 			buf = append(buf, s.RLE...)
 		} else {
 			buf = append(buf, 0)
-			buf = appendImg(buf, s.Raw)
+			buf = AppendImg(buf, s.Raw)
 		}
 	}
 	p.Release() // transport is the sender-side consumer
 	return buf, nil
 }
 
-func decodeWirePayload(wire []byte) (any, error) {
-	r := mpi.NewWireReader(wire)
+func decodeWirePayload(r mpi.WireReader) (any, error) {
 	n := r.Len(21)
 	p := getPayload(&netPayloads)
 	for i := 0; i < n; i++ {
@@ -98,12 +105,12 @@ func decodeWirePayload(wire []byte) (any, error) {
 		s.VisRank = int(r.I32())
 		s.compressed = r.U8() != 0
 		if s.compressed {
-			s.RLE = append(s.RLE[:0], r.Bytes(int(r.U32()))...)
+			s.RLE = r.AppendBytes(s.RLE[:0], int(r.U32()))
 		} else {
 			if s.Raw == nil {
 				s.Raw = &img.Image{}
 			}
-			if err := readImgInto(&r, s.Raw); err != nil {
+			if err := ReadImgInto(&r, s.Raw); err != nil {
 				p.Release()
 				return nil, err
 			}
@@ -118,15 +125,14 @@ func decodeWirePayload(wire []byte) (any, error) {
 
 func encodeSwapPayload(buf []byte, v any) ([]byte, error) {
 	p := v.(*swapPayload)
-	buf = appendImg(buf, &p.img)
+	buf = AppendImg(buf, &p.img)
 	p.Release() // transport is the sender-side consumer
 	return buf, nil
 }
 
-func decodeSwapPayload(wire []byte) (any, error) {
-	r := mpi.NewWireReader(wire)
+func decodeSwapPayload(r mpi.WireReader) (any, error) {
 	p := getSwap(&netSwaps, 0, 0)
-	if err := readImgInto(&r, &p.img); err != nil {
+	if err := ReadImgInto(&r, &p.img); err != nil {
 		p.Release()
 		return nil, err
 	}

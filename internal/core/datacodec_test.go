@@ -141,7 +141,7 @@ func TestDataCodecRoundTrip(t *testing.T) {
 				if sendPool.Get() != src {
 					t.Errorf("%s part %d renderer %d: encoding did not release the payload to its pool", name, part, r)
 				}
-				v, err := decodeDataPayload(wire)
+				v, err := decodeDataPayload(mpi.NewWireReader(wire))
 				if err != nil {
 					t.Fatalf("%s part %d renderer %d: %v", name, part, r, err)
 				}
@@ -231,7 +231,7 @@ func TestDataCodecHostile(t *testing.T) {
 		{"truncated header", []byte{1, 0, 0}, false},
 		{"empty", nil, false},
 	} {
-		v, err := decodeDataPayload(tc.wire)
+		v, err := decodeDataPayload(mpi.NewWireReader(tc.wire))
 		if (err == nil) != tc.decode {
 			t.Errorf("%s: decode error %v, want accepted=%v", tc.name, err, tc.decode)
 		}
@@ -244,7 +244,7 @@ func TestDataCodecHostile(t *testing.T) {
 		} else if msg := err.Error(); !strings.Contains(msg, "step 4") || !strings.Contains(msg, "rank 0") || !strings.Contains(msg, "block") {
 			t.Errorf("%s: refusal %q does not name rank, step and block", tc.name, msg)
 		}
-		v, _ = decodeDataPayload(tc.wire)
+		v, _ = decodeDataPayload(mpi.NewWireReader(tc.wire))
 		got, degraded := mergedVals(t, tolerate, r, []mpi.Message{{Src: 0, Data: v}, honest1()})
 		if !degraded {
 			t.Errorf("%s: the frame is not flagged", tc.name)
@@ -288,7 +288,7 @@ func FuzzDecodeDataPayload(f *testing.F) {
 	}
 	absent, _ := staged(f, []mpi.Message{{Src: 0}, honest1()})
 	f.Fuzz(func(t *testing.T, wire []byte) {
-		v, err := decodeDataPayload(wire)
+		v, err := decodeDataPayload(mpi.NewWireReader(wire))
 		if err != nil {
 			return
 		}

@@ -474,8 +474,9 @@ func TestHandoffSteadyStateAllocFree(t *testing.T) {
 
 // TestMagPayloadRoundTrip: the magnitudes codec moves every float32 as its
 // exact bit pattern — signed zeros, subnormals, +Inf from an overflowing
-// magnitude — and declares nothing it does not carry: the wire body is 4
-// bytes per value.
+// magnitude — into values that owe nothing to the wire buffer (it is
+// overwritten before they are checked), and declares nothing it does not
+// carry: the wire body is 4 bytes per value.
 func TestMagPayloadRoundTrip(t *testing.T) {
 	vals := []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(1), math.Float32frombits(0x7fffff), 1, 254.5, 3e38, float32(math.Inf(1))}
 	var sender pool.Pool[magPayload]
@@ -491,9 +492,12 @@ func TestMagPayloadRoundTrip(t *testing.T) {
 	if sender.Get() != p {
 		t.Error("encoding did not release the payload to the sender's pool")
 	}
-	v, err := decodeMagPayload(wire)
+	v, err := decodeMagPayload(mpi.NewWireReader(wire))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for k := range wire {
+		wire[k] = 0xAA // the transport reuses this buffer
 	}
 	got := v.(*magPayload)
 	defer got.release()
@@ -545,7 +549,7 @@ func TestMagPayloadRefusesHostile(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.data
 			if tc.wire != nil {
-				v, err := decodeMagPayload(tc.wire)
+				v, err := decodeMagPayload(mpi.NewWireReader(tc.wire))
 				if err != nil {
 					if !strings.Contains(err.Error(), tc.want) {
 						t.Fatalf("decode error %q, want it to say %q", err, tc.want)
@@ -566,7 +570,7 @@ func TestMagPayloadRefusesHostile(t *testing.T) {
 		})
 	}
 	// The honest hand-off is taken as it came.
-	v, err := decodeMagPayload(magWire(nodes))
+	v, err := decodeMagPayload(mpi.NewWireReader(magWire(nodes)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +597,7 @@ func FuzzDecodeMagPayload(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0x80, 0x7f})
 	f.Fuzz(func(t *testing.T, wire []byte) {
-		v, err := decodeMagPayload(wire)
+		v, err := decodeMagPayload(mpi.NewWireReader(wire))
 		if (err == nil) != (len(wire)%4 == 0) {
 			t.Fatalf("decode of %d bytes: error %v", len(wire), err)
 		}

@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"repro/internal/compositor"
-	"repro/internal/img"
 	"repro/internal/mpi"
 	"repro/internal/pool"
 )
@@ -81,34 +80,38 @@ func encodeDataPayload(buf []byte, v any) ([]byte, error) {
 // this side of the wire can: the flags are known and the runs tile the
 // backing bytes exactly. Which blocks and offsets the piece may name is the
 // consuming renderer's to decide, against the plan (RealWorkload.checkPiece).
-func decodeDataPayload(wire []byte) (any, error) {
-	r := mpi.NewWireReader(wire)
+// The run headers arrive before the bytes they alias, so the backing store
+// is reserved at the payload's remaining size first: each run is sliced out
+// of it as its header is read, and reading the bytes in never moves them.
+func decodeDataPayload(r mpi.WireReader) (any, error) {
 	flags := r.U8()
-	hdr := mpi.NewWireReader(r.Bytes(12 * r.Len(12)))
-	vals := r.Bytes(r.Len(1))
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
 	if flags&^dataFlagStale != 0 {
 		return nil, fmt.Errorf("core: data payload has unknown flags %#x", flags)
 	}
 	p := getData(&netData)
 	p.stale = flags&dataFlagStale != 0
-	p.vals = append(p.vals, vals...)
-	rest := p.vals
-	for hdr.Remaining() > 0 {
-		run := blockRun{Block: hdr.I32(), Off: hdr.I32()}
-		n := int(hdr.U32())
-		if n < 0 || n > len(rest) {
+	room := r.Remaining()
+	p.vals = pool.Grow(p.vals, room)[:0]
+	total := 0
+	for range r.Len(12) {
+		run := blockRun{Block: r.I32(), Off: r.I32()}
+		n := int(r.U32())
+		if n < 0 || n > room-total {
 			p.release()
-			return nil, fmt.Errorf("core: data payload runs overrun %d backing bytes", len(p.vals))
+			return nil, fmt.Errorf("core: data payload runs overrun the %d-byte payload", room)
 		}
-		run.Vals, rest = rest[:n:n], rest[n:]
+		run.Vals = p.vals[total : total+n : total+n]
+		total += n
 		p.runs = append(p.runs, run)
 	}
-	if len(rest) != 0 {
+	p.vals = r.AppendBytes(p.vals, r.Len(1))
+	if err := r.Done(); err != nil {
 		p.release()
-		return nil, fmt.Errorf("core: data payload runs leave %d of %d backing bytes unused", len(rest), len(p.vals))
+		return nil, err
+	}
+	if total != len(p.vals) {
+		p.release()
+		return nil, fmt.Errorf("core: data payload runs name %d of %d backing bytes", total, len(p.vals))
 	}
 	return p, nil
 }
@@ -139,7 +142,7 @@ func encodeStripPayload(buf []byte, v any) ([]byte, error) {
 		buf = mpi.AppendU32(buf, uint32(len(sp.rle)))
 		buf = append(buf, sp.rle...)
 	} else {
-		buf = appendImgVal(buf, sp.Img)
+		buf = compositor.AppendImg(buf, sp.Img)
 	}
 	sp.release() // returns the canvas to the sender's CompositeScratch
 	return buf, nil
@@ -149,8 +152,7 @@ func encodeStripPayload(buf []byte, v any) ([]byte, error) {
 // stream is copied out of the transport's buffer into the payload's own
 // and not parsed: Assemble's paste validates it against the frame it
 // lands in, which this side of the wire does not know yet.
-func decodeStripPayload(wire []byte) (any, error) {
-	r := mpi.NewWireReader(wire)
+func decodeStripPayload(r mpi.WireReader) (any, error) {
 	sp := netStrips.Get()
 	sp.owner = &netStrips
 	sp.comp = nil // the canvas is sp.store, recycled with the struct
@@ -162,13 +164,13 @@ func decodeStripPayload(wire []byte) (any, error) {
 	case flags&^(stripFlagDegraded|stripFlagRLE) != 0:
 		err = fmt.Errorf("core: strip payload has unknown flags %#x", flags)
 	case flags&stripFlagRLE != 0:
-		stream := r.Bytes(r.Len(1))
+		sp.rle = r.AppendBytes(sp.rle[:0], r.Len(1))
 		if err = r.Done(); err == nil {
-			sp.rle, sp.compressed = append(sp.rle[:0], stream...), true
+			sp.compressed = true
 		}
 	default:
-		if err = readImgVal(&r, &sp.store); err == nil {
-			sp.Img = &sp.store
+		if err = compositor.ReadImgInto(&r, &sp.store); err == nil {
+			sp.Img, err = &sp.store, r.Done()
 		}
 	}
 	if err != nil {
@@ -180,16 +182,19 @@ func decodeStripPayload(wire []byte) (any, error) {
 
 func encodeLICPayload(buf []byte, v any) ([]byte, error) {
 	lp := v.(*licPayload)
-	buf = appendImgVal(buf, &lp.Img)
+	buf = compositor.AppendImg(buf, &lp.Img)
 	lp.release() // transport is the sender-side consumer
 	return buf, nil
 }
 
-func decodeLICPayload(wire []byte) (any, error) {
-	r := mpi.NewWireReader(wire)
+func decodeLICPayload(r mpi.WireReader) (any, error) {
 	lp := netLICs.Get()
 	lp.owner = &netLICs
-	if err := readImgVal(&r, &lp.Img); err != nil {
+	err := compositor.ReadImgInto(&r, &lp.Img)
+	if err == nil {
+		err = r.Done()
+	}
+	if err != nil {
 		lp.release()
 		return nil, err
 	}
@@ -209,35 +214,13 @@ func encodeMagPayload(buf []byte, v any) ([]byte, error) {
 // refusing a body that is not whole words. Whether their count is the
 // part's node count is for the receiving rank to check
 // (RealWorkload.takeHandoff), as a renderer checks a piece.
-func decodeMagPayload(wire []byte) (any, error) {
-	if len(wire)%4 != 0 {
-		return nil, fmt.Errorf("core: magnitudes payload of %d bytes is not whole float32 words", len(wire))
+func decodeMagPayload(r mpi.WireReader) (any, error) {
+	n := r.Remaining()
+	if n%4 != 0 {
+		return nil, fmt.Errorf("core: magnitudes payload of %d bytes is not whole float32 words", n)
 	}
-	r := mpi.NewWireReader(wire)
 	p := netMags.Get()
 	p.owner = &netMags
-	p.mag = r.Float32s(p.mag, len(wire)/4)
+	p.mag = r.Float32s(p.mag, n/4)
 	return p, nil
-}
-
-func appendImgVal(buf []byte, m *img.Image) []byte {
-	if m == nil {
-		return mpi.AppendU32(mpi.AppendU32(buf, 0), 0)
-	}
-	buf = mpi.AppendU32(buf, uint32(m.W))
-	buf = mpi.AppendU32(buf, uint32(m.H))
-	return mpi.AppendFloat32s(buf, m.Pix)
-}
-
-func readImgVal(r *mpi.WireReader, dst *img.Image) error {
-	w, h := int(r.U32()), int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if w < 0 || h < 0 || (w > 0 && 4*w*h/(4*w) != h) || 4*w*h > r.Remaining() {
-		return fmt.Errorf("core: wire image %dx%d impossible for %d remaining bytes", w, h, r.Remaining())
-	}
-	dst.W, dst.H = w, h
-	dst.Pix = r.Float32s(dst.Pix, 4*w*h)
-	return r.Done()
 }

@@ -474,6 +474,9 @@ func (p *Pipeline) runOutput(c *mpi.Comm) error {
 	o := c.Rank() - l.NumInput() - l.Renderers
 	steps := p.W.Steps()
 	strips := make([]mpi.Message, l.Renderers)
+	// The underlay's message is one variable for the run: Assemble takes
+	// its address, which would move a per-step variable to the heap.
+	var licMsg mpi.Message
 	for t := o; t < steps; t += l.Outputs {
 		// Strips are received by renderer rank so a lost renderer leaves
 		// exactly its own slot absent; Assemble fills the gap and marks
@@ -487,11 +490,11 @@ func (p *Pipeline) runOutput(c *mpi.Comm) error {
 		}
 		var lic *mpi.Message
 		if p.W.WantLIC() {
-			m, err := p.recvOr(c, l.GroupRanks(t % l.Groups)[0], tagLIC(t))
-			if err != nil {
+			var err error
+			if licMsg, err = p.recvOr(c, l.InputRank(t%l.Groups, 0), tagLIC(t)); err != nil {
 				return fmt.Errorf("core: output %d lic step %d: %w", o, t, err)
 			}
-			lic = &m
+			lic = &licMsg
 		}
 		if err := p.W.Assemble(c, t, strips, lic); err != nil {
 			return fmt.Errorf("core: output %d step %d: %w", o, t, err)

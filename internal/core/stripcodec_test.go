@@ -86,7 +86,7 @@ func TestStripCodecRoundTrip(t *testing.T) {
 			if sendPool.Get() != src {
 				t.Errorf("strip %d compressed=%v: encoding did not release the payload to its pool", i, src.compressed)
 			}
-			v, err := decodeStripPayload(wire)
+			v, err := decodeStripPayload(mpi.NewWireReader(wire))
 			if err != nil {
 				t.Fatalf("strip %d: %v", i, err)
 			}
@@ -105,6 +105,42 @@ func TestStripCodecRoundTrip(t *testing.T) {
 			}
 			got.release()
 		}
+	}
+}
+
+// TestLICCodecRoundTrip: the LIC underlay crosses as exact bits into a
+// payload from the receive pool that owns its pixels (the wire buffer can
+// be scribbled over), encoding released the sender's payload, and bytes
+// after the image are refused.
+func TestLICCodecRoundTrip(t *testing.T) {
+	want := img.New(6, 5)
+	for i := range want.Pix {
+		want.Pix[i] = float32(i)/7 - 2
+	}
+	var sendPool pool.Pool[licPayload]
+	src := sendPool.Get()
+	src.owner, src.Img = &sendPool, *want.Clone()
+	wire, err := encodeLICPayload(nil, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sendPool.Get() != src {
+		t.Error("encoding did not release the payload to its pool")
+	}
+	v, err := decodeLICPayload(mpi.NewWireReader(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range wire {
+		wire[k] = 0xAA // the transport reuses this buffer
+	}
+	got := v.(*licPayload)
+	if got.owner != &netLICs || got.Img.W != want.W || got.Img.H != want.H || !bytes.Equal(frameBits(&got.Img), frameBits(want)) {
+		t.Errorf("decoded %dx%d owned by %p: not the encoded underlay from the receive pool", got.Img.W, got.Img.H, got.owner)
+	}
+	got.release()
+	if _, err := decodeLICPayload(mpi.NewWireReader(append(compositor.AppendImg(nil, want), 0))); err == nil {
+		t.Error("an underlay with a trailing byte decoded")
 	}
 }
 
@@ -158,7 +194,7 @@ func TestStripCodecHostile(t *testing.T) {
 		{"raw canvas of another width", hostileStrip(0, 2, 0, rawBody(fw+1, 2, 4*(fw+1)*2)...), true},
 		{"raw canvas shorter than its strip", hostileStrip(0, 3, 0, rawBody(fw, 2, 4*fw*2)...), true},
 	} {
-		v, err := decodeStripPayload(tc.wire)
+		v, err := decodeStripPayload(mpi.NewWireReader(tc.wire))
 		if (err == nil) != tc.decode {
 			t.Errorf("%s: decode error %v, want accepted=%v", tc.name, err, tc.decode)
 		}
@@ -196,7 +232,7 @@ func FuzzDecodeStripPayload(f *testing.F) {
 	f.Add(hostileStrip(2, 1, 0, append([]byte{8, 0, 0, 0, 1, 0, 0, 0}, make([]byte, 16*8)...)...))
 	f.Add(hostileStrip(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
 	f.Fuzz(func(t *testing.T, wire []byte) {
-		v, err := decodeStripPayload(wire)
+		v, err := decodeStripPayload(mpi.NewWireReader(wire))
 		if err != nil {
 			return
 		}
@@ -355,7 +391,7 @@ func BenchmarkStripCodec(b *testing.B) {
 					if wire, err = encodeStripPayload(wire[:0], sp); err != nil {
 						b.Fatal(err)
 					}
-					v, err := decodeStripPayload(wire)
+					v, err := decodeStripPayload(mpi.NewWireReader(wire))
 					if err != nil {
 						b.Fatal(err)
 					}

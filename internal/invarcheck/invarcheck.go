@@ -6,7 +6,7 @@
 // docs/ownership.md and docs/lint.md; this package turns them from prose
 // into `make check` failures with exact file:line diagnostics.
 //
-// Six sub-analyzers, one per documented invariant:
+// Five sub-analyzers, one per documented invariant:
 //
 //   - allocfree: functions annotated `//repro:allocfree` are checked
 //     against the compiler's escape analysis (`go build -gcflags=-m`);
@@ -15,10 +15,6 @@
 //   - codecid: every mpi.RegisterCodec call site must use an id that is
 //     unique across the tree and inside its package's reserved band
 //     (internal/mpi/codec.go documents the bands).
-//   - decodealias: wire-codec Decode hooks must never retain the wire
-//     byte slice (or a subslice of it) in a struct field, package
-//     variable or return value — decoded payloads never alias the frame
-//     scratch (docs/ownership.md "Serialization boundary").
 //   - scratchconfine: `*Scratch` and workers.Pool values must not be
 //     captured by (or passed to) `go` statement closures — scratches are
 //     per-rank and single-dispatch (docs/ownership.md rule 3); fan-outs
@@ -114,7 +110,7 @@ func DefaultErrClassPkgs() []string {
 
 // AllAnalyzers lists every sub-analyzer in the order findings are
 // reported by the CLI's usage text and docs/lint.md.
-var AllAnalyzers = []string{"allocfree", "codecid", "decodealias", "scratchconfine", "errclass", "deadexport"}
+var AllAnalyzers = []string{"allocfree", "codecid", "scratchconfine", "errclass", "deadexport"}
 
 // pkg is one loaded package: the `go list` metadata plus every parsed
 // file (sources, in-package tests, external tests), keyed by absolute
@@ -205,11 +201,6 @@ func Run(cfg Config) ([]Finding, error) {
 	}
 	if want["codecid"] {
 		if err := add(r.codecID()); err != nil {
-			return nil, err
-		}
-	}
-	if want["decodealias"] {
-		if err := add(r.decodeAlias()); err != nil {
 			return nil, err
 		}
 	}
@@ -413,4 +404,21 @@ func (r *runner) exportData() (map[string]string, error) {
 	r.exports = m
 	r.exportsErr = nil
 	return m, nil
+}
+
+// exprString renders a small expression (selector chains) for messages.
+func exprString(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return exprString(e.X) + "." + e.Sel.Name
+	case *ast.StarExpr:
+		return "*" + exprString(e.X)
+	case *ast.UnaryExpr:
+		return exprString(e.X)
+	case *ast.ParenExpr:
+		return exprString(e.X)
+	}
+	return "?"
 }

@@ -57,21 +57,6 @@ func TestCodecID(t *testing.T) {
 	})
 }
 
-func TestDecodeAlias(t *testing.T) {
-	fixture(t, Config{
-		Dirs: []string{
-			fixtureDir + "decodealias_bad",
-			fixtureDir + "decodealias_clean",
-		},
-		Analyzers: []string{"decodealias"},
-	}, []string{
-		fixtureDir + "decodealias_bad/decodealias_bad.go:24: [decodealias] decoded payload retains the wire buffer in field \"f.payload\"; copy — the reader reuses the frame scratch",
-		fixtureDir + "decodealias_bad/decodealias_bad.go:25: [decodealias] decoded payload retains the wire buffer in package variable \"lastPayload\"; copy — the reader reuses the frame scratch",
-		fixtureDir + "decodealias_bad/decodealias_bad.go:26: [decodealias] decoded payload returns an alias of the wire buffer; copy — the reader reuses the frame scratch",
-		fixtureDir + "decodealias_bad/decodealias_bad.go:32: [decodealias] decoded payload returns an alias of the wire buffer; copy — the reader reuses the frame scratch",
-	})
-}
-
 func TestScratchConfine(t *testing.T) {
 	const msg = " crosses a go statement; scratches and worker pools are per-rank, single-dispatch (docs/ownership.md rule 3) — fan out through a prebound workers.Pool.Run instead"
 	fixture(t, Config{

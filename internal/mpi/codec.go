@@ -21,8 +21,9 @@ import (
 // Encode is the sending side's consumer — a codec for a pooled payload
 // releases it once marshaled. Decode produces a payload owned by the
 // receiving process, drawn from that process's pools, whose consumer
-// releases it as usual. Decode must never retain the wire buffer: the
-// reader reuses it for the next frame.
+// releases it as usual. Decode reads the payload through a WireReader,
+// which only copies out: where a frame's bytes live is this package's
+// decision alone, so no codec can retain the reader's reused frame buffer.
 
 // CodecID identifies one registered wire codec. IDs are part of the wire
 // format and must be stable across all ranks of a job. Ranges are
@@ -43,12 +44,13 @@ type CodecID uint16
 // payload is pool-owned, Encode releases it — the transport is the
 // sending side's consumer.
 //
-// Decode parses one wire payload and returns the decoded value, which
-// must not alias wire (the buffer is reused). Malformed input must return
-// an error, never panic: the bytes come off a socket.
+// Decode parses one wire payload from r, a cursor over exactly the
+// payload's bytes, and returns the decoded value. r only copies bytes out,
+// so the value cannot alias the transport's buffer. Malformed input must
+// return an error, never panic: the bytes come off a socket.
 type Codec struct {
 	Encode func(buf []byte, v any) ([]byte, error)
-	Decode func(wire []byte) (any, error)
+	Decode func(r WireReader) (any, error)
 }
 
 // registeredCodec pairs a codec with its ID for type-indexed lookups.
@@ -158,7 +160,9 @@ func readValue(wire []byte) (v any, rest []byte, err error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("mpi: unknown codec id %d on the wire", id)
 	}
-	v, err = rc.c.Decode(body)
+	// By value: a pointer through the func-typed hook would move the
+	// reader to the heap, one allocation per frame.
+	v, err = rc.c.Decode(NewWireReader(body))
 	if err != nil {
 		return nil, nil, fmt.Errorf("mpi: decoding codec %d: %w", id, err)
 	}
@@ -168,10 +172,13 @@ func readValue(wire []byte) (v any, rest []byte, err error) {
 // --- WireReader ------------------------------------------------------------
 
 // WireReader is the bounds-checked cursor codec Decode implementations
-// parse their payload with. All accessors are sticky-error: the first
-// underflow latches Err and subsequent reads return zero values, so a
-// decoder can parse straight-line and check Err once — truncated input
-// yields an error, never a panic.
+// parse their payload with. Every accessor copies out of the buffer (a
+// value, or into a slice the caller owns); none returns a slice of it, so
+// a decoded payload cannot retain the transport's reused frame buffer.
+// All accessors are sticky-error: the first underflow latches Err and
+// subsequent reads return zero values, so a decoder can parse
+// straight-line and check Err once — truncated input yields an error,
+// never a panic.
 type WireReader struct {
 	b   []byte
 	err error
@@ -203,10 +210,10 @@ func (r *WireReader) underflow(n int) {
 	}
 }
 
-// Bytes returns the next n bytes of the payload (aliasing the wire
-// buffer — copy before retaining). A negative or out-of-range n latches
-// an error and returns nil.
-func (r *WireReader) Bytes(n int) []byte {
+// next consumes the next n bytes and returns them, aliasing the buffer.
+// It is unexported: a codec reaches the bytes only through the copying
+// accessors. A negative or out-of-range n latches an error and returns nil.
+func (r *WireReader) next(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
@@ -221,7 +228,7 @@ func (r *WireReader) Bytes(n int) []byte {
 
 // U8 reads one byte.
 func (r *WireReader) U8() byte {
-	b := r.Bytes(1)
+	b := r.next(1)
 	if b == nil {
 		return 0
 	}
@@ -230,7 +237,7 @@ func (r *WireReader) U8() byte {
 
 // U32 reads a little-endian uint32.
 func (r *WireReader) U32() uint32 {
-	b := r.Bytes(4)
+	b := r.next(4)
 	if b == nil {
 		return 0
 	}
@@ -239,11 +246,22 @@ func (r *WireReader) U32() uint32 {
 
 // U64 reads a little-endian uint64.
 func (r *WireReader) U64() uint64 {
-	b := r.Bytes(8)
+	b := r.next(8)
 	if b == nil {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(b)
+}
+
+// AppendBytes copies the next n bytes onto dst and returns the extended
+// slice. n is checked against Remaining before dst grows, so a hostile
+// length latches an error and returns dst unchanged.
+func (r *WireReader) AppendBytes(dst []byte, n int) []byte {
+	b := r.next(n)
+	if b == nil {
+		return dst
+	}
+	return append(dst, b...)
 }
 
 // I64 reads a little-endian two's-complement int64.
@@ -274,7 +292,7 @@ func (r *WireReader) Len(perElem int) int {
 
 // Float32s reads n little-endian IEEE-754 floats, reusing dst's capacity.
 func (r *WireReader) Float32s(dst []float32, n int) []float32 {
-	b := r.Bytes(4 * n)
+	b := r.next(4 * n)
 	if b == nil {
 		return nil
 	}
@@ -322,8 +340,8 @@ func init() {
 		Encode: func(buf []byte, v any) ([]byte, error) {
 			return append(buf, v.([]byte)...), nil
 		},
-		Decode: func(wire []byte) (any, error) {
-			return append([]byte(nil), wire...), nil
+		Decode: func(r WireReader) (any, error) {
+			return r.AppendBytes(nil, r.Remaining()), nil
 		},
 	})
 }

@@ -48,7 +48,7 @@ func init() {
 			<-s.release
 			return buf, nil
 		},
-		Decode: func([]byte) (any, error) { return stall{}, nil },
+		Decode: func(WireReader) (any, error) { return stall{}, nil },
 	})
 }
 

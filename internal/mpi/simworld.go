@@ -95,8 +95,8 @@ func (w *simWorld) ioRead(c *Comm, bytes int64, seeks int) {
 }
 
 // RunSim executes body on n simulated ranks over the discrete-event
-// transport and returns the final virtual time in seconds. The comms slice
-// passed to inspect (if non-nil) exposes per-rank statistics after the run.
+// transport and returns the final virtual time in seconds. RunSimStats
+// also returns the per-rank communicators, for their traffic statistics.
 func RunSim(n int, cfg SimConfig, body func(c *Comm)) float64 {
 	t, _ := RunSimStats(n, cfg, body)
 	return t

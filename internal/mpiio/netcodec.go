@@ -39,23 +39,24 @@ const (
 var netBatches pool.Pool[pieceBatch]
 
 func init() {
-	mpi.RegisterCodec(codecMetaPld, (*metaPayload)(nil), mpi.Codec{
-		Encode: func(buf []byte, v any) ([]byte, error) {
-			// The struct is the sender's reusable scratch; Send completes
-			// synchronously after encoding, so nothing is released here.
-			return appendSegments(buf, v.(*metaPayload).segs), nil
-		},
-		Decode: func(wire []byte) (any, error) {
-			r := mpi.NewWireReader(wire)
-			segs, _ := readSegments(&r) // Done reports the reader's sticky error
-			if err := r.Done(); err != nil {
-				return nil, err
-			}
-			return &metaPayload{segs: segs}, nil
-		},
-	})
+	mpi.RegisterCodec(codecMetaPld, (*metaPayload)(nil), mpi.Codec{Encode: encodeMetaPayload, Decode: decodeMetaPayload})
 	mpi.RegisterCodec(codecMetaTable, (*metaTable)(nil), mpi.Codec{Encode: encodeMetaTable, Decode: decodeMetaTable})
 	mpi.RegisterCodec(codecPieceBatch, (*pieceBatch)(nil), mpi.Codec{Encode: encodePieceBatch, Decode: decodePieceBatch})
+}
+
+// encodeMetaPayload ships the rank's view segments. The struct is the
+// sender's reusable scratch; Send completes synchronously after encoding,
+// so nothing is released here.
+func encodeMetaPayload(buf []byte, v any) ([]byte, error) {
+	return appendSegments(buf, v.(*metaPayload).segs), nil
+}
+
+func decodeMetaPayload(r mpi.WireReader) (any, error) {
+	segs, _ := readSegments(&r) // Done reports the reader's sticky error
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return &metaPayload{segs: segs}, nil
 }
 
 func appendSegments(buf []byte, segs []Segment) []byte {
@@ -85,8 +86,7 @@ func encodeMetaTable(buf []byte, v any) ([]byte, error) {
 	return buf, nil
 }
 
-func decodeMetaTable(wire []byte) (any, error) {
-	r := mpi.NewWireReader(wire)
+func decodeMetaTable(r mpi.WireReader) (any, error) {
 	n := r.Len(4)
 	t := &metaTable{all: make([][]Segment, n)}
 	for i := 0; i < n; i++ {
@@ -119,34 +119,26 @@ func encodePieceBatch(buf []byte, v any) ([]byte, error) {
 	return buf, nil
 }
 
-func decodePieceBatch(wire []byte) (any, error) {
-	// First pass sizes the packed slab (piece data must not alias the
-	// reused wire buffer), validating as it goes.
-	sizer := mpi.NewWireReader(wire)
-	n := sizer.Len(12)
-	total := 0
-	for i := 0; i < n; i++ {
-		sizer.I64()
-		total += len(sizer.Bytes(int(sizer.U32())))
-	}
-	if err := sizer.Done(); err != nil {
-		return nil, fmt.Errorf("mpiio: piece batch: %w", err)
-	}
-	// Second pass copies the pieces into a pooled batch; ReadAllInto's
-	// release recycles it for the next decode.
+// decodePieceBatch copies the pieces into one packed slab of a pooled
+// batch; ReadAllInto's release recycles it for the next decode. The slab
+// is reserved at the payload's whole size first, so appending a piece
+// never moves the bytes the earlier pieces alias.
+func decodePieceBatch(r mpi.WireReader) (any, error) {
 	b := netBatches.Get()
 	b.decoded = true
 	b.ps = b.ps[:0]
-	b.data = pool.Grow(b.data, total)
+	b.data = pool.Grow(b.data, r.Remaining())
 	packed := b.data[:0]
-	r := mpi.NewWireReader(wire)
-	r.Len(12)
+	n := r.Len(12)
 	for i := 0; i < n; i++ {
 		off := r.I64()
-		data := r.Bytes(int(r.U32()))
 		start := len(packed)
-		packed = append(packed, data...)
+		packed = r.AppendBytes(packed, int(r.U32()))
 		b.ps = append(b.ps, piece{Off: off, Data: packed[start:len(packed):len(packed)]})
+	}
+	if err := r.Done(); err != nil {
+		b.release()
+		return nil, fmt.Errorf("mpiio: piece batch: %w", err)
 	}
 	return b, nil
 }

@@ -105,7 +105,7 @@ func BenchmarkServeConcurrentViewers(b *testing.B) {
 		{Width: 64, Height: 64, Orbit: true, Az: 120, El: 35, TF: "hot"},
 		{Width: 64, Height: 64, TF: "gray"},
 	}
-	eng := newTestEngine(b, store, serve.EngineConfig{MaxSessions: len(views)})
+	eng := newTestEngine(b, store, serve.EngineConfig{})
 	defer eng.Close()
 	srv := serve.NewServer(eng, serve.ServerConfig{MaxInFlight: 4})
 	ts := newTestHTTPServer(b, srv)

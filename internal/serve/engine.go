@@ -13,10 +13,10 @@ import (
 )
 
 // EngineConfig configures an Engine. The zero value serves: a 1-rank-per-
-// role layout, a 64 MiB cache, four idle sessions kept warm, and 32-step
-// render windows. How many threads a session's ranks fan out to is not a
-// setting: each role splits GOMAXPROCS between its ranks (workers.Width),
-// so a 1-rank-per-role session renders at the process's full width.
+// role layout, a 64 MiB cache and 32-step render windows. How many
+// threads a session's ranks fan out to is not a setting: each role splits
+// GOMAXPROCS between its ranks (workers.Width), so a 1-rank-per-role
+// session renders at the process's full width.
 type EngineConfig struct {
 	// Layout is the pipeline layout each session runs; the zero value
 	// means one rank per role (Groups=IPsPerGroup=Renderers=Outputs=1).
@@ -25,12 +25,6 @@ type EngineConfig struct {
 	Layout core.Layout
 	// CacheBytes bounds the frame cache (0 = 64 MiB, negative disables).
 	CacheBytes int64
-	// MaxSessions bounds the idle-session pool (0 = 4). Any idle session
-	// serves any request (it is re-aimed, not matched), so the useful
-	// bound is the number of concurrent renders, not of distinct views.
-	// Sessions in use by concurrent requests are not counted; admission
-	// control (Server) bounds those.
-	MaxSessions int
 	// MaxWindow bounds the steps of one render call (0 = 32): both the
 	// largest request range and the pipeline window a cold render runs.
 	MaxWindow int
@@ -63,7 +57,7 @@ type Engine struct {
 	wire  pool.Pool[[]byte] // encodings of rendered frames the cache does not hold
 
 	mu     sync.Mutex
-	idle   []*core.RealWorkload // idle sessions, oldest first; evicted from the front
+	idle   []*core.RealWorkload // idle sessions, most recently released last
 	closed bool
 
 	rendered atomic.Uint64 // frames produced by pipeline runs
@@ -80,9 +74,6 @@ func NewEngine(store pfs.Store, cfg EngineConfig) (*Engine, error) {
 	}
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = 64 << 20
-	}
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 4
 	}
 	if cfg.MaxWindow <= 0 {
 		cfg.MaxWindow = 32
@@ -145,8 +136,9 @@ func (e *Engine) acquire(cfg RenderConfig) (*core.RealWorkload, error) {
 	return e.ds.NewWorkload(cfg.Width, cfg.Height, view(cfg), cfg.TF), nil
 }
 
-// release parks a session for reuse, evicting the least recently used
-// idle session past the pool bound (its worker pools are shut down).
+// release parks a session for reuse. Sessions are built only when every
+// parked one is rendering, so the pool never holds more than the peak
+// number of concurrent renders, which admission control (Server) bounds.
 // Sessions whose render failed are discarded instead (see discard).
 func (e *Engine) release(w *core.RealWorkload) {
 	e.mu.Lock()
@@ -156,15 +148,7 @@ func (e *Engine) release(w *core.RealWorkload) {
 		return
 	}
 	e.idle = append(e.idle, w)
-	var victim *core.RealWorkload
-	if len(e.idle) > e.cfg.MaxSessions {
-		victim = e.idle[0]
-		e.idle = e.idle[1:]
-	}
 	e.mu.Unlock()
-	if victim != nil {
-		victim.Close()
-	}
 }
 
 // discard closes a session whose pipeline run failed: a mid-run abort

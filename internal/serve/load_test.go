@@ -36,7 +36,7 @@ func TestServeLoadConcurrentViewers(t *testing.T) {
 		refs[i] = directFrames(t, store, cfg, false)
 	}
 
-	eng := newTestEngine(t, store, serve.EngineConfig{MaxSessions: len(views)})
+	eng := newTestEngine(t, store, serve.EngineConfig{})
 	srv := serve.NewServer(eng, serve.ServerConfig{MaxInFlight: 4})
 	ts := newTestHTTPServer(t, srv)
 
