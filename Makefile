@@ -106,7 +106,8 @@ check: build vet fmtcheck lint test race
 # most a quarter of their raw bytes) rides the same flag; the named alloc-gate pass restates the steady-state zero-
 # allocation guarantees loudly (including PR 5's collective-read and
 # rendered-frame gates, TestReadAllSteadyStateAllocFree and
-# TestRenderFrameAllocFree); the fixed-seed chaos smoke replays PR 6's
+# TestRenderFrameAllocFree, and the solver's TestStepAllocationFree at
+# widths 1 and 2); the fixed-seed chaos smoke replays PR 6's
 # fault-injection suite under the race detector (docs/faults.md),
 # including the chaos-over-net drop/kill pins, and the TestNet leg
 # replays the transport's heal/peer-loss suite the same way; the serve
@@ -131,7 +132,7 @@ ci: check benchsmoke
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestLICStepSpeedupGate' -v ./internal/lic/
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestCollectiveReplaySpeedupGate' -v ./internal/mpiio/
 	REPRO_PERF_ASSERT=1 $(GO) test -run 'TestFig3AdaptiveFasterAndClose' -v ./internal/experiments/
-	$(GO) test -run 'AllocFree|AllocBudget|ArenaReuse' -v ./internal/compositor/ ./internal/render/ ./internal/lic/ ./internal/quadtree/ ./internal/core/ ./internal/mpiio/ ./internal/workers/ ./internal/mpi/
+	$(GO) test -run 'AllocFree|AllocBudget|ArenaReuse|TestStepAllocationFree' -v ./internal/compositor/ ./internal/render/ ./internal/lic/ ./internal/quadtree/ ./internal/core/ ./internal/mpiio/ ./internal/workers/ ./internal/mpi/ ./internal/quake/
 	$(GO) test -race -run 'TestChaos' -count=1 -v ./internal/core/ ./internal/serve/
 	$(GO) test -race -run 'TestNet' -count=1 -v ./internal/mpi/ ./internal/faultinject/
 	$(GO) test -race -run 'TestServeLoad|TestFrameCachePinnedSurvivesEviction|TestServeCacheCountsOnePerRequest' -count=1 -v ./internal/serve/

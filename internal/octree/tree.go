@@ -85,72 +85,83 @@ func (t *Tree) MaxDepth() uint8 {
 // Balance21 enforces the 2:1 rule across all 26 neighbor directions:
 // adjacent leaves differ by at most one level. It returns a new tree;
 // the receiver is unchanged.
+//
+// It sweeps the levels finest first. At level L, the level-(L-1) cell
+// around each neighbor of a level-L leaf must not lie strictly inside a
+// coarser leaf; a binary search of the Key-sorted leaves finds the leaf
+// that holds it, and the sweep then splits every such leaf down to the
+// cells found, in one Key-ordered merge. A sweep only makes leaves coarser
+// than its level, which later sweeps check, and every split it makes is
+// forced by the rule, so the result is the coarsest balanced refinement.
 func (t *Tree) Balance21() *Tree {
-	leafSet := make(map[Cell]bool, len(t.Leaves))
-	for _, c := range t.Leaves {
-		leafSet[c] = true
-	}
-	// find returns the current leaf containing p, probing the levels
-	// outward from near, where it most likely is: the cells containing p
-	// at the different levels nest, and leaves are disjoint, so at most
-	// one level holds it and the order of the probes cannot change which.
-	find := func(p [3]float64, near uint8) (Cell, bool) {
-		for d := 0; d <= MaxLevel; d++ {
-			for _, l := range [2]int{int(near) - d, int(near) + d} {
-				if l < 0 || l > MaxLevel || d == 0 && l != int(near) {
+	leaves := FromLeaves(t.Leaves).Leaves
+	var keys []uint64
+	var need []Cell
+	for level := int(t.MaxDepth()); level >= 2; level-- {
+		keys = keys[:0]
+		for _, c := range leaves {
+			keys = append(keys, c.Key())
+		}
+		need = need[:0]
+		for _, c := range leaves {
+			if int(c.Level) != level {
+				continue
+			}
+			// The parents of c's neighbors: c's parent, and its neighbors
+			// on the sides of it that c touches.
+			p := c.Parent()
+			sx, sy, sz := side(c.X), side(c.Y), side(c.Z)
+			for e := 1; e < 8; e++ {
+				q, ok := p.Neighbor(sx*(e&1), sy*(e>>1&1), sz*(e>>2))
+				if !ok {
 					continue
 				}
-				if c := CellAt(p, uint8(l)); leafSet[c] {
-					return c, true
+				i, found := slices.BinarySearch(keys, q.Key())
+				if !found && i > 0 && leaves[i-1].Contains(q) {
+					need = append(need, q) // inside a leaf coarser than q
 				}
 			}
 		}
-		return Cell{}, false
-	}
-	queue := append([]Cell(nil), t.Leaves...)
-	sort.Slice(queue, func(i, j int) bool { return queue[i].Key() < queue[j].Key() })
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
-		if !leafSet[c] {
-			continue // split since enqueue
+		if len(need) == 0 {
+			continue
 		}
-		if c.Level < 2 {
-			continue // no neighbor can violate 2:1 against level<2
-		}
-		for dz := -1; dz <= 1; dz++ {
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					if dx == 0 && dy == 0 && dz == 0 {
-						continue
-					}
-					nb, ok := c.Neighbor(dx, dy, dz)
-					if !ok {
-						continue
-					}
-					leaf, found := find(nb.Center(), c.Level)
-					if !found {
-						continue
-					}
-					for leaf.Level+1 < c.Level {
-						// Split the too-coarse leaf.
-						delete(leafSet, leaf)
-						for i := 0; i < 8; i++ {
-							ch := leaf.Child(i)
-							leafSet[ch] = true
-							queue = append(queue, ch)
-						}
-						leaf, _ = find(nb.Center(), leaf.Level+1)
-					}
-				}
+		slices.SortFunc(need, func(a, b Cell) int { return cmp.Compare(a.Key(), b.Key()) })
+		need = slices.Compact(need)
+		out, rest := make([]Cell, 0, len(leaves)+7*len(need)), need
+		for _, c := range leaves {
+			k := 0
+			for k < len(rest) && c.Contains(rest[k]) {
+				k++
 			}
+			out = splitDown(out, c, rest[:k])
+			rest = rest[k:]
 		}
+		leaves = out
 	}
-	out := make([]Cell, 0, len(leafSet))
-	for c := range leafSet {
-		out = append(out, c)
+	return &Tree{Leaves: leaves}
+}
+
+// side is -1 for a cell at the low half of its parent along an axis
+// (coordinate x), +1 at the high half.
+func side(x uint32) int { return int(x&1)*2 - 1 }
+
+// splitDown appends c to out, or, when c strictly contains cells of need
+// (Key-sorted, all of one level), the leaves that split c just far enough
+// for each of them to be a leaf, in Key order.
+func splitDown(out []Cell, c Cell, need []Cell) []Cell {
+	if len(need) == 0 || need[0] == c {
+		return append(out, c)
 	}
-	return FromLeaves(out)
+	for i := 0; i < 8; i++ {
+		ch := c.Child(i)
+		k := 0
+		for k < len(need) && ch.Contains(need[k]) {
+			k++
+		}
+		out = splitDown(out, ch, need[:k])
+		need = need[k:]
+	}
+	return out
 }
 
 // Block is a unit of data distribution: the subtree rooted at Root

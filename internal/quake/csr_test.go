@@ -1,9 +1,11 @@
 package quake
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -75,10 +77,22 @@ func equivMeshes(t *testing.T) []*mesh.Mesh {
 // TestCSRStructureMatchesElementAssembly verifies the CSR coefficients with
 // tolerance 0: an independently assembled coefficient map — elements
 // visited in the same order, so the floating-point sums are bit-identical —
-// must contain exactly the blocks the CSR stores, and nothing else.
+// must contain exactly the blocks the CSR stores through its table index,
+// and nothing else. No two table entries may share their 72 bits.
 func TestCSRStructureMatchesElementAssembly(t *testing.T) {
-	for mi, m := range equivMeshes(t) {
+	for mi, m := range append(equivMeshes(t), manyMaterialMesh(t)) {
 		a := buildCSR(m)
+		seen := make(map[[9]uint64]int, len(a.tab))
+		for e, b := range a.tab {
+			var bits [9]uint64
+			for q, v := range b {
+				bits[q] = math.Float64bits(v)
+			}
+			if prev, dup := seen[bits]; dup {
+				t.Fatalf("mesh %d: table entries %d and %d share their bits", mi, prev, e)
+			}
+			seen[bits] = e
+		}
 		type key struct{ i, j int32 }
 		ref := make(map[key]*[9]float64)
 		for ei := range m.Elems {
@@ -118,7 +132,7 @@ func TestCSRStructureMatchesElementAssembly(t *testing.T) {
 				}
 				stored++
 				for c := 0; c < 9; c++ {
-					if got, want := a.val[9*int(k)+c], -blk[c]; got != want {
+					if got, want := a.tab[a.blk[k]][c], -blk[c]; math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("mesh %d: block (%d,%d)[%d] = %v, want %v (must be bit-exact)",
 							mi, i, j, c, got, want)
 					}
@@ -127,6 +141,35 @@ func TestCSRStructureMatchesElementAssembly(t *testing.T) {
 		}
 		if stored != len(ref) {
 			t.Fatalf("mesh %d: CSR stores %d blocks, element assembly has %d", mi, stored, len(ref))
+		}
+	}
+}
+
+// TestBlockIndexInternsByBits: blocks equal as numbers but not as bits
+// (-0 and +0) get separate entries, and every index survives the table's
+// growth.
+func TestBlockIndexInternsByBits(t *testing.T) {
+	in := newBlockIndex()
+	pos, neg := [9]float64{4: 1}, [9]float64{0: math.Copysign(0, -1), 4: 1}
+	if sameBits(&pos, &neg) {
+		t.Fatal("sameBits equates -0 and +0")
+	}
+	if a, b := in.intern(&pos), in.intern(&neg); a == b {
+		t.Fatalf("+0 and -0 blocks share entry %d", a)
+	}
+	const n = 5000 // several doublings of the 1024-slot index
+	idx := make([]int32, n)
+	for i := range idx {
+		b := [9]float64{8: float64(i)}
+		idx[i] = in.intern(&b)
+	}
+	if len(in.tab) != n+2 {
+		t.Fatalf("%d entries for %d distinct blocks", len(in.tab), n+2)
+	}
+	for i, want := range idx {
+		b := [9]float64{8: float64(i)}
+		if got := in.intern(&b); got != want || in.tab[got] != b {
+			t.Fatalf("block %d: index %d after growth, want %d", i, got, want)
 		}
 	}
 }
@@ -161,7 +204,7 @@ func TestCSRMatchesElementwiseApply(t *testing.T) {
 					j := 3 * int(s.K.col[k])
 					for r := 0; r < 3; r++ {
 						for c := 0; c < 3; c++ {
-							absSum += math.Abs(s.K.val[9*k+3*r+c] * x[j+c])
+							absSum += math.Abs(s.K.tab[s.K.blk[k]][3*r+c] * x[j+c])
 						}
 					}
 				}
@@ -178,8 +221,8 @@ func TestCSRMatchesElementwiseApply(t *testing.T) {
 	}
 }
 
-// TestCSRMulVecWorkerInvariant: row-parallel SpMV must be bit-identical for
-// any worker count — this is what makes solver output independent of
+// TestCSRMulVecWorkerInvariant: the row-band SpMV must be bit-identical
+// for any band count — this is what makes solver output independent of
 // GOMAXPROCS, which the golden pipeline test relies on.
 func TestCSRMulVecWorkerInvariant(t *testing.T) {
 	m := smallMesh(t, 4, 2000, mesh.Material{Rho: 2000, Vs: 1000, Vp: 2000})
@@ -192,34 +235,63 @@ func TestCSRMulVecWorkerInvariant(t *testing.T) {
 	}
 	randomizeState(s, 42)
 	ref := make([]float64, 3*s.K.n)
-	s.K.MulVec(ref, s.u, 1)
-	for _, w := range []int{2, 3, 7, 16} {
-		out := make([]float64, 3*s.K.n)
-		s.K.MulVec(out, s.u, w)
+	s.K.mulRange(ref, s.u, 0, s.K.n)
+	for _, w := range []int{1, 2, 3, 7, 16} {
+		s.workers = w
+		s.assembleForces()
 		for i := range ref {
-			if out[i] != ref[i] {
-				t.Fatalf("workers=%d: dof %d differs: %v vs %v", w, i, out[i], ref[i])
+			if s.f[i] != ref[i] {
+				t.Fatalf("workers=%d: dof %d differs: %v vs %v", w, i, s.f[i], ref[i])
 			}
 		}
 	}
 }
 
-// TestStepAllocationFree: the steady-state time loop must not allocate.
+// TestStepAllocationFree: the steady-state time loop must not allocate, at
+// width 1 and at width 2, whose row bands go through the solver's pool.
 func TestStepAllocationFree(t *testing.T) {
-	m := smallMesh(t, 3, 2000, mesh.Material{Rho: 2000, Vs: 1000, Vp: 2000})
+	m := smallMesh(t, 4, 2000, mesh.Material{Rho: 2000, Vs: 1000, Vp: 2000})
 	cfg := DefaultSolverConfig()
 	cfg.DampBeta = 2e-4 // exercise the xbuf path too
-	s, err := NewSolver(m, cfg)
+	for _, w := range []int{1, 2} {
+		t.Run(fmt.Sprintf("width%d", w), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
+			s, err := NewSolver(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.workers != w || (s.pool == nil) != (w == 1) {
+				t.Fatalf("NewSolver at GOMAXPROCS %d: width %d, pool %v", w, s.workers, s.pool != nil)
+			}
+			s.AddSource(PointSource{Node: s.NearestNode([3]float64{0.5, 0.5, 0.5}),
+				Dir: [3]float64{0, 0, 1}, Amplitude: 1e12, Freq: 4})
+			s.Step()
+			if avg := testing.AllocsPerRun(20, s.Step); avg != 0 {
+				t.Errorf("Step allocates %v times per call at steady state, want 0", avg)
+			}
+		})
+	}
+}
+
+// manyMaterialMesh is a uniform-level mesh whose every element has its own
+// material, so most of its blocks are distinct and the table's index grows
+// several times.
+func manyMaterialMesh(t *testing.T) *mesh.Mesh {
+	t.Helper()
+	cfg := mesh.Config{Domain: 2000, FMax: 1e-9, PointsPerWave: 1, MaxLevel: 4, MinLevel: 4}
+	m, err := mesh.Generate(cfg, rampT{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.workers = 1
-	s.AddSource(PointSource{Node: s.NearestNode([3]float64{0.5, 0.5, 0.5}),
-		Dir: [3]float64{0, 0, 1}, Amplitude: 1e12, Freq: 4})
-	s.Step()
-	if avg := testing.AllocsPerRun(20, s.Step); avg != 0 {
-		t.Errorf("Step allocates %v times per call at steady state, want 0", avg)
-	}
+	return m
+}
+
+// rampT varies Vs with every coordinate, so no two cell centers agree.
+type rampT struct{}
+
+func (rampT) At(p [3]float64) mesh.Material {
+	vs := 1000 + 300*p[0] + 70*p[1] + 11*p[2]
+	return mesh.Material{Rho: 2000, Vs: vs, Vp: 1.9 * vs}
 }
 
 // benchSolver builds a mid-sized graded solver for the SpMV benchmark.

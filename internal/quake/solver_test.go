@@ -1,7 +1,9 @@
 package quake
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -234,8 +236,8 @@ func TestSerialAndParallelAssemblyAgree(t *testing.T) {
 	a := mk(1)
 	b := mk(4)
 	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-9*math.Abs(a[i])+1e-15 {
-			t.Fatalf("dof %d differs: serial %v vs parallel %v", i, a[i], b[i])
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("dof %d differs: serial %v vs parallel %v (must be bit-identical)", i, a[i], b[i])
 		}
 	}
 }
@@ -566,4 +568,42 @@ func (s *Solver) MaxDisplacement() float64 {
 		}
 	}
 	return mx
+}
+
+// solverBitPin is the FNV-1a of the float64 bits of u after 40 damped
+// steps on equivMeshes' graded mesh (hanging nodes, DampBeta > 0),
+// recorded before −K was stored as a block table. Any change to one bit
+// of one displacement changes it; the goldens, which hash 8-bit frames,
+// cannot see a 1-ulp change.
+const solverBitPin = 0x2703c5aa20a6d65b
+
+func TestSolverBitPin(t *testing.T) {
+	ms := equivMeshes(t)
+	m := ms[len(ms)-1]
+	cfg := DefaultSolverConfig()
+	cfg.DampBeta = 2e-4
+	for _, w := range []int{1, 2} {
+		s, err := NewSolver(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.workers = w
+		s.AddSource(PointSource{Node: s.NearestNode([3]float64{0.2, 0.3, 0.25}),
+			Dir: [3]float64{1, 0.5, 1}, Amplitude: 1e11, Freq: 2})
+		for i := 0; i < 40; i++ {
+			s.Step()
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		for _, v := range s.u {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		if got := h.Sum64(); got != solverBitPin {
+			t.Errorf("width %d: solver pin %#x, want %#x", w, got, uint64(solverBitPin))
+		}
+		if s.MaxDisplacement() == 0 {
+			t.Fatal("pin source produced no motion")
+		}
+	}
 }
