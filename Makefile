@@ -139,7 +139,7 @@ ci: check benchsmoke
 	$(GO) test -race -run 'TestSetView|TestDatasetShared|TestServeNewViews|TestServeConcurrentViewers' -count=1 -v ./internal/core/ ./internal/serve/
 	GOMAXPROCS=1 $(GO) test -run 'TestGolden|TestScratchReuseInvariant|TestCrossTransport|MatchesSerial|TestCompositeFragmentsStripParallel' -count=1 -v ./internal/core/ ./internal/render/ ./internal/lic/
 	$(GO) test -run 'TestSpawnSmoke' -count=1 -v ./cmd/quakeviz/
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/compositor/ ./internal/lic/ ./internal/render/ ./internal/mpiio/ ./internal/core/ ./internal/workers/ ./internal/mpi/ ./internal/serve/
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/compositor/ ./internal/lic/ ./internal/render/ ./internal/mpiio/ ./internal/core/ ./internal/workers/ ./internal/mpi/ ./internal/serve/ ./internal/quake/
 
 # gatecheck runs every REPRO_PERF_ASSERT gate of the ci target RUNS times
 # (default 10), each run in its own process, and prints each reading's

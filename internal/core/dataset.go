@@ -126,7 +126,12 @@ type gatherPlan struct {
 // processing-time block balance over l's renderers, the read-and-gather plan
 // of l's group parts under opts' read strategy (commitPlan), and the
 // quantization range (one scan of the run's steps unless opts.FixedVMax
-// pins it).
+// pins it). Before it allocates anything per step it confirms that the
+// last step the scan reads exists, so a meta object claiming more steps
+// than the store holds fails naming a missing step. The step-name table
+// covers every step the meta object claims, ~32 B each, and a run that
+// reads none of them yet — under FixedVMax, where steps may not exist
+// until a simulation writes them — still pays that for every claimed step.
 func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -147,6 +152,14 @@ func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 	if opts.MaxSteps > 0 && opts.MaxSteps < d.steps {
 		d.steps = opts.MaxSteps
 	}
+	// The meta object's step count is a claim. The scan reads every step of
+	// the run, so the last one must exist before the count sizes anything:
+	// the step-name table here and the scan's per-step peaks.
+	if opts.FixedVMax <= 0 && d.steps > 0 {
+		if _, err := store.Size(quake.StepObject(d.steps - 1)); err != nil {
+			return nil, fmt.Errorf("core: scanning step %d: %w", d.steps-1, err)
+		}
+	}
 	d.stepNames = make([]string, meta.NumSteps)
 	for t := range d.stepNames {
 		d.stepNames[t] = quake.StepObject(t)
@@ -161,43 +174,22 @@ func NewDataset(l Layout, opts Options, store pfs.Store) (*Dataset, error) {
 	d.blockBD = make([]*render.BlockData, nb)
 	d.blockNodeIDs = make([][]int32, nb)
 	d.blockCornerLocal = make([][][8]int32, nb)
-	zeros := make([]float32, m.NumNodes())
-	// pos[id] is 1 + node id's index in the current block's node list, 0
-	// for a node outside it: filled from the list and cleared again per
-	// block, so a corner's local index is one load.
+	// Each block's tables come from one walk of its leaves
+	// (render.BlockTables): the template BlockData — the static half,
+	// cells and point-location index; each renderer scratch copies it once
+	// and owns its per-frame Vals — and the cells' corner ids, from which
+	// render.CornerNodes takes the node set and the corner→local table.
+	seen := make([]uint64, (m.NumNodes()+63)/64)
 	pos := make([]int32, m.NumNodes())
+	var corners [][8]int32 // the current block's, reused
 	for bi, b := range blocks {
 		d.roots[bi] = b.Root
-		bd, err := render.ExtractBlockData(m, zeros, b, d.level)
-		if err != nil {
+		var bd *render.BlockData
+		if bd, corners, err = render.BlockTables(m, b, d.level, corners[:0]); err != nil {
 			return nil, err
 		}
-		d.blockCells[bi] = bd.Cells
-		// Template: the static half (cells, point-location index). Each
-		// renderer scratch copies it once and owns its per-frame Vals.
-		bd.Vals = nil
-		d.blockBD[bi] = bd
-		ids := render.BlockNodeIDs(m, b, d.level)
-		d.blockNodeIDs[bi] = ids
-		for i, id := range ids {
-			pos[id] = int32(i) + 1
-		}
-		local := make([][8]int32, len(bd.Cells))
-		for ci, corners := range render.BlockCorners(m, b, d.level) {
-			for k, id := range corners {
-				if id < 0 {
-					return nil, fmt.Errorf("core: missing corner node %v of cell %v", mesh.CellCorner(bd.Cells[ci], k), bd.Cells[ci])
-				}
-				if pos[id] == 0 {
-					return nil, fmt.Errorf("core: corner node %d of block %d missing from its node set", id, bi)
-				}
-				local[ci][k] = pos[id] - 1
-			}
-		}
-		for _, id := range ids {
-			pos[id] = 0
-		}
-		d.blockCornerLocal[bi] = local
+		d.blockBD[bi], d.blockCells[bi] = bd, bd.Cells
+		d.blockNodeIDs[bi], d.blockCornerLocal[bi] = render.CornerNodes(corners, seen, pos)
 	}
 
 	// Load balance by workload estimate: a block's cell count.

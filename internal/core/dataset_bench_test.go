@@ -37,7 +37,7 @@ var basinMeshStore = sync.OnceValues(func() (pfs.Store, error) {
 })
 
 // BenchmarkNewDataset times the view-independent set-up every cold start
-// pays, on batch_render's layout and options: mesh read and table rebuild,
+// pays, on batch_render's layout and options: mesh read and table decode,
 // block partition, per-block tables, balance and read plan.
 func BenchmarkNewDataset(b *testing.B) {
 	st, err := basinMeshStore()
@@ -49,6 +49,7 @@ func BenchmarkNewDataset(b *testing.B) {
 	opts.Lighting = true
 	opts.FixedVMax = 1
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewDataset(l, opts, st); err != nil {
 			b.Fatal(err)

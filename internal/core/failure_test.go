@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +85,33 @@ func TestMetaMeshMismatchRejected(t *testing.T) {
 		smallOpts(16, 16), store)
 	if err == nil || !strings.Contains(err.Error(), "nodes") {
 		t.Fatalf("node-count mismatch not caught: %v", err)
+	}
+}
+
+// TestMetaStepClaimBoundsAllocation: a meta object claiming 1<<22 steps
+// over a store that holds two fails naming the last step it claims,
+// before the claim sizes anything. Sized by the claim, the step-name
+// table and the scan's per-step peaks came to 1.3 GB before the scan
+// failed at step 2.
+func TestMetaStepClaimBoundsAllocation(t *testing.T) {
+	store := buildDataset(t, 2)
+	meta, err := quake.ReadMeta(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta.NumSteps = 1 << 22
+	if err := quake.WriteMeta(store, meta); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = NewDataset(Layout{Groups: 1, IPsPerGroup: 1, Renderers: 1, Outputs: 1}, smallOpts(16, 16), store)
+	runtime.ReadMemStats(&after)
+	if want := fmt.Sprintf("scanning step %d", 1<<22-1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err %v, want one mentioning %q", err, want)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+		t.Errorf("refusing the claim allocated %d bytes", grew)
 	}
 }
 

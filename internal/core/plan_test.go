@@ -6,11 +6,17 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/mesh"
+	"repro/internal/octree"
+	"repro/internal/pfs"
 	"repro/internal/quake"
+	"repro/internal/render"
 )
 
 // planStrategies are the three shapes a part plan takes.
@@ -168,4 +174,76 @@ func TestCommitGatherEnforcesCoverage(t *testing.T) {
 		t.Fatalf("interleaved part sets: %v", err)
 	}
 	requirePlanContract(t, "interleaved part sets", d)
+}
+
+// TestBlockTablesMatchExtraction: the per-block tables NewDataset builds
+// in one walk of each block's leaves are the ones render.ExtractBlockData,
+// mesh.CornerIDs and render.BlockNodeIDs give — the template's cells, keys
+// and point-location directory (and no values), each cell's corner ids
+// through the corner→local table, and the block's node set — at every
+// render level from the block level to the mesh depth, on graded,
+// basin-like and random meshes.
+func TestBlockTablesMatchExtraction(t *testing.T) {
+	gen := func(cfg mesh.Config, model mesh.Model) *octree.Tree {
+		m, err := mesh.Generate(cfg, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Tree
+	}
+	rng := rand.New(rand.NewSource(7))
+	trees := map[string]*octree.Tree{
+		"graded": octree.Build(5, func(c octree.Cell) bool {
+			min, _ := c.Bounds()
+			return c.Level < 2 || min[0] < 0.3 && min[1] < 0.3 && min[2] < 0.3
+		}).Balance21(),
+		"basin":  gen(mesh.Config{Domain: 2000, FMax: 2, PointsPerWave: 4, MaxLevel: 5, MinLevel: 2}, benchBasin{}),
+		"random": octree.Build(6, func(c octree.Cell) bool { return c.Level < 1 || rng.Float64() < 0.3 }).Balance21(),
+	}
+	l := Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}
+	for name, tree := range trees {
+		m := mesh.FromTree(tree, 2000, nil)
+		st := pfs.NewMemStore()
+		if err := quake.WriteMesh(st, m); err != nil {
+			t.Fatal(err)
+		}
+		if err := quake.WriteMeta(st, quake.Meta{NumNodes: m.NumNodes(), OutDT: 1}); err != nil {
+			t.Fatal(err)
+		}
+		zeros := make([]float32, m.NumNodes())
+		opts := smallOpts(16, 16)
+		opts.FixedVMax = 1
+		for opts.Level = opts.BlockLevel; opts.Level <= m.Tree.MaxDepth(); opts.Level++ {
+			d, err := NewDataset(l, opts, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for bi, b := range m.Tree.Blocks(opts.BlockLevel) {
+				at := fmt.Sprintf("%s level %d block %v", name, opts.Level, b.Root)
+				want, err := render.ExtractBlockData(m, zeros, b, opts.Level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Vals = nil
+				if !reflect.DeepEqual(d.blockBD[bi], want) || !slices.Equal(d.blockCells[bi], want.Cells) {
+					t.Fatalf("%s: template differs from ExtractBlockData's", at)
+				}
+				ids := d.blockNodeIDs[bi]
+				if wantIDs := render.BlockNodeIDs(m, b, opts.Level); !slices.Equal(ids, wantIDs) {
+					t.Fatalf("%s: node set %v, BlockNodeIDs %v", at, ids, wantIDs)
+				}
+				local := d.blockCornerLocal[bi]
+				if len(local) != len(want.Cells) {
+					t.Fatalf("%s: %d local corner sets for %d cells", at, len(local), len(want.Cells))
+				}
+				for ci, cell := range want.Cells {
+					for k, id := range m.CornerIDs(cell) {
+						if got := ids[local[ci][k]]; got != id {
+							t.Fatalf("%s cell %v: corner %d is node %d, CornerIDs says %d", at, cell, k, got, id)
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -179,7 +179,11 @@ func Fig3(quick bool, imgDir string) (*trace.Table, error) {
 	for i, lvl := range levels {
 		cells := 0
 		for _, b := range m.Tree.Blocks(2) {
-			cells += len(render.BlockCorners(m, b, lvl))
+			bd, _, err := render.BlockTables(m, b, lvl, nil)
+			if err != nil {
+				return nil, err
+			}
+			cells += bd.NumCells()
 		}
 		im, dt := ims[i], dts[i]
 		if i == 0 {

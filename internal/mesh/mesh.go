@@ -10,7 +10,9 @@
 // a hash map: FromTree numbers them in an open-addressing table of ids
 // keyed by the coordinate packed 17 bits an axis, and collects hanging
 // constraints on per-node arrays, so no Go map is on the path every
-// dataset load takes.
+// dataset load takes. A stored mesh carries the node and corner tables
+// FromTree derives, and FromTables checks and indexes them instead of
+// deriving them again.
 package mesh
 
 import (
@@ -163,6 +165,47 @@ func FromTree(tree *octree.Tree, domain float64, model Model) *Mesh {
 	return m
 }
 
+// FromTables builds the mesh FromTree builds for tree from the tables a
+// stored mesh carries: nodes, the node coordinates in first-touch order,
+// and corners(i), the ids of leaf i's eight corners in CellCorner order,
+// asked for once per leaf in leaf order. The mesh keeps nodes and has no
+// materials. It refuses tables FromTree cannot have derived: a corner id
+// out of range, a corner whose node sits elsewhere, ids out of
+// first-touch order (an id above every earlier one but the next), a node
+// no corner names, or two nodes at one coordinate. Tables that pass are
+// FromTree's: a coordinate's first corner must take the next id, since
+// every earlier id sits at a coordinate touched before, and a later
+// corner at it must take the same id, since any other would be a second
+// node there. Hanging constraints are derived as FromTree derives them.
+func FromTables(tree *octree.Tree, domain float64, nodes []GridCoord, corners func(leaf int) [8]int32) (*Mesh, error) {
+	m := &Mesh{Tree: tree, Domain: domain, Nodes: nodes, Elems: make([]Elem, tree.Len())}
+	next := int32(0) // the id the next coordinate touched for the first time takes
+	for li, leaf := range tree.Leaves {
+		e := &m.Elems[li]
+		e.Leaf, e.N = leaf, corners(li)
+		for k, id := range e.N {
+			switch {
+			case id < 0 || int(id) >= len(nodes):
+				return nil, fmt.Errorf("mesh: corner %d of leaf %v names node %d, out of range [0, %d)", k, leaf, id, len(nodes))
+			case id > next:
+				return nil, fmt.Errorf("mesh: corner %d of leaf %v names node %d before node %d (ids out of first-touch order)", k, leaf, id, next)
+			case nodes[id] != CellCorner(leaf, k):
+				return nil, fmt.Errorf("mesh: corner %d of leaf %v is at %v, but its node %d is at %v", k, leaf, CellCorner(leaf, k), id, nodes[id])
+			case id == next:
+				next++
+			}
+		}
+	}
+	if int(next) != len(nodes) {
+		return nil, fmt.Errorf("mesh: node %d of %d is no leaf's corner (unreferenced node)", next, len(nodes))
+	}
+	if id := m.resizeSlots(len(nodes)); id >= 0 {
+		return nil, fmt.Errorf("mesh: nodes %d and %d are both at %v", m.slots[m.probe(nodes[id])]-1, id, nodes[id])
+	}
+	m.findHanging()
+	return m, nil
+}
+
 // hashGrid spreads a grid coordinate over 64 bits: the coordinate packed
 // 17 bits an axis (2^MaxLevel itself is a coordinate), times the 64-bit
 // golden ratio, whose top bits are the home slot (Fibonacci hashing).
@@ -171,22 +214,24 @@ func hashGrid(g GridCoord) uint64 {
 }
 
 // resizeSlots rebuilds the node table with room for n entries at a load of
-// at most one half: a power of two, at least 16, slots.
-func (m *Mesh) resizeSlots(n int) {
+// at most one half: a power of two, at least 16, slots. It returns the
+// first node whose coordinate an earlier node holds, which it leaves out
+// of the table, or -1 when the coordinates are distinct.
+func (m *Mesh) resizeSlots(n int) int32 {
 	bits := uint(4)
 	for 1<<bits < 2*n {
 		bits++
 	}
 	m.slots = make([]int32, 1<<bits)
 	m.shift = uint8(64 - bits)
-	mask := uint64(len(m.slots) - 1)
 	for id, g := range m.Nodes {
-		i := hashGrid(g) >> m.shift
-		for m.slots[i] != 0 {
-			i = (i + 1) & mask
+		i := m.probe(g)
+		if m.slots[i] != 0 {
+			return int32(id)
 		}
 		m.slots[i] = int32(id) + 1
 	}
+	return -1
 }
 
 // probe returns the slot that holds g's node id, or the empty slot it

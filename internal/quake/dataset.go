@@ -1,7 +1,6 @@
 package quake
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -27,7 +26,12 @@ func StepObject(i int) string { return fmt.Sprintf("step_%04d.dat", i) }
 // float32 velocity vector.
 const BytesPerNode = 12
 
-const meshMagic = 0x514b4d4531 // "QKME1"
+// Mesh object magics: QKME2 is the format WriteMesh writes; QKME1, which
+// held the leaves alone, is refused by name.
+const (
+	meshMagic   = 0x514b4d4532 // "QKME2"
+	meshMagicV1 = 0x514b4d4531 // "QKME1"
+)
 
 // Meta describes a written dataset.
 type Meta struct {
@@ -36,38 +40,63 @@ type Meta struct {
 	OutDT    float64 // seconds of simulated time between stored steps
 }
 
-// WriteMesh stores the mesh topology (octree leaves + domain size). Node
-// and element tables are rebuilt deterministically on read.
-func WriteMesh(st pfs.Store, m *mesh.Mesh) error {
-	var buf bytes.Buffer
-	w := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
-	w(uint64(meshMagic))
-	w(m.Domain)
-	w(uint32(m.Tree.Len()))
-	for _, c := range m.Tree.Leaves {
-		w(c.X)
-		w(c.Y)
-		w(c.Z)
-		w(c.Level)
-	}
-	return st.Write(MeshObject, buf.Bytes())
-}
-
-// Mesh object layout: a 20-byte header (magic, domain, leaf count) and one
-// 13-byte record per leaf (X, Y, Z, Level), all little-endian.
+// Mesh object layout, all little-endian: a 24-byte header (magic, domain,
+// leaf count n, node count) followed by three tables — n 13-byte leaf
+// records (X, Y, Z as uint32, Level as a byte) in key order, a 12-byte
+// record per node (its grid coordinate as three uint32) in id order, and n
+// 32-byte corner records (each leaf's eight corner node ids as uint32, in
+// mesh.CellCorner order). The node and corner tables are the ones
+// mesh.FromTree derives from the leaves, so a reader decodes them instead
+// of deriving them again.
 const (
-	meshHeaderBytes = 20
+	meshHeaderBytes = 24
 	meshLeafBytes   = 13
+	meshNodeBytes   = 12
+	meshCornerBytes = 32
 )
 
-// ReadMesh loads and rebuilds the mesh (without materials, which only the
-// solver needs). It refuses an object WriteMesh cannot have written before
-// it builds anything: a size other than the header's leaf count implies,
-// an invalid cell, leaves out of strictly increasing key order, a leaf
-// containing its successor, or leaves that do not tile the unit cube.
-// Leaves in key order, none containing its successor, are disjoint, so
-// their volumes (8^(MaxLevel-level) grid cells each) sum to the cube's
-// exactly when they cover it.
+// WriteMesh stores the mesh: its domain, octree leaves, node coordinates
+// and element corner ids (see the layout above). Materials are not
+// stored; only the solver needs them.
+func WriteMesh(st pfs.Store, m *mesh.Mesh) error {
+	n := len(m.Elems)
+	le := binary.LittleEndian
+	buf := make([]byte, 0, meshHeaderBytes+(meshLeafBytes+meshCornerBytes)*n+meshNodeBytes*len(m.Nodes))
+	buf = le.AppendUint64(buf, meshMagic)
+	buf = le.AppendUint64(buf, math.Float64bits(m.Domain))
+	buf = le.AppendUint32(buf, uint32(n))
+	buf = le.AppendUint32(buf, uint32(len(m.Nodes)))
+	for _, c := range m.Tree.Leaves {
+		buf = le.AppendUint32(buf, c.X)
+		buf = le.AppendUint32(buf, c.Y)
+		buf = le.AppendUint32(buf, c.Z)
+		buf = append(buf, c.Level)
+	}
+	for _, g := range m.Nodes {
+		buf = le.AppendUint32(buf, g[0])
+		buf = le.AppendUint32(buf, g[1])
+		buf = le.AppendUint32(buf, g[2])
+	}
+	for i := range m.Elems {
+		for _, id := range m.Elems[i].N {
+			buf = le.AppendUint32(buf, uint32(id))
+		}
+	}
+	return st.Write(MeshObject, buf)
+}
+
+// ReadMesh loads the mesh (without materials, which only the solver
+// needs). It refuses an object WriteMesh cannot have written before it
+// builds anything: a QKME1 object (regenerate the dataset), a size other
+// than the header's leaf and node counts imply, an invalid cell, leaves
+// out of strictly increasing key order, a leaf containing its successor,
+// or leaves that do not tile the unit cube. Leaves in key order, none
+// containing its successor, are disjoint, so their volumes
+// (8^(MaxLevel-level) grid cells each) sum to the cube's exactly when
+// they cover it. It then decodes the node and corner tables through
+// mesh.FromTables, which refuses any but the ones mesh.FromTree derives
+// from the leaves, builds the node index from the nodes and derives the
+// hanging constraints.
 func ReadMesh(st pfs.Store) (*mesh.Mesh, error) {
 	size, err := st.Size(MeshObject)
 	if err != nil {
@@ -81,13 +110,17 @@ func ReadMesh(st pfs.Store) (*mesh.Mesh, error) {
 		return nil, fmt.Errorf("quake: truncated mesh object (%d bytes)", len(raw))
 	}
 	le := binary.LittleEndian
-	if magic := le.Uint64(raw); magic != meshMagic {
+	switch magic := le.Uint64(raw); magic {
+	case meshMagic:
+	case meshMagicV1:
+		return nil, fmt.Errorf("quake: mesh object is in the QKME1 format, which holds no node or corner tables; regenerate the dataset")
+	default:
 		return nil, fmt.Errorf("quake: bad mesh object (magic %x)", magic)
 	}
 	domain := math.Float64frombits(le.Uint64(raw[8:]))
-	n := int64(le.Uint32(raw[16:]))
-	if want := meshHeaderBytes + meshLeafBytes*n; int64(len(raw)) != want {
-		return nil, fmt.Errorf("quake: mesh object of %d bytes for %d leaves (want %d)", len(raw), n, want)
+	n, nn := int64(le.Uint32(raw[16:])), int64(le.Uint32(raw[20:]))
+	if want := meshHeaderBytes + (meshLeafBytes+meshCornerBytes)*n + meshNodeBytes*nn; int64(len(raw)) != want {
+		return nil, fmt.Errorf("quake: mesh object of %d bytes for %d leaves and %d nodes (want %d)", len(raw), n, nn, want)
 	}
 	leaves := make([]octree.Cell, n)
 	const cube = uint64(1) << (3 * octree.MaxLevel)
@@ -113,41 +146,66 @@ func ReadMesh(st pfs.Store) (*mesh.Mesh, error) {
 	if volume != cube {
 		return nil, fmt.Errorf("quake: mesh leaves cover %d of the %d finest cells of the domain", volume, cube)
 	}
-	return mesh.FromTree(&octree.Tree{Leaves: leaves}, domain, nil), nil
+	nodeRec := raw[meshHeaderBytes+meshLeafBytes*n:]
+	nodes := make([]mesh.GridCoord, nn)
+	for i := range nodes {
+		r := nodeRec[meshNodeBytes*i:]
+		nodes[i] = mesh.GridCoord{le.Uint32(r), le.Uint32(r[4:]), le.Uint32(r[8:])}
+	}
+	cornerRec := nodeRec[meshNodeBytes*nn:]
+	m, err := mesh.FromTables(&octree.Tree{Leaves: leaves}, domain, nodes, func(li int) [8]int32 {
+		r := cornerRec[meshCornerBytes*li:]
+		var ids [8]int32
+		for k := range ids {
+			ids[k] = int32(le.Uint32(r[4*k:]))
+		}
+		return ids
+	})
+	if err != nil {
+		return nil, fmt.Errorf("quake: mesh object: %w", err)
+	}
+	return m, nil
 }
+
+// metaBytes is the meta object's size: the step and node counts as
+// uint32 and the step interval as a float64, little-endian.
+const metaBytes = 16
 
 // WriteMeta stores the dataset metadata.
 func WriteMeta(st pfs.Store, meta Meta) error {
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.LittleEndian, uint32(meta.NumSteps))
-	binary.Write(&buf, binary.LittleEndian, uint32(meta.NumNodes))
-	binary.Write(&buf, binary.LittleEndian, meta.OutDT)
-	return st.Write(MetaObject, buf.Bytes())
+	le := binary.LittleEndian
+	buf := le.AppendUint32(make([]byte, 0, metaBytes), uint32(meta.NumSteps))
+	buf = le.AppendUint32(buf, uint32(meta.NumNodes))
+	return st.Write(MetaObject, le.AppendUint64(buf, math.Float64bits(meta.OutDT)))
 }
 
-// ReadMeta loads the dataset metadata.
+// ReadMeta loads the dataset metadata. It refuses an object WriteMeta
+// cannot have written for a dataset — a size other than 16 bytes, a step
+// interval that is not finite and positive, or no nodes — and every error
+// it returns, the store's included, begins "quake: bad meta object". The
+// step count is a claim no step object backs yet: a reader confirms a
+// step exists before it sizes anything by the count.
 func ReadMeta(st pfs.Store) (Meta, error) {
 	size, err := st.Size(MetaObject)
 	if err != nil {
-		return Meta{}, err
-	}
-	raw := make([]byte, size)
-	if err := st.ReadAt(nil, MetaObject, 0, raw); err != nil {
-		return Meta{}, err
-	}
-	r := bytes.NewReader(raw)
-	var ns, nn uint32
-	var dt float64
-	if err := binary.Read(r, binary.LittleEndian, &ns); err != nil {
 		return Meta{}, fmt.Errorf("quake: bad meta object: %w", err)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &nn); err != nil {
-		return Meta{}, err
+	if size != metaBytes {
+		return Meta{}, fmt.Errorf("quake: bad meta object: %d bytes, want %d", size, metaBytes)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &dt); err != nil {
-		return Meta{}, err
+	raw := make([]byte, metaBytes)
+	if err := st.ReadAt(nil, MetaObject, 0, raw); err != nil {
+		return Meta{}, fmt.Errorf("quake: bad meta object: %w", err)
 	}
-	return Meta{NumSteps: int(ns), NumNodes: int(nn), OutDT: dt}, nil
+	le := binary.LittleEndian
+	meta := Meta{NumSteps: int(le.Uint32(raw)), NumNodes: int(le.Uint32(raw[4:])), OutDT: math.Float64frombits(le.Uint64(raw[8:]))}
+	if !(meta.OutDT > 0) || math.IsInf(meta.OutDT, 1) {
+		return Meta{}, fmt.Errorf("quake: bad meta object: step interval %v s", meta.OutDT)
+	}
+	if meta.NumNodes == 0 {
+		return Meta{}, fmt.Errorf("quake: bad meta object: no nodes")
+	}
+	return meta, nil
 }
 
 // EncodeStep packs a velocity field into the step-file byte layout.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/mesh"
 	"repro/internal/octree"
@@ -496,60 +497,95 @@ func ExtractBlockDataInto(bd *BlockData, m *mesh.Mesh, scalar []float32, block o
 	return nil
 }
 
-// BlockCorners returns the corner node ids, in mesh.CellCorner order, of
-// every cell ExtractBlockData extracts from the block at the given level,
-// in its cell order: a leaf's are its element's nodes, a coarsened cell's
-// its CornerIDs (-1 where the mesh has no node).
-func BlockCorners(m *mesh.Mesh, block octree.Block, level uint8) [][8]int32 {
-	if level < block.Root.Level {
-		level = block.Root.Level
-	}
-	out := make([][8]int32, 0, len(block.Leaves))
-	var lastKey uint64
-	for i, li := range block.Leaves {
+// BlockTables builds the static half of the block's BlockData at the
+// given level — the cells, keys and point-location directory
+// ExtractBlockData builds, with no Vals — and appends to corners each
+// cell's corner node ids in mesh.CellCorner order, returning both. It is
+// one walk of the block's leaves, so a coarsened cell's corners are looked
+// up once (CornerIDs; a leaf's are its element's). A corner the mesh has
+// no node for is an error.
+func BlockTables(m *mesh.Mesh, block octree.Block, level uint8, corners [][8]int32) (*BlockData, [][8]int32, error) {
+	bd := &BlockData{Root: block.Root}
+	level = max(level, block.Root.Level) // cells cannot be coarser than the block
+	for _, li := range block.Leaves {
 		leaf := m.Tree.Leaves[li]
 		cell := leaf
 		if leaf.Level > level {
 			cell = leaf.AncestorAt(level)
 		}
-		if k := cell.Key(); i > 0 && k == lastKey {
-			continue // consecutive leaves of the same coarsened cell
-		} else {
-			lastKey = k
+		k := cell.Key()
+		if n := len(bd.keys); n > 0 {
+			if k == bd.keys[n-1] {
+				continue // consecutive leaves of the same coarsened cell
+			}
+			if k < bd.keys[n-1] {
+				return nil, nil, fmt.Errorf("render: block leaves out of key order at cell %v", cell)
+			}
 		}
-		if cell == leaf {
-			out = append(out, m.Elems[li].N)
-		} else {
-			out = append(out, m.CornerIDs(cell))
+		ids := m.Elems[li].N
+		if cell != leaf {
+			ids = m.CornerIDs(cell)
+			if i := slices.Index(ids[:], -1); i >= 0 {
+				return nil, nil, fmt.Errorf("render: missing corner node %v for cell %v", mesh.CellCorner(cell, i), cell)
+			}
+		}
+		bd.Cells = append(bd.Cells, cell)
+		bd.keys = append(bd.keys, k)
+		bd.finest = max(bd.finest, cell.Level)
+		corners = append(corners, ids)
+	}
+	bd.buildDir()
+	bd.indexed = true
+	return bd, corners, nil
+}
+
+// CornerNodes returns the sorted node ids corners name and, for each
+// cell, its corners' indexes in that list: the block's node set and its
+// corner→local table. seen is a bitset over the mesh's nodes, all clear,
+// and is left clear; pos is scratch, one entry per node, each set from the
+// list before a corner reads it, so never cleared. A caller building many
+// blocks' tables passes the same two to each.
+func CornerNodes(corners [][8]int32, seen []uint64, pos []int32) (ids []int32, local [][8]int32) {
+	lo, hi, n := len(seen), 0, 0 // the words marked, and the ids
+	for i := range corners {
+		for _, id := range corners[i] {
+			if w, b := int(id/64), uint64(1)<<(id%64); seen[w]&b == 0 {
+				seen[w] |= b
+				lo, hi, n = min(lo, w), max(hi, w+1), n+1
+			}
 		}
 	}
-	return out
+	ids = make([]int32, 0, n)
+	for w := lo; w < hi; w++ {
+		for word := seen[w]; word != 0; word &= word - 1 {
+			id := int32(64*w + bits.TrailingZeros64(word))
+			pos[id] = int32(len(ids))
+			ids = append(ids, id)
+		}
+		seen[w] = 0
+	}
+	local = make([][8]int32, len(corners))
+	for ci := range corners {
+		for k, id := range corners[ci] {
+			local[ci][k] = pos[id]
+		}
+	}
+	return ids, local
 }
 
 // BlockNodeIDs returns the sorted unique node ids needed to extract the
-// block at the given level — the read set used for adaptive fetching with
-// MPI-IO indexed reads. A corner the mesh has no node for is skipped. The
-// ids are marked in a bitset over the mesh's nodes and read back in order,
-// so nothing is sorted.
+// block at the given level — the read set of adaptive fetching with MPI-IO
+// indexed reads — from BlockTables' corners through CornerNodes, as
+// core.NewDataset derives it. Where BlockTables fails — leaves out of key
+// order, or a corner the mesh has no node for, neither of which a block of
+// m.Tree has — it panics.
+//
+//repro:allow deadexport: bench
 func BlockNodeIDs(m *mesh.Mesh, block octree.Block, level uint8) []int32 {
-	seen := make([]uint64, (m.NumNodes()+63)/64)
-	n := 0
-	for _, c := range BlockCorners(m, block, level) {
-		for _, id := range c {
-			if id < 0 {
-				continue
-			}
-			if w, b := id/64, uint64(1)<<(id%64); seen[w]&b == 0 {
-				seen[w] |= b
-				n++
-			}
-		}
+	_, corners, err := BlockTables(m, block, level, nil)
+	if err != nil {
+		panic(err)
 	}
-	ids := make([]int32, 0, n)
-	for w, word := range seen {
-		for ; word != 0; word &= word - 1 {
-			ids = append(ids, int32(64*w+bits.TrailingZeros64(word)))
-		}
-	}
+	ids, _ := CornerNodes(corners, make([]uint64, (m.NumNodes()+63)/64), make([]int32, m.NumNodes()))
 	return ids
 }

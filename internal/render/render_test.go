@@ -2,6 +2,7 @@ package render
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -208,30 +209,48 @@ func TestBlockNodeIDsShrinkWithLevel(t *testing.T) {
 }
 
 // TestBlockCornersMatchExtraction: on a graded mesh at every level,
-// BlockCorners names each extracted cell's corners as CornerIDs does (a
-// leaf's through its element), and BlockNodeIDs is their sorted set.
+// BlockTables builds the template ExtractBlockData builds (no values) and
+// names each cell's corners as CornerIDs does (a leaf's through its
+// element), and CornerNodes' node set is their sorted set, its local table
+// indexing each corner in it, as BlockNodeIDs returns it.
 func TestBlockCornersMatchExtraction(t *testing.T) {
 	m := gradedRenderMesh(t)
+	seen, pos := make([]uint64, (m.NumNodes()+63)/64), make([]int32, m.NumNodes())
 	for level := uint8(0); level <= m.Tree.MaxDepth(); level++ {
 		for _, b := range m.Tree.Blocks(1) {
-			bd, err := ExtractBlockData(m, make([]float32, m.NumNodes()), b, level)
+			want, err := ExtractBlockData(m, make([]float32, m.NumNodes()), b, level)
 			if err != nil {
 				t.Fatal(err)
 			}
-			corners := BlockCorners(m, b, level)
+			want.Vals = nil
+			bd, corners, err := BlockTables(m, b, level, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(bd, want) {
+				t.Fatalf("level %d block %v: template differs from ExtractBlockData's", level, b.Root)
+			}
 			if len(corners) != len(bd.Cells) {
 				t.Fatalf("level %d block %v: %d corner sets for %d cells", level, b.Root, len(corners), len(bd.Cells))
 			}
-			var ids []int32
+			var all []int32
 			for i, cell := range bd.Cells {
 				if want := m.CornerIDs(cell); corners[i] != want {
 					t.Fatalf("level %d cell %v: corners %v, want %v", level, cell, corners[i], want)
 				}
-				ids = append(ids, corners[i][:]...)
+				all = append(all, corners[i][:]...)
 			}
-			slices.Sort(ids)
-			if got := BlockNodeIDs(m, b, level); !slices.Equal(got, slices.Compact(ids)) {
-				t.Fatalf("level %d block %v: BlockNodeIDs %v, want %v", level, b.Root, got, ids)
+			slices.Sort(all)
+			ids, local := CornerNodes(corners, seen, pos)
+			if !slices.Equal(ids, slices.Compact(all)) || !slices.Equal(BlockNodeIDs(m, b, level), ids) {
+				t.Fatalf("level %d block %v: node set %v, want %v", level, b.Root, ids, all)
+			}
+			for i := range corners {
+				for k, id := range corners[i] {
+					if ids[local[i][k]] != id {
+						t.Fatalf("level %d cell %v: local corner %d names node %d, want %d", level, bd.Cells[i], k, ids[local[i][k]], id)
+					}
+				}
 			}
 		}
 	}
