@@ -114,8 +114,9 @@ check: build vet fmtcheck lint test race
 # legs replay the frame server's load suite (bit-exactness + hit-rate +
 # zero-alloc warm path), its pin-lifetime and lookup-count pins, and chaos suite (degraded serving, shedding,
 # drain, leak checks) under the race detector (docs/serve.md); the
-# SetView/shared-Dataset leg replays the re-aim exactness suite and the
-# concurrent-sessions-on-one-Dataset pins the same way; the -benchtime 1x
+# SetView/shared-Dataset leg replays the re-aim exactness suite, the
+# concurrent-sessions-on-one-Dataset pins and the frame-store suite (frames
+# read while later steps are assembled) the same way; the -benchtime 1x
 # smoke run compiles and executes every hot-kernel benchmark once so they
 # cannot bit-rot; and benchsmoke does the same for the nested quakebench
 # module. The GOMAXPROCS=1 leg replays the golden, worker/layout-invariance,
@@ -136,7 +137,7 @@ ci: check benchsmoke
 	$(GO) test -race -run 'TestChaos' -count=1 -v ./internal/core/ ./internal/serve/
 	$(GO) test -race -run 'TestNet' -count=1 -v ./internal/mpi/ ./internal/faultinject/
 	$(GO) test -race -run 'TestServeLoad|TestFrameCachePinnedSurvivesEviction|TestServeCacheCountsOnePerRequest' -count=1 -v ./internal/serve/
-	$(GO) test -race -run 'TestSetView|TestDatasetShared|TestServeNewViews|TestServeConcurrentViewers' -count=1 -v ./internal/core/ ./internal/serve/
+	$(GO) test -race -run 'TestSetView|TestDatasetShared|TestFrameStore|TestServeNewViews|TestServeConcurrentViewers' -count=1 -v ./internal/core/ ./internal/serve/
 	GOMAXPROCS=1 $(GO) test -run 'TestGolden|TestScratchReuseInvariant|TestCrossTransport|MatchesSerial|TestCompositeFragmentsStripParallel' -count=1 -v ./internal/core/ ./internal/render/ ./internal/lic/
 	$(GO) test -run 'TestSpawnSmoke' -count=1 -v ./cmd/quakeviz/
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/compositor/ ./internal/lic/ ./internal/render/ ./internal/mpiio/ ./internal/core/ ./internal/workers/ ./internal/mpi/ ./internal/serve/ ./internal/quake/
@@ -159,6 +160,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzCompositeRLEStream$$' -fuzztime=30s ./internal/compositor/
 	$(GO) test -run='^$$' -fuzz='^FuzzCompositeRLEGarbage$$' -fuzztime=30s ./internal/compositor/
 	$(GO) test -run='^$$' -fuzz='^FuzzPasteRLE$$' -fuzztime=30s ./internal/compositor/
+	$(GO) test -run='^$$' -fuzz='^FuzzStitchRLE$$' -fuzztime=30s ./internal/compositor/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeStripPayload$$' -fuzztime=30s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeDataPayload$$' -fuzztime=30s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzMagQuant$$' -fuzztime=30s ./internal/core/

@@ -258,14 +258,20 @@ func runRank(p *core.Pipeline, cfg mpi.NetConfig, tolerate bool) (float64, error
 // writeFrames writes one PNG per frame this process assembled into dir, and
 // with gifPath set an animation of them, and returns how many it wrote.
 // Frames assembled in another rank's process are not here and are skipped.
+// Each frame is released once written and quantized into the animation,
+// so one frame canvas serves them all.
 func writeFrames(w *core.RealWorkload, dir, gifPath string) int {
-	var frames []*img.Image
+	var anim *img.AnimGIF
+	if gifPath != "" {
+		anim = img.NewAnimGIF(12)
+	}
+	wrote := 0
 	for t := 0; t < w.Steps(); t++ {
 		frame := w.Frame(t)
 		if frame == nil {
 			continue
 		}
-		if len(frames) == 0 {
+		if wrote == 0 {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				log.Fatal(err)
 			}
@@ -278,25 +284,26 @@ func writeFrames(w *core.RealWorkload, dir, gifPath string) int {
 			log.Fatal(err)
 		}
 		f.Close()
-		frames = append(frames, frame)
-		if gifPath == "" {
-			// Frame written out: release its canvas to the frame ring (the
-			// GIF path still needs every frame).
-			w.ReleaseFrame(t)
+		if anim != nil {
+			if err := anim.Add(frame); err != nil {
+				log.Fatal(err)
+			}
 		}
+		w.ReleaseFrame(t)
+		wrote++
 	}
-	if gifPath != "" && len(frames) > 0 {
+	if anim != nil && wrote > 0 {
 		f, err := os.Create(gifPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := img.WriteAnimGIF(f, frames, 12); err != nil {
+		if err := anim.Encode(f); err != nil {
 			log.Fatal(err)
 		}
 		f.Close()
 		log.Printf("animation -> %s", gifPath)
 	}
-	return len(frames)
+	return wrote
 }
 
 // retryStore is where -tolerate reaches storage: with it, reads go through

@@ -6,6 +6,7 @@ package compositor
 // must survive bit-for-bit (including NaN and denormal channel values).
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -206,6 +207,138 @@ func FuzzDecodeRLE(f *testing.F) {
 		m, err := DecodeRLE(data, w, h)
 		if err == nil && (m.W != w || m.H != h || len(m.Pix) != 4*w*h) {
 			t.Fatalf("decoded image has wrong shape %dx%d", m.W, m.H)
+		}
+	})
+}
+
+// FuzzStitchRLE stitches a random layout of strips into one frame-wide
+// stream (Stitch) and checks it against two things. First, the stream
+// decoded through the reference decoder (DecodeRLE), and pasted over a
+// cleared frame as a reader of the frame pastes it (PasteRLE over every
+// row), equals, in every float bit, the frame each accepted strip makes
+// when pasted into a cleared canvas. Second, the stitcher refuses exactly
+// what pasting refuses — a stream PasteRLE refuses, a raw canvas that is
+// not w×H, rows outside the frame — plus a strip with rows that starts
+// above the last row already stitched: out of order, or overlapping. A
+// refused strip appends nothing, and the strips after it still go in.
+//
+// The first strip is FuzzPasteRLE's case — a w×h strip at row y0 of a
+// w×(h+4) frame with the stream data, and the seeds include that fuzzer's
+// corpus. The rest come from more, four bytes a strip: its Y0 and H as
+// signed bytes, its kind (a stream of the next bytes as they are, a stream
+// EncodeRLEInto made of a canvas they light, that canvas raw, or a raw
+// canvas one pixel too long), and how many bytes follow. A canvas lights
+// pixel p with byte p's bits in all four channels when the byte is not 0,
+// and leaves it +0 otherwise: a transparent raw pixel is +0, as every
+// pixel at alpha 0 of a volume frame is.
+func FuzzStitchRLE(f *testing.F) {
+	f.Add(2, 2, 1, []byte{}, []byte{})
+	f.Add(2, 2, 0, []byte{1, 0, 0, 0, 200, 0, 0, 0}, []byte{}) // run overflows the strip
+	f.Add(1, 1, 2, []byte{0, 0, 0, 0, 1, 0, 0, 0, 1, 2, 3}, []byte{})
+	f.Add(3, 3, 1, []byte{255, 255, 255, 255, 1, 0, 0, 0}, []byte{}) // huge skip
+	f.Add(2, 1, 0, []byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0x80, 0x3f, 0, 0, 0, 0, 0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0x3f}, []byte{})
+	f.Add(2, 3, 3, []byte{}, []byte{})  // strip rows past the frame's last
+	f.Add(2, 3, -1, []byte{}, []byte{}) // strip rows before its first
+	// A lit strip, a gap of missing rows, then an encoded and a raw strip.
+	lit := []byte{1, 0, 0, 0, 2, 0, 0, 0}
+	lit = append(lit, bytes.Repeat([]byte{0, 0, 0x80, 0x3f}, 8)...)
+	f.Add(3, 2, 0, lit, []byte{3, 1, 1, 3, 0, 7, 9, 4, 2, 2, 6, 0, 0, 5, 0, 5})
+	f.Add(4, 3, 1, lit, []byte{0, 1, 2, 2, 9, 9})                   // above the first strip: out of order
+	f.Add(4, 3, 1, lit, []byte{2, 2, 1, 4, 1, 0, 0, 1})             // overlapping the first strip
+	f.Add(4, 3, 1, lit, []byte{4, 2, 3, 3, 1, 1, 1})                // a raw canvas one pixel too long
+	f.Add(4, 3, 1, lit, []byte{4, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0}) // a rowless strip, a (0, 0) record
+	f.Fuzz(func(t *testing.T, w, h, y0 int, data, more []byte) {
+		w, h, y0 = w%16, h%16, y0%8
+		if w <= 0 || h < 0 {
+			t.Skip()
+		}
+		fh := h + 4
+		type strip struct {
+			st   Strip
+			raw  bool
+			pix  []float32
+			data []byte
+		}
+		layout := []strip{{st: Strip{Y0: y0, H: h}, data: data}}
+		for len(more) >= 4 && len(layout) < 12 {
+			sy, sh, kind := int(int8(more[0]))%8, int(int8(more[1]))%8, more[2]%4
+			body := more[4:min(len(more), 4+int(more[3]))]
+			more = more[4+len(body):]
+			if kind == 0 {
+				layout = append(layout, strip{st: Strip{Y0: sy, H: sh}, data: body})
+				continue
+			}
+			n := w * max(sh, 0)
+			if kind == 3 {
+				n++
+			}
+			m := &img.Image{W: w, H: max(sh, 0), Pix: make([]float32, 4*n)}
+			for p := 0; p < n && p < len(body); p++ {
+				if b := body[p]; b != 0 {
+					v := math.Float32frombits(uint32(b) * 0x01010101)
+					copy(m.Pix[4*p:4*p+4], []float32{v, v, v, v})
+				}
+			}
+			if kind == 1 {
+				layout = append(layout, strip{st: Strip{Y0: sy, H: sh}, data: EncodeRLEInto(nil, m)})
+			} else {
+				layout = append(layout, strip{st: Strip{Y0: sy, H: sh}, raw: true, pix: m.Pix})
+			}
+		}
+
+		want := img.New(w, fh)
+		s := NewStitch(w, fh)
+		var stream []byte
+		next := 0 // where the accepted strips with rows end
+		for k, sp := range layout {
+			st := sp.st
+			inside := st.Y0 >= 0 && st.H >= 0 && st.Y0+st.H <= fh
+			inOrder := st.H == 0 || st.Y0 >= next
+			var accept bool
+			var rows *img.Image
+			var err error
+			before := len(stream)
+			if sp.raw {
+				accept = st.H == 0 || (inside && inOrder && len(sp.pix) == 4*w*st.H)
+				rows = &img.Image{W: w, H: max(st.H, 0), Pix: sp.pix}
+				stream, err = s.AppendRaw(stream, st, sp.pix)
+			} else {
+				pasteErr := PasteRLE(img.New(w, fh), st, sp.data)
+				accept = pasteErr == nil && inOrder
+				if accept {
+					if rows, err = DecodeRLE(sp.data, w, st.H); err != nil {
+						t.Fatalf("strip %d: PasteRLE accepted a stream DecodeRLE refuses: %v", k, err)
+					}
+				}
+				stream, err = s.AppendRLE(stream, st, sp.data)
+			}
+			if (err == nil) != accept {
+				t.Fatalf("strip %d %+v (raw %v): stitch error %v, want accepted=%v", k, st, sp.raw, err, accept)
+			}
+			if !accept {
+				if len(stream) != before {
+					t.Fatalf("strip %d: refused, but the stream grew from %d to %d bytes", k, before, len(stream))
+				}
+				continue
+			}
+			if st.H > 0 {
+				copy(want.Pix[4*st.Y0*w:], rows.Pix[:4*w*st.H])
+				next = st.Y0 + st.H
+			}
+		}
+		got, err := DecodeRLE(stream, w, fh)
+		if err != nil {
+			t.Fatalf("the stitched stream does not decode: %v", err)
+		}
+		read := img.New(w, fh)
+		if err := PasteRLE(read, Strip{H: fh}, stream); err != nil {
+			t.Fatalf("the stitched stream does not paste over its frame: %v", err)
+		}
+		for i := range want.Pix {
+			wb := math.Float32bits(want.Pix[i])
+			if g, r := math.Float32bits(got.Pix[i]), math.Float32bits(read.Pix[i]); g != wb || r != wb {
+				t.Fatalf("float %d: decoded bits %08x, pasted %08x, strips pasted one by one %08x", i, g, r, wb)
+			}
 		}
 	})
 }

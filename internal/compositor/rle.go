@@ -39,33 +39,52 @@ func rleSize(pix []float32, n int) int {
 
 // encodeRLE compresses the first n RGBA pixels of pix by eliding runs of
 // fully transparent pixels: the stream is a sequence of (skip, count,
-// count*16 bytes of pixels) records walking the image in row-major order.
-// It encodes into dst's storage (its contents are ignored; nil allocates)
-// in one pass — the steady-state path of the compositing loop, which
-// allocates nothing and sizes nothing once dst has grown to size. Only a
-// record that does not fit grows the buffer, and then to the exact size of
-// the whole stream (the records written so far, this one, and rleSize of
-// the pixels after it, where the next record starts afresh), so a frame
-// loop never carries append slack and no append below reallocates. The
-// words are appended rather than put at an index: on amd64 that measured
-// faster.
+// count*16 bytes of pixels) records walking the image in row-major order,
+// the last one a (skip, 0) record when the pixels end transparent. It
+// encodes into dst's storage (its contents are ignored; nil allocates) in
+// one pass — the steady-state path of the compositing loop, which
+// allocates nothing and sizes nothing once dst has grown to size (see
+// appendRLE for how it grows).
 func encodeRLE(dst []byte, pix []float32, n int) []byte {
-	dst = dst[:0]
-	i := 0
-	for i < n {
-		skip := 0
+	dst, trail := appendRLE(dst[:0], pix, n, 0)
+	if trail == 0 {
+		return dst
+	}
+	if len(dst)+8 > cap(dst) {
+		grown := make([]byte, len(dst), len(dst)+8)
+		copy(grown, dst)
+		dst = grown
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(trail))
+	return binary.LittleEndian.AppendUint32(dst, 0)
+}
+
+// appendRLE appends encodeRLE's records of the first n pixels of pix to
+// dst, with two differences that let streams be joined: the first
+// record's skip also counts lead transparent pixels before pix, and the
+// transparent pixels after the last lit one get no record — their count
+// is returned as trail, for the caller to carry into the skip of whatever
+// record comes next. Only a record that does not fit grows the buffer, and
+// then to the exact size of the records written so far, this one, and
+// rleSize of the pixels after it (where the next record starts afresh), so
+// a frame loop never carries append slack and no append below reallocates.
+// The words are appended rather than put at an index: on amd64 that
+// measured faster.
+func appendRLE(dst []byte, pix []float32, n, lead int) ([]byte, int) {
+	i, skip := 0, lead
+	for {
 		for i < n && pix[4*i+3] == 0 {
 			i++
 			skip++
+		}
+		if i == n {
+			return dst, skip
 		}
 		j := i
 		for j < n && pix[4*j+3] != 0 {
 			j++
 		}
 		run := j - i
-		if skip == 0 && run == 0 {
-			break
-		}
 		if end := len(dst) + 8 + 16*run; end > cap(dst) {
 			grown := make([]byte, len(dst), end+rleSize(pix[4*j:], n-j))
 			copy(grown, dst)
@@ -76,9 +95,8 @@ func encodeRLE(dst []byte, pix []float32, n int) []byte {
 		for _, v := range pix[4*i : 4*j] {
 			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
 		}
-		i = j
+		i, skip = j, 0
 	}
-	return dst
 }
 
 // EncodeRLEInto is encodeRLE over a whole image: the stream PasteRLE reads
@@ -144,6 +162,108 @@ func PasteRLE(dst *img.Image, st Strip, data []byte) error {
 		i = start + run
 	}
 	return nil
+}
+
+// Stitch joins the strips of one w×h frame into one frame-wide run-length
+// stream, appended strip by strip in row order: the form an assembled frame
+// is kept in until its pixels are read. Over a cleared frame,
+// PasteRLE(frame, Strip{H: h}, stream) then puts back exactly what pasting
+// each accepted strip would, provided every pixel a raw strip holds at
+// alpha 0 is +0 in all four channels (the stream drops those pixels, as a
+// compressed strip already has). The transparent pixels between records
+// are carried across strips, so a gap between strips — a missing strip's
+// rows — costs nothing. A strip is refused, and nothing appended, when it
+// does not fit the frame, when its stream does not fit the strip (the
+// checks PasteRLE makes, through rleRecord), or when it has rows and
+// starts above the last row already appended: strips must come sorted by
+// Y0, and two strips must not overlap. A refused strip leaves the stitch
+// where it was, so the strips after it still go in.
+type Stitch struct {
+	w, h  int
+	next  int // the first row a strip with rows may start at
+	carry int // transparent pixels since the last record appended
+}
+
+// NewStitch starts the stream of a w×h frame.
+func NewStitch(w, h int) Stitch { return Stitch{w: w, h: h} }
+
+// place checks that st lies inside the frame and, when it has rows, at or
+// below the rows already appended; it returns the transparent pixels to
+// put before st's first one.
+func (s *Stitch) place(st Strip) (lead int, err error) {
+	if st.Y0 < 0 || st.H < 0 || st.Y0 > s.h || st.H > s.h-st.Y0 {
+		return 0, fmt.Errorf("compositor: strip rows [%d, %d) outside a %d-row frame", st.Y0, st.Y0+st.H, s.h)
+	}
+	if st.H > 0 && st.Y0 < s.next {
+		return 0, fmt.Errorf("compositor: strip rows [%d, %d) start above row %d, where the strips before them end", st.Y0, st.Y0+st.H, s.next)
+	}
+	return s.carry + (st.Y0-s.next)*s.w, nil
+}
+
+// AppendRaw appends the lit pixels of a strip canvas — st.H rows of w
+// pixels, row-major — to dst and returns it, encoding them straight from
+// pix (appendRLE). A rowless strip appends nothing and is not checked,
+// like a raw copy of no rows; a canvas of another size is refused.
+func (s *Stitch) AppendRaw(dst []byte, st Strip, pix []float32) ([]byte, error) {
+	if st.H == 0 {
+		return dst, nil
+	}
+	lead, err := s.place(st)
+	if err != nil {
+		return dst, err
+	}
+	if len(pix) != 4*s.w*st.H {
+		return dst, fmt.Errorf("compositor: raw strip rows [%d, %d) hold %d floats, want a %dx%d canvas", st.Y0, st.Y0+st.H, len(pix), s.w, st.H)
+	}
+	dst, s.carry = appendRLE(dst, pix, s.w*st.H, lead)
+	s.next = st.Y0 + st.H
+	return dst, nil
+}
+
+// AppendRLE appends the records of an EncodeRLEInto stream over st's rows
+// to dst and returns it: each record's pixels copied as they are, its skip
+// rebased onto the frame, and records without pixels folded into the skip
+// of the next one. The stream is validated whole before anything is
+// appended, as PasteRLE validates it.
+func (s *Stitch) AppendRLE(dst []byte, st Strip, data []byte) ([]byte, error) {
+	lead, err := s.place(st)
+	if err != nil {
+		return dst, err
+	}
+	n := s.w * st.H
+	for pos, i := 0, 0; pos < len(data); {
+		start, run, err := rleRecord(data, pos, i, n)
+		if err != nil {
+			return dst, err
+		}
+		pos += 8 + 16*run
+		i = start + run
+	}
+	if st.H == 0 {
+		return dst, nil
+	}
+	// The stitched records are at most the stream's, each as long.
+	if need := len(dst) + len(data); need > cap(dst) {
+		grown := make([]byte, len(dst), need)
+		copy(grown, dst)
+		dst = grown
+	}
+	carry, i := lead, 0
+	for pos := 0; pos < len(data); {
+		skip := int(binary.LittleEndian.Uint32(data[pos:]))
+		run := int(binary.LittleEndian.Uint32(data[pos+4:]))
+		carry += skip
+		if run > 0 {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(carry))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(run))
+			dst = append(dst, data[pos+8:pos+8+16*run]...)
+			carry = 0
+		}
+		pos += 8 + 16*run
+		i += skip + run
+	}
+	s.carry, s.next = carry+n-i, st.Y0+st.H
+	return dst, nil
 }
 
 // RawBytes is the uncompressed wire size of an image.

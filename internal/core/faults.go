@@ -43,9 +43,10 @@ func (w *RealWorkload) account(faults, retries int, stale bool) {
 
 // FrameDegraded reports whether timestep t's frame was built from degraded
 // input: a stale-data fallback share, a refused or missing piece or strip,
-// a partial composite, or a dropped LIC underlay. Valid once the frame
-// exists (Frame(t) != nil), in the process that assembled it; consumers
-// use it to tag or skip frames that do not reflect step t's true data.
+// a partial composite, or a dropped LIC underlay. Valid once step t is
+// assembled, in the process that assembled it, whether or not the frame
+// has been read; consumers use it to tag or skip frames that do not
+// reflect step t's true data.
 func (w *RealWorkload) FrameDegraded(t int) bool {
 	w.framesMu.Lock()
 	defer w.framesMu.Unlock()

@@ -6,38 +6,31 @@ import (
 	"repro/internal/img"
 )
 
-// FrameRing recycles assembled output frames, closing the last per-step
-// allocation of the output stage. Assemble acquires a canvas per timestep;
-// the frame then lives in the workload's frame table until a consumer
-// releases it (ReleaseFrame), which returns the canvas to the ring. A
-// consumer that releases frames as it uses them keeps the ring at its initial depth — sized to the prefetch
-// window, since that bounds how many frames are in flight at once — and the
-// steady-state assemble allocates nothing. A consumer that never releases
-// (the batch examples read every frame after the run) simply grows the
-// ring's working set to the step count, exactly the pre-ring behavior.
+// FrameRing recycles the canvases assembled frames are read into. A frame
+// is kept as its run-length stream (RealWorkload.Assemble); Frame(t)
+// acquires a canvas from the ring the first time step t is read and
+// pastes the stream into it, and ReleaseFrame (or a re-aim) returns the
+// canvas to the ring. The ring starts empty and holds only canvases that
+// readers have handed back, so a run nobody reads allocates none, a
+// consumer that reads and releases frames one at a time keeps it at one
+// canvas, and a consumer that reads frames and never releases them grows
+// its working set to the step count.
 //
 // Ownership contract (see docs/ownership.md): Acquire transfers the
 // canvas to the caller; Release transfers it back, after which the
 // previous holder must not touch it — Frame() results are borrows from
-// this ring. The ring is mutex-guarded, so producer (output rank) and
-// consumer may be different goroutines.
+// this ring. The ring is mutex-guarded, so the goroutines that read
+// frames and those that release them may differ. The zero FrameRing is an
+// empty ring ready to use.
 type FrameRing struct {
 	mu   sync.Mutex
 	free []*img.Image
-}
-
-// NewFrameRing returns a ring preloaded with depth w×h canvases.
-func NewFrameRing(depth, w, h int) *FrameRing {
-	r := &FrameRing{free: make([]*img.Image, 0, depth)}
-	for i := 0; i < depth; i++ {
-		r.free = append(r.free, img.New(w, h))
-	}
-	return r
+	made int // canvases Acquire has allocated (img.New calls)
 }
 
 // Acquire returns a cleared w×h canvas, reusing a released one when its
-// capacity suffices and allocating otherwise (the ring grows under
-// consumer lag instead of blocking the pipeline).
+// capacity suffices and allocating otherwise (the ring grows while readers
+// hold more canvases than it has ever had).
 func (r *FrameRing) Acquire(w, h int) *img.Image {
 	n := 4 * w * h
 	var m *img.Image
@@ -51,10 +44,12 @@ func (r *FrameRing) Acquire(w, h int) *img.Image {
 			break
 		}
 	}
-	r.mu.Unlock()
 	if m == nil {
+		r.made++
+		r.mu.Unlock()
 		return img.New(w, h)
 	}
+	r.mu.Unlock()
 	m.W, m.H = w, h
 	m.Pix = m.Pix[:n]
 	clear(m.Pix)

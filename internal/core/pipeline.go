@@ -46,7 +46,8 @@ type Workload interface {
 	// modelled strip under Compress likewise).
 	Composite(c *mpi.Comm, t, r int, group []int, rendered any) (int64, any, error)
 	// Assemble consumes the strips (and optional LIC payload) on the
-	// output processor; it owns frame delivery (e.g. writing the image).
+	// output processor; it owns frame delivery (e.g. writing the image)
+	// and may reorder strips.
 	Assemble(c *mpi.Comm, t int, strips []mpi.Message, lic *mpi.Message) error
 	// WantLIC reports whether LIC payloads flow this run.
 	WantLIC() bool

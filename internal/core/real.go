@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/compositor"
@@ -24,7 +25,8 @@ import (
 // through the MPI-IO layer from the parallel file store, quantized to 8 bit
 // and distributed as octree-block payloads, ray-cast on the rendering
 // processors, composited with SLIC or direct send, and assembled into
-// frames the caller can retrieve with Frame().
+// frames the caller can retrieve with Frame(): each kept as one run-length
+// stream until it is read.
 //
 // It is the per-session half of a run, built on a shared immutable
 // Dataset (the paper's one-time octree preprocessing and distribution):
@@ -64,21 +66,34 @@ type RealWorkload struct {
 	// runs, so batch behavior is unchanged.
 	stepBase int
 
-	// ring recycles assembled frame canvases; see FrameRing for the
-	// copy-out-or-release consumer contract.
-	ring *FrameRing
+	// ring recycles the canvases frames are read into; see FrameRing for
+	// the copy-out-or-release consumer contract.
+	ring FrameRing
 
-	framesMu sync.Mutex
-	frames   map[int]assembled
+	// frames holds each assembled step under framesMu, with the free lists
+	// its stream and underlay buffers return to. readMu serializes what
+	// reads a frame's buffers outside framesMu — Frame(t) pasting them —
+	// with what recycles them, so the output rank can go on assembling
+	// later steps while a frame is read. Lock order: readMu, then framesMu.
+	readMu    sync.Mutex
+	framesMu  sync.Mutex
+	frames    map[int]assembled
+	streams   [][]byte
+	underlays []*img.Image
 
 	// res is the run's fault accounting sink (docs/faults.md),
 	// attached by NewPipeline.
 	res *Result
 }
 
-// assembled is one frame an output rank of this workload assembled, with
-// whether it was built from degraded input (FrameDegraded).
+// assembled is one frame an output rank of this workload assembled: the
+// strips stitched into one frame-wide run-length stream, its own copy of
+// the LIC underlay (nil when the frame has none), the canvas Frame built
+// from them once the frame was read (nil until then), and whether it was
+// built from degraded input (FrameDegraded).
 type assembled struct {
+	rle      []byte
+	under    *img.Image
 	img      *img.Image
 	degraded bool
 }
@@ -109,10 +124,11 @@ func NewRealWorkload(l Layout, opts Options, store pfs.Store) (*RealWorkload, er
 // NewWorkload builds a workload on the dataset aimed at the view SetView
 // takes — image size, camera and transfer function — with every other
 // option the dataset's: the renderer and its transfer-function table, the
-// per-rank scratches and worker pools, the frame ring, and the
-// view-dependent tables. It reads no data, so it costs scratch allocation
-// plus well under a millisecond of CPU; every workload on one Dataset is
-// independent of the others.
+// per-rank scratches and worker pools, and the view-dependent tables. The
+// frame ring starts empty: frames are kept as streams, and a canvas is
+// allocated only when a frame is read. It reads no data, so it costs
+// scratch allocation plus well under a millisecond of CPU; every workload
+// on one Dataset is independent of the others.
 func (d *Dataset) NewWorkload(width, height int, view render.View, tfName string) *RealWorkload {
 	opts := d.opts
 	opts.Width, opts.Height, opts.View, opts.TFName = width, height, view, tfName
@@ -121,11 +137,6 @@ func (d *Dataset) NewWorkload(width, height int, view render.View, tfName string
 		ds: d, opts: opts, store: d.store, steps: d.steps,
 		frames: make(map[int]assembled),
 	}
-	// The frame ring is sized to the pipeline's prefetch window (the
-	// default depth of 1 keeps one step streaming while one renders, so at
-	// most two frames per output rank are in flight when consumers release
-	// promptly); it grows on demand when they do not.
-	w.ring = NewFrameRing(2*l.Outputs, opts.Width, opts.Height)
 	w.rend = render.NewRenderer()
 	w.rend.Lighting = opts.Lighting
 	w.rend.TF = render.TFByName(opts.TFName)
@@ -277,14 +288,30 @@ func (w *RealWorkload) SetView(width, height int, view render.View, tfName strin
 }
 
 // resetRun drops what the previous run left behind: unconsumed frames
-// return to the ring.
+// return their canvases to the ring and their buffers to the free lists.
 func (w *RealWorkload) resetRun() {
+	w.readMu.Lock()
 	w.framesMu.Lock()
 	for t, f := range w.frames {
 		delete(w.frames, t)
-		w.ring.Release(f.img)
+		w.recycle(f)
 	}
 	w.framesMu.Unlock()
+	w.readMu.Unlock()
+}
+
+// recycle returns frame f's canvas to the ring and its stream and underlay
+// buffers to the free lists. framesMu must be held, and readMu too when f
+// has been in the table, since Frame may be reading its buffers. A frame
+// that never needed a stream buffer (nothing lit) still leaves its nil
+// one, so that newFrame keeps handing each step the buffer of the step
+// it follows in the previous pass.
+func (w *RealWorkload) recycle(f assembled) {
+	w.ring.Release(f.img)
+	w.streams = append(w.streams, f.rle[:0])
+	if f.under != nil {
+		w.underlays = append(w.underlays, f.under)
+	}
 }
 
 // Steps implements Workload.
@@ -293,28 +320,58 @@ func (w *RealWorkload) Steps() int { return w.steps }
 // WantLIC implements Workload.
 func (w *RealWorkload) WantLIC() bool { return w.opts.LIC }
 
-// Frame returns the assembled image for timestep t (after the run, or as
-// soon as the step's Assemble completed). The image is a borrow from the
-// frame ring: it stays valid until the caller releases it with
-// ReleaseFrame. Callers that never
-// release simply keep every frame alive, at the pre-ring memory cost.
+// Frame returns the image of timestep t, or nil when no output rank in
+// this process has assembled step t. The first call builds the pixels: a
+// cleared canvas from the frame ring, the frame's stream pasted into it
+// (compositor.PasteRLE), the LIC underlay composited under them
+// (underStretched). Those are the operations, in the order, of assembling
+// the strips into a canvas directly, so every bit is the one that would
+// make; and the underlay is composited in the process of the output rank
+// that received it. Later calls return the same image. Frame may be
+// called while the output ranks assemble later steps. The image is a
+// borrow from the frame ring: it stays valid until the caller releases it
+// with ReleaseFrame. Callers that never release keep every frame they
+// have read alive as a canvas.
 func (w *RealWorkload) Frame(t int) *img.Image {
+	w.readMu.Lock()
+	defer w.readMu.Unlock()
 	w.framesMu.Lock()
-	defer w.framesMu.Unlock()
-	return w.frames[t].img
+	f, ok := w.frames[t]
+	w.framesMu.Unlock()
+	if !ok || f.img != nil {
+		return f.img
+	}
+	// readMu keeps f's buffers from being recycled, and step t from being
+	// replaced or released, until the canvas is in the table.
+	m := w.ring.Acquire(w.opts.Width, w.opts.Height)
+	if err := compositor.PasteRLE(m, compositor.Strip{H: m.H}, f.rle); err != nil {
+		panic(fmt.Sprintf("core: frame %d's stream does not fit its frame: %v", t, err))
+	}
+	if f.under != nil {
+		underStretched(m, f.under, w.licCols)
+	}
+	f.img = m
+	w.framesMu.Lock()
+	w.frames[t] = f
+	w.framesMu.Unlock()
+	return m
 }
 
-// ReleaseFrame returns timestep t's assembled frame to the frame ring and
-// forgets it. The image previously returned by Frame(t) must not be used
+// ReleaseFrame forgets timestep t's frame: its canvas, if it was read,
+// goes back to the frame ring and its buffers to the workload's free
+// lists. The image previously returned by Frame(t) must not be used
 // afterwards. Releasing a missing or already-released step is a no-op.
-// Streaming consumers release each frame once written out, which keeps the
-// ring at the prefetch depth and the steady-state assemble allocation-free.
+// Streaming consumers release each frame once written out, which keeps
+// the ring at one canvas and the steady-state assemble allocation-free.
 func (w *RealWorkload) ReleaseFrame(t int) {
+	w.readMu.Lock()
 	w.framesMu.Lock()
-	f := w.frames[t]
-	delete(w.frames, t)
+	if f, ok := w.frames[t]; ok {
+		delete(w.frames, t)
+		w.recycle(f)
+	}
 	w.framesMu.Unlock()
-	w.ring.Release(f.img)
+	w.readMu.Unlock()
 }
 
 // Mesh exposes the loaded mesh (for examples).
@@ -928,60 +985,126 @@ func (w *RealWorkload) Composite(c *mpi.Comm, t, r int, group []int, rnd any) (i
 	return compositor.RawBytes(im), sp, nil
 }
 
-// Assemble implements Workload: paste strips, put the LIC surface image
-// underneath, and store the frame. Strip and LIC payloads are released
-// once consumed, returning their buffers to the sending ranks' pools; the
-// assembled frame comes from the frame ring, so a consumer that copies out
-// or releases frames as it goes makes the whole per-frame assemble
-// allocation-free. A step that fails hands its canvas back to the ring.
-// The frame is stored with its degraded flag, which the step's strips and
-// underlay alone decide: every input of step t reached this rank on them.
+// Assemble implements Workload: stitch the step's strips, sorted by Y0,
+// into one frame-wide run-length stream, keep a copy of the LIC underlay
+// beside it, and store the frame. No canvas is touched: Frame(t) builds
+// the pixels when the frame is read. Every strip and underlay check is
+// made here, so a step fails or is flagged degraded at assembly. Strip
+// and LIC payloads are released once consumed, returning their buffers to
+// the sending ranks' pools, and the stream and underlay buffers come from
+// free lists that ReleaseFrame refills, so a consumer that releases
+// frames as it goes makes the whole per-frame assemble allocation-free.
+// A step that fails hands its buffers back. The frame is stored with its
+// degraded flag, which the step's strips and underlay alone decide: every
+// input of step t reached this rank on them. Assemble reorders strips.
 func (w *RealWorkload) Assemble(c *mpi.Comm, t int, strips []mpi.Message, licMsg *mpi.Message) error {
-	frame := w.ring.Acquire(w.opts.Width, w.opts.Height)
-	degraded, err := w.assembleInto(frame, t, strips, licMsg)
+	f := w.newFrame()
+	degraded, err := w.assembleInto(&f, t, strips, licMsg)
 	if err != nil {
-		w.ring.Release(frame)
+		w.framesMu.Lock()
+		w.recycle(f)
+		w.framesMu.Unlock()
 		return err
 	}
-	w.framesMu.Lock()
-	if old := w.frames[t].img; old != nil && old != frame {
-		w.ring.Release(old) // re-assembled step: recycle the stale frame
-	}
-	w.frames[t] = assembled{img: frame, degraded: degraded}
-	w.framesMu.Unlock()
+	f.degraded = degraded
+	w.keep(t, f)
 	if w.res != nil && degraded {
 		w.res.addDegradedFrame()
 	}
 	return nil
 }
 
-// assembleInto is Assemble's body on the acquired canvas frame; it reports
-// whether the frame is degraded.
-func (w *RealWorkload) assembleInto(frame *img.Image, t int, strips []mpi.Message, licMsg *mpi.Message) (degraded bool, err error) {
+// newFrame starts a frame on a stream buffer from the free list: the one
+// released first. Consumers release frames in the order they were
+// assembled, so a pass over the same view gets for each step the buffer
+// that step grew in the pass before, and does not grow it again.
+func (w *RealWorkload) newFrame() assembled {
+	var f assembled
+	w.framesMu.Lock()
+	if n := len(w.streams); n > 0 {
+		f.rle = w.streams[0]
+		copy(w.streams, w.streams[1:])
+		w.streams[n-1] = nil
+		w.streams = w.streams[:n-1]
+	}
+	w.framesMu.Unlock()
+	return f
+}
+
+// underlayCopy returns a copy of the LIC underlay src, in a buffer from
+// the free list when there is one: every underlay a workload keeps is
+// licSize² (assembleInto refuses others).
+func (w *RealWorkload) underlayCopy(src *img.Image) *img.Image {
+	var m *img.Image
+	w.framesMu.Lock()
+	if k := len(w.underlays); k > 0 {
+		m, w.underlays = w.underlays[k-1], w.underlays[:k-1]
+	}
+	w.framesMu.Unlock()
+	if m == nil {
+		m = img.New(src.W, src.H)
+	}
+	copy(m.Pix, src.Pix)
+	return m
+}
+
+// keep stores f as step t's frame. A step assembled again (a second run
+// without a re-aim) replaces the frame before it, which is recycled under
+// readMu, since Frame may be reading it.
+func (w *RealWorkload) keep(t int, f assembled) {
+	w.framesMu.Lock()
+	if _, ok := w.frames[t]; !ok {
+		w.frames[t] = f
+		w.framesMu.Unlock()
+		return
+	}
+	w.framesMu.Unlock()
+	w.readMu.Lock()
+	w.framesMu.Lock()
+	if old, ok := w.frames[t]; ok {
+		w.recycle(old)
+	}
+	w.frames[t] = f
+	w.framesMu.Unlock()
+	w.readMu.Unlock()
+}
+
+// assembleInto is Assemble's body on frame f; it reports whether the frame
+// is degraded.
+func (w *RealWorkload) assembleInto(f *assembled, t int, strips []mpi.Message, licMsg *mpi.Message) (degraded bool, err error) {
 	for _, s := range strips {
 		if s.Data == nil {
 			// A lost renderer's strip never arrived (Pipeline substituted an
-			// empty message): the ring frame's pixels are already zeroed, so
-			// the gap stays transparent and the frame is flagged.
+			// empty message): its rows get no records, so the gap stays
+			// transparent and the frame is flagged.
 			if !w.opts.Faults.Tolerate {
 				return false, fmt.Errorf("core: output missing strip from rank %d at step %d", s.Src, t)
 			}
 			degraded = true
 			continue
 		}
+		if _, ok := s.Data.(*stripPayload); !ok {
+			return false, fmt.Errorf("core: output got unexpected strip payload %T", s.Data)
+		}
+	}
+	sortStrips(strips)
+	st := compositor.NewStitch(w.opts.Width, w.opts.Height)
+	for _, s := range strips {
 		sp, ok := s.Data.(*stripPayload)
 		if !ok {
-			return false, fmt.Errorf("core: output got unexpected strip payload %T", s.Data)
+			continue // a missing strip, judged above
 		}
 		// The renderer flagged its step (stale, refused or missing input,
 		// or a partial composite).
 		degraded = degraded || sp.degraded
-		err := pasteStrip(frame, sp)
+		var err error
+		f.rle, err = stitchStrip(&st, f.rle, sp)
 		sp.release()
 		if err != nil {
-			// A strip that does not fit the frame, or a stream that does not
-			// fit the strip, pasted nothing: under the fault policy its rows
-			// stay transparent like a lost renderer's.
+			// A strip that does not fit the frame, overlaps a strip above
+			// it, or carries a stream that does not fit it added nothing:
+			// under the fault policy its rows stay transparent like a lost
+			// renderer's.
 			if !w.opts.Faults.Tolerate {
 				return false, fmt.Errorf("core: output strip from rank %d at step %d: %w", s.Src, t, err)
 			}
@@ -992,8 +1115,8 @@ func (w *RealWorkload) assembleInto(frame *img.Image, t int, strips []mpi.Messag
 		return degraded, nil
 	}
 	if licMsg.Data == nil {
-		// LIC underlay dropped (degraded LIC step or lost LIC rank): render
-		// the frame without it and flag it.
+		// LIC underlay dropped (degraded LIC step or lost LIC rank): the
+		// frame goes without it and is flagged.
 		return degraded || w.opts.Faults.Tolerate, nil
 	}
 	lp, ok := licMsg.Data.(*licPayload)
@@ -1006,7 +1129,7 @@ func (w *RealWorkload) assembleInto(frame *img.Image, t int, strips []mpi.Messag
 	size, uw, uh := w.licSize(), lp.Img.W, lp.Img.H
 	fits := uw == size && uh == size
 	if fits {
-		underStretched(frame, &lp.Img, w.licCols)
+		f.under = w.underlayCopy(&lp.Img)
 	}
 	lp.release()
 	if !fits {
@@ -1018,24 +1141,37 @@ func (w *RealWorkload) assembleInto(frame *img.Image, t int, strips []mpi.Messag
 	return degraded, nil
 }
 
-// pasteStrip writes one strip into the frame rows it covers, which the
-// ring handed out cleared: a raw canvas by copy, a run-length stream
-// record by record (skip records touch nothing, so no decoded image sits
-// in between). A strip that does not fit the frame pastes nothing.
-func pasteStrip(frame *img.Image, sp *stripPayload) error {
+// sortStrips puts the strips in row order, stably: by Y0, with the missing
+// ones (no payload) first. An insertion sort, since there is one strip per
+// renderer and it must not allocate.
+func sortStrips(strips []mpi.Message) {
+	y0 := func(m mpi.Message) int {
+		if sp, ok := m.Data.(*stripPayload); ok {
+			return sp.Strip.Y0
+		}
+		return math.MinInt
+	}
+	for i := 1; i < len(strips); i++ {
+		for j := i; j > 0 && y0(strips[j]) < y0(strips[j-1]); j-- {
+			strips[j], strips[j-1] = strips[j-1], strips[j]
+		}
+	}
+}
+
+// stitchStrip appends one strip's rows to the frame's stream dst and
+// returns it: a raw canvas encoded straight from its rows, a run-length
+// stream record by record with its skips rebased (compositor.Stitch). A
+// strip that does not fit the frame, overlaps the strips before it, or
+// carries a stream or canvas that does not fit it appends nothing.
+func stitchStrip(s *compositor.Stitch, dst []byte, sp *stripPayload) ([]byte, error) {
 	if sp.compressed {
-		return compositor.PasteRLE(frame, sp.Strip, sp.rle)
+		return s.AppendRLE(dst, sp.Strip, sp.rle)
 	}
-	st := sp.Strip
-	if st.H == 0 {
-		return nil
+	var pix []float32
+	if sp.Img != nil {
+		pix = sp.Img.Pix
 	}
-	if st.Y0 < 0 || st.H < 0 || st.Y0 > frame.H || st.H > frame.H-st.Y0 ||
-		sp.Img == nil || len(sp.Img.Pix) != 4*frame.W*st.H {
-		return fmt.Errorf("core: raw strip rows [%d, %d) do not fit a %dx%d frame", st.Y0, st.Y0+st.H, frame.W, frame.H)
-	}
-	copy(frame.Pix[4*st.Y0*frame.W:], sp.Img.Pix)
-	return nil
+	return s.AppendRaw(dst, sp.Strip, pix)
 }
 
 // stretchCols returns, for each column of a w-pixel-wide frame, the float

@@ -73,9 +73,12 @@ func TestSetViewMatchesFreshWorkload(t *testing.T) {
 }
 
 // TestSetViewReleasesLeftoverFrames pins the re-aim side of the ring
-// contract for SetView: unconsumed frames go back to the ring exactly once
-// (a double release would trip FrameRing's panic), consumed ones are not
-// released again, and no canvas leaks.
+// contract for SetView: the canvases of unconsumed frames that were read
+// go back to the ring exactly once (a double release would trip
+// FrameRing's panic), consumed ones are not released again, and no canvas
+// leaks. A canvas exists only for a frame that was read, so each run reads
+// every frame, and the count is the read frames' canvases plus the ring's
+// free ones.
 func TestSetViewReleasesLeftoverFrames(t *testing.T) {
 	store := buildDataset(t, 3)
 	l := Layout{Groups: 1, IPsPerGroup: 1, Renderers: 2, Outputs: 1}
@@ -88,8 +91,16 @@ func TestSetViewReleasesLeftoverFrames(t *testing.T) {
 	for i, a := range aimCases[:3] {
 		w.SetView(24, 24, a.view(), a.tf)
 		runWorkloadOver(t, w, w, l, overReal, nil)
+		for step := 0; step < 3; step++ {
+			w.Frame(step)
+		}
 		if i == 0 {
-			canvases = len(w.ring.free) + len(w.frames)
+			canvases = len(w.ring.free)
+			for _, f := range w.frames {
+				if f.img != nil {
+					canvases++
+				}
+			}
 		}
 		w.ReleaseFrame(1)
 	}

@@ -319,9 +319,10 @@ func wireBytes(set []*stripPayload) (n float64) {
 }
 
 // BenchmarkAssemble times the output rank's per-frame work on a 512² frame
-// of the golden scene in four strips — acquire, paste, underlay, store,
-// release — for raw canvases against run-length streams, without and with
-// a 128² LIC underlay.
+// of the golden scene in four strips — stitch the strips into the frame's
+// stream, copy the underlay, store, release — for raw canvases against
+// run-length streams, without and with a 128² LIC underlay. Building the
+// pixels is the frame's first read (BenchmarkFrameMaterialize).
 func BenchmarkAssemble(b *testing.B) {
 	shapes, restore := hopBenchStrips(b)
 	store := buildDataset(b, 1)
